@@ -80,9 +80,8 @@ type daemonFlags struct {
 	sloQueueBound int
 	sloBudget     float64
 
-	perRequest bool
-	router     bool
-	nodes      int
+	router bool
+	nodes  int
 }
 
 // validateFlags rejects out-of-range tuning flags up front. Negative values
@@ -112,11 +111,6 @@ func validateFlags(v daemonFlags) (map[string]string, error) {
 	}
 	if v.jobDeadline < 0 {
 		return nil, fmt.Errorf("-job-deadline must be >= 0 (got %v); 0 disables the per-job deadline", v.jobDeadline)
-	}
-	if v.router && v.perRequest {
-		// The router tier fronts shared-pool nodes; the per-request baseline
-		// has no pool to shard over.
-		return nil, fmt.Errorf("-router is incompatible with -per-request")
 	}
 	if v.nodes != 0 && !v.router {
 		return nil, fmt.Errorf("-nodes requires -router")
@@ -200,8 +194,6 @@ func main() {
 	shards := flag.Int("shards", 2, "runtime shards (tenants hash across them)")
 	concurrency := flag.Int("concurrency", 4, "max concurrent jobs per shard")
 	vms := flag.Int("vms", 2, "ND96amsr_A100_v4 VMs per shard")
-	perRequest := flag.Bool("per-request", false,
-		"baseline mode: provision a throwaway testbed per request instead of sharing runtimes")
 	retain := flag.Float64("retain", 0,
 		"per-shard telemetry retention window in simulated seconds: older history is "+
 			"compacted into rollup buckets (0 = default 3600)")
@@ -279,7 +271,6 @@ func main() {
 		sloLow:          *sloLow,
 		sloQueueBound:   *sloQueueBound,
 		sloBudget:       *sloBudget,
-		perRequest:      *perRequest,
 		router:          *routerMode,
 		nodes:           *nodes,
 	})
@@ -302,7 +293,6 @@ func main() {
 		FaultSeed:             *faultSeed,
 		MaxRetries:            *maxRetries,
 		JobDeadlineS:          *jobDeadline,
-		PerRequest:            *perRequest,
 		SLO:                   *slo,
 		SLOTenantTiers:        tenantTiers,
 		SLODefaultClass:       *sloDefault,
@@ -366,13 +356,10 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	switch {
-	case *routerMode:
+	if *routerMode {
 		log.Printf("murakkabd listening on %s (router mode: %d nodes × %d shards × %d VMs, %d jobs/shard)",
 			*addr, nodeCount, *shards, *vms, *concurrency)
-	case *perRequest:
-		log.Printf("murakkabd listening on %s (per-request baseline mode)", *addr)
-	default:
+	} else {
 		log.Printf("murakkabd listening on %s (%d shards × %d VMs, %d jobs/shard)",
 			*addr, *shards, *vms, *concurrency)
 	}

@@ -26,7 +26,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "router ok", flags: daemonFlags{router: true}},
 		{name: "router nodes ok", flags: daemonFlags{router: true, nodes: 5}},
 		{name: "nodes without router", flags: daemonFlags{nodes: 3}, wantErr: "-nodes requires -router"},
-		{name: "router with per-request", flags: daemonFlags{router: true, perRequest: true}, wantErr: "incompatible"},
 		{name: "negative nodes", flags: daemonFlags{router: true, nodes: -1}, wantErr: "-nodes"},
 
 		{name: "slo ok", flags: daemonFlags{slo: true}},

@@ -49,9 +49,11 @@
 // goroutine while HTTP handlers post submissions into it; api.Pool shards
 // tenants across long-lived runtimes so concurrent jobs multiplex warm
 // serving engines and generation-checked plan/decomposition/tool-call
-// caches. BenchmarkServing replays a mixed-tenant Poisson trace through the
-// HTTP surface and reports ≥ 2× the throughput of the per-request-testbed
-// baseline (serving_gain_x), with p50/p95 latency.
+// caches. The daemon has this one serving mode; BenchmarkServing replays a
+// mixed-tenant Poisson trace through the HTTP surface and reports ≥ 2× the
+// throughput of a testbed-per-request baseline handler kept in
+// internal/serving (serving_gain_x), with p50/p95 latency. api.Counters is
+// the single declaration of the additive /v1/stats counters.
 //
 // Admission itself is pipelined off the shard loop: the configuration
 // search (decompose + optimizer enumerate/prune/score) runs on a

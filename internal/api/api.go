@@ -14,18 +14,17 @@
 //	GET    /v1/jobs/{id}              job status / result
 //	DELETE /v1/jobs/{id}              cancel a queued or running job
 //	GET    /v1/stats                  multiplexing, cache and utilization counters
-//	GET    /v1/experiments/{name}     regenerate a table/figure (text/plain)
 package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 
 	"repro/internal/agents"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/workflow"
 )
 
@@ -45,15 +44,12 @@ type JobRequest struct {
 	// "silver", "bronze"). Rejected when the daemon runs without SLO tiers.
 	SLOClass string `json:"slo_class,omitempty"`
 	// Wait blocks the request until the job completes and returns the result
-	// inline (per-request mode always behaves this way).
+	// inline.
 	Wait bool `json:"wait,omitempty"`
 	// Timeline includes the rendered execution timeline in the result.
 	// Off by default: it is a debugging artifact, and rendering plus
 	// serializing it is measurable at serving rates.
 	Timeline bool `json:"timeline,omitempty"`
-	// VMs sizes the throwaway cluster in per-request mode (default 2). It is
-	// rejected in shared mode, where shard clusters are sized at daemon start.
-	VMs int `json:"vms,omitempty"`
 }
 
 // InputRequest is one typed job input.
@@ -63,10 +59,9 @@ type InputRequest struct {
 	Attrs map[string]float64 `json:"attrs,omitempty"`
 }
 
-// maxRequestVMs caps the client-supplied throwaway-cluster size in
-// per-request mode: provisioning is synchronous on the handler goroutine,
-// so an unbounded count would let one request exhaust daemon memory.
-const maxRequestVMs = 16
+// maxSubmitBody bounds a POST /v1/jobs body; a larger one is answered 413 in
+// the error envelope. The router tier applies the same bound before routing.
+const maxSubmitBody = 1 << 20
 
 // maxRequestPaths caps MAX_QUALITY execution-path replication per request:
 // every LLM task replicates up to this factor on the tenant's shared shard,
@@ -164,7 +159,6 @@ func NewServer(cfg PoolConfig) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/experiments/{name}", handleExperiments)
 	return s, nil
 }
 
@@ -214,20 +208,16 @@ func handleLibrary(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf(
+				"request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
-		return
-	}
-	if req.VMs != 0 && !s.pool.PerRequest() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"vms applies only to per-request mode; shard cluster size is fixed at daemon start"))
-		return
-	}
-	if req.VMs < 0 || req.VMs > maxRequestVMs {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"vms must be in [1, %d] (0 for the default)", maxRequestVMs))
 		return
 	}
 	if req.MaxPaths < 0 || req.MaxPaths > maxRequestPaths {
@@ -236,7 +226,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.SLOClass != "" {
-		if !s.pool.SLOEnabled() {
+		if !s.pool.cfg.SLO {
 			writeError(w, http.StatusBadRequest, fmt.Errorf(
 				"slo_class requires the daemon to run with SLO tiers (-slo)"))
 			return
@@ -247,7 +237,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	job, err := req.toJob()
+	job, err := req.ToJob()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -258,7 +248,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := s.pool.Submit(tenant, job, core.SubmitOptions{
 		RelaxFloor: true, MaxPaths: req.MaxPaths, SLOClass: req.SLOClass,
-	}, submitExtras{vms: req.VMs, timeline: req.Timeline})
+	}, req.Timeline)
 	if err != nil {
 		switch core.ErrorCodeOf(err) {
 		case core.CodeShedOverload:
@@ -276,7 +266,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if req.Wait || s.pool.PerRequest() {
+	if req.Wait {
 		select {
 		case <-rec.Done():
 		case <-r.Context().Done():
@@ -387,7 +377,8 @@ func allowedKindList() string {
 	return strings.Join(out, ", ")
 }
 
-func (req JobRequest) toJob() (workflow.Job, error) {
+// ToJob validates the request and maps it onto the workflow schema.
+func (req JobRequest) ToJob() (workflow.Job, error) {
 	var c workflow.Constraint
 	switch strings.ToUpper(req.Constraint) {
 	case "MIN_COST", "":
@@ -432,43 +423,6 @@ func (req JobRequest) toJob() (workflow.Job, error) {
 		})
 	}
 	return job, job.Validate()
-}
-
-func handleExperiments(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var out string
-	var err error
-	switch name {
-	case "fig3":
-		var res *experiments.Figure3Result
-		if res, err = experiments.Figure3(); err == nil {
-			out = res.String()
-		}
-	case "table1":
-		var res *experiments.Table1Result
-		if res, err = experiments.Table1(); err == nil {
-			out = res.String()
-		}
-	case "table2":
-		var res *experiments.Table2Result
-		if res, err = experiments.Table2(); err == nil {
-			out = res.String()
-		}
-	case "overhead":
-		var res *experiments.OverheadResult
-		if res, err = experiments.Overhead(); err == nil {
-			out = res.String()
-		}
-	default:
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", name))
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, out)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -348,7 +348,7 @@ func TestJobValidationErrors(t *testing.T) {
 		"unknown kind":       {`{"description":"x","inputs":[{"name":"a","kind":"audio"}]}`, "allowed: video, text, user-profile, topic, document"},
 		"video no attrs":     {`{"description":"videos with objects","inputs":[{"name":"a.mov","kind":"video"}]}`, "needs duration_s"},
 		"no inputs":          {`{"description":"x","constraint":"MIN_COST"}`, ""},
-		"vms in shared mode": {`{"description":"x","vms":4,"inputs":[{"name":"a","kind":"text"}]}`, "per-request mode"},
+		"vms is gone":        {`{"description":"x","vms":4,"inputs":[{"name":"a","kind":"text"}]}`, "unknown field"},
 	}
 	for name, tc := range cases {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -397,67 +397,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/library = %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestExperimentEndpoint(t *testing.T) {
-	srv := defaultServer(t)
-	resp, err := http.Get(srv.URL + "/v1/experiments/table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	buf := new(bytes.Buffer)
-	buf.ReadFrom(resp.Body)
-	if !strings.Contains(buf.String(), "MIN_COST selection") {
-		t.Fatalf("table2 output missing selection line:\n%s", buf.String())
-	}
-	resp, _ = http.Get(srv.URL + "/v1/experiments/nope")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown experiment = %d, want 404", resp.StatusCode)
-	}
-}
-
-func TestPerRequestModeIsDeterministic(t *testing.T) {
-	s, err := NewServer(PoolConfig{PerRequest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s)
-	t.Cleanup(func() { srv.Close(); s.Close() })
-
-	run := func() JobStatusResponse {
-		resp, st := postJob(t, srv, videoJobJSON(""))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d", resp.StatusCode)
-		}
-		return st
-	}
-	a, b := run(), run()
-	if a.Result == nil || b.Result == nil {
-		t.Fatal("per-request mode did not return inline results")
-	}
-	if a.Result.MakespanS != b.Result.MakespanS || a.Result.GPUEnergyWh != b.Result.GPUEnergyWh {
-		t.Fatalf("non-deterministic service: %+v vs %+v", a.Result, b.Result)
-	}
-	if a.Shard != -1 {
-		t.Fatalf("per-request job reports shard %d, want -1", a.Shard)
-	}
-
-	// The throwaway-cluster size is capped: one request must not be able to
-	// provision an arbitrarily large simulated cluster.
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"description":"x","vms":100000000,"inputs":[{"name":"a","kind":"text"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized vms = %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -81,17 +81,12 @@ func TestEventCountersMonotonicAcrossRecycles(t *testing.T) {
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); s.Close() })
 
-	var lastProcessed, lastWheel uint64
-	var lastPeak int
+	var last PoolStats
 	for wave := 0; wave < 6; wave++ {
 		mustServe(t, srv, waitBody(fmt.Sprintf("tenant-%d", wave)))
 		st := fetchStats(t, srv)
-		if st.EventsProcessed < lastProcessed || st.WheelEvents < lastWheel || st.PeakPending < lastPeak {
-			t.Fatalf("wave %d: event counters went backwards: processed %d->%d wheel %d->%d peak %d->%d",
-				wave, lastProcessed, st.EventsProcessed, lastWheel, st.WheelEvents,
-				lastPeak, st.PeakPending)
-		}
-		lastProcessed, lastWheel, lastPeak = st.EventsProcessed, st.WheelEvents, st.PeakPending
+		assertTotalsMonotonic(t, fmt.Sprintf("wave %d", wave), last, st)
+		last = st
 	}
 	st := fetchStats(t, srv)
 	if st.Recycles == 0 {

@@ -71,17 +71,12 @@ func TestScratchPoolCountersMonotonicAcrossRecycles(t *testing.T) {
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); s.Close() })
 
-	var lastHits, lastMisses, lastIntern uint64
+	var last PoolStats
 	for wave := 0; wave < 6; wave++ {
 		mustServe(t, srv, waitBody(fmt.Sprintf("tenant-%d", wave)))
 		st := fetchStats(t, srv)
-		hits, misses := st.ScratchPoolHits, st.ScratchPoolMisses
-		intern := st.KeyInternHits + st.KeyInternMisses
-		if hits < lastHits || misses < lastMisses || intern < lastIntern {
-			t.Fatalf("wave %d: counters went backwards: hits %d->%d misses %d->%d intern %d->%d",
-				wave, lastHits, hits, lastMisses, misses, lastIntern, intern)
-		}
-		lastHits, lastMisses, lastIntern = hits, misses, intern
+		assertTotalsMonotonic(t, fmt.Sprintf("wave %d", wave), last, st)
+		last = st
 	}
 	st := fetchStats(t, srv)
 	if st.Recycles == 0 {

@@ -3,7 +3,9 @@ package api
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -32,11 +34,6 @@ import (
 // results come back through the mutex-guarded job registry, so the whole
 // surface is race-free under concurrent requests.
 //
-// A Pool can also run in per-request mode (PoolConfig.PerRequest), the
-// pre-daemon baseline: every job synchronously provisions a throwaway
-// testbed, runs to completion and tears it down. It exists as the comparison
-// arm for the serving experiment and benchmarks.
-//
 // Shard memory is bounded by tiered telemetry retention: a compaction tick
 // riding each shard's loop advances the cluster's retention watermark to
 // now − RetainSimSeconds (never past the oldest running job's start, so
@@ -53,8 +50,8 @@ type Pool struct {
 	// draining holds shards displaced by a recycle that are still running
 	// their in-flight jobs down in the background. Stats fans out to them
 	// too, so their cumulative counters never disappear from the totals:
-	// each stays here until its loop exits and its final counters fold into
-	// the retired atomics in one mu critical section. Guarded by mu.
+	// each stays here until its loop exits and retireShard merges its final
+	// snapshot into retiredTotals. Guarded by mu.
 	draining []*shard
 
 	nextJob atomic.Uint64
@@ -64,14 +61,14 @@ type Pool struct {
 	retired []string // terminal job ids, oldest first, for history eviction
 	closed  bool
 
-	// Pool-level lifecycle counters for shared mode, maintained by the
-	// pool's own submit/settle path rather than summed from per-shard
-	// schedulers: they stay monotonic and complete while a recycled shard
-	// drains in the background (when its scheduler is in no shard list).
-	shSubmitted atomic.Int64
-	shCompleted atomic.Int64
-	shFailed    atomic.Int64
-	shCanceled  atomic.Int64
+	// Pool-level lifecycle counters, maintained by the pool's own
+	// submit/settle path rather than summed from per-shard schedulers: they
+	// stay monotonic and complete while a recycled shard drains in the
+	// background (when its scheduler is in no shard list).
+	submitted atomic.Int64
+	completed atomic.Int64
+	failed    atomic.Int64
+	canceled  atomic.Int64
 
 	// recycles counts shard recycles, incremented at swap time (the drain
 	// completes in the background). drains joins those background drains so
@@ -79,57 +76,12 @@ type Pool struct {
 	recycles atomic.Int64
 	drains   sync.WaitGroup
 
-	// Retired admission counters: when a recycled shard finishes draining,
-	// its final plan-search/singleflight/conflict counts fold in here so the
-	// pool totals stay monotonic across recycles (like the lifecycle
-	// counters above) instead of resetting with the shard.
-	retSearches     atomic.Int64
-	retSingleflight atomic.Int64
-	retConflicts    atomic.Int64
-	// Retired reconfiguration counters, folded the same way.
-	retReconfigs         atomic.Int64
-	retReconfigWins      atomic.Int64
-	retReconfigSkips     atomic.Int64
-	retReconfigConflicts atomic.Int64
-	// Retired key-interner counters, folded the same way so the pool's
-	// scratch-reuse hit rate stays monotonic across recycles.
-	retInternHits   atomic.Uint64
-	retInternMisses atomic.Uint64
-	// Retired scratch-pool (worker + LLM-task recycling) counters.
-	retScratchHits   atomic.Uint64
-	retScratchMisses atomic.Uint64
-	// Retired event-engine counters: how many events each displaced shard's
-	// sim engine fired, how its schedules split between the timer wheel and
-	// the far-future overflow heap, and how many cancels were lazy
-	// mark-dead. Folded after drain like the others so the pool's event
-	// totals stay monotonic across recycles. retPeakPending is a running
-	// max, not a sum: the deepest pending queue any shard generation saw.
-	retEventsProcessed atomic.Uint64
-	retWheelEvents     atomic.Uint64
-	retOverflowEvents  atomic.Uint64
-	retCancelsLazy     atomic.Uint64
-	retPeakPending     atomic.Int64
-	// Retired fault/recovery counters, folded the same way. BreakerOpen is
-	// a live gauge and is not folded.
-	retTaskRetries       atomic.Int64
-	retRetriesExhausted  atomic.Int64
-	retDeadlinesExceeded atomic.Int64
-	retDegradations      atomic.Int64
-	retStageTimeouts     atomic.Int64
-	retFaultsInjected    atomic.Int64
-	retBreakerTrips      atomic.Int64
-	// Retired SLO/overload counters, folded the same way; OverloadActive is
-	// a live gauge and is not folded. retTenantSLO accumulates displaced
-	// shards' per-tenant SLO accounting (guarded by mu) so the tenant rows
-	// in /v1/stats stay monotonic across recycles too.
-	retSLOShed        atomic.Int64
-	retSLOBudget      atomic.Int64
-	retSLODegraded    atomic.Int64
-	retSLOMet         atomic.Int64
-	retSLOMissed      atomic.Int64
-	retOverloadEnters atomic.Int64
-	retOverloadExits  atomic.Int64
-	retTenantSLO      map[string]core.TenantSLOStats
+	// retiredTotals merges every departed shard's final snapshot (recycled
+	// out or closed), so the pool totals stay monotonic instead of resetting
+	// with the shard. Guarded by mu: retireShard merges a snapshot in inside
+	// the critical section that drops the shard from shards/draining, so
+	// Stats sees every shard exactly once — live, draining or retired.
+	retiredTotals shardTotals
 
 	// peakHints remembers each shard index's event-queue high-water mark,
 	// recorded when a shard is recycled, so its replacement pre-sizes the
@@ -138,12 +90,6 @@ type Pool struct {
 
 	// started anchors the uptime_s stats field (wall clock).
 	started time.Time
-
-	// per-request mode counters (atomics: submissions run on handler
-	// goroutines, not on a shard loop).
-	prSubmitted atomic.Int64
-	prCompleted atomic.Int64
-	prFailed    atomic.Int64
 }
 
 // PoolConfig sizes the pool.
@@ -194,8 +140,6 @@ type PoolConfig struct {
 	// simulated seconds — the fleet-churn source reconfiguration reacts to.
 	// 0 disables it (the pre-churn daemon behaviour).
 	RebalancePeriodS float64
-	// PerRequest switches the pool to the per-request-testbed baseline.
-	PerRequest bool
 	// FaultRate enables deterministic fault injection on each shard: a
 	// seeded, replayable trace of engine crashes, worker losses, stage
 	// stalls and transient call errors totalling FaultRate events per
@@ -348,9 +292,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		}
 	}
 	p := &Pool{cfg: cfg, jobs: map[string]*jobRecord{}, peakHints: map[int]int{}, started: time.Now()}
-	if cfg.PerRequest {
-		return p, nil
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := p.newShard(i)
 		if err != nil {
@@ -491,149 +432,198 @@ func (p *Pool) shardTick(sh *shard) {
 	}
 }
 
-// shardCounters is a snapshot of one shard's cumulative scalar counters —
-// everything that folds into the pool's retired totals when the shard is
-// displaced by a recycle or torn down by Close. Every field is monotone on a
-// live shard.
-type shardCounters struct {
-	planSearches      int64
-	singleflightHits  int64
-	planConflicts     int64
-	reconfigs         int64
-	reconfigWins      int64
-	reconfigSkips     int64
-	reconfigConflicts int64
-	taskRetries       int64
-	retriesExhausted  int64
-	deadlinesExceeded int64
-	degradations      int64
-	stageTimeouts     int64
-	faultsInjected    int64
-	breakerTrips      int64
-	sloShed           int64
-	sloBudget         int64
-	sloDegraded       int64
-	sloMet            int64
-	sloMissed         int64
-	overloadEnters    int64
-	overloadExits     int64
-	internHits        uint64
-	internMisses      uint64
-	scratchHits       uint64
-	scratchMisses     uint64
-	events            uint64
-	wheelEvents       uint64
-	overflowEvents    uint64
-	cancelsLazy       uint64
+// Counters is the single list of the pool's additive counters: each is
+// cumulative and monotone on a live shard, summed across shards, and merged
+// into the pool's retired totals when its shard is recycled or closed. Both
+// /v1/stats levels embed it (ShardStats, PoolStats), so the JSON tags here are
+// the wire names. To add a counter: one field here, one line in
+// readShardCounters, one line in Add.
+type Counters struct {
+	// Off-loop admission: searches dispatched to the plan-search workers,
+	// submissions deduped onto an identical in-flight search, and admissions
+	// whose optimistic commit a capacity-class change invalidated (re-planned
+	// inline). All zero when PlanWorkers is negative (serial admission).
+	PlanSearches     int `json:"plan_searches"`
+	SingleflightHits int `json:"singleflight_hits"`
+	PlanConflicts    int `json:"plan_conflicts"`
+	// Reconfiguration controller: running-job evaluations, adopted re-plans,
+	// kept-current-plan skips and generation-drift conflicts. All zero with
+	// -reconfig off.
+	Reconfigs         int `json:"reconfigs"`
+	ReconfigWins      int `json:"reconfig_wins"`
+	ReconfigSkips     int `json:"reconfig_skips"`
+	ReconfigConflicts int `json:"reconfig_conflicts"`
+	// Fault/recovery: injected fault events, task retries, jobs failed on the
+	// attempt budget or deadline, adopted degradation re-plans, watchdog
+	// firings and circuit-breaker trips. All zero with faults and recovery
+	// disabled.
+	FaultsInjected    int `json:"faults_injected"`
+	TaskRetries       int `json:"task_retries"`
+	RetriesExhausted  int `json:"retries_exhausted"`
+	DeadlinesExceeded int `json:"deadlines_exceeded"`
+	Degradations      int `json:"degradations"`
+	StageTimeouts     int `json:"stage_timeouts"`
+	BreakerTrips      int `json:"breaker_trips"`
+	// SLO/overload: submissions shed on the tenant queue bound or rejected on
+	// the tenant budget, admissions launched on degraded cheaper plans,
+	// completions classified against the tier latency target, and the
+	// overload controller's transitions. All zero with SLO tiers disabled.
+	SLOShed            int `json:"slo_shed"`
+	SLOBudgetExhausted int `json:"slo_budget_exhausted"`
+	SLODegradedAdmits  int `json:"slo_degraded_admits"`
+	SLOMet             int `json:"slo_met"`
+	SLOMissed          int `json:"slo_missed"`
+	OverloadEnters     int `json:"overload_enters"`
+	OverloadExits      int `json:"overload_exits"`
+	// Allocation reuse: cache keys and report labels served from the runtime's
+	// canonical intern table (hits) vs freshly allocated (misses), and
+	// per-task scratch (workers, LLM-task barriers) recycled vs allocated.
+	KeyInternHits     uint64 `json:"key_intern_hits"`
+	KeyInternMisses   uint64 `json:"key_intern_misses"`
+	ScratchPoolHits   uint64 `json:"scratch_pool_hits"`
+	ScratchPoolMisses uint64 `json:"scratch_pool_misses"`
+	// Event engine: events fired, how schedules routed (near-future
+	// timer-wheel buckets vs the far-future overflow heap), and cancels
+	// handled as O(1) lazy mark-dead. All zero on the heap escape hatch
+	// except events_processed.
+	EventsProcessed uint64 `json:"events_processed"`
+	WheelEvents     uint64 `json:"wheel_events"`
+	OverflowEvents  uint64 `json:"overflow_events"`
+	CancelsLazy     uint64 `json:"cancels_lazy"`
 }
 
-// readShardCounters snapshots sh's cumulative counters. The caller must be
-// the shard's loop goroutine, or its sole remaining accessor after the loop
-// has exited.
-func readShardCounters(sh *shard) shardCounters {
-	st := sh.sched.Stats()
-	c := shardCounters{
-		planSearches:      int64(st.PlanSearches),
-		singleflightHits:  int64(st.SingleflightHits),
-		planConflicts:     int64(st.PlanConflicts),
-		reconfigs:         int64(st.Reconfigs),
-		reconfigWins:      int64(st.ReconfigWins),
-		reconfigSkips:     int64(st.ReconfigSkips),
-		reconfigConflicts: int64(st.ReconfigConflicts),
-		taskRetries:       int64(st.TaskRetries),
-		retriesExhausted:  int64(st.RetriesExhausted),
-		deadlinesExceeded: int64(st.DeadlinesExceeded),
-		degradations:      int64(st.Degradations),
-		stageTimeouts:     int64(st.StageTimeouts),
-		faultsInjected:    int64(st.FaultsInjected),
-		breakerTrips:      int64(st.BreakerTrips),
-		sloShed:           int64(st.SLOShed),
-		sloBudget:         int64(st.SLOBudgetExhausted),
-		sloDegraded:       int64(st.SLODegradedAdmits),
-		sloMet:            int64(st.SLOMet),
-		sloMissed:         int64(st.SLOMissed),
-		overloadEnters:    int64(st.OverloadEnters),
-		overloadExits:     int64(st.OverloadExits),
-		events:            sh.eng.Processed(),
-		wheelEvents:       sh.eng.WheelEvents(),
-		overflowEvents:    sh.eng.OverflowEvents(),
-		cancelsLazy:       sh.eng.CancelsLazy(),
+// Add sums o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.PlanSearches += o.PlanSearches
+	c.SingleflightHits += o.SingleflightHits
+	c.PlanConflicts += o.PlanConflicts
+	c.Reconfigs += o.Reconfigs
+	c.ReconfigWins += o.ReconfigWins
+	c.ReconfigSkips += o.ReconfigSkips
+	c.ReconfigConflicts += o.ReconfigConflicts
+	c.FaultsInjected += o.FaultsInjected
+	c.TaskRetries += o.TaskRetries
+	c.RetriesExhausted += o.RetriesExhausted
+	c.DeadlinesExceeded += o.DeadlinesExceeded
+	c.Degradations += o.Degradations
+	c.StageTimeouts += o.StageTimeouts
+	c.BreakerTrips += o.BreakerTrips
+	c.SLOShed += o.SLOShed
+	c.SLOBudgetExhausted += o.SLOBudgetExhausted
+	c.SLODegradedAdmits += o.SLODegradedAdmits
+	c.SLOMet += o.SLOMet
+	c.SLOMissed += o.SLOMissed
+	c.OverloadEnters += o.OverloadEnters
+	c.OverloadExits += o.OverloadExits
+	c.KeyInternHits += o.KeyInternHits
+	c.KeyInternMisses += o.KeyInternMisses
+	c.ScratchPoolHits += o.ScratchPoolHits
+	c.ScratchPoolMisses += o.ScratchPoolMisses
+	c.EventsProcessed += o.EventsProcessed
+	c.WheelEvents += o.WheelEvents
+	c.OverflowEvents += o.OverflowEvents
+	c.CancelsLazy += o.CancelsLazy
+}
+
+// readShardCounters reads sh's counters beside its scheduler stats st. The
+// caller must be the shard's loop goroutine, or its sole remaining accessor
+// after the loop has exited.
+func readShardCounters(sh *shard, st core.SchedulerStats) Counters {
+	c := Counters{
+		PlanSearches:       st.PlanSearches,
+		SingleflightHits:   st.SingleflightHits,
+		PlanConflicts:      st.PlanConflicts,
+		Reconfigs:          st.Reconfigs,
+		ReconfigWins:       st.ReconfigWins,
+		ReconfigSkips:      st.ReconfigSkips,
+		ReconfigConflicts:  st.ReconfigConflicts,
+		FaultsInjected:     st.FaultsInjected,
+		TaskRetries:        st.TaskRetries,
+		RetriesExhausted:   st.RetriesExhausted,
+		DeadlinesExceeded:  st.DeadlinesExceeded,
+		Degradations:       st.Degradations,
+		StageTimeouts:      st.StageTimeouts,
+		BreakerTrips:       st.BreakerTrips,
+		SLOShed:            st.SLOShed,
+		SLOBudgetExhausted: st.SLOBudgetExhausted,
+		SLODegradedAdmits:  st.SLODegradedAdmits,
+		SLOMet:             st.SLOMet,
+		SLOMissed:          st.SLOMissed,
+		OverloadEnters:     st.OverloadEnters,
+		OverloadExits:      st.OverloadExits,
+		EventsProcessed:    sh.eng.Processed(),
+		WheelEvents:        sh.eng.WheelEvents(),
+		OverflowEvents:     sh.eng.OverflowEvents(),
+		CancelsLazy:        sh.eng.CancelsLazy(),
 	}
-	c.internHits, c.internMisses = sh.rt.KeyInternStats()
-	c.scratchHits, c.scratchMisses = sh.rt.ScratchPoolStats()
+	c.KeyInternHits, c.KeyInternMisses = sh.rt.KeyInternStats()
+	c.ScratchPoolHits, c.ScratchPoolMisses = sh.rt.ScratchPoolStats()
 	return c
 }
 
-// foldShardCounters adds a final counter snapshot into the retired totals.
-// Callers fold inside the mu critical section that also removes the shard
-// from the Stats fan-out (p.shards or p.draining), so a concurrent Stats
-// snapshot sees the shard live or its counters retired — never neither.
-func (p *Pool) foldShardCounters(c shardCounters) {
-	p.retSearches.Add(c.planSearches)
-	p.retSingleflight.Add(c.singleflightHits)
-	p.retConflicts.Add(c.planConflicts)
-	p.retReconfigs.Add(c.reconfigs)
-	p.retReconfigWins.Add(c.reconfigWins)
-	p.retReconfigSkips.Add(c.reconfigSkips)
-	p.retReconfigConflicts.Add(c.reconfigConflicts)
-	p.retTaskRetries.Add(c.taskRetries)
-	p.retRetriesExhausted.Add(c.retriesExhausted)
-	p.retDeadlinesExceeded.Add(c.deadlinesExceeded)
-	p.retDegradations.Add(c.degradations)
-	p.retStageTimeouts.Add(c.stageTimeouts)
-	p.retFaultsInjected.Add(c.faultsInjected)
-	p.retBreakerTrips.Add(c.breakerTrips)
-	p.retSLOShed.Add(c.sloShed)
-	p.retSLOBudget.Add(c.sloBudget)
-	p.retSLODegraded.Add(c.sloDegraded)
-	p.retSLOMet.Add(c.sloMet)
-	p.retSLOMissed.Add(c.sloMissed)
-	p.retOverloadEnters.Add(c.overloadEnters)
-	p.retOverloadExits.Add(c.overloadExits)
-	p.retInternHits.Add(c.internHits)
-	p.retInternMisses.Add(c.internMisses)
-	p.retScratchHits.Add(c.scratchHits)
-	p.retScratchMisses.Add(c.scratchMisses)
-	p.retEventsProcessed.Add(c.events)
-	p.retWheelEvents.Add(c.wheelEvents)
-	p.retOverflowEvents.Add(c.overflowEvents)
-	p.retCancelsLazy.Add(c.cancelsLazy)
+// shardSnapshot is everything a shard contributes to the pool totals, read in
+// one visit (same caller contract as readShardCounters): the additive
+// counters, the per-tenant SLO accounting (sorted by tenant) and the event
+// queue's high-water mark.
+type shardSnapshot struct {
+	Counters
+	tenants     []core.TenantSLOStats
+	peakPending int
 }
 
-// foldShardTail folds the parts of a retired shard that are not scalar sums:
-// the per-tenant SLO map and the peak-pending high-water mark. Called after
-// the shard's loop has exited, by its sole remaining accessor.
-func (p *Pool) foldShardTail(old *shard) {
-	if tenants := old.sched.SLOTenants(); len(tenants) > 0 {
-		p.mu.Lock()
-		if p.retTenantSLO == nil {
-			p.retTenantSLO = map[string]core.TenantSLOStats{}
-		}
-		for _, t := range tenants {
-			agg := p.retTenantSLO[t.Tenant]
-			agg.Tenant, agg.Class = t.Tenant, t.Class
-			agg.Admitted += t.Admitted
-			agg.Shed += t.Shed
-			agg.BudgetExhausted += t.BudgetExhausted
-			agg.DegradedAdmits += t.DegradedAdmits
-			agg.SLOMet += t.SLOMet
-			agg.SLOMissed += t.SLOMissed
-			agg.CostSpentUSD += t.CostSpentUSD
-			p.retTenantSLO[t.Tenant] = agg
-		}
-		p.mu.Unlock()
+func readShardSnapshot(sh *shard, st core.SchedulerStats) shardSnapshot {
+	return shardSnapshot{
+		Counters:    readShardCounters(sh, st),
+		tenants:     sh.sched.SLOTenants(),
+		peakPending: sh.eng.PeakPending(),
 	}
-	atomicMaxInt64(&p.retPeakPending, int64(old.eng.PeakPending()))
 }
 
-// removeDrainingLocked drops sh from the draining list. Caller holds mu.
-func (p *Pool) removeDrainingLocked(sh *shard) {
-	for i, cur := range p.draining {
-		if cur == sh {
-			p.draining = append(p.draining[:i], p.draining[i+1:]...)
-			return
-		}
+// shardTotals accumulates shard snapshots. merge is the one fold behind every
+// pool total: Stats starts from a copy of p.retiredTotals and merges each
+// draining and each live shard's snapshot into it; retireShard merges a
+// departed shard's final snapshot into p.retiredTotals itself.
+type shardTotals struct {
+	Counters
+	tenants map[string]core.TenantSLOStats
+	// peakPending is a running max, not a sum: the deepest pending event
+	// queue any merged shard generation reached.
+	peakPending int
+}
+
+func (t *shardTotals) merge(s shardSnapshot) {
+	t.Counters.Add(s.Counters)
+	t.peakPending = max(t.peakPending, s.peakPending)
+	if len(s.tenants) > 0 && t.tenants == nil {
+		t.tenants = make(map[string]core.TenantSLOStats, len(s.tenants))
 	}
+	for _, row := range s.tenants {
+		agg := t.tenants[row.Tenant]
+		agg.Tenant, agg.Class = row.Tenant, row.Class
+		agg.Admitted += row.Admitted
+		agg.Shed += row.Shed
+		agg.BudgetExhausted += row.BudgetExhausted
+		agg.DegradedAdmits += row.DegradedAdmits
+		agg.SLOMet += row.SLOMet
+		agg.SLOMissed += row.SLOMissed
+		agg.CostSpentUSD += row.CostSpentUSD
+		t.tenants[row.Tenant] = agg
+	}
+}
+
+// retireShard retires a shard whose loop has exited: the caller is its sole
+// remaining accessor, so reading the final snapshot is race-free. The merge
+// into p.retiredTotals and the removal from the Stats fan-out (p.shards on
+// Close, p.draining after a recycle) share one critical section, so a
+// concurrent Stats sees the shard live or its totals retired — never neither —
+// and no total, tenant rows and peak_pending included, moves backwards.
+func (p *Pool) retireShard(sh *shard) {
+	final := readShardSnapshot(sh, sh.sched.Stats())
+	isSh := func(s *shard) bool { return s == sh }
+	p.mu.Lock()
+	p.shards, p.draining = slices.DeleteFunc(p.shards, isSh), slices.DeleteFunc(p.draining, isSh)
+	p.retiredTotals.merge(final)
+	p.mu.Unlock()
 }
 
 // recycleShard replaces a shard whose telemetry outgrew its budget: build a
@@ -674,26 +664,7 @@ func (p *Pool) recycleShard(old *shard) {
 	// its cumulative counters remain visible to Stats while it winds down
 	// and its jobs settle through the pool-level counters.
 	old.close()
-	// The loop goroutine has exited; this recycler goroutine is the shard's
-	// sole remaining accessor, so reading its final counters is race-free.
-	// The fold and the removal from the fan-out share one critical section,
-	// keeping the pool totals monotonic through the hand-off.
-	final := readShardCounters(old)
-	p.mu.Lock()
-	p.removeDrainingLocked(old)
-	p.foldShardCounters(final)
-	p.mu.Unlock()
-	p.foldShardTail(old)
-}
-
-// atomicMaxInt64 raises a to at least v (recyclers can race each other).
-func atomicMaxInt64(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	p.retireShard(old)
 }
 
 // Close drains every shard loop (in-flight and queued jobs run to completion)
@@ -714,23 +685,10 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 	for _, sh := range shards {
 		sh.close()
-		// The loop has exited and no recycler owns this shard (recyclers
-		// abort once closed is set), so this goroutine is its sole accessor.
-		// Fold the final counters and drop the shard from the fan-out in one
-		// critical section, mirroring the recycle hand-off: post-Close Stats
-		// reports the true final totals instead of losing the live shards'
-		// counters.
-		final := readShardCounters(sh)
-		p.mu.Lock()
-		for i, cur := range p.shards {
-			if cur == sh {
-				p.shards = append(p.shards[:i], p.shards[i+1:]...)
-				break
-			}
-		}
-		p.foldShardCounters(final)
-		p.mu.Unlock()
-		p.foldShardTail(sh)
+		// No recycler owns this shard (recyclers abort once closed is set),
+		// so post-Close Stats reports the true final totals instead of losing
+		// the live shards' counters.
+		p.retireShard(sh)
 	}
 	p.drains.Wait()
 }
@@ -758,12 +716,6 @@ func (p *Pool) Done(id string) (<-chan struct{}, bool) {
 	return rec.done, true
 }
 
-// PerRequest reports whether the pool runs the baseline mode.
-func (p *Pool) PerRequest() bool { return p.cfg.PerRequest }
-
-// Shards returns the shard count (0 in per-request mode).
-func (p *Pool) Shards() int { return len(p.shards) }
-
 // shardFor maps a tenant to its home shard. The modulo happens in uint32 so
 // the index stays non-negative on 32-bit platforms. Callers must hold p.mu:
 // recycling swaps slice entries.
@@ -771,14 +723,6 @@ func (p *Pool) shardFor(tenant string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(tenant))
 	return p.shards[int(h.Sum32()%uint32(len(p.shards)))]
-}
-
-// submitExtras carries request options that are not scheduler options.
-type submitExtras struct {
-	// vms sizes the throwaway cluster in per-request mode.
-	vms int
-	// timeline includes the rendered execution timeline in the result.
-	timeline bool
 }
 
 // formatJobID renders "job-%08d" (or "job-<ns>-%08d" under a namespace)
@@ -804,22 +748,12 @@ func formatJobID(ns string, n uint64) string {
 	return "job-" + digits
 }
 
-// Submit admits a job for a tenant and returns its registry record. In
-// shared mode this is asynchronous: the record starts queued and settles when
-// the shard completes the job. In per-request mode it blocks while a fresh
-// testbed runs the job.
-func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, extras submitExtras) (*jobRecord, error) {
+// Submit admits a job for a tenant and returns its registry record.
+// Admission is asynchronous: the record starts queued and settles when the
+// shard completes the job. timeline includes the rendered execution timeline
+// in the result.
+func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, timeline bool) (*jobRecord, error) {
 	id := formatJobID(p.cfg.JobIDNamespace, p.nextJob.Add(1))
-	if p.cfg.PerRequest {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, errShuttingDown
-		}
-		p.mu.Unlock()
-		return p.submitPerRequest(id, tenant, job, opts, extras)
-	}
-
 	// Engines stay warm across jobs in the shared runtime — the daemon owns
 	// their lifecycle, and successive jobs multiplex them.
 	opts.KeepEngines = true
@@ -861,9 +795,9 @@ func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, 
 				// way the record settles terminal with the typed code, so
 				// a shed job is immediately pollable and can never strand:
 				// it was never enqueued.
-				p.shFailed.Add(1)
-				rec.settle(core.JobFailed, err.Error(), string(core.ErrorCodeOf(err)), nil, sh.eng.Now().Seconds())
+				p.failed.Add(1)
 				p.retire(rec)
+				rec.settle(core.JobFailed, err.Error(), string(core.ErrorCodeOf(err)), nil, sh.eng.Now().Seconds())
 				if admitted != nil {
 					admitErr = err
 					close(admitted)
@@ -890,15 +824,15 @@ func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, 
 				errMsg := ""
 				switch h.Status() {
 				case core.JobDone:
-					resp = jobResponseFrom(h.Execution(), extras.timeline)
-					p.shCompleted.Add(1)
+					resp = jobResponseFrom(h.Execution(), timeline)
+					p.completed.Add(1)
 				case core.JobCanceled:
-					p.shCanceled.Add(1)
+					p.canceled.Add(1)
 					if h.Err() != nil {
 						errMsg = h.Err().Error()
 					}
 				default:
-					p.shFailed.Add(1)
+					p.failed.Add(1)
 					if h.Err() != nil {
 						errMsg = h.Err().Error()
 					}
@@ -906,15 +840,17 @@ func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, 
 				rec.mu.Lock()
 				rec.queueDelayS = h.QueueDelayS()
 				rec.mu.Unlock()
-				rec.settle(h.Status(), errMsg, string(core.ErrorCodeOf(h.Err())), resp, sh.eng.Now().Seconds())
+				// Retire first: settle wakes the job's waiters, and what they
+				// read next must already reflect the history eviction.
 				p.retire(rec)
+				rec.settle(h.Status(), errMsg, string(core.ErrorCodeOf(h.Err())), resp, sh.eng.Now().Seconds())
 			})
 			if admitted != nil {
 				close(admitted)
 			}
 		})
 		if posted {
-			p.shSubmitted.Add(1)
+			p.submitted.Add(1)
 			break
 		}
 		if attempt >= 8 {
@@ -936,61 +872,6 @@ func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, 
 		}
 	}
 	return rec, nil
-}
-
-// SLOEnabled reports whether the pool runs with SLO tiers (shared mode
-// only; the per-request baseline has no shared queue to protect).
-func (p *Pool) SLOEnabled() bool { return p.cfg.SLO && !p.cfg.PerRequest }
-
-// submitPerRequest is the baseline path: fresh testbed, synchronous run.
-func (p *Pool) submitPerRequest(id, tenant string, job workflow.Job, opts core.SubmitOptions, extras submitExtras) (*jobRecord, error) {
-	p.prSubmitted.Add(1)
-	vms := extras.vms
-	if vms <= 0 {
-		vms = 2
-	}
-	rec := &jobRecord{
-		id:     id,
-		tenant: tenant,
-		shard:  -1,
-		done:   make(chan struct{}),
-	}
-	se := sim.NewEngine()
-	if core.DisableAllocReuse {
-		se.DisableEventSlab()
-	}
-	cl := cluster.New(se, hardware.DefaultCatalog())
-	for i := 0; i < vms; i++ {
-		cl.AddVM(fmt.Sprintf("vm%d", i), hardware.NDv4SKUName, false)
-	}
-	rt, err := core.New(core.Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary(), ProfileRegistry: p.cfg.ProfileRegistry})
-	if err != nil {
-		return nil, err
-	}
-	ex, err := rt.Submit(job, opts)
-	if err != nil {
-		p.prFailed.Add(1)
-		rec.settle(core.JobFailed, err.Error(), string(core.ErrorCodeOf(err)), nil, se.Now().Seconds())
-		p.register(rec)
-		return rec, nil
-	}
-	se.Run()
-	if ex.Err() != nil {
-		p.prFailed.Add(1)
-		rec.settle(core.JobFailed, ex.Err().Error(), string(core.ErrorCodeOf(ex.Err())), nil, se.Now().Seconds())
-	} else {
-		p.prCompleted.Add(1)
-		rec.settle(core.JobDone, "", "", jobResponseFrom(ex, extras.timeline), se.Now().Seconds())
-	}
-	p.register(rec)
-	return rec, nil
-}
-
-func (p *Pool) register(rec *jobRecord) {
-	p.mu.Lock()
-	p.jobs[rec.id] = rec
-	p.mu.Unlock()
-	p.retire(rec)
 }
 
 // retire records a terminal job for history eviction.
@@ -1025,10 +906,6 @@ func (p *Pool) Cancel(id string) (JobState, bool, bool) {
 	p.mu.Unlock()
 	if !ok {
 		return JobState{}, false, false
-	}
-	if p.cfg.PerRequest {
-		// Per-request jobs complete within their own request; nothing to do.
-		return rec.snapshot(), false, true
 	}
 	// The record pins its owning shard directly: after a recycle the index
 	// points at the replacement, but the job (and its handle) live on the
@@ -1071,9 +948,9 @@ type JobState struct {
 type jobRecord struct {
 	id     string
 	tenant string
-	// sh is the owning shard (nil in per-request mode), pinned at submit so
-	// cancels keep reaching a shard displaced by recycling; shard is its
-	// index at submit time (-1 in per-request mode), for display.
+	// sh is the owning shard, pinned at submit so cancels keep reaching a
+	// shard displaced by recycling; shard is its index at submit time, for
+	// display.
 	sh    *shard
 	shard int
 	done  chan struct{}
@@ -1093,9 +970,6 @@ type jobRecord struct {
 
 // Done closes when the job reaches a terminal state.
 func (r *jobRecord) Done() <-chan struct{} { return r.done }
-
-// ID returns the registry id.
-func (r *jobRecord) ID() string { return r.id }
 
 func (r *jobRecord) settle(st core.JobStatus, errMsg, errCode string, resp *JobResponse, simNowS float64) {
 	r.mu.Lock()
@@ -1166,7 +1040,8 @@ func jobResponseFrom(ex *core.Execution, timeline bool) *JobResponse {
 	return resp
 }
 
-// ShardStats is one shard's slice of GET /v1/stats.
+// ShardStats is one live shard's row in GET /v1/stats: its Counters plus the
+// gauges and per-shard state that do not sum into pool totals.
 type ShardStats struct {
 	Shard           int     `json:"shard"`
 	SimTimeS        float64 `json:"sim_time_s"`
@@ -1179,77 +1054,26 @@ type ShardStats struct {
 	PeakRunning     int     `json:"peak_running"`
 	PlanCacheHits   int     `json:"plan_cache_hits"`
 	DecompCacheHits int     `json:"decomp_cache_hits"`
-	// Off-loop admission accounting: searches dispatched to the shard's
-	// plan-search workers, submissions deduped onto an identical in-flight
-	// search, admissions whose optimistic commit was invalidated by a
-	// capacity-class change (re-planned inline), and the live in-flight
-	// gauge. All zero when PlanWorkers is negative (serial admission).
-	PlanWorkers        int `json:"plan_workers"`
-	PlanSearches       int `json:"plan_searches"`
-	SingleflightHits   int `json:"singleflight_hits"`
-	PlanConflicts      int `json:"plan_conflicts"`
-	PlanSearchInflight int `json:"plan_search_inflight"`
-	// Fleet-churn observability: the shard cluster's state and capacity-class
-	// generations (capacity_gen moving is exactly what triggers mid-flight
-	// reconfiguration), plus the reconfiguration controller's counters —
-	// running-job evaluations, adopted re-plans, kept-current-plan skips and
-	// generation-drift conflicts. All four counters are zero with -reconfig
-	// off.
-	ClusterGen        uint64 `json:"cluster_gen"`
-	CapacityGen       uint64 `json:"capacity_gen"`
-	Reconfigs         int    `json:"reconfigs"`
-	ReconfigWins      int    `json:"reconfig_wins"`
-	ReconfigSkips     int    `json:"reconfig_skips"`
-	ReconfigConflicts int    `json:"reconfig_conflicts"`
-	// Fault/recovery observability: injected fault events, task retries,
-	// jobs failed on the attempt budget or deadline, adopted degradation
-	// re-plans, watchdog firings, circuit-breaker trips and the live count
-	// of breakers not currently closed. All zero with faults and recovery
-	// disabled.
-	FaultsInjected    int `json:"faults_injected"`
-	TaskRetries       int `json:"task_retries"`
-	RetriesExhausted  int `json:"retries_exhausted"`
-	DeadlinesExceeded int `json:"deadlines_exceeded"`
-	Degradations      int `json:"degradations"`
-	StageTimeouts     int `json:"stage_timeouts"`
-	BreakerTrips      int `json:"breaker_trips"`
-	BreakerOpen       int `json:"breaker_open"`
-	// SLO/overload observability: submissions shed on the tenant queue
-	// bound or rejected on the tenant budget, admissions launched on
-	// degraded cheaper plans, completions classified against the tier
-	// latency target, the overload controller's transition counters and
-	// its live engaged gauge, plus per-tenant accounting rows. All
-	// zero/empty with SLO tiers disabled.
-	SLOShed            int             `json:"slo_shed"`
-	SLOBudgetExhausted int             `json:"slo_budget_exhausted"`
-	SLODegradedAdmits  int             `json:"slo_degraded_admits"`
-	SLOMet             int             `json:"slo_met"`
-	SLOMissed          int             `json:"slo_missed"`
-	OverloadEnters     int             `json:"overload_enters"`
-	OverloadExits      int             `json:"overload_exits"`
-	OverloadActive     bool            `json:"overload_active"`
-	TenantSLO          []TenantSLOJSON `json:"tenant_slo,omitempty"`
-	MeanGPUUtil        float64         `json:"mean_gpu_util"`
-	// Allocation-reuse observability: the shard runtime's key-interner
-	// hit/miss counters (every cache key or report label served from the
-	// canonical table instead of a fresh allocation) and the sim engine's
-	// pending-queue high-water mark (the Reserve hint a recycled
-	// replacement pre-sizes from).
-	KeyInternHits   uint64 `json:"key_intern_hits"`
-	KeyInternMisses uint64 `json:"key_intern_misses"`
-	// Scratch-pool counters: acquisitions served by recycling a retired
-	// worker or LLM-task barrier (hits) vs fresh allocations (misses).
-	ScratchPoolHits   uint64 `json:"scratch_pool_hits"`
-	ScratchPoolMisses uint64 `json:"scratch_pool_misses"`
-	PeakPending       int    `json:"peak_pending"`
-	// Event-engine observability: events the shard's sim engine has fired,
-	// how its schedules routed (near-future timer-wheel buckets vs the
-	// far-future overflow heap), and cancels handled as O(1) lazy
-	// mark-dead. All zero on the heap escape hatch except events_processed.
-	EventsProcessed uint64 `json:"events_processed"`
-	WheelEvents     uint64 `json:"wheel_events"`
-	OverflowEvents  uint64 `json:"overflow_events"`
-	CancelsLazy     uint64 `json:"cancels_lazy"`
+	Counters
+	// Live gauges beside the counters: the plan-search pool's size and
+	// in-flight searches, circuit breakers not currently closed, the
+	// overload controller's engaged state, and the sim engine's
+	// pending-queue high-water mark (the Reserve hint a recycled replacement
+	// pre-sizes from).
+	PlanWorkers        int  `json:"plan_workers"`
+	PlanSearchInflight int  `json:"plan_search_inflight"`
+	BreakerOpen        int  `json:"breaker_open"`
+	OverloadActive     bool `json:"overload_active"`
+	PeakPending        int  `json:"peak_pending"`
+	// Fleet-churn observability: the shard cluster's state and
+	// capacity-class generations (capacity_gen moving is exactly what
+	// triggers mid-flight reconfiguration).
+	ClusterGen  uint64 `json:"cluster_gen"`
+	CapacityGen uint64 `json:"capacity_gen"`
+	// TenantSLO is the per-tenant SLO accounting (empty with SLO tiers
+	// disabled).
+	TenantSLO   []TenantSLOJSON `json:"tenant_slo,omitempty"`
+	MeanGPUUtil float64         `json:"mean_gpu_util"`
 	// Telemetry retention accounting: live change points and their bytes
 	// retained by the shard's cluster, the rollup buckets summarizing
 	// compacted epochs, the retention watermark and epoch count, and the
@@ -1309,85 +1133,42 @@ type EngineStatJSON struct {
 
 // PoolStats aggregates the shards for GET /v1/stats.
 type PoolStats struct {
-	Mode        string       `json:"mode"` // "shared" | "per-request"
-	Shards      []ShardStats `json:"shards,omitempty"`
-	Submitted   int          `json:"submitted"`
-	Completed   int          `json:"completed"`
-	Failed      int          `json:"failed"`
-	Canceled    int          `json:"canceled"`
-	Running     int          `json:"running"`
-	Queued      int          `json:"queued"`
-	EnginesUp   int          `json:"engines_up"`
-	JobsTracked int          `json:"jobs_tracked"`
+	Mode   string       `json:"mode"` // always "shared"
+	Shards []ShardStats `json:"shards,omitempty"`
+	// Lifecycle counters, maintained by the pool's own submit/settle path:
+	// monotonic, and they include jobs served by recycled shards even while
+	// one is still draining. Running/Queued (and the per-shard rows) are
+	// live-shard gauges and can transiently exclude a draining shard's
+	// in-flight jobs.
+	Submitted   int `json:"submitted"`
+	Completed   int `json:"completed"`
+	Failed      int `json:"failed"`
+	Canceled    int `json:"canceled"`
+	Running     int `json:"running"`
+	Queued      int `json:"queued"`
+	EnginesUp   int `json:"engines_up"`
+	JobsTracked int `json:"jobs_tracked"`
 	// TelemetryPoints/TelemetryBytes total the live shards' retained
 	// telemetry; Recycles counts shards replaced after exceeding
 	// MaxSeriesPoints (incremented at swap; the displaced shard drains in
-	// the background). The pool-level lifecycle counters above are
-	// maintained by the pool's own submit/settle path, so they are
-	// monotonic and include jobs served by recycled shards even while one
-	// is still draining; Running/Queued (and the per-shard rows) are
-	// live-shard gauges and can transiently exclude a draining shard's
-	// in-flight jobs.
+	// the background).
 	TelemetryPoints int `json:"telemetry_points"`
 	TelemetryBytes  int `json:"telemetry_bytes"`
 	Recycles        int `json:"recycles"`
-	// Off-loop admission totals: live shards plus drained recycled shards
-	// (their final counts fold into pool atomics at drain completion, so
-	// these stay monotonic across recycles; a shard mid-drain is briefly
-	// invisible, like the Running/Queued gauges). PlanSearchInflight is a
-	// live-shard gauge.
-	PlanSearches       int `json:"plan_searches"`
-	SingleflightHits   int `json:"singleflight_hits"`
-	PlanConflicts      int `json:"plan_conflicts"`
-	PlanSearchInflight int `json:"plan_search_inflight"`
-	// Reconfiguration totals, folded across recycled shards like the
-	// admission counters above.
-	Reconfigs         int `json:"reconfigs"`
-	ReconfigWins      int `json:"reconfig_wins"`
-	ReconfigSkips     int `json:"reconfig_skips"`
-	ReconfigConflicts int `json:"reconfig_conflicts"`
-	// Fault/recovery totals, folded the same way; BreakerOpen is a
-	// live-shard gauge.
-	FaultsInjected    int `json:"faults_injected"`
-	TaskRetries       int `json:"task_retries"`
-	RetriesExhausted  int `json:"retries_exhausted"`
-	DeadlinesExceeded int `json:"deadlines_exceeded"`
-	Degradations      int `json:"degradations"`
-	StageTimeouts     int `json:"stage_timeouts"`
-	BreakerTrips      int `json:"breaker_trips"`
-	BreakerOpen       int `json:"breaker_open"`
-	// SLO/overload totals, folded across recycled shards like the fault
-	// counters above, so shed/degrade accounting and the per-tenant rows
-	// stay monotonic while shards churn. OverloadActive is a live-shard
-	// gauge: true when any live shard's controller is engaged.
-	SLOShed            int             `json:"slo_shed"`
-	SLOBudgetExhausted int             `json:"slo_budget_exhausted"`
-	SLODegradedAdmits  int             `json:"slo_degraded_admits"`
-	SLOMet             int             `json:"slo_met"`
-	SLOMissed          int             `json:"slo_missed"`
-	OverloadEnters     int             `json:"overload_enters"`
-	OverloadExits      int             `json:"overload_exits"`
-	OverloadActive     bool            `json:"overload_active"`
-	TenantSLO          []TenantSLOJSON `json:"tenant_slo,omitempty"`
-	// Key-interner totals, folded across recycled shards like the other
-	// counters, so hit rate stays monotonic while shards churn.
-	KeyInternHits   uint64 `json:"key_intern_hits"`
-	KeyInternMisses uint64 `json:"key_intern_misses"`
-	// Scratch-pool totals, also folded across recycles: how often the
-	// serving hot path reused pooled per-task scratch instead of
-	// allocating fresh.
-	ScratchPoolHits   uint64 `json:"scratch_pool_hits"`
-	ScratchPoolMisses uint64 `json:"scratch_pool_misses"`
-	// Event-engine totals, folded across recycles like the counters above:
-	// events fired by every shard generation's sim engine, schedule routing
-	// (timer-wheel buckets vs overflow heap), and lazy cancels. PeakPending
-	// is the deepest pending event queue any shard generation reached — a
-	// max across live shards and retired generations, not a sum.
-	EventsProcessed uint64 `json:"events_processed"`
-	WheelEvents     uint64 `json:"wheel_events"`
-	OverflowEvents  uint64 `json:"overflow_events"`
-	CancelsLazy     uint64 `json:"cancels_lazy"`
-	PeakPending     int    `json:"peak_pending"`
+	// Counters sums every shard generation — live, draining and retired — so
+	// each stays monotonic while shards churn.
+	Counters
+	// Live-shard gauges: in-flight plan searches, breakers not closed, and
+	// whether any live shard's overload controller is engaged.
+	PlanSearchInflight int  `json:"plan_search_inflight"`
+	BreakerOpen        int  `json:"breaker_open"`
+	OverloadActive     bool `json:"overload_active"`
+	// PeakPending is the deepest pending event queue any shard generation
+	// reached — a max across live, draining and retired shards, not a sum.
+	PeakPending int `json:"peak_pending"`
+	// TenantSLO merges the per-tenant rows across shard generations like
+	// Counters, with attainment recomputed over the merged counts.
+	TenantSLO []TenantSLOJSON `json:"tenant_slo,omitempty"`
 	// Memory is the process's live heap health (see MemoryStats).
 	Memory MemoryStats `json:"memory"`
 	// UptimeS is the daemon pool's wall-clock age in seconds.
@@ -1451,266 +1232,124 @@ func (p *Pool) Stats() PoolStats {
 // statsOnce takes one snapshot attempt; ok is false if a shard's loop exited
 // mid-fan-out and the caller should retry.
 func (p *Pool) statsOnce() (PoolStats, bool) {
-	out := PoolStats{Mode: "shared", UptimeS: time.Since(p.started).Seconds()}
-	out.Memory = readMemoryStats()
-	if p.cfg.PerRequest {
-		p.mu.Lock()
-		out.JobsTracked = len(p.jobs)
-		p.mu.Unlock()
-		out.Mode = "per-request"
-		out.Submitted = int(p.prSubmitted.Load())
-		out.Completed = int(p.prCompleted.Load())
-		out.Failed = int(p.prFailed.Load())
-		return out, true
-	}
-	// The shard-list snapshot and the retired-counter reads share one
-	// critical section: recycle and close fold a shard's final counters into
-	// the retired atomics inside the same section that removes it from these
-	// lists, so this snapshot counts every shard exactly once.
+	out := PoolStats{Mode: "shared", UptimeS: time.Since(p.started).Seconds(), Memory: readMemoryStats()}
+	// The shard-list snapshot and the copy of the retired totals share one
+	// critical section with retireShard, so this snapshot counts every shard
+	// exactly once.
 	p.mu.Lock()
 	out.JobsTracked = len(p.jobs)
-	shards := append([]*shard(nil), p.shards...)
-	draining := append([]*shard(nil), p.draining...)
-	tenantAgg := make(map[string]TenantSLOJSON, len(p.retTenantSLO))
-	for name, t := range p.retTenantSLO {
-		tenantAgg[name] = tenantSLORow(t)
-	}
+	shards, live := slices.Concat(p.shards, p.draining), len(p.shards)
+	totals := p.retiredTotals
+	totals.tenants = maps.Clone(totals.tenants)
 	out.Recycles = int(p.recycles.Load())
-	out.PlanSearches = int(p.retSearches.Load())
-	out.SingleflightHits = int(p.retSingleflight.Load())
-	out.PlanConflicts = int(p.retConflicts.Load())
-	out.Reconfigs = int(p.retReconfigs.Load())
-	out.ReconfigWins = int(p.retReconfigWins.Load())
-	out.ReconfigSkips = int(p.retReconfigSkips.Load())
-	out.ReconfigConflicts = int(p.retReconfigConflicts.Load())
-	out.FaultsInjected = int(p.retFaultsInjected.Load())
-	out.TaskRetries = int(p.retTaskRetries.Load())
-	out.RetriesExhausted = int(p.retRetriesExhausted.Load())
-	out.DeadlinesExceeded = int(p.retDeadlinesExceeded.Load())
-	out.Degradations = int(p.retDegradations.Load())
-	out.StageTimeouts = int(p.retStageTimeouts.Load())
-	out.BreakerTrips = int(p.retBreakerTrips.Load())
-	out.SLOShed = int(p.retSLOShed.Load())
-	out.SLOBudgetExhausted = int(p.retSLOBudget.Load())
-	out.SLODegradedAdmits = int(p.retSLODegraded.Load())
-	out.SLOMet = int(p.retSLOMet.Load())
-	out.SLOMissed = int(p.retSLOMissed.Load())
-	out.OverloadEnters = int(p.retOverloadEnters.Load())
-	out.OverloadExits = int(p.retOverloadExits.Load())
-	out.KeyInternHits = p.retInternHits.Load()
-	out.KeyInternMisses = p.retInternMisses.Load()
-	out.ScratchPoolHits = p.retScratchHits.Load()
-	out.ScratchPoolMisses = p.retScratchMisses.Load()
-	out.EventsProcessed = p.retEventsProcessed.Load()
-	out.WheelEvents = p.retWheelEvents.Load()
-	out.OverflowEvents = p.retOverflowEvents.Load()
-	out.CancelsLazy = p.retCancelsLazy.Load()
-	out.PeakPending = int(p.retPeakPending.Load())
-	out.Submitted = int(p.shSubmitted.Load())
-	out.Completed = int(p.shCompleted.Load())
-	out.Failed = int(p.shFailed.Load())
-	out.Canceled = int(p.shCanceled.Load())
+	out.Submitted = int(p.submitted.Load())
+	out.Completed = int(p.completed.Load())
+	out.Failed = int(p.failed.Load())
+	out.Canceled = int(p.canceled.Load())
 	p.mu.Unlock()
 	// Fan the snapshot closures out to every shard first, then collect:
 	// each shard takes its snapshot on its own loop goroutine concurrently,
 	// so stats latency is the slowest shard's round trip, not the sum.
-	// Draining shards contribute their cumulative counters (but no shard
-	// row: their capacity has already been replaced and their telemetry
-	// footprint is winding down, not serving).
-	drainReplies := make([]chan shardCounters, 0, len(draining))
-	for _, sh := range draining {
-		sh := sh
-		reply := make(chan shardCounters, 1)
-		if !sh.loop.Post(func() { reply <- readShardCounters(sh) }) {
-			return out, false
-		}
-		drainReplies = append(drainReplies, reply)
+	// Draining shards contribute their snapshot to the totals but no row:
+	// their capacity has already been replaced and their telemetry footprint
+	// is winding down, not serving.
+	type shardReply struct {
+		snap shardSnapshot
+		row  *ShardStats // nil for a draining shard
 	}
-	replies := make([]chan ShardStats, 0, len(shards))
-	for _, sh := range shards {
-		sh := sh
-		reply := make(chan ShardStats, 1)
+	replies := make([]chan shardReply, len(shards))
+	for i, sh := range shards {
+		reply := make(chan shardReply, 1)
 		if !sh.loop.Post(func() {
 			st := sh.sched.Stats()
-			now := sh.eng.Now().Seconds()
-			ss := ShardStats{
-				Shard:              sh.idx,
-				SimTimeS:           now,
-				Submitted:          st.Submitted,
-				Completed:          st.Completed,
-				Failed:             st.Failed,
-				Canceled:           st.Canceled,
-				Running:            st.Running,
-				Queued:             st.Queued,
-				PeakRunning:        st.PeakRunning,
-				PlanCacheHits:      sh.rt.PlanCacheHits(),
-				DecompCacheHits:    sh.rt.DecompCacheHits(),
-				PlanWorkers:        sh.sched.PlanWorkers(),
-				PlanSearches:       st.PlanSearches,
-				SingleflightHits:   st.SingleflightHits,
-				PlanConflicts:      st.PlanConflicts,
-				PlanSearchInflight: st.PlanSearchInflight,
-				ClusterGen:         sh.cl.Gen(),
-				CapacityGen:        sh.cl.CapacityGen(),
-				Reconfigs:          st.Reconfigs,
-				ReconfigWins:       st.ReconfigWins,
-				ReconfigSkips:      st.ReconfigSkips,
-				ReconfigConflicts:  st.ReconfigConflicts,
-				FaultsInjected:     st.FaultsInjected,
-				TaskRetries:        st.TaskRetries,
-				RetriesExhausted:   st.RetriesExhausted,
-				DeadlinesExceeded:  st.DeadlinesExceeded,
-				Degradations:       st.Degradations,
-				StageTimeouts:      st.StageTimeouts,
-				BreakerTrips:       st.BreakerTrips,
-				BreakerOpen:        st.BreakerOpen,
-				SLOShed:            st.SLOShed,
-				SLOBudgetExhausted: st.SLOBudgetExhausted,
-				SLODegradedAdmits:  st.SLODegradedAdmits,
-				SLOMet:             st.SLOMet,
-				SLOMissed:          st.SLOMissed,
-				OverloadEnters:     st.OverloadEnters,
-				OverloadExits:      st.OverloadExits,
-				OverloadActive:     st.OverloadActive,
-				PeakPending:        sh.eng.PeakPending(),
-				EventsProcessed:    uint64(sh.eng.Processed()),
-				WheelEvents:        sh.eng.WheelEvents(),
-				OverflowEvents:     sh.eng.OverflowEvents(),
-				CancelsLazy:        sh.eng.CancelsLazy(),
+			r := shardReply{snap: readShardSnapshot(sh, st)}
+			if i < live {
+				r.row = shardRow(sh, st, r.snap)
 			}
-			ss.KeyInternHits, ss.KeyInternMisses = sh.rt.KeyInternStats()
-			ss.ScratchPoolHits, ss.ScratchPoolMisses = sh.rt.ScratchPoolStats()
-			if now > 0 {
-				// Full-history mean: epochs behind the watermark come from
-				// the aggregate's rollup buckets.
-				ss.MeanGPUUtil = sh.cl.MeanGPUUtilOver(0, now)
-			}
-			fp := sh.cl.TelemetryFootprint()
-			ss.TelemetryPoints = fp.Points
-			ss.TelemetryBytes = fp.Bytes
-			ss.RollupBuckets = fp.RollupBuckets
-			ss.WatermarkS = sh.cl.Watermark()
-			ss.Epoch = sh.cl.Epoch()
-			ss.CompactedPoints = sh.droppedPoints
-			for _, t := range sh.sched.SLOTenants() {
-				ss.TenantSLO = append(ss.TenantSLO, tenantSLORow(t))
-			}
-			mgr := sh.rt.Manager().Stats()
-			for name, es := range mgr.Engines {
-				ss.Engines = append(ss.Engines, EngineStatJSON{
-					Model:      name,
-					Capability: es.Capability,
-					GPUs:       es.GPUs,
-					QueueDepth: es.QueueDepth,
-					Active:     es.Active,
-				})
-			}
-			sort.Slice(ss.Engines, func(i, j int) bool {
-				return ss.Engines[i].Model < ss.Engines[j].Model
-			})
-			reply <- ss
+			reply <- r
 		}) {
 			return out, false
 		}
-		replies = append(replies, reply)
-	}
-	for _, reply := range drainReplies {
-		c := <-reply
-		out.PlanSearches += int(c.planSearches)
-		out.SingleflightHits += int(c.singleflightHits)
-		out.PlanConflicts += int(c.planConflicts)
-		out.Reconfigs += int(c.reconfigs)
-		out.ReconfigWins += int(c.reconfigWins)
-		out.ReconfigSkips += int(c.reconfigSkips)
-		out.ReconfigConflicts += int(c.reconfigConflicts)
-		out.FaultsInjected += int(c.faultsInjected)
-		out.TaskRetries += int(c.taskRetries)
-		out.RetriesExhausted += int(c.retriesExhausted)
-		out.DeadlinesExceeded += int(c.deadlinesExceeded)
-		out.Degradations += int(c.degradations)
-		out.StageTimeouts += int(c.stageTimeouts)
-		out.BreakerTrips += int(c.breakerTrips)
-		out.SLOShed += int(c.sloShed)
-		out.SLOBudgetExhausted += int(c.sloBudget)
-		out.SLODegradedAdmits += int(c.sloDegraded)
-		out.SLOMet += int(c.sloMet)
-		out.SLOMissed += int(c.sloMissed)
-		out.OverloadEnters += int(c.overloadEnters)
-		out.OverloadExits += int(c.overloadExits)
-		out.KeyInternHits += c.internHits
-		out.KeyInternMisses += c.internMisses
-		out.ScratchPoolHits += c.scratchHits
-		out.ScratchPoolMisses += c.scratchMisses
-		out.EventsProcessed += c.events
-		out.WheelEvents += c.wheelEvents
-		out.OverflowEvents += c.overflowEvents
-		out.CancelsLazy += c.cancelsLazy
+		replies[i] = reply
 	}
 	for _, reply := range replies {
-		ss := <-reply
-		out.Shards = append(out.Shards, ss)
-		out.Running += ss.Running
-		out.Queued += ss.Queued
-		out.EnginesUp += len(ss.Engines)
-		out.TelemetryPoints += ss.TelemetryPoints
-		out.TelemetryBytes += ss.TelemetryBytes
-		out.PlanSearches += ss.PlanSearches
-		out.SingleflightHits += ss.SingleflightHits
-		out.PlanConflicts += ss.PlanConflicts
-		out.PlanSearchInflight += ss.PlanSearchInflight
-		out.Reconfigs += ss.Reconfigs
-		out.ReconfigWins += ss.ReconfigWins
-		out.ReconfigSkips += ss.ReconfigSkips
-		out.ReconfigConflicts += ss.ReconfigConflicts
-		out.FaultsInjected += ss.FaultsInjected
-		out.TaskRetries += ss.TaskRetries
-		out.RetriesExhausted += ss.RetriesExhausted
-		out.DeadlinesExceeded += ss.DeadlinesExceeded
-		out.Degradations += ss.Degradations
-		out.StageTimeouts += ss.StageTimeouts
-		out.BreakerTrips += ss.BreakerTrips
-		out.BreakerOpen += ss.BreakerOpen
-		out.SLOShed += ss.SLOShed
-		out.SLOBudgetExhausted += ss.SLOBudgetExhausted
-		out.SLODegradedAdmits += ss.SLODegradedAdmits
-		out.SLOMet += ss.SLOMet
-		out.SLOMissed += ss.SLOMissed
-		out.OverloadEnters += ss.OverloadEnters
-		out.OverloadExits += ss.OverloadExits
-		out.OverloadActive = out.OverloadActive || ss.OverloadActive
-		for _, row := range ss.TenantSLO {
-			agg := tenantAgg[row.Tenant]
-			agg.Tenant, agg.Class = row.Tenant, row.Class
-			agg.Admitted += row.Admitted
-			agg.DegradedAdmits += row.DegradedAdmits
-			agg.Shed += row.Shed
-			agg.BudgetExhausted += row.BudgetExhausted
-			agg.SLOMet += row.SLOMet
-			agg.SLOMissed += row.SLOMissed
-			agg.CostSpentUSD += row.CostSpentUSD
-			tenantAgg[row.Tenant] = agg
+		r := <-reply
+		totals.merge(r.snap)
+		if r.row == nil {
+			continue
 		}
-		out.KeyInternHits += ss.KeyInternHits
-		out.KeyInternMisses += ss.KeyInternMisses
-		out.ScratchPoolHits += ss.ScratchPoolHits
-		out.ScratchPoolMisses += ss.ScratchPoolMisses
-		out.EventsProcessed += ss.EventsProcessed
-		out.WheelEvents += ss.WheelEvents
-		out.OverflowEvents += ss.OverflowEvents
-		out.CancelsLazy += ss.CancelsLazy
-		out.PeakPending = max(out.PeakPending, ss.PeakPending)
+		out.Shards = append(out.Shards, *r.row)
+		out.Running += r.row.Running
+		out.Queued += r.row.Queued
+		out.EnginesUp += len(r.row.Engines)
+		out.TelemetryPoints += r.row.TelemetryPoints
+		out.TelemetryBytes += r.row.TelemetryBytes
+		out.PlanSearchInflight += r.row.PlanSearchInflight
+		out.BreakerOpen += r.row.BreakerOpen
+		out.OverloadActive = out.OverloadActive || r.row.OverloadActive
 	}
-	for _, row := range tenantAgg {
-		// Recompute attainment over the merged counts: per-source rows
-		// carry independent ratios that do not sum.
-		row.Attainment = 0
-		if n := row.SLOMet + row.SLOMissed; n > 0 {
-			row.Attainment = float64(row.SLOMet) / float64(n)
-		}
-		out.TenantSLO = append(out.TenantSLO, row)
+	out.Counters = totals.Counters
+	out.PeakPending = totals.peakPending
+	for _, t := range totals.tenants {
+		out.TenantSLO = append(out.TenantSLO, tenantSLORow(t))
 	}
 	sort.Slice(out.TenantSLO, func(i, j int) bool {
 		return out.TenantSLO[i].Tenant < out.TenantSLO[j].Tenant
 	})
 	return out, true
+}
+
+// shardRow builds a live shard's /v1/stats row around its snapshot. It must
+// run on the shard's loop goroutine.
+func shardRow(sh *shard, st core.SchedulerStats, snap shardSnapshot) *ShardStats {
+	now := sh.eng.Now().Seconds()
+	fp := sh.cl.TelemetryFootprint()
+	ss := &ShardStats{
+		Shard:              sh.idx,
+		SimTimeS:           now,
+		Submitted:          st.Submitted,
+		Completed:          st.Completed,
+		Failed:             st.Failed,
+		Canceled:           st.Canceled,
+		Running:            st.Running,
+		Queued:             st.Queued,
+		PeakRunning:        st.PeakRunning,
+		PlanCacheHits:      sh.rt.PlanCacheHits(),
+		DecompCacheHits:    sh.rt.DecompCacheHits(),
+		Counters:           snap.Counters,
+		PlanWorkers:        sh.sched.PlanWorkers(),
+		PlanSearchInflight: st.PlanSearchInflight,
+		BreakerOpen:        st.BreakerOpen,
+		OverloadActive:     st.OverloadActive,
+		PeakPending:        snap.peakPending,
+		ClusterGen:         sh.cl.Gen(),
+		CapacityGen:        sh.cl.CapacityGen(),
+		TelemetryPoints:    fp.Points,
+		TelemetryBytes:     fp.Bytes,
+		RollupBuckets:      fp.RollupBuckets,
+		WatermarkS:         sh.cl.Watermark(),
+		Epoch:              sh.cl.Epoch(),
+		CompactedPoints:    sh.droppedPoints,
+	}
+	if now > 0 {
+		// Full-history mean: epochs behind the watermark come from the
+		// aggregate's rollup buckets.
+		ss.MeanGPUUtil = sh.cl.MeanGPUUtilOver(0, now)
+	}
+	for _, t := range snap.tenants {
+		ss.TenantSLO = append(ss.TenantSLO, tenantSLORow(t))
+	}
+	for name, es := range sh.rt.Manager().Stats().Engines {
+		ss.Engines = append(ss.Engines, EngineStatJSON{
+			Model:      name,
+			Capability: es.Capability,
+			GPUs:       es.GPUs,
+			QueueDepth: es.QueueDepth,
+			Active:     es.Active,
+		})
+	}
+	sort.Slice(ss.Engines, func(i, j int) bool {
+		return ss.Engines[i].Model < ss.Engines[j].Model
+	})
+	return ss
 }

@@ -66,7 +66,9 @@ func TestErrorCodeEnumWireRoundTrip(t *testing.T) {
 			done:   make(chan struct{}),
 		}
 		rec.settle(core.JobFailed, "synthetic "+string(code), string(code), nil, 0)
-		pool.register(rec)
+		pool.mu.Lock()
+		pool.jobs[rec.id] = rec
+		pool.mu.Unlock()
 	}
 	for i, code := range codes {
 		resp, err := http.Get(srv.URL + fmt.Sprintf("/v1/jobs/job-code-%d", i))
@@ -248,22 +250,7 @@ func TestSLOCountersMonotonicAcrossRecycles(t *testing.T) {
 		}
 		wg.Wait()
 		st := fetchStats(t, srv)
-		if st.SLOShed < last.SLOShed || st.SLOMet+st.SLOMissed < last.SLOMet+last.SLOMissed ||
-			st.SLODegradedAdmits < last.SLODegradedAdmits {
-			t.Fatalf("wave %d: SLO counters went backwards: shed %d->%d attainment %d->%d degraded %d->%d",
-				wave, last.SLOShed, st.SLOShed, last.SLOMet+last.SLOMissed, st.SLOMet+st.SLOMissed,
-				last.SLODegradedAdmits, st.SLODegradedAdmits)
-		}
-		if len(st.TenantSLO) > 0 {
-			row := st.TenantSLO[0]
-			var prev TenantSLOJSON
-			if len(last.TenantSLO) > 0 {
-				prev = last.TenantSLO[0]
-			}
-			if row.Admitted < prev.Admitted || row.Shed < prev.Shed || row.CostSpentUSD < prev.CostSpentUSD {
-				t.Fatalf("wave %d: tenant row went backwards: %+v -> %+v", wave, prev, row)
-			}
-		}
+		assertTotalsMonotonic(t, fmt.Sprintf("wave %d", wave), last, st)
 		last = st
 	}
 	st := fetchStats(t, srv)

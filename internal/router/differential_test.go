@@ -51,13 +51,17 @@ func TestRouterSingleNodeDifferential(t *testing.T) {
 		{"submit-bad-json", http.MethodPost, "/v1/jobs", `{"tenant": `},
 		{"submit-unknown-field", http.MethodPost, "/v1/jobs", `{"tenant": "x", "bogus": 1}`},
 		{"submit-no-inputs", http.MethodPost, "/v1/jobs", `{"tenant": "x", "description": "d", "constraint": "MIN_COST"}`},
-		{"experiments-unknown", http.MethodGet, "/v1/experiments/nope", ""},
+		// Past the 1 MiB submit bound: both front-ends answer the same 413.
+		{"submit-oversize", http.MethodPost, "/v1/jobs", `{"tenant": "x",` + strings.Repeat(" ", 2<<20) + `"description": "d"}`},
 	}
 	for _, s := range script {
 		want := run(plain, s.method, s.target, s.body)
 		// The router sees the ID under its node's namespace.
 		target := strings.ReplaceAll(s.target, "job-", "job-n0-")
 		got := run(rt, s.method, target, s.body)
+		if s.name == "submit-oversize" && want.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: single node answered %d, want 413: %s", s.name, want.Code, want.Body.String())
+		}
 		if got.Code != want.Code {
 			t.Fatalf("%s: status %d (router) != %d (single node)\nrouter: %s\nsingle: %s",
 				s.name, got.Code, want.Code, got.Body.String(), want.Body.String())

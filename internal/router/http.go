@@ -3,9 +3,12 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // respBuf is a minimal in-memory http.ResponseWriter: the router forwards
@@ -75,6 +78,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxSubmitBody bounds a POST /v1/jobs body before it is buffered for
+// routing: the bound (and the 413 answer) a node applies to its own decode.
+const maxSubmitBody = 1 << 20
+
 // errorBody matches the api server's error envelope.
 type errorBody struct {
 	Error string `json:"error"`
@@ -108,8 +115,8 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleForwardAny forwards node-independent reads (library, experiments) to
-// the first live node in name order — deterministic and byte-identical to a
+// handleForwardAny forwards node-independent reads (the library) to the
+// first live node in name order — deterministic and byte-identical to a
 // single node.
 func (rt *Router) handleForwardAny(w http.ResponseWriter, r *http.Request) {
 	n := rt.firstLiveNode()
@@ -124,27 +131,38 @@ func (rt *Router) handleForwardAny(w http.ResponseWriter, r *http.Request) {
 	forward(n.srv, r.Method, target, nil).copyTo(w)
 }
 
+// membersLocked returns every node in name order. Callers hold rt.mu.
+func (rt *Router) membersLocked() []*node {
+	members := make([]*node, 0, len(rt.nodes))
+	for _, n := range rt.nodes {
+		members = append(members, n)
+	}
+	slices.SortFunc(members, func(a, b *node) int { return strings.Compare(a.name, b.name) })
+	return members
+}
+
 // firstLiveNode returns the healthy, non-draining node with the smallest
 // name, or nil.
 func (rt *Router) firstLiveNode() *node {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	names := make([]string, 0, len(rt.nodes))
-	for name, n := range rt.nodes {
+	for _, n := range rt.membersLocked() {
 		if n.healthy && !n.draining {
-			names = append(names, name)
+			return n
 		}
 	}
-	if len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names)
-	return rt.nodes[names[0]]
+	return nil
 }
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "router: reading request body: " + err.Error()})
 		return
 	}
@@ -301,15 +319,7 @@ func (rt *Router) resolveLocked(id string) *jobEntry {
 // "unknown job" body a single node produces).
 func (rt *Router) probe(w http.ResponseWriter, method, target string) {
 	rt.mu.Lock()
-	names := make([]string, 0, len(rt.nodes))
-	for name := range rt.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	members := make([]*node, 0, len(names))
-	for _, name := range names {
-		members = append(members, rt.nodes[name])
-	}
+	members := rt.membersLocked()
 	rt.mu.Unlock()
 	var last *respBuf
 	for _, n := range members {

@@ -29,10 +29,10 @@ type Config struct {
 	// Nodes is the initial node count (default 1); nodes are named
 	// "n0".."n{N-1}" and built from the Node template.
 	Nodes int
-	// Node is the per-node pool configuration. PerRequest must be off and
-	// JobIDNamespace/ProfileRegistry empty — the router owns both (each
-	// node mints IDs under its own name and profiles replicate through the
-	// router's canonical registry).
+	// Node is the per-node pool configuration. JobIDNamespace and
+	// ProfileRegistry must be empty — the router owns both (each node mints
+	// IDs under its own name and profiles replicate through the router's
+	// canonical registry).
 	Node api.PoolConfig
 	// VNodes is the ring's virtual-node count per node (default
 	// DefaultVNodes); Seed seeds ring placement.
@@ -116,9 +116,6 @@ type Router struct {
 
 // New builds a router over cfg.Nodes fresh in-process nodes.
 func New(cfg Config) (*Router, error) {
-	if cfg.Node.PerRequest {
-		return nil, fmt.Errorf("router: per-request nodes are not routable (each request builds a throwaway testbed; there is nothing to shard)")
-	}
 	if cfg.Node.JobIDNamespace != "" || cfg.Node.ProfileRegistry != nil {
 		return nil, fmt.Errorf("router: Node.JobIDNamespace and Node.ProfileRegistry are router-owned; leave them unset")
 	}
@@ -143,7 +140,6 @@ func New(cfg Config) (*Router, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleJobCancel)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	mux.HandleFunc("GET /v1/experiments/{name}", rt.handleForwardAny)
 	rt.mux = mux
 	for i := 0; i < cfg.Nodes; i++ {
 		if err := rt.Join(fmt.Sprintf("n%d", i)); err != nil {

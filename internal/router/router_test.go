@@ -29,14 +29,18 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 	return rt
 }
 
-func jobBody(tenant string, wait bool) string {
+func jobBody(tenant string, wait bool) string { return videoJobBody(tenant, wait, 120) }
+
+// videoJobBody is a MAX_QUALITY job over one video of the given length; its
+// wall-clock cost on the shard loop grows with the scene count.
+func videoJobBody(tenant string, wait bool, durationS int) string {
 	return fmt.Sprintf(`{
 		"tenant": %q, "wait": %v,
 		"description": "List objects shown in the videos",
 		"constraint": "MAX_QUALITY",
 		"inputs": [{"name": "a.mov", "kind": "video",
-		            "attrs": {"duration_s": 120, "scene_len_s": 30, "frames_per_scene": 24}}]
-	}`, tenant, wait)
+		            "attrs": {"duration_s": %d, "scene_len_s": 30, "frames_per_scene": 24}}]
+	}`, tenant, wait, durationS)
 }
 
 // do runs one request through the router handler.
@@ -237,7 +241,9 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 		}
 		ids = ids[:0]
 		for i := 0; i < 40; i++ {
-			rec := do(rt, http.MethodPost, "/v1/jobs", jobBody(victimTenants[i%len(victimTenants)], false))
+			// Hour-long videos: each job holds the shard loop for many times
+			// the cost of one submission, so a backlog is certain to build.
+			rec := do(rt, http.MethodPost, "/v1/jobs", videoJobBody(victimTenants[i%len(victimTenants)], false, 3600))
 			if rec.Code != http.StatusAccepted {
 				t.Fatalf("async submit = %d: %s", rec.Code, rec.Body.String())
 			}

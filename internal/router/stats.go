@@ -2,7 +2,6 @@ package router
 
 import (
 	"net/http"
-	"sort"
 
 	"repro/internal/api"
 )
@@ -87,15 +86,7 @@ type ClusterStats struct {
 // repeated reads are monotonic across joins, leaves and recycles.
 func (rt *Router) Stats() ClusterStats {
 	rt.mu.Lock()
-	names := make([]string, 0, len(rt.nodes))
-	for name := range rt.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	members := make([]*node, 0, len(names))
-	for _, name := range names {
-		members = append(members, rt.nodes[name])
-	}
+	members := rt.membersLocked()
 	tenantsPerNode := make(map[string]int, len(members))
 	for _, owner := range rt.tenants {
 		tenantsPerNode[owner]++

@@ -3,9 +3,8 @@
 // (httptest transport, concurrent clients) against both serving
 // architectures — the long-lived shared runtime pool and the per-request
 // throwaway-testbed baseline — and reports wall-clock throughput, latency
-// percentiles and the multiplexing gain of sharing. It lives outside
-// internal/experiments because the experiments package is itself served by
-// internal/api (importing api from there would cycle).
+// percentiles and the multiplexing gain of sharing. The per-request baseline
+// is not a daemon mode: it exists only here, as perRequestHandler.
 package serving
 
 import (
@@ -22,7 +21,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/agents"
 	"repro/internal/api"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/hardware"
+	"repro/internal/sim"
 	"repro/internal/workflow"
 	"repro/internal/workload"
 )
@@ -100,10 +104,10 @@ func Run(opts Options) (*Result, error) {
 	if trials <= 0 {
 		trials = 1
 	}
-	best := func(mode string, cfg api.PoolConfig) (ModeResult, error) {
+	best := func(mode string, serve func() (http.Handler, func(), error)) (ModeResult, error) {
 		var bestRes ModeResult
 		for i := 0; i < trials; i++ {
-			res, err := runMode(mode, cfg, trace, opts.Clients)
+			res, err := runMode(mode, serve, trace, opts.Clients)
 			if err != nil {
 				return ModeResult{}, err
 			}
@@ -115,15 +119,23 @@ func Run(opts Options) (*Result, error) {
 		}
 		return bestRes, nil
 	}
-	shared, err := best("shared", api.PoolConfig{
-		Shards:                opts.Shards,
-		VMsPerShard:           opts.VMsPerShard,
-		MaxConcurrentPerShard: opts.MaxConcurrentPerShard,
+	shared, err := best("shared", func() (http.Handler, func(), error) {
+		server, err := api.NewServer(api.PoolConfig{
+			Shards:                opts.Shards,
+			VMsPerShard:           opts.VMsPerShard,
+			MaxConcurrentPerShard: opts.MaxConcurrentPerShard,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return server, server.Close, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	perReq, err := best("per-request", api.PoolConfig{PerRequest: true})
+	perReq, err := best("per-request", func() (http.Handler, func(), error) {
+		return http.HandlerFunc(perRequestHandler), func() {}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -178,20 +190,79 @@ func requestFrom(tenant string, job workflow.Job) api.JobRequest {
 	return req
 }
 
+// perRequestHandler is the pre-daemon baseline the shared pool is measured
+// against: every POST provisions a throwaway two-VM testbed (engine, cluster,
+// runtime), runs the one job to completion on the handler goroutine and
+// answers with the finished envelope, so nothing — engines, caches, worker
+// pools — is shared between requests.
+func perRequestHandler(w http.ResponseWriter, r *http.Request) {
+	st := api.JobStatusResponse{Shard: -1, Status: "failed"}
+	reply := func(code int, err error) {
+		if err != nil {
+			st.Error, st.ErrorCode = err.Error(), string(core.ErrorCodeOf(err))
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(st)
+	}
+	var req api.JobRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		reply(http.StatusBadRequest, err)
+		return
+	}
+	job, err := req.ToJob()
+	if err != nil {
+		reply(http.StatusBadRequest, err)
+		return
+	}
+	se := sim.NewEngine()
+	if core.DisableAllocReuse {
+		se.DisableEventSlab()
+	}
+	cl := cluster.New(se, hardware.DefaultCatalog())
+	cl.AddVM("vm0", hardware.NDv4SKUName, false)
+	cl.AddVM("vm1", hardware.NDv4SKUName, false)
+	rt, err := core.New(core.Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	if err != nil {
+		reply(http.StatusInternalServerError, err)
+		return
+	}
+	ex, err := rt.Submit(job, core.SubmitOptions{RelaxFloor: true, MaxPaths: req.MaxPaths})
+	if err == nil {
+		se.Run()
+		err = ex.Err()
+	}
+	st.Tenant, st.FinishedSimS = req.Tenant, se.Now().Seconds()
+	if err != nil {
+		reply(http.StatusUnprocessableEntity, err)
+		return
+	}
+	rep := ex.Report()
+	st.Status = "done"
+	st.Result = &api.JobResponse{
+		Name: rep.Name, MakespanS: rep.MakespanS, GPUEnergyWh: rep.GPUEnergyWh, CPUEnergyWh: rep.CPUEnergyWh,
+		CostUSD: rep.CostUSD, EstCostUSD: ex.Plan().EstCostUSD, MeanGPUUtil: rep.MeanGPUUtil,
+		MeanCPUUtil: rep.MeanCPUUtil, Quality: rep.Quality, PlanningOverheadFrac: rep.PlanningOverheadFrac,
+		TasksCompleted: rep.TasksCompleted, Decisions: rep.Decisions, Template: ex.Decomposition().Template,
+	}
+	reply(http.StatusOK, nil)
+}
+
 // runMode replays the trace against one architecture with opts.Clients
-// concurrent submitters and measures the wall-clock service curve.
-func runMode(mode string, cfg api.PoolConfig, trace [][]byte, clients int) (ModeResult, error) {
+// concurrent submitters and measures the wall-clock service curve. serve
+// builds the architecture's handler and its teardown.
+func runMode(mode string, serve func() (http.Handler, func(), error), trace [][]byte, clients int) (ModeResult, error) {
 	// Settle the heap so one mode's garbage is not collected on the other
 	// mode's clock.
 	runtime.GC()
-	server, err := api.NewServer(cfg)
+	handler, closeHandler, err := serve()
 	if err != nil {
 		return ModeResult{}, err
 	}
-	srv := httptest.NewServer(server)
+	srv := httptest.NewServer(handler)
 	defer func() {
 		srv.Close()
-		server.Close()
+		closeHandler()
 	}()
 	if clients <= 0 {
 		clients = 8

@@ -1,6 +1,14 @@
 package serving
 
-import "testing"
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/api"
+)
 
 // TestRetentionBoundsTelemetry replays the default trace with a retention
 // window a small fraction of the served history and asserts the
@@ -61,6 +69,39 @@ func TestRunSmallTrace(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Fatal("empty rendering")
+	}
+}
+
+// TestPerRequestBaselineIsDeterministic drives the baseline arm's handler
+// directly: every POST builds a fresh testbed, so the same job twice must
+// report identical simulated results inline, on no shard.
+func TestPerRequestBaselineIsDeterministic(t *testing.T) {
+	const body = `{"description": "List objects shown/mentioned in the videos",
+		"constraint": "MIN_COST", "min_quality": 0.95,
+		"inputs": [{"name": "cats.mov", "kind": "video",
+		            "attrs": {"duration_s": 240, "scene_len_s": 30, "frames_per_scene": 24}}]}`
+	run := func(body string) (int, api.JobStatusResponse) {
+		rec := httptest.NewRecorder()
+		perRequestHandler(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		var st api.JobStatusResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("decoding %q: %v", rec.Body.String(), err)
+		}
+		return rec.Code, st
+	}
+	codeA, a := run(body)
+	codeB, b := run(body)
+	if codeA != http.StatusOK || codeB != http.StatusOK || a.Result == nil || b.Result == nil {
+		t.Fatalf("baseline did not return inline results: %d %+v / %d %+v", codeA, a, codeB, b)
+	}
+	if a.Result.MakespanS != b.Result.MakespanS || a.Result.GPUEnergyWh != b.Result.GPUEnergyWh {
+		t.Fatalf("non-deterministic service: %+v vs %+v", a.Result, b.Result)
+	}
+	if a.Status != "done" || a.Shard != -1 {
+		t.Fatalf("baseline job reports status %q shard %d, want done on -1", a.Status, a.Shard)
+	}
+	if code, st := run(`{"description": "x", "constraint": "FASTEST"}`); code != http.StatusBadRequest || st.Status != "failed" {
+		t.Fatalf("invalid job = %d %+v, want a failed 400", code, st)
 	}
 }
 
