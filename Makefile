@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race vet bench bench-smoke bench-json bench-baseline memprofile profile
+.PHONY: all build test race stress vet bench bench-smoke bench-json bench-baseline memprofile profile
 
 all: vet build test
 
@@ -18,6 +18,12 @@ test:
 # are exercised concurrently by the api package's tests.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# stress repeats the timing-sensitive tests (churn, leave, drain, cancel)
+# under the race detector: a one-in-twelve failure passes a single run 92 %
+# of the time. CI runs the same line.
+stress:
+	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel' ./internal/serving ./internal/router ./internal/api
 
 vet:
 	$(GO) vet ./...

@@ -134,7 +134,10 @@
 // property-tested for balanced spread and ~1/N disruption on churn), job
 // IDs route through a registry, /v1/stats fans out and merges under the
 // pool's monotonic-fold discipline, and heartbeats route around unhealthy
-// nodes. A joining node warms from the content-keyed profile store via
+// nodes. The hop into a node is a typed call, not HTTP: api's handlers are
+// thin shells over DecodeJobRequest, Server.Submit / Status / Cancel and
+// Reply.Write, and the router calls the same cores on its in-process
+// api.Servers — one decode and one encode per routed request. A joining node warms from the content-keyed profile store via
 // generation deltas (zero rebuilds); a leaving node drains, re-submits
 // still-queued jobs to survivors through the ring, and fails what runs past
 // the drain deadline with typed node_down — nothing strands. With -router

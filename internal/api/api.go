@@ -17,6 +17,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,7 +61,7 @@ type InputRequest struct {
 }
 
 // maxSubmitBody bounds a POST /v1/jobs body; a larger one is answered 413 in
-// the error envelope. The router tier applies the same bound before routing.
+// the error envelope.
 const maxSubmitBody = 1 << 20
 
 // maxRequestPaths caps MAX_QUALITY execution-path replication per request:
@@ -154,7 +155,7 @@ func NewServer(cfg PoolConfig) (*Server, error) {
 	}
 	s := &Server{pool: pool, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/library", handleLibrary)
+	s.mux.HandleFunc("GET /v1/library", HandleLibrary)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
@@ -172,16 +173,17 @@ func (s *Server) Pool() *Pool { return s.pool }
 func (s *Server) Close() { s.pool.Close() }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	// A draining (closed) pool rejects submissions, so report it unhealthy:
-	// the router tier probes this endpoint to steer traffic to live nodes.
+	// A draining (closed) pool rejects submissions, so report it unhealthy.
 	if s.pool.Closed() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func handleLibrary(w http.ResponseWriter, r *http.Request) {
+// HandleLibrary serves GET /v1/library: the agent library is static, so the
+// router tier serves it with this same handler.
+func HandleLibrary(w http.ResponseWriter, r *http.Request) {
 	lib := agents.DefaultLibrary()
 	var out []LibraryEntry
 	for _, c := range lib.Capabilities() {
@@ -203,44 +205,88 @@ func handleLibrary(w http.ResponseWriter, r *http.Request) {
 			out = append(out, entry)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// Reply is a job endpoint's answer before it is written: the status code and
+// either the job envelope or, when Err is set, the error envelope. The typed
+// cores below (Submit, Status, Cancel) return one and the HTTP shells write
+// it, so the router tier calls the same cores on its in-process nodes, reads
+// the fields it routes on, and encodes once.
+type Reply struct {
+	Code int
+	Job  JobStatusResponse
+	Err  error
+	// RetryAfter marks backpressure (a shed 429): the reply carries
+	// Retry-After so well-behaved clients know when to come back.
+	RetryAfter bool
+}
+
+// Write renders the reply in the compact wire encoding.
+func (rp Reply) Write(w http.ResponseWriter) {
+	if rp.RetryAfter {
+		w.Header().Set("Retry-After", "1")
+	}
+	if rp.Err != nil {
+		WriteJSON(w, rp.Code, errorBody{Error: rp.Err.Error()})
+		return
+	}
+	WriteJSON(w, rp.Code, rp.Job)
+}
+
+func jobReply(code int, st JobState) Reply {
+	return Reply{Code: code, Job: statusResponse(st)}
+}
+
+// DecodeJobRequest decodes a POST /v1/jobs body, bounded at maxSubmitBody and
+// strict about unknown fields. A nil request means the body was refused and
+// the Reply is the 413 or 400 to write; that needs no pool, so the router
+// tier answers it before routing.
+func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, Reply) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf(
-				"request body exceeds %d bytes", tooBig.Limit))
-			return
+			return nil, Reply{Code: http.StatusRequestEntityTooLarge, Err: fmt.Errorf(
+				"request body exceeds %d bytes", tooBig.Limit)}
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+		return nil, Reply{Code: http.StatusBadRequest, Err: fmt.Errorf("invalid JSON: %w", err)}
+	}
+	return &req, Reply{}
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, refused := DecodeJobRequest(w, r)
+	if req == nil {
+		refused.Write(w)
 		return
 	}
+	s.Submit(r.Context(), *req).Write(w)
+}
+
+// Submit validates a decoded request, admits it and, for "wait":true, blocks
+// until the job settles or ctx ends (the job then keeps running and stays
+// pollable).
+func (s *Server) Submit(ctx context.Context, req JobRequest) Reply {
 	if req.MaxPaths < 0 || req.MaxPaths > maxRequestPaths {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"max_paths must be in [1, %d] (0 disables path replication)", maxRequestPaths))
-		return
+		return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf(
+			"max_paths must be in [1, %d] (0 disables path replication)", maxRequestPaths)}
 	}
 	if req.SLOClass != "" {
 		if !s.pool.cfg.SLO {
-			writeError(w, http.StatusBadRequest, fmt.Errorf(
-				"slo_class requires the daemon to run with SLO tiers (-slo)"))
-			return
+			return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf(
+				"slo_class requires the daemon to run with SLO tiers (-slo)")}
 		}
 		if _, ok := core.DefaultSLOClasses()[req.SLOClass]; !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf(
-				"unknown slo_class %q (allowed: %s)", req.SLOClass, allowedSLOClasses))
-			return
+			return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf(
+				"unknown slo_class %q (allowed: %s)", req.SLOClass, allowedSLOClasses)}
 		}
 	}
 	job, err := req.ToJob()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return Reply{Code: http.StatusBadRequest, Err: err}
 	}
 	tenant := req.Tenant
 	if tenant == "" {
@@ -250,65 +296,73 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		RelaxFloor: true, MaxPaths: req.MaxPaths, SLOClass: req.SLOClass,
 	}, req.Timeline)
 	if err != nil {
-		switch core.ErrorCodeOf(err) {
-		case core.CodeShedOverload:
-			// Backpressure, not failure: the tenant's bounded queue is full
-			// under overload. Retry-After tells well-behaved clients when to
-			// come back; the settled job envelope carries the typed code.
-			w.Header().Set("Retry-After", "1")
-			writeTooMany(w, rec, err)
-		case core.CodeBudgetExhausted:
-			// Also 429 (the canonical quota answer), but without Retry-After:
-			// backing off does not refill a spent budget.
-			writeTooMany(w, rec, err)
-		default:
-			writeError(w, http.StatusServiceUnavailable, err)
+		code := core.ErrorCodeOf(err)
+		if code != core.CodeShedOverload && code != core.CodeBudgetExhausted {
+			return Reply{Code: http.StatusServiceUnavailable, Err: err}
 		}
-		return
+		// An SLO admission rejection: 429 with the settled job envelope (the
+		// typed code rides in it) when the pool returned a record. Shed is
+		// backpressure — the tenant's bounded queue is full — so it carries
+		// Retry-After; a spent budget does not, backing off does not refill it.
+		rp := Reply{Code: http.StatusTooManyRequests, Err: err}
+		if rec != nil {
+			rp = jobReply(http.StatusTooManyRequests, rec.snapshot())
+		}
+		rp.RetryAfter = code == core.CodeShedOverload
+		return rp
 	}
-	if req.Wait {
-		select {
-		case <-rec.Done():
-		case <-r.Context().Done():
-			// Client gave up; the job keeps running and stays pollable.
-			writeJSON(w, http.StatusAccepted, statusResponse(rec.snapshot()))
-			return
-		}
-		st := rec.snapshot()
-		if st.Status == core.JobFailed {
-			writeJSON(w, http.StatusUnprocessableEntity, statusResponse(st))
-			return
-		}
-		writeJSON(w, http.StatusOK, statusResponse(st))
-		return
+	if !req.Wait {
+		return jobReply(http.StatusAccepted, rec.snapshot())
 	}
-	writeJSON(w, http.StatusAccepted, statusResponse(rec.snapshot()))
+	select {
+	case <-rec.Done():
+	case <-ctx.Done():
+		// Client gave up; the job keeps running and stays pollable.
+		return jobReply(http.StatusAccepted, rec.snapshot())
+	}
+	st := rec.snapshot()
+	if st.Status == core.JobFailed {
+		return jobReply(http.StatusUnprocessableEntity, st)
+	}
+	return jobReply(http.StatusOK, st)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.pool.Get(r.PathValue("id"))
+	s.Status(r.PathValue("id")).Write(w)
+}
+
+// Status answers GET /v1/jobs/{id}: the job envelope, or 404.
+func (s *Server) Status(id string) Reply {
+	st, ok := s.pool.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
+		return unknownJob(id)
 	}
-	writeJSON(w, http.StatusOK, statusResponse(st))
+	return jobReply(http.StatusOK, st)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	st, canceled, ok := s.pool.Cancel(r.PathValue("id"))
+	s.Cancel(r.PathValue("id")).Write(w)
+}
+
+// Cancel answers DELETE /v1/jobs/{id}: 200 with the post-cancel envelope,
+// 409 when the job was already terminal, or 404.
+func (s *Server) Cancel(id string) Reply {
+	st, canceled, ok := s.pool.Cancel(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
+		return unknownJob(id)
 	}
 	if !canceled {
-		writeJSON(w, http.StatusConflict, statusResponse(st))
-		return
+		return jobReply(http.StatusConflict, st)
 	}
-	writeJSON(w, http.StatusOK, statusResponse(st))
+	return jobReply(http.StatusOK, st)
+}
+
+func unknownJob(id string) Reply {
+	return Reply{Code: http.StatusNotFound, Err: fmt.Errorf("unknown job %q", id)}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.pool.Stats())
+	WriteJSON(w, http.StatusOK, s.pool.Stats())
 }
 
 func statusResponse(st JobState) JobStatusResponse {
@@ -336,16 +390,6 @@ func statusResponse(st JobState) JobStatusResponse {
 		})
 	}
 	return out
-}
-
-// writeTooMany renders an SLO admission rejection (shed or budget): 429 with
-// the settled job envelope when the pool returned a record, else the error.
-func writeTooMany(w http.ResponseWriter, rec *jobRecord, err error) {
-	if rec != nil {
-		writeJSON(w, http.StatusTooManyRequests, statusResponse(rec.snapshot()))
-		return
-	}
-	writeError(w, http.StatusTooManyRequests, err)
 }
 
 // allowedConstraints and allowedKinds gate request validation up front, so
@@ -425,7 +469,8 @@ func (req JobRequest) ToJob() (workflow.Job, error) {
 	return job, job.Validate()
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the response body in the daemon's wire encoding.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// Compact encoding: the daemon serves high request rates, and indented
@@ -434,8 +479,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		// Headers already sent; nothing more to do.
 		_ = err
 	}
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
 }

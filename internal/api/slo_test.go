@@ -108,8 +108,12 @@ func TestSLOShedReturns429(t *testing.T) {
 
 	// Concurrent burst: one job runs, one holds the single queue slot, and
 	// the rest find the bound reached. Sequential posts would let each job
-	// start (freeing the slot) before the next arrives.
+	// start (freeing the slot) before the next arrives. Hour-long videos hold
+	// the slot for many times the cost of one submission: with two-minute
+	// ones a slow client burst could miss every job (1 run in 5 on a 2-core
+	// host).
 	const n = 8
+	body := strings.Replace(qualityJobJSON("burst", ""), `"duration_s": 120`, `"duration_s": 3600`, 1)
 	var mu sync.Mutex
 	var accepted, shed []string
 	var wg sync.WaitGroup
@@ -117,8 +121,7 @@ func TestSLOShedReturns429(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-				strings.NewReader(qualityJobJSON("burst", "")))
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return

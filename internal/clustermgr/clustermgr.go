@@ -142,7 +142,9 @@ func (m *Manager) RequestCPUs(cores int, grant func(*cluster.CPUAlloc)) error {
 
 // drainPending grants queued requests FIFO while capacity allows. GPU and
 // CPU queues are independent; within each, the head blocks later requests
-// (no starvation).
+// (no starvation). A blocked head is re-probed on every release and every
+// deferred drain, so capacity is tested here with the allocators' own
+// failure conditions instead of calling them for an error nobody reads.
 func (m *Manager) drainPending() {
 	if m.draining || m.resizing {
 		return
@@ -152,6 +154,9 @@ func (m *Manager) drainPending() {
 
 	for m.gpuHead < len(m.pendingGPU) {
 		req := m.pendingGPU[m.gpuHead]
+		if m.cl.FreeGPUs(req.t) < req.n {
+			break
+		}
 		alloc, err := m.cl.AllocGPUs(req.n, req.t)
 		if err != nil {
 			break
@@ -166,6 +171,9 @@ func (m *Manager) drainPending() {
 	}
 	for m.cpuHead < len(m.pendingCPU) {
 		req := m.pendingCPU[m.cpuHead]
+		if m.cl.MaxFreeCPUCores() < req.cores {
+			break
+		}
 		alloc, err := m.cl.AllocCPUs(req.cores)
 		if err != nil {
 			break

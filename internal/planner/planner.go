@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/agents"
 	"repro/internal/dag"
@@ -176,7 +177,7 @@ func (p *Planner) Decompose(job workflow.Job) (*Result, error) {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("planner: cannot decompose job %q: no template matches and no task hints given", job.Description)
+		return nil, fmt.Errorf("planner: cannot decompose job %s: no template matches and no task hints given", quoteDescription(job.Description))
 	}
 
 	if err := res.Graph.Freeze(); err != nil {
@@ -200,6 +201,24 @@ func (p *Planner) Decompose(job workflow.Job) (*Result, error) {
 
 func (p *Planner) think(res *Result, thought, action string) {
 	res.Trace = append(res.Trace, Step{Thought: thought, Action: action, Observation: "ok"})
+}
+
+// maxQuotedDescription bounds how much of a caller-supplied description an
+// error message echoes: the message is returned on the wire and retained in
+// the job record for the history's lifetime, so it must not scale with input.
+const maxQuotedDescription = 128
+
+// quoteDescription quotes a description for an error message, cut to
+// maxQuotedDescription bytes (at a rune boundary) with the full length noted.
+func quoteDescription(d string) string {
+	if len(d) <= maxQuotedDescription {
+		return strconv.Quote(d)
+	}
+	cut := maxQuotedDescription
+	for cut > 0 && !utf8.RuneStart(d[cut]) {
+		cut--
+	}
+	return fmt.Sprintf("%q… (%d bytes)", d[:cut], len(d))
 }
 
 func hasKind(job workflow.Job, k workflow.InputKind) bool {

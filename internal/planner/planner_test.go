@@ -199,13 +199,26 @@ func TestHintChainFallback(t *testing.T) {
 }
 
 func TestUndeconposableJobErrors(t *testing.T) {
-	job := workflow.Job{
-		Description: "Do something wonderful",
-		Inputs:      []workflow.Input{{Name: "x", Kind: workflow.InputText}},
-		Constraint:  workflow.MinCost,
-	}
-	if _, err := newPlanner().Decompose(job); err == nil {
-		t.Fatal("undeconposable job accepted")
+	// The error quotes the description — all of a short one, a bounded
+	// prefix (cut at a rune boundary) of a long one: the message goes back
+	// on the wire and into the job record, so it must not scale with input.
+	for _, tc := range []struct{ description, quoted string }{
+		{"Do something wonderful", `cannot decompose job "Do something wonderful": no template`},
+		{strings.Repeat("é", 100_000), `cannot decompose job "` + strings.Repeat("é", 64) + `"… (200000 bytes): no template`},
+		{"x" + strings.Repeat("é", 100_000), `cannot decompose job "x` + strings.Repeat("é", 63) + `"… (200001 bytes): no template`},
+	} {
+		job := workflow.Job{
+			Description: tc.description,
+			Inputs:      []workflow.Input{{Name: "x", Kind: workflow.InputText}},
+			Constraint:  workflow.MinCost,
+		}
+		_, err := newPlanner().Decompose(job)
+		if err == nil {
+			t.Fatal("undeconposable job accepted")
+		}
+		if !strings.Contains(err.Error(), tc.quoted) {
+			t.Fatalf("error %.200q does not contain %.200q", err.Error(), tc.quoted)
+		}
 	}
 }
 

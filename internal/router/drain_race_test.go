@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,30 +117,11 @@ func TestRouterLeaveRaceUnderChurn(t *testing.T) {
 
 	// Zero stranded: every accepted job reaches a terminal state through
 	// the router (drained, rerouted or node_down).
-	deadline := time.Now().Add(90 * time.Second)
 	mu.Lock()
 	all := append([]string(nil), ids...)
 	mu.Unlock()
 	for _, id := range all {
-		for {
-			rec := do(rt, http.MethodGet, "/v1/jobs/"+id, "")
-			if rec.Code == http.StatusNotFound {
-				// Evicted from a node's bounded history after terminal —
-				// not stranded. (History limits are generous here, so this
-				// is unexpected; flag it.)
-				t.Fatalf("job %s vanished", id)
-			}
-			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s = %d: %s", id, rec.Code, rec.Body.String())
-			}
-			if terminalStatus(decodeStatus(t, rec).Status) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stranded: %s", id, rec.Body.String())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		waitTerminal(t, rt, id)
 	}
 
 	// The recycle storm must actually have fired, or the test lost its bite.
@@ -149,5 +131,69 @@ func TestRouterLeaveRaceUnderChurn(t *testing.T) {
 	}
 	if s.Leaves != 1 || len(s.Nodes) != 2 {
 		t.Fatalf("post-race shape: leaves=%d nodes=%d", s.Leaves, len(s.Nodes))
+	}
+}
+
+// TestRouterPollAndCancelWhileLeaveDrains reads and cancels a departing
+// node's jobs through the router for as long as Leave is draining it: the
+// typed Status and Cancel calls run beside Leave's own Get / Cancel / Close
+// and its final-reply snapshot with nothing but the pool's and the router's
+// locks between them. Every answer must be one a single node could give, and
+// every job must end terminal.
+func TestRouterPollAndCancelWhileLeaveDrains(t *testing.T) {
+	rt := newTestRouter(t, Config{Nodes: 2, Seed: 42, DrainDeadline: 50 * time.Millisecond})
+	var tenants []string
+	for i := 0; len(tenants) < 4; i++ {
+		tenant := fmt.Sprintf("drain-%d", i)
+		if owner, _ := rt.ring.NodeFor(tenant); owner == "n0" {
+			tenants = append(tenants, tenant)
+		}
+	}
+	var ids []string
+	for i := 0; i < 24; i++ {
+		rec := do(rt, http.MethodPost, "/v1/jobs", videoJobBody(tenants[i%len(tenants)], false, 3600))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("async submit = %d: %s", rec.Code, rec.Body.String())
+		}
+		ids = append(ids, decodeStatus(t, rec).ID)
+	}
+
+	left := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-left:
+					return
+				default:
+				}
+				id := ids[i%len(ids)]
+				if w == 0 && i%5 == 0 {
+					if rec := do(rt, http.MethodDelete, "/v1/jobs/"+id, ""); rec.Code != http.StatusOK && rec.Code != http.StatusConflict {
+						t.Errorf("cancel %s = %d: %s", id, rec.Code, rec.Body.String())
+					}
+					continue
+				}
+				rec := do(rt, http.MethodGet, "/v1/jobs/"+id, "")
+				if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"tenant":"drain-`) {
+					t.Errorf("GET %s = %d: %s", id, rec.Code, rec.Body.String())
+				}
+			}
+		}(w)
+	}
+	if err := rt.Leave("n0"); err != nil {
+		t.Errorf("leave: %v", err)
+	}
+	close(left)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for _, id := range ids {
+		waitTerminal(t, rt, id)
 	}
 }

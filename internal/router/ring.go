@@ -1,7 +1,9 @@
 // Package router is the horizontal scale-out tier: a consistent-hash ring
 // maps tenants onto a set of in-process murakkabd nodes (each node is an
-// api.Server — a Pool behind its mux), and a Router fronts the set with the
-// same HTTP surface a single node exposes. Job traffic routes by tenant,
+// api.Server), and a Router fronts the set with the same HTTP surface a
+// single node exposes, calling the nodes' typed cores (Submit, Status,
+// Cancel, Pool().Stats) directly: a routed request is decoded once, by the
+// router, and encoded once. Job traffic routes by tenant,
 // stats fan out and merge with the pool's monotonic-fold discipline, and
 // node join/leave moves only the tenants the ring reassigns: a leave drains
 // the departing node against a deadline, re-enters still-queued jobs on

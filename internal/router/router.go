@@ -1,8 +1,7 @@
 package router
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -47,8 +46,8 @@ type Config struct {
 	JobHistoryLimit int
 }
 
-// node is one cluster member: an api.Server (Pool behind its mux) plus the
-// router's view of its health.
+// node is one cluster member: an in-process api.Server, whose typed cores the
+// router calls directly, plus the router's view of its health.
 type node struct {
 	name string
 	srv  *api.Server
@@ -62,22 +61,21 @@ type node struct {
 	lastBeatSimS float64
 }
 
-// jobEntry tracks one routed job: which node owns it, the original request
-// body (retained until the job is observed terminal, so a queued job can
-// re-enter a surviving node if its node leaves), and any terminal response
-// the router itself imposed (node_down, or the departed node's final state).
+// jobEntry tracks one routed job: which node owns it, the decoded request
+// (retained until the job is observed terminal, so a queued job can re-enter
+// a surviving node if its node leaves), and any terminal reply the router
+// itself imposed (node_down, or the departed node's final state).
 type jobEntry struct {
 	id     string
 	node   string
 	tenant string
-	body   []byte
-	// aliasTo is the replacement ID after a reroute: reads forward there.
+	req    *api.JobRequest
+	// aliasTo is the replacement ID after a reroute: reads follow it.
 	aliasTo string
-	// override, when set, is the cached terminal response (status code +
-	// JSON body) served for this ID after its node left the cluster.
-	override     []byte
-	overrideCode int
-	terminal     bool
+	// final, when set, is the cached terminal reply served for this ID after
+	// its node left the cluster.
+	final    *api.Reply
+	terminal bool
 }
 
 // Router fronts a set of in-process murakkabd nodes with the single-node
@@ -135,7 +133,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	mux.HandleFunc("GET /v1/library", rt.handleForwardAny)
+	mux.HandleFunc("GET /v1/library", rt.handleLibrary)
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleJobCancel)
@@ -244,7 +242,7 @@ func (rt *Router) Leave(name string) error {
 	rt.remapTenantsLocked()
 	var outstanding []*jobEntry
 	for _, e := range rt.jobs {
-		if e.node == name && !e.terminal && e.aliasTo == "" && e.override == nil {
+		if e.node == name && !e.terminal && e.aliasTo == "" && e.final == nil {
 			outstanding = append(outstanding, e)
 		}
 	}
@@ -275,13 +273,12 @@ func (rt *Router) Leave(name string) error {
 
 	// Phase 2: classify what outlived the deadline. Queued jobs re-enter a
 	// surviving node (the capacity-event path: cancel on the departing node,
-	// resubmit the retained body); running jobs cancel and surface the typed
-	// node_down error.
+	// resubmit the retained request); running jobs cancel and surface the
+	// typed node_down error.
 	type expiredJob struct {
-		e       *jobEntry
-		tenant  string
-		body    []byte
-		reroute bool
+		e *jobEntry
+		// req is set when the job was still queued: it re-enters elsewhere.
+		req *api.JobRequest
 	}
 	var expired []expiredJob
 	for _, e := range outstanding {
@@ -289,15 +286,17 @@ func (rt *Router) Leave(name string) error {
 		if !ok || st.Status.Terminal() {
 			continue
 		}
-		// Snapshot the retained body under the lock before canceling: a
-		// concurrent status read that observes the cancel settle frees
-		// e.body, and the resubmit below must not race that.
-		rt.mu.Lock()
-		tenant, body := e.tenant, e.body
-		rt.mu.Unlock()
-		reroute := st.Status == core.JobQueued && body != nil
+		x := expiredJob{e: e}
+		if st.Status == core.JobQueued {
+			// Snapshot the retained request under the lock before canceling:
+			// a concurrent status read that observes the cancel settle drops
+			// e.req, and the resubmit below must not race that.
+			rt.mu.Lock()
+			x.req = e.req
+			rt.mu.Unlock()
+		}
 		pool.Cancel(e.id)
-		expired = append(expired, expiredJob{e: e, tenant: tenant, body: body, reroute: reroute})
+		expired = append(expired, x)
 	}
 
 	// Close drains everything that remains to completion, so every job on
@@ -317,38 +316,31 @@ func (rt *Router) Leave(name string) error {
 			continue
 		}
 		rt.mu.Lock()
-		settled := x.e.terminal || x.e.aliasTo != "" || x.e.override != nil
+		settled := x.e.terminal || x.e.aliasTo != "" || x.e.final != nil
 		rt.mu.Unlock()
 		if settled {
 			continue
 		}
-		if x.reroute {
-			if newID := rt.resubmit(x.e, x.tenant, x.body); newID != "" {
-				continue
-			}
+		if x.req != nil && rt.resubmit(x.e, x.req) {
+			continue
 		}
 		rt.overrideNodeDown(n, x.e)
 	}
 
-	// Phase 3: cache every remaining entry's final response so history
-	// stays queryable after the node is gone, then fold the node's final
-	// counters into the retired totals and drop it.
+	// Phase 3: cache every remaining entry's final reply so history stays
+	// queryable after the node is gone, then fold the node's final counters
+	// into the retired totals and drop it.
 	rt.mu.Lock()
 	var remaining []*jobEntry
 	for _, e := range rt.jobs {
-		if e.node == name && e.aliasTo == "" && e.override == nil {
+		if e.node == name && e.aliasTo == "" && e.final == nil {
 			remaining = append(remaining, e)
 		}
 	}
 	rt.mu.Unlock()
 	for _, e := range remaining {
-		rb := forward(n.srv, http.MethodGet, "/v1/jobs/"+e.id, nil)
-		rt.mu.Lock()
-		e.override = rb.buf.Bytes()
-		e.overrideCode = rb.code
-		e.terminal = true
-		e.body = nil
-		rt.mu.Unlock()
+		rp := n.srv.Status(e.id)
+		rt.settle(e, &rp)
 	}
 
 	final := pool.Stats()
@@ -361,78 +353,39 @@ func (rt *Router) Leave(name string) error {
 }
 
 // resubmit re-enters an expired queued job on a surviving node and aliases
-// the old ID to the new one. It returns the new ID, or "" if no node could
-// take the job.
-func (rt *Router) resubmit(e *jobEntry, tenant string, body []byte) string {
-	rb, n := rt.routeSubmit(tenant, body)
-	if rb == nil || rb.code != http.StatusOK && rb.code != http.StatusAccepted {
-		return ""
-	}
-	var jr struct {
-		ID     string `json:"id"`
-		Status string `json:"status"`
-	}
-	if json.Unmarshal(rb.buf.Bytes(), &jr) != nil || jr.ID == "" {
-		return ""
+// the old ID to the new one. It reports whether a node took the job.
+func (rt *Router) resubmit(e *jobEntry, req *api.JobRequest) bool {
+	// The original caller is long gone: never block the leave on the job.
+	again := *req
+	again.Wait = false
+	rp, n := rt.routeSubmit(context.TODO(), &again)
+	if n == nil || rp.Code != http.StatusAccepted {
+		return false
 	}
 	rt.mu.Lock()
-	rt.registerLocked(jr.ID, n.name, tenant, body, jr.Status)
-	e.aliasTo = jr.ID
+	rt.registerLocked(n.name, &again, rp.Job)
+	e.aliasTo = rp.Job.ID
 	e.terminal = true
-	e.body = nil
+	e.req = nil
 	rt.rerouted++
 	rt.mu.Unlock()
-	return jr.ID
+	return true
 }
 
-// overrideNodeDown caches a node_down terminal response for a job that was
+// overrideNodeDown caches a node_down terminal reply for a job that was
 // still in flight on a departed node when the drain deadline expired.
 func (rt *Router) overrideNodeDown(n *node, e *jobEntry) {
-	resp := api.JobStatusResponse{ID: e.id, Tenant: e.tenant, Shard: -1, Status: core.JobFailed.String()}
-	if st, ok := n.srv.Pool().Get(e.id); ok {
-		resp = statusJSON(st)
+	rp := n.srv.Status(e.id)
+	if rp.Code != http.StatusOK {
+		rp = api.Reply{Code: http.StatusOK, Job: api.JobStatusResponse{ID: e.id, Tenant: e.tenant, Shard: -1}}
 	}
-	resp.Status = core.JobFailed.String()
-	resp.Error = fmt.Sprintf("core: job: node_down: node %q left the cluster before the job finished (drain deadline expired)", n.name)
-	resp.ErrorCode = string(core.CodeNodeDown)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	_ = enc.Encode(resp)
+	rp.Job.Status = core.JobFailed.String()
+	rp.Job.Error = fmt.Sprintf("core: job: node_down: node %q left the cluster before the job finished (drain deadline expired)", n.name)
+	rp.Job.ErrorCode = string(core.CodeNodeDown)
+	rt.settle(e, &rp)
 	rt.mu.Lock()
-	e.override = buf.Bytes()
-	e.overrideCode = http.StatusOK
-	e.terminal = true
-	e.body = nil
 	rt.nodeDownJobs++
 	rt.mu.Unlock()
-}
-
-// statusJSON mirrors the api server's JobState → JobStatusResponse mapping.
-func statusJSON(st api.JobState) api.JobStatusResponse {
-	out := api.JobStatusResponse{
-		ID:            st.ID,
-		Tenant:        st.Tenant,
-		Shard:         st.Shard,
-		Status:        st.Status.String(),
-		QueueDelayS:   st.QueueDelayS,
-		SubmittedSimS: st.SubmittedSimS,
-		FinishedSimS:  st.FinishedSimS,
-		Error:         st.Error,
-		ErrorCode:     st.ErrorCode,
-		Result:        st.Result,
-	}
-	for _, a := range st.Attempts {
-		out.Attempts = append(out.Attempts, api.AttemptJSON{
-			AtS:            a.AtS,
-			Task:           a.Task,
-			Capability:     a.Capability,
-			Implementation: a.Implementation,
-			Attempt:        a.Attempt,
-			BackoffS:       a.BackoffS,
-			Error:          a.Err,
-		})
-	}
-	return out
 }
 
 // remapTenantsLocked recomputes every observed tenant's ring owner after a
@@ -463,8 +416,8 @@ func (rt *Router) SetNodeHealth(name string, healthy bool) bool {
 	return true
 }
 
-// HeartbeatOnce probes every node's /healthz through its mux, stamps each
-// live node with its current sim time, and returns how many nodes are up.
+// HeartbeatOnce asks every node whether its pool still admits work, stamps
+// each node with its current sim time, and returns how many nodes are up.
 func (rt *Router) HeartbeatOnce() int {
 	rt.mu.Lock()
 	members := make([]*node, 0, len(rt.nodes))
@@ -476,8 +429,7 @@ func (rt *Router) HeartbeatOnce() int {
 	sort.Slice(members, func(i, j int) bool { return members[i].name < members[j].name })
 	up := 0
 	for _, n := range members {
-		rb := forward(n.srv, http.MethodGet, "/healthz", nil)
-		healthy := rb.code == http.StatusOK
+		healthy := !n.srv.Pool().Closed()
 		simS := maxShardSimS(n.srv.Pool().Stats())
 		rt.mu.Lock()
 		n.healthy = healthy
@@ -544,18 +496,19 @@ func (rt *Router) Close() {
 	}
 }
 
-// registerLocked records a routed job. Callers hold rt.mu.
-func (rt *Router) registerLocked(id, nodeName, tenant string, body []byte, status string) {
-	e := &jobEntry{id: id, node: nodeName, tenant: tenant}
-	if status == "queued" || status == "running" {
-		// Retain the request body so a leave can re-enter the job elsewhere;
-		// terminal jobs need only the routing hint.
-		e.body = body
-	} else {
+// registerLocked records a routed job from the envelope its node answered
+// with. Callers hold rt.mu.
+func (rt *Router) registerLocked(nodeName string, req *api.JobRequest, job api.JobStatusResponse) {
+	e := &jobEntry{id: job.ID, node: nodeName, tenant: req.Tenant}
+	if terminalStatus(job.Status) {
 		e.terminal = true
+	} else {
+		// Retain the request so a leave can re-enter the job elsewhere;
+		// terminal jobs need only the routing hint.
+		e.req = req
 	}
-	rt.jobs[id] = e
-	rt.order = append(rt.order, id)
+	rt.jobs[e.id] = e
+	rt.order = append(rt.order, e.id)
 	for len(rt.jobs) > rt.cfg.JobHistoryLimit && len(rt.order) > 0 {
 		oldest := rt.order[0]
 		rt.order = rt.order[1:]

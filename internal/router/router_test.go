@@ -77,6 +77,28 @@ func decodeStatus(t *testing.T, rec *httptest.ResponseRecorder) wireStatus {
 	return st
 }
 
+// waitTerminal polls GET /v1/jobs/{id} on a front-end until the job is
+// terminal and returns that status: nothing an accepted job does — drain,
+// reroute, node_down, cancel — may leave it stranded or unreadable.
+func waitTerminal(t *testing.T, h http.Handler, id string) wireStatus {
+	t.Helper()
+	deadline := time.Now().Add(90 * time.Second)
+	for {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", id, rec.Code, rec.Body.String())
+		}
+		if st := decodeStatus(t, rec); terminalStatus(st.Status) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stranded non-terminal: %s", id, rec.Body.String())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func TestRouterRoutesByTenantAndNamespacesIDs(t *testing.T) {
 	rt := newTestRouter(t, Config{Nodes: 3, Seed: 42})
 	owners := map[string]string{}
@@ -269,24 +291,9 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 	// Every submitted job must reach a terminal state reachable through the
 	// router — drained, rerouted (alias), or typed node_down. Rerouted jobs
 	// finish asynchronously on the survivor, so poll with a deadline.
-	deadline := time.Now().Add(60 * time.Second)
 	for _, id := range ids {
-		for {
-			rec := do(rt, http.MethodGet, "/v1/jobs/"+id, "")
-			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s = %d: %s", id, rec.Code, rec.Body.String())
-			}
-			st := decodeStatus(t, rec)
-			if terminalStatus(st.Status) {
-				if st.ErrorCode == string("node_down") && !strings.Contains(st.Error, "node_down") {
-					t.Fatalf("node_down job lost its typed error: %+v", st)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stranded non-terminal: %+v", id, st)
-			}
-			time.Sleep(2 * time.Millisecond)
+		if st := waitTerminal(t, rt, id); st.ErrorCode == "node_down" && !strings.Contains(st.Error, "node_down") {
+			t.Fatalf("node_down job lost its typed error: %+v", st)
 		}
 	}
 
@@ -314,6 +321,33 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 	// The healthz aggregate stays up on the survivor.
 	if rec := do(rt, http.MethodGet, "/healthz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("healthz after leave = %d", rec.Code)
+	}
+}
+
+// TestRouterRefusesBadBodiesWithoutNodes pins that decoding is the router's
+// own work: a malformed or oversize body is answered 400 / 413 with no
+// healthy node to ask, while a well-formed one finds nothing to route to.
+func TestRouterRefusesBadBodiesWithoutNodes(t *testing.T) {
+	rt := newTestRouter(t, Config{Nodes: 2, Seed: 7})
+	rt.SetNodeHealth("n0", false)
+	rt.SetNodeHealth("n1", false)
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		want       string
+	}{
+		{"truncated", `{"tenant": `, http.StatusBadRequest, "invalid JSON"},
+		{"unknown field", `{"tenant": "x", "bogus": 1}`, http.StatusBadRequest, `unknown field \"bogus\"`},
+		{"oversize", `{"tenant": "x",` + strings.Repeat(" ", 2<<20) + `"description": "d"}`, http.StatusRequestEntityTooLarge, "request body exceeds 1048576 bytes"},
+		{"well-formed", jobBody("x", true), http.StatusServiceUnavailable, "router: no healthy nodes"},
+	} {
+		rec := do(rt, http.MethodPost, "/v1/jobs", tc.body)
+		if rec.Code != tc.code || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: %d %s, want %d mentioning %q", tc.name, rec.Code, rec.Body.String(), tc.code, tc.want)
+		}
+	}
+	if s := rt.Stats(); s.RoutedSubmits != 1 || s.Totals.Submitted != 0 {
+		t.Fatalf("routed_submits = %d, node submissions = %d; want 1 and 0", s.RoutedSubmits, s.Totals.Submitted)
 	}
 }
 

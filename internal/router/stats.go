@@ -138,5 +138,5 @@ func (rt *Router) Stats() ClusterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Stats())
+	api.WriteJSON(w, http.StatusOK, rt.Stats())
 }

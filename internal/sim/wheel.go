@@ -43,18 +43,23 @@ import "math/bits"
 // order composed with in-bucket (at, seq) order is exactly global
 // (at, seq) order.
 //
-// # Anchors only move at pop time
+// # Anchors only move when pop returns a live event
 //
 // Each level k covers the absolute tick range [anchor[k], anchor[k] +
 // 256^(k+1)), and insertion routes by those windows, not by distance from
 // the cursor — so a level's array never wraps and re-anchoring a level is
 // legal only while it is empty. Anchors advance exclusively inside pop()
 // (cascading a higher-level bucket down, or jumping to the overflow
-// heap's horizon): immediately after pop returns, the engine advances
-// `now` to the popped event's time, so every later insert satisfies
-// tick >= curTick >= anchor[0] and the window arithmetic never underflows.
-// nextAt (the peek RunUntil needs) must therefore not cascade; it reads
-// the minimum straight out of the first occupied bucket instead.
+// heap's horizon), and only on the way to a live event: immediately after
+// pop returns it, the engine advances `now` to its time, so every later
+// insert satisfies tick >= curTick >= anchor[0] and the window arithmetic
+// never underflows. A wheel holding nothing but cancelled events has no
+// event to advance `now` to, so pop empties it in place (purge) and leaves
+// the anchors where they are — cascading through the dead buckets would
+// carry the anchors past `now` and the next near-term insert would index
+// below its level's window. nextAt (the peek RunUntil needs) must not
+// cascade either; it reads the minimum straight out of the first occupied
+// bucket instead.
 //
 // # Cancellation
 //
@@ -247,8 +252,13 @@ func (w *wheel) place(level int, ev *Event) {
 }
 
 // pop removes and returns the earliest live event, or nil when none
-// remain. All anchor movement happens here (see the file comment).
+// remain. All anchor movement happens here, and only when a live event is
+// returned (see the file comment).
 func (w *wheel) pop() *Event {
+	if w.live == 0 {
+		w.purge()
+		return nil
+	}
 	for {
 		for len(w.active) > 0 {
 			ev := w.active.pop()
@@ -276,6 +286,28 @@ func (w *wheel) pop() *Event {
 			return w.overflow.pop()
 		}
 		w.reanchor(w.overflow[0].tick)
+	}
+}
+
+// purge empties a wheel whose every filed event is cancelled (live == 0):
+// heaps and buckets are released so the dead events' slab blocks can be
+// collected, while the anchors and the cursor stay put.
+func (w *wheel) purge() {
+	clear(w.active)
+	w.active = w.active[:0]
+	clear(w.overflow)
+	w.overflow = w.overflow[:0]
+	for k := range w.levels {
+		l := &w.levels[k]
+		for j := l.firstSet(); j >= 0; j = l.firstSet() {
+			for ev := l.buckets[j]; ev != nil; {
+				nx := ev.next
+				ev.next = nil
+				ev = nx
+			}
+			l.buckets[j] = nil
+			l.clear(j)
+		}
 	}
 }
 

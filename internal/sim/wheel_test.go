@@ -131,6 +131,19 @@ func TestWheelHeapPropertyDifferential(t *testing.T) {
 				for _, deadline := range []Time{0.001, 1, 2.5, 100, 5000} {
 					e.RunUntil(deadline)
 					h.log = append(h.log, fmt.Sprintf("pending=%d@%v", e.Pending(), e.Now()))
+					if deadline == 2.5 {
+						// Cancel everything, step the all-dead queue (which
+						// must neither fire nor move the clock or the wheel's
+						// windows), then reschedule around the unchanged now.
+						for _, ev := range h.events {
+							ev.Cancel()
+						}
+						h.log = append(h.log, fmt.Sprintf("drained step=%v pending=%d@%v",
+							e.Step(), e.Pending(), e.Now()))
+						for i := 0; i < 40; i++ {
+							h.spawn()
+						}
+					}
 					for i := 0; i < 3 && len(h.events) > 0; i++ {
 						if ev := h.events[h.rng.Intn(len(h.events))]; ev != nil {
 							ev.Cancel()
@@ -285,6 +298,32 @@ func TestWheelRunUntilPeekDoesNotReanchor(t *testing.T) {
 	want := []string{"now", "near", "far"}
 	if fmt.Sprint(fired) != fmt.Sprint(want) {
 		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
+// TestWheelCancelOnlyDrainKeepsAnchors is the regression for the shard-loop
+// panic: stepping a wheel that holds only cancelled events used to cascade
+// through the dead buckets, carrying the anchors past a clock that never
+// advanced, and the next insert near now indexed below its level's window.
+func TestWheelCancelOnlyDrainKeepsAnchors(t *testing.T) {
+	for _, far := range []Duration{0.5, 100, 9000} { // level 1, level 2, overflow
+		e := newWheelEngine()
+		e.After(far, func() { t.Error("cancelled event fired") }).Cancel()
+		if e.Step() {
+			t.Fatalf("far=%v: Step fired something in an all-dead queue", far)
+		}
+		var fired []Duration
+		for _, d := range []Duration{far, 0.001, 0} {
+			d := d
+			e.After(d, func() { fired = append(fired, d) })
+		}
+		e.Run()
+		if want := fmt.Sprint([]Duration{0, 0.001, far}); fmt.Sprint(fired) != want {
+			t.Fatalf("far=%v: fired %v, want %v", far, fired, want)
+		}
+		if e.Now() != Time(far) {
+			t.Fatalf("far=%v: final clock %v", far, e.Now())
+		}
 	}
 }
 
