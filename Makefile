@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race stress vet bench bench-smoke bench-json bench-baseline memprofile profile
+.PHONY: all build test race stress fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile
 
 all: vet build test
 
@@ -24,6 +24,11 @@ race:
 # of the time. CI runs the same line.
 stress:
 	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel' ./internal/serving ./internal/router ./internal/api
+
+# fuzz runs the native fuzz targets for a short while each (one -fuzz
+# pattern per go test invocation); CI runs the same line.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./internal/dag
 
 vet:
 	$(GO) vet ./...

@@ -36,6 +36,13 @@
 //     sweep plan once, and any capacity or profile change invalidates by
 //     changing the key.
 //
+//   - a job that misses those caches pays for its graph once: dag.Graph is
+//     index-addressed (slab nodes, an edge list, CSR adjacency and the
+//     topological order built at Freeze from two allocations), and the
+//     planner cuts node IDs, labels, metadata (dag.Meta) and generated tool
+//     calls from slabs instead of a string or a map each — see README
+//     "Performance: the allocation budget".
+//
 // BenchmarkLoadSweepHeavy (~420 jobs over a 2000 s horizon) guards the
 // asymptotics; the per-figure benchmarks pin the paper metrics, which are
 // bit-stable across these optimizations.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/hardware"
 	"repro/internal/profiles"
 )
@@ -221,8 +222,8 @@ func TestSystemPromptListsAgents(t *testing.T) {
 }
 
 func TestToolCallString(t *testing.T) {
-	tc := ToolCall{Agent: "FrameExtractor", Args: map[string]string{
-		"file": "cats.mov", "num_frames": "10",
+	tc := ToolCall{Agent: "FrameExtractor", Args: dag.Meta{
+		"num_frames", "10", "file", "cats.mov",
 	}}
 	got := tc.String()
 	want := `FrameExtractor(file="cats.mov", num_frames="10")`
@@ -233,17 +234,17 @@ func TestToolCallString(t *testing.T) {
 
 func TestValidateCall(t *testing.T) {
 	lib := DefaultLibrary()
-	ok := ToolCall{Agent: ImplOpenCV, Args: map[string]string{
-		"file": "cats.mov", "num_frames": "24",
+	ok := ToolCall{Agent: ImplOpenCV, Args: dag.Meta{
+		"file", "cats.mov", "num_frames", "24",
 	}}
 	if err := lib.ValidateCall(ok); err != nil {
 		t.Fatalf("valid call rejected: %v", err)
 	}
 	cases := []ToolCall{
-		{Agent: "no-such-agent", Args: map[string]string{}},
-		{Agent: ImplOpenCV, Args: map[string]string{"num_frames": "24"}},                       // missing file
-		{Agent: ImplOpenCV, Args: map[string]string{"file": "x", "num_frames": "ten"}},         // bad int
-		{Agent: ImplOpenCV, Args: map[string]string{"file": "x", "num_frames": "1", "z": "1"}}, // unknown arg
+		{Agent: "no-such-agent", Args: dag.Meta{}},
+		{Agent: ImplOpenCV, Args: dag.Meta{"num_frames", "24"}},                       // missing file
+		{Agent: ImplOpenCV, Args: dag.Meta{"file", "x", "num_frames", "ten"}},         // bad int
+		{Agent: ImplOpenCV, Args: dag.Meta{"file", "x", "num_frames", "1", "z", "1"}}, // unknown arg
 	}
 	for i, tc := range cases {
 		if err := lib.ValidateCall(tc); err == nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/contentkey"
+	"repro/internal/dag"
 )
 
 // Library is the runtime's registry of implementations, "detailing their
@@ -314,21 +315,24 @@ func paramsLabel(b float64) string {
 
 // ToolCall is an executable agent invocation the planner-LLM generates, e.g.
 // FrameExtractor(start_time=0, end_time=60s, num_frames=10, file="cats.mov").
+// Args alternates name, value: the planner cuts it from a slab, as it does
+// node metadata, because a map per generated call was the largest single
+// allocation site of a job that misses every cache.
 type ToolCall struct {
 	Agent string
-	Args  map[string]string
+	Args  dag.Meta
 }
 
 // String renders the call in function-call syntax (deterministic arg order).
 func (tc ToolCall) String() string {
-	keys := make([]string, 0, len(tc.Args))
-	for k := range tc.Args {
-		keys = append(keys, k)
+	at := make([]int, 0, len(tc.Args)/2)
+	for i := 0; i+1 < len(tc.Args); i += 2 {
+		at = append(at, i)
 	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%q", k, tc.Args[k])
+	sort.Slice(at, func(a, b int) bool { return tc.Args[at[a]] < tc.Args[at[b]] })
+	parts := make([]string, len(at))
+	for k, i := range at {
+		parts[k] = fmt.Sprintf("%s=%q", tc.Args[i], tc.Args[i+1])
 	}
 	return fmt.Sprintf("%s(%s)", tc.Agent, strings.Join(parts, ", "))
 }
@@ -345,12 +349,13 @@ func (l *Library) ValidateCall(tc ToolCall) error {
 	for _, a := range im.Args {
 		known[a.Name] = a
 		if a.Required {
-			if _, present := tc.Args[a.Name]; !present {
+			if _, present := tc.Args.Get(a.Name); !present {
 				return fmt.Errorf("agents: call to %s missing required arg %q", tc.Agent, a.Name)
 			}
 		}
 	}
-	for name, val := range tc.Args {
+	for i := 0; i+1 < len(tc.Args); i += 2 {
+		name, val := tc.Args[i], tc.Args[i+1]
 		spec, ok := known[name]
 		if !ok {
 			return fmt.Errorf("agents: call to %s has unknown arg %q", tc.Agent, name)

@@ -595,10 +595,7 @@ func (st *stage) shutdown() {
 }
 
 func metaInt(node *dag.Node, key string, def int) int {
-	if node.Metadata == nil {
-		return def
-	}
-	v, ok := node.Metadata[key]
+	v, ok := node.Metadata.Get(key)
 	if !ok {
 		return def
 	}
@@ -610,10 +607,7 @@ func metaInt(node *dag.Node, key string, def int) int {
 }
 
 func metaStr(node *dag.Node, key, def string) string {
-	if node.Metadata == nil {
-		return def
-	}
-	if v, ok := node.Metadata[key]; ok && v != "" {
+	if v, ok := node.Metadata.Get(key); ok && v != "" {
 		return v
 	}
 	return def

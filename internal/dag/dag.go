@@ -4,16 +4,38 @@
 // are ready), and the cluster manager consumes it through lookahead queries
 // (which capabilities will be needed soon — the §3.2 "Workflow-Aware Cluster
 // Management" contract).
+//
+// A graph is index-addressed: nodes sit in insertion order in slab chunks
+// that never move, one map turns an ID into its index, edges are appended as
+// index pairs, and Freeze derives sorted compressed-sparse-row adjacency and
+// the topological order from them in two exactly-sized allocations. Queries
+// and the Tracker then walk indices instead of hashing IDs.
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // NodeID identifies a node within one graph.
 type NodeID string
+
+// Meta is a handful of arguments as alternating key, value strings: a view
+// the planner cuts from one slab per graph (keys in sorted order), where a Go
+// map per node was a third of decomposition's allocations.
+type Meta []string
+
+// Get returns the value stored under key.
+func (m Meta) Get(key string) (string, bool) {
+	for i := 0; i+1 < len(m); i += 2 {
+		if m[i] == key {
+			return m[i+1], true
+		}
+	}
+	return "", false
+}
 
 // Node is one task in the workflow graph.
 type Node struct {
@@ -27,38 +49,41 @@ type Node struct {
 	// token counts...). Interpretation is capability-specific.
 	Work float64
 	// Metadata carries planner-extracted arguments (e.g. scene index).
-	Metadata map[string]string
+	Metadata Meta
 }
 
 // Graph is a mutable DAG under construction; Freeze validates it. The
 // zero value is not usable; call New.
 type Graph struct {
-	nodes map[NodeID]*Node
-	// succ and pred are adjacency sets.
-	succ map[NodeID]map[NodeID]bool
-	pred map[NodeID]map[NodeID]bool
-	// order preserves insertion order for deterministic iteration.
-	order  []NodeID
+	// nodes lists every node in insertion order. The pointers lead into slab
+	// chunks; a full chunk is left alone and a new one started, so a *Node
+	// handed out earlier stays valid (the planner's tool-call cache keys on it).
+	nodes []*Node
+	slab  []Node
+	index map[NodeID]int32
+	// edges is what AddEdge was given, duplicates included; they collapse
+	// when the adjacency is built.
+	edges  []edge
 	frozen bool
-
-	// Freeze-time memos. A frozen graph is immutable, so the sorted adjacency
-	// lists, the topological order, the node list and the dense node index are
-	// computed once at Freeze and shared by every later query — per-job
-	// scheduling stops re-sorting and re-allocating them. The returned slices
-	// are read-only views; callers must not modify them.
-	topo       []NodeID
-	nodesList  []*Node
-	succSorted map[NodeID][]NodeID
-	predSorted map[NodeID][]NodeID
-	index      map[NodeID]int
+	// adjacency is set by Freeze. A frozen graph is immutable, so the slices
+	// its queries return are shared read-only views.
+	adjacency
 }
 
+type edge struct{ from, to int32 }
+
 // New returns an empty graph.
-func New() *Graph {
+func New() *Graph { return NewSized(0, 0) }
+
+// NewSized returns an empty graph with room for the given node and edge
+// counts, for builders that know them up front: construction then allocates
+// once per part instead of growing.
+func NewSized(nodes, edges int) *Graph {
 	return &Graph{
-		nodes: make(map[NodeID]*Node),
-		succ:  make(map[NodeID]map[NodeID]bool),
-		pred:  make(map[NodeID]map[NodeID]bool),
+		nodes: make([]*Node, 0, nodes),
+		slab:  make([]Node, 0, nodes),
+		index: make(map[NodeID]int32, nodes),
+		edges: make([]edge, 0, edges),
 	}
 }
 
@@ -70,16 +95,15 @@ func (g *Graph) AddNode(n Node) error {
 	if n.ID == "" {
 		return fmt.Errorf("dag: node with empty ID")
 	}
-	if _, dup := g.nodes[n.ID]; dup {
+	if _, dup := g.index[n.ID]; dup {
 		return fmt.Errorf("dag: duplicate node %q", n.ID)
 	}
-	cp := n
-	g.nodes[n.ID] = &cp
-	// Adjacency sets are created lazily by AddEdge: most graphs have many
-	// root/leaf/pass-through nodes whose empty maps would otherwise be two
-	// dead allocations per node. A nil set reads as empty everywhere
-	// (len, range, lookups).
-	g.order = append(g.order, n.ID)
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]Node, 0, max(2*cap(g.slab), 8))
+	}
+	g.slab = append(g.slab, n)
+	g.index[n.ID] = int32(len(g.nodes))
+	g.nodes = append(g.nodes, &g.slab[len(g.slab)-1])
 	return nil
 }
 
@@ -99,20 +123,15 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	if from == to {
 		return fmt.Errorf("dag: self edge on %q", from)
 	}
-	if _, ok := g.nodes[from]; !ok {
+	f, ok := g.index[from]
+	if !ok {
 		return fmt.Errorf("dag: edge from unknown node %q", from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	t, ok := g.index[to]
+	if !ok {
 		return fmt.Errorf("dag: edge to unknown node %q", to)
 	}
-	if g.succ[from] == nil {
-		g.succ[from] = map[NodeID]bool{}
-	}
-	if g.pred[to] == nil {
-		g.pred[to] = map[NodeID]bool{}
-	}
-	g.succ[from][to] = true
-	g.pred[to][from] = true
+	g.edges = append(g.edges, edge{f, t})
 	return nil
 }
 
@@ -123,54 +142,157 @@ func (g *Graph) MustAddEdge(from, to NodeID) {
 	}
 }
 
-// Freeze validates acyclicity and locks the graph. It must be called before
-// scheduling queries; mutating after Freeze errors.
-func (g *Graph) Freeze() error {
-	// The sorted adjacency memos are built first (topoOrder consumes them
-	// through Successors for deterministic tie-breaking) and all lists are
-	// carved out of ONE slab sized to the exact edge count — two slice
-	// headers per node collapse into two map inserts plus a shared backing
-	// array. Capacity-capped views keep a later append from bleeding into
-	// the neighbouring list.
-	edges := 0
-	for _, id := range g.order {
-		edges += len(g.succ[id])
+// csr is one direction of the edge set in compressed-sparse-row form: node
+// i's neighbours are idx[off[i]:off[i+1]], sorted by neighbour ID, and ids
+// holds the same rows as IDs.
+type csr struct {
+	off []int32
+	idx []int32
+	ids []NodeID
+}
+
+func (c *csr) row(i int) []int32 { return c.idx[c.off[i]:c.off[i+1]] }
+
+// neighbours returns id's row as IDs, capped so that a caller's append
+// cannot reach the next row.
+func (c *csr) neighbours(index map[NodeID]int32, id NodeID) []NodeID {
+	i, ok := index[id]
+	if !ok {
+		return nil
 	}
-	slab := make([]NodeID, 0, 2*edges)
-	g.succSorted = make(map[NodeID][]NodeID, len(g.order))
-	g.predSorted = make(map[NodeID][]NodeID, len(g.order))
-	for _, id := range g.order {
-		slab, g.succSorted[id] = carveSorted(slab, g.succ[id])
-		slab, g.predSorted[id] = carveSorted(slab, g.pred[id])
+	return c.ids[c.off[i]:c.off[i+1]:c.off[i+1]]
+}
+
+// adjacency is everything derived from the node and edge lists. sortTopo
+// fills topoIdx (the topological order as node indices) and topo (as IDs),
+// counting down indeg.
+type adjacency struct {
+	succ, pred     csr
+	topoIdx, indeg []int32
+	topo           []NodeID
+}
+
+// buildAdjacency derives both CSR directions from the edge list with two
+// allocations: one int32 slab (offsets, rows, topo scratch) and one NodeID
+// slab (row views, topological order).
+func (g *Graph) buildAdjacency() adjacency {
+	n, raw := len(g.nodes), len(g.edges)
+	ints := make([]int32, 4*n+2+2*raw)
+	var a adjacency
+	a.succ.off, ints = ints[:n+1], ints[n+1:]
+	a.pred.off, ints = ints[:n+1], ints[n+1:]
+	a.topoIdx, ints = ints[:0:n], ints[n:]
+	a.indeg, ints = ints[:n], ints[n:]
+	cur := a.indeg // row write cursors until sortTopo needs the in-degrees
+	byID := func(x, y int32) int { return cmp.Compare(g.nodes[x].ID, g.nodes[y].ID) }
+
+	// Successor rows: counting sort of the raw edges by source, then each row
+	// sorted by target ID, duplicates dropped and the gaps closed leftwards.
+	rows := ints[:raw]
+	for _, e := range g.edges {
+		a.succ.off[e.from+1]++
 	}
-	topo, err := g.topoOrder()
-	if err != nil {
-		// The graph stays mutable after a failed Freeze; stale memos would
-		// shadow later edge inserts.
-		g.succSorted, g.predSorted = nil, nil
-		return err
+	startRows(a.succ.off, cur)
+	for _, e := range g.edges {
+		rows[cur[e.from]] = e.to
+		cur[e.from]++
 	}
-	g.frozen = true
-	g.topo = topo
-	g.nodesList = make([]*Node, len(g.order))
-	g.index = make(map[NodeID]int, len(g.order))
-	for i, id := range g.order {
-		g.nodesList[i] = g.nodes[id]
-		g.index[id] = i
+	w, start := int32(0), int32(0)
+	for i := range n {
+		end := a.succ.off[i+1]
+		row := rows[start:end]
+		slices.SortFunc(row, byID)
+		a.succ.off[i] = w
+		w += int32(copy(rows[w:], slices.Compact(row)))
+		start = end
+	}
+	a.succ.off[n] = w
+	a.succ.idx = rows[:w]
+
+	// Predecessor rows: the transpose of the deduplicated successor rows.
+	a.pred.idx = ints[raw : raw+int(w)]
+	for _, to := range a.succ.idx {
+		a.pred.off[to+1]++
+	}
+	startRows(a.pred.off, cur)
+	for v := range n {
+		for _, to := range a.succ.row(v) {
+			a.pred.idx[cur[to]] = int32(v)
+			cur[to]++
+		}
+	}
+	for v := range n {
+		slices.SortFunc(a.pred.row(v), byID)
+	}
+
+	ids := make([]NodeID, n+2*int(w))
+	a.succ.ids, a.pred.ids, a.topo = ids[:w], ids[w:2*w], ids[2*w:2*w:len(ids)]
+	for k, v := range a.succ.idx {
+		a.succ.ids[k] = g.nodes[v].ID
+	}
+	for k, v := range a.pred.idx {
+		a.pred.ids[k] = g.nodes[v].ID
+	}
+	return a
+}
+
+// startRows turns the per-row counts in off[1:] into row offsets and copies
+// each row's start into cur.
+func startRows(off, cur []int32) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	copy(cur, off)
+}
+
+// sortTopo fills topoIdx and topo (Kahn's algorithm: insertion order among
+// ready nodes, successors in ID order) or returns an error naming the first
+// node, in insertion order, that sits on or behind a cycle.
+func (a *adjacency) sortTopo(nodes []*Node) error {
+	for i := range nodes {
+		a.indeg[i] = a.pred.off[i+1] - a.pred.off[i]
+		if a.indeg[i] == 0 {
+			a.topoIdx = append(a.topoIdx, int32(i))
+		}
+	}
+	// topoIdx doubles as the BFS queue (head is the read cursor).
+	for head := 0; head < len(a.topoIdx); head++ {
+		for _, s := range a.succ.row(int(a.topoIdx[head])) {
+			if a.indeg[s]--; a.indeg[s] == 0 {
+				a.topoIdx = append(a.topoIdx, s)
+			}
+		}
+	}
+	if len(a.topoIdx) != len(nodes) {
+		i := slices.IndexFunc(a.indeg, func(d int32) bool { return d > 0 })
+		return fmt.Errorf("dag: cycle through node %q", nodes[i].ID)
+	}
+	for _, i := range a.topoIdx {
+		a.topo = append(a.topo, nodes[i].ID)
 	}
 	return nil
 }
 
-// carveSorted appends m's keys to slab, sorts that region in place, and
-// returns the grown slab plus a capacity-capped view of the region.
-func carveSorted(slab []NodeID, m map[NodeID]bool) ([]NodeID, []NodeID) {
-	start := len(slab)
-	for id := range m {
-		slab = append(slab, id)
+// Freeze validates acyclicity and locks the graph. It must be called before
+// scheduling queries; mutating after Freeze errors, and a graph whose Freeze
+// failed stays mutable.
+func (g *Graph) Freeze() error {
+	a := g.buildAdjacency()
+	if err := a.sortTopo(g.nodes); err != nil {
+		return err
 	}
-	list := slab[start:len(slab):len(slab)]
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	return slab, list
+	g.adjacency, g.frozen = a, true
+	return nil
+}
+
+// adj returns the frozen adjacency, or builds a throwaway one for a query on
+// a graph still under construction.
+func (g *Graph) adj() *adjacency {
+	if g.frozen {
+		return &g.adjacency
+	}
+	a := g.buildAdjacency()
+	return &a
 }
 
 // Frozen reports whether Freeze succeeded.
@@ -181,102 +303,44 @@ func (g *Graph) Len() int { return len(g.nodes) }
 
 // Node returns a node by ID.
 func (g *Graph) Node(id NodeID) (*Node, bool) {
-	n, ok := g.nodes[id]
-	return n, ok
+	i, ok := g.index[id]
+	if !ok {
+		return nil, false
+	}
+	return g.nodes[i], true
 }
 
 // Nodes returns all nodes in insertion order. After Freeze the returned
 // slice is a shared read-only view; callers must not modify it.
 func (g *Graph) Nodes() []*Node {
-	if g.nodesList != nil {
-		return g.nodesList
+	if g.frozen {
+		return g.nodes[:len(g.nodes):len(g.nodes)]
 	}
-	out := make([]*Node, 0, len(g.order))
-	for _, id := range g.order {
-		out = append(out, g.nodes[id])
-	}
-	return out
+	return slices.Clone(g.nodes)
 }
 
 // Successors returns the IDs downstream of id, sorted. After Freeze the
 // returned slice is a shared read-only view; callers must not modify it.
-func (g *Graph) Successors(id NodeID) []NodeID {
-	if g.succSorted != nil {
-		return g.succSorted[id]
-	}
-	return sortedKeys(g.succ[id])
-}
+func (g *Graph) Successors(id NodeID) []NodeID { return g.adj().succ.neighbours(g.index, id) }
 
 // Predecessors returns the IDs upstream of id, sorted. After Freeze the
 // returned slice is a shared read-only view; callers must not modify it.
-func (g *Graph) Predecessors(id NodeID) []NodeID {
-	if g.predSorted != nil {
-		return g.predSorted[id]
-	}
-	return sortedKeys(g.pred[id])
-}
-
-func sortedKeys(m map[NodeID]bool) []NodeID {
-	out := make([]NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Predecessors(id NodeID) []NodeID { return g.adj().pred.neighbours(g.index, id) }
 
 // Roots returns nodes with no predecessors, in insertion order.
-func (g *Graph) Roots() []NodeID {
-	var out []NodeID
-	for _, id := range g.order {
-		if len(g.pred[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+func (g *Graph) Roots() []NodeID { return g.withEmptyRow(&g.adj().pred) }
 
 // Leaves returns nodes with no successors, in insertion order.
-func (g *Graph) Leaves() []NodeID {
+func (g *Graph) Leaves() []NodeID { return g.withEmptyRow(&g.adj().succ) }
+
+func (g *Graph) withEmptyRow(c *csr) []NodeID {
 	var out []NodeID
-	for _, id := range g.order {
-		if len(g.succ[id]) == 0 {
-			out = append(out, id)
+	for i, n := range g.nodes {
+		if len(c.row(i)) == 0 {
+			out = append(out, n.ID)
 		}
 	}
 	return out
-}
-
-// topoOrder returns a topological order or an error naming a cycle member.
-func (g *Graph) topoOrder() ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for _, id := range g.order {
-		indeg[id] = len(g.pred[id])
-	}
-	// out doubles as the BFS queue (head is the read cursor): pre-sized to
-	// the node count, the whole pass allocates only it and the indeg map.
-	out := make([]NodeID, 0, len(g.order))
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			out = append(out, id)
-		}
-	}
-	for head := 0; head < len(out); head++ {
-		for _, s := range g.Successors(out[head]) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				out = append(out, s)
-			}
-		}
-	}
-	if len(out) != len(g.nodes) {
-		for id, d := range indeg {
-			if d > 0 {
-				return nil, fmt.Errorf("dag: cycle through node %q", id)
-			}
-		}
-	}
-	return out, nil
 }
 
 // TopoOrder returns a deterministic topological order (insertion order among
@@ -299,39 +363,34 @@ func (g *Graph) mustBeFrozen(op string) {
 // quantity Murakkab's execution-path expansion tries to approach.
 func (g *Graph) CriticalPath() ([]NodeID, float64) {
 	g.mustBeFrozen("CriticalPath")
-	dist := map[NodeID]float64{}
-	via := map[NodeID]NodeID{}
-	var best NodeID
-	bestDist := -1.0
-	for _, id := range g.TopoOrder() {
-		d := g.nodes[id].Work
-		for _, p := range g.Predecessors(id) {
-			if dist[p]+g.nodes[id].Work > d {
-				d = dist[p] + g.nodes[id].Work
-				via[id] = p
+	dist := make([]float64, len(g.nodes))
+	via := make([]int32, len(g.nodes))
+	best, bestDist := int32(-1), -1.0
+	for _, i := range g.topoIdx {
+		work := g.nodes[i].Work
+		dist[i], via[i] = work, -1
+		for _, p := range g.pred.row(int(i)) {
+			if dist[p]+work > dist[i] {
+				dist[i], via[i] = dist[p]+work, p
 			}
 		}
-		dist[id] = d
-		if d > bestDist {
-			best, bestDist = id, d
+		if dist[i] > bestDist {
+			best, bestDist = i, dist[i]
 		}
 	}
 	if bestDist < 0 {
 		return nil, 0
 	}
 	var path []NodeID
-	for at := best; ; {
-		path = append([]NodeID{at}, path...)
-		p, ok := via[at]
-		if !ok {
-			break
-		}
-		at = p
+	for at := best; at >= 0; at = via[at] {
+		path = append(path, g.nodes[at].ID)
 	}
+	slices.Reverse(path)
 	return path, bestDist
 }
 
-// TotalWork sums Work across all nodes.
+// TotalWork sums Work across all nodes, in insertion order: float addition
+// is not associative, so a fixed order is what makes the sum one value.
 func (g *Graph) TotalWork() float64 {
 	total := 0.0
 	for _, n := range g.nodes {
@@ -340,8 +399,9 @@ func (g *Graph) TotalWork() float64 {
 	return total
 }
 
-// CapabilityWork sums Work per capability — the demand signal the cluster
-// manager uses for proactive scaling.
+// CapabilityWork sums Work per capability, in insertion order (see
+// TotalWork) — the demand signal the cluster manager uses for proactive
+// scaling.
 func (g *Graph) CapabilityWork() map[string]float64 {
 	out := map[string]float64{}
 	for _, n := range g.nodes {
@@ -352,16 +412,15 @@ func (g *Graph) CapabilityWork() map[string]float64 {
 
 // String renders a compact description for logs and golden tests.
 func (g *Graph) String() string {
+	a := g.adj()
 	var b strings.Builder
-	for _, id := range g.order {
-		n := g.nodes[id]
-		fmt.Fprintf(&b, "%s[%s]", id, n.Capability)
-		if succ := g.Successors(id); len(succ) > 0 {
-			parts := make([]string, len(succ))
-			for i, s := range succ {
-				parts[i] = string(s)
-			}
-			fmt.Fprintf(&b, " -> %s", strings.Join(parts, ","))
+	for i, n := range g.nodes {
+		fmt.Fprintf(&b, "%s[%s]", n.ID, n.Capability)
+		sep := " -> "
+		for _, s := range a.succ.row(i) {
+			b.WriteString(sep)
+			b.WriteString(string(g.nodes[s].ID))
+			sep = ","
 		}
 		b.WriteString("\n")
 	}

@@ -11,9 +11,8 @@ import "fmt"
 // exercise this path.
 type Tracker struct {
 	g *Graph
-	// cells is indexed by the graph's freeze-time node index: dense state
-	// instead of two per-node maps, so a tracker costs two allocations and
-	// state transitions never hash.
+	// cells is indexed like the graph's nodes: dense state, so a tracker costs
+	// two allocations and only the entry points that take an ID hash it.
 	cells []trackerCell
 	done  int
 }
@@ -36,10 +35,9 @@ const (
 func NewTracker(g *Graph) *Tracker {
 	g.mustBeFrozen("NewTracker")
 	t := &Tracker{g: g, cells: make([]trackerCell, g.Len())}
-	for i, n := range g.Nodes() {
-		np := len(g.Predecessors(n.ID))
-		t.cells[i].waiting = int32(np)
-		if np == 0 {
+	for i := range t.cells {
+		t.cells[i].waiting = int32(len(g.pred.row(i)))
+		if t.cells[i].waiting == 0 {
 			t.cells[i].state = stateReady
 		}
 	}
@@ -65,7 +63,7 @@ func (t *Tracker) Ready() []NodeID { return t.AppendReady(nil) }
 // order) and returns the extended slice, letting hot paths reuse a scratch
 // buffer instead of allocating one per frontier scan.
 func (t *Tracker) AppendReady(buf []NodeID) []NodeID {
-	for i, n := range t.g.Nodes() {
+	for i, n := range t.g.nodes {
 		if t.cells[i].state == stateReady {
 			buf = append(buf, n.ID)
 		}
@@ -103,25 +101,24 @@ func (t *Tracker) Complete(id NodeID) ([]NodeID, error) {
 // hot dispatch loop completes nodes without allocating a frontier slice per
 // task.
 func (t *Tracker) CompleteAppend(id NodeID, buf []NodeID) ([]NodeID, error) {
-	c := t.cell(id)
-	if c == nil || c.state != stateRunning {
+	i, ok := t.g.index[id]
+	if !ok || t.cells[i].state != stateRunning {
 		return buf, fmt.Errorf("dag: Complete(%q) in state %v", id, t.stateOf(id))
 	}
-	c.state = stateDone
+	t.cells[i].state = stateDone
 	t.done++
-	newlyReady := buf
-	for _, s := range t.g.Successors(id) {
-		sc := t.cell(s)
+	for _, s := range t.g.succ.row(int(i)) {
+		sc := &t.cells[s]
 		sc.waiting--
 		if sc.waiting < 0 {
 			panic("dag: predecessor count below zero")
 		}
 		if sc.waiting == 0 && sc.state == statePending {
 			sc.state = stateReady
-			newlyReady = append(newlyReady, s)
+			buf = append(buf, t.g.nodes[s].ID)
 		}
 	}
-	return newlyReady, nil
+	return buf, nil
 }
 
 // Fail returns a running node to ready so it can be retried (e.g. after a
@@ -144,7 +141,7 @@ func (t *Tracker) CompletedCount() int { return t.done }
 // Running returns IDs currently running, in graph insertion order.
 func (t *Tracker) Running() []NodeID {
 	var out []NodeID
-	for i, n := range t.g.Nodes() {
+	for i, n := range t.g.nodes {
 		if t.cells[i].state == stateRunning {
 			out = append(out, n.ID)
 		}
@@ -157,7 +154,7 @@ func (t *Tracker) Running() []NodeID {
 // reconfiguration controller re-plans over at stage boundaries.
 func (t *Tracker) RemainingNodes() []*Node {
 	var out []*Node
-	for i, n := range t.g.Nodes() {
+	for i, n := range t.g.nodes {
 		if t.cells[i].state != stateDone {
 			out = append(out, n)
 		}
@@ -171,7 +168,7 @@ func (t *Tracker) RemainingNodes() []*Node {
 // reallocate GPU resources from Whisper to Llama".
 func (t *Tracker) RemainingCapabilityWork() map[string]float64 {
 	out := map[string]float64{}
-	for i, n := range t.g.Nodes() {
+	for i, n := range t.g.nodes {
 		if t.cells[i].state != stateDone {
 			out[n.Capability] += n.Work
 		}
@@ -183,31 +180,29 @@ func (t *Tracker) RemainingCapabilityWork() map[string]float64 {
 // remaining depth from the frontier is at most horizon hops. horizon 0 means
 // only ready nodes.
 func (t *Tracker) UpcomingCapabilities(horizon int) map[string]bool {
-	depth := map[NodeID]int{}
-	// BFS from ready/running nodes through pending successors.
-	var queue []NodeID
-	for i, n := range t.g.Nodes() {
-		switch t.cells[i].state {
-		case stateReady, stateRunning:
-			depth[n.ID] = 0
-			queue = append(queue, n.ID)
+	// BFS from ready/running nodes through pending successors; hops holds
+	// each reached node's depth plus one, zero meaning not reached.
+	hops := make([]int, len(t.cells))
+	var queue []int32
+	for i, c := range t.cells {
+		if c.state == stateReady || c.state == stateRunning {
+			hops[i] = 1
+			queue = append(queue, int32(i))
 		}
 	}
 	out := map[string]bool{}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		d := depth[id]
-		if t.stateOf(id) != stateDone && d <= horizon {
-			node, _ := t.g.Node(id)
-			out[node.Capability] = true
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
+		d := hops[i] - 1
+		if t.cells[i].state != stateDone && d <= horizon {
+			out[t.g.nodes[i].Capability] = true
 		}
 		if d == horizon {
 			continue
 		}
-		for _, s := range t.g.Successors(id) {
-			if _, seen := depth[s]; !seen {
-				depth[s] = d + 1
+		for _, s := range t.g.succ.row(int(i)) {
+			if hops[s] == 0 {
+				hops[s] = d + 2
 				queue = append(queue, s)
 			}
 		}

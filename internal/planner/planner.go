@@ -70,6 +70,9 @@ type Planner struct {
 	// generation guards. Invalidated together with implCache.
 	callCache map[toolCallKey]agents.ToolCall
 	implGen   int
+	// calls is what generated calls are cut from; ToolCallFor starts a fresh
+	// one when it fills up, and a cached call keeps the old one alive.
+	calls *slab
 }
 
 type toolCallKey struct {
@@ -138,7 +141,7 @@ func (p *Planner) Decompose(job workflow.Job) (*Result, error) {
 	desc := strings.ToLower(job.Description)
 	// Every template emits 2 queries and at most 4 trace steps; pre-size so
 	// the appends below never grow the backing arrays.
-	res := &Result{Graph: dag.New(), Trace: make([]Step, 0, 4), Queries: make([]Query, 0, 2)}
+	res := &Result{Trace: make([]Step, 0, 4), Queries: make([]Query, 0, 2)}
 	res.Queries = append(res.Queries, Query{
 		Purpose:      "decompose",
 		PromptTokens: promptTokens(p.lib, job),
@@ -261,169 +264,177 @@ func SummarizeWork() float64 {
 	return SummarizePromptTokens*SummarizePrefillWeight + SummarizeOutputTokens
 }
 
-// Pre-rendered metadata values and a small-integer table: decomposition runs
-// on every admission in per-request mode, so formatting the same constant
-// token counts and single-digit scene/topic indices through fmt on each
-// build showed up as a top allocation site.
+// Pre-rendered metadata values: decomposition runs on every admission that
+// misses the decomposition cache, so formatting the same constant token
+// counts through fmt on each build showed up as a top allocation site.
 var (
 	summarizePromptTokensStr = strconv.Itoa(SummarizePromptTokens)
 	summarizeOutputTokensStr = strconv.Itoa(SummarizeOutputTokens)
 	embedTokensStr           = strconv.Itoa(EmbedTokens)
-
-	smallInts [64]string
 )
 
-func init() {
-	for i := range smallInts {
-		smallInts[i] = strconv.Itoa(i)
-	}
+// slab is the storage a batch of generated values is cut from: strings out of
+// one arena, key/value views out of one []string, instead of a concatenation
+// or a map each. Outgrowing either costs a reallocation; strings and views
+// handed out earlier stay valid, since nothing is ever written twice.
+type slab struct {
+	text strings.Builder
+	kv   []string
 }
 
-// smallInt renders a non-negative index, allocation-free for the values the
-// templates actually produce.
-func smallInt(n int) string {
-	if n >= 0 && n < len(smallInts) {
-		return smallInts[n]
+// str returns the concatenation of parts as a substring of the arena.
+func (s *slab) str(parts ...string) string {
+	start := s.text.Len()
+	for _, p := range parts {
+		s.text.WriteString(p)
 	}
-	return strconv.Itoa(n)
+	return s.text.String()[start:]
 }
 
-// floatStr renders f exactly as fmt.Sprint does (shortest round-trip form),
-// without fmt's boxing.
-func floatStr(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
+// itoa renders n as a substring of the arena.
+func (s *slab) itoa(n int) string {
+	var buf [20]byte
+	start := s.text.Len()
+	s.text.Write(strconv.AppendInt(buf[:0], int64(n), 10))
+	return s.text.String()[start:]
+}
+
+// builder assembles one template's graph on a slab sized up front. The sizes
+// are hints, clamped because input attributes set them.
+type builder struct {
+	g *dag.Graph
+	slab
+}
+
+func newBuilder(res *Result, nodes, edges, textBytes, metaPairs int) *builder {
+	hint := func(n int) int { return max(0, min(n, 1<<12)) }
+	b := &builder{g: dag.NewSized(hint(nodes), hint(edges))}
+	b.kv = make([]string, 0, 2*hint(metaPairs))
+	b.text.Grow(32 * hint(textBytes/32))
+	res.Graph = b.g
+	return b
+}
+
+// node adds a node; kv is its metadata as alternating key, value, keys sorted.
+func (b *builder) node(id string, cap agents.Capability, label string, work float64, kv ...string) dag.NodeID {
+	start := len(b.kv)
+	b.kv = append(b.kv, kv...)
+	b.g.MustAddNode(dag.Node{ID: dag.NodeID(id), Capability: string(cap), Label: label, Work: work,
+		Metadata: b.kv[start:len(b.kv):len(b.kv)]})
+	return dag.NodeID(id)
 }
 
 func (p *Planner) buildVideoUnderstanding(res *Result, job workflow.Job) error {
-	g := res.Graph
-	videos := 0
-	for vi, in := range job.Inputs {
-		if in.Kind != workflow.InputVideo {
-			continue
-		}
-		videos++
-		scenes := int(in.Attr("scenes", 1))
-		frames := in.Attr("frames_per_scene", 24)
-		sceneLen := in.Attr("scene_len_s", 30)
-		viStr := smallInt(vi)
-		framesStr := strconv.Itoa(int(frames))
-		sceneLenStr := floatStr(sceneLen)
-		for s := 0; s < scenes; s++ {
-			sStr := smallInt(s)
-			ext := dag.NodeID("ext_v" + viStr + "_s" + sStr)
-			stt := dag.NodeID("stt_v" + viStr + "_s" + sStr)
-			det := dag.NodeID("det_v" + viStr + "_s" + sStr)
-			sum := dag.NodeID("sum_v" + viStr + "_s" + sStr)
-			emb := dag.NodeID("emb_v" + viStr + "_s" + sStr)
-			g.MustAddNode(dag.Node{ID: ext, Capability: string(agents.CapFrameExtraction),
-				Label: "extract " + in.Name + " scene " + sStr, Work: frames,
-				Metadata: map[string]string{"video": in.Name, "scene": sStr, "num_frames": framesStr}})
-			g.MustAddNode(dag.Node{ID: stt, Capability: string(agents.CapSpeechToText),
-				Label: "transcribe " + in.Name + " scene " + sStr, Work: sceneLen,
-				Metadata: map[string]string{"video": in.Name, "scene": sStr, "audio_s": sceneLenStr}})
-			g.MustAddNode(dag.Node{ID: det, Capability: string(agents.CapObjectDetection),
-				Label: "detect " + in.Name + " scene " + sStr, Work: frames,
-				Metadata: map[string]string{"video": in.Name, "scene": sStr}})
-			g.MustAddNode(dag.Node{ID: sum, Capability: string(agents.CapSummarization),
-				Label: "summarize " + in.Name + " scene " + sStr, Work: SummarizeWork(),
-				Metadata: map[string]string{"video": in.Name, "scene": sStr,
-					"prompt_tokens": summarizePromptTokensStr, "output_tokens": summarizeOutputTokensStr}})
-			g.MustAddNode(dag.Node{ID: emb, Capability: string(agents.CapEmbedding),
-				Label: "embed " + in.Name + " scene " + sStr, Work: EmbedTokens,
-				Metadata: map[string]string{"video": in.Name, "scene": sStr, "prompt_tokens": embedTokensStr}})
-			// Dataflow: frames feed detection; transcript and detections
-			// feed the summary; the summary is embedded. Speech-to-Text has
-			// no upstream dependency — exactly why the paper identifies it
-			// as "the main dependency for the later stages".
-			g.MustAddEdge(ext, det)
-			g.MustAddEdge(stt, sum)
-			g.MustAddEdge(det, sum)
-			g.MustAddEdge(sum, emb)
+	videos, total, text := 0, 0, 0
+	for _, in := range job.Inputs {
+		if in.Kind == workflow.InputVideo {
+			n := int(in.Attr("scenes", 1))
+			videos, total, text = videos+1, total+n, text+n*(5*len(in.Name)+160)
 		}
 	}
 	if videos == 0 {
 		return fmt.Errorf("planner: video-understanding template without video inputs")
 	}
+	b := newBuilder(res, 5*total, 4*total, text, 15*total)
+	for vi, in := range job.Inputs {
+		if in.Kind != workflow.InputVideo {
+			continue
+		}
+		scenes := int(in.Attr("scenes", 1))
+		frames := in.Attr("frames_per_scene", 24)
+		sceneLen := in.Attr("scene_len_s", 30)
+		viStr := b.itoa(vi)
+		framesStr := b.itoa(int(frames))
+		sceneLenStr := strconv.FormatFloat(sceneLen, 'g', -1, 64) // as fmt.Sprint renders it
+		for s := 0; s < scenes; s++ {
+			sStr := b.itoa(s)
+			id := func(stage string) string { return b.str(stage, "_v", viStr, "_s", sStr) }
+			label := func(verb string) string { return b.str(verb, " ", in.Name, " scene ", sStr) }
+			ext := b.node(id("ext"), agents.CapFrameExtraction, label("extract"), frames,
+				"num_frames", framesStr, "scene", sStr, "video", in.Name)
+			stt := b.node(id("stt"), agents.CapSpeechToText, label("transcribe"), sceneLen,
+				"audio_s", sceneLenStr, "scene", sStr, "video", in.Name)
+			det := b.node(id("det"), agents.CapObjectDetection, label("detect"), frames,
+				"scene", sStr, "video", in.Name)
+			sum := b.node(id("sum"), agents.CapSummarization, label("summarize"), SummarizeWork(),
+				"output_tokens", summarizeOutputTokensStr, "prompt_tokens", summarizePromptTokensStr,
+				"scene", sStr, "video", in.Name)
+			emb := b.node(id("emb"), agents.CapEmbedding, label("embed"), EmbedTokens,
+				"prompt_tokens", embedTokensStr, "scene", sStr, "video", in.Name)
+			// Dataflow: frames feed detection; transcript and detections
+			// feed the summary; the summary is embedded. Speech-to-Text has
+			// no upstream dependency — exactly why the paper identifies it
+			// as "the main dependency for the later stages".
+			b.g.MustAddEdge(ext, det)
+			b.g.MustAddEdge(stt, sum)
+			b.g.MustAddEdge(det, sum)
+			b.g.MustAddEdge(sum, emb)
+		}
+	}
 	res.Trace = append(res.Trace, Step{
 		Thought:     "Speech-to-Text is the main dependency for the later stages.",
 		Action:      "expose per-scene parallelism in the DAG",
-		Observation: fmt.Sprintf("%d videos, %d tasks", videos, g.Len()),
+		Observation: fmt.Sprintf("%d videos, %d tasks", videos, b.g.Len()),
 	})
 	return nil
 }
 
 func (p *Planner) buildNewsfeed(res *Result, job workflow.Job) error {
-	g := res.Graph
-	var topicIDs []dag.NodeID
 	user := "user"
+	topics, text := 0, 0
 	for _, in := range job.Inputs {
-		if in.Kind == workflow.InputUser {
+		switch in.Kind {
+		case workflow.InputUser:
 			user = in.Name
+		case workflow.InputTopic:
+			topics, text = topics+1, text+len(in.Name)+24
 		}
 	}
-	for ti, in := range job.Inputs {
-		if in.Kind != workflow.InputTopic {
-			continue
-		}
-		id := dag.NodeID("search_t" + smallInt(ti))
-		g.MustAddNode(dag.Node{ID: id, Capability: string(agents.CapWebSearch),
-			Label: "search " + in.Name, Work: in.Attr("queries", 3),
-			Metadata: map[string]string{"topic": in.Name, "user": user}})
-		topicIDs = append(topicIDs, id)
-	}
-	if len(topicIDs) == 0 {
+	if topics == 0 {
 		return fmt.Errorf("planner: newsfeed template without topic inputs")
 	}
-	rank := dag.NodeID("rank")
-	g.MustAddNode(dag.Node{ID: rank, Capability: string(agents.CapRanking),
-		Label: "rank results", Work: float64(len(topicIDs) * 10),
-		Metadata: map[string]string{"user": user}})
-	gen := dag.NodeID("generate")
-	g.MustAddNode(dag.Node{ID: gen, Capability: string(agents.CapSummarization),
-		Label: "generate feed", Work: SummarizeWork(),
-		Metadata: map[string]string{
-			"user":          user,
-			"prompt_tokens": summarizePromptTokensStr,
-			"output_tokens": summarizeOutputTokensStr,
-		}})
-	sent := dag.NodeID("sentiment")
-	g.MustAddNode(dag.Node{ID: sent, Capability: string(agents.CapSentiment),
-		Label: "sentiment filter", Work: float64(len(topicIDs)),
-		Metadata: map[string]string{"user": user}})
-	for _, tid := range topicIDs {
-		g.MustAddEdge(tid, rank)
+	b := newBuilder(res, topics+3, topics+2, text, 2*topics+5)
+	for ti, in := range job.Inputs {
+		if in.Kind == workflow.InputTopic {
+			b.node(b.str("search_t", b.itoa(ti)), agents.CapWebSearch, b.str("search ", in.Name),
+				in.Attr("queries", 3), "topic", in.Name, "user", user)
+		}
 	}
-	g.MustAddEdge(rank, gen)
-	g.MustAddEdge(gen, sent)
+	searches := b.g.Nodes()
+	rank := b.node("rank", agents.CapRanking, "rank results", float64(topics*10), "user", user)
+	gen := b.node("generate", agents.CapSummarization, "generate feed", SummarizeWork(),
+		"output_tokens", summarizeOutputTokensStr, "prompt_tokens", summarizePromptTokensStr, "user", user)
+	sent := b.node("sentiment", agents.CapSentiment, "sentiment filter", float64(topics), "user", user)
+	for _, n := range searches {
+		b.g.MustAddEdge(n.ID, rank)
+	}
+	b.g.MustAddEdge(rank, gen)
+	b.g.MustAddEdge(gen, sent)
 	return nil
 }
 
 func (p *Planner) buildDocQA(res *Result, job workflow.Job) error {
-	g := res.Graph
-	var embeds []dag.NodeID
-	for di, in := range job.Inputs {
-		if in.Kind != workflow.InputDoc {
-			continue
+	docs, text := 0, 0
+	for _, in := range job.Inputs {
+		if in.Kind == workflow.InputDoc {
+			docs, text = docs+1, text+len(in.Name)+32
 		}
-		id := dag.NodeID("embed_d" + smallInt(di))
-		tokens := in.Attr("tokens", 800)
-		g.MustAddNode(dag.Node{ID: id, Capability: string(agents.CapEmbedding),
-			Label: "embed " + in.Name, Work: tokens,
-			Metadata: map[string]string{"doc": in.Name, "prompt_tokens": strconv.Itoa(int(tokens))}})
-		embeds = append(embeds, id)
 	}
-	if len(embeds) == 0 {
+	if docs == 0 {
 		return fmt.Errorf("planner: document-qa template without document inputs")
 	}
-	qa := dag.NodeID("answer")
-	g.MustAddNode(dag.Node{ID: qa, Capability: string(agents.CapQA),
-		Label: "answer question", Work: 400,
-		Metadata: map[string]string{
-			"prompt_tokens": "1200",
-			"output_tokens": "280",
-		}})
-	for _, e := range embeds {
-		g.MustAddEdge(e, qa)
+	b := newBuilder(res, docs+1, docs, text, 2*docs+2)
+	for di, in := range job.Inputs {
+		if in.Kind == workflow.InputDoc {
+			tokens := in.Attr("tokens", 800)
+			b.node(b.str("embed_d", b.itoa(di)), agents.CapEmbedding, b.str("embed ", in.Name), tokens,
+				"doc", in.Name, "prompt_tokens", b.itoa(int(tokens)))
+		}
+	}
+	embeds := b.g.Nodes()
+	qa := b.node("answer", agents.CapQA, "answer question", 400, "output_tokens", "280", "prompt_tokens", "1200")
+	for _, n := range embeds {
+		b.g.MustAddEdge(n.ID, qa)
 	}
 	return nil
 }
@@ -458,8 +469,16 @@ func hintCapability(hint string) (agents.Capability, error) {
 }
 
 func (p *Planner) buildHintChain(res *Result, job workflow.Job) error {
-	g := res.Graph
-	var prev []dag.NodeID
+	text := 0
+	for _, hint := range job.Tasks {
+		text += len(job.Inputs) * (len(hint) + 16)
+	}
+	for _, in := range job.Inputs {
+		text += len(job.Tasks) * len(in.Name)
+	}
+	nodes := len(job.Tasks) * len(job.Inputs)
+	b := newBuilder(res, nodes, nodes, text, nodes)
+	prev := make([]dag.NodeID, len(job.Inputs))
 	for hi, hint := range job.Tasks {
 		cap, err := hintCapability(hint)
 		if err != nil {
@@ -468,19 +487,15 @@ func (p *Planner) buildHintChain(res *Result, job workflow.Job) error {
 		if !p.lib.HasCapability(cap) {
 			return fmt.Errorf("planner: no implementation in library for capability %q (hint %q)", cap, hint)
 		}
-		var level []dag.NodeID
 		for ii, in := range job.Inputs {
-			id := dag.NodeID("t" + smallInt(hi) + "_i" + smallInt(ii))
-			g.MustAddNode(dag.Node{ID: id, Capability: string(cap),
-				Label: hint + " / " + in.Name, Work: hintWork(cap, in),
-				Metadata: map[string]string{"input": in.Name}})
-			if len(prev) > 0 {
+			id := b.node(b.str("t", b.itoa(hi), "_i", b.itoa(ii)), cap, b.str(hint, " / ", in.Name),
+				hintWork(cap, in), "input", in.Name)
+			if hi > 0 {
 				// Chain per-input: task h on input i depends on task h-1 on i.
-				g.MustAddEdge(prev[ii], id)
+				b.g.MustAddEdge(prev[ii], id)
 			}
-			level = append(level, id)
+			prev[ii] = id
 		}
-		prev = level
 	}
 	return nil
 }

@@ -1,12 +1,15 @@
 package planner
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/agents"
 	"repro/internal/dag"
 	"repro/internal/workflow"
+	"repro/internal/workload"
 )
 
 func videoJob() workflow.Job {
@@ -251,11 +254,11 @@ func TestToolCallGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.Args["file"] != "cats.mov" {
-		t.Fatalf("tool call file = %q, want cats.mov", tc.Args["file"])
+	if file, _ := tc.Args.Get("file"); file != "cats.mov" {
+		t.Fatalf("tool call file = %q, want cats.mov", file)
 	}
-	if tc.Args["num_frames"] != "24" {
-		t.Fatalf("num_frames = %q", tc.Args["num_frames"])
+	if frames, _ := tc.Args.Get("num_frames"); frames != "24" {
+		t.Fatalf("num_frames = %q", frames)
 	}
 	// The paper's example shape: FrameExtractor(..., file="cats.mov").
 	if !strings.Contains(tc.String(), `file="cats.mov"`) {
@@ -305,3 +308,99 @@ func TestDeterministicDecomposition(t *testing.T) {
 		t.Fatal("decomposition not deterministic")
 	}
 }
+
+// goldenJobs is one small job per template, each with an input the template
+// skips, so node numbering by input position shows.
+func goldenJobs() []workflow.Job {
+	return []workflow.Job{
+		{Description: "List objects shown in the videos", Constraint: workflow.MinCost, Inputs: []workflow.Input{
+			{Name: "notes.txt", Kind: workflow.InputText},
+			workflow.VideoInput("cats.mov", 60, 30, 12)}},
+		{Description: "Generate social media newsfeed for ann", Constraint: workflow.MinCost, Inputs: []workflow.Input{
+			{Name: "rust", Kind: workflow.InputTopic},
+			{Name: "ann", Kind: workflow.InputUser},
+			{Name: "go", Kind: workflow.InputTopic, Attrs: map[string]float64{"queries": 5}}}},
+		{Description: "Answer questions about the documents", Constraint: workflow.MinCost, Inputs: []workflow.Input{
+			{Name: "a.pdf", Kind: workflow.InputDoc, Attrs: map[string]float64{"tokens": 1234}},
+			{Name: "b.pdf", Kind: workflow.InputDoc}}},
+		{Description: "Process things", Constraint: workflow.MinCost, Tasks: []string{"transcribe the audio", "summarize it"}, Inputs: []workflow.Input{
+			{Name: "x.wav", Kind: workflow.InputText, Attrs: map[string]float64{"duration_s": 90}},
+			{Name: "y.wav", Kind: workflow.InputText}}},
+	}
+}
+
+// TestDecomposeGolden pins everything a template writes — graph, IDs, labels,
+// works, metadata, trace observations — to a file rendered by the planner as
+// it stood before templates built strings in an arena and metadata in a slab
+// (metadata printed there in sorted key order, which is the order a template
+// now lists its pairs in).
+func TestDecomposeGolden(t *testing.T) {
+	var b strings.Builder
+	for _, job := range goldenJobs() {
+		res, err := newPlanner().Decompose(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "# %s\n%s", res.Template, res.Graph.String())
+		for _, n := range res.Graph.Nodes() {
+			fmt.Fprintf(&b, "%s %q work=%v", n.ID, n.Label, n.Work)
+			for i := 0; i+1 < len(n.Metadata); i += 2 {
+				fmt.Fprintf(&b, " %s=%s", n.Metadata[i], n.Metadata[i+1])
+			}
+			b.WriteString("\n")
+		}
+		for _, s := range res.Trace {
+			fmt.Fprintf(&b, "trace: %s\n", s.Observation)
+		}
+	}
+	want, err := os.ReadFile("testdata/decompose.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("decomposition differs from testdata/decompose.golden; got:\n%s", b.String())
+	}
+}
+
+// TestDecomposeAllocBudget holds decomposition to its allocation budget in a
+// unit no host changes: a constant per job whatever the node count (the
+// graph's parts, Freeze's two slabs, the arena, the metadata slab, the result
+// and its trace), plus the index map's own growth with size.
+func TestDecomposeAllocBudget(t *testing.T) {
+	hints := func(units int) workflow.Job {
+		job := workflow.Job{Description: "Process things", Constraint: workflow.MinCost,
+			Tasks: []string{"transcribe the audio", "summarize it"}}
+		for i := 0; i < units; i++ {
+			job.Inputs = append(job.Inputs, workflow.Input{Name: fmt.Sprintf("clip%d.wav", i), Kind: workflow.InputText})
+		}
+		return job
+	}
+	p := newPlanner()
+	for _, units := range []int{1, 4, 16} {
+		for template, job := range map[string]workflow.Job{
+			"video-understanding": workload.VideoJob(1, units, 30, 24, workflow.MinCost),
+			"newsfeed":            workload.NewsfeedJob("ann", units, workflow.MinCost),
+			"document-qa":         workload.DocQAJob(units, 1234, workflow.MinCost),
+			"hint-chain":          hints(units),
+		} {
+			res, err := p.Decompose(job)
+			if err != nil || res.Template != template {
+				t.Fatalf("%s x%d: template %q, err %v", template, units, res.Template, err)
+			}
+			nodes := res.Graph.Len()
+			got := testing.AllocsPerRun(100, func() { p.Decompose(job) })
+			t.Logf("%-19s x%-2d %3d nodes: %.0f allocations", template, units, nodes, got)
+			if limit := float64(decomposeAllocs + nodes/decomposeNodesPerAlloc); got > limit {
+				t.Errorf("%s x%d (%d nodes): %.0f allocations, budget %.0f", template, units, nodes, got, limit)
+			}
+		}
+	}
+}
+
+// The budget TestDecomposeAllocBudget enforces: allocations per Decompose
+// stay within decomposeAllocs + nodes/decomposeNodesPerAlloc. At the parent
+// of the change that introduced it the same jobs cost 41 to 866.
+const (
+	decomposeAllocs        = 24
+	decomposeNodesPerAlloc = 16
+)

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agents"
 	"repro/internal/dag"
@@ -28,46 +29,51 @@ func (p *Planner) ToolCallFor(node *dag.Node, implName string) (agents.ToolCall,
 		return agents.ToolCall{}, fmt.Errorf("planner: implementation %q provides %q, task %q needs %q",
 			implName, im.Capability, node.ID, node.Capability)
 	}
-	args := make(map[string]string, 3)
-	meta := node.Metadata
+	if p.calls == nil || cap(p.calls.kv)-len(p.calls.kv) < 8 || p.calls.text.Cap()-p.calls.text.Len() < 128 {
+		p.calls = &slab{kv: make([]string, 0, 1<<10)}
+		p.calls.text.Grow(1 << 12)
+	}
+	meta, cat := node.Metadata, p.calls
+	start := len(cat.kv)
+	arg := func(name, value string) { cat.kv = append(cat.kv, name, value) }
 
 	switch im.Capability {
 	case agents.CapFrameExtraction:
-		args["file"] = metaOr(meta, "video", "input.mov")
-		args["num_frames"] = metaOr(meta, "num_frames", "24")
+		arg("file", metaOr(meta, "video", "input.mov"))
+		arg("num_frames", metaOr(meta, "num_frames", "24"))
 	case agents.CapSpeechToText:
-		args["file"] = metaOr(meta, "video", "input.mov")
+		arg("file", metaOr(meta, "video", "input.mov"))
 	case agents.CapObjectDetection:
-		args["frames"] = metaOr(meta, "video", "input") + "/scene" + metaOr(meta, "scene", "0") + "/frames"
+		arg("frames", cat.str(metaOr(meta, "video", "input"), "/scene", metaOr(meta, "scene", "0"), "/frames"))
 	case agents.CapSummarization:
-		args["user_prompt"] = "Summarize the scenes using frames, detected objects and transcripts. (" +
-			metaOr(meta, "video", metaOr(meta, "user", "input")) + " scene " + metaOr(meta, "scene", "-") + ")"
-		if hasArg(im, "system_prompt") {
-			args["system_prompt"] = "You are an agent that can describe images in detail."
-		}
 		if hasArg(im, "context_len") {
-			args["context_len"] = "4096"
+			arg("context_len", "4096")
 		}
+		if hasArg(im, "system_prompt") {
+			arg("system_prompt", "You are an agent that can describe images in detail.")
+		}
+		arg("user_prompt", cat.str("Summarize the scenes using frames, detected objects and transcripts. (",
+			metaOr(meta, "video", metaOr(meta, "user", "input")), " scene ", metaOr(meta, "scene", "-"), ")"))
 	case agents.CapEmbedding:
-		args["text"] = "summary of " + metaOr(meta, "video", metaOr(meta, "doc", "input")) + " scene " + metaOr(meta, "scene", "-")
+		arg("text", cat.str("summary of ", metaOr(meta, "video", metaOr(meta, "doc", "input")), " scene ", metaOr(meta, "scene", "-")))
 	case agents.CapQA:
-		args["question"] = metaOr(meta, "question", "What objects appear?")
+		arg("question", metaOr(meta, "question", "What objects appear?"))
 	case agents.CapSentiment:
-		args["text"] = "generated feed for " + metaOr(meta, "user", "user")
+		arg("text", cat.str("generated feed for ", metaOr(meta, "user", "user")))
 	case agents.CapWebSearch:
-		args["query"] = metaOr(meta, "topic", "news")
+		arg("query", metaOr(meta, "topic", "news"))
 		if hasArg(im, "top_k") {
-			args["top_k"] = "10"
+			arg("top_k", "10")
 		}
 	case agents.CapRanking:
-		args["items"] = "search results for " + metaOr(meta, "user", "user")
+		arg("items", cat.str("search results for ", metaOr(meta, "user", "user")))
 	case agents.CapCalculator:
-		args["expression"] = metaOr(meta, "expression", "1+1")
+		arg("expression", metaOr(meta, "expression", "1+1"))
 	default:
 		return agents.ToolCall{}, fmt.Errorf("planner: no tool-call recipe for capability %q", im.Capability)
 	}
 
-	tc := agents.ToolCall{Agent: implName, Args: args}
+	tc := agents.ToolCall{Agent: implName, Args: cat.kv[start:len(cat.kv):len(cat.kv)]}
 	if err := p.lib.ValidateCall(tc); err != nil {
 		return agents.ToolCall{}, fmt.Errorf("planner: generated invalid tool call: %w", err)
 	}
@@ -78,21 +84,13 @@ func (p *Planner) ToolCallFor(node *dag.Node, implName string) (agents.ToolCall,
 	return tc, nil
 }
 
-func metaOr(m map[string]string, k, def string) string {
-	if m == nil {
-		return def
-	}
-	if v, ok := m[k]; ok && v != "" {
+func metaOr(m dag.Meta, k, def string) string {
+	if v, ok := m.Get(k); ok && v != "" {
 		return v
 	}
 	return def
 }
 
 func hasArg(im *agents.Implementation, name string) bool {
-	for _, a := range im.Args {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(im.Args, func(a agents.ArgSpec) bool { return a.Name == name })
 }
