@@ -23,12 +23,13 @@ race:
 # under the race detector: a one-in-twelve failure passes a single run 92 %
 # of the time. CI runs the same line.
 stress:
-	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel' ./internal/serving ./internal/router ./internal/api
+	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent' ./internal/serving ./internal/router ./internal/api
 
 # fuzz runs the native fuzz targets for a short while each (one -fuzz
 # pattern per go test invocation); CI runs the same line.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./internal/dag
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s ./internal/api
 
 vet:
 	$(GO) vet ./...

@@ -144,7 +144,9 @@
 // nodes. The hop into a node is a typed call, not HTTP: api's handlers are
 // thin shells over DecodeJobRequest, Server.Submit / Status / Cancel and
 // Reply.Write, and the router calls the same cores on its in-process
-// api.Servers — one decode and one encode per routed request. A joining node warms from the content-keyed profile store via
+// api.Servers — one decode and one encode per routed request, both by the
+// hand-written wire codec (internal/api/wire.go, wire_decode.go) with
+// encoding/json as fallback and test oracle. A joining node warms from the content-keyed profile store via
 // generation deltas (zero rebuilds); a leaving node drains, re-submits
 // still-queued jobs to survivors through the ring, and fails what runs past
 // the drain deadline with typed node_down — nothing strands. With -router

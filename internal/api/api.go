@@ -17,10 +17,12 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -63,6 +65,12 @@ type InputRequest struct {
 // maxSubmitBody bounds a POST /v1/jobs body; a larger one is answered 413 in
 // the error envelope.
 const maxSubmitBody = 1 << 20
+
+// maxPlanningText bounds len(description) + Σ len(tasks[i]), the text the
+// planner prices its decomposition prompt by at ~4 characters per token: far
+// below an engine's KV capacity (90,000 tokens), which a near-limit body used
+// to overflow, panicking the shard loop.
+const maxPlanningText = 64 << 10
 
 // maxRequestPaths caps MAX_QUALITY execution-path replication per request:
 // every LLM task replicates up to this factor on the tenant's shared shard,
@@ -222,8 +230,21 @@ type Reply struct {
 	RetryAfter bool
 }
 
-// Write renders the reply in the compact wire encoding.
+// Write renders the reply in the compact wire encoding. The job envelope is
+// rendered by hand (wire.go) into a pooled buffer before the header goes out,
+// so an envelope JSON cannot carry is a 500 and not a 200 with an empty body.
 func (rp Reply) Write(w http.ResponseWriter) {
+	var wb *wireBuf
+	if rp.Err == nil {
+		wb = wireBufs.Get().(*wireBuf)
+		defer wb.release()
+		e := envelopeWriter{b: wb.b[:0]}
+		e.envelope(&rp.Job, &wb.strs)
+		wb.b = e.b
+		if e.err != nil {
+			rp = Reply{Code: http.StatusInternalServerError, Err: e.err}
+		}
+	}
 	if rp.RetryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
@@ -231,7 +252,9 @@ func (rp Reply) Write(w http.ResponseWriter) {
 		WriteJSON(w, rp.Code, errorBody{Error: rp.Err.Error()})
 		return
 	}
-	WriteJSON(w, rp.Code, rp.Job)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(rp.Code)
+	_, _ = w.Write(wb.b) // as with WriteJSON, the header is out: nothing more to do
 }
 
 func jobReply(code int, st JobState) Reply {
@@ -241,12 +264,28 @@ func jobReply(code int, st JobState) Reply {
 // DecodeJobRequest decodes a POST /v1/jobs body, bounded at maxSubmitBody and
 // strict about unknown fields. A nil request means the body was refused and
 // the Reply is the 413 or 400 to write; that needs no pool, so the router
-// tier answers it before routing.
+// tier answers it before routing. The body is read into a pooled buffer and
+// parsed by hand (wire_decode.go); whatever that parser declines is decoded
+// again, from the same bytes, by encoding/json, which therefore stays the
+// source of every error text.
 func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, Reply) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	wb := wireBufs.Get().(*wireBuf)
+	defer wb.release()
+	buf := bytes.NewBuffer(wb.b[:0])
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	body := buf.Bytes()
+	wb.b = body
+	req := new(JobRequest)
+	if p := (jobParser{data: body, wb: wb}); p.request(req) {
+		return req, Reply{}
+	}
+	*req = JobRequest{}
+	if readErr == nil {
+		readErr = io.EOF
+	}
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(body), errReader{readErr}))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, Reply{Code: http.StatusRequestEntityTooLarge, Err: fmt.Errorf(
@@ -254,7 +293,7 @@ func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, Repl
 		}
 		return nil, Reply{Code: http.StatusBadRequest, Err: fmt.Errorf("invalid JSON: %w", err)}
 	}
-	return &req, Reply{}
+	return req, Reply{}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -283,6 +322,14 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) Reply {
 			return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf(
 				"unknown slo_class %q (allowed: %s)", req.SLOClass, allowedSLOClasses)}
 		}
+	}
+	planningText := len(req.Description)
+	for _, t := range req.Tasks {
+		planningText += len(t)
+	}
+	if planningText > maxPlanningText {
+		return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf(
+			"description and tasks hold %d bytes, the limit is %d bytes", planningText, maxPlanningText)}
 	}
 	job, err := req.ToJob()
 	if err != nil {

@@ -2,7 +2,6 @@ package api
 
 import (
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"runtime"
 	"slices"
@@ -720,9 +719,17 @@ func (p *Pool) Done(id string) (<-chan struct{}, bool) {
 // the index stays non-negative on 32-bit platforms. Callers must hold p.mu:
 // recycling swaps slice entries.
 func (p *Pool) shardFor(tenant string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(tenant))
-	return p.shards[int(h.Sum32()%uint32(len(p.shards)))]
+	return p.shards[int(fnv32a(tenant)%uint32(len(p.shards)))]
+}
+
+// fnv32a is hash/fnv's New32a over the string, without the hash object and
+// the []byte copy shardFor would otherwise allocate on every admission.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // formatJobID renders "job-%08d" (or "job-<ns>-%08d" under a namespace)

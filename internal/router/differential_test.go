@@ -139,10 +139,17 @@ func TestRouterSingleNodeDifferential(t *testing.T) {
 		// A job the planner cannot decompose settles failed: 422.
 		exact("submit-unplannable", http.MethodPost, "/v1/jobs", unplannable("do wonderful things"), 422),
 		// The planner's error quotes a bounded prefix of the description, so
-		// a near-limit description cannot come back as a near-limit 422 body
-		// (nor sit in the job record for the history's lifetime).
+		// a long description cannot come back as a long 422 body (nor sit in
+		// the job record for the history's lifetime).
 		exact("submit-unplannable-long", http.MethodPost, "/v1/jobs",
-			unplannable("do wonderful things "+strings.Repeat("again and ", 80_000)), 422),
+			unplannable("do wonderful things "+strings.Repeat("again and ", 6_000)), 422),
+		// Past the 64 KiB bound on what the planner prices its prompt by, a
+		// description is refused at the wire: 400, no job minted. A megabyte
+		// of it used to overflow an engine's KV capacity and panic the shard.
+		exact("submit-description-800KB", http.MethodPost, "/v1/jobs",
+			unplannable("do wonderful things "+strings.Repeat("again and ", 80_000)), 400),
+		exact("submit-description-1MB-video", http.MethodPost, "/v1/jobs",
+			strings.Replace(videoJobBody("mallory", true, 120), `"description": "`, `"description": "`+strings.Repeat("x", 1_040_000), 1), 400),
 		// The caller of a wait:true submission gives up first: 202, and the
 		// hour-long video keeps running and stays pollable.
 		{name: "submit-wait-abandoned", method: http.MethodPost, target: "/v1/jobs", body: videoJobBody("carol", true, 3600),
@@ -157,7 +164,11 @@ func TestRouterSingleNodeDifferential(t *testing.T) {
 			f.settle("job-00000002")
 		case "submit-unplannable-long":
 			if body := rec.Body.String(); len(body) > 1024 || !strings.Contains(body, `cannot decompose job \"do wonderful things again`) {
-				t.Fatalf("422 for an 800 KB description is %d bytes: %.300s", len(body), body)
+				t.Fatalf("422 for a 60 KB description is %d bytes: %.300s", len(body), body)
+			}
+		case "submit-description-800KB", "submit-description-1MB-video":
+			if body := rec.Body.String(); len(body) > 1024 || !strings.Contains(body, "the limit is 65536 bytes") {
+				t.Fatalf("400 for an oversize description is %d bytes: %.300s", len(body), body)
 			}
 		}
 	}

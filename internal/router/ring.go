@@ -11,8 +11,6 @@
 package router
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -57,16 +55,24 @@ func NewRing(vnodes int, seed int64) *Ring {
 // ("n0#1", "n0#2", …) correlated in the high bits, which skews point
 // placement badly; the finalizer's avalanche restores uniform spread.
 func (r *Ring) hash64(label string, vnode int) uint64 {
-	h := fnv.New64a()
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], uint64(r.seed))
-	h.Write(seed[:])
-	h.Write([]byte(label))
-	if vnode >= 0 {
-		h.Write([]byte("#"))
-		h.Write([]byte(strconv.Itoa(vnode)))
+	// hash/fnv's New64a, inlined: a lookup runs on every routed request, and
+	// the hash object and the []byte copies were two allocations each time.
+	h := uint64(14695981039346656037)
+	add := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
+	for i := 0; i < 64; i += 8 {
+		add(byte(uint64(r.seed) >> i))
 	}
-	return mix64(h.Sum64())
+	for i := 0; i < len(label); i++ {
+		add(label[i])
+	}
+	if vnode >= 0 {
+		add('#')
+		var digits [20]byte
+		for _, c := range strconv.AppendInt(digits[:0], int64(vnode), 10) {
+			add(c)
+		}
+	}
+	return mix64(h)
 }
 
 // mix64 is the SplitMix64 finalizer (Steele et al.): a bijective avalanche

@@ -1,9 +1,47 @@
 package router
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strconv"
 	"testing"
 )
+
+// fnvHash64 is Ring.hash64 as it stood on hash/fnv, before FNV-1a was inlined.
+func fnvHash64(seed int64, label string, vnode int) uint64 {
+	h := fnv.New64a()
+	var sb [8]byte
+	binary.LittleEndian.PutUint64(sb[:], uint64(seed))
+	h.Write(sb[:])
+	h.Write([]byte(label))
+	if vnode >= 0 {
+		h.Write([]byte("#"))
+		h.Write([]byte(strconv.Itoa(vnode)))
+	}
+	return mix64(h.Sum64())
+}
+
+// TestRingHashMatchesHashFNV: the inlined FNV-1a puts every point and every
+// tenant where hash/fnv did, and a lookup no longer allocates.
+func TestRingHashMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 10000; i++ {
+		b := make([]byte, rng.Intn(24))
+		rng.Read(b)
+		r := NewRing(0, rng.Int63()-rng.Int63())
+		for _, vnode := range []int{-1, 0, rng.Intn(1 << 20)} {
+			if got, want := r.hash64(string(b), vnode), fnvHash64(r.seed, string(b), vnode); got != want {
+				t.Fatalf("hash64(seed %d, %q, %d) = %#x, hash/fnv %#x", r.seed, b, vnode, got, want)
+			}
+		}
+	}
+	r := ringWith(0, 42, nodeNames(3)...)
+	if allocs := testing.AllocsPerRun(100, func() { r.NodeFor("tenant-17") }); allocs != 0 {
+		t.Errorf("NodeFor allocates %.0f times per lookup", allocs)
+	}
+}
 
 func ringWith(vnodes int, seed int64, nodes ...string) *Ring {
 	r := NewRing(vnodes, seed)
