@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race stress fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile
+.PHONY: all build test race stress fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
 
 all: vet build test
 
@@ -105,3 +105,19 @@ profile:
 		-cpuprofile bench/prof/serving.cpu.pprof \
 		-memprofile bench/prof/serving.mem.pprof .
 	@echo "wrote bench/prof/serving.{cpu,mem}.pprof"
+
+# profile-exec profiles the execution layer alone (BenchmarkExecute in
+# internal/core: the ledger's three exec_heavy shapes and the three ServiceMix
+# shapes, each through one warm runtime from submit to report) into
+# bench/prof/. Two runs, because -memprofilerate 1 records every allocation —
+# which makes per-job counts exact (divide by the benchmark's iterations) and
+# the CPU profile useless:
+#   go tool pprof -top -sample_index=alloc_objects bench/prof/core.test bench/prof/exec.mem.pprof
+#   go tool pprof -top bench/prof/core.test bench/prof/exec.cpu.pprof
+profile-exec:
+	@mkdir -p bench/prof
+	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkExecute$$' -benchmem -benchtime 300x \
+		-o bench/prof/core.test -cpuprofile bench/prof/exec.cpu.pprof
+	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkExecute$$' -benchmem -benchtime 300x \
+		-o bench/prof/core.test -memprofile bench/prof/exec.mem.pprof -memprofilerate 1
+	@echo "wrote bench/prof/exec.{cpu,mem}.pprof (binary: bench/prof/core.test)"

@@ -43,6 +43,12 @@
 //     calls from slabs instead of a string or a map each — see README
 //     "Performance: the allocation budget".
 //
+//   - executing a task allocates (almost) nothing: a worker's request for
+//     GPUs or cores is a {grantee, token} record in the cluster manager's
+//     queue, allocations and LLM request records are cut from slabs, the
+//     serving engine reuses its own buffers and a job's tracer is sized from
+//     its graph — same README section, "A task without garbage".
+//
 // BenchmarkLoadSweepHeavy (~420 jobs over a 2000 s horizon) guards the
 // asymptotics; the per-figure benchmarks pin the paper metrics, which are
 // bit-stable across these optimizations.

@@ -122,6 +122,16 @@ type Cluster struct {
 	nextAllocID   int
 	liveGPU       map[int]*GPUAlloc
 	liveCPU       map[int]*CPUAlloc
+	// gpuSlab, cpuSlab and devSlab are the blocks the next grants are cut
+	// from (on first use, so an idle cluster carries none) — one heap
+	// allocation per block instead of one per grant, as sim.Engine cuts its
+	// events. A record is never handed out twice: a holder that kept an
+	// allocation past Release still reads released == true, whatever was
+	// granted since. The GC reclaims a block once no grant in it is
+	// referenced.
+	gpuSlab []GPUAlloc
+	cpuSlab []CPUAlloc
+	devSlab []*GPU
 
 	// Cluster-wide running aggregates, updated O(1) at every device sample so
 	// report finalization reads them directly instead of re-merging every
@@ -339,6 +349,36 @@ func (c *Cluster) OnPreempt(fn func(*VM)) { c.preemptHooks = append(c.preemptHoo
 // never inspect cluster state synchronously.
 func (c *Cluster) OnCapacityChange(fn func()) { c.capacityHooks = append(c.capacityHooks, fn) }
 
+// allocSlabSize is the most grant records one allocation block holds.
+const allocSlabSize = 64
+
+// slabBlock sizes the next block: as many records as the cluster has granted
+// so far, between 8 and allocSlabSize. A testbed built for one job cuts a few
+// small blocks; a shard's cluster is at one allocation per 64 grants after its
+// first few jobs.
+func (c *Cluster) slabBlock() int { return min(max(c.nextAllocID, 8), allocSlabSize) }
+
+// cutRecord takes the next record off a slab, starting a new block first when
+// the current one is used up.
+func cutRecord[T any](slab *[]T, block int) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, block)
+	}
+	r := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return r
+}
+
+// cutDevices returns an empty device list with room for exactly n GPUs.
+func (c *Cluster) cutDevices(n int) []*GPU {
+	if len(c.devSlab) < n {
+		c.devSlab = make([]*GPU, max(n, c.slabBlock()))
+	}
+	devs := c.devSlab[:0:n]
+	c.devSlab = c.devSlab[n:]
+	return devs
+}
+
 func (c *Cluster) notifyRelease() {
 	for _, fn := range c.releaseHooks {
 		fn()
@@ -423,7 +463,7 @@ func (c *Cluster) AllocGPUs(n int, t hardware.GPUType) (*GPUAlloc, error) {
 	// first is complex; we use most-free-first to co-locate multi-GPU grants,
 	// falling back to spreading.
 	remaining := n
-	var grant []*GPU
+	grant := c.cutDevices(n)
 	for remaining > 0 {
 		vm := c.vmWithMostFree(t)
 		if vm == nil {
@@ -449,7 +489,8 @@ func (c *Cluster) AllocGPUs(n int, t hardware.GPUType) (*GPUAlloc, error) {
 		return nil, fmt.Errorf("cluster: allocation race for %d %s GPUs", n, t)
 	}
 	c.nextAllocID++
-	a := &GPUAlloc{ID: c.nextAllocID, cluster: c, gpus: grant}
+	a := cutRecord(&c.gpuSlab, c.slabBlock())
+	*a = GPUAlloc{ID: c.nextAllocID, cluster: c, gpus: grant}
 	c.liveGPU[a.ID] = a
 	c.bump()
 	a.SetIntensity(0)
@@ -595,7 +636,8 @@ func (c *Cluster) AllocCPUs(cores int) (*CPUAlloc, error) {
 	}
 	best.cpuInUse += cores
 	c.nextAllocID++
-	a := &CPUAlloc{ID: c.nextAllocID, vm: best, cores: cores}
+	a := cutRecord(&c.cpuSlab, c.slabBlock())
+	*a = CPUAlloc{ID: c.nextAllocID, vm: best, cores: cores}
 	c.liveCPU[a.ID] = a
 	c.bump()
 	best.refreshCPUSeries()

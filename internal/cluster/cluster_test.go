@@ -492,3 +492,71 @@ func TestOnCapacityChangeHookFires(t *testing.T) {
 		t.Fatalf("alloc/free fired capacity hooks (%d -> %d)", before, fired)
 	}
 }
+
+// TestGrantRecordsAreNeverReused: allocations are cut from slabs, not pooled —
+// a holder that kept a grant past Release still reads Released() == true and
+// its own ID however many grants follow, and two live grants never share a
+// record or a device list.
+func TestGrantRecordsAreNeverReused(t *testing.T) {
+	_, c := testbed(t)
+	firstCPU, err := c.AllocCPUs(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstGPU, err := c.AllocGPUs(3, hardware.GPUA100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstCPU.Release()
+	firstGPU.Release()
+	seenCPU := map[*CPUAlloc]bool{firstCPU: true}
+	seenGPU := map[*GPUAlloc]bool{firstGPU: true}
+	lastID := firstGPU.ID
+	for i := 0; i < 3*allocSlabSize; i++ {
+		a, err := c.AllocCPUs(1 + i%5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := c.AllocGPUs(1+i%4, hardware.GPUA100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seenCPU[a] || seenGPU[g] {
+			t.Fatalf("grant %d reuses a record", i)
+		}
+		seenCPU[a], seenGPU[g] = true, true
+		if a.ID != lastID+1 || g.ID != lastID+2 {
+			t.Fatalf("grant %d has IDs %d and %d after %d", i, a.ID, g.ID, lastID)
+		}
+		lastID = g.ID
+		if a.Released() || g.Released() || a.Cores() != 1+i%5 || g.Count() != 1+i%4 {
+			t.Fatalf("grant %d is not fresh: %+v %+v", i, a, g)
+		}
+		// Hold one grant across the next iteration's: the device lists are
+		// cut from one block and must not overlap.
+		other, err := c.AllocGPUs(2, hardware.GPUA100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastID = other.ID
+		for _, d := range g.GPUs() {
+			for _, o := range other.GPUs() {
+				if d == o {
+					t.Fatalf("grant %d shares device %s with a live grant", i, d.ID)
+				}
+			}
+		}
+		if cap(g.GPUs()) != g.Count() {
+			t.Fatalf("device list has capacity %d for %d devices: an append would write into the next grant's", cap(g.GPUs()), g.Count())
+		}
+		a.Release()
+		g.Release()
+		other.Release()
+	}
+	if !firstCPU.Released() || !firstGPU.Released() || firstCPU.ID != 1 || firstGPU.ID != 2 || firstGPU.Count() != 3 {
+		t.Fatalf("a released grant changed under its holder: %+v %+v", firstCPU, firstGPU)
+	}
+	if c.FreeGPUs(hardware.GPUA100) != 16 || c.FreeCPUCores() != 192 {
+		t.Fatal("capacity leaked")
+	}
+}

@@ -40,6 +40,10 @@ type Manager struct {
 	cpuHead    int
 	draining   bool
 	resizing   bool
+	// drainFn is the method value m.drainPending, materialized once: every
+	// request defers a drain, and a fresh method value each time was an
+	// allocation per request.
+	drainFn func()
 
 	trackers []*dag.Tracker
 	ticker   *sim.Ticker
@@ -57,15 +61,32 @@ type Manager struct {
 	rebalanceHooks []func()
 }
 
+// GPUGrantee receives the GPUs a queued request was waiting for. token is
+// the value the grantee passed with its request: a grant can outlive the state
+// that asked for it (a stage worker destroyed and reused while its request was
+// queued), so the grantee compares the token with its current generation and
+// releases a grant that is stale. The request is a plain record in the
+// manager's queue — no closure is built per request.
+type GPUGrantee interface {
+	GrantGPUs(a *cluster.GPUAlloc, token uint32)
+}
+
+// CPUGrantee is GPUGrantee for cores.
+type CPUGrantee interface {
+	GrantCPUs(a *cluster.CPUAlloc, token uint32)
+}
+
 type gpuRequest struct {
-	n     int
-	t     hardware.GPUType
-	grant func(*cluster.GPUAlloc)
+	n       int
+	t       hardware.GPUType
+	grantee GPUGrantee
+	token   uint32
 }
 
 type cpuRequest struct {
-	cores int
-	grant func(*cluster.CPUAlloc)
+	cores   int
+	grantee CPUGrantee
+	token   uint32
 }
 
 // EngineHandle pairs a serving engine with its allocation and scaling
@@ -97,7 +118,8 @@ func New(se *sim.Engine, cl *cluster.Cluster) *Manager {
 		cat:     cl.Catalog(),
 		engines: map[string]*EngineHandle{},
 	}
-	cl.OnRelease(m.drainPending)
+	m.drainFn = m.drainPending
+	cl.OnRelease(m.drainFn)
 	cl.OnPreempt(m.handlePreempt)
 	return m
 }
@@ -105,10 +127,11 @@ func New(se *sim.Engine, cl *cluster.Cluster) *Manager {
 // Cluster returns the managed cluster.
 func (m *Manager) Cluster() *cluster.Cluster { return m.cl }
 
-// RequestGPUs asynchronously acquires n GPUs of type t, invoking grant when
-// they are held. Requests queue FIFO when capacity is unavailable.
-// Impossible requests (more than the cluster ever had) error immediately.
-func (m *Manager) RequestGPUs(n int, t hardware.GPUType, grant func(*cluster.GPUAlloc)) error {
+// RequestGPUs asynchronously acquires n GPUs of type t, handing them to
+// grantee (with token) when they are held. Requests queue FIFO when capacity
+// is unavailable. Impossible requests (more than the cluster ever had) error
+// immediately.
+func (m *Manager) RequestGPUs(n int, t hardware.GPUType, grantee GPUGrantee, token uint32) error {
 	if n <= 0 {
 		return fmt.Errorf("clustermgr: non-positive GPU request %d", n)
 	}
@@ -116,13 +139,13 @@ func (m *Manager) RequestGPUs(n int, t hardware.GPUType, grant func(*cluster.GPU
 		return fmt.Errorf("clustermgr: request for %d %s GPUs exceeds cluster total %d",
 			n, t, m.cl.TotalGPUs(t))
 	}
-	m.pendingGPU = append(m.pendingGPU, gpuRequest{n: n, t: t, grant: grant})
-	m.se.Defer(m.drainPending)
+	m.pendingGPU = append(m.pendingGPU, gpuRequest{n: n, t: t, grantee: grantee, token: token})
+	m.se.Defer(m.drainFn)
 	return nil
 }
 
-// RequestCPUs asynchronously acquires cores on one VM.
-func (m *Manager) RequestCPUs(cores int, grant func(*cluster.CPUAlloc)) error {
+// RequestCPUs asynchronously acquires cores on one VM for grantee.
+func (m *Manager) RequestCPUs(cores int, grantee CPUGrantee, token uint32) error {
 	if cores <= 0 {
 		return fmt.Errorf("clustermgr: non-positive CPU request %d", cores)
 	}
@@ -135,8 +158,8 @@ func (m *Manager) RequestCPUs(cores int, grant func(*cluster.CPUAlloc)) error {
 	if cores > most {
 		return fmt.Errorf("clustermgr: request for %d cores exceeds largest VM (%d)", cores, most)
 	}
-	m.pendingCPU = append(m.pendingCPU, cpuRequest{cores: cores, grant: grant})
-	m.se.Defer(m.drainPending)
+	m.pendingCPU = append(m.pendingCPU, cpuRequest{cores: cores, grantee: grantee, token: token})
+	m.se.Defer(m.drainFn)
 	return nil
 }
 
@@ -161,9 +184,9 @@ func (m *Manager) drainPending() {
 		if err != nil {
 			break
 		}
-		m.pendingGPU[m.gpuHead] = gpuRequest{} // drop the grant closure ref
+		m.pendingGPU[m.gpuHead] = gpuRequest{} // drop the grantee ref
 		m.gpuHead++
-		req.grant(alloc)
+		req.grantee.GrantGPUs(alloc, req.token)
 	}
 	if m.gpuHead == len(m.pendingGPU) {
 		m.pendingGPU = m.pendingGPU[:0]
@@ -180,7 +203,7 @@ func (m *Manager) drainPending() {
 		}
 		m.pendingCPU[m.cpuHead] = cpuRequest{}
 		m.cpuHead++
-		req.grant(alloc)
+		req.grantee.GrantCPUs(alloc, req.token)
 	}
 	if m.cpuHead == len(m.pendingCPU) {
 		m.pendingCPU = m.pendingCPU[:0]

@@ -1,6 +1,7 @@
 package clustermgr
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/agents"
@@ -10,6 +11,68 @@ import (
 	"repro/internal/llmsim"
 	"repro/internal/sim"
 )
+
+// gpuGrant adapts a closure to the grantee protocol: the closure form of
+// RequestGPUs exists only here.
+type gpuGrant func(*cluster.GPUAlloc)
+
+func (f gpuGrant) GrantGPUs(a *cluster.GPUAlloc, _ uint32) { f(a) }
+
+// tokenLog records the token each grant arrives with and hands the grant back.
+type tokenLog struct{ gpu, cpu []uint32 }
+
+func (l *tokenLog) GrantGPUs(a *cluster.GPUAlloc, token uint32) {
+	l.gpu = append(l.gpu, token)
+	a.Release()
+}
+
+func (l *tokenLog) GrantCPUs(a *cluster.CPUAlloc, token uint32) {
+	l.cpu = append(l.cpu, token)
+	a.Release()
+}
+
+// TestGrantsCarryTheirToken: a request is a record {grantee, token} in the
+// manager's queue; whatever token it was issued with comes back with the
+// grant, in FIFO order, however long it waited — the grantee, not a captured
+// variable, decides whether the grant is stale.
+func TestGrantsCarryTheirToken(t *testing.T) {
+	se, cl, m := testMgr(t)
+	gpuHog, err := cl.AllocGPUs(16, hardware.GPUA100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cpuHogs []*cluster.CPUAlloc
+	for cl.MaxFreeCPUCores() > 0 {
+		a, err := cl.AllocCPUs(cl.MaxFreeCPUCores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpuHogs = append(cpuHogs, a)
+	}
+	var log tokenLog
+	for tok := uint32(7); tok < 10; tok++ {
+		if err := m.RequestGPUs(2, hardware.GPUA100, &log, tok); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RequestCPUs(8, &log, tok+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	se.Run()
+	if len(log.gpu)+len(log.cpu) != 0 || m.PendingGPURequests() != 3 || m.PendingCPURequests() != 3 {
+		t.Fatalf("granted %v %v with no capacity (pending %d/%d)", log.gpu, log.cpu, m.PendingGPURequests(), m.PendingCPURequests())
+	}
+	gpuHog.Release()
+	for _, h := range cpuHogs {
+		h.Release()
+	}
+	if fmt.Sprint(log.gpu, log.cpu) != "[7 8 9] [107 108 109]" {
+		t.Fatalf("tokens came back as %v %v", log.gpu, log.cpu)
+	}
+	if m.PendingGPURequests()+m.PendingCPURequests() != 0 || cl.FreeGPUs(hardware.GPUA100) != 16 || cl.FreeCPUCores() != 192 {
+		t.Fatal("queues not drained or grants not handed back")
+	}
+}
 
 func testMgr(t *testing.T) (*sim.Engine, *cluster.Cluster, *Manager) {
 	t.Helper()
@@ -23,7 +86,7 @@ func testMgr(t *testing.T) (*sim.Engine, *cluster.Cluster, *Manager) {
 func TestRequestGPUsImmediate(t *testing.T) {
 	se, _, m := testMgr(t)
 	var got *cluster.GPUAlloc
-	if err := m.RequestGPUs(4, hardware.GPUA100, func(a *cluster.GPUAlloc) { got = a }); err != nil {
+	if err := m.RequestGPUs(4, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { got = a }), 0); err != nil {
 		t.Fatal(err)
 	}
 	se.Run()
@@ -39,7 +102,7 @@ func TestRequestGPUsQueuesUntilRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *cluster.GPUAlloc
-	m.RequestGPUs(8, hardware.GPUA100, func(a *cluster.GPUAlloc) { got = a })
+	m.RequestGPUs(8, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { got = a }), 0)
 	se.Run()
 	if got != nil {
 		t.Fatal("granted despite full cluster")
@@ -59,16 +122,16 @@ func TestRequestGPUsQueuesUntilRelease(t *testing.T) {
 
 func TestRequestImpossibleErrors(t *testing.T) {
 	_, _, m := testMgr(t)
-	if err := m.RequestGPUs(17, hardware.GPUA100, nil); err == nil {
+	if err := m.RequestGPUs(17, hardware.GPUA100, nil, 0); err == nil {
 		t.Error("17-GPU request accepted on 16-GPU cluster")
 	}
-	if err := m.RequestGPUs(1, hardware.GPUH100, nil); err == nil {
+	if err := m.RequestGPUs(1, hardware.GPUH100, nil, 0); err == nil {
 		t.Error("H100 request accepted on A100 cluster")
 	}
-	if err := m.RequestCPUs(97, nil); err == nil {
+	if err := m.RequestCPUs(97, nil, 0); err == nil {
 		t.Error("97-core request accepted with 96-core VMs")
 	}
-	if err := m.RequestGPUs(0, hardware.GPUA100, nil); err == nil {
+	if err := m.RequestGPUs(0, hardware.GPUA100, nil, 0); err == nil {
 		t.Error("zero request accepted")
 	}
 }
@@ -77,8 +140,8 @@ func TestFIFOGPURequests(t *testing.T) {
 	se, cl, m := testMgr(t)
 	hold, _ := cl.AllocGPUs(16, hardware.GPUA100)
 	var order []string
-	m.RequestGPUs(12, hardware.GPUA100, func(a *cluster.GPUAlloc) { order = append(order, "big") })
-	m.RequestGPUs(2, hardware.GPUA100, func(a *cluster.GPUAlloc) { order = append(order, "small") })
+	m.RequestGPUs(12, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { order = append(order, "big") }), 0)
+	m.RequestGPUs(2, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { order = append(order, "small") }), 0)
 	se.Run()
 	hold.Release()
 	se.Run()
@@ -230,10 +293,10 @@ func TestRebalanceFreesGPUsForQueuedRequests(t *testing.T) {
 	// Engine holds 8; another task holds 8; a queued request for 4 waits.
 	m.EnsureEngine(string(agents.CapSummarization), llmsim.NVLMText(), 8, hardware.GPUA100, 4, 8, false)
 	var hold *cluster.GPUAlloc
-	m.RequestGPUs(8, hardware.GPUA100, func(a *cluster.GPUAlloc) { hold = a })
+	m.RequestGPUs(8, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { hold = a }), 0)
 	se.Run()
 	var got *cluster.GPUAlloc
-	m.RequestGPUs(4, hardware.GPUA100, func(a *cluster.GPUAlloc) { got = a })
+	m.RequestGPUs(4, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { got = a }), 0)
 	se.Run()
 	if got != nil {
 		t.Fatal("request granted before rebalance freed GPUs")

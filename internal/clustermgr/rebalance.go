@@ -127,25 +127,29 @@ func (m *Manager) rebuildEngine(h *EngineHandle) {
 	}
 	h.rebuilding = true
 	m.se.After(EngineReloadDelayS, func() {
-		err := m.RequestGPUs(h.minGPUs, h.GPUType, func(alloc *cluster.GPUAlloc) {
-			h.alloc = alloc
-			alloc.OnPreempt = func() { m.rebuildEngine(h) }
-			if rerr := h.Engine.Resize(alloc); rerr != nil {
-				panic(rerr)
-			}
-			h.rebuilding = false
-		})
-		if err != nil {
+		if err := m.RequestGPUs(h.minGPUs, h.GPUType, h, 0); err != nil {
 			panic(err) // minGPUs was valid at engine creation
 		}
 	})
+}
+
+// GrantGPUs adopts the allocation a rebuild requested — the handle is the
+// manager's own grantee. An engine has one rebuild in flight at most (the
+// rebuilding flag) and is never reused, so it needs no token.
+func (h *EngineHandle) GrantGPUs(alloc *cluster.GPUAlloc, _ uint32) {
+	h.alloc = alloc
+	alloc.OnPreempt = func() { h.mgr.rebuildEngine(h) }
+	if rerr := h.Engine.Resize(alloc); rerr != nil {
+		panic(rerr)
+	}
+	h.rebuilding = false
 }
 
 func (m *Manager) handlePreempt(vm *cluster.VM) {
 	// Allocation-level OnPreempt callbacks already handle engine rebuilds
 	// and task retries; here we only retry queued requests, since capacity
 	// shifted.
-	m.se.Defer(m.drainPending)
+	m.se.Defer(m.drainFn)
 }
 
 func sortStrings(s []string) {

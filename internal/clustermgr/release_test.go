@@ -35,10 +35,10 @@ func TestReleaseEngineUnblocksQueuedRequests(t *testing.T) {
 	se, _, m := testMgr(t)
 	m.EnsureEngine(string(agents.CapSummarization), llmsim.NVLMText(), 8, hardware.GPUA100, 4, 8, true)
 	var hold *cluster.GPUAlloc
-	m.RequestGPUs(8, hardware.GPUA100, func(a *cluster.GPUAlloc) { hold = a })
+	m.RequestGPUs(8, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { hold = a }), 0)
 	se.Run()
 	var got *cluster.GPUAlloc
-	m.RequestGPUs(8, hardware.GPUA100, func(a *cluster.GPUAlloc) { got = a })
+	m.RequestGPUs(8, hardware.GPUA100, gpuGrant(func(a *cluster.GPUAlloc) { got = a }), 0)
 	se.Run()
 	if got != nil {
 		t.Fatal("granted before engine release")

@@ -1,0 +1,150 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/agents"
+	"repro/internal/cluster"
+	"repro/internal/hardware"
+	"repro/internal/llmsim"
+	"repro/internal/telemetry"
+)
+
+// TestExecAllocBudget holds the execution layer to a host-independent
+// allocation budget, so a regression fails `go test ./...` without the
+// ledger: one warm runtime, each shape submitted and run to its report. The
+// counts are everything from Runtime.Submit to the finalized report — the
+// execution, its stages and report, the tracer, telemetry points, the vector
+// store's documents — and were 1092 / 144 / 172 for the three exec_heavy shapes
+// and 128 / 80 / 64 for the ServiceMix shapes before grants became records,
+// requests and allocations came from slabs and the tracer was sized from the
+// graph. The budgets leave ~8 % over the measured 181 / 54 / 75 and
+// 62 / 43 / 41 (slab blocks and telemetry doublings land on some jobs and not
+// others).
+func TestExecAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not asserted under the race detector")
+	}
+	budget := map[string]float64{
+		"video_3x16": 195, "newsfeed_12": 60, "docqa_12": 82,
+		"mix_video_1x2": 68, "mix_newsfeed_2": 48, "mix_docqa_2": 46,
+	}
+	se, rt := warmRuntime(t)
+	for _, sh := range execShapes() {
+		got := testing.AllocsPerRun(20, func() { runToCompletion(t, se, rt, sh.job) })
+		if got > budget[sh.name] {
+			t.Errorf("%s: %.0f allocations per job, budget %.0f", sh.name, got, budget[sh.name])
+		}
+		t.Logf("%s: %.0f allocations per job (budget %.0f)", sh.name, got, budget[sh.name])
+	}
+}
+
+// releasingGrantee hands every grant straight back.
+type releasingGrantee struct{}
+
+func (releasingGrantee) GrantGPUs(a *cluster.GPUAlloc, _ uint32) { a.Release() }
+func (releasingGrantee) GrantCPUs(a *cluster.CPUAlloc, _ uint32) { a.Release() }
+
+// TestSteadyStateAllocatesNothing pins the per-task protocols at zero
+// allocations on a warm runtime. testing.AllocsPerRun reports whole
+// allocations per run, so what is amortized over many runs — one block per 64
+// sim events, allocations or requests, a telemetry series doubling — reads as
+// zero, and one allocation per cycle does not.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not asserted under the race detector")
+	}
+	se, rt := warmRuntime(t)
+
+	t.Run("request and drain", func(t *testing.T) {
+		var g releasingGrantee
+		if got := testing.AllocsPerRun(500, func() {
+			if err := rt.mgr.RequestGPUs(1, hardware.GPUA100, g, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.mgr.RequestCPUs(4, g, 0); err != nil {
+				t.Fatal(err)
+			}
+			se.RunUntil(se.Now())
+		}); got != 0 {
+			t.Fatalf("RequestGPUs + RequestCPUs + drainPending allocate %.0f per cycle, want 0", got)
+		}
+		if rt.mgr.PendingGPURequests()+rt.mgr.PendingCPURequests() != 0 || rt.cl.FreeCPUCores() != 192 {
+			t.Fatal("requests were not granted and released")
+		}
+	})
+
+	t.Run("tracer within its size", func(t *testing.T) {
+		tr := telemetry.NewTracerSized(512, 2)
+		if got := testing.AllocsPerRun(250, func() {
+			a := tr.Start("track", "a", 1)
+			b := tr.Start("track", "b", 1)
+			tr.End(a, 2)
+			tr.End(b, 2)
+		}); got != 0 {
+			t.Fatalf("Tracer.Start + End allocate %.0f per pair of spans, want 0", got)
+		}
+	})
+
+	// spawn → grant → run → destroy: preempting the busy worker puts its
+	// task back on the queue, destroys the worker and defers a pump, which
+	// spawns a worker (off the runtime's pool), queues its request, gets it
+	// granted and runs the task again — all at one sim instant.
+	t.Run("worker cycle", func(t *testing.T) {
+		ex, err := rt.Submit(execShapes()[3].job, SubmitOptions{RelaxFloor: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		capName := string(agents.CapFrameExtraction)
+		stepUntil(t, se, "a frame-extraction worker is busy", func() bool {
+			st := ex.stages[capName]
+			return st != nil && st.busy > 0
+		})
+		st := ex.stages[capName]
+		if got := testing.AllocsPerRun(500, func() {
+			st.workers[0].preempted()
+			se.RunUntil(se.Now())
+			if st.busy == 0 {
+				t.Fatal("the task did not start again")
+			}
+		}); got != 0 {
+			t.Fatalf("a worker spawn → grant → run → destroy cycle allocates %.0f, want 0", got)
+		}
+		se.Run()
+		if !ex.Done() || ex.Err() != nil {
+			t.Fatalf("job did not complete: done=%v err=%v", ex.Done(), ex.Err())
+		}
+	})
+
+	// A request's trip through an engine: the record comes from the runtime's
+	// slab (1/64 of an allocation), the completion event from the sim's
+	// (another 1/64 each for the event and the deferred drain of the
+	// zero-length queue), and the engine itself allocates nothing. What is
+	// left is the devices' telemetry series doubling now and then.
+	t.Run("llm request", func(t *testing.T) {
+		h, err := rt.mgr.EnsureEngine(string(agents.CapSummarization), llmsim.Llama8B(), 1, hardware.GPUA100, 1, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.mgr.ReleaseEngine(h.Spec.Name)
+		done := 0
+		onComplete := func(*llmsim.Request) { done++ }
+		const cycles = 64 * 50
+		got := testing.AllocsPerRun(1, func() {
+			for i := 0; i < cycles; i++ {
+				r := rt.newRequest()
+				r.ID, r.PromptTokens, r.OutputTokens, r.OnComplete = "r", 64, 16, onComplete
+				h.Engine.Submit(r)
+				se.Run()
+			}
+		})
+		if done != 2*cycles {
+			t.Fatalf("%d of %d requests completed", done, 2*cycles)
+		}
+		if perCycle := got / cycles; perCycle > 4.0/64 {
+			t.Fatalf("an LLM submit → complete cycle allocates %.4f, want at most 4/64 amortised", perCycle)
+		} else {
+			t.Logf("LLM submit → complete: %.4f allocations per cycle", perCycle)
+		}
+	})
+}

@@ -110,6 +110,17 @@ type Runtime struct {
 	// jobs. Engine-goroutine-only; disabled by DisableAllocReuse.
 	workerPool  []*worker
 	llmTaskPool []*llmTask
+	// reqSlab is the block LLM request records are cut from (one heap
+	// allocation per block instead of one per call, as sim.Engine cuts
+	// events); reqBlock is its size, doubling from 8 to requestSlabSize so a
+	// runtime built for one job does not pay for 64. Records are never reused — the engine and the
+	// completion callback read a request after it completes — and the GC
+	// reclaims a block once none of its records is referenced. The runtime
+	// owns it, not the engine: a serving engine is released when the last job
+	// holding it finishes, so an engine-owned block cost every small job a
+	// whole block (+8 kB per engine per job, measured).
+	reqSlab  []llmsim.Request
+	reqBlock int
 
 	// scratchHits counts pool pops that reused a retired object;
 	// scratchMisses counts fresh allocations. Engine-goroutine-only, read
@@ -123,6 +134,20 @@ type Runtime struct {
 // (every acquisition is then a fresh allocation, counted as a miss).
 func (rt *Runtime) ScratchPoolStats() (hits, misses uint64) {
 	return rt.scratchHits, rt.scratchMisses
+}
+
+// requestSlabSize is the most LLM request records one allocation block holds.
+const requestSlabSize = 64
+
+// newRequest cuts a zeroed request record from the runtime's slab.
+func (rt *Runtime) newRequest() *llmsim.Request {
+	if len(rt.reqSlab) == 0 {
+		rt.reqBlock = min(max(2*rt.reqBlock, 8), requestSlabSize)
+		rt.reqSlab = make([]llmsim.Request, rt.reqBlock)
+	}
+	r := &rt.reqSlab[0]
+	rt.reqSlab = rt.reqSlab[1:]
+	return r
 }
 
 // poolCap bounds the runtime's scratch free lists; beyond it, retired
@@ -224,6 +249,7 @@ type Execution struct {
 	tracker   *dag.Tracker
 	tracer    *telemetry.Tracer
 	rep       *report.Report
+	namespace string
 	startedAt sim.Time
 	planLatS  float64
 	stages    map[string]*stage
@@ -260,9 +286,13 @@ type Execution struct {
 	onAttempt  func(AttemptRecord)
 }
 
-// Namespace is the execution's VectorDB namespace for embedding inserts.
+// Namespace is the execution's VectorDB namespace for embedding inserts,
+// rendered on first use (every embedding task of the job asks for it).
 func (ex *Execution) Namespace() string {
-	return "exec-" + strconv.Itoa(ex.id) + "/" + ex.job.Description
+	if ex.namespace == "" {
+		ex.namespace = "exec-" + strconv.Itoa(ex.id) + "/" + ex.job.Description
+	}
+	return ex.namespace
 }
 
 // Done reports completion.
@@ -340,6 +370,15 @@ func (rt *Runtime) Submit(job workflow.Job, opts SubmitOptions) (*Execution, err
 // off-loop against a validated snapshot.
 func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.Result, plan *optimizer.Plan) (*Execution, error) {
 	rt.nextExecID++
+	// Per-job buffers are sized from the job: one span per task, and as many
+	// spans open at once — and as many tasks ready at once — as the widest
+	// stage runs side by side. (A constant big enough for the largest job
+	// costs every small job the difference.)
+	nodes, widest := decomp.Graph.Len(), 0
+	for _, d := range plan.Decisions {
+		widest = max(widest, d.Parallelism)
+	}
+	widest = min(widest, nodes)
 	ex := &Execution{
 		rt:        rt,
 		id:        rt.nextExecID,
@@ -348,9 +387,10 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 		plan:      plan,
 		decomp:    decomp,
 		tracker:   dag.NewTracker(decomp.Graph),
-		tracer:    telemetry.NewTracer(),
+		tracer:    telemetry.NewTracerSized(nodes, widest),
 		startedAt: rt.se.Now(),
-		stages:    map[string]*stage{},
+		stages:    make(map[string]*stage, len(plan.Decisions)),
+		readyBuf:  make([]dag.NodeID, 0, widest),
 	}
 	rt.keyBuf = append(append(rt.keyBuf[:0], "murakkab/"...), job.Constraint.String()...)
 	ex.rep = &report.Report{
@@ -496,12 +536,11 @@ func (ex *Execution) chargePlanning(next func()) {
 		rt.keyBuf = append(rt.keyBuf, q.Purpose...)
 		rt.keyBuf = append(rt.keyBuf, '-')
 		rt.keyBuf = strconv.AppendInt(rt.keyBuf, int64(i), 10)
-		h.Engine.Submit(&llmsim.Request{
-			ID:           rt.internKey(rt.keyBuf),
-			PromptTokens: q.PromptTokens,
-			OutputTokens: q.OutputTokens,
-			OnComplete:   onComplete,
-		})
+		r := rt.newRequest()
+		r.ID = rt.internKey(rt.keyBuf)
+		r.PromptTokens, r.OutputTokens = q.PromptTokens, q.OutputTokens
+		r.OnComplete = onComplete
+		h.Engine.Submit(r)
 	}
 }
 

@@ -45,7 +45,7 @@ func paperPins() map[string]optimizer.Pin {
 	}
 }
 
-func newRuntime(t *testing.T) (*sim.Engine, *cluster.Cluster, *Runtime) {
+func newRuntime(t testing.TB) (*sim.Engine, *cluster.Cluster, *Runtime) {
 	t.Helper()
 	se := sim.NewEngine()
 	cl := cluster.New(se, hardware.DefaultCatalog())

@@ -38,8 +38,16 @@ type stage struct {
 	// execution error.
 	im *agents.Implementation
 
+	// queue pops by the qHead cursor — queue[qHead:] is what waits — and
+	// resets when it drains, so a burst of tasks reuses one array.
 	queue   []*dag.Node
+	qHead   int
 	workers []*worker
+	// idle and busy count this stage's workers that hold their allocations
+	// without a task, and that are running one; worker.setState keeps them
+	// at every transition, so pump asks them instead of scanning the pool
+	// each iteration.
+	idle, busy int
 	// inflight counts tasks executing right now (submitted LLM requests or
 	// busy workers). A stage is at a boundary — and its binding swappable —
 	// exactly when inflight is zero; queued tasks have not started and may
@@ -103,8 +111,8 @@ func (st *stage) finishRebind(dec optimizer.Decision) {
 	im, _ := st.ex.rt.lib.Lookup(dec.Implementation)
 	st.im = im
 	st.isLLM = st.ex.engineServed(st.cap, dec)
-	q := st.queue
-	st.queue = nil
+	q := st.queue[st.qHead:]
+	st.queue, st.qHead = nil, 0
 	for _, node := range q {
 		st.enqueue(node)
 	}
@@ -114,6 +122,11 @@ func (st *stage) enqueue(node *dag.Node) {
 	if st.isLLM {
 		st.submitLLM(node)
 		return
+	}
+	if st.queue == nil {
+		// Sized from the binding: a stage is never planned wider than it has
+		// tasks, so at least this many arrive.
+		st.queue = make([]*dag.Node, 0, st.dec.Parallelism)
 	}
 	st.queue = append(st.queue, node)
 	st.pump()
@@ -220,12 +233,11 @@ func (st *stage) submitLLM(node *dag.Node) {
 		rt.keyBuf = append(rt.keyBuf[:0], node.ID...)
 		rt.keyBuf = append(rt.keyBuf, '#')
 		rt.keyBuf = strconv.AppendInt(rt.keyBuf, int64(p), 10)
-		h.Engine.Submit(&llmsim.Request{
-			ID:           rt.internKey(rt.keyBuf),
-			PromptTokens: prompt,
-			OutputTokens: output,
-			OnComplete:   t.fn,
-		})
+		r := rt.newRequest()
+		r.ID = rt.internKey(rt.keyBuf)
+		r.PromptTokens, r.OutputTokens = prompt, output
+		r.OnComplete = t.fn
+		h.Engine.Submit(r)
 	}
 }
 
@@ -267,10 +279,10 @@ type worker struct {
 	watchdogEv *sim.Event
 	span       int
 	dead       bool
-	// gen counts destroys: acquisition callbacks queued at the cluster
-	// manager capture the generation they were issued under, so a callback
-	// that outlives its worker's destroy (and possible reuse off the stage's
-	// free list) releases the grant instead of resurrecting stale state.
+	// gen counts destroys: a request queued at the cluster manager carries
+	// the generation it was issued under as its token, so a grant that
+	// outlives its worker's destroy (and possible reuse off the runtime's
+	// free list) is released instead of resurrecting stale state.
 	gen uint32
 	// taskDoneFn/timedOutFn/preemptFn are method values materialized once
 	// per worker; every task execution (and every allocation grant) would
@@ -287,21 +299,30 @@ func (st *stage) pump() {
 		return
 	}
 	d := st.dec
-	for len(st.queue) > 0 {
+	for st.qHead < len(st.queue) {
 		w := st.idleReadyWorker()
 		if w == nil {
 			break
 		}
-		node := st.queue[0]
-		st.queue = st.queue[1:]
+		node := st.queue[st.qHead]
+		st.queue[st.qHead] = nil
+		st.qHead++
+		if st.qHead == len(st.queue) {
+			st.queue, st.qHead = st.queue[:0], 0
+		}
 		w.run(node)
 	}
-	// Grow the pool for remaining queued work.
-	for len(st.queue) > st.pendingWorkerCount() && len(st.workers) < d.Parallelism {
+	// Grow the pool for remaining queued work: every worker that is not busy
+	// is acquiring or idle, and will take a queued task.
+	for len(st.queue)-st.qHead > len(st.workers)-st.busy && len(st.workers) < d.Parallelism {
 		st.spawnWorker()
 	}
-	// Drain idle workers when nothing is queued: release resources.
-	if len(st.queue) == 0 {
+	// Drain idle workers when nothing is queued: release resources. The range
+	// walks a snapshot of st.workers while destroy splices the live slice, so
+	// it skips the successor of every worker it destroys (and can revisit the
+	// stale tail slot). That visiting order decides when cores are released and
+	// which worker a later task lands on; every pinned output depends on it.
+	if len(st.queue) == st.qHead {
 		for _, w := range st.workers {
 			if w.ready && !w.busy {
 				w.destroy()
@@ -310,25 +331,18 @@ func (st *stage) pump() {
 	}
 }
 
+// idleReadyWorker returns the first worker, in pool order, that holds its
+// allocations and has no task.
 func (st *stage) idleReadyWorker() *worker {
+	if st.idle == 0 {
+		return nil
+	}
 	for _, w := range st.workers {
 		if w.ready && !w.busy && !w.dead {
 			return w
 		}
 	}
 	return nil
-}
-
-// pendingWorkerCount counts workers still acquiring resources or idle-ready.
-func (st *stage) pendingWorkerCount() int {
-	n := 0
-	for _, w := range st.workers {
-		if w.dead || w.busy {
-			continue
-		}
-		n++
-	}
-	return n
 }
 
 func (st *stage) spawnWorker() {
@@ -348,53 +362,84 @@ func (st *stage) spawnWorker() {
 		w.timedOutFn = w.timedOut
 		w.preemptFn = w.preempted
 	}
+	if st.workers == nil {
+		st.workers = make([]*worker, 0, st.dec.Parallelism) // pump never grows the pool past it
+	}
 	st.workers = append(st.workers, w)
 	w.acquire()
 }
 
+// setState moves the worker between acquiring (neither flag), idle (ready)
+// and busy, keeping its stage's idle and busy counts in step.
+func (w *worker) setState(ready, busy bool) {
+	st := w.st
+	if w.busy {
+		st.busy--
+	} else if w.ready {
+		st.idle--
+	}
+	w.ready, w.busy = ready, busy
+	if busy {
+		st.busy++
+	} else if ready {
+		st.idle++
+	}
+}
+
 // acquire obtains the per-instance allocation (GPU first, then CPU for
-// hybrid configs) through the cluster manager's queue.
+// hybrid configs) through the cluster manager's queue. The worker is the
+// grantee and its generation the token: the request is a record in the
+// manager's queue, not a closure.
 func (w *worker) acquire() {
 	cfg := w.st.dec.Config
-	gen := w.gen
-	needCPU := func() {
-		if cfg.CPUCores == 0 {
-			w.becomeReady()
-			return
-		}
-		err := w.st.ex.rt.mgr.RequestCPUs(cfg.CPUCores, func(a *cluster.CPUAlloc) {
-			if w.dead || w.gen != gen {
-				a.Release()
-				return
-			}
-			w.cpuAlloc = a
-			a.OnPreempt = w.preemptFn
-			w.becomeReady()
-		})
-		if err != nil {
-			w.st.ex.finish(fmt.Errorf("core: %s worker CPUs: %w", w.st.cap, err))
-		}
-	}
-	if cfg.GPUs > 0 {
-		err := w.st.ex.rt.mgr.RequestGPUs(cfg.GPUs, cfg.GPUType, func(a *cluster.GPUAlloc) {
-			if w.dead || w.gen != gen {
-				a.Release()
-				return
-			}
-			w.gpuAlloc = a
-			a.OnPreempt = w.preemptFn
-			needCPU()
-		})
-		if err != nil {
-			w.st.ex.finish(fmt.Errorf("core: %s worker GPUs: %w", w.st.cap, err))
-		}
+	if cfg.GPUs == 0 {
+		w.acquireCPUs()
 		return
 	}
-	needCPU()
+	if err := w.st.ex.rt.mgr.RequestGPUs(cfg.GPUs, cfg.GPUType, w, w.gen); err != nil {
+		w.st.ex.finish(fmt.Errorf("core: %s worker GPUs: %w", w.st.cap, err))
+	}
+}
+
+func (w *worker) acquireCPUs() {
+	cores := w.st.dec.Config.CPUCores
+	if cores == 0 {
+		w.becomeReady()
+		return
+	}
+	if err := w.st.ex.rt.mgr.RequestCPUs(cores, w, w.gen); err != nil {
+		w.st.ex.finish(fmt.Errorf("core: %s worker CPUs: %w", w.st.cap, err))
+	}
+}
+
+// GrantGPUs implements clustermgr.GPUGrantee. A grant issued under an earlier
+// generation belongs to a worker that was destroyed since (and may have been
+// reused): it is released, not adopted. The binding cannot have changed under
+// a live worker — rebind destroys a stage's workers before it swaps the
+// decision — so the core count is read here, not carried with the request.
+func (w *worker) GrantGPUs(a *cluster.GPUAlloc, gen uint32) {
+	if w.dead || w.gen != gen {
+		a.Release()
+		return
+	}
+	w.gpuAlloc = a
+	a.OnPreempt = w.preemptFn
+	w.acquireCPUs()
+}
+
+// GrantCPUs implements clustermgr.CPUGrantee, with GrantGPUs' stale rule.
+func (w *worker) GrantCPUs(a *cluster.CPUAlloc, gen uint32) {
+	if w.dead || w.gen != gen {
+		a.Release()
+		return
+	}
+	w.cpuAlloc = a
+	a.OnPreempt = w.preemptFn
+	w.becomeReady()
 }
 
 func (w *worker) becomeReady() {
-	w.ready = true
+	w.setState(true, false)
 	w.st.pump()
 }
 
@@ -418,7 +463,7 @@ func (w *worker) run(node *dag.Node) {
 		ex.finish(fmt.Errorf("core: executing %s on %v: %w", node.ID, d.Config, err))
 		return
 	}
-	w.busy = true
+	w.setState(w.ready, true)
 	w.current = node
 	st.inflight++
 	w.setIntensity(im.Perf.GPUIntensity, im.Perf.CPUIntensity)
@@ -442,7 +487,7 @@ func (w *worker) taskDone() {
 	}
 	w.setIntensity(0, 0)
 	ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
-	w.busy = false
+	w.setState(w.ready, false)
 	w.current = nil
 	st.inflight--
 	if ex.rt.recovery != nil {
@@ -485,7 +530,7 @@ func (w *worker) timedOut() {
 	}
 	ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
 	w.setIntensity(0, 0)
-	w.busy = false
+	w.setState(w.ready, false)
 	w.current = nil
 	st.inflight--
 	rc.timeouts++
@@ -529,7 +574,7 @@ func (w *worker) preempted() {
 		st.queue = append(st.queue, w.current)
 		ex.retries++
 		w.current = nil
-		w.busy = false
+		w.setState(w.ready, false)
 		st.inflight--
 	}
 	w.destroy()
@@ -542,13 +587,12 @@ func (w *worker) destroy() {
 		return
 	}
 	w.dead = true
-	w.ready = false
 	if w.busy {
 		// Cancellation can destroy a busy worker; its in-flight task is
 		// abandoned with it.
-		w.busy = false
 		w.st.inflight--
 	}
+	w.setState(false, false)
 	if w.doneEv != nil {
 		w.doneEv.Cancel()
 		w.doneEv = nil

@@ -123,9 +123,19 @@ type Engine struct {
 	// speedup is the FLOPS ratio of the allocated GPU type vs RefGPU.
 	speedup float64
 
-	queue  []*Request
-	active []*Request
-	kvUsed int
+	// The engine owns its scratch, so a request's trip through it allocates
+	// nothing in steady state. queue pops by the qHead cursor (queue[qHead:]
+	// is what waits) and slides down when its array fills; active is filtered
+	// in place; finished is the completion event's buffer, detached while its
+	// callbacks run; completionFn is the method value e.onCompletionEvent,
+	// built once. (Request records are the caller's: an engine lives only as
+	// long as a job holds a ref on it, too short to amortize a slab.)
+	queue        []*Request
+	qHead        int
+	active       []*Request
+	finished     []*Request
+	completionFn func()
+	kvUsed       int
 
 	// replan event for the next completion under current rates.
 	nextDone   *sim.Event
@@ -155,15 +165,20 @@ func NewEngine(se *sim.Engine, cat *hardware.Catalog, model ModelSpec, alloc *cl
 	if alloc == nil || alloc.Count() == 0 {
 		return nil, fmt.Errorf("llmsim: engine %s needs at least one GPU", model.Name)
 	}
+	// Pre-size the request lists past the append growth ramp — serving
+	// engines see continuous traffic from their first admission — out of one
+	// block; a list that outgrows its third moves to an array of its own.
+	const listCap = 16
+	lists := make([]*Request, 3*listCap)
 	e := &Engine{
-		model:  model,
-		engine: se,
-		cat:    cat,
-		// Pre-size the request lists past the append growth ramp; serving
-		// engines see continuous traffic from their first admission.
-		queue:  make([]*Request, 0, 16),
-		active: make([]*Request, 0, 16),
+		model:    model,
+		engine:   se,
+		cat:      cat,
+		queue:    lists[0:0:listCap],
+		active:   lists[listCap : listCap : 2*listCap],
+		finished: lists[2*listCap : 2*listCap : 3*listCap],
 	}
+	e.completionFn = e.onCompletionEvent
 	e.adoptAlloc(alloc)
 	return e, nil
 }
@@ -189,7 +204,7 @@ func (e *Engine) KVCapacity() int { return e.gpus * e.model.KVTokensPerGPU }
 func (e *Engine) KVUsed() int { return e.kvUsed }
 
 // QueueDepth returns requests waiting for admission.
-func (e *Engine) QueueDepth() int { return len(e.queue) }
+func (e *Engine) QueueDepth() int { return len(e.queue) - e.qHead }
 
 // ActiveCount returns requests currently being served.
 func (e *Engine) ActiveCount() int { return len(e.active) }
@@ -241,6 +256,13 @@ func (e *Engine) Submit(r *Request) {
 		e.engine.Defer(func() { e.complete(r) })
 		return
 	}
+	if e.qHead > 0 && len(e.queue) == cap(e.queue) {
+		// Slide what still waits over the popped prefix instead of growing:
+		// a queue that never quite drains keeps reusing one array.
+		n := copy(e.queue, e.queue[e.qHead:])
+		clear(e.queue[n:])
+		e.queue, e.qHead = e.queue[:n], 0
+	}
 	e.queue = append(e.queue, r)
 	e.advance()
 	e.admit()
@@ -255,8 +277,8 @@ func (e *Engine) admit() {
 	if e.down {
 		return
 	}
-	for len(e.queue) > 0 {
-		r := e.queue[0]
+	for e.qHead < len(e.queue) {
+		r := e.queue[e.qHead]
 		if len(e.active) >= e.model.MaxBatch {
 			return
 		}
@@ -268,7 +290,8 @@ func (e *Engine) admit() {
 		if e.kvUsed+r.kvTokens > e.KVCapacity() {
 			return
 		}
-		e.queue = e.queue[1:]
+		e.queue[e.qHead] = nil
+		e.qHead++
 		e.kvUsed += r.kvTokens
 		r.admitted = true
 		r.AdmittedAt = e.engine.Now()
@@ -331,15 +354,32 @@ func (e *Engine) replan() {
 	if soonest < 0 {
 		soonest = 0
 	}
-	e.nextDone = e.engine.After(sim.Duration(soonest), e.onCompletionEvent)
+	if now := e.engine.Now(); soonest > 0 && now.Add(sim.Duration(soonest)) == now {
+		// The clock cannot resolve the time left: the event would fire at now,
+		// advance would see dt == 0 and nothing would ever cross the absolute
+		// completion threshold — the engine re-fired forever once now was
+		// large (ulp(65,580 s) ≈ 1.5e-11 s against a residue of 2e-9 work
+		// units). Whatever cannot move the clock is finished.
+		for _, r := range e.active {
+			if now.Add(sim.Duration(r.work/perSeq)) == now {
+				r.work = 0
+			}
+		}
+		soonest = 0
+	}
+	e.nextDone = e.engine.After(sim.Duration(soonest), e.completionFn)
 }
 
 func (e *Engine) onCompletionEvent() {
 	e.nextDone = nil
 	e.advance()
 	// Complete every request whose work hit zero (ties complete together).
-	var still []*Request
-	var finished []*Request
+	// A completion callback re-enters Submit synchronously, which appends to
+	// active — so the finished requests move to their own buffer first, and
+	// that buffer is detached for as long as the callbacks run.
+	finished := e.finished[:0]
+	e.finished = nil
+	still := e.active[:0]
 	for _, r := range e.active {
 		if r.work <= 1e-9 {
 			finished = append(finished, r)
@@ -347,6 +387,7 @@ func (e *Engine) onCompletionEvent() {
 			still = append(still, r)
 		}
 	}
+	clear(e.active[len(still):])
 	e.active = still
 	for _, r := range finished {
 		e.kvUsed -= r.kvTokens
@@ -355,6 +396,8 @@ func (e *Engine) onCompletionEvent() {
 		}
 		e.complete(r)
 	}
+	clear(finished)
+	e.finished = finished[:0]
 	e.admit()
 	e.replan()
 }
@@ -404,8 +447,10 @@ func (e *Engine) Crash(reloadS float64) {
 		r.work = r.totalWork
 		r.admitted = false
 	}
-	e.queue = append(append([]*Request{}, e.active...), e.queue...)
-	e.active = nil
+	e.queue = append(append([]*Request{}, e.active...), e.queue[e.qHead:]...)
+	e.qHead = 0
+	clear(e.active)
+	e.active = e.active[:0]
 	e.kvUsed = 0
 	e.down = true
 	e.crashes++
@@ -442,7 +487,7 @@ func (e *Engine) Failed() int { return e.failed }
 // caller can retry. Returns false when the engine holds no requests.
 func (e *Engine) FailNext(pick float64) bool {
 	e.advance()
-	n := len(e.active) + len(e.queue)
+	n := len(e.active) + e.QueueDepth()
 	if n == 0 {
 		return false
 	}
@@ -462,7 +507,7 @@ func (e *Engine) FailNext(pick float64) bool {
 			panic("llmsim: KV accounting below zero")
 		}
 	} else {
-		qi := idx - len(e.active)
+		qi := e.qHead + idx - len(e.active)
 		r = e.queue[qi]
 		e.queue = append(e.queue[:qi], e.queue[qi+1:]...)
 	}
@@ -477,7 +522,7 @@ func (e *Engine) FailNext(pick float64) bool {
 // OnDrained registers a one-shot callback for the next time the engine has
 // no active or queued requests.
 func (e *Engine) OnDrained(fn func()) {
-	if len(e.active) == 0 && len(e.queue) == 0 {
+	if len(e.active) == 0 && e.QueueDepth() == 0 {
 		e.engine.Defer(fn)
 		return
 	}
@@ -485,7 +530,7 @@ func (e *Engine) OnDrained(fn func()) {
 }
 
 func (e *Engine) notifyDrained() {
-	if len(e.queue) > 0 || len(e.active) > 0 {
+	if e.QueueDepth() > 0 || len(e.active) > 0 {
 		return
 	}
 	cbs := e.drainCallbacks

@@ -319,3 +319,90 @@ func TestBaselineVsBatchedScenario(t *testing.T) {
 		t.Fatalf("sequential mean utilization = %.2f, want < 0.2", u)
 	}
 }
+
+// TestResidualWorkBelowClockResolutionCompletes reproduces the state a shard
+// reached after ~65,000 sim-s: an active request whose remaining work, at the
+// current rate, takes less time than the clock can represent at now. The event
+// for it lands on now itself, advance sees dt == 0, and under the absolute
+// 1e-9 completion threshold the engine re-fired that event forever.
+func TestResidualWorkBelowClockResolutionCompletes(t *testing.T) {
+	spec := simpleSpec()
+	spec.AggTokensPerGPUSec, spec.SeqTokensPerSec = 10_000, 450 // the daemon's per-sequence rate
+	se, _, eng := newTestEngine(t, 1, spec)
+	se.SetEventLimit(10_000)
+	completed := 0
+	var slow *Request
+	se.Schedule(65_580, func() {
+		for i := 0; i < 2; i++ {
+			eng.Submit(&Request{ID: fmt.Sprintf("r%d", i), PromptTokens: 100, OutputTokens: 50,
+				OnComplete: func(*Request) { completed++ }})
+		}
+		slow = &Request{ID: "slow", PromptTokens: 100, OutputTokens: 500,
+			OnComplete: func(*Request) { completed++ }}
+		eng.Submit(slow)
+		// Leave the first two the residue observed in the daemon: above the
+		// absolute threshold, and 2.18e-9 units at 450 units/s is 4.8e-12 s,
+		// a third of ulp(65,580 s).
+		for _, r := range eng.active[:2] {
+			r.work = 2.18e-9
+		}
+		eng.replan()
+	})
+	se.Run() // panics at the event limit if the engine livelocks
+	if completed != 3 {
+		t.Fatalf("completed %d of 3 requests", completed)
+	}
+	if slow.Latency().Seconds() < 1 {
+		t.Fatalf("the request with real work left finished after %v s; only the unresolvable ones may be cut short",
+			slow.Latency().Seconds())
+	}
+	if eng.KVUsed() != 0 || eng.ActiveCount() != 0 {
+		t.Fatalf("engine not drained: kv=%d active=%d", eng.KVUsed(), eng.ActiveCount())
+	}
+}
+
+// TestEngineScratchUnderBacklogAndReentry drives the engine's reused buffers
+// the two ways that could corrupt them: a queue that never drains (the cursor
+// must slide instead of growing, FIFO kept) and completion callbacks that
+// submit from inside the completion event (the finished buffer is in use while
+// active and queue change under it).
+func TestEngineScratchUnderBacklogAndReentry(t *testing.T) {
+	spec := simpleSpec()
+	spec.MaxBatch = 2
+	se, _, eng := newTestEngine(t, 1, spec)
+	const total = 500
+	var order []string
+	submitted := 0
+	var submit func()
+	submit = func() {
+		id := fmt.Sprintf("r%03d", submitted)
+		submitted++
+		eng.Submit(&Request{ID: id, PromptTokens: 10, OutputTokens: 5, OnComplete: func(r *Request) {
+			order = append(order, r.ID)
+			// Two more for every completion until the total is out: the
+			// backlog grows, and each Submit here re-enters the engine.
+			for n := 0; n < 2 && submitted < total; n++ {
+				submit()
+			}
+		}})
+	}
+	for i := 0; i < 4; i++ {
+		submit()
+	}
+	se.Run()
+	if len(order) != total {
+		t.Fatalf("completed %d of %d", len(order), total)
+	}
+	for i, id := range order {
+		if want := fmt.Sprintf("r%03d", i); id != want {
+			t.Fatalf("completion %d is %s, want %s (FIFO admission, equal work)", i, id, want)
+		}
+	}
+	if eng.QueueDepth() != 0 || eng.ActiveCount() != 0 || eng.KVUsed() != 0 {
+		t.Fatalf("engine not drained: queue=%d active=%d kv=%d", eng.QueueDepth(), eng.ActiveCount(), eng.KVUsed())
+	}
+	// The backlog peaked near total/2 while ~total requests passed through.
+	if c := cap(eng.queue); c > total {
+		t.Fatalf("queue array grew to %d for %d requests: popped slots are not reused", c, total)
+	}
+}

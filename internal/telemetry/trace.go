@@ -22,21 +22,38 @@ func (s Span) Duration() float64 { return s.End - s.Start }
 // Tracer accumulates spans. It is not goroutine-safe; the simulation is
 // single-threaded by construction.
 type Tracer struct {
+	// spans holds completed spans in completion order — the order Spans
+	// hands to its (unstable) sort, so it is part of the output.
 	spans []Span
-	open  map[int]Span
-	next  int
+	// open holds the spans started and not yet ended, in no particular
+	// order. A job has a stage's parallelism plus its in-flight LLM calls
+	// open at once, so End finds its span by a short linear search.
+	open []openSpan
+	next int
+}
+
+type openSpan struct {
+	id int
+	Span
 }
 
 // NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{open: make(map[int]Span)}
+func NewTracer() *Tracer { return &Tracer{} }
+
+// NewTracerSized returns an empty tracer with room for spans completed spans
+// and open spans in flight at once; within those sizes Start and End do not
+// allocate. Size both from the job being traced (its graph's length, its
+// plan's parallelism): a constant large enough for the biggest job costs every
+// small job the difference.
+func NewTracerSized(spans, open int) *Tracer {
+	return &Tracer{spans: make([]Span, 0, spans), open: make([]openSpan, 0, open)}
 }
 
 // Start opens a span at time t and returns its id for the matching End call.
 func (tr *Tracer) Start(track, label string, t float64) int {
 	id := tr.next
 	tr.next++
-	tr.open[id] = Span{Track: track, Label: label, Start: t}
+	tr.open = append(tr.open, openSpan{id, Span{Track: track, Label: label, Start: t}})
 	return id
 }
 
@@ -44,16 +61,23 @@ func (tr *Tracer) Start(track, label string, t float64) int {
 // intervals panic: they indicate broken instrumentation, not a runtime
 // condition to tolerate.
 func (tr *Tracer) End(id int, t float64) {
-	sp, ok := tr.open[id]
-	if !ok {
-		panic(fmt.Sprintf("telemetry: End of unknown span %d", id))
+	for i := range tr.open {
+		if tr.open[i].id != id {
+			continue
+		}
+		sp := tr.open[i].Span
+		if t < sp.Start {
+			panic(fmt.Sprintf("telemetry: span %d ends at %v before start %v", id, t, sp.Start))
+		}
+		last := len(tr.open) - 1
+		tr.open[i] = tr.open[last]
+		tr.open[last] = openSpan{}
+		tr.open = tr.open[:last]
+		sp.End = t
+		tr.spans = append(tr.spans, sp)
+		return
 	}
-	if t < sp.Start {
-		panic(fmt.Sprintf("telemetry: span %d ends at %v before start %v", id, t, sp.Start))
-	}
-	delete(tr.open, id)
-	sp.End = t
-	tr.spans = append(tr.spans, sp)
+	panic(fmt.Sprintf("telemetry: End of unknown span %d", id))
 }
 
 // Add records a complete span directly.

@@ -162,3 +162,64 @@ func TestSeriesCSVMismatchPanics(t *testing.T) {
 	}()
 	SeriesCSV([]string{"a", "b"}, []*StepSeries{NewStepSeries(0)}, 0, 1, 1)
 }
+
+func TestTracerInterleavedStartEnd(t *testing.T) {
+	tr := NewTracerSized(4, 2)
+	a := tr.Start("t", "a", 0)
+	b := tr.Start("t", "b", 1)
+	c := tr.Start("t", "c", 2) // past the sized open capacity: grows
+	if tr.OpenCount() != 3 {
+		t.Fatalf("open = %d, want 3", tr.OpenCount())
+	}
+	tr.End(b, 3)
+	d := tr.Start("t", "d", 3)
+	tr.End(a, 4)
+	if tr.OpenCount() != 2 {
+		t.Fatalf("open = %d after two Ends, want 2", tr.OpenCount())
+	}
+	tr.End(d, 5)
+	tr.End(c, 6)
+	if tr.OpenCount() != 0 {
+		t.Fatalf("open = %d at the end, want 0", tr.OpenCount())
+	}
+	// Tracks and the input to Spans' sort follow completion order.
+	var got []string
+	for _, sp := range tr.spans {
+		got = append(got, sp.Label)
+	}
+	if strings.Join(got, "") != "badc" {
+		t.Fatalf("completion order = %v, want b a d c", got)
+	}
+	want := []Span{{"t", "a", 0, 4}, {"t", "b", 1, 3}, {"t", "c", 2, 6}, {"t", "d", 3, 5}}
+	for i, sp := range tr.Spans() {
+		if sp != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+}
+
+func TestTracerEndTwicePanics(t *testing.T) {
+	tr := NewTracer()
+	id := tr.Start("x", "y", 1)
+	other := tr.Start("x", "z", 1)
+	tr.End(id, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second End of one span did not panic")
+		}
+		if tr.OpenCount() != 1 {
+			t.Fatalf("open = %d after the refused End, want 1", tr.OpenCount())
+		}
+		tr.End(other, 2)
+	}()
+	tr.End(id, 3)
+}
+
+func TestTracerEndBeforeAnyStartPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("End on a tracer that never started a span did not panic")
+		}
+	}()
+	NewTracerSized(8, 8).End(0, 1)
+}
