@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race stress fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
+.PHONY: all build test race stress allocs fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
 
 all: vet build test
 
@@ -24,6 +24,12 @@ race:
 # of the time. CI runs the same line.
 stress:
 	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent' ./internal/serving ./internal/router ./internal/api
+
+# allocs runs the tier-1 allocation budgets (the wire, the job hand-off, the
+# execution layer, telemetry compaction) verbosely, so their measured counts
+# print in one place; CI runs the same line.
+allocs:
+	$(GO) test -count=1 -v -run 'AllocBudget|SteadyStateAllocatesNothing|KeepsItsSlab' ./internal/api ./internal/core ./internal/telemetry
 
 # fuzz runs the native fuzz targets for a short while each (one -fuzz
 # pattern per go test invocation); CI runs the same line.

@@ -341,7 +341,7 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) Reply {
 	}
 	rec, err := s.pool.Submit(tenant, job, core.SubmitOptions{
 		RelaxFloor: true, MaxPaths: req.MaxPaths, SLOClass: req.SLOClass,
-	}, req.Timeline)
+	}, req.Timeline, req.Wait)
 	if err != nil {
 		code := core.ErrorCodeOf(err)
 		if code != core.CodeShedOverload && code != core.CodeBudgetExhausted {
@@ -361,9 +361,7 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) Reply {
 	if !req.Wait {
 		return jobReply(http.StatusAccepted, rec.snapshot())
 	}
-	select {
-	case <-rec.Done():
-	case <-ctx.Done():
+	if !rec.wait(ctx) {
 		// Client gave up; the job keeps running and stays pollable.
 		return jobReply(http.StatusAccepted, rec.snapshot())
 	}

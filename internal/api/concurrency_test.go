@@ -1,13 +1,19 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // TestConcurrentSubmissionsShareRuntimePool fires parallel POST /v1/jobs plus
@@ -397,4 +403,152 @@ func TestConcurrentSubmitCancelRecycleWithFaults(t *testing.T) {
 	if stats.FaultsInjected == 0 {
 		t.Fatal("fault trace never landed: the race has no faults to race")
 	}
+}
+
+// TestConcurrentSubmitWaitCancelDrain races every way a job record is handed
+// off and woken — wait:true holders on their pooled one-slot channels, holders
+// whose context ends mid-wait, wait:false submit + poll, cancels that land on
+// queued, running and settled jobs, SLO admission replies and sheds, and a
+// router-style drain selecting on Pool.Done — on a pool whose shards recycle
+// underneath. Every record must settle exactly once (the lifecycle counters
+// reconcile with the records, and no Done channel closes twice), a wait:true
+// reply that says the job settled must carry a terminal envelope (a waiter
+// channel reused after an abandoned wait would wake its next holder early),
+// and no pool total may move backwards while it runs.
+func TestConcurrentSubmitWaitCancelDrain(t *testing.T) {
+	s, err := NewServer(PoolConfig{
+		Shards:                2,
+		MaxConcurrentPerShard: 1,  // a backlog, so cancels find queued jobs
+		RetainSimSeconds:      -1, // compaction off: force budget recycles
+		MaxSeriesPoints:       64, // below even one busy job's footprint
+		SLO:                   true,
+		SLOQueueBound:         2, // four clients a tenant: some submissions shed
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := s.Pool()
+	request := func(tenant string, wait bool) JobRequest {
+		return JobRequest{
+			Tenant: tenant, Description: "Generate social media newsfeed for " + tenant,
+			Constraint: "MIN_LATENCY", Wait: wait,
+			Inputs: []InputRequest{{Name: tenant, Kind: "user-profile"}, {Name: "cats", Kind: "topic"}},
+		}
+	}
+	terminal := func(status string) bool {
+		return status == "done" || status == "failed" || status == "canceled"
+	}
+
+	// The drain: like router.RemoveNode, it selects on Pool.Done for every
+	// job it hears of, before or after the job settled.
+	const clients, perClient = 8, 12
+	ids := make(chan string, clients*perClient)
+	var drain sync.WaitGroup
+	drain.Add(1)
+	go func() {
+		defer drain.Done()
+		for id := range ids {
+			ch, ok := pool.Done(id)
+			if !ok {
+				t.Errorf("Pool.Done(%s): unknown job", id)
+				continue
+			}
+			<-ch
+			if st, _ := pool.Get(id); !st.Status.Terminal() {
+				t.Errorf("%s: Done closed on a %v job", id, st.Status)
+			}
+		}
+	}()
+
+	// Totals are watched for the whole run.
+	stop := make(chan struct{})
+	var watch sync.WaitGroup
+	watch.Add(1)
+	go func() {
+		defer watch.Done()
+		prev := pool.Stats()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := pool.Stats()
+			assertTotalsMonotonic(t, "mid-run", prev, cur)
+			prev = cur
+		}
+	}()
+
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			tenant := fmt.Sprintf("tenant-%d", c%2)
+			for i := 0; i < perClient; i++ {
+				mode := (c/2 + i) % 4
+				ctx, cancel := context.Background(), func() {}
+				if mode == 3 {
+					// A client that gives up mid-wait, sooner or later.
+					ctx, cancel = context.WithTimeout(ctx, time.Duration(i*20)*time.Microsecond)
+				}
+				rp := s.Submit(ctx, request(tenant, mode == 0 || mode == 3))
+				cancel()
+				if rp.Err != nil {
+					t.Errorf("client %d job %d: %d %v", c, i, rp.Code, rp.Err)
+					return
+				}
+				id := rp.Job.ID
+				accepted.Add(1)
+				ids <- id
+				switch {
+				case rp.Code == http.StatusTooManyRequests:
+					if rp.Job.ErrorCode != string(core.CodeShedOverload) || rp.Job.Status != "failed" {
+						t.Errorf("%s: 429 with %+v", id, rp.Job)
+					}
+				case rp.Code == http.StatusAccepted && (mode == 0 || mode == 3):
+					if mode == 0 {
+						t.Errorf("%s: wait:true with a live context answered 202", id)
+					}
+				case mode == 0 || mode == 3:
+					if !terminal(rp.Job.Status) {
+						t.Errorf("%s: wait:true woke with status %q (code %d)", id, rp.Job.Status, rp.Code)
+					}
+				case mode == 2:
+					if rp := s.Cancel(id); rp.Code != http.StatusOK && rp.Code != http.StatusConflict {
+						t.Errorf("%s: cancel answered %d %v", id, rp.Code, rp.Err)
+					}
+				}
+				for st := s.Status(id); !terminal(st.Job.Status); st = s.Status(id) {
+					if st.Err != nil {
+						t.Errorf("%s: poll: %v", id, st.Err)
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(ids)
+	drain.Wait()
+	close(stop)
+	watch.Wait()
+
+	quiet := pool.Stats()
+	if total := int(accepted.Load()); quiet.Submitted != total || quiet.Completed+quiet.Failed+quiet.Canceled != total {
+		t.Fatalf("%d records, but the pool counted %d submitted and settled %d + %d + %d",
+			total, quiet.Submitted, quiet.Completed, quiet.Failed, quiet.Canceled)
+	}
+	if quiet.Failed != quiet.SLOShed {
+		t.Fatalf("%d failed jobs but %d sheds: something else failed", quiet.Failed, quiet.SLOShed)
+	}
+	if quiet.Running != 0 || quiet.Queued != 0 {
+		t.Fatalf("residual work after quiescence: %+v", quiet)
+	}
+	t.Logf("%d jobs: %d done, %d canceled, %d shed, %d shard recycles",
+		quiet.Submitted, quiet.Completed, quiet.Canceled, quiet.SLOShed, quiet.Recycles)
+	s.Close()
+	assertTotalsMonotonic(t, "across Close", quiet, pool.Stats())
 }

@@ -246,6 +246,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 
 // shard is one long-lived runtime plus the loop goroutine that owns it.
 type shard struct {
+	pool  *Pool
 	idx   int
 	eng   *sim.Engine
 	cl    *cluster.Cluster
@@ -332,6 +333,7 @@ func (p *Pool) newShard(idx int) (*shard, error) {
 		return nil, fmt.Errorf("api: provisioning shard %d: %w", idx, err)
 	}
 	sh := &shard{
+		pool:  p,
 		idx:   idx,
 		eng:   se,
 		cl:    cl,
@@ -386,16 +388,17 @@ func (p *Pool) newShard(idx int) (*shard, error) {
 		// The retention tick rides the loop (SetTick must precede Run): it
 		// runs after each event batch, so it never interleaves with
 		// simulation callbacks and needs no locks for shard state.
-		sh.loop.SetTick(func() { p.shardTick(sh) })
+		sh.loop.SetTick(sh.tick)
 	}
 	go sh.loop.Run()
 	return sh, nil
 }
 
-// shardTick is the background compaction tick: advance the retention
-// watermark once it lags the target by a stride, then check the telemetry
-// budget. Runs on the shard's loop goroutine after every event batch.
-func (p *Pool) shardTick(sh *shard) {
+// tick is the background compaction tick: advance the retention watermark
+// once it lags the target by a stride, then check the telemetry budget. Runs
+// on the shard's loop goroutine after every event batch.
+func (sh *shard) tick() {
+	p := sh.pool
 	// Replay every fault event the simulation has reached. The tick runs at
 	// a quiescent instant between event batches, so injection (which may
 	// schedule reload/retry events) composes with the heap like any other
@@ -712,7 +715,7 @@ func (p *Pool) Done(id string) (<-chan struct{}, bool) {
 	if !ok {
 		return nil, false
 	}
-	return rec.done, true
+	return rec.Done(), true
 }
 
 // shardFor maps a tenant to its home shard. The modulo happens in uint32 so
@@ -758,27 +761,29 @@ func formatJobID(ns string, n uint64) string {
 // Submit admits a job for a tenant and returns its registry record.
 // Admission is asynchronous: the record starts queued and settles when the
 // shard completes the job. timeline includes the rendered execution timeline
-// in the result.
-func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, timeline bool) (*jobRecord, error) {
-	id := formatJobID(p.cfg.JobIDNamespace, p.nextJob.Add(1))
+// in the result; wait gives the record a wake-up channel for the caller to
+// block on with rec.wait.
+func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, timeline, wait bool) (*jobRecord, error) {
 	// Engines stay warm across jobs in the shared runtime — the daemon owns
 	// their lifecycle, and successive jobs multiplex them.
 	opts.KeepEngines = true
 	rec := &jobRecord{
-		id:     id,
-		tenant: tenant,
-		status: core.JobQueued,
-		done:   make(chan struct{}),
+		id:       formatJobID(p.cfg.JobIDNamespace, p.nextJob.Add(1)),
+		tenant:   tenant,
+		job:      job,
+		opts:     opts,
+		timeline: timeline,
+		status:   core.JobQueued,
+	}
+	if wait {
+		rec.waiter = signals.Get().(chan struct{})
 	}
 	// With SLO tiers on, admission is synchronous: the handler needs the
 	// typed shed/budget rejection to answer 429 while the client is still
-	// on the wire, so the submit closure reports the admission outcome back
-	// through a reply channel. With SLO off the channel stays nil and the
-	// path is the untouched fire-and-forget one.
-	var admitted chan struct{}
-	var admitErr error
+	// on the wire, so the record carries an admission reply back. With SLO
+	// off the channel stays nil and the path is fire-and-forget.
 	if p.cfg.SLO {
-		admitted = make(chan struct{})
+		rec.admitted = signals.Get().(chan struct{})
 	}
 	// A recycle can swap the tenant's home shard between picking it and
 	// posting (the displaced loop rejects posts once it starts draining), so
@@ -794,69 +799,8 @@ func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, 
 		p.mu.Unlock()
 		rec.sh = sh
 		rec.shard = sh.idx
-		posted := sh.loop.Post(func() {
-			h, err := sh.sched.Submit(tenant, job, opts)
-			if err != nil {
-				// SLO shed/budget rejections land here; otherwise the
-				// handler pre-validated and this is a safety net. Either
-				// way the record settles terminal with the typed code, so
-				// a shed job is immediately pollable and can never strand:
-				// it was never enqueued.
-				p.failed.Add(1)
-				p.retire(rec)
-				rec.settle(core.JobFailed, err.Error(), string(core.ErrorCodeOf(err)), nil, sh.eng.Now().Seconds())
-				if admitted != nil {
-					admitErr = err
-					close(admitted)
-				}
-				return
-			}
-			rec.mu.Lock()
-			rec.handle = h
-			rec.submittedSimS = sh.eng.Now().Seconds()
-			rec.mu.Unlock()
-			// Stream the attempt history into the record so status polls
-			// see retries while the job is still running.
-			h.OnAttempt(rec.recordAttempt)
-			// Status transitions push into the record, so HTTP status reads are
-			// mutex-only and never round-trip through the shard loop.
-			h.OnStart(func(h *core.Handle) {
-				rec.mu.Lock()
-				rec.status = core.JobRunning
-				rec.queueDelayS = h.QueueDelayS()
-				rec.mu.Unlock()
-			})
-			h.OnDone(func(h *core.Handle) {
-				var resp *JobResponse
-				errMsg := ""
-				switch h.Status() {
-				case core.JobDone:
-					resp = jobResponseFrom(h.Execution(), timeline)
-					p.completed.Add(1)
-				case core.JobCanceled:
-					p.canceled.Add(1)
-					if h.Err() != nil {
-						errMsg = h.Err().Error()
-					}
-				default:
-					p.failed.Add(1)
-					if h.Err() != nil {
-						errMsg = h.Err().Error()
-					}
-				}
-				rec.mu.Lock()
-				rec.queueDelayS = h.QueueDelayS()
-				rec.mu.Unlock()
-				// Retire first: settle wakes the job's waiters, and what they
-				// read next must already reflect the history eviction.
-				p.retire(rec)
-				rec.settle(h.Status(), errMsg, string(core.ErrorCodeOf(h.Err())), resp, sh.eng.Now().Seconds())
-			})
-			if admitted != nil {
-				close(admitted)
-			}
-		})
-		if posted {
+		// The record is the posted task: its Run admits it on the shard loop.
+		if sh.loop.PostTask(rec) {
 			p.submitted.Add(1)
 			break
 		}
@@ -864,18 +808,21 @@ func (p *Pool) Submit(tenant string, job workflow.Job, opts core.SubmitOptions, 
 			return nil, errShuttingDown
 		}
 	}
-	// Register only after the submission closure is enqueued: the shard
-	// inbox is FIFO, so any later posted cancel observes the handle.
+	// Register only after the record is enqueued: the shard inbox is FIFO, so
+	// any later posted cancel observes the handle.
 	p.mu.Lock()
-	p.jobs[id] = rec
+	p.jobs[rec.id] = rec
 	p.mu.Unlock()
-	if admitted != nil {
-		<-admitted
-		if admitErr != nil {
+	if rec.admitted != nil {
+		<-rec.admitted
+		// Run wrote admitErr before sending the token and is done with the
+		// channel once it has, so it goes straight back to the pool.
+		signals.Put(rec.admitted)
+		if rec.admitErr != nil {
 			// Shed or budget-rejected: the settled record is returned with
 			// the typed error so the handler can render the job envelope
 			// alongside the 429.
-			return rec, admitErr
+			return rec, rec.admitErr
 		}
 	}
 	return rec, nil
@@ -893,7 +840,7 @@ func (p *Pool) retire(rec *jobRecord) {
 }
 
 // Get returns a snapshot of a job's state. Status transitions are pushed
-// into the record by the owning shard (OnStart/OnDone), so this is a
+// into the record by the owning shard (it observes its handle), so this is a
 // mutex-only read.
 func (p *Pool) Get(id string) (JobState, bool) {
 	p.mu.Lock()
@@ -929,122 +876,6 @@ func (p *Pool) Cancel(id string) (JobState, bool, bool) {
 	}
 	canceled := <-reply
 	return rec.snapshot(), canceled, true
-}
-
-// JobState is a point-in-time view of one job.
-type JobState struct {
-	ID            string
-	Tenant        string
-	Shard         int
-	Status        core.JobStatus
-	QueueDelayS   float64
-	SubmittedSimS float64
-	FinishedSimS  float64
-	Error         string
-	// ErrorCode is the stable machine-readable failure class
-	// (core.ErrorCode: retries_exhausted, deadline_exceeded, …); empty for
-	// non-terminal and successful jobs.
-	ErrorCode string
-	// Attempts is the job's recorded task-failure history (bounded), live
-	// while the job runs.
-	Attempts []core.AttemptRecord
-	Result   *JobResponse
-}
-
-// jobRecord is the registry entry behind a JobState.
-type jobRecord struct {
-	id     string
-	tenant string
-	// sh is the owning shard, pinned at submit so cancels keep reaching a
-	// shard displaced by recycling; shard is its index at submit time, for
-	// display.
-	sh    *shard
-	shard int
-	done  chan struct{}
-
-	mu            sync.Mutex
-	status        core.JobStatus
-	queueDelayS   float64
-	submittedSimS float64
-	finishedSimS  float64
-	errMsg        string
-	errCode       string
-	attempts      []core.AttemptRecord
-	result        *JobResponse
-	// handle is only touched on the owning shard's loop goroutine.
-	handle *core.Handle
-}
-
-// Done closes when the job reaches a terminal state.
-func (r *jobRecord) Done() <-chan struct{} { return r.done }
-
-func (r *jobRecord) settle(st core.JobStatus, errMsg, errCode string, resp *JobResponse, simNowS float64) {
-	r.mu.Lock()
-	r.status = st
-	r.errMsg = errMsg
-	r.errCode = errCode
-	r.result = resp
-	r.finishedSimS = simNowS
-	r.mu.Unlock()
-	close(r.done)
-}
-
-// recordAttempt appends one task-failure record (bounded; pushed by the
-// owning shard through Handle.OnAttempt).
-func (r *jobRecord) recordAttempt(a core.AttemptRecord) {
-	r.mu.Lock()
-	if len(r.attempts) < maxJobAttemptLog {
-		r.attempts = append(r.attempts, a)
-	}
-	r.mu.Unlock()
-}
-
-func (r *jobRecord) snapshot() JobState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var attempts []core.AttemptRecord
-	if len(r.attempts) > 0 {
-		// Copy: the shard keeps appending while the job runs.
-		attempts = append(attempts, r.attempts...)
-	}
-	return JobState{
-		ID:            r.id,
-		Tenant:        r.tenant,
-		Shard:         r.shard,
-		Status:        r.status,
-		QueueDelayS:   r.queueDelayS,
-		SubmittedSimS: r.submittedSimS,
-		FinishedSimS:  r.finishedSimS,
-		Error:         r.errMsg,
-		ErrorCode:     r.errCode,
-		Attempts:      attempts,
-		Result:        r.result,
-	}
-}
-
-// jobResponseFrom builds the result payload from a finished execution. It
-// must run on the goroutine owning the execution's engine.
-func jobResponseFrom(ex *core.Execution, timeline bool) *JobResponse {
-	rep := ex.Report()
-	resp := &JobResponse{
-		Name:                 rep.Name,
-		MakespanS:            rep.MakespanS,
-		GPUEnergyWh:          rep.GPUEnergyWh,
-		CPUEnergyWh:          rep.CPUEnergyWh,
-		CostUSD:              rep.CostUSD,
-		EstCostUSD:           ex.Plan().EstCostUSD,
-		MeanGPUUtil:          rep.MeanGPUUtil,
-		MeanCPUUtil:          rep.MeanCPUUtil,
-		Quality:              rep.Quality,
-		PlanningOverheadFrac: rep.PlanningOverheadFrac,
-		TasksCompleted:       rep.TasksCompleted,
-		Decisions:            rep.Decisions,
-		Template:             ex.Decomposition().Template,
-	}
-	if timeline {
-		resp.Timeline = rep.Timeline(72)
-	}
-	return resp
 }
 
 // ShardStats is one live shard's row in GET /v1/stats: its Counters plus the

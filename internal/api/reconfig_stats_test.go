@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestStatsExposeChurnObservability verifies the fleet-churn surface of
@@ -47,8 +48,14 @@ func TestStatsExposeChurnObservability(t *testing.T) {
 		t.Fatalf("generations not exposed: cluster=%d capacity=%d", sh.ClusterGen, sh.CapacityGen)
 	}
 	// A single job on a static fleet gives the controller nothing to do —
-	// but the counters must be present and consistent.
-	if sh.Reconfigs != sh.ReconfigWins+sh.ReconfigSkips+sh.ReconfigConflicts {
-		t.Fatalf("reconfig accounting leaks: %+v", sh)
+	// but the counters must be present and consistent. An evaluation counts
+	// when its off-loop search is dispatched and its outcome when that search
+	// commits, which can be after the job it was for has answered: read again
+	// until the commit has landed.
+	for deadline := time.Now().Add(10 * time.Second); sh.Reconfigs != sh.ReconfigWins+sh.ReconfigSkips+sh.ReconfigConflicts; {
+		if time.Now().After(deadline) {
+			t.Fatalf("reconfig accounting leaks: %+v", sh)
+		}
+		sh = fetchStats(t, srv).Shards[0]
 	}
 }

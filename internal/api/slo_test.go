@@ -63,12 +63,14 @@ func TestErrorCodeEnumWireRoundTrip(t *testing.T) {
 		rec := &jobRecord{
 			id:     fmt.Sprintf("job-code-%d", i),
 			tenant: "enum",
-			done:   make(chan struct{}),
+			sh:     pool.shards[0],
 		}
-		rec.settle(core.JobFailed, "synthetic "+string(code), string(code), nil, 0)
 		pool.mu.Lock()
 		pool.jobs[rec.id] = rec
 		pool.mu.Unlock()
+		// Records settle on their shard's loop.
+		rec.sh.loop.Post(func() { rec.settle(core.JobFailed, &core.JobError{Code: code, Op: "synthetic"}, nil) })
+		<-rec.Done()
 	}
 	for i, code := range codes {
 		resp, err := http.Get(srv.URL + fmt.Sprintf("/v1/jobs/job-code-%d", i))

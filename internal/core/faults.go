@@ -401,7 +401,7 @@ func (ex *Execution) scheduleRetry(node *dag.Node, delayS float64) {
 }
 
 // logAttempt appends to the job's bounded attempt history and notifies the
-// registered observer (the serving API's per-job attempt feed).
+// owning handle's observer (the serving API's per-job attempt feed).
 func (ex *Execution) logAttempt(node *dag.Node, st *stage, attempt int, backoffS float64, cause error) {
 	msg := ""
 	if cause != nil {
@@ -419,8 +419,8 @@ func (ex *Execution) logAttempt(node *dag.Node, st *stage, attempt int, backoffS
 	if len(ex.attemptLog) < maxAttemptLog {
 		ex.attemptLog = append(ex.attemptLog, rec)
 	}
-	if ex.onAttempt != nil {
-		ex.onAttempt(rec)
+	if h := ex.owner; h != nil && h.obs != nil {
+		h.obs.JobAttempt(h, rec)
 	}
 }
 

@@ -41,28 +41,55 @@ import (
 // × capacity classes — so a reset effectively never fires mid-sweep).
 const planCacheLimit = 1024
 
-// appendPlanCacheKey renders the plan-cache key into key and returns the
-// extended slice.
-func appendPlanCacheKey(key []byte, g *dag.Graph, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) []byte {
+// appendGraphContent renders the DAG half of the plan-cache key.
+func appendGraphContent(key []byte, g *dag.Graph) []byte {
 	for _, n := range g.Nodes() {
 		key = contentkey.AppendString(key, n.Capability)
 		key = contentkey.AppendFloat(key, n.Work)
 	}
-	return appendPlanEnv(key, snap, opts, storeGen, libGen)
+	return key
 }
 
-// planCacheKey is the string form of appendPlanCacheKey (tests and cold
-// paths).
+// planCacheKey renders the plan-cache key against an explicit snapshot
+// (tests; the runtime renders it against the live cluster, appendPlanKey).
 func planCacheKey(g *dag.Graph, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) string {
-	return string(appendPlanCacheKey(make([]byte, 0, 256), g, snap, opts, storeGen, libGen))
+	return string(appendPlanEnv(appendGraphContent(make([]byte, 0, 256), g), snap, opts, storeGen, libGen))
 }
 
 // appendPlanEnv renders everything a plan depends on besides the DAG itself:
 // the search options, the capacity class and the store/library generations.
-// appendPlanCacheKey prefixes it with the DAG's content; searchKeyFrom
+// The plan-cache key prefixes it with the DAG's content; searchKeyFrom
 // prefixes it with the job's content key (which determines the DAG, so the
 // two keys discriminate identically).
 func appendPlanEnv(key []byte, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) []byte {
+	key = appendPlanOptions(key, opts)
+	key = appendCapacity(key, snap)
+	return appendGens(key, storeGen, libGen)
+}
+
+// appendPlanKey renders the plan-cache key for g against the live cluster:
+// appendPlanEnv's bytes, with the capacity part served from capacityKey
+// instead of a snapshot.
+func (rt *Runtime) appendPlanKey(key []byte, g *dag.Graph, opts optimizer.Options) []byte {
+	key = appendPlanOptions(appendGraphContent(key, g), opts)
+	key = append(key, rt.capacityKey()...)
+	return appendGens(key, rt.store.Gen(), rt.lib.Gen())
+}
+
+// capacityKey is appendCapacity of the live cluster, memoized on CapacityGen.
+// The totals it renders move only with the capacity class, while
+// Cluster.Snapshot is memoized on the state generation, which every
+// allocation moves — rendering from a snapshot would rebuild its two maps on
+// every warm admission to produce these same bytes.
+func (rt *Runtime) capacityKey() []byte {
+	if g := rt.cl.CapacityGen(); rt.capKey == nil || rt.capKeyGen != g {
+		rt.capKey = appendCapacity(rt.capKey[:0], rt.cl.Snapshot())
+		rt.capKeyGen = g
+	}
+	return rt.capKey
+}
+
+func appendPlanOptions(key []byte, opts optimizer.Options) []byte {
 	key = append(key, "|c"...)
 	key = contentkey.AppendInt(key, int(opts.Constraint))
 	key = append(key, "|q"...)
@@ -94,6 +121,12 @@ func appendPlanEnv(key []byte, snap cluster.Snapshot, opts optimizer.Options, st
 			}
 		}
 	}
+	return key
+}
+
+// appendCapacity renders the capacity class: total CPU cores and total GPUs
+// per type, the only snapshot fields the optimizer consumes.
+func appendCapacity(key []byte, snap cluster.Snapshot) []byte {
 	key = append(key, "|cores"...)
 	key = contentkey.AppendInt(key, snap.TotalCPUCores)
 	switch len(snap.TotalGPUs) {
@@ -112,6 +145,10 @@ func appendPlanEnv(key []byte, snap cluster.Snapshot, opts optimizer.Options, st
 			key = appendGPU(key, t, snap.TotalGPUs[hardware.GPUType(t)])
 		}
 	}
+	return key
+}
+
+func appendGens(key []byte, storeGen, libGen int) []byte {
 	key = append(key, "|sg"...)
 	key = contentkey.AppendInt(key, storeGen)
 	key = append(key, "|lg"...)
@@ -145,14 +182,15 @@ func (rt *Runtime) internKey(key []byte) string {
 	return rt.keys.Intern(key)
 }
 
-// planFor returns a cached plan for the key or computes and caches one.
-func (rt *Runtime) planFor(g *dag.Graph, snap cluster.Snapshot, opts optimizer.Options) (*optimizer.Plan, error) {
-	rt.keyBuf = appendPlanCacheKey(rt.keyBuf[:0], g, snap, opts, rt.store.Gen(), rt.lib.Gen())
+// planFor returns the cached plan for g under the live cluster's capacity
+// class, or searches one against a fresh snapshot and caches it.
+func (rt *Runtime) planFor(g *dag.Graph, opts optimizer.Options) (*optimizer.Plan, error) {
+	rt.keyBuf = rt.appendPlanKey(rt.keyBuf[:0], g, opts)
 	if p, ok := rt.planCache[string(rt.keyBuf)]; ok {
 		rt.planCacheHits++
 		return p, nil
 	}
-	p, err := rt.opt.Plan(g, snap, opts)
+	p, err := rt.opt.Plan(g, rt.cl.Snapshot(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +219,9 @@ func (rt *Runtime) KeyInternStats() (hits, misses uint64) {
 // attr keys) are length-prefixed and every numeric value is
 // semicolon-terminated (';' cannot occur in a formatted float), so the
 // encoding is injective — no crafted job content can collide with another
-// job's key. Attribute maps are emitted in sorted key order.
-func appendJobKey(key []byte, job workflow.Job, libGen int) []byte {
+// job's key. Attribute maps are emitted in sorted key order; attrs is the
+// caller's scratch for that sort.
+func appendJobKey(key []byte, attrs *[]string, job workflow.Job, libGen int) []byte {
 	key = contentkey.AppendString(key, job.Description)
 	key = append(key, "|c"...)
 	key = contentkey.AppendInt(key, int(job.Constraint))
@@ -197,7 +236,7 @@ func appendJobKey(key []byte, job workflow.Job, libGen int) []byte {
 		key = contentkey.AppendString(key, in.Name)
 		key = contentkey.AppendString(key, string(in.Kind))
 		if len(in.Attrs) > 0 {
-			keys := make([]string, 0, len(in.Attrs))
+			keys := (*attrs)[:0]
 			for k := range in.Attrs {
 				keys = append(keys, k)
 			}
@@ -206,6 +245,7 @@ func appendJobKey(key []byte, job workflow.Job, libGen int) []byte {
 				key = contentkey.AppendString(key, k)
 				key = contentkey.AppendFloat(key, in.Attrs[k])
 			}
+			*attrs = keys
 		}
 	}
 	key = append(key, "|lg"...)
@@ -214,7 +254,7 @@ func appendJobKey(key []byte, job workflow.Job, libGen int) []byte {
 
 // jobKey is the string form of appendJobKey (tests and cold paths).
 func jobKey(job workflow.Job, libGen int) string {
-	return string(appendJobKey(make([]byte, 0, 128), job, libGen))
+	return string(appendJobKey(make([]byte, 0, 128), new([]string), job, libGen))
 }
 
 // decompose memoizes planner decompositions per job content: the planner is
@@ -223,7 +263,7 @@ func jobKey(job workflow.Job, libGen int) string {
 // its own Tracker. The library generation is in the key so registering a new
 // implementation re-plans.
 func (rt *Runtime) decompose(job workflow.Job) (*planner.Result, error) {
-	rt.keyBuf = appendJobKey(rt.keyBuf[:0], job, rt.lib.Gen())
+	rt.keyBuf = appendJobKey(rt.keyBuf[:0], &rt.sortBuf, job, rt.lib.Gen())
 	if r, ok := rt.decompCache[string(rt.keyBuf)]; ok {
 		rt.decompCacheHits++
 		return r, nil
@@ -251,33 +291,38 @@ func (rt *Runtime) DecompCacheHits() int { return rt.decompCacheHits }
 // fast path that lets the scheduler skip dispatching an off-loop search for
 // job shapes the shard has seen before. It returns the job's content key
 // (always — the scheduler holds it across an async search, so it is
-// materialized through the interner) and the prepared pair (on a double
-// hit). Runs on the engine goroutine.
-func (rt *Runtime) probePrepared(job workflow.Job, opts SubmitOptions) (string, *preparedPlan) {
-	rt.keyBuf = appendJobKey(rt.keyBuf[:0], job, rt.lib.Gen())
+// materialized through the interner) and the prepared pair: complete on a
+// double hit, the decomposition alone when only the plan half missed, zero
+// otherwise. Runs on the engine goroutine.
+func (rt *Runtime) probePrepared(job workflow.Job, opts SubmitOptions) (string, preparedPlan) {
+	rt.keyBuf = appendJobKey(rt.keyBuf[:0], &rt.sortBuf, job, rt.lib.Gen())
 	jk := rt.internKey(rt.keyBuf)
 	r, ok := rt.decompCache[jk]
 	if !ok {
-		return jk, nil
+		return jk, preparedPlan{}
 	}
-	rt.keyBuf = appendPlanCacheKey(rt.keyBuf[:0], r.Graph, rt.cl.Snapshot(), planOptions(job, opts), rt.store.Gen(), rt.lib.Gen())
+	rt.keyBuf = rt.appendPlanKey(rt.keyBuf[:0], r.Graph, planOptions(job, opts))
 	p, ok := rt.planCache[string(rt.keyBuf)]
 	if !ok {
 		// Half a hit: hand the cached decomposition back so a dispatched
 		// search can skip re-decomposing the (frozen, immutable) DAG.
-		return jk, &preparedPlan{decomp: r}
+		return jk, preparedPlan{decomp: r}
 	}
 	rt.decompCacheHits++
 	rt.planCacheHits++
-	return jk, rt.stamp(&preparedPlan{decomp: r, plan: p})
+	return jk, rt.stamp(r, p)
 }
 
-// stamp records the live generations a prepared pair is valid under.
-func (rt *Runtime) stamp(p *preparedPlan) *preparedPlan {
-	p.capGen = rt.cl.CapacityGen()
-	p.storeGen = rt.store.Gen()
-	p.libGen = rt.lib.Gen()
-	return p
+// stamp pairs a decomposition and plan with the live generations they are
+// valid under.
+func (rt *Runtime) stamp(decomp *planner.Result, plan *optimizer.Plan) preparedPlan {
+	return preparedPlan{
+		decomp:   decomp,
+		plan:     plan,
+		capGen:   rt.cl.CapacityGen(),
+		storeGen: rt.store.Gen(),
+		libGen:   rt.lib.Gen(),
+	}
 }
 
 // adoptPrepared installs an off-loop search result into the shared caches and
@@ -288,7 +333,7 @@ func (rt *Runtime) stamp(p *preparedPlan) *preparedPlan {
 // cache entry raced in ahead of the commit (an inline submission on the same
 // shape), the existing entry wins — its graph pointers are the ones the
 // planner's tool-call memos key on.
-func (rt *Runtime) adoptPrepared(jk string, job workflow.Job, opts SubmitOptions, decomp *planner.Result, plan *optimizer.Plan) *preparedPlan {
+func (rt *Runtime) adoptPrepared(jk string, job workflow.Job, opts SubmitOptions, decomp *planner.Result, plan *optimizer.Plan) preparedPlan {
 	if r, ok := rt.decompCache[jk]; ok {
 		decomp = r
 	} else {
@@ -298,7 +343,7 @@ func (rt *Runtime) adoptPrepared(jk string, job workflow.Job, opts SubmitOptions
 		}
 		rt.decompCache[jk] = decomp
 	}
-	rt.keyBuf = appendPlanCacheKey(rt.keyBuf[:0], decomp.Graph, rt.cl.Snapshot(), planOptions(job, opts), rt.store.Gen(), rt.lib.Gen())
+	rt.keyBuf = rt.appendPlanKey(rt.keyBuf[:0], decomp.Graph, planOptions(job, opts))
 	if p, ok := rt.planCache[string(rt.keyBuf)]; ok {
 		plan = p
 	} else {
@@ -307,5 +352,5 @@ func (rt *Runtime) adoptPrepared(jk string, job workflow.Job, opts SubmitOptions
 		}
 		rt.planCache[rt.internKey(rt.keyBuf)] = plan
 	}
-	return rt.stamp(&preparedPlan{decomp: decomp, plan: plan})
+	return rt.stamp(decomp, plan)
 }

@@ -94,6 +94,40 @@ func TestPlanCacheInvalidatesOnCapacityChange(t *testing.T) {
 	}
 }
 
+// TestLivePlanKeyMatchesSnapshotKey: the key the runtime renders against the
+// live cluster (capacity bytes memoized per CapacityGen) is byte for byte the
+// key rendered from a snapshot, while allocations move the state generation
+// and across a capacity change.
+func TestLivePlanKeyMatchesSnapshotKey(t *testing.T) {
+	se, cl, rt := cacheTestbed(t)
+	job := cacheTestJob(workflow.MinLatency)
+	opts := SubmitOptions{RelaxFloor: true, MaxPaths: 2}
+	decomp, err := rt.decompose(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		live := string(rt.appendPlanKey(nil, decomp.Graph, planOptions(job, opts)))
+		want := planCacheKey(decomp.Graph, cl.Snapshot(), planOptions(job, opts), rt.store.Gen(), rt.lib.Gen())
+		if live != want {
+			t.Fatalf("%s: live key %q, snapshot key %q", when, live, want)
+		}
+	}
+	check("fresh")
+	if _, err := rt.Submit(job, opts); err != nil {
+		t.Fatal(err)
+	}
+	se.RunUntil(2)
+	check("mid-run")
+	cl.AddVM("vm2", hardware.NDv4SKUName, false)
+	check("after AddVM")
+	cl.VMs()[0].SetCPUCapacity(48)
+	check("after a resize")
+	se.Run()
+	check("drained")
+}
+
 // TestPlanCacheInvalidatesOnProfileMutation: recalibrating a profile must
 // force a fresh search (the store generation is part of the key).
 func TestPlanCacheInvalidatesOnProfileMutation(t *testing.T) {

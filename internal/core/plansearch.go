@@ -309,7 +309,7 @@ func (s *Scheduler) commitReconfig(t *reconfigSearch) {
 // skipped.
 func (s *Scheduler) commit(t *searchTask) {
 	delete(s.search.inflight, t.key)
-	var prep *preparedPlan
+	var prep preparedPlan // stays zero when the waiters must re-plan inline
 	switch {
 	case t.err != nil:
 		// The search failed (e.g. no feasible configuration). Fall back to

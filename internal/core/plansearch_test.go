@@ -276,8 +276,8 @@ func TestStalePreparedPlanReplansAtStart(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if h.prepared == nil || h.prepared.plan == nil || !h.planReady {
-			t.Errorf("warm shape did not probe-hit: prepared=%v ready=%v", h.prepared, h.planReady)
+		if h.prepared.plan == nil || !h.planReady {
+			t.Errorf("warm shape did not probe-hit: prepared=%+v ready=%v", h.prepared, h.planReady)
 		}
 		cl.AddVM("late-vm", hardware.NDv4SKUName, false)
 		close(done)

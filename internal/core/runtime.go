@@ -97,11 +97,16 @@ type Runtime struct {
 	// keyBuf is the reusable scratch every cache key and report label is
 	// rendered into; keys interns the strings that must outlive the render
 	// (nil when DisableAllocReuse, in which case each is a fresh copy).
-	// capsBuf is the reusable sorted-capability scratch for engine
-	// bring-up. All three are engine-goroutine-only, like the runtime.
-	keyBuf  []byte
-	keys    *contentkey.Interner
-	capsBuf []string
+	// sortBuf is the reusable scratch for the string sets that are rendered
+	// in sorted order (a job key's attribute names, the capabilities at
+	// engine bring-up). capKey is the capacity-class part of the plan
+	// environment key, rendered once per capKeyGen (see capacityKey). All are
+	// engine-goroutine-only, like the runtime.
+	keyBuf    []byte
+	keys      *contentkey.Interner
+	sortBuf   []string
+	capKey    []byte
+	capKeyGen uint64
 
 	// workerPool and llmTaskPool recycle the per-task scratch of the two
 	// dispatch paths (pool workers and LLM top-k barrier state). Stages are
@@ -255,6 +260,10 @@ type Execution struct {
 	stages    map[string]*stage
 	done      bool
 	err       error
+	// owner is the scheduler handle this execution runs for (nil for a
+	// direct Runtime.Submit): finish settles it and the attempt log feeds its
+	// observer through this pointer.
+	owner     *Handle
 	onDone    []func(*report.Report, error)
 	toolCalls int
 	retries   int
@@ -274,8 +283,7 @@ type Execution struct {
 	// enabled; see faults.go): per-task attempt counts, per-capability
 	// failure counts, capabilities already degraded, pending retry events
 	// (canceled at finish so no retry fires on a finished job), the seeded
-	// jitter stream, the job-deadline timer, the bounded attempt history
-	// and its observer.
+	// jitter stream, the job-deadline timer and the bounded attempt history.
 	attempts   map[dag.NodeID]int
 	capFails   map[string]int
 	degraded   map[string]bool
@@ -283,7 +291,6 @@ type Execution struct {
 	recRng     *rand.Rand
 	deadlineEv *sim.Event
 	attemptLog []AttemptRecord
-	onAttempt  func(AttemptRecord)
 }
 
 // Namespace is the execution's VectorDB namespace for embedding inserts,
@@ -357,7 +364,7 @@ func (rt *Runtime) Submit(job workflow.Job, opts SubmitOptions) (*Execution, err
 	// Plans are memoized: the load sweep's structurally-identical jobs reuse
 	// the first job's configuration search instead of re-enumerating and
 	// re-pruning per submit (§3.3(c) amortized).
-	plan, err := rt.planFor(decomp.Graph, rt.cl.Snapshot(), planOptions(job, opts))
+	plan, err := rt.planFor(decomp.Graph, planOptions(job, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +469,8 @@ func (ex *Execution) engineServed(cap string, d optimizer.Decision) bool {
 
 func (ex *Execution) ensureEngines() error {
 	rt := ex.rt
-	rt.capsBuf = appendSortedCaps(rt.capsBuf[:0], ex.plan.Decisions)
-	for _, cap := range rt.capsBuf {
+	rt.sortBuf = appendSortedCaps(rt.sortBuf[:0], ex.plan.Decisions)
+	for _, cap := range rt.sortBuf {
 		d := ex.plan.Decisions[cap]
 		if !ex.engineServed(cap, d) {
 			continue
@@ -626,6 +633,9 @@ func (ex *Execution) finish(err error) {
 	// shipping a report silently zeroed over missing history.
 	if ferr := report.Finalize(ex.rep, ex.rt.cl); ferr != nil && ex.err == nil {
 		ex.err = ferr
+	}
+	if h := ex.owner; h != nil {
+		h.s.settle(h, ex.err)
 	}
 	for _, fn := range ex.onDone {
 		fn(ex.rep, ex.err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/planner"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workflow"
@@ -83,16 +82,17 @@ type Handle struct {
 	startedAt   sim.Time
 	exec        *Execution
 	err         error
-	onStart     []func(*Handle)
-	onDone      []func(*Handle)
-	onAttempt   func(AttemptRecord)
+	// obs is the handle's one observer slot (see JobObserver): start, finish
+	// and the attempt path each make a single call on it.
+	obs JobObserver
 
 	// planReady gates admission: with off-loop plan search enabled, a queued
 	// handle only becomes eligible once its search commits (true from the
 	// start for serial schedulers and cache hits). prepared carries the
-	// committed decomposition + plan for start; nil means plan inline.
+	// committed decomposition + plan for start; the zero value (no plan) means
+	// plan inline.
 	planReady bool
-	prepared  *preparedPlan
+	prepared  preparedPlan
 	// reconfigInflight marks a running job with an off-loop re-plan between
 	// dispatch and commit. At most one search per job is in flight: a second
 	// would compare its hysteresis baseline against decisions the first may
@@ -142,12 +142,76 @@ func (h *Handle) QueueDelayS() float64 {
 	return h.startedAt.Sub(h.submittedAt).Seconds()
 }
 
+// JobObserver receives a job's lifecycle transitions on the engine goroutine:
+// JobStarted when it leaves the admission queue (never for a job canceled
+// while queued), JobAttempt per recorded task failure, in order (see
+// faults.go), and JobDone exactly once when it turns terminal — done, failed
+// and canceled alike. The serving pool's job record implements it, so a job's
+// transitions reach the record by one interface call each, with no closure.
+type JobObserver interface {
+	JobStarted(h *Handle)
+	JobAttempt(h *Handle, a AttemptRecord)
+	JobDone(h *Handle)
+}
+
+// Observe installs obs as the handle's observer. The slot holds one, so it is
+// the first registration on a handle — in the turn Submit returned, while the
+// job is still queued — and the closure adapters below chain behind it.
+func (h *Handle) Observe(obs JobObserver) {
+	if h.obs != nil {
+		panic("core: Observe on a handle that already has an observer")
+	}
+	h.obs = obs
+}
+
+// funcObserver adapts the closure-taking registrations below to the observer
+// slot: it runs the slot's earlier occupant, then its own closure for the one
+// transition it was registered for.
+type funcObserver struct {
+	prev          JobObserver
+	started, done func(*Handle)
+	attempt       func(AttemptRecord)
+}
+
+func (h *Handle) chain(f *funcObserver) {
+	f.prev, h.obs = h.obs, f
+}
+
+func (f *funcObserver) JobStarted(h *Handle) {
+	if f.prev != nil {
+		f.prev.JobStarted(h)
+	}
+	if f.started != nil {
+		f.started(h)
+	}
+}
+
+func (f *funcObserver) JobAttempt(h *Handle, a AttemptRecord) {
+	if f.prev != nil {
+		f.prev.JobAttempt(h, a)
+	}
+	if f.attempt != nil {
+		f.attempt(a)
+	}
+}
+
+func (f *funcObserver) JobDone(h *Handle) {
+	if f.prev != nil {
+		f.prev.JobDone(h)
+	}
+	if f.done != nil {
+		f.done(h)
+	}
+}
+
 // OnStart registers a callback fired when the job leaves the admission
 // queue (immediately when already past it). Jobs canceled while queued never
-// start and never fire it.
+// start and never fire it. OnStart, OnDone and OnAttempt are closure adapters
+// over the observer slot for harnesses and tests, run in registration order;
+// the serving path observes directly.
 func (h *Handle) OnStart(fn func(*Handle)) {
 	if h.status == JobQueued {
-		h.onStart = append(h.onStart, fn)
+		h.chain(&funcObserver{started: fn})
 		return
 	}
 	if h.status != JobCanceled || h.exec != nil {
@@ -162,17 +226,13 @@ func (h *Handle) OnDone(fn func(*Handle)) {
 		fn(h)
 		return
 	}
-	h.onDone = append(h.onDone, fn)
+	h.chain(&funcObserver{done: fn})
 }
 
-// OnAttempt registers an observer for the job's task-failure attempts
-// (fired per recorded AttemptRecord; see faults.go). Register before the
-// job starts; at most one observer.
+// OnAttempt registers a callback for the job's task-failure attempts (fired
+// per recorded AttemptRecord; see faults.go).
 func (h *Handle) OnAttempt(fn func(AttemptRecord)) {
-	h.onAttempt = fn
-	if h.exec != nil {
-		h.exec.onAttempt = fn
-	}
+	h.chain(&funcObserver{attempt: fn})
 }
 
 // Attempts returns the job's recorded attempt history (nil before start or
@@ -205,10 +265,9 @@ func (h *Handle) Cancel() bool {
 func (h *Handle) finish(st JobStatus, err error) {
 	h.status = st
 	h.err = err
-	for _, fn := range h.onDone {
-		fn(h)
+	if h.obs != nil {
+		h.obs.JobDone(h)
 	}
-	h.onDone = nil
 }
 
 // SchedulerStats is a point-in-time view of the admission layer.
@@ -391,15 +450,11 @@ func (s *Scheduler) Submit(tenant string, job workflow.Job, opts SubmitOptions) 
 		// decomposition when only the plan half missed — and hold the handle
 		// back from admission until the search commits.
 		jk, prep := s.rt.probePrepared(job, opts)
-		if prep != nil && prep.plan != nil {
+		if prep.plan != nil {
 			h.prepared = prep
 		} else {
 			h.planReady = false
-			var decomp *planner.Result
-			if prep != nil {
-				decomp = prep.decomp
-			}
-			s.search.dispatch(h, jk, decomp)
+			s.search.dispatch(h, jk, prep.decomp)
 		}
 	}
 	s.queue = append(s.queue, h)
@@ -465,23 +520,22 @@ func (s *Scheduler) start(h *Handle) {
 	}
 	s.inFlight[h.tenant]++
 	s.admitted[h.tenant]++
-	for _, fn := range h.onStart {
-		fn(h)
+	if h.obs != nil {
+		h.obs.JobStarted(h)
 	}
-	h.onStart = nil
 	var ex *Execution
 	var err error
 	if s.slo != nil && s.sloDegradeEligible(h) {
 		// Overload admission: resolve the plan as usual, then try to swap
 		// it for a degraded cheaper one before launch (slo.go).
 		ex, err = s.startDegraded(h)
-	} else if h.prepared != nil && h.prepared.valid(s.rt) {
+	} else if h.prepared.plan != nil && h.prepared.valid(s.rt) {
 		// Optimistic commit holds at launch time too: the searched (or
 		// cache-probed) plan is still valid for the current capacity class —
 		// launch without re-planning.
 		ex, err = s.rt.launch(h.job, h.opts, h.prepared.decomp, h.prepared.plan)
 	} else {
-		if h.prepared != nil {
+		if h.prepared.plan != nil {
 			// The fleet changed while the job waited in the admission queue:
 			// the plan committed earlier is stale. Re-plan inline against
 			// current state, exactly like the serial path.
@@ -489,7 +543,7 @@ func (s *Scheduler) start(h *Handle) {
 		}
 		ex, err = s.rt.Submit(h.job, h.opts)
 	}
-	h.prepared = nil
+	h.prepared = preparedPlan{}
 	if s.slo != nil {
 		s.sloDequeued(h)
 		s.sloStarted(h, ex)
@@ -499,12 +553,10 @@ func (s *Scheduler) start(h *Handle) {
 		return
 	}
 	h.exec = ex
-	if h.onAttempt != nil {
-		ex.onAttempt = h.onAttempt
-	}
-	ex.OnDone(func(_ *report.Report, err error) {
-		s.settle(h, err)
-	})
+	// The execution settles its handle through this back-pointer, ahead of
+	// any Execution.OnDone callback. launch never finishes an execution in the
+	// same turn (the planning charge is always deferred), so none is missed.
+	ex.owner = h
 }
 
 // settle retires a released job (completed, failed or canceled mid-run) and

@@ -406,17 +406,17 @@ func (s *Scheduler) startDegraded(h *Handle) (*Execution, error) {
 	rt := s.rt
 	var decomp *planner.Result
 	var plan *optimizer.Plan
-	if h.prepared != nil && h.prepared.valid(rt) {
+	if h.prepared.plan != nil && h.prepared.valid(rt) {
 		decomp, plan = h.prepared.decomp, h.prepared.plan
 	} else {
-		if h.prepared != nil {
+		if h.prepared.plan != nil {
 			s.planConflicts++
 		}
 		var err error
 		if decomp, err = rt.decompose(h.job); err != nil {
 			return nil, err
 		}
-		if plan, err = rt.planFor(decomp.Graph, rt.cl.Snapshot(), planOptions(h.job, h.opts)); err != nil {
+		if plan, err = rt.planFor(decomp.Graph, planOptions(h.job, h.opts)); err != nil {
 			return nil, err
 		}
 	}

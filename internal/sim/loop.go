@@ -9,8 +9,8 @@ import "sync"
 // injected closure executes on the goroutine that called Run — so nothing in
 // the simulation needs locks and per-shard determinism is preserved for a
 // fixed submission order. Other goroutines interact with the simulation only
-// through Post, which enqueues a closure for the loop goroutine to execute at
-// the current simulated instant.
+// through PostTask (and Post, its closure form), which enqueues work for the
+// loop goroutine to execute at the current simulated instant.
 //
 // The loop alternates between draining the post inbox and executing a bounded
 // batch of simulation events, so submissions arriving mid-backlog are admitted
@@ -25,11 +25,14 @@ type Loop struct {
 	// must be installed before Run starts.
 	tick func()
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	inbox  []func()
-	posted uint64
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// inbox collects posted tasks; Run swaps it with spare each batch, so the
+	// two backing arrays alternate instead of a fresh one growing per batch.
+	// spare belongs to the Run goroutine between swaps.
+	inbox, spare []Task
+	posted       uint64
+	closed       bool
 	// holds counts outstanding LoopHolds: external completions the loop has
 	// promised to wait for before draining (see Hold).
 	holds int
@@ -58,22 +61,39 @@ func NewLoop(eng *Engine) *Loop {
 // goroutine starts; it never runs concurrently with simulation callbacks.
 func (l *Loop) SetTick(fn func()) { l.tick = fn }
 
-// Post schedules fn to execute on the loop goroutine at the current simulated
-// time. It is safe to call from any goroutine and returns false (dropping fn)
+// Task is one unit of posted work: Run executes on the loop goroutine at the
+// current simulated time. A caller that already owns a heap record for the
+// work (the serving pool's job record) posts the record itself and allocates
+// nothing for the hand-off; everything else posts a closure through Post.
+type Task interface{ Run() }
+
+// funcTask adapts a closure to Task. A func value is pointer-shaped, so the
+// conversion to the interface does not allocate.
+type funcTask func()
+
+func (f funcTask) Run() { f() }
+
+// PostTask schedules t to run on the loop goroutine at the current simulated
+// time. It is safe to call from any goroutine and returns false (dropping t)
 // once the loop is closing — callers should surface that as "shutting down".
-func (l *Loop) Post(fn func()) bool {
-	if fn == nil {
-		panic("sim: Post with nil closure")
-	}
+func (l *Loop) PostTask(t Task) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return false
 	}
-	l.inbox = append(l.inbox, fn)
+	l.inbox = append(l.inbox, t)
 	l.posted++
 	l.cond.Signal()
 	return true
+}
+
+// Post is PostTask for a closure.
+func (l *Loop) Post(fn func()) bool {
+	if fn == nil {
+		panic("sim: Post with nil closure")
+	}
+	return l.PostTask(funcTask(fn))
 }
 
 // LoopHold is a promise of exactly one future completion post. It exists for
@@ -115,7 +135,7 @@ func (h *LoopHold) Post(fn func()) {
 	}
 	h.done = true
 	l.holds--
-	l.inbox = append(l.inbox, fn)
+	l.inbox = append(l.inbox, funcTask(fn))
 	l.posted++
 	l.cond.Signal()
 }
@@ -134,7 +154,7 @@ func (h *LoopHold) Release() {
 	l.cond.Signal()
 }
 
-// Posted reports the total number of closures accepted so far
+// Posted reports the total number of tasks accepted so far
 // (observability; also lets tests sequence posts deterministically against
 // a deliberately stalled loop, where inbox depth would depend on how many
 // the loop already batched out).
@@ -154,13 +174,17 @@ func (l *Loop) Run() {
 			l.cond.Wait()
 		}
 		batch := l.inbox
-		l.inbox = nil
+		l.inbox = l.spare
 		closing := l.closed
 		l.mu.Unlock()
 
-		for _, fn := range batch {
-			fn()
+		for _, t := range batch {
+			t.Run()
 		}
+		// Drop the batch's references before its array becomes the next
+		// inbox: an idle loop must not pin the last burst's records.
+		clear(batch)
+		l.spare = batch[:0]
 		for i := 0; i < stepBatch && l.eng.Step(); i++ {
 		}
 		if l.tick != nil {

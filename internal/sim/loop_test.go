@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,4 +175,106 @@ func TestLoopHoldDoublePostPanics(t *testing.T) {
 		}
 	}()
 	hold.Post(func() {})
+}
+
+// orderTask appends its label to a shared log when the loop runs it.
+type orderTask struct {
+	log   *[]string
+	label string
+}
+
+func (o orderTask) Run() { *o.log = append(*o.log, o.label) }
+
+// TestLoopTaskOrderAndClose: tasks and closures share one FIFO inbox, a post
+// made from inside a running task lands in the next batch, the inbox
+// alternates between two arrays instead of growing a fresh one per batch,
+// Close waits for outstanding holds, and posts after Close are refused.
+func TestLoopTaskOrderAndClose(t *testing.T) {
+	eng := NewEngine()
+	l := NewLoop(eng)
+	batch := 0
+	l.SetTick(func() { batch++ })
+
+	// Everything posted before Run starts is one batch. log and batchOf are
+	// only touched on the loop goroutine until Close returns.
+	var log []string
+	batchOf := map[string]int{}
+	note := func(label string) func() {
+		return func() {
+			log = append(log, label)
+			batchOf[label] = batch
+		}
+	}
+	l.PostTask(orderTask{&log, "task 1"})
+	l.Post(note("func 2"))
+	l.Post(func() {
+		note("func 3")()
+		l.PostTask(orderTask{&log, "task 6, posted by func 3"})
+		l.Post(note("func 7, posted by func 3"))
+	})
+	l.PostTask(orderTask{&log, "task 4"})
+	l.Post(note("func 5"))
+	if l.Posted() != 5 {
+		t.Fatalf("posted = %d, want 5", l.Posted())
+	}
+	go l.Run()
+
+	// One post per batch from here on: once both arrays exist, the inbox must
+	// keep swapping between them.
+	arrays := map[*Task]bool{}
+	for i := 0; i < 72; i++ {
+		ran := make(chan struct{})
+		if !l.Post(func() { close(ran) }) {
+			t.Fatal("Post rejected before Close")
+		}
+		<-ran
+		l.mu.Lock()
+		if i >= 8 {
+			arrays[&l.inbox[:1][0]] = true
+		}
+		l.mu.Unlock()
+	}
+	if len(arrays) > 2 {
+		t.Fatalf("the inbox went through %d backing arrays in 64 batches, want 2 alternating", len(arrays))
+	}
+
+	// A hold keeps a closing loop alive until its completion is delivered.
+	holds := make(chan *LoopHold, 1)
+	l.Post(func() { holds <- l.Hold() })
+	hold := <-holds
+	closed := make(chan struct{})
+	go func() {
+		l.Close()
+		close(closed)
+	}()
+	for {
+		l.mu.Lock()
+		closing := l.closed
+		l.mu.Unlock()
+		if closing {
+			break
+		}
+		runtime.Gosched()
+	}
+	if l.Post(func() {}) || l.PostTask(orderTask{&log, "refused"}) {
+		t.Fatal("a closing loop accepted a post")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a hold outstanding")
+	default:
+	}
+	hold.Post(note("held completion"))
+	<-closed
+
+	want := []string{
+		"task 1", "func 2", "func 3", "task 4", "func 5",
+		"task 6, posted by func 3", "func 7, posted by func 3", "held completion",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("ran %q\nwant %q", log, want)
+	}
+	if batchOf["func 5"] != batchOf["func 2"] || batchOf["func 7, posted by func 3"] != batchOf["func 3"]+1 {
+		t.Fatalf("batches: %v — a post from inside a task belongs to the next batch", batchOf)
+	}
 }

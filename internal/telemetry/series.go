@@ -165,17 +165,20 @@ func (s *StepSeries) Last() float64 {
 func (s *StepSeries) Len() int { return len(s.times) }
 
 // CompactBefore drops every change point strictly older than the last one at
-// or before t, copying the retained tail into fresh slices so the dropped
-// prefix is actually freed. The point covering t is kept — it carries the
-// value in effect at the watermark — and the cumulative-integral index is
-// retained verbatim (cum stays anchored at the original t=0 origin), so
-// Integral/Mean/Max over any window that starts at or after t are
-// bit-identical to the uncompacted series: the binary searches resolve to
-// the same change points and the same cum entries, and the origin anchor
-// cancels in the window subtraction. Queries reaching before the retained
-// region extrapolate the oldest retained value; readers that need history
-// behind the watermark must hold a RetainedSeries. Returns the number of
-// change points dropped.
+// or before t and slides the retained tail to the front of the slab the series
+// already owns, so a steady Set/compact cycle allocates nothing (a fresh
+// exact-size slab would be full by construction, and the next Set would double
+// it). Only when the tail fills under a quarter of the slab does it move to a
+// new one, twice its length — that is how a burst's memory is returned. The
+// point covering t is kept — it carries the value in effect at
+// the watermark — and the cumulative-integral index is retained verbatim (cum
+// stays anchored at the original t=0 origin), so Integral/Mean/Max over any
+// window that starts at or after t are bit-identical to the uncompacted
+// series: the binary searches resolve to the same change points and the same
+// cum entries, and the origin anchor cancels in the window subtraction.
+// Queries reaching before the retained region extrapolate the oldest retained
+// value; readers that need history behind the watermark must hold a
+// RetainedSeries. Returns the number of change points dropped.
 func (s *StepSeries) CompactBefore(t float64) int {
 	if len(s.times) == 0 {
 		return 0
@@ -188,15 +191,15 @@ func (s *StepSeries) CompactBefore(t float64) int {
 	if k <= 0 {
 		return 0
 	}
-	// One shared slab for the retained tail (see realloc) so compaction costs
-	// a single allocation and actually frees the dropped prefix.
 	n := len(s.times) - k
-	tail := *s
-	s.times, s.values, s.cum = nil, nil, nil
-	s.realloc(n, 0)
-	s.times = append(s.times, tail.times[k:]...)
-	s.values = append(s.values, tail.values[k:]...)
-	s.cum = append(s.cum, tail.cum[k:]...)
+	if c := max(2*n, initialSeriesCap); 2*c < cap(s.times) {
+		s.times, s.values, s.cum = s.times[k:], s.values[k:], s.cum[k:]
+		s.realloc(c, n)
+		return k
+	}
+	s.times = s.times[:copy(s.times, s.times[k:])]
+	s.values = s.values[:copy(s.values, s.values[k:])]
+	s.cum = s.cum[:copy(s.cum, s.cum[k:])]
 	return k
 }
 

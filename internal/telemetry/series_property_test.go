@@ -266,6 +266,82 @@ func TestCompactBeforeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCompactBeforeKeepsItsSlab pins what the serving shards' retention tick
+// relies on: a steady Set / CompactBefore cycle slides the tail inside the slab
+// the series already owns (no allocation, the same backing array), a burst's
+// slab is given back once the tail fills under a quarter of it, and through
+// all of it every window at or after the watermark reads bit-identically to a
+// series that was never compacted.
+func TestCompactBeforeKeepsItsSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	s, oracle := NewStepSeries(0), NewStepSeries(0)
+	now, watermark := 0.0, 0.0
+	set := func(n int) {
+		for i := 0; i < n; i++ {
+			now += 0.25 + rng.Float64()
+			v := float64(rng.Intn(1000))
+			s.Set(now, v)
+			oracle.Set(now, v)
+		}
+	}
+	compact := func(keepS float64) {
+		watermark = now - keepS
+		s.CompactBefore(watermark)
+	}
+	check := func(when string) {
+		t.Helper()
+		for q := 0; q < 40; q++ {
+			t0 := watermark + rng.Float64()*(now-watermark)
+			t1 := t0 + rng.Float64()*(now+3-t0)
+			if got, want := s.Integral(t0, t1), oracle.Integral(t0, t1); got != want {
+				t.Fatalf("%s: Integral(%v,%v) = %v, uncompacted %v", when, t0, t1, got, want)
+			}
+			if got, want := s.Mean(t0, t1), oracle.Mean(t0, t1); got != want {
+				t.Fatalf("%s: Mean(%v,%v) = %v, uncompacted %v", when, t0, t1, got, want)
+			}
+			if got, want := s.Max(t0, t1), oracle.Max(t0, t1); got != want {
+				t.Fatalf("%s: Max(%v,%v) = %v, uncompacted %v", when, t0, t1, got, want)
+			}
+		}
+	}
+
+	// Steady state: about 330 points retained and 100 more per stride (the
+	// shard tick compacts once the watermark lags a quarter of its window), so
+	// the series peaks near 430 points, clear of a 512-point slab's edge.
+	cycle := func() {
+		set(100)
+		compact(250)
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	check("warm-up")
+	slab, slabCap := &s.times[:1][0], cap(s.times)
+	allocs := testing.AllocsPerRun(50, cycle)
+	if allocs != 0 || &s.times[:1][0] != slab || cap(s.times) != slabCap {
+		t.Fatalf("a steady Set/compact cycle allocates %.0f times and moved its slab (cap %d → %d), want 0 and in place",
+			allocs, slabCap, cap(s.times))
+	}
+	if s.Len() > slabCap || 4*s.Len() < slabCap {
+		t.Fatalf("steady state holds %d points in a %d-point slab", s.Len(), slabCap)
+	}
+	check("steady state")
+	t.Logf("steady state: %d points in a %d-point slab, %.0f allocations per 100-point stride", s.Len(), slabCap, allocs)
+
+	// A burst grows the slab; compacting back down to the steady tail returns it.
+	set(20000)
+	burstCap := cap(s.times)
+	compact(250)
+	if c := cap(s.times); c >= burstCap/4 || c < s.Len() || c > 2*max(s.Len(), initialSeriesCap) {
+		t.Fatalf("after a %d-point burst the tail of %d points sits in a %d-point slab", burstCap, s.Len(), c)
+	}
+	check("after the burst")
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	check("steady state again")
+}
+
 func TestAddDelta(t *testing.T) {
 	s := NewStepSeries(2)
 	s.AddDelta(1, 3)
