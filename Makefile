@@ -19,11 +19,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# stress repeats the timing-sensitive tests (churn, leave, drain, cancel)
-# under the race detector: a one-in-twelve failure passes a single run 92 %
-# of the time. CI runs the same line.
+# stress repeats the timing-sensitive tests (churn, leave, drain, cancel, and
+# the settled-job tests that wait on the garbage collector) under the race
+# detector: a one-in-twelve failure passes a single run 92 % of the time. CI
+# runs the same line.
 stress:
-	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent' ./internal/serving ./internal/router ./internal/api
+	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs' ./internal/serving ./internal/router ./internal/api ./internal/core
 
 # allocs runs the tier-1 allocation budgets (the wire, the job hand-off, the
 # execution layer, telemetry compaction) verbosely, so their measured counts

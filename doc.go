@@ -49,6 +49,13 @@
 //     serving engine reuses its own buffers and a job's tracer is sized from
 //     its graph — same README section, "A task without garbage".
 //
+//   - a job's execution state is one block: core.Execution holds its tracker,
+//     tracer and report by value and cuts its per-node and per-capability
+//     arrays from four typed slabs sized from the frozen graph and the plan;
+//     tasks are node indices end to end, and an embedding task's document is
+//     built when Execution.Documents is read, not when the task completes —
+//     same section, "An execution is one block".
+//
 // BenchmarkLoadSweepHeavy (~420 jobs over a 2000 s horizon) guards the
 // asymptotics; the per-figure benchmarks pin the paper metrics, which are
 // bit-stable across these optimizations.

@@ -77,11 +77,10 @@ func main() {
 	fmt.Printf("Energy efficiency: %.1fx (paper reports ~4.5x)\n", baseRep.GPUEnergyWh/muRep.GPUEnergyWh)
 	fmt.Printf("Planning overhead: %.2f%% of workflow time (paper: <1%%)\n", 100*muRep.PlanningOverheadFrac)
 
-	// Both executions populated a VectorDB with scene embeddings; ask it a
-	// question to close the §4 loop (embeddings → question answering).
-	db := rt.VectorDB()
-	matches, err := db.Search(ex.Namespace(),
-		queryVector(db.Dim()), 3)
+	// The execution's embedding tasks produced one document per scene; ask
+	// them a question to close the §4 loop (embeddings → question answering).
+	docs := ex.Documents()
+	matches, err := docs.Search(queryVector(docs.Dim()), 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,0 +1,188 @@
+package api
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/workload"
+)
+
+// canary is what the tests watch the collector reclaim in an execution's
+// place. A finalizer on the execution itself would never run: an execution
+// points back at itself (its stages, its own arrays), and an object reachable
+// from its own referents is never found unreachable. The canary hangs off the
+// job's handle, which the execution points at and which points at nothing the
+// canary could be reached from again: once the canary is gone, so are the
+// handle and the execution.
+type canary struct {
+	_ *int // with a pointer in it the allocator gives it a block of its own
+	_ [32]byte
+}
+
+// submitTracked submits req without waiting and arranges for collected to
+// count the job once the garbage collector has reclaimed its handle and
+// execution. The shard loops are held inside a gate while the record and,
+// right behind it, the hook are posted, so the hook finds the handle before
+// the simulation has taken a step.
+func submitTracked(t *testing.T, s *Server, req JobRequest, collected *atomic.Int64) string {
+	t.Helper()
+	s.pool.mu.Lock()
+	shards := append([]*shard(nil), s.pool.shards...)
+	s.pool.mu.Unlock()
+	gate, entered := make(chan struct{}), make(chan struct{}, len(shards))
+	for _, sh := range shards {
+		if !sh.loop.Post(func() { entered <- struct{}{}; <-gate }) {
+			t.Fatal("shard loop refused the gate")
+		}
+	}
+	for range shards {
+		<-entered
+	}
+	req.Wait = false
+	rp := s.Submit(context.Background(), req)
+	if rp.Code != http.StatusAccepted {
+		close(gate)
+		t.Fatalf("submit answered %d: %v", rp.Code, rp.Err)
+	}
+	id := rp.Job.ID
+	s.pool.mu.Lock()
+	rec := s.pool.jobs[id]
+	s.pool.mu.Unlock()
+	hooked := rec.sh.loop.Post(func() {
+		rec.mu.Lock()
+		h := rec.handle
+		rec.mu.Unlock()
+		if h == nil {
+			t.Errorf("%s: no handle behind the record's own turn on the loop", id)
+			return
+		}
+		c := &canary{}
+		runtime.SetFinalizer(c, func(*canary) { collected.Add(1) })
+		h.OnDone(func(*core.Handle) { runtime.KeepAlive(c) })
+	})
+	close(gate)
+	if !hooked {
+		t.Fatal("shard loop refused the hook")
+	}
+	return id
+}
+
+// awaitDone polls a job until it is done.
+func awaitDone(t *testing.T, s *Server, id string) {
+	t.Helper()
+	for rp := s.Status(id); rp.Job.Status != core.JobDone.String(); rp = s.Status(id) {
+		if rp.Err != nil || rp.Job.Error != "" {
+			t.Fatalf("%s: %v %s", id, rp.Err, rp.Job.Error)
+		}
+		runtime.Gosched()
+	}
+}
+
+// awaitCollected runs the collector until at least want jobs' canaries were
+// finalized, or gives up after a few seconds and reports how many were.
+func awaitCollected(collected *atomic.Int64, want int64) int64 {
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return collected.Load()
+}
+
+func getEnvelope(t *testing.T, s *Server, id string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s answered %d: %s", id, rec.Code, rec.Body.String())
+	}
+	return rec.Body.String()
+}
+
+// serviceMixRequests returns n requests of the ServiceMix trace.
+func serviceMixRequests(t *testing.T, n int) []JobRequest {
+	t.Helper()
+	arrivals, err := workload.PoissonTrace(workload.ServiceMix(), 100, 80, 29)
+	if err != nil || len(arrivals) < n {
+		t.Fatalf("trace: %d arrivals, %v", len(arrivals), err)
+	}
+	reqs := make([]JobRequest, n)
+	for i := range reqs {
+		reqs[i] = requestFor(arrivals[i])
+	}
+	return reqs
+}
+
+// TestSettledRecordReleasesItsExecution: a settled record stays in the job
+// history (4096 of them by default) to answer polls, and it used to keep its
+// core.Handle — and through it the execution, its tracker, spans, stages,
+// plan and decomposition, and the request's job — for as long. The result was
+// copied out by value at settle, so nothing of that is needed again: the
+// execution must be collectable while the envelope is still served, byte for
+// byte. (A few dozen later jobs first: the runtime's request and event slabs
+// hold a job's callbacks until their block is used up.)
+func TestSettledRecordReleasesItsExecution(t *testing.T) {
+	s, err := NewServer(PoolConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reqs := serviceMixRequests(t, 301)
+	reqs[0].Timeline = true
+	var collected atomic.Int64
+	id := submitTracked(t, s, reqs[0], &collected)
+	awaitDone(t, s, id)
+	before := getEnvelope(t, s, id)
+	var asPolled JobStatusResponse
+	if err := json.Unmarshal([]byte(before), &asPolled); err != nil || asPolled.Result == nil || asPolled.Result.Timeline == "" {
+		t.Fatalf("settled envelope carries no result timeline (%v): %s", err, before)
+	}
+	for _, req := range reqs[1:] {
+		if rp := s.Submit(context.Background(), req); rp.Code != http.StatusOK {
+			t.Fatalf("submit answered %d: %v %s", rp.Code, rp.Err, rp.Job.Error)
+		}
+	}
+	if got := awaitCollected(&collected, 1); got != 1 {
+		t.Fatalf("the settled job's execution was not collected (%d finalized)", got)
+	}
+	if after := getEnvelope(t, s, id); after != before {
+		t.Fatalf("the envelope changed once the execution was gone:\n%s\n%s", before, after)
+	}
+	if _, canceled, found := s.pool.Cancel(id); canceled || !found {
+		t.Fatalf("cancel of a settled job: canceled=%v found=%v", canceled, found)
+	}
+}
+
+// TestShardKeepsNothingOfSettledJobs runs 500 ServiceMix jobs through one
+// default server and counts the executions the collector reclaims. Embedding
+// tasks used to insert a document each into a vector store the runtime owned
+// and never dropped a namespace from, so a shard's heap grew with every job it
+// had ever served; the documents now hang off the execution, there is no
+// runtime-wide store, and what a shard keeps of a settled job is its record.
+// Only the latest jobs may still be reachable, from the slabs their callbacks
+// were cut from.
+func TestShardKeepsNothingOfSettledJobs(t *testing.T) {
+	const jobs, recent = 500, 100
+	s, err := NewServer(PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var collected atomic.Int64
+	for _, req := range serviceMixRequests(t, jobs) {
+		awaitDone(t, s, submitTracked(t, s, req, &collected))
+	}
+	if st := s.Pool().Stats(); st.Completed != jobs || st.Failed != 0 {
+		t.Fatalf("completed %d failed %d, want %d and 0", st.Completed, st.Failed, jobs)
+	}
+	if got := awaitCollected(&collected, jobs-recent); got < jobs-recent {
+		t.Fatalf("%d of %d settled executions were collected, want at least %d", got, jobs, jobs-recent)
+	}
+	t.Logf("%d of %d settled executions collected", collected.Load(), jobs)
+}

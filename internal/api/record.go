@@ -65,7 +65,8 @@ type jobRecord struct {
 	// done is made on first demand (Done): most jobs settle with nobody
 	// selecting on them.
 	done chan struct{}
-	// handle is only touched on the owning shard's loop goroutine.
+	// handle is only touched on the owning shard's loop goroutine, and only
+	// until the job settles (settle clears it with job and opts).
 	handle *core.Handle
 }
 
@@ -155,6 +156,11 @@ func (r *jobRecord) settle(st core.JobStatus, err error, h *core.Handle) {
 	}
 	r.errCode = string(core.ErrorCodeOf(err))
 	r.finishedSimS = r.sh.eng.Now().Seconds()
+	// Everything a poll can ask for was copied out above. The record stays in
+	// the history; what it ran with must not: the handle leads to the
+	// execution — tracker, spans, stages, plan, decomposition — and the job to
+	// the request's inputs. Cancel reads a nil handle as "no longer cancelable".
+	r.handle, r.job, r.opts = nil, workflow.Job{}, core.SubmitOptions{}
 	done := r.done
 	r.mu.Unlock()
 	if done != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -108,14 +109,27 @@ func TestSLOShedReturns429(t *testing.T) {
 		SLOTenantTiers:        map[string]string{"burst": "bronze"},
 	})
 
-	// Concurrent burst: one job runs, one holds the single queue slot, and
-	// the rest find the bound reached. Sequential posts would let each job
-	// start (freeing the slot) before the next arrives. Hour-long videos hold
-	// the slot for many times the cost of one submission: with two-minute
-	// ones a slow client burst could miss every job (1 run in 5 on a 2-core
-	// host).
+	// Concurrent burst: the first submission to reach the shard holds the
+	// single queue slot, and the rest find the bound reached. Sequential posts
+	// would let each job start (freeing the slot) before the next arrives —
+	// and so would a burst whose posts the scheduler happens to space out by
+	// more than a job's run, which an hour-long video stopped guaranteeing
+	// once a job ran in well under a millisecond. So the shard's loop is held
+	// until every submission of the burst sits in its inbox: they are then
+	// admitted in one turn, before the simulation takes a step.
 	const n = 8
 	body := strings.Replace(qualityJobJSON("burst", ""), `"duration_s": 120`, `"duration_s": 3600`, 1)
+	pool := srv.Config.Handler.(*Server).pool
+	gate := make(chan struct{})
+	if !pool.shards[0].loop.Post(func() { <-gate }) {
+		t.Fatal("shard loop refused the gate")
+	}
+	go func() {
+		defer close(gate)
+		for deadline := time.Now().Add(10 * time.Second); pool.submitted.Load() < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	var mu sync.Mutex
 	var accepted, shed []string
 	var wg sync.WaitGroup

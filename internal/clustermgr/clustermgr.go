@@ -10,7 +10,7 @@ package clustermgr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
@@ -262,20 +262,17 @@ func (m *Manager) Engine(model string) (*EngineHandle, bool) {
 	return h, ok
 }
 
-// EngineForCapability returns the first engine serving a capability (model
-// names sorted for determinism).
+// EngineForCapability returns the engine serving a capability whose model
+// name sorts first (for determinism: the engines sit in a map).
 func (m *Manager) EngineForCapability(capability string) (*EngineHandle, bool) {
-	var names []string
+	var first *EngineHandle
+	var firstName string
 	for name, h := range m.engines {
-		if h.Capability == capability {
-			names = append(names, name)
+		if h.Capability == capability && (first == nil || name < firstName) {
+			first, firstName = h, name
 		}
 	}
-	if len(names) == 0 {
-		return nil, false
-	}
-	sort.Strings(names)
-	return m.engines[names[0]], true
+	return first, first != nil
 }
 
 // ReleaseEngine tears down an engine and frees its GPUs. Releasing an
@@ -298,11 +295,10 @@ func (m *Manager) RegisterWorkflow(t *dag.Tracker) {
 
 // UnregisterWorkflow removes a completed workflow.
 func (m *Manager) UnregisterWorkflow(t *dag.Tracker) {
-	for i, existing := range m.trackers {
-		if existing == t {
-			m.trackers = append(m.trackers[:i], m.trackers[i+1:]...)
-			return
-		}
+	// slices.Delete clears the vacated tail slot: the tracker sits inside its
+	// execution, and a stale pointer to it would keep the whole job alive.
+	if i := slices.Index(m.trackers, t); i >= 0 {
+		m.trackers = slices.Delete(m.trackers, i, i+1)
 	}
 }
 

@@ -14,21 +14,23 @@ import (
 // allocation budget, so a regression fails `go test ./...` without the
 // ledger: one warm runtime, each shape submitted and run to its report. The
 // counts are everything from Runtime.Submit to the finalized report — the
-// execution, its stages and report, the tracer, telemetry points, the vector
-// store's documents — and were 1092 / 144 / 172 for the three exec_heavy shapes
-// and 128 / 80 / 64 for the ServiceMix shapes before grants became records,
-// requests and allocations came from slabs and the tracer was sized from the
-// graph (181 / 54 / 75 and 62 / 43 / 41 then; the plan-cache key no longer
-// builds a snapshot, nor a job key a sort slice per input). The budgets leave
-// ~8 % over the measured 179 / 37 / 57 and 56 / 37 / 35 (slab blocks and
-// telemetry doublings land on some jobs and not others).
+// execution's block, its serving engines (brought up and released per job
+// here), telemetry points — and were 1092 / 144 / 172 for the three exec_heavy
+// shapes and 128 / 80 / 64 for the ServiceMix shapes before grants became
+// records, requests and allocations came from slabs and the tracer was sized
+// from the graph; 179 / 37 / 57 and 56 / 37 / 35 while a job was some thirty
+// objects (an execution, a tracker, a tracer, a report, a stage per capability
+// with its queue and worker list) and every embedding task rendered, embedded
+// and stored a document. The budgets are the measured 42 / 12 / 12 and
+// 19 / 12 / 12 + 2 (slab blocks and telemetry doublings land on some jobs and
+// not others).
 func TestExecAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not asserted under the race detector")
 	}
 	budget := map[string]float64{
-		"video_3x16": 194, "newsfeed_12": 40, "docqa_12": 62,
-		"mix_video_1x2": 61, "mix_newsfeed_2": 40, "mix_docqa_2": 38,
+		"video_3x16": 44, "newsfeed_12": 14, "docqa_12": 14,
+		"mix_video_1x2": 21, "mix_newsfeed_2": 14, "mix_docqa_2": 14,
 	}
 	se, rt := warmRuntime(t)
 	for _, sh := range execShapes() {
@@ -98,10 +100,9 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		}
 		capName := string(agents.CapFrameExtraction)
 		stepUntil(t, se, "a frame-extraction worker is busy", func() bool {
-			st := ex.stages[capName]
-			return st != nil && st.busy > 0
+			return ex.stageNamed(capName).busy > 0
 		})
-		st := ex.stages[capName]
+		st := ex.stageNamed(capName)
 		if got := testing.AllocsPerRun(500, func() {
 			st.workers[0].preempted()
 			se.RunUntil(se.Now())

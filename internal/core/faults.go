@@ -10,7 +10,6 @@ import (
 	"repro/internal/agents"
 	"repro/internal/cascade"
 	"repro/internal/cluster"
-	"repro/internal/dag"
 	"repro/internal/optimizer"
 	"repro/internal/profiles"
 	"repro/internal/quality"
@@ -267,13 +266,8 @@ func (s *Scheduler) stallTask(pick, d float64) bool {
 		if ex == nil || ex.done {
 			continue
 		}
-		caps := make([]string, 0, len(ex.stages))
-		for cap := range ex.stages {
-			caps = append(caps, cap)
-		}
-		sort.Strings(caps)
-		for _, cap := range caps {
-			for _, w := range ex.stages[cap].workers {
+		for i := range ex.stages {
+			for _, w := range ex.stages[i].workers {
 				if w.busy && w.doneEv != nil {
 					victims = append(victims, w)
 				}
@@ -302,7 +296,7 @@ func (ex *Execution) initRecovery() {
 	if rc == nil {
 		return
 	}
-	ex.attempts = map[dag.NodeID]int{}
+	ex.attempts = map[int32]int{}
 	ex.capFails = map[string]int{}
 	ex.degraded = map[string]bool{}
 	ex.retryEvs = map[*sim.Event]bool{}
@@ -337,17 +331,18 @@ func (ex *Execution) cancelRecovery() {
 // cleared); the node is tracker-running. With recovery disabled the failure
 // is terminal; otherwise the task backs off and retries on whatever binding
 // its capability has when the backoff fires.
-func (st *stage) taskFailed(node *dag.Node, cause error) {
+func (st *stage) taskFailed(node int32, cause error) {
 	ex := st.ex
 	if ex.done {
 		return
 	}
-	if err := ex.tracker.Fail(node.ID); err != nil {
+	if err := ex.tracker.FailAt(node); err != nil {
 		panic(err)
 	}
+	id := string(ex.graph.NodeAt(int(node)).ID)
 	rc := ex.rt.recovery
 	if rc == nil {
-		ex.finish(&JobError{Code: CodeTaskFailed, Op: string(node.ID), Err: cause})
+		ex.finish(&JobError{Code: CodeTaskFailed, Op: id, Err: cause})
 		return
 	}
 	ex.rt.mgr.ReportOutcome(st.dec.Implementation, false)
@@ -355,23 +350,23 @@ func (st *stage) taskFailed(node *dag.Node, cause error) {
 	if ex.rt.onTaskFault != nil {
 		ex.rt.onTaskFault()
 	}
-	n := ex.attempts[node.ID] + 1
-	ex.attempts[node.ID] = n
+	n := ex.attempts[node] + 1
+	ex.attempts[node] = n
 	if n >= rc.policy.MaxAttempts {
 		rc.exhausted++
-		ex.logAttempt(node, st, n, 0, cause)
-		ex.finish(&JobError{Code: CodeRetriesExhausted, Op: string(node.ID), Err: cause})
+		ex.logAttempt(id, st, n, 0, cause)
+		ex.finish(&JobError{Code: CodeRetriesExhausted, Op: id, Err: cause})
 		return
 	}
 	rc.taskRetries++
 	ex.retries++
 	backoff := backoffFor(rc.policy, n, ex.recRng.Float64())
-	ex.logAttempt(node, st, n, backoff, cause)
+	ex.logAttempt(id, st, n, backoff, cause)
 	// Back through the tracker (Fail returned the node to ready); it stays
 	// "running" during the backoff so the remaining-DAG view still counts
 	// its work, but it sits in no queue and holds no inflight slot — the
 	// stage is at a boundary and reconfiguration may rebind it meanwhile.
-	if err := ex.tracker.Start(node.ID); err != nil {
+	if err := ex.tracker.StartAt(node); err != nil {
 		panic(err)
 	}
 	ex.maybeDegrade(st.cap)
@@ -383,14 +378,14 @@ func (st *stage) taskFailed(node *dag.Node, cause error) {
 // backoff). A quarantined implementation defers the retry by the breaker
 // cooldown without burning an attempt — bounded, because the breaker
 // half-opens once its cooldown elapses.
-func (ex *Execution) scheduleRetry(node *dag.Node, delayS float64) {
+func (ex *Execution) scheduleRetry(node int32, delayS float64) {
 	var ev *sim.Event
 	ev = ex.rt.se.After(sim.Duration(delayS), func() {
 		delete(ex.retryEvs, ev)
 		if ex.done {
 			return
 		}
-		st := ex.stageFor(node.Capability)
+		st := &ex.stages[ex.graph.CapSlot(int(node))]
 		if !ex.rt.mgr.Admissible(st.dec.Implementation) {
 			ex.scheduleRetry(node, ex.rt.recovery.policy.BreakerCooldownS)
 			return
@@ -402,14 +397,14 @@ func (ex *Execution) scheduleRetry(node *dag.Node, delayS float64) {
 
 // logAttempt appends to the job's bounded attempt history and notifies the
 // owning handle's observer (the serving API's per-job attempt feed).
-func (ex *Execution) logAttempt(node *dag.Node, st *stage, attempt int, backoffS float64, cause error) {
+func (ex *Execution) logAttempt(task string, st *stage, attempt int, backoffS float64, cause error) {
 	msg := ""
 	if cause != nil {
 		msg = cause.Error()
 	}
 	rec := AttemptRecord{
 		AtS:            ex.rt.se.Now().Seconds(),
-		Task:           string(node.ID),
+		Task:           task,
 		Capability:     st.cap,
 		Implementation: st.dec.Implementation,
 		Attempt:        attempt,
@@ -454,7 +449,7 @@ func (ex *Execution) maybeDegrade(cap string) {
 // refs move two-phase and in-flight stages are left alone.
 func (ex *Execution) degradeStage(cap string) bool {
 	rt := ex.rt
-	if st, ok := ex.stages[cap]; ok && st.inflight > 0 {
+	if st := ex.stageNamed(cap); st != nil && st.inflight > 0 {
 		return false
 	}
 	work := ex.tracker.RemainingCapabilityWork()[cap]

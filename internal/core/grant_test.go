@@ -88,9 +88,9 @@ func (g *grantLog) execution(label string, ex *Execution) {
 	if !ex.Done() {
 		g.t.Fatalf("%s: execution never completed", label)
 	}
-	for capName, st := range ex.stages {
-		if len(st.workers) != 0 || st.idle != 0 || st.busy != 0 {
-			g.t.Fatalf("%s: stage %s ends with %d workers, idle=%d busy=%d", label, capName, len(st.workers), st.idle, st.busy)
+	for i := range ex.stages {
+		if st := &ex.stages[i]; len(st.workers) != 0 || st.idle != 0 || st.busy != 0 {
+			g.t.Fatalf("%s: stage %s ends with %d workers, idle=%d busy=%d", label, st.cap, len(st.workers), st.idle, st.busy)
 		}
 	}
 	rep := ex.Report()
@@ -136,10 +136,10 @@ func staleCPUGrant(t *testing.T, g *grantLog) {
 	}
 	capName := string(agents.CapFrameExtraction)
 	stepUntil(t, se, "frame extraction spawned workers", func() bool {
-		return ex.stages[capName] != nil && rt.mgr.PendingCPURequests() > 0
+		return rt.mgr.PendingCPURequests() > 0
 	})
 	se.RunUntil(se.Now()) // the deferred drains find no capacity
-	st := ex.stages[capName]
+	st := ex.stageNamed(capName)
 	g.workers("cpu: queued", st, rt)
 	w := st.workers[0]
 	w.destroy()
@@ -181,7 +181,7 @@ func staleGPUThenCPUGrant(t *testing.T, g *grantLog) {
 		t.Fatal(err)
 	}
 	stepUntil(t, se, "speech-to-text spawned its worker", func() bool {
-		return ex.stages[capName] != nil && rt.mgr.PendingGPURequests() > 0
+		return rt.mgr.PendingGPURequests() > 0
 	})
 	// The request is queued and its drain deferred: take the free GPUs first.
 	gpuHog, err := cl.AllocGPUs(cl.FreeGPUs(hardware.GPUA100), hardware.GPUA100)
@@ -189,7 +189,7 @@ func staleGPUThenCPUGrant(t *testing.T, g *grantLog) {
 		t.Fatal(err)
 	}
 	se.RunUntil(se.Now())
-	st := ex.stages[capName]
+	st := ex.stageNamed(capName)
 	g.workers("gpu: queued", st, rt)
 	w := st.workers[0]
 	w.destroy()

@@ -41,19 +41,12 @@ import (
 // × capacity classes — so a reset effectively never fires mid-sweep).
 const planCacheLimit = 1024
 
-// appendGraphContent renders the DAG half of the plan-cache key.
-func appendGraphContent(key []byte, g *dag.Graph) []byte {
-	for _, n := range g.Nodes() {
-		key = contentkey.AppendString(key, n.Capability)
-		key = contentkey.AppendFloat(key, n.Work)
-	}
-	return key
-}
-
 // planCacheKey renders the plan-cache key against an explicit snapshot
 // (tests; the runtime renders it against the live cluster, appendPlanKey).
+// The DAG half is Graph.AppendContent, which a frozen graph renders once: a
+// warm admission copies the bytes instead of formatting every node again.
 func planCacheKey(g *dag.Graph, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) string {
-	return string(appendPlanEnv(appendGraphContent(make([]byte, 0, 256), g), snap, opts, storeGen, libGen))
+	return string(appendPlanEnv(g.AppendContent(make([]byte, 0, 256)), snap, opts, storeGen, libGen))
 }
 
 // appendPlanEnv renders everything a plan depends on besides the DAG itself:
@@ -71,7 +64,7 @@ func appendPlanEnv(key []byte, snap cluster.Snapshot, opts optimizer.Options, st
 // appendPlanEnv's bytes, with the capacity part served from capacityKey
 // instead of a snapshot.
 func (rt *Runtime) appendPlanKey(key []byte, g *dag.Graph, opts optimizer.Options) []byte {
-	key = appendPlanOptions(appendGraphContent(key, g), opts)
+	key = appendPlanOptions(g.AppendContent(key), opts)
 	key = append(key, rt.capacityKey()...)
 	return appendGens(key, rt.store.Gen(), rt.lib.Gen())
 }
@@ -274,9 +267,6 @@ func (rt *Runtime) decompose(job workflow.Job) (*planner.Result, error) {
 	}
 	if len(rt.decompCache) >= planCacheLimit {
 		rt.decompCache = make(map[string]*planner.Result)
-		// The planner's tool-call memos key on node pointers from the
-		// evicted decompositions; drop them with the graphs they pin.
-		rt.pl.ResetCallCache()
 	}
 	rt.decompCache[rt.internKey(rt.keyBuf)] = r
 	return r, nil
@@ -331,15 +321,13 @@ func (rt *Runtime) stamp(decomp *planner.Result, plan *optimizer.Plan) preparedP
 // store, library): under that guard the result is bit-identical to what the
 // inline path would have computed, so caching it preserves determinism. If a
 // cache entry raced in ahead of the commit (an inline submission on the same
-// shape), the existing entry wins — its graph pointers are the ones the
-// planner's tool-call memos key on.
+// shape), the existing entry wins — it carries the tool calls memoized so far.
 func (rt *Runtime) adoptPrepared(jk string, job workflow.Job, opts SubmitOptions, decomp *planner.Result, plan *optimizer.Plan) preparedPlan {
 	if r, ok := rt.decompCache[jk]; ok {
 		decomp = r
 	} else {
 		if len(rt.decompCache) >= planCacheLimit {
 			rt.decompCache = make(map[string]*planner.Result)
-			rt.pl.ResetCallCache()
 		}
 		rt.decompCache[jk] = decomp
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -139,7 +139,7 @@ func (ex *Execution) remainingView() *remainingView {
 	rv := &remainingView{graph: dag.New(), inflight: map[string]bool{}}
 	for _, n := range ex.tracker.RemainingNodes() {
 		rv.graph.MustAddNode(*n)
-		if st, ok := ex.stages[n.Capability]; ok && st.inflight > 0 {
+		if st := ex.stageNamed(n.Capability); st != nil && st.inflight > 0 {
 			rv.inflight[n.Capability] = true
 		} else {
 			rv.free++
@@ -280,7 +280,7 @@ func (ex *Execution) adoptPlan(newPlan *optimizer.Plan) (int, error) {
 		if decisionEquivalent(cur, newPlan.Decisions[cap]) {
 			continue
 		}
-		if st, ok := ex.stages[cap]; ok && st.inflight > 0 {
+		if st := ex.stageNamed(cap); st != nil && st.inflight > 0 {
 			// The stage left its boundary between planning and adoption
 			// (off-loop search latency); its binding waits for the next pass.
 			continue
@@ -327,15 +327,18 @@ func (ex *Execution) adoptPlan(newPlan *optimizer.Plan) (int, error) {
 		merged.Decisions[cap] = d
 	}
 	for _, cap := range changed {
-		if st, ok := ex.stages[cap]; ok {
+		if st := ex.stageNamed(cap); st != nil {
 			st.beginRebind()
 		}
 	}
+	// The report's labels are the plan's shared map until a job's decisions
+	// first diverge from it.
+	ex.rep.Decisions = maps.Clone(ex.rep.Decisions)
 	for _, cap := range changed {
 		old := ex.plan.Decisions[cap]
 		nd := newPlan.Decisions[cap]
 		merged.Decisions[cap] = nd
-		if st, ok := ex.stages[cap]; ok {
+		if st := ex.stageNamed(cap); st != nil {
 			st.finishRebind(nd)
 		}
 		if ex.engineServed(cap, old) {
@@ -343,11 +346,7 @@ func (ex *Execution) adoptPlan(newPlan *optimizer.Plan) (int, error) {
 				ex.dropEngineRef(spec.Name)
 			}
 		}
-		ex.rep.Decisions[cap] = fmt.Sprintf("%s @ %s ×%d", nd.Implementation, nd.Config, nd.Parallelism)
-		if nd.ExecutionPaths > 1 {
-			ex.rep.Decisions[cap] += fmt.Sprintf(" paths=%d", nd.ExecutionPaths)
-		}
-		ex.rep.Decisions[cap] += " (reconfigured)"
+		ex.rep.Decisions[cap] = string(nd.AppendLabel(nil)) + " (reconfigured)"
 	}
 	// Re-derive the plan-level estimates from the merged decisions so a
 	// reconfigured job's report describes the bindings it actually ran

@@ -65,7 +65,6 @@ type Runtime struct {
 	store *profiles.Store
 	pl    *planner.Planner
 	opt   *optimizer.Optimizer
-	db    *vectordb.DB
 
 	engineRefs map[string]int
 	active     int
@@ -98,10 +97,10 @@ type Runtime struct {
 	// rendered into; keys interns the strings that must outlive the render
 	// (nil when DisableAllocReuse, in which case each is a fresh copy).
 	// sortBuf is the reusable scratch for the string sets that are rendered
-	// in sorted order (a job key's attribute names, the capabilities at
-	// engine bring-up). capKey is the capacity-class part of the plan
-	// environment key, rendered once per capKeyGen (see capacityKey). All are
-	// engine-goroutine-only, like the runtime.
+	// in sorted order (a job key's attribute names). capKey is the
+	// capacity-class part of the plan environment key, rendered once per
+	// capKeyGen (see capacityKey). All are engine-goroutine-only, like the
+	// runtime.
 	keyBuf    []byte
 	keys      *contentkey.Interner
 	sortBuf   []string
@@ -201,7 +200,6 @@ func New(cfg Config) (*Runtime, error) {
 		store:       store,
 		pl:          planner.New(cfg.Library),
 		opt:         optimizer.New(cfg.Cluster.Catalog(), cfg.Library, store, cfg.CPUType),
-		db:          vectordb.New(64),
 		engineRefs:  map[string]int{},
 		planCache:   map[string]*optimizer.Plan{},
 		decompCache: map[string]*planner.Result{},
@@ -216,9 +214,6 @@ func New(cfg Config) (*Runtime, error) {
 
 // Manager exposes the cluster manager (for stats and tests).
 func (rt *Runtime) Manager() *clustermgr.Manager { return rt.mgr }
-
-// VectorDB exposes the store embedding tasks write to.
-func (rt *Runtime) VectorDB() *vectordb.DB { return rt.db }
 
 // Profiles exposes the profile store.
 func (rt *Runtime) Profiles() *profiles.Store { return rt.store }
@@ -243,23 +238,36 @@ type SubmitOptions struct {
 	SLOClass string
 }
 
-// Execution tracks one submitted job.
+// Execution tracks one submitted job. It is the head of the job's one block
+// of state: the tracker, the tracer and the report sit in it by value, and
+// launch cuts everything whose size the frozen graph and the plan decide —
+// tracker cells, span storage, one stage per capability with its queue and
+// worker list, the ready buffer — from four arrays made beside it, one per
+// element type (Go cannot carve differently-typed, pointer-carrying arrays
+// from a single allocation). The count does not depend on the graph: a job
+// costs the same five allocations with two stages or ten, 13 nodes or 240,
+// and everything in the block is addressed by node index or capability slot.
 type Execution struct {
-	rt        *Runtime
-	id        int
-	job       workflow.Job
-	opts      SubmitOptions
-	plan      *optimizer.Plan
-	decomp    *planner.Result
-	tracker   *dag.Tracker
-	tracer    *telemetry.Tracer
-	rep       *report.Report
-	namespace string
+	rt     *Runtime
+	id     int
+	job    workflow.Job
+	opts   SubmitOptions
+	plan   *optimizer.Plan
+	decomp *planner.Result
+	// graph is decomp.Graph: node i of it is cell i of the tracker, and
+	// graph.CapSlot(i) the index of the stage that runs it.
+	graph     *dag.Graph
+	tracker   dag.Tracker
+	tracer    telemetry.Tracer
+	rep       report.Report
 	startedAt sim.Time
 	planLatS  float64
-	stages    map[string]*stage
-	done      bool
-	err       error
+	// stages holds one stage per distinct capability of the graph, in the
+	// graph's slot order — capabilities sorted — so walking it (engine
+	// bring-up, shutdown, fault victims) is deterministic by construction.
+	stages []stage
+	done   bool
+	err    error
 	// owner is the scheduler handle this execution runs for (nil for a
 	// direct Runtime.Submit): finish settles it and the attempt log feeds its
 	// observer through this pointer.
@@ -271,20 +279,31 @@ type Execution struct {
 	// acquisition order (spec names; one entry per engine-served decision).
 	// Explicit bookkeeping — rather than re-deriving the set from the plan at
 	// finish — is what lets reconfiguration swap an engine-served decision
-	// mid-flight without leaking or double-releasing refs.
+	// mid-flight without leaking or double-releasing refs. heldBuf is its
+	// storage: one slot per LLM capability there is.
 	heldEngines []string
+	heldBuf     [3]string
 	// reconfigs counts adopted mid-flight re-plans.
 	reconfigs int
 	// readyBuf is the frontier scratch dispatchReady/completeNode reuse so
 	// per-task dispatch never allocates a ready slice.
-	readyBuf []dag.NodeID
+	readyBuf []int32
+	// planQueries counts the planning queries still in flight at the
+	// orchestrator engine (see chargePlanning).
+	planQueries int
+	// embedded lists the embedding nodes that completed, in completion
+	// order; docs is the index built over their documents, the last time
+	// someone asked for it (see Documents).
+	embedded []int32
+	docs     *vectordb.Index
 
 	// Failure-recovery state (all nil/zero unless the runtime has recovery
-	// enabled; see faults.go): per-task attempt counts, per-capability
-	// failure counts, capabilities already degraded, pending retry events
-	// (canceled at finish so no retry fires on a finished job), the seeded
-	// jitter stream, the job-deadline timer and the bounded attempt history.
-	attempts   map[dag.NodeID]int
+	// enabled; see faults.go): attempt counts per task (by node index),
+	// failure counts per capability, capabilities already degraded, pending
+	// retry events (canceled at finish so no retry fires on a finished job),
+	// the seeded jitter stream, the job-deadline timer and the bounded attempt
+	// history.
+	attempts   map[int32]int
 	capFails   map[string]int
 	degraded   map[string]bool
 	retryEvs   map[*sim.Event]bool
@@ -293,13 +312,33 @@ type Execution struct {
 	attemptLog []AttemptRecord
 }
 
-// Namespace is the execution's VectorDB namespace for embedding inserts,
-// rendered on first use (every embedding task of the job asks for it).
-func (ex *Execution) Namespace() string {
-	if ex.namespace == "" {
-		ex.namespace = "exec-" + strconv.Itoa(ex.id) + "/" + ex.job.Description
+// embeddingDim is the dimension of the vectors embedding tasks produce.
+const embeddingDim = 64
+
+// Documents returns what the job's embedding tasks have produced so far — the
+// §4 setup's VectorDB of scene summaries — as a searchable index, documents in
+// task-completion order. A task only notes that it completed; its document
+// (text, vector, the store's validity checks) is made here, the first time
+// someone asks, and again only if more tasks completed since. The documents
+// belong to the execution and go when it does: no serving response carries
+// them, so a long-lived shard neither computes nor keeps them.
+func (ex *Execution) Documents() *vectordb.Index {
+	if ex.docs != nil && ex.docs.Len() == len(ex.embedded) {
+		return ex.docs
 	}
-	return ex.namespace
+	docs := make([]vectordb.Doc, len(ex.embedded))
+	for k, i := range ex.embedded {
+		node := ex.graph.NodeAt(int(i))
+		text := "summary of " + metaStr(node, "video", metaStr(node, "doc", "input")) +
+			" scene " + metaStr(node, "scene", "-")
+		docs[k] = vectordb.Doc{ID: string(node.ID), Vector: vectordb.Embed(text, embeddingDim), Text: text}
+	}
+	ix, err := vectordb.NewIndex(embeddingDim, docs)
+	if err != nil {
+		panic(err)
+	}
+	ex.docs = ix
+	return ix
 }
 
 // Done reports completion.
@@ -313,7 +352,7 @@ func (ex *Execution) Report() *report.Report {
 	if !ex.done {
 		return nil
 	}
-	return ex.rep
+	return &ex.rep
 }
 
 // Plan returns the optimizer's plan.
@@ -334,7 +373,7 @@ func (ex *Execution) Reconfigs() int { return ex.reconfigs }
 // OnDone registers a completion callback.
 func (ex *Execution) OnDone(fn func(*report.Report, error)) {
 	if ex.done {
-		fn(ex.rep, ex.err)
+		fn(&ex.rep, ex.err)
 		return
 	}
 	ex.onDone = append(ex.onDone, fn)
@@ -377,15 +416,8 @@ func (rt *Runtime) Submit(job workflow.Job, opts SubmitOptions) (*Execution, err
 // off-loop against a validated snapshot.
 func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.Result, plan *optimizer.Plan) (*Execution, error) {
 	rt.nextExecID++
-	// Per-job buffers are sized from the job: one span per task, and as many
-	// spans open at once — and as many tasks ready at once — as the widest
-	// stage runs side by side. (A constant big enough for the largest job
-	// costs every small job the difference.)
-	nodes, widest := decomp.Graph.Len(), 0
-	for _, d := range plan.Decisions {
-		widest = max(widest, d.Parallelism)
-	}
-	widest = min(widest, nodes)
+	g := decomp.Graph
+	nodes := g.Len()
 	ex := &Execution{
 		rt:        rt,
 		id:        rt.nextExecID,
@@ -393,29 +425,66 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 		opts:      opts,
 		plan:      plan,
 		decomp:    decomp,
-		tracker:   dag.NewTracker(decomp.Graph),
-		tracer:    telemetry.NewTracerSized(nodes, widest),
+		graph:     g,
 		startedAt: rt.se.Now(),
-		stages:    make(map[string]*stage, len(plan.Decisions)),
-		readyBuf:  make([]dag.NodeID, 0, widest),
+		stages:    make([]stage, g.CapSlots()),
+	}
+	ex.heldEngines = ex.heldBuf[:0]
+	// The block's arrays are sized from the job: a stage can have as many
+	// tasks queued as the graph has nodes of its capability, runs at most its
+	// parallelism of them side by side on workers — or all of them at once on
+	// a serving engine — and a span is open per running task.
+	for i := range ex.stages {
+		capability := g.SlotCapability(i)
+		ex.stages[i].bind(ex, capability, plan.Decisions[capability])
+	}
+	for i := 0; i < nodes; i++ {
+		ex.stages[g.CapSlot(i)].tasks++
+	}
+	workers, running, embeds := 0, 0, 0
+	for i := range ex.stages {
+		st := &ex.stages[i]
+		if st.isLLM {
+			running += st.tasks
+		} else {
+			workers += st.width()
+			running += st.width()
+		}
+		if st.embeds {
+			embeds = st.tasks
+		}
+	}
+	ints := make([]int32, dag.TrackerCells(g)+2*nodes+embeds+running)
+	cut := func(n int) []int32 {
+		part := ints[:n:n]
+		ints = ints[n:]
+		return part
+	}
+	ex.tracker.Init(g, cut(dag.TrackerCells(g)))
+	ex.readyBuf = cut(nodes)[:0]
+	ex.embedded = cut(embeds)[:0]
+	ex.tracer.Init(make([]telemetry.Span, nodes+running), cut(running))
+	pool := make([]*worker, workers)
+	for i := range ex.stages {
+		st := &ex.stages[i]
+		st.queue = cut(st.tasks)[:0]
+		if !st.isLLM {
+			st.workers, pool = pool[:0:st.width()], pool[st.width():]
+		}
 	}
 	rt.keyBuf = append(append(rt.keyBuf[:0], "murakkab/"...), job.Constraint.String()...)
-	ex.rep = &report.Report{
+	// Decision labels are the same for every job sharing a cached plan: the
+	// plan renders them once and the reports share the map read-only (a
+	// reconfigured execution copies it before writing, see adoptPlan).
+	ex.rep = report.Report{
 		Name:      rt.internKey(rt.keyBuf),
-		Tracer:    ex.tracer,
+		Tracer:    &ex.tracer,
 		Quality:   plan.EstQuality,
-		Decisions: make(map[string]string, len(plan.Decisions)),
-	}
-	// Decision labels repeat across every job sharing a cached plan; render
-	// into the scratch and intern so steady-state admission reuses the
-	// canonical strings.
-	for cap, d := range plan.Decisions {
-		rt.keyBuf = appendDecisionLabel(rt.keyBuf[:0], d)
-		ex.rep.Decisions[cap] = rt.internKey(rt.keyBuf)
+		Decisions: plan.Labels(),
 	}
 
 	// Workflow-aware cluster management: the manager sees the DAG.
-	rt.mgr.RegisterWorkflow(ex.tracker)
+	rt.mgr.RegisterWorkflow(&ex.tracker)
 	rt.active++
 	if rt.rebalance > 0 && !rt.mgr.RebalancingEnabled() {
 		rt.mgr.EnableRebalancing(rt.rebalance)
@@ -424,12 +493,12 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	// Bring up serving engines for the LLM capabilities, then charge the
 	// planning queries against the orchestrator engine, then start the DAG.
 	if err := ex.ensureEngines(); err != nil {
-		rt.mgr.UnregisterWorkflow(ex.tracker)
+		rt.mgr.UnregisterWorkflow(&ex.tracker)
 		rt.active--
 		return nil, err
 	}
 	ex.initRecovery()
-	ex.chargePlanning(func() { ex.dispatchReady() })
+	ex.chargePlanning()
 	return ex, nil
 }
 
@@ -467,15 +536,17 @@ func (ex *Execution) engineServed(cap string, d optimizer.Decision) bool {
 	return ok && im.Kind == agents.KindLLM
 }
 
+// ensureEngines takes a ref on the serving engine behind every engine-served
+// stage, in slot order: engine creation must not depend on map iteration
+// order, or device placement (and with it float summation order in the energy
+// integrals) becomes nondeterministic.
 func (ex *Execution) ensureEngines() error {
-	rt := ex.rt
-	rt.sortBuf = appendSortedCaps(rt.sortBuf[:0], ex.plan.Decisions)
-	for _, cap := range rt.sortBuf {
-		d := ex.plan.Decisions[cap]
-		if !ex.engineServed(cap, d) {
+	for i := range ex.stages {
+		st := &ex.stages[i]
+		if !st.isLLM {
 			continue
 		}
-		name, err := ex.acquireEngineRef(cap, d, "planned")
+		name, err := ex.acquireEngineRef(st.cap, st.dec, "planned")
 		if err != nil {
 			return err
 		}
@@ -509,35 +580,28 @@ func (ex *Execution) acquireEngineRef(cap string, d optimizer.Decision, verb str
 }
 
 // chargePlanning submits the planner's LLM queries to the orchestrator
-// engine (the summarization engine when present) and invokes next when they
+// engine (the summarization engine when present) and starts the DAG when they
 // complete. §3.3(b): these are short-input/short-output queries.
-func (ex *Execution) chargePlanning(next func()) {
-	start := ex.rt.se.Now()
-	h, ok := ex.rt.mgr.EngineForCapability(string(agents.CapSummarization))
+func (ex *Execution) chargePlanning() {
+	rt := ex.rt
+	h, ok := rt.mgr.EngineForCapability(string(agents.CapSummarization))
 	if !ok {
 		// No orchestrator engine in this workflow; charge a fixed small
 		// remote-call latency instead.
-		ex.rt.se.After(0.5, func() {
+		rt.se.After(0.5, func() {
 			ex.planLatS = 0.5
-			next()
+			ex.dispatchReady()
 		})
 		return
 	}
-	remaining := len(ex.decomp.Queries)
-	if remaining == 0 {
-		ex.rt.se.Defer(next)
+	ex.planQueries = len(ex.decomp.Queries)
+	if ex.planQueries == 0 {
+		rt.se.Defer(ex.dispatchReady)
 		return
 	}
-	// One completion closure shared by every planning query (not one per
+	// One completion callback shared by every planning query (not one per
 	// query); request IDs repeat across jobs of a shape, so they intern.
-	onComplete := func(*llmsim.Request) {
-		remaining--
-		if remaining == 0 {
-			ex.planLatS = ex.rt.se.Now().Sub(start).Seconds()
-			next()
-		}
-	}
-	rt := ex.rt
+	onComplete := ex.planQueryDone
 	for i, q := range ex.decomp.Queries {
 		rt.keyBuf = append(rt.keyBuf[:0], "plan-"...)
 		rt.keyBuf = append(rt.keyBuf, q.Purpose...)
@@ -548,6 +612,15 @@ func (ex *Execution) chargePlanning(next func()) {
 		r.PromptTokens, r.OutputTokens = q.PromptTokens, q.OutputTokens
 		r.OnComplete = onComplete
 		h.Engine.Submit(r)
+	}
+}
+
+// planQueryDone counts one planning query off; the last one starts the DAG.
+func (ex *Execution) planQueryDone(*llmsim.Request) {
+	ex.planQueries--
+	if ex.planQueries == 0 {
+		ex.planLatS = ex.rt.se.Now().Sub(ex.startedAt).Seconds()
+		ex.dispatchReady()
 	}
 }
 
@@ -569,35 +642,33 @@ func (ex *Execution) dispatchReady() {
 		// Canceled (or failed) while the planning queries were in flight.
 		return
 	}
-	ex.readyBuf = ex.tracker.AppendReady(ex.readyBuf[:0])
-	for _, id := range ex.readyBuf {
-		node, _ := ex.tracker.Graph().Node(id)
-		if err := ex.tracker.Start(id); err != nil {
+	ex.readyBuf = ex.tracker.AppendReadyAt(ex.readyBuf[:0])
+	ex.startAll(ex.readyBuf)
+}
+
+// startAll marks the ready nodes running and queues each at its stage.
+func (ex *Execution) startAll(ready []int32) {
+	for _, i := range ready {
+		if err := ex.tracker.StartAt(i); err != nil {
 			panic(err)
 		}
-		ex.stageFor(node.Capability).enqueue(node)
+		ex.stages[ex.graph.CapSlot(int(i))].enqueue(i)
 	}
 }
 
-// completeNode marks a node done and dispatches newly-ready successors.
-func (ex *Execution) completeNode(id dag.NodeID) {
+// completeNode marks node i done and dispatches newly-ready successors.
+func (ex *Execution) completeNode(i int32) {
 	if ex.done {
 		// A canceled execution's in-flight engine requests still complete;
 		// their results are dropped.
 		return
 	}
-	newly, err := ex.tracker.CompleteAppend(id, ex.readyBuf[:0])
+	newly, err := ex.tracker.CompleteAt(i, ex.readyBuf[:0])
 	ex.readyBuf = newly
 	if err != nil {
 		panic(err)
 	}
-	for _, nid := range newly {
-		node, _ := ex.tracker.Graph().Node(nid)
-		if err := ex.tracker.Start(nid); err != nil {
-			panic(err)
-		}
-		ex.stageFor(node.Capability).enqueue(node)
-	}
+	ex.startAll(newly)
 	if ex.tracker.Done() {
 		ex.finish(nil)
 	}
@@ -610,13 +681,15 @@ func (ex *Execution) finish(err error) {
 	ex.done = true
 	ex.err = err
 	ex.cancelRecovery()
-	ex.rt.mgr.UnregisterWorkflow(ex.tracker)
+	ex.rt.mgr.UnregisterWorkflow(&ex.tracker)
 	ex.rt.active--
 	if ex.rt.active == 0 && ex.rt.rebalance > 0 {
 		ex.rt.mgr.StopRebalancing()
 	}
-	for _, st := range ex.stages {
-		st.shutdown()
+	// Slot order: on a cancel or a failure the stages still hold workers, and
+	// the order their allocations are released in decides who is granted next.
+	for i := range ex.stages {
+		ex.stages[i].shutdown()
 	}
 	if !ex.opts.KeepEngines {
 		ex.rt.releaseEngineRefs(ex)
@@ -631,14 +704,14 @@ func (ex *Execution) finish(err error) {
 	// compaction policy violated its invariant (never compact past a live
 	// job's start); surface it as the job's terminal error rather than
 	// shipping a report silently zeroed over missing history.
-	if ferr := report.Finalize(ex.rep, ex.rt.cl); ferr != nil && ex.err == nil {
+	if ferr := report.Finalize(&ex.rep, ex.rt.cl); ferr != nil && ex.err == nil {
 		ex.err = ferr
 	}
 	if h := ex.owner; h != nil {
 		h.s.settle(h, ex.err)
 	}
 	for _, fn := range ex.onDone {
-		fn(ex.rep, ex.err)
+		fn(&ex.rep, ex.err)
 	}
 }
 
@@ -662,36 +735,16 @@ func (rt *Runtime) releaseEngineRef(name string) {
 	}
 }
 
-// sortedCaps returns decision keys in sorted order: engine creation and
-// release must not depend on map iteration order, or device placement (and
-// with it float summation order in the energy integrals) becomes
-// nondeterministic.
+// sortedCaps returns decision keys in sorted order: whatever walks a plan's
+// decisions must not depend on map iteration order, or engine placement and
+// float summation order become nondeterministic.
 func sortedCaps(m map[string]optimizer.Decision) []string {
-	return appendSortedCaps(make([]string, 0, len(m)), m)
-}
-
-// appendSortedCaps is sortedCaps into a reusable scratch buffer.
-func appendSortedCaps(buf []string, m map[string]optimizer.Decision) []string {
+	caps := make([]string, 0, len(m))
 	for k := range m {
-		buf = append(buf, k)
+		caps = append(caps, k)
 	}
-	sort.Strings(buf)
-	return buf
-}
-
-// appendDecisionLabel renders a plan decision as "impl @ config ×N[ paths=M]"
-// — the report's Decisions value — into buf.
-func appendDecisionLabel(buf []byte, d optimizer.Decision) []byte {
-	buf = append(buf, d.Implementation...)
-	buf = append(buf, " @ "...)
-	buf = d.Config.AppendTo(buf)
-	buf = append(buf, " ×"...)
-	buf = strconv.AppendInt(buf, int64(d.Parallelism), 10)
-	if d.ExecutionPaths > 1 {
-		buf = append(buf, " paths="...)
-		buf = strconv.AppendInt(buf, int64(d.ExecutionPaths), 10)
-	}
-	return buf
+	sort.Strings(caps)
+	return caps
 }
 
 // trackName maps capabilities to Figure 3's track labels.

@@ -161,8 +161,8 @@ func TestVectorDBPopulatedPerScene(t *testing.T) {
 	if !ex.Done() {
 		t.Fatal("not done")
 	}
-	if got := rt.VectorDB().Len(ex.Namespace()); got != 16 {
-		t.Fatalf("vectordb docs = %d, want 16", got)
+	if got := ex.Documents().Len(); got != 16 {
+		t.Fatalf("documents = %d, want 16", got)
 	}
 }
 

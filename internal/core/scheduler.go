@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -480,7 +481,7 @@ func (s *Scheduler) pump() {
 			return
 		}
 		h := s.queue[idx]
-		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
+		s.queue = slices.Delete(s.queue, idx, idx+1) // and clear the tail slot: it would pin the handle
 		s.start(h)
 	}
 }
@@ -587,7 +588,7 @@ func (s *Scheduler) settle(h *Handle, err error) {
 func (s *Scheduler) removeQueued(h *Handle) {
 	for i, q := range s.queue {
 		if q == h {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.queue = slices.Delete(s.queue, i, i+1)
 			if s.slo != nil {
 				s.sloDequeued(h)
 				s.updateOverload()

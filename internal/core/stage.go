@@ -10,7 +10,6 @@ import (
 	"repro/internal/llmsim"
 	"repro/internal/optimizer"
 	"repro/internal/sim"
-	"repro/internal/vectordb"
 )
 
 // stage executes one capability's tasks as a resumable segment bound to one
@@ -24,9 +23,17 @@ import (
 // execution's plan so the reconfiguration controller can swap it at a stage
 // boundary: rebind installs a new decision for tasks that have not started,
 // while tasks in flight always finish under the binding they started with.
+//
+// A stage is an element of its execution's stages array, and tasks are node
+// indices of the execution's graph: queue and workers are cut from the
+// execution's block, sized by launch from tasks and the binding.
 type stage struct {
 	ex  *Execution
 	cap string
+	// tasks counts the graph's nodes of this capability; embeds marks the
+	// embedding stage, whose completions the execution notes (afterTask).
+	tasks  int
+	embeds bool
 	// dec is the segment's current binding — the decision every task of this
 	// stage executes under until the next rebind.
 	dec   optimizer.Decision
@@ -40,7 +47,7 @@ type stage struct {
 
 	// queue pops by the qHead cursor — queue[qHead:] is what waits — and
 	// resets when it drains, so a burst of tasks reuses one array.
-	queue   []*dag.Node
+	queue   []int32
 	qHead   int
 	workers []*worker
 	// idle and busy count this stage's workers that hold their allocations
@@ -61,28 +68,47 @@ type stage struct {
 	rebinding    bool
 	shutdownFlag bool
 
-	// pumpFn is the method value st.pump materialized once: deferring the
-	// pump rides the hot path, and a fresh closure per Defer showed up in the
-	// allocation profile.
+	// pumpFn is the method value st.pump, materialized the first time a pump
+	// is deferred (only a preemption or a timeout defers one) and kept: a
+	// fresh closure per Defer showed up in the allocation profile.
 	pumpFn func()
 }
 
-func (ex *Execution) stageFor(capability string) *stage {
-	if st, ok := ex.stages[capability]; ok {
-		return st
+// bind makes st the stage for one capability of ex's graph under its planned
+// decision.
+func (st *stage) bind(ex *Execution, capability string, dec optimizer.Decision) {
+	*st = stage{ex: ex, cap: capability, embeds: agents.Capability(capability) == agents.CapEmbedding}
+	st.setBinding(dec)
+}
+
+func (st *stage) setBinding(dec optimizer.Decision) {
+	st.dec = dec
+	st.im, _ = st.ex.rt.lib.Lookup(dec.Implementation)
+	st.isLLM = st.ex.engineServed(st.cap, dec)
+}
+
+// width is how many workers the binding can have at once: its parallelism,
+// and never more than the stage has tasks.
+func (st *stage) width() int { return max(min(st.dec.Parallelism, st.tasks), 0) }
+
+// stageNamed returns the stage for a capability, nil when the graph has no
+// node of it. For the paths that start from a plan's capability names
+// (reconfiguration, degradation); the task path indexes ex.stages by slot.
+func (ex *Execution) stageNamed(capability string) *stage {
+	for i := range ex.stages {
+		if ex.stages[i].cap == capability {
+			return &ex.stages[i]
+		}
 	}
-	dec := ex.plan.Decisions[capability]
-	im, _ := ex.rt.lib.Lookup(dec.Implementation)
-	st := &stage{
-		ex:    ex,
-		cap:   capability,
-		dec:   dec,
-		isLLM: ex.engineServed(capability, dec),
-		im:    im,
+	return nil
+}
+
+// deferPump runs pump once the current event has unwound.
+func (st *stage) deferPump() {
+	if st.pumpFn == nil {
+		st.pumpFn = st.pump
 	}
-	st.pumpFn = st.pump
-	ex.stages[capability] = st
-	return st
+	st.ex.rt.se.Defer(st.pumpFn)
 }
 
 // beginRebind freezes the segment at its stage boundary: the pump is gated
@@ -107,28 +133,23 @@ func (st *stage) finishRebind(dec optimizer.Decision) {
 		st.workers[0].destroy()
 	}
 	st.rebinding = false
-	st.dec = dec
-	im, _ := st.ex.rt.lib.Lookup(dec.Implementation)
-	st.im = im
-	st.isLLM = st.ex.engineServed(st.cap, dec)
+	st.setBinding(dec)
+	// The waiting tasks go round again through a queue of their own: enqueue
+	// appends while this loop still reads the old one.
 	q := st.queue[st.qHead:]
 	st.queue, st.qHead = nil, 0
-	for _, node := range q {
-		st.enqueue(node)
+	for _, i := range q {
+		st.enqueue(i)
 	}
 }
 
-func (st *stage) enqueue(node *dag.Node) {
+// enqueue takes node i of the graph, already marked running in the tracker.
+func (st *stage) enqueue(i int32) {
 	if st.isLLM {
-		st.submitLLM(node)
+		st.submitLLM(i)
 		return
 	}
-	if st.queue == nil {
-		// Sized from the binding: a stage is never planned wider than it has
-		// tasks, so at least this many arrive.
-		st.queue = make([]*dag.Node, 0, st.dec.Parallelism)
-	}
-	st.queue = append(st.queue, node)
+	st.queue = append(st.queue, i)
 	st.pump()
 }
 
@@ -141,7 +162,7 @@ func (st *stage) enqueue(node *dag.Node) {
 // allocates only the requests themselves.
 type llmTask struct {
 	st        *stage
-	node      *dag.Node
+	node      int32
 	span      int
 	remaining int
 	firstErr  error
@@ -163,7 +184,7 @@ func (rt *Runtime) newLLMTask() *llmTask {
 }
 
 func (rt *Runtime) releaseLLMTask(t *llmTask) {
-	t.st, t.node, t.firstErr = nil, nil, nil
+	t.st, t.firstErr = nil, nil
 	if !DisableAllocReuse && len(rt.llmTaskPool) < poolCap {
 		rt.llmTaskPool = append(rt.llmTaskPool, t)
 	}
@@ -197,14 +218,15 @@ func (t *llmTask) onComplete(r *llmsim.Request) {
 		ex.rt.mgr.ReportOutcome(st.dec.Implementation, true)
 	}
 	st.afterTask(node)
-	ex.completeNode(node.ID)
+	ex.completeNode(node)
 }
 
-func (st *stage) submitLLM(node *dag.Node) {
+func (st *stage) submitLLM(i int32) {
 	ex := st.ex
 	rt := ex.rt
 	d := st.dec
-	if _, err := rt.pl.ToolCallFor(node, d.Implementation); err != nil {
+	node := ex.graph.NodeAt(int(i))
+	if _, err := rt.pl.ToolCallAt(ex.decomp, int(i), d.Implementation); err != nil {
 		ex.finish(fmt.Errorf("core: tool-call generation for %s: %w", node.ID, err))
 		return
 	}
@@ -225,7 +247,7 @@ func (st *stage) submitLLM(node *dag.Node) {
 	}
 	st.inflight++
 	t := rt.newLLMTask()
-	t.st, t.node, t.remaining = st, node, paths
+	t.st, t.node, t.remaining = st, i, paths
 	t.span = ex.tracer.Start(trackName(st.cap), string(node.ID), rt.se.Now().Seconds())
 	for p := 0; p < paths; p++ {
 		// Request IDs repeat across structurally-identical jobs; intern them
@@ -241,21 +263,12 @@ func (st *stage) submitLLM(node *dag.Node) {
 	}
 }
 
-// afterTask applies capability-specific side effects (the embedding insert
-// into the VectorDB from the §4 setup).
-func (st *stage) afterTask(node *dag.Node) {
-	if agents.Capability(st.cap) != agents.CapEmbedding {
-		return
-	}
-	text := "summary of " + metaStr(node, "video", metaStr(node, "doc", "input")) +
-		" scene " + metaStr(node, "scene", "-")
-	db := st.ex.rt.db
-	if err := db.Insert(st.ex.Namespace(), vectordb.Doc{
-		ID:     string(node.ID),
-		Vector: vectordb.Embed(text, db.Dim()),
-		Text:   text,
-	}); err != nil {
-		panic(err)
+// afterTask applies capability-specific side effects: an embedding task's
+// document (the VectorDB insert of the §4 setup) is noted here and made when
+// someone reads it, see Execution.Documents.
+func (st *stage) afterTask(i int32) {
+	if st.embeds {
+		st.ex.embedded = append(st.ex.embedded, i)
 	}
 }
 
@@ -269,8 +282,9 @@ type worker struct {
 	cpuAlloc *cluster.CPUAlloc
 	ready    bool // allocations held
 	busy     bool
-	current  *dag.Node
-	doneEv   *sim.Event
+	// current is the node index of the task in hand, meaningful while busy.
+	current int32
+	doneEv  *sim.Event
 	// doneAt is doneEv's firing time, kept so an injected stall can push
 	// the completion out without recomputing the task's duration.
 	doneAt sim.Time
@@ -305,7 +319,6 @@ func (st *stage) pump() {
 			break
 		}
 		node := st.queue[st.qHead]
-		st.queue[st.qHead] = nil
 		st.qHead++
 		if st.qHead == len(st.queue) {
 			st.queue, st.qHead = st.queue[:0], 0
@@ -361,9 +374,6 @@ func (st *stage) spawnWorker() {
 		w.taskDoneFn = w.taskDone
 		w.timedOutFn = w.timedOut
 		w.preemptFn = w.preempted
-	}
-	if st.workers == nil {
-		st.workers = make([]*worker, 0, st.dec.Parallelism) // pump never grows the pool past it
 	}
 	st.workers = append(st.workers, w)
 	w.acquire()
@@ -443,11 +453,12 @@ func (w *worker) becomeReady() {
 	w.st.pump()
 }
 
-func (w *worker) run(node *dag.Node) {
+func (w *worker) run(i int32) {
 	st := w.st
 	ex := st.ex
 	d := st.dec
-	if _, err := ex.rt.pl.ToolCallFor(node, d.Implementation); err != nil {
+	node := ex.graph.NodeAt(int(i))
+	if _, err := ex.rt.pl.ToolCallAt(ex.decomp, int(i), d.Implementation); err != nil {
 		ex.finish(fmt.Errorf("core: tool-call generation for %s: %w", node.ID, err))
 		return
 	}
@@ -464,7 +475,7 @@ func (w *worker) run(node *dag.Node) {
 		return
 	}
 	w.setState(w.ready, true)
-	w.current = node
+	w.current = i
 	st.inflight++
 	w.setIntensity(im.Perf.GPUIntensity, im.Perf.CPUIntensity)
 	w.span = ex.tracer.Start(trackName(st.cap), string(node.ID), ex.rt.se.Now().Seconds())
@@ -488,13 +499,12 @@ func (w *worker) taskDone() {
 	w.setIntensity(0, 0)
 	ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
 	w.setState(w.ready, false)
-	w.current = nil
 	st.inflight--
 	if ex.rt.recovery != nil {
 		ex.rt.mgr.ReportOutcome(st.dec.Implementation, true)
 	}
 	st.afterTask(node)
-	ex.completeNode(node.ID)
+	ex.completeNode(node)
 	st.pump()
 }
 
@@ -517,7 +527,7 @@ func (w *worker) stall(d float64) bool {
 // retry respawns capacity through the normal pump path.
 func (w *worker) timedOut() {
 	w.watchdogEv = nil
-	if w.dead || !w.busy || w.current == nil {
+	if w.dead || !w.busy {
 		return
 	}
 	st := w.st
@@ -531,13 +541,12 @@ func (w *worker) timedOut() {
 	ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
 	w.setIntensity(0, 0)
 	w.setState(w.ready, false)
-	w.current = nil
 	st.inflight--
 	rc.timeouts++
 	w.destroy()
-	st.taskFailed(node, &JobError{Code: CodeTaskFailed, Op: string(node.ID),
+	st.taskFailed(node, &JobError{Code: CodeTaskFailed, Op: string(ex.graph.NodeAt(int(node)).ID),
 		Err: fmt.Errorf("core: stage %s timed out after %.0fs", st.cap, rc.policy.StageTimeoutS)})
-	ex.rt.se.Defer(st.pumpFn)
+	st.deferPump()
 }
 
 func (w *worker) setIntensity(gpu, cpu float64) {
@@ -561,24 +570,23 @@ func (w *worker) preempted() {
 		w.doneEv.Cancel()
 		w.doneEv = nil
 	}
-	if w.current != nil {
+	if w.busy {
 		ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
-		if err := ex.tracker.Fail(w.current.ID); err != nil {
+		if err := ex.tracker.FailAt(w.current); err != nil {
 			panic(err)
 		}
 		// Re-enqueue: Fail returned it to ready; restart through the
 		// tracker to keep state consistent.
-		if err := ex.tracker.Start(w.current.ID); err != nil {
+		if err := ex.tracker.StartAt(w.current); err != nil {
 			panic(err)
 		}
 		st.queue = append(st.queue, w.current)
 		ex.retries++
-		w.current = nil
 		w.setState(w.ready, false)
 		st.inflight--
 	}
 	w.destroy()
-	ex.rt.se.Defer(st.pumpFn)
+	st.deferPump()
 }
 
 // destroy releases the worker's allocations and removes it from the pool.
@@ -611,7 +619,6 @@ func (w *worker) destroy() {
 		w.cpuAlloc.Release()
 		w.cpuAlloc = nil
 	}
-	w.current = nil
 	w.gen++
 	st := w.st
 	// NOTE: the vacated tail slot keeps a stale pointer past len. Callers
@@ -625,6 +632,8 @@ func (w *worker) destroy() {
 		}
 	}
 	rt := st.ex.rt
+	// A retired worker must not keep its last job alive from the free list.
+	w.st = nil
 	if !DisableAllocReuse && len(rt.workerPool) < poolCap {
 		rt.workerPool = append(rt.workerPool, w)
 	}

@@ -17,6 +17,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
+
+	"repro/internal/contentkey"
 )
 
 // NodeID identifies a node within one graph.
@@ -57,7 +60,8 @@ type Node struct {
 type Graph struct {
 	// nodes lists every node in insertion order. The pointers lead into slab
 	// chunks; a full chunk is left alone and a new one started, so a *Node
-	// handed out earlier stays valid (the planner's tool-call cache keys on it).
+	// handed out earlier stays valid (the runtime's remaining-DAG view copies
+	// through them).
 	nodes []*Node
 	slab  []Node
 	index map[NodeID]int32
@@ -68,6 +72,11 @@ type Graph struct {
 	// adjacency is set by Freeze. A frozen graph is immutable, so the slices
 	// its queries return are shared read-only views.
 	adjacency
+	// content memoizes AppendContent's bytes for a frozen graph. Rendered on
+	// first demand, under the Once: plan searchers read a frozen graph off the
+	// loop goroutine that asks for its content.
+	contentOnce sync.Once
+	content     []byte
 }
 
 type edge struct{ from, to int32 }
@@ -165,24 +174,29 @@ func (c *csr) neighbours(index map[NodeID]int32, id NodeID) []NodeID {
 
 // adjacency is everything derived from the node and edge lists. sortTopo
 // fills topoIdx (the topological order as node indices) and topo (as IDs),
-// counting down indeg.
+// counting down indeg; assignCapSlots fills capSlot (each node's capability
+// slot) and capRep (one node of each slot's capability, the slots numbered in
+// sorted capability order).
 type adjacency struct {
-	succ, pred     csr
-	topoIdx, indeg []int32
-	topo           []NodeID
+	succ, pred      csr
+	topoIdx, indeg  []int32
+	capSlot, capRep []int32
+	topo            []NodeID
 }
 
 // buildAdjacency derives both CSR directions from the edge list with two
-// allocations: one int32 slab (offsets, rows, topo scratch) and one NodeID
-// slab (row views, topological order).
+// allocations: one int32 slab (offsets, rows, topo scratch, capability slots)
+// and one NodeID slab (row views, topological order).
 func (g *Graph) buildAdjacency() adjacency {
 	n, raw := len(g.nodes), len(g.edges)
-	ints := make([]int32, 4*n+2+2*raw)
+	ints := make([]int32, 6*n+2+2*raw)
 	var a adjacency
 	a.succ.off, ints = ints[:n+1], ints[n+1:]
 	a.pred.off, ints = ints[:n+1], ints[n+1:]
 	a.topoIdx, ints = ints[:0:n], ints[n:]
 	a.indeg, ints = ints[:n], ints[n:]
+	a.capSlot, ints = ints[:n], ints[n:]
+	a.capRep, ints = ints[:0:n], ints[n:]
 	cur := a.indeg // row write cursors until sortTopo needs the in-degrees
 	byID := func(x, y int32) int { return cmp.Compare(g.nodes[x].ID, g.nodes[y].ID) }
 
@@ -273,11 +287,36 @@ func (a *adjacency) sortTopo(nodes []*Node) error {
 	return nil
 }
 
+// assignCapSlots numbers the graph's distinct capabilities in sorted order
+// and records each node's number: what lets an executor keep per-capability
+// state in a slice and reach it from a node index without hashing a name. A
+// graph has a handful of capabilities, so finding a node's among those seen
+// so far is a short scan; indeg is free as scratch until sortTopo runs.
+func (a *adjacency) assignCapSlots(nodes []*Node) {
+	for i, n := range nodes {
+		s := slices.IndexFunc(a.capRep, func(r int32) bool { return nodes[r].Capability == n.Capability })
+		if s < 0 {
+			s = len(a.capRep)
+			a.capRep = append(a.capRep, int32(i))
+		}
+		a.capSlot[i] = int32(s) // discovery order, renumbered below
+	}
+	slices.SortFunc(a.capRep, func(x, y int32) int { return cmp.Compare(nodes[x].Capability, nodes[y].Capability) })
+	rank := a.indeg
+	for slot, r := range a.capRep {
+		rank[a.capSlot[r]] = int32(slot)
+	}
+	for i, s := range a.capSlot {
+		a.capSlot[i] = rank[s]
+	}
+}
+
 // Freeze validates acyclicity and locks the graph. It must be called before
 // scheduling queries; mutating after Freeze errors, and a graph whose Freeze
 // failed stays mutable.
 func (g *Graph) Freeze() error {
 	a := g.buildAdjacency()
+	a.assignCapSlots(g.nodes)
 	if err := a.sortTopo(g.nodes); err != nil {
 		return err
 	}
@@ -308,6 +347,46 @@ func (g *Graph) Node(id NodeID) (*Node, bool) {
 		return nil, false
 	}
 	return g.nodes[i], true
+}
+
+// NodeAt returns the node at insertion index i.
+func (g *Graph) NodeAt(i int) *Node { return g.nodes[i] }
+
+// CapSlots returns how many distinct capabilities a frozen graph's nodes
+// name. Slots number them in sorted order.
+func (g *Graph) CapSlots() int {
+	g.mustBeFrozen("CapSlots")
+	return len(g.capRep)
+}
+
+// CapSlot returns the capability slot of the node at index i.
+func (g *Graph) CapSlot(i int) int { return int(g.capSlot[i]) }
+
+// SlotCapability returns the capability that slot s numbers.
+func (g *Graph) SlotCapability(s int) string { return g.nodes[g.capRep[s]].Capability }
+
+// AppendContent appends the graph's (capability, work) content — every node's,
+// in insertion order, in contentkey encoding — to key. A frozen graph renders
+// it once and appends the remembered bytes from then on.
+func (g *Graph) AppendContent(key []byte) []byte {
+	if !g.frozen {
+		return g.appendContent(key)
+	}
+	g.contentOnce.Do(func() {
+		// Through the caller's scratch first, so what is kept is cut to size.
+		n := len(key)
+		key = g.appendContent(key)
+		g.content, key = slices.Clone(key[n:]), key[:n]
+	})
+	return append(key, g.content...)
+}
+
+func (g *Graph) appendContent(key []byte) []byte {
+	for _, n := range g.nodes {
+		key = contentkey.AppendString(key, n.Capability)
+		key = contentkey.AppendFloat(key, n.Work)
+	}
+	return key
 }
 
 // Nodes returns all nodes in insertion order. After Freeze the returned

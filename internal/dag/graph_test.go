@@ -186,7 +186,10 @@ func TestGraphErrorTextsMatchOracle(t *testing.T) {
 
 // FuzzGraphOps replays a byte string as an operation sequence over eight
 // candidate IDs (one of them empty) on the graph and the oracle. Each byte is
-// one operation: the low two bits pick it, the rest its operands.
+// one operation: the low two bits pick it, the rest its operands. Once a
+// Freeze has succeeded every further byte is also a tracker transition —
+// start, complete or fail, valid or not — on a node its high bits pick, played
+// on a tracker driven by IDs and on one driven by node indices.
 func FuzzGraphOps(f *testing.F) {
 	node := func(id, work byte) byte { return 0 | id<<2 | work<<5 }
 	edge := func(from, to byte) byte { return 1 | from<<2 | to<<5 }
@@ -200,6 +203,10 @@ func FuzzGraphOps(f *testing.F) {
 	// Fan-in of six onto one node, queried before and after Freeze.
 	f.Add([]byte{node(7, 1), node(6, 2), node(5, 3), node(4, 4), node(3, 5), node(2, 6), node(1, 7),
 		edge(7, 1), edge(6, 1), edge(5, 1), edge(4, 1), edge(3, 1), edge(2, 1), compare, freeze, compare, node(1, 0)})
+	// A chain run through both trackers: start, a failure and its retry, an
+	// early completion refused, then completions in order.
+	f.Add([]byte{node(1, 0), node(2, 0), edge(1, 2), freeze,
+		0x00, 0x08, 0x00, 0x14, 0x04, 0x10, 0x14})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			t.Skip()
@@ -211,7 +218,11 @@ func FuzzGraphOps(f *testing.F) {
 			return NodeID('h' - k) // insertion order and ID order disagree
 		}
 		p := newPair(t)
+		var tp *trackerPair
 		for _, op := range ops {
+			if tp != nil {
+				tp.op(int(op>>2&3)%3, int32(op>>4)%int32(p.g.Len()))
+			}
 			switch a, b := op>>2&7, op>>5; op & 3 {
 			case 0:
 				p.addNode(Node{ID: id(a), Capability: string('x' + rune(b%3)), Work: float64(b)})
@@ -220,7 +231,9 @@ func FuzzGraphOps(f *testing.F) {
 			case 2:
 				p.compare()
 			case 3:
-				p.freeze()
+				if p.freeze() && tp == nil && p.g.Len() > 0 {
+					tp = newTrackerPair(t, p.g)
+				}
 			}
 		}
 		p.compare()
@@ -228,8 +241,7 @@ func FuzzGraphOps(f *testing.F) {
 }
 
 // Node pointers handed out while the graph is still growing must keep
-// pointing at the node: the planner's tool-call cache keys on them and the
-// runtime's remaining-DAG view copies through them.
+// pointing at the node: the runtime's remaining-DAG view copies through them.
 func TestNodePointersSurviveGrowth(t *testing.T) {
 	g := New() // unsized: the slab has to start new chunks along the way
 	var held []*Node

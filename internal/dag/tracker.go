@@ -9,17 +9,17 @@ import "fmt"
 // State machine per node: pending → ready → running → done. Failed nodes may
 // be retried (returned to ready) — the runtime's failure-injection tests
 // exercise this path.
+//
+// An executor that walks the graph by node index drives it through StartAt,
+// CompleteAt, FailAt and AppendReadyAt; the entry points that take a NodeID
+// hash it to an index first and are for callers that hold nothing else.
 type Tracker struct {
 	g *Graph
-	// cells is indexed like the graph's nodes: dense state, so a tracker costs
-	// two allocations and only the entry points that take an ID hash it.
-	cells []trackerCell
+	// cells is indexed like the graph's nodes, two int32s each: node i's
+	// state at 2i and its unfinished predecessor count at 2i+1. Plain int32s
+	// so that a caller can cut them from a slab it shares with other indices.
+	cells []int32
 	done  int
-}
-
-type trackerCell struct {
-	state   nodeState
-	waiting int32 // unfinished predecessor count
 }
 
 type nodeState int32
@@ -31,26 +31,69 @@ const (
 	stateDone
 )
 
+// TrackerCells returns how many int32s a tracker over g keeps its state in —
+// the length of the storage Init wants.
+func TrackerCells(g *Graph) int { return 2 * g.Len() }
+
 // NewTracker creates a tracker over a frozen graph.
 func NewTracker(g *Graph) *Tracker {
-	g.mustBeFrozen("NewTracker")
-	t := &Tracker{g: g, cells: make([]trackerCell, g.Len())}
-	for i := range t.cells {
-		t.cells[i].waiting = int32(len(g.pred.row(i)))
-		if t.cells[i].waiting == 0 {
-			t.cells[i].state = stateReady
-		}
-	}
+	t := new(Tracker)
+	t.Init(g, make([]int32, TrackerCells(g)))
 	return t
 }
 
-// cell returns the tracker cell for id, or nil for an unknown node.
-func (t *Tracker) cell(id NodeID) *trackerCell {
+// Init makes t a fresh tracker over the frozen graph g, keeping its state in
+// cells (TrackerCells(g) long): for an executor that holds the tracker by
+// value and its cells in storage of its own.
+func (t *Tracker) Init(g *Graph, cells []int32) {
+	g.mustBeFrozen("NewTracker")
+	*t = Tracker{g: g, cells: cells[:TrackerCells(g)]}
+	for i := range g.nodes {
+		waiting := int32(len(g.pred.row(i)))
+		state := statePending
+		if waiting == 0 {
+			state = stateReady
+		}
+		t.cells[2*i], t.cells[2*i+1] = int32(state), waiting
+	}
+}
+
+func (t *Tracker) state(i int32) nodeState { return nodeState(t.cells[2*i]) }
+
+func (t *Tracker) setState(i int32, s nodeState) { t.cells[2*i] = int32(s) }
+
+// move takes node i from one state to the next, or reports which state op
+// found it in.
+func (t *Tracker) move(op string, i int32, from, to nodeState) error {
+	if t.state(i) != from {
+		return fmt.Errorf("dag: %s(%q) in state %v", op, t.g.nodes[i].ID, t.state(i))
+	}
+	t.setState(i, to)
+	return nil
+}
+
+// moveID is move for a caller that holds an ID. Unknown nodes read as
+// pending, matching the old map-backed zero value.
+func (t *Tracker) moveID(op string, id NodeID, from, to nodeState) (int32, error) {
 	i, ok := t.g.index[id]
 	if !ok {
-		return nil
+		return 0, fmt.Errorf("dag: %s(%q) in state %v", op, id, statePending)
 	}
-	return &t.cells[i]
+	return i, t.move(op, i, from, to)
+}
+
+// release counts one finished predecessor off node s and reports whether
+// that made it ready.
+func (t *Tracker) release(s int32) bool {
+	t.cells[2*s+1]--
+	if t.cells[2*s+1] < 0 {
+		panic("dag: predecessor count below zero")
+	}
+	if t.cells[2*s+1] == 0 && t.state(s) == statePending {
+		t.setState(s, stateReady)
+		return true
+	}
+	return false
 }
 
 // Graph returns the underlying graph.
@@ -64,8 +107,18 @@ func (t *Tracker) Ready() []NodeID { return t.AppendReady(nil) }
 // buffer instead of allocating one per frontier scan.
 func (t *Tracker) AppendReady(buf []NodeID) []NodeID {
 	for i, n := range t.g.nodes {
-		if t.cells[i].state == stateReady {
+		if t.state(int32(i)) == stateReady {
 			buf = append(buf, n.ID)
+		}
+	}
+	return buf
+}
+
+// AppendReadyAt is AppendReady in node indices.
+func (t *Tracker) AppendReadyAt(buf []int32) []int32 {
+	for i := range t.g.nodes {
+		if t.state(int32(i)) == stateReady {
+			buf = append(buf, int32(i))
 		}
 	}
 	return buf
@@ -73,22 +126,12 @@ func (t *Tracker) AppendReady(buf []NodeID) []NodeID {
 
 // Start transitions a ready node to running.
 func (t *Tracker) Start(id NodeID) error {
-	c := t.cell(id)
-	if c == nil || c.state != stateReady {
-		return fmt.Errorf("dag: Start(%q) in state %v", id, t.stateOf(id))
-	}
-	c.state = stateRunning
-	return nil
+	_, err := t.moveID("Start", id, stateReady, stateRunning)
+	return err
 }
 
-// stateOf reports the state for error messages; unknown nodes read as
-// pending, matching the old map-backed zero value.
-func (t *Tracker) stateOf(id NodeID) nodeState {
-	if c := t.cell(id); c != nil {
-		return c.state
-	}
-	return statePending
-}
+// StartAt is Start for the node at index i.
+func (t *Tracker) StartAt(i int32) error { return t.move("Start", i, stateReady, stateRunning) }
 
 // Complete transitions a running node to done and returns any newly-ready
 // successors (in deterministic order).
@@ -101,21 +144,28 @@ func (t *Tracker) Complete(id NodeID) ([]NodeID, error) {
 // hot dispatch loop completes nodes without allocating a frontier slice per
 // task.
 func (t *Tracker) CompleteAppend(id NodeID, buf []NodeID) ([]NodeID, error) {
-	i, ok := t.g.index[id]
-	if !ok || t.cells[i].state != stateRunning {
-		return buf, fmt.Errorf("dag: Complete(%q) in state %v", id, t.stateOf(id))
+	i, err := t.moveID("Complete", id, stateRunning, stateDone)
+	if err != nil {
+		return buf, err
 	}
-	t.cells[i].state = stateDone
 	t.done++
 	for _, s := range t.g.succ.row(int(i)) {
-		sc := &t.cells[s]
-		sc.waiting--
-		if sc.waiting < 0 {
-			panic("dag: predecessor count below zero")
-		}
-		if sc.waiting == 0 && sc.state == statePending {
-			sc.state = stateReady
+		if t.release(s) {
 			buf = append(buf, t.g.nodes[s].ID)
+		}
+	}
+	return buf, nil
+}
+
+// CompleteAt is CompleteAppend in node indices.
+func (t *Tracker) CompleteAt(i int32, buf []int32) ([]int32, error) {
+	if err := t.move("Complete", i, stateRunning, stateDone); err != nil {
+		return buf, err
+	}
+	t.done++
+	for _, s := range t.g.succ.row(int(i)) {
+		if t.release(s) {
+			buf = append(buf, s)
 		}
 	}
 	return buf, nil
@@ -124,13 +174,12 @@ func (t *Tracker) CompleteAppend(id NodeID, buf []NodeID) ([]NodeID, error) {
 // Fail returns a running node to ready so it can be retried (e.g. after a
 // spot preemption killed its resources).
 func (t *Tracker) Fail(id NodeID) error {
-	c := t.cell(id)
-	if c == nil || c.state != stateRunning {
-		return fmt.Errorf("dag: Fail(%q) in state %v", id, t.stateOf(id))
-	}
-	c.state = stateReady
-	return nil
+	_, err := t.moveID("Fail", id, stateRunning, stateReady)
+	return err
 }
+
+// FailAt is Fail for the node at index i.
+func (t *Tracker) FailAt(i int32) error { return t.move("Fail", i, stateRunning, stateReady) }
 
 // Done reports whether every node completed.
 func (t *Tracker) Done() bool { return t.done == t.g.Len() }
@@ -142,7 +191,7 @@ func (t *Tracker) CompletedCount() int { return t.done }
 func (t *Tracker) Running() []NodeID {
 	var out []NodeID
 	for i, n := range t.g.nodes {
-		if t.cells[i].state == stateRunning {
+		if t.state(int32(i)) == stateRunning {
 			out = append(out, n.ID)
 		}
 	}
@@ -155,7 +204,7 @@ func (t *Tracker) Running() []NodeID {
 func (t *Tracker) RemainingNodes() []*Node {
 	var out []*Node
 	for i, n := range t.g.nodes {
-		if t.cells[i].state != stateDone {
+		if t.state(int32(i)) != stateDone {
 			out = append(out, n)
 		}
 	}
@@ -169,7 +218,7 @@ func (t *Tracker) RemainingNodes() []*Node {
 func (t *Tracker) RemainingCapabilityWork() map[string]float64 {
 	out := map[string]float64{}
 	for i, n := range t.g.nodes {
-		if t.cells[i].state != stateDone {
+		if t.state(int32(i)) != stateDone {
 			out[n.Capability] += n.Work
 		}
 	}
@@ -182,10 +231,10 @@ func (t *Tracker) RemainingCapabilityWork() map[string]float64 {
 func (t *Tracker) UpcomingCapabilities(horizon int) map[string]bool {
 	// BFS from ready/running nodes through pending successors; hops holds
 	// each reached node's depth plus one, zero meaning not reached.
-	hops := make([]int, len(t.cells))
+	hops := make([]int, t.g.Len())
 	var queue []int32
-	for i, c := range t.cells {
-		if c.state == stateReady || c.state == stateRunning {
+	for i := range hops {
+		if s := t.state(int32(i)); s == stateReady || s == stateRunning {
 			hops[i] = 1
 			queue = append(queue, int32(i))
 		}
@@ -194,7 +243,7 @@ func (t *Tracker) UpcomingCapabilities(horizon int) map[string]bool {
 	for head := 0; head < len(queue); head++ {
 		i := queue[head]
 		d := hops[i] - 1
-		if t.cells[i].state != stateDone && d <= horizon {
+		if t.state(i) != stateDone && d <= horizon {
 			out[t.g.nodes[i].Capability] = true
 		}
 		if d == horizon {

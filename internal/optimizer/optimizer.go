@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/agents"
 	"repro/internal/cluster"
@@ -65,6 +66,41 @@ type Plan struct {
 	// reconfiguration controller compares plans by (consistent across plans
 	// over the same DAG, which is all a relative comparison needs).
 	EstLatencyS float64
+
+	// labels is Labels' memo.
+	labels map[string]string
+}
+
+// AppendLabel renders the decision as "impl @ config ×N[ paths=M]" — a
+// report's Decisions value — into buf.
+func (d Decision) AppendLabel(buf []byte) []byte {
+	buf = append(buf, d.Implementation...)
+	buf = append(buf, " @ "...)
+	buf = d.Config.AppendTo(buf)
+	buf = append(buf, " ×"...)
+	buf = strconv.AppendInt(buf, int64(d.Parallelism), 10)
+	if d.ExecutionPaths > 1 {
+		buf = append(buf, " paths="...)
+		buf = strconv.AppendInt(buf, int64(d.ExecutionPaths), 10)
+	}
+	return buf
+}
+
+// Labels returns every decision's label by capability: the Decisions map of
+// the report of a job that ran under this plan. A plan is immutable and shared
+// by the jobs it is cached for, so the map is rendered on the first call and
+// handed to all of them read-only. Like the plan cache itself, it belongs to
+// the one goroutine that executes the plan.
+func (p *Plan) Labels() map[string]string {
+	if p.labels == nil {
+		p.labels = make(map[string]string, len(p.Decisions))
+		var buf []byte
+		for cap, d := range p.Decisions {
+			buf = d.AppendLabel(buf[:0])
+			p.labels[cap] = string(buf)
+		}
+	}
+	return p.labels
 }
 
 // Objective collapses a plan's estimates to one lower-is-better scalar for

@@ -43,6 +43,18 @@ type Result struct {
 	Graph    *dag.Graph
 	Trace    []Step
 	Queries  []Query
+	// calls memoizes the generated-and-validated tool call of each node of
+	// Graph, by node index (see Planner.ToolCallAt); made on first use, by the
+	// one goroutine that executes the decomposition.
+	calls []callSlot
+}
+
+// callSlot is one node's memoized tool call: valid for the implementation it
+// names (tc.Agent) while the library's generation is gen-1, so the zero slot
+// matches nothing.
+type callSlot struct {
+	gen int
+	tc  agents.ToolCall
 }
 
 // TotalPlanningTokens sums tokens across planning queries.
@@ -58,59 +70,29 @@ func (r *Result) TotalPlanningTokens() (prompt, output int) {
 type Planner struct {
 	lib *agents.Library
 	// implCache holds one Library.Get clone per implementation name, valid
-	// for implGen == lib.Gen(): ToolCallFor runs once per executed task, and
-	// cloning the schema on every task would allocate on the dispatch hot
+	// for implGen == lib.Gen(): a tool call is generated per executed task,
+	// and cloning the schema on every one would allocate on the dispatch hot
 	// path.
 	implCache map[string]*agents.Implementation
-	// callCache memoizes generated-and-validated tool calls per (node,
-	// implementation). Graphs are frozen after decomposition and shared
-	// across structurally-identical executions, so a long-lived serving
-	// runtime replays the same nodes continually; the generation step is a
-	// pure function of node metadata and the schema, which the library
-	// generation guards. Invalidated together with implCache.
-	callCache map[toolCallKey]agents.ToolCall
 	implGen   int
 	// calls is what generated calls are cut from; ToolCallFor starts a fresh
-	// one when it fills up, and a cached call keeps the old one alive.
+	// one when it fills up, and a memoized call keeps the old one alive.
 	calls *slab
 }
-
-type toolCallKey struct {
-	node *dag.Node
-	impl string
-}
-
-// callCacheLimit bounds memory: reached only if a service sees that many
-// distinct (node, implementation) pairs, at which point the cache resets
-// wholesale like the runtime's plan caches.
-const callCacheLimit = 1 << 16
 
 // New creates a planner over a library.
 func New(lib *agents.Library) *Planner {
 	if lib == nil {
 		panic("planner: nil library")
 	}
-	return &Planner{
-		lib:       lib,
-		implCache: map[string]*agents.Implementation{},
-		callCache: map[toolCallKey]agents.ToolCall{},
-	}
+	return &Planner{lib: lib, implCache: map[string]*agents.Implementation{}}
 }
 
-// ResetCallCache drops the memoized tool calls. The runtime calls this when
-// it evicts its decomposition cache wholesale: callCache keys on node
-// pointers from those decompositions, so the evicted entries could never hit
-// again yet would pin the old graphs until the cache's own limit tripped.
-func (p *Planner) ResetCallCache() {
-	p.callCache = map[toolCallKey]agents.ToolCall{}
-}
-
-// checkGen flushes the memoization caches when the library's registration
+// checkGen flushes the implementation memo when the library's registration
 // generation moves.
 func (p *Planner) checkGen() {
 	if p.implGen != p.lib.Gen() {
 		p.implCache = map[string]*agents.Implementation{}
-		p.callCache = map[toolCallKey]agents.ToolCall{}
 		p.implGen = p.lib.Gen()
 	}
 }

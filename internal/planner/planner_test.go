@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,6 +282,64 @@ func TestToolCallForEveryNode(t *testing.T) {
 		if _, err := p.ToolCallFor(n, impls[0].Name); err != nil {
 			t.Fatalf("tool call for %s via %s: %v", n.ID, impls[0].Name, err)
 		}
+	}
+}
+
+// ToolCallAt answers from the decomposition's per-node slot while the
+// implementation and the library generation are the ones it was generated
+// under, and generates again — overwriting the slot — when either moves.
+func TestToolCallAtMemoizesPerNode(t *testing.T) {
+	lib := agents.DefaultLibrary()
+	p := New(lib)
+	res, err := p.Decompose(videoJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range res.Graph.Nodes() {
+		impls := lib.ByCapability(agents.Capability(n.Capability))
+		want, err := p.ToolCallFor(n, impls[0].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.ToolCallAt(res, i, impls[0].Name)
+		if err != nil || got.String() != want.String() {
+			t.Fatalf("node %d: ToolCallAt = %s, %v; ToolCallFor = %s", i, got.String(), err, want.String())
+		}
+	}
+	stt := slices.IndexFunc(res.Graph.Nodes(), func(n *dag.Node) bool { return n.Capability == string(agents.CapSpeechToText) })
+	impls := lib.ByCapability(agents.CapSpeechToText)
+	if len(impls) < 2 {
+		t.Fatal("need two speech-to-text implementations")
+	}
+	a, b := impls[0].Name, impls[1].Name
+	first, _ := p.ToolCallAt(res, stt, a)
+	if got := testing.AllocsPerRun(100, func() {
+		if again, err := p.ToolCallAt(res, stt, a); err != nil || &again.Args[0] != &first.Args[0] {
+			t.Fatal("a repeated call was generated again")
+		}
+	}); got != 0 {
+		t.Fatalf("a memoized ToolCallAt allocates %.0f", got)
+	}
+	other, err := p.ToolCallAt(res, stt, b)
+	if err != nil || other.Agent != b {
+		t.Fatalf("after a rebind: agent %q, %v; want %q", other.Agent, err, b)
+	}
+	if back, _ := p.ToolCallAt(res, stt, a); back.Agent != a || &back.Args[0] == &first.Args[0] {
+		t.Fatal("one slot per node: going back to the first implementation must generate again")
+	}
+	if _, err := p.ToolCallAt(res, stt, "ghost"); err == nil {
+		t.Fatal("unknown implementation accepted")
+	}
+	// A registration moves the library generation: what was memoized under
+	// the old schema set is not answered from.
+	before, _ := p.ToolCallAt(res, stt, a)
+	im := *impls[0]
+	im.Name = "whisper-again"
+	if err := lib.Register(im); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := p.ToolCallAt(res, stt, a); err != nil || &after.Args[0] == &before.Args[0] {
+		t.Fatalf("a call memoized before the registration was answered after it (%v)", err)
 	}
 }
 

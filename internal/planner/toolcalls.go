@@ -16,11 +16,6 @@ import (
 // an invalid generation is a bug surfaced as an error, mirroring the
 // quality-control checkpoints §5 calls for.
 func (p *Planner) ToolCallFor(node *dag.Node, implName string) (agents.ToolCall, error) {
-	p.checkGen()
-	key := toolCallKey{node: node, impl: implName}
-	if tc, ok := p.callCache[key]; ok {
-		return tc, nil
-	}
 	im, ok := p.impl(implName)
 	if !ok {
 		return agents.ToolCall{}, fmt.Errorf("planner: tool call for unknown implementation %q", implName)
@@ -77,11 +72,30 @@ func (p *Planner) ToolCallFor(node *dag.Node, implName string) (agents.ToolCall,
 	if err := p.lib.ValidateCall(tc); err != nil {
 		return agents.ToolCall{}, fmt.Errorf("planner: generated invalid tool call: %w", err)
 	}
-	if len(p.callCache) >= callCacheLimit {
-		p.callCache = map[toolCallKey]agents.ToolCall{}
-	}
-	p.callCache[key] = tc
 	return tc, nil
+}
+
+// ToolCallAt is ToolCallFor for node i of a decomposition's graph, memoized
+// in the decomposition: graphs are frozen and shared by structurally-identical
+// executions, so a long-lived serving runtime replays the same nodes
+// continually, and generation is a pure function of node metadata and the
+// schema, which the library generation guards. One slot per node — a task
+// runs under one implementation at a time, and a reconfigured binding simply
+// overwrites it — so the memo lives and dies with the decomposition and a
+// lookup is an index, not a hash.
+func (p *Planner) ToolCallAt(res *Result, i int, implName string) (agents.ToolCall, error) {
+	if res.calls == nil {
+		res.calls = make([]callSlot, res.Graph.Len())
+	}
+	slot, gen := &res.calls[i], p.lib.Gen()+1
+	if slot.gen == gen && slot.tc.Agent == implName {
+		return slot.tc, nil
+	}
+	tc, err := p.ToolCallFor(res.Graph.NodeAt(i), implName)
+	if err == nil {
+		*slot = callSlot{gen: gen, tc: tc}
+	}
+	return tc, err
 }
 
 func metaOr(m dag.Meta, k, def string) string {

@@ -26,15 +26,12 @@ type Tracer struct {
 	// hands to its (unstable) sort, so it is part of the output.
 	spans []Span
 	// open holds the spans started and not yet ended, in no particular
-	// order. A job has a stage's parallelism plus its in-flight LLM calls
-	// open at once, so End finds its span by a short linear search.
-	open []openSpan
-	next int
-}
-
-type openSpan struct {
-	id int
-	Span
+	// order, and ids[i] the id Start gave open[i]. A job has a stage's
+	// parallelism plus its in-flight LLM calls open at once, so End finds its
+	// span by a short linear search.
+	open []Span
+	ids  []int32
+	next int32
 }
 
 // NewTracer returns an empty tracer.
@@ -42,37 +39,49 @@ func NewTracer() *Tracer { return &Tracer{} }
 
 // NewTracerSized returns an empty tracer with room for spans completed spans
 // and open spans in flight at once; within those sizes Start and End do not
-// allocate. Size both from the job being traced (its graph's length, its
-// plan's parallelism): a constant large enough for the biggest job costs every
-// small job the difference.
+// allocate. Size both from the job being traced (its graph's length, how many
+// of its tasks can run at once): a constant large enough for the biggest job
+// costs every small job the difference.
 func NewTracerSized(spans, open int) *Tracer {
-	return &Tracer{spans: make([]Span, 0, spans), open: make([]openSpan, 0, open)}
+	tr := &Tracer{}
+	tr.Init(make([]Span, spans+open), make([]int32, open))
+	return tr
+}
+
+// Init makes tr an empty tracer that keeps its spans in storage the caller
+// owns: as many spans open at once as ids is long, and the rest of spans for
+// completed ones. Past either size the tracer moves that part to storage of
+// its own.
+func (tr *Tracer) Init(spans []Span, ids []int32) {
+	done := len(spans) - len(ids)
+	*tr = Tracer{spans: spans[:0:done], open: spans[done:done:len(spans)], ids: ids[:0:len(ids)]}
 }
 
 // Start opens a span at time t and returns its id for the matching End call.
 func (tr *Tracer) Start(track, label string, t float64) int {
 	id := tr.next
 	tr.next++
-	tr.open = append(tr.open, openSpan{id, Span{Track: track, Label: label, Start: t}})
-	return id
+	tr.open = append(tr.open, Span{Track: track, Label: label, Start: t})
+	tr.ids = append(tr.ids, id)
+	return int(id)
 }
 
 // End closes the span with the given id at time t. Unknown ids and reversed
 // intervals panic: they indicate broken instrumentation, not a runtime
 // condition to tolerate.
 func (tr *Tracer) End(id int, t float64) {
-	for i := range tr.open {
-		if tr.open[i].id != id {
+	for i, open := range tr.ids {
+		if int(open) != id {
 			continue
 		}
-		sp := tr.open[i].Span
+		sp := tr.open[i]
 		if t < sp.Start {
 			panic(fmt.Sprintf("telemetry: span %d ends at %v before start %v", id, t, sp.Start))
 		}
 		last := len(tr.open) - 1
-		tr.open[i] = tr.open[last]
-		tr.open[last] = openSpan{}
-		tr.open = tr.open[:last]
+		tr.open[i], tr.ids[i] = tr.open[last], tr.ids[last]
+		tr.open[last] = Span{}
+		tr.open, tr.ids = tr.open[:last], tr.ids[:last]
 		sp.End = t
 		tr.spans = append(tr.spans, sp)
 		return

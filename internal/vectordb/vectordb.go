@@ -2,7 +2,10 @@
 // search — the substrate behind the paper's §4 setup, where scene-summary
 // embeddings are inserted into a VectorDB for question answering. It is a
 // real (if small) index, not a stub: insertions validate dimensions, search
-// returns exact top-k, and namespaces isolate workflows.
+// returns exact top-k, and namespaces isolate workflows. A DB is the store a
+// pipeline inserts into as it goes (the imperative baseline); an Index is a
+// finished set of documents built in one step, which is how the runtime hands
+// out an execution's embeddings.
 package vectordb
 
 import (
@@ -53,11 +56,8 @@ func (db *DB) TotalInserted() int { return db.inserted }
 // Insert stores a document. Dimension mismatches and zero vectors are
 // errors (a zero vector has no direction; cosine against it is undefined).
 func (db *DB) Insert(namespace string, d Doc) error {
-	if len(d.Vector) != db.dim {
-		return fmt.Errorf("vectordb: vector dim %d, store dim %d", len(d.Vector), db.dim)
-	}
-	if norm(d.Vector) == 0 {
-		return fmt.Errorf("vectordb: zero vector for doc %q", d.ID)
+	if err := checkDoc(db.dim, d); err != nil {
+		return err
 	}
 	for _, existing := range db.namespaces[namespace] {
 		if existing.ID == d.ID {
@@ -72,8 +72,71 @@ func (db *DB) Insert(namespace string, d Doc) error {
 // Search returns the top-k documents by cosine similarity to the query.
 // k larger than the namespace returns everything, sorted.
 func (db *DB) Search(namespace string, query []float64, k int) ([]Match, error) {
-	if len(query) != db.dim {
-		return nil, fmt.Errorf("vectordb: query dim %d, store dim %d", len(query), db.dim)
+	return search(db.dim, db.namespaces[namespace], query, k)
+}
+
+// Drop removes a namespace entirely.
+func (db *DB) Drop(namespace string) { delete(db.namespaces, namespace) }
+
+// Index is a fixed, ordered set of documents with the store's search: what a
+// namespace holds, owned by whoever built it instead of by a DB.
+type Index struct {
+	dim  int
+	docs []Doc
+}
+
+// NewIndex checks docs the way Insert would have, one at a time — dimension,
+// zero vector, and an ID no earlier document has, looked up in a set — and
+// returns the index over them. It keeps docs; the caller must not reuse it.
+func NewIndex(dim int, docs []Doc) (*Index, error) {
+	if dim <= 0 {
+		panic(fmt.Sprintf("vectordb: non-positive dimension %d", dim))
+	}
+	seen := make(map[string]struct{}, len(docs))
+	for _, d := range docs {
+		if err := checkDoc(dim, d); err != nil {
+			return nil, err
+		}
+		if _, dup := seen[d.ID]; dup {
+			return nil, fmt.Errorf("vectordb: duplicate doc %q", d.ID)
+		}
+		seen[d.ID] = struct{}{}
+	}
+	return &Index{dim: dim, docs: docs}, nil
+}
+
+// Dim returns the dimension of the indexed vectors.
+func (ix *Index) Dim() int { return ix.dim }
+
+// Len returns the document count.
+func (ix *Index) Len() int { return len(ix.docs) }
+
+// Docs returns the documents in the order NewIndex was given them, as a
+// read-only view.
+func (ix *Index) Docs() []Doc { return ix.docs }
+
+// Search returns the top-k documents by cosine similarity to the query, like
+// DB.Search over one namespace.
+func (ix *Index) Search(query []float64, k int) ([]Match, error) {
+	return search(ix.dim, ix.docs, query, k)
+}
+
+// checkDoc rejects what no store of dimension dim can hold: a vector of
+// another dimension, or a zero vector (it has no direction; cosine against it
+// is undefined).
+func checkDoc(dim int, d Doc) error {
+	if len(d.Vector) != dim {
+		return fmt.Errorf("vectordb: vector dim %d, store dim %d", len(d.Vector), dim)
+	}
+	if norm(d.Vector) == 0 {
+		return fmt.Errorf("vectordb: zero vector for doc %q", d.ID)
+	}
+	return nil
+}
+
+func search(dim int, docs []Doc, query []float64, k int) ([]Match, error) {
+	if len(query) != dim {
+		return nil, fmt.Errorf("vectordb: query dim %d, store dim %d", len(query), dim)
 	}
 	qn := norm(query)
 	if qn == 0 {
@@ -82,7 +145,6 @@ func (db *DB) Search(namespace string, query []float64, k int) ([]Match, error) 
 	if k <= 0 {
 		return nil, fmt.Errorf("vectordb: non-positive k %d", k)
 	}
-	docs := db.namespaces[namespace]
 	matches := make([]Match, 0, len(docs))
 	for _, d := range docs {
 		matches = append(matches, Match{Doc: d, Score: dot(query, d.Vector) / (qn * norm(d.Vector))})
@@ -98,9 +160,6 @@ func (db *DB) Search(namespace string, query []float64, k int) ([]Match, error) 
 	}
 	return matches, nil
 }
-
-// Drop removes a namespace entirely.
-func (db *DB) Drop(namespace string) { delete(db.namespaces, namespace) }
 
 func dot(a, b []float64) float64 {
 	s := 0.0
