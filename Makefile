@@ -19,24 +19,27 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# stress repeats the timing-sensitive tests (churn, leave, drain, cancel, and
-# the settled-job tests that wait on the garbage collector) under the race
-# detector: a one-in-twelve failure passes a single run 92 % of the time. CI
-# runs the same line.
+# stress repeats the timing-sensitive tests (churn, leave, drain, cancel, the
+# settled-job tests that wait on the garbage collector, and the two recycling
+# canaries: stale event handles, reused LLM requests) under the race detector:
+# a one-in-twelve failure passes a single run 92 % of the time. CI runs the
+# same line.
 stress:
-	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs' ./internal/serving ./internal/router ./internal/api ./internal/core
+	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs|StaleHandle|CompletedRequestsAreReused' ./internal/serving ./internal/router ./internal/api ./internal/core ./internal/sim
 
 # allocs runs the tier-1 allocation budgets (the wire, the job hand-off, the
-# execution layer, telemetry compaction) verbosely, so their measured counts
-# print in one place; CI runs the same line.
+# execution layer in objects and in bytes, the event core, telemetry
+# compaction) verbosely, so their measured counts print in one place; CI runs
+# the same line.
 allocs:
-	$(GO) test -count=1 -v -run 'AllocBudget|SteadyStateAllocatesNothing|KeepsItsSlab' ./internal/api ./internal/core ./internal/telemetry
+	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab' ./internal/api ./internal/core ./internal/sim ./internal/telemetry
 
 # fuzz runs the native fuzz targets for a short while each (one -fuzz
 # pattern per go test invocation); CI runs the same line.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s ./internal/api
+	$(GO) test -run '^$$' -fuzz FuzzEngineOps -fuzztime 10s ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -243,24 +243,25 @@ func BenchmarkEngine(b *testing.B) {
 					e.DisableEventWheel()
 				}
 				e.Reserve(depth + 1)
-				ring := make([]*sim.Event, depth)
+				ring := make([]sim.Event, depth)
 				fired := 0
 				var fire func()
 				fire = func() {
-					ring[fired%depth] = e.After(sim.Duration(rng.Float64()*2), fire)
+					ring[fired%depth] = *e.After(sim.Duration(rng.Float64()*2), fire)
 					fired++
 					if fired%4 == 0 {
-						// Ring slots can hold already-fired events; Cancel
-						// is then a no-op returning false, and only a real
-						// cancel schedules the compensating replacement
+						// Ring slots can hold handles on already-fired events
+						// (whose records other events have since been given);
+						// Cancel is then a no-op returning false, and only a
+						// real cancel schedules the compensating replacement
 						// that keeps the live count at depth.
-						if ev := ring[rng.Intn(depth)]; ev.Cancel() {
-							ring[rng.Intn(depth)] = e.After(sim.Duration(rng.Float64()*2), fire)
+						if ring[rng.Intn(depth)].Cancel() {
+							ring[rng.Intn(depth)] = *e.After(sim.Duration(rng.Float64()*2), fire)
 						}
 					}
 				}
 				for i := range ring {
-					ring[i] = e.After(sim.Duration(rng.Float64()*2), fire)
+					ring[i] = *e.After(sim.Duration(rng.Float64()*2), fire)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -45,9 +45,17 @@
 //
 //   - executing a task allocates (almost) nothing: a worker's request for
 //     GPUs or cores is a {grantee, token} record in the cluster manager's
-//     queue, allocations and LLM request records are cut from slabs, the
-//     serving engine reuses its own buffers and a job's tracer is sized from
-//     its graph — same README section, "A task without garbage".
+//     queue, allocations are cut from slabs, the serving engine reuses its
+//     own buffers and a job's tracer is sized from its graph — same README
+//     section, "A task without garbage".
+//
+//   - what a task leaves behind dies with its owner instead of with the
+//     collector: a sim.Event is a {record, seq} handle on an engine-owned
+//     record that is reused the moment its event is over (the sequence check
+//     keeps a stale handle off the next event), an LLM request goes back to
+//     the runtime in its own completion callback, and spans are kept by node
+//     index and named from the graph when read — same section, "Bytes, not
+//     objects".
 //
 //   - a job's execution state is one block: core.Execution holds its tracker,
 //     tracer and report by value and cuts its per-node and per-capability

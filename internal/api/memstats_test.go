@@ -3,9 +3,11 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -50,8 +52,46 @@ func TestStatsMemoryHealth(t *testing.T) {
 	if m.NumGC == 0 {
 		t.Fatalf("num_gc = 0 after an explicit runtime.GC()")
 	}
-	if m.GCPauseP95Us == nil || *m.GCPauseP95Us < 0 {
-		t.Fatalf("gc_pause_p95_us missing or negative: %+v", m)
+	// One collection is two pauses on record: the percentile is a bucket's
+	// bound — positive, and nowhere near a second.
+	if m.GCPauseP95Us == nil || *m.GCPauseP95Us <= 0 || *m.GCPauseP95Us > 1e6 {
+		t.Fatalf("gc_pause_p95_us missing or not a pause: %+v", m)
+	}
+	// The process-wide reading the router takes once for all its nodes is the
+	// same one a pool takes for itself.
+	mem := ReadMemoryStats()
+	if st := s.Pool().StatsWithMemory(mem); st.Memory != mem {
+		t.Fatalf("StatsWithMemory reported %+v, was handed %+v", st.Memory, mem)
+	}
+	if mem.NumGC < m.NumGC || mem.HeapObjects == 0 {
+		t.Fatalf("a later reading went backwards: %+v after %+v", mem, m)
+	}
+}
+
+// TestHistogramQuantile: the pause percentile is nearest-rank over the
+// runtime's bucket counts and reads as the upper bound of the bucket it lands
+// in — the lower bound where that bucket is open-ended, zero when empty.
+func TestHistogramQuantile(t *testing.T) {
+	inf := math.Inf(1)
+	h := func(counts ...uint64) *metrics.Float64Histogram {
+		return &metrics.Float64Histogram{Counts: counts, Buckets: []float64{math.Inf(-1), 0, 1e-6, 1e-5, 1e-4, inf}}
+	}
+	for _, c := range []struct {
+		name string
+		h    *metrics.Float64Histogram
+		q    float64
+		want float64
+	}{
+		{"empty", h(0, 0, 0, 0, 0), 0.95, 0},
+		{"one sample", h(0, 0, 1, 0, 0), 0.95, 1e-5},
+		{"19 of 20 below", h(0, 19, 0, 1, 0), 0.95, 1e-6},
+		{"18 of 20 below", h(0, 18, 0, 2, 0), 0.95, 1e-4},
+		{"median", h(0, 5, 5, 0, 0), 0.5, 1e-6},
+		{"open-ended top bucket", h(0, 1, 0, 0, 9), 0.95, 1e-4},
+	} {
+		if got := histogramQuantile(c.h, c.q); got != c.want {
+			t.Errorf("%s: q%.2f = %v, want %v", c.name, c.q, got, c.want)
+		}
 	}
 }
 

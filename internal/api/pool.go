@@ -3,7 +3,8 @@ package api
 import (
 	"fmt"
 	"maps"
-	"runtime"
+	"math"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strconv"
@@ -1013,10 +1014,12 @@ type PoolStats struct {
 	UptimeS float64 `json:"uptime_s"`
 }
 
-// MemoryStats is the process-wide memory-health slice of GET /v1/stats,
-// read from runtime.ReadMemStats at stats time: live heap bytes and objects,
-// completed GC cycles, and the 95th-percentile GC pause over the runtime's
-// recent-pause ring (up to the last 256 cycles).
+// MemoryStats is the process-wide memory-health slice of GET /v1/stats, read
+// from runtime/metrics at stats time: live heap bytes and objects, completed
+// GC cycles, and the 95th percentile of the process's GC stop-the-world pauses
+// so far (each pause on its own — a cycle has two — to the resolution of the
+// runtime's histogram buckets: the upper bound of the bucket the percentile
+// falls in).
 type MemoryStats struct {
 	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
 	HeapObjects    uint64  `json:"heap_objects"`
@@ -1024,38 +1027,71 @@ type MemoryStats struct {
 	GCPauseP95Us   float64 `json:"gc_pause_p95_us"`
 }
 
-// readMemoryStats snapshots the Go heap for the stats endpoint.
-func readMemoryStats() MemoryStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+// memSamples is the one sample set every stats read fills: built once, so
+// the pause histogram's buckets are allocated once, and read under its lock.
+var memSamples = struct {
+	sync.Mutex
+	s [4]metrics.Sample
+}{s: [4]metrics.Sample{
+	{Name: "/memory/classes/heap/objects:bytes"},
+	{Name: "/gc/heap/objects:objects"},
+	{Name: "/gc/cycles/total:gc-cycles"},
+	{Name: "/sched/pauses/total/gc:seconds"},
+}}
+
+// ReadMemoryStats snapshots the Go heap for the stats endpoint, from
+// runtime/metrics rather than runtime.ReadMemStats: that one stops the world,
+// and a scrape must not put a pause into every request in flight.
+func ReadMemoryStats() MemoryStats {
+	memSamples.Lock()
+	defer memSamples.Unlock()
+	s := memSamples.s[:]
+	metrics.Read(s)
 	out := MemoryStats{
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapObjects:    ms.HeapObjects,
-		NumGC:          ms.NumGC,
+		HeapAllocBytes: s[0].Value.Uint64(),
+		HeapObjects:    s[1].Value.Uint64(),
+		NumGC:          uint32(s[2].Value.Uint64()),
 	}
-	n := int(ms.NumGC)
-	if n > len(ms.PauseNs) {
-		n = len(ms.PauseNs)
-	}
-	if n > 0 {
-		pauses := make([]uint64, n)
-		copy(pauses, ms.PauseNs[:n])
-		sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-		// Nearest-rank p95 over the retained cycles.
-		idx := (n*95 + 99) / 100
-		if idx > 0 {
-			idx--
-		}
-		out.GCPauseP95Us = float64(pauses[idx]) / 1e3
+	if s[3].Value.Kind() == metrics.KindFloat64Histogram {
+		out.GCPauseP95Us = histogramQuantile(s[3].Value.Float64Histogram(), 0.95) * 1e6
 	}
 	return out
 }
 
+// histogramQuantile returns the nearest-rank q-quantile of h as the upper
+// bound of the bucket it falls in (the lower bound where the bucket has no
+// finite upper one), and zero for an empty histogram.
+func histogramQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var seen uint64
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return h.Buckets[len(h.Buckets)-1]
+}
+
 // Stats gathers a consistent per-shard view (each shard snapshot is taken on
 // its own loop goroutine) and aggregates it.
-func (p *Pool) Stats() PoolStats {
+func (p *Pool) Stats() PoolStats { return p.StatsWithMemory(ReadMemoryStats()) }
+
+// StatsWithMemory is Stats with the process's memory reading supplied by the
+// caller: the router, whose nodes' pools share one process, reads it once for
+// all of them.
+func (p *Pool) StatsWithMemory(mem MemoryStats) PoolStats {
 	for {
-		if out, ok := p.statsOnce(); ok {
+		if out, ok := p.statsOnce(mem); ok {
 			return out
 		}
 		// A snapshotted shard's loop exited between the snapshot and the
@@ -1069,8 +1105,8 @@ func (p *Pool) Stats() PoolStats {
 
 // statsOnce takes one snapshot attempt; ok is false if a shard's loop exited
 // mid-fan-out and the caller should retry.
-func (p *Pool) statsOnce() (PoolStats, bool) {
-	out := PoolStats{Mode: "shared", UptimeS: time.Since(p.started).Seconds(), Memory: readMemoryStats()}
+func (p *Pool) statsOnce(mem MemoryStats) (PoolStats, bool) {
+	out := PoolStats{Mode: "shared", UptimeS: time.Since(p.started).Seconds(), Memory: mem}
 	// The shard-list snapshot and the copy of the retired totals share one
 	// critical section with retireShard, so this snapshot counts every shard
 	// exactly once.

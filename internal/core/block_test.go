@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/agents"
 	"repro/internal/telemetry"
@@ -38,8 +39,9 @@ const blockAllocs = 5 + 1
 // stages and 13 nodes as for five stages and 240 — and checks after the run
 // that nothing outgrew it: no stage replaced its queue or worker list, the
 // ready buffer, the embedding record and the engine refs are the arrays
-// launch cut, and the job never had more spans, or more of them open at once,
-// than the tracer was given room for.
+// launch cut, and the job left one span per node — the slots the tracer was
+// given, each 24 bytes — and never had more of them open at once than it ran
+// tasks side by side.
 func TestExecutionIsOneBlock(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not asserted under the race detector")
@@ -94,8 +96,23 @@ func TestExecutionIsOneBlock(t *testing.T) {
 			t.Errorf("%s: %d spans for %d nodes", sh.name, len(spans), nodes)
 		}
 		if open := maxOpenSpans(spans); open > running {
-			t.Errorf("%s: %d spans open at once, the tracer had room for %d", sh.name, open, running)
+			t.Errorf("%s: %d spans open at once, of at most %d tasks running", sh.name, open, running)
 		}
+		if ex.tracer.OpenCount() != 0 {
+			t.Errorf("%s: %d spans still open", sh.name, ex.tracer.OpenCount())
+		}
+		// One slot per node, filled exactly: the next span is the first to
+		// move the tracer off the block.
+		extra := mallocsDuring(func() {
+			ex.tracer.StartNode()
+			ex.tracer.EndNode(0, 0, 0)
+		})
+		if extra != 1 {
+			t.Errorf("%s: a span past the graph's %d nodes allocated %d times, want 1 (the spill)", sh.name, nodes, extra)
+		}
+	}
+	if got := unsafe.Sizeof(telemetry.NodeSpan{}); got != 24 {
+		t.Errorf("a span slot is %d bytes, want 24", got)
 	}
 }
 

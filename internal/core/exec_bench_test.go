@@ -28,10 +28,10 @@ func execShapes() []execShape {
 	}
 }
 
-// runToCompletion submits one job the way a serving shard does and drains the
-// simulation.
+// runToCompletion submits one job the way a serving shard does — engines stay
+// up between jobs, as the daemon's always do — and drains the simulation.
 func runToCompletion(tb testing.TB, se *sim.Engine, rt *Runtime, job workflow.Job) {
-	ex, err := rt.Submit(job, SubmitOptions{RelaxFloor: true})
+	ex, err := rt.Submit(job, SubmitOptions{RelaxFloor: true, KeepEngines: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func (s *Scheduler) stallTask(pick, d float64) bool {
 		}
 		for i := range ex.stages {
 			for _, w := range ex.stages[i].workers {
-				if w.busy && w.doneEv != nil {
+				if w.busy && w.doneEv.Pending() {
 					victims = append(victims, w)
 				}
 			}
@@ -299,11 +299,10 @@ func (ex *Execution) initRecovery() {
 	ex.attempts = map[int32]int{}
 	ex.capFails = map[string]int{}
 	ex.degraded = map[string]bool{}
-	ex.retryEvs = map[*sim.Event]bool{}
+	ex.retryEvs = map[sim.Event]bool{}
 	ex.recRng = rand.New(rand.NewSource(rc.policy.Seed + int64(ex.id)))
 	if rc.policy.JobDeadlineS > 0 {
-		ex.deadlineEv = ex.rt.se.After(sim.Duration(rc.policy.JobDeadlineS), func() {
-			ex.deadlineEv = nil
+		ex.deadlineEv = *ex.rt.se.After(sim.Duration(rc.policy.JobDeadlineS), func() {
 			rc.deadlineExceeded++
 			ex.finish(&JobError{Code: CodeDeadlineExceeded, Op: "job",
 				Err: fmt.Errorf("core: job deadline %.0fs exceeded", rc.policy.JobDeadlineS)})
@@ -316,10 +315,7 @@ func (ex *Execution) initRecovery() {
 // job). Cancellation order over the map is irrelevant — Cancel removes
 // events eagerly and remaining heap order is (time, seq) regardless.
 func (ex *Execution) cancelRecovery() {
-	if ex.deadlineEv != nil {
-		ex.deadlineEv.Cancel()
-		ex.deadlineEv = nil
-	}
+	ex.deadlineEv.Cancel()
 	for ev := range ex.retryEvs {
 		ev.Cancel()
 	}
@@ -379,8 +375,8 @@ func (st *stage) taskFailed(node int32, cause error) {
 // cooldown without burning an attempt — bounded, because the breaker
 // half-opens once its cooldown elapses.
 func (ex *Execution) scheduleRetry(node int32, delayS float64) {
-	var ev *sim.Event
-	ev = ex.rt.se.After(sim.Duration(delayS), func() {
+	var ev sim.Event
+	ev = *ex.rt.se.After(sim.Duration(delayS), func() {
 		delete(ex.retryEvs, ev)
 		if ex.done {
 			return

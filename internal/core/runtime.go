@@ -114,15 +114,18 @@ type Runtime struct {
 	// jobs. Engine-goroutine-only; disabled by DisableAllocReuse.
 	workerPool  []*worker
 	llmTaskPool []*llmTask
-	// reqSlab is the block LLM request records are cut from (one heap
-	// allocation per block instead of one per call, as sim.Engine cuts
-	// events); reqBlock is its size, doubling from 8 to requestSlabSize so a
-	// runtime built for one job does not pay for 64. Records are never reused — the engine and the
-	// completion callback read a request after it completes — and the GC
-	// reclaims a block once none of its records is referenced. The runtime
-	// owns it, not the engine: a serving engine is released when the last job
-	// holding it finishes, so an engine-owned block cost every small job a
-	// whole block (+8 kB per engine per job, measured).
+	// reqFree holds the LLM request records whose calls have completed: the
+	// completion callback is the engine's last use of a request (see
+	// llmsim.Request.OnComplete), so planQueryDone and llmTask.onComplete hand
+	// it back and the next call takes it — a warm runtime allocates none.
+	// reqSlab is the block fresh records are cut from when the list is empty
+	// (one heap allocation per block, as sim.Engine cuts events); reqBlock is
+	// its size, doubling from 8 to requestSlabSize so a runtime built for one
+	// job does not pay for 64. The runtime owns them, not the engine: a
+	// serving engine is released when the last job holding it finishes, so
+	// engine-owned records cost every small job a whole block (+8 kB per
+	// engine per job, measured). Nothing is reused under DisableAllocReuse.
+	reqFree  []*llmsim.Request
 	reqSlab  []llmsim.Request
 	reqBlock int
 
@@ -143,8 +146,14 @@ func (rt *Runtime) ScratchPoolStats() (hits, misses uint64) {
 // requestSlabSize is the most LLM request records one allocation block holds.
 const requestSlabSize = 64
 
-// newRequest cuts a zeroed request record from the runtime's slab.
+// newRequest returns a zeroed request record: one a completed call handed
+// back, else the next of the runtime's slab.
 func (rt *Runtime) newRequest() *llmsim.Request {
+	if n := len(rt.reqFree); n > 0 {
+		r := rt.reqFree[n-1]
+		rt.reqFree = rt.reqFree[:n-1]
+		return r
+	}
 	if len(rt.reqSlab) == 0 {
 		rt.reqBlock = min(max(2*rt.reqBlock, 8), requestSlabSize)
 		rt.reqSlab = make([]llmsim.Request, rt.reqBlock)
@@ -152,6 +161,16 @@ func (rt *Runtime) newRequest() *llmsim.Request {
 	r := &rt.reqSlab[0]
 	rt.reqSlab = rt.reqSlab[1:]
 	return r
+}
+
+// releaseRequest takes back the record of a call that has completed. Only a
+// request's own OnComplete may call it, once it has read what it needs of r.
+func (rt *Runtime) releaseRequest(r *llmsim.Request) {
+	if DisableAllocReuse || len(rt.reqFree) == poolCap {
+		return
+	}
+	*r = llmsim.Request{}
+	rt.reqFree = append(rt.reqFree, r)
 }
 
 // poolCap bounds the runtime's scratch free lists; beyond it, retired
@@ -306,9 +325,9 @@ type Execution struct {
 	attempts   map[int32]int
 	capFails   map[string]int
 	degraded   map[string]bool
-	retryEvs   map[*sim.Event]bool
+	retryEvs   map[sim.Event]bool
 	recRng     *rand.Rand
-	deadlineEv *sim.Event
+	deadlineEv sim.Event
 	attemptLog []AttemptRecord
 }
 
@@ -431,9 +450,9 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	}
 	ex.heldEngines = ex.heldBuf[:0]
 	// The block's arrays are sized from the job: a stage can have as many
-	// tasks queued as the graph has nodes of its capability, runs at most its
-	// parallelism of them side by side on workers — or all of them at once on
-	// a serving engine — and a span is open per running task.
+	// tasks queued as the graph has nodes of its capability and runs at most
+	// its parallelism of them side by side on workers, and a task leaves one
+	// span.
 	for i := range ex.stages {
 		capability := g.SlotCapability(i)
 		ex.stages[i].bind(ex, capability, plan.Decisions[capability])
@@ -441,20 +460,17 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	for i := 0; i < nodes; i++ {
 		ex.stages[g.CapSlot(i)].tasks++
 	}
-	workers, running, embeds := 0, 0, 0
+	workers, embeds := 0, 0
 	for i := range ex.stages {
 		st := &ex.stages[i]
-		if st.isLLM {
-			running += st.tasks
-		} else {
+		if !st.isLLM {
 			workers += st.width()
-			running += st.width()
 		}
 		if st.embeds {
 			embeds = st.tasks
 		}
 	}
-	ints := make([]int32, dag.TrackerCells(g)+2*nodes+embeds+running)
+	ints := make([]int32, dag.TrackerCells(g)+2*nodes+embeds)
 	cut := func(n int) []int32 {
 		part := ints[:n:n]
 		ints = ints[n:]
@@ -463,7 +479,7 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	ex.tracker.Init(g, cut(dag.TrackerCells(g)))
 	ex.readyBuf = cut(nodes)[:0]
 	ex.embedded = cut(embeds)[:0]
-	ex.tracer.Init(make([]telemetry.Span, nodes+running), cut(running))
+	ex.tracer.Init(ex, make([]telemetry.NodeSpan, nodes))
 	pool := make([]*worker, workers)
 	for i := range ex.stages {
 		st := &ex.stages[i]
@@ -616,7 +632,8 @@ func (ex *Execution) chargePlanning() {
 }
 
 // planQueryDone counts one planning query off; the last one starts the DAG.
-func (ex *Execution) planQueryDone(*llmsim.Request) {
+func (ex *Execution) planQueryDone(r *llmsim.Request) {
+	ex.rt.releaseRequest(r)
 	ex.planQueries--
 	if ex.planQueries == 0 {
 		ex.planLatS = ex.rt.se.Now().Sub(ex.startedAt).Seconds()
@@ -634,6 +651,26 @@ func (ex *Execution) Cancel() bool {
 	}
 	ex.finish(ErrCanceled)
 	return true
+}
+
+// startSpan opens the span of a task starting now and returns its start time,
+// which the task keeps (worker.spanStart, llmTask.spanStart) until endSpan.
+func (ex *Execution) startSpan() float64 {
+	ex.tracer.StartNode()
+	return ex.rt.se.Now().Seconds()
+}
+
+// endSpan closes, now, the span node's task opened at start.
+func (ex *Execution) endSpan(node int32, start float64) {
+	ex.tracer.EndNode(node, start, ex.rt.se.Now().Seconds())
+}
+
+// SpanName implements telemetry.SpanNamer: a span is recorded by node index
+// and gets its Figure 3 track and its label from the graph when the report's
+// tracer is read.
+func (ex *Execution) SpanName(node int32) (track, label string) {
+	n := ex.graph.NodeAt(int(node))
+	return trackName(n.Capability), string(n.ID)
 }
 
 // dispatchReady feeds every ready DAG node to its capability stage.

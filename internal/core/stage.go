@@ -158,12 +158,13 @@ func (st *stage) enqueue(i int32) {
 // llmTask is the top-k barrier state for one engine-served node: all
 // execution paths share it and the last completion releases it. Tasks are
 // recycled through the runtime's pool (the completion callback is a method
-// value materialized once per task object), so steady-state LLM dispatch
-// allocates only the requests themselves.
+// value materialized once per task object), and so are the requests, so
+// steady-state LLM dispatch allocates nothing.
 type llmTask struct {
-	st        *stage
-	node      int32
-	span      int
+	st   *stage
+	node int32
+	// spanStart is when the node's span opened (see Execution.startSpan).
+	spanStart float64
 	remaining int
 	firstErr  error
 	fn        func(*llmsim.Request)
@@ -194,20 +195,22 @@ func (t *llmTask) onComplete(r *llmsim.Request) {
 	if r.Err != nil && t.firstErr == nil {
 		t.firstErr = r.Err
 	}
+	// Before anything below can submit again: the next call takes this record.
+	t.st.ex.rt.releaseRequest(r)
 	t.remaining--
 	if t.remaining > 0 {
 		return // top-k barrier: wait for all paths
 	}
 	// Copy out and release first: the completion below can synchronously
 	// enqueue more LLM nodes, which draw fresh tasks from the pool.
-	st, node, span, firstErr := t.st, t.node, t.span, t.firstErr
+	st, node, spanStart, firstErr := t.st, t.node, t.spanStart, t.firstErr
 	ex := st.ex
 	ex.rt.releaseLLMTask(t)
 	st.inflight--
 	if ex.done {
 		return // canceled mid-request: drop the result
 	}
-	ex.tracer.End(span, ex.rt.se.Now().Seconds())
+	ex.endSpan(node, spanStart)
 	if firstErr != nil {
 		// An injected call error fails the whole task (all paths re-run on
 		// retry — the barrier's unit is the node, not the path).
@@ -248,7 +251,7 @@ func (st *stage) submitLLM(i int32) {
 	st.inflight++
 	t := rt.newLLMTask()
 	t.st, t.node, t.remaining = st, i, paths
-	t.span = ex.tracer.Start(trackName(st.cap), string(node.ID), rt.se.Now().Seconds())
+	t.spanStart = ex.startSpan()
 	for p := 0; p < paths; p++ {
 		// Request IDs repeat across structurally-identical jobs; intern them
 		// like the cache keys instead of re-materializing each submission.
@@ -284,15 +287,16 @@ type worker struct {
 	busy     bool
 	// current is the node index of the task in hand, meaningful while busy.
 	current int32
-	doneEv  *sim.Event
+	doneEv  sim.Event
 	// doneAt is doneEv's firing time, kept so an injected stall can push
 	// the completion out without recomputing the task's duration.
 	doneAt sim.Time
 	// watchdogEv is the stage-timeout watchdog (armed only when recovery
 	// sets a StageTimeoutS; see faults.go).
-	watchdogEv *sim.Event
-	span       int
-	dead       bool
+	watchdogEv sim.Event
+	// spanStart is when the span of the task in hand opened.
+	spanStart float64
+	dead      bool
 	// gen counts destroys: a request queued at the cluster manager carries
 	// the generation it was issued under as its token, so a grant that
 	// outlives its worker's destroy (and possible reuse off the runtime's
@@ -478,11 +482,11 @@ func (w *worker) run(i int32) {
 	w.current = i
 	st.inflight++
 	w.setIntensity(im.Perf.GPUIntensity, im.Perf.CPUIntensity)
-	w.span = ex.tracer.Start(trackName(st.cap), string(node.ID), ex.rt.se.Now().Seconds())
+	w.spanStart = ex.startSpan()
 	w.doneAt = ex.rt.se.Now().Add(sim.Duration(dur))
-	w.doneEv = ex.rt.se.Schedule(w.doneAt, w.taskDoneFn)
+	w.doneEv = *ex.rt.se.Schedule(w.doneAt, w.taskDoneFn)
 	if rc := ex.rt.recovery; rc != nil && rc.policy.StageTimeoutS > 0 {
-		w.watchdogEv = ex.rt.se.After(sim.Duration(rc.policy.StageTimeoutS), w.timedOutFn)
+		w.watchdogEv = *ex.rt.se.After(sim.Duration(rc.policy.StageTimeoutS), w.timedOutFn)
 	}
 }
 
@@ -491,13 +495,9 @@ func (w *worker) taskDone() {
 	st := w.st
 	ex := st.ex
 	node := w.current
-	w.doneEv = nil
-	if w.watchdogEv != nil {
-		w.watchdogEv.Cancel()
-		w.watchdogEv = nil
-	}
+	w.watchdogEv.Cancel()
 	w.setIntensity(0, 0)
-	ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
+	ex.endSpan(node, w.spanStart)
 	w.setState(w.ready, false)
 	st.inflight--
 	if ex.rt.recovery != nil {
@@ -512,12 +512,12 @@ func (w *worker) taskDone() {
 // injection's hung stage call. Only the watchdog (if armed) can cut the
 // stall short. Returns false when the worker is idle.
 func (w *worker) stall(d float64) bool {
-	if !w.busy || w.doneEv == nil {
+	if !w.busy || !w.doneEv.Pending() {
 		return false
 	}
 	w.doneEv.Cancel()
 	w.doneAt = w.doneAt.Add(sim.Duration(d))
-	w.doneEv = w.st.ex.rt.se.Schedule(w.doneAt, w.taskDoneFn)
+	w.doneEv = *w.st.ex.rt.se.Schedule(w.doneAt, w.taskDoneFn)
 	return true
 }
 
@@ -526,7 +526,6 @@ func (w *worker) stall(d float64) bool {
 // worker itself is destroyed (a wedged process is not reused), and the
 // retry respawns capacity through the normal pump path.
 func (w *worker) timedOut() {
-	w.watchdogEv = nil
 	if w.dead || !w.busy {
 		return
 	}
@@ -534,11 +533,8 @@ func (w *worker) timedOut() {
 	ex := st.ex
 	node := w.current
 	rc := ex.rt.recovery
-	if w.doneEv != nil {
-		w.doneEv.Cancel()
-		w.doneEv = nil
-	}
-	ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
+	w.doneEv.Cancel()
+	ex.endSpan(node, w.spanStart)
 	w.setIntensity(0, 0)
 	w.setState(w.ready, false)
 	st.inflight--
@@ -566,12 +562,9 @@ func (w *worker) preempted() {
 	}
 	st := w.st
 	ex := st.ex
-	if w.doneEv != nil {
-		w.doneEv.Cancel()
-		w.doneEv = nil
-	}
+	w.doneEv.Cancel()
 	if w.busy {
-		ex.tracer.End(w.span, ex.rt.se.Now().Seconds())
+		ex.endSpan(w.current, w.spanStart)
 		if err := ex.tracker.FailAt(w.current); err != nil {
 			panic(err)
 		}
@@ -601,14 +594,8 @@ func (w *worker) destroy() {
 		w.st.inflight--
 	}
 	w.setState(false, false)
-	if w.doneEv != nil {
-		w.doneEv.Cancel()
-		w.doneEv = nil
-	}
-	if w.watchdogEv != nil {
-		w.watchdogEv.Cancel()
-		w.watchdogEv = nil
-	}
+	w.doneEv.Cancel()
+	w.watchdogEv.Cancel()
 	if w.gpuAlloc != nil {
 		w.gpuAlloc.OnPreempt = nil
 		w.gpuAlloc.Release()

@@ -87,7 +87,9 @@ type Request struct {
 	PromptTokens int
 	OutputTokens int
 	// OnComplete fires when the last token is generated — or, under fault
-	// injection, when the request fails (Err is then non-nil).
+	// injection, when the request fails (Err is then non-nil). It is the
+	// engine's last use of the request: the engine keeps no pointer to it and
+	// reads nothing of it afterwards, so the callback may reuse the record.
 	OnComplete func(*Request)
 
 	// Err is the request's terminal error: nil on success, ErrInjected when
@@ -129,7 +131,8 @@ type Engine struct {
 	// in place; finished is the completion event's buffer, detached while its
 	// callbacks run; completionFn is the method value e.onCompletionEvent,
 	// built once. (Request records are the caller's: an engine lives only as
-	// long as a job holds a ref on it, too short to amortize a slab.)
+	// long as a job holds a ref on it, too short to amortize a slab, and the
+	// caller gets each one back in its OnComplete.)
 	queue        []*Request
 	qHead        int
 	active       []*Request
@@ -138,7 +141,7 @@ type Engine struct {
 	kvUsed       int
 
 	// replan event for the next completion under current rates.
-	nextDone   *sim.Event
+	nextDone   sim.Event
 	lastUpdate sim.Time
 
 	// down marks the engine crashed and reloading weights: admission and
@@ -321,10 +324,7 @@ func (e *Engine) advance() {
 // replan schedules the next completion event under current rates and sets
 // device intensity accordingly.
 func (e *Engine) replan() {
-	if e.nextDone != nil {
-		e.nextDone.Cancel()
-		e.nextDone = nil
-	}
+	e.nextDone.Cancel()
 	if e.down {
 		// Crashed: nothing progresses until the reload event resumes the
 		// engine (Crash already zeroed device intensity).
@@ -367,11 +367,10 @@ func (e *Engine) replan() {
 		}
 		soonest = 0
 	}
-	e.nextDone = e.engine.After(sim.Duration(soonest), e.completionFn)
+	e.nextDone = *e.engine.After(sim.Duration(soonest), e.completionFn)
 }
 
 func (e *Engine) onCompletionEvent() {
-	e.nextDone = nil
 	e.advance()
 	// Complete every request whose work hit zero (ties complete together).
 	// A completion callback re-enters Submit synchronously, which appends to
@@ -389,14 +388,17 @@ func (e *Engine) onCompletionEvent() {
 	}
 	clear(e.active[len(still):])
 	e.active = still
-	for _, r := range finished {
+	for i, r := range finished {
+		// The engine is done with r once complete returns — its owner may
+		// reuse the record from inside the callback — so the scratch lets go
+		// of it first.
+		finished[i] = nil
 		e.kvUsed -= r.kvTokens
 		if e.kvUsed < 0 {
 			panic("llmsim: KV accounting below zero")
 		}
 		e.complete(r)
 	}
-	clear(finished)
 	e.finished = finished[:0]
 	e.admit()
 	e.replan()
@@ -454,10 +456,7 @@ func (e *Engine) Crash(reloadS float64) {
 	e.kvUsed = 0
 	e.down = true
 	e.crashes++
-	if e.nextDone != nil {
-		e.nextDone.Cancel()
-		e.nextDone = nil
-	}
+	e.nextDone.Cancel()
 	if !e.alloc.Released() {
 		e.alloc.SetIntensity(0)
 	}

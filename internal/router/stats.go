@@ -112,8 +112,9 @@ func (rt *Router) Stats() ClusterStats {
 	}
 	rt.mu.Unlock()
 
+	mem := api.ReadMemoryStats() // the nodes share this process: one reading serves every row
 	for _, n := range members {
-		ps := n.srv.Pool().Stats()
+		ps := n.srv.Pool().StatsWithMemory(mem)
 		rt.mu.Lock()
 		row := NodeStats{
 			Name:         n.name,

@@ -35,26 +35,64 @@ func (d Duration) Seconds() float64 { return float64(d) }
 // Forever is a sentinel for "no deadline".
 const Forever = Time(math.MaxFloat64)
 
-// Event is a scheduled callback. It is returned by Schedule/After so the
-// caller can cancel it before it fires.
-type Event struct {
-	at  Time
+// event is the engine's record of one scheduled callback. Records belong to
+// the engine: they are carved from slabs, filed in the queue through their own
+// links, and go back on the engine's free list (see eventPool.release) the
+// moment the callback has returned or the queue discards a cancelled one.
+// Callers never see a record, only an Event handle on it.
+type event struct {
+	at Time
+	// seq is the scheduling sequence number — the tie-break of the firing
+	// order and, because the engine never issues one twice, the generation a
+	// handle is checked against. Zero while the record is free.
 	seq uint64
 	// tick is the wheel bucket key, tickOf(at), set once at scheduling
 	// (unused by the heap arm).
 	tick uint64
 	// next links events within one wheel bucket (intrusive, so filing an
-	// event allocates nothing); nil outside a bucket and on the heap arm.
-	next     *Event
+	// event allocates nothing) and free records on the free list; nil on the
+	// heap arm.
+	next     *event
 	index    int // heap index (heap arm); <0 once fired or cancelled
 	owner    *Engine
 	fn       func()
 	canceled bool
 }
 
-// At returns the simulated time at which the event fires (or would have
-// fired, if cancelled).
-func (e *Event) At() Time { return e.at }
+// Event is a handle on a scheduled callback: the engine's record and the
+// sequence number it was scheduled under, 16 bytes, kept and compared by
+// value (the zero Event is a handle on nothing). The engine reuses a record
+// as soon as its event has fired or its cancellation has been swept up, so
+// every method checks the record still carries the handle's number: a stale
+// handle answers as for an event that is over and can never reach whichever
+// event got the record next.
+type Event struct {
+	rec *event
+	seq uint64
+}
+
+// pending returns the record while the handle's event is still queued to
+// fire, nil otherwise.
+func (h Event) pending() *event {
+	if ev := h.rec; ev != nil && ev.seq == h.seq && !ev.canceled && ev.index >= 0 {
+		return ev
+	}
+	return nil
+}
+
+// Pending reports whether the event is still queued to fire: false for the
+// zero handle and once the event has fired (from the moment its callback
+// starts) or been cancelled.
+func (h Event) Pending() bool { return h.pending() != nil }
+
+// At returns the simulated time at which a pending event fires, and zero for
+// an event that is over.
+func (h Event) At() Time {
+	if ev := h.pending(); ev != nil {
+		return ev.at
+	}
+	return 0
+}
 
 // Cancel prevents the event from firing and releases its callback (and
 // whatever the callback closes over) immediately. On the timer wheel this
@@ -63,23 +101,76 @@ func (e *Event) At() Time { return e.at }
 // head; the live-event counter drops right away, so Pending never counts
 // it. On the heap arm (DisableEventWheel) the event is removed from the
 // queue eagerly via its stored heap index. Cancelling an event that
-// already fired or was already cancelled is a no-op. Cancel returns true
-// if the event had been pending.
-func (e *Event) Cancel() bool {
-	if e == nil || e.canceled || e.index < 0 {
+// already fired or was already cancelled — through however old a handle —
+// is a no-op. Cancel returns true if the event had been pending.
+func (h Event) Cancel() bool {
+	ev := h.pending()
+	if ev == nil {
 		return false
 	}
-	e.canceled = true
-	own := e.owner
+	own := ev.owner
 	if own.noWheel {
-		heap.Remove(&own.queue, e.index)
-	} else {
-		own.wheel.live--
-		own.wheel.cancelsLazy++
+		heap.Remove(&own.queue, ev.index)
+		own.pool.release(ev)
+		return true
 	}
-	e.index = -1
-	e.fn = nil
+	// The wheel still links the record: it stays, dead, until the wheel
+	// reaches it and releases it.
+	ev.canceled = true
+	ev.index = -1
+	ev.fn = nil
+	own.wheel.live--
+	own.wheel.cancelsLazy++
 	return true
+}
+
+// eventPool is where an engine's event records come from and go back to: a
+// free list threaded through the records themselves, refilled a slab at a
+// time, so a warm engine schedules, fires and cancels without allocating.
+// release is the one place a record's life ends.
+type eventPool struct {
+	free *event
+	// slab is the current allocation block: fresh records are carved out of
+	// pre-sized slabs, one heap allocation per eventSlabSize of them.
+	slab    []event
+	slabOff int
+	// noSlab allocates each event individually and never reuses one — the
+	// differential tests' reference configuration, proving that neither slab
+	// carving nor recycling changes anything.
+	noSlab bool
+}
+
+// eventSlabSize is the number of events per allocation block.
+const eventSlabSize = 64
+
+// get returns a record for the caller to fill in.
+func (p *eventPool) get() *event {
+	if p.noSlab {
+		return new(event)
+	}
+	if ev := p.free; ev != nil {
+		p.free = ev.next
+		return ev
+	}
+	if p.slabOff == len(p.slab) {
+		p.slab = make([]event, eventSlabSize)
+		p.slabOff = 0
+	}
+	ev := &p.slab[p.slabOff]
+	p.slabOff++
+	return ev
+}
+
+// release ends a record's life: its callback has returned, or it was
+// cancelled and the queue has just dropped its last link to it. Zeroing the
+// record makes every handle on it stale (no event has sequence number zero)
+// and drops the callback; then it is free for the next event.
+func (p *eventPool) release(ev *event) {
+	*ev = event{}
+	if !p.noSlab {
+		ev.next = p.free
+		p.free = ev
+	}
 }
 
 // Engine is the discrete-event simulator core. The zero value is not usable;
@@ -93,19 +184,12 @@ type Engine struct {
 	processed uint64
 	// maxEvents aborts Run after this many events when non-zero.
 	maxEvents uint64
-	// slab is the current event allocation block: events are carved out of
-	// pre-sized slabs so scheduling costs one heap allocation per
-	// eventSlabSize events instead of one each. A block is reclaimed by the
-	// GC once every event in it has fired or been cancelled and no caller
-	// holds a handle.
-	slab    []Event
-	slabOff int
+	// pool holds the event records: free ones, and the slab fresh ones are
+	// carved from.
+	pool eventPool
 	// peakPending records the high-water mark of the pending queue, the
 	// sizing hint a rebuilt engine's Reserve call uses.
 	peakPending int
-	// noSlab allocates each event individually — the differential test's
-	// reference configuration proving slab carving changes nothing.
-	noSlab bool
 
 	// The event queue has two arms. The default is the hierarchical timer
 	// wheel (see wheel.go): O(1) amortized schedule/cancel, pops found by
@@ -134,17 +218,16 @@ func (e *Engine) DisableEventWheel() {
 	e.noWheel = true
 }
 
-// DisableEventSlab makes the engine allocate every event individually
-// instead of carving pre-sized slabs. Scheduling semantics are unchanged; it
-// exists so the differential test can run a no-reuse reference stack.
-func (e *Engine) DisableEventSlab() { e.noSlab = true }
+// DisableEventSlab makes the engine allocate every event individually and
+// never reuse a record, instead of carving slabs and recycling. Scheduling
+// semantics are unchanged; it exists so the differential test can run a
+// no-reuse reference stack.
+func (e *Engine) DisableEventSlab() { e.pool.noSlab = true }
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
 func NewEngine() *Engine {
-	e := &Engine{}
-	if DisableEventWheel {
-		e.noWheel = true
-	}
+	e := &Engine{noWheel: DisableEventWheel}
+	e.wheel.pool = &e.pool
 	return e
 }
 
@@ -170,29 +253,17 @@ func (e *Engine) CancelsLazy() uint64 { return e.wheel.cancelsLazy }
 // It exists to catch accidental infinite event loops in tests.
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
 
-// eventSlabSize is the number of events per allocation block.
-const eventSlabSize = 64
-
-// newEvent carves the next event out of the current slab.
-func (e *Engine) newEvent(at Time, fn func()) *Event {
-	if e.noSlab {
-		e.seq++
-		return &Event{at: at, seq: e.seq, owner: e, fn: fn}
-	}
-	if e.slabOff == len(e.slab) {
-		e.slab = make([]Event, eventSlabSize)
-		e.slabOff = 0
-	}
-	ev := &e.slab[e.slabOff]
-	e.slabOff++
+// newEvent takes a record from the pool and numbers it.
+func (e *Engine) newEvent(at Time, fn func()) *event {
+	ev := e.pool.get()
 	e.seq++
-	*ev = Event{at: at, seq: e.seq, owner: e, fn: fn}
+	*ev = event{at: at, seq: e.seq, owner: e, fn: fn}
 	return ev
 }
 
 // enqueue files a freshly created event into whichever queue arm is active
 // and maintains the pending high-water mark.
-func (e *Engine) enqueue(ev *Event) {
+func (e *Engine) enqueue(ev *event) {
 	if e.noWheel {
 		heap.Push(&e.queue, ev)
 		if n := len(e.queue); n > e.peakPending {
@@ -207,10 +278,8 @@ func (e *Engine) enqueue(ev *Event) {
 	}
 }
 
-// Schedule arranges for fn to run at absolute time at. Scheduling in the past
-// panics: it would silently reorder causality. Ties at the same instant fire
-// in scheduling order.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// schedule is Schedule, returning the handle by value.
+func (e *Engine) schedule(at Time, fn func()) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -219,7 +288,31 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	}
 	ev := e.newEvent(at, fn)
 	e.enqueue(ev)
-	return ev
+	return Event{rec: ev, seq: ev.seq}
+}
+
+// after is After, returning the handle by value.
+func (e *Engine) after(d Duration, fn func()) Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return e.schedule(e.now.Add(d), fn)
+}
+
+// Schedule, After and Defer return the new event's handle behind a pointer
+// because code this repository may not edit (bench/ledger) declares
+// *sim.Event variables; everything else keeps handles by value. Each of the
+// three is a wrapper small enough to inline, so the handle escapes to the heap
+// only where a caller really stores the pointer: one that drops the result, or
+// dereferences it on the spot (h = *e.After(d, fn)), allocates nothing —
+// TestEngineSteadyStateAllocatesNothing holds the compiler to that.
+
+// Schedule arranges for fn to run at absolute time at. Scheduling in the past
+// panics: it would silently reorder causality. Ties at the same instant fire
+// in scheduling order.
+func (e *Engine) Schedule(at Time, fn func()) *Event {
+	ev := e.schedule(at, fn)
+	return &ev
 }
 
 // BatchItem is one (time, callback) entry for ScheduleBatch.
@@ -290,16 +383,17 @@ func (e *Engine) PeakPending() int { return e.peakPending }
 
 // After arranges for fn to run d seconds from now. Negative durations panic.
 func (e *Engine) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.Schedule(e.now.Add(d), fn)
+	ev := e.after(d, fn)
+	return &ev
 }
 
 // Defer arranges for fn to run at the current instant, after all callbacks
 // already queued for this instant. It is the simulation analogue of
 // "process this on the next tick".
-func (e *Engine) Defer(fn func()) *Event { return e.Schedule(e.now, fn) }
+func (e *Engine) Defer(fn func()) *Event {
+	ev := e.schedule(e.now, fn)
+	return &ev
+}
 
 // Pending reports the number of undelivered live events. The wheel arm
 // answers from its live-event counter — cancelled events stop counting the
@@ -315,27 +409,20 @@ func (e *Engine) Pending() int {
 // step executes the earliest pending event. It returns false when the queue
 // holds no live events.
 func (e *Engine) step() bool {
-	var ev *Event
+	var ev *event
 	if e.noWheel {
-		// The cancelled-event check is defensive: the heap arm's Cancel
-		// removes events eagerly, so none should be observed here.
-		for e.queue.Len() > 0 {
-			next := heap.Pop(&e.queue).(*Event)
-			next.index = -1
-			if !next.canceled {
-				ev = next
-				break
-			}
+		// The heap arm's Cancel removes events eagerly, so every queued
+		// event is live.
+		if e.queue.Len() > 0 {
+			ev = heap.Pop(&e.queue).(*event)
 		}
 	} else {
 		ev = e.wheel.pop()
-		if ev != nil {
-			ev.index = -1
-		}
 	}
 	if ev == nil {
 		return false
 	}
+	ev.index = -1
 	if ev.at < e.now {
 		panic("sim: event queue went backwards")
 	}
@@ -344,11 +431,11 @@ func (e *Engine) step() bool {
 	if e.maxEvents != 0 && e.processed > e.maxEvents {
 		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.maxEvents, e.now))
 	}
-	fn := ev.fn
-	// Release the closure before running it: the event's slab block may
-	// outlive the event, and fn can close over a whole job's state.
-	ev.fn = nil
-	fn()
+	// The record stays out of the pool while its callback runs (a handle on
+	// it, used from inside the callback, must find its own event, over, and
+	// not a new one), and goes back the moment the callback returns.
+	ev.fn()
+	e.pool.release(ev)
 	return true
 }
 
@@ -380,11 +467,10 @@ func (e *Engine) Run() {
 // anything.
 func (e *Engine) nextAt() (Time, bool) {
 	if e.noWheel {
-		ev := e.queue.peekLive()
-		if ev == nil {
+		if e.queue.Len() == 0 {
 			return 0, false
 		}
-		return ev.at, true
+		return e.queue[0].at, true
 	}
 	return e.wheel.nextAt()
 }
@@ -413,7 +499,7 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // eventQueue is a min-heap ordered by (at, seq): the engine's reference
 // queue arm, selected by DisableEventWheel.
-type eventQueue []*Event
+type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 
@@ -431,7 +517,7 @@ func (q eventQueue) Swap(i, j int) {
 }
 
 func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
+	ev := x.(*event)
 	ev.index = len(*q)
 	*q = append(*q, ev)
 }
@@ -443,18 +529,4 @@ func (q *eventQueue) Pop() any {
 	old[n-1] = nil
 	*q = old[:n-1]
 	return ev
-}
-
-// peekLive returns the earliest non-cancelled event without removing it,
-// draining any cancelled events it passes over (defensive: the heap arm
-// cancels eagerly, so the head is never dead).
-func (q *eventQueue) peekLive() *Event {
-	for q.Len() > 0 {
-		ev := (*q)[0]
-		if !ev.canceled {
-			return ev
-		}
-		heap.Pop(q)
-	}
-	return nil
 }

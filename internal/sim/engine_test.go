@@ -210,11 +210,11 @@ func TestPropertyCancelSafety(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		e := NewEngine()
 		n := 1 + rng.Intn(40)
-		events := make([]*Event, n)
+		events := make([]Event, n)
 		firedIdx := map[int]bool{}
 		for i := 0; i < n; i++ {
 			i := i
-			events[i] = e.Schedule(Time(rng.Intn(100)), func() { firedIdx[i] = true })
+			events[i] = *e.Schedule(Time(rng.Intn(100)), func() { firedIdx[i] = true })
 		}
 		cancelled := map[int]bool{}
 		for i := 0; i < n/2; i++ {
@@ -261,9 +261,9 @@ func TestDeterminism(t *testing.T) {
 func TestCancelRemovesFromQueue(t *testing.T) {
 	e := NewEngine()
 	keep := 0
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 100; i++ {
-		evs = append(evs, e.Schedule(Time(i), func() { keep++ }))
+		evs = append(evs, *e.Schedule(Time(i), func() { keep++ }))
 	}
 	if e.Pending() != 100 {
 		t.Fatalf("Pending = %d, want 100", e.Pending())
@@ -293,10 +293,10 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 func TestCancelMidHeapPreservesOrder(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 50; i++ {
 		i := i
-		evs = append(evs, e.Schedule(Time(50-i), func() { fired = append(fired, 50-i) }))
+		evs = append(evs, *e.Schedule(Time(50-i), func() { fired = append(fired, 50-i) }))
 	}
 	for _, i := range []int{3, 17, 29, 41, 49} {
 		evs[i].Cancel()

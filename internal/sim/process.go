@@ -72,7 +72,7 @@ type Ticker struct {
 	engine  *Engine
 	period  Duration
 	fn      func(Time)
-	next    *Event
+	next    Event
 	stopped bool
 	// tickFn is the onTick method value, materialized once — arm() runs
 	// every period, and a literal closure there would allocate per tick.
@@ -92,7 +92,7 @@ func NewTicker(e *Engine, period Duration, fn func(Time)) *Ticker {
 }
 
 func (t *Ticker) arm() {
-	t.next = t.engine.After(t.period, t.tickFn)
+	t.next = t.engine.after(t.period, t.tickFn)
 }
 
 func (t *Ticker) onTick() {
@@ -112,9 +112,7 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.stopped = true
-	if t.next != nil {
-		t.next.Cancel()
-	}
+	t.next.Cancel()
 }
 
 // Tokens is a counted resource with a FIFO wait queue: Acquire either grants

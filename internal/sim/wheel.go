@@ -68,7 +68,9 @@ import "math/bits"
 // when popped and drained eagerly whenever they surface at a bucket head —
 // loading a bucket filters them out, and nextAt discards all-dead buckets
 // and dead heap tops on sight — so no O(n) dead-event scan survives on
-// either the pop or the peek path.
+// either the pop or the peek path. Every place that drops a dead record
+// hands it to eventPool.release: until then the wheel still links it, so it
+// cannot be reused; from then on nothing but stale handles points at it.
 const (
 	wheelSlotBits = 8
 	wheelSlots    = 1 << wheelSlotBits
@@ -104,16 +106,16 @@ func tickOf(t Time) uint64 {
 // active bucket and the overflow region. It is a hand-rolled heap rather
 // than container/heap so pushes and pops stay free of interface
 // conversions and index writes on the hot path.
-type eventHeap []*Event
+type eventHeap []*event
 
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
@@ -127,7 +129,7 @@ func (h *eventHeap) push(ev *Event) {
 	*h = s
 }
 
-func (h *eventHeap) pop() *Event {
+func (h *eventHeap) pop() *event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
@@ -141,7 +143,7 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
-func siftDown(s []*Event, i int) {
+func siftDown(s []*event, i int) {
 	n := len(s)
 	for {
 		l := 2*i + 1
@@ -169,13 +171,13 @@ func (h eventHeap) heapify() {
 
 // wheelLevel is one ring of buckets plus an occupancy bitmap; firstSet
 // finds the earliest occupied slot in a handful of word scans. Buckets are
-// intrusive singly-linked lists through Event.next — filing an event is a
-// pointer write, no per-bucket slice allocation, and the slab blocks from
-// PR 7 double as the node storage. List order is scheduling-reversed
+// intrusive singly-linked lists through event.next — filing an event is a
+// pointer write, no per-bucket slice allocation: the engine's event records
+// double as the node storage. List order is scheduling-reversed
 // (push-front) and does not matter: level-0 buckets are re-sorted through
 // the active heap and higher-level buckets are re-filed by cascading.
 type wheelLevel struct {
-	buckets [wheelSlots]*Event
+	buckets [wheelSlots]*event
 	bitmap  [wheelSlots / 64]uint64
 }
 
@@ -205,6 +207,9 @@ type wheel struct {
 	overflow eventHeap
 	// live counts pending non-cancelled events: the Pending fast path.
 	live int
+	// pool is the engine's record pool: every cancelled record the wheel
+	// drops its last link to goes back through pool.release.
+	pool *eventPool
 
 	// Observability counters, surfaced per shard in /v1/stats.
 	wheelEvents    uint64 // events filed into a wheel level or the active bucket
@@ -213,7 +218,7 @@ type wheel struct {
 }
 
 // schedule files a freshly created event (ev.tick already set).
-func (w *wheel) schedule(ev *Event) {
+func (w *wheel) schedule(ev *event) {
 	w.live++
 	if w.insert(ev) {
 		w.overflowEvents++
@@ -225,7 +230,7 @@ func (w *wheel) schedule(ev *Event) {
 // insert routes an event to the active heap, a wheel level, or overflow by
 // the window invariants. It is shared by schedule, cascading, and overflow
 // drain, so it touches no counters. Reports whether the event overflowed.
-func (w *wheel) insert(ev *Event) bool {
+func (w *wheel) insert(ev *event) bool {
 	tick := ev.tick
 	switch {
 	case tick == w.curTick && tick != sentinelTick:
@@ -243,7 +248,7 @@ func (w *wheel) insert(ev *Event) bool {
 	return false
 }
 
-func (w *wheel) place(level int, ev *Event) {
+func (w *wheel) place(level int, ev *event) {
 	slot := int((ev.tick - w.anchor[level]) >> uint(level*wheelSlotBits))
 	l := &w.levels[level]
 	ev.next = l.buckets[slot]
@@ -254,7 +259,7 @@ func (w *wheel) place(level int, ev *Event) {
 // pop removes and returns the earliest live event, or nil when none
 // remain. All anchor movement happens here, and only when a live event is
 // returned (see the file comment).
-func (w *wheel) pop() *Event {
+func (w *wheel) pop() *event {
 	if w.live == 0 {
 		w.purge()
 		return nil
@@ -263,6 +268,7 @@ func (w *wheel) pop() *Event {
 		for len(w.active) > 0 {
 			ev := w.active.pop()
 			if ev.canceled {
+				w.pool.release(ev)
 				continue
 			}
 			w.live--
@@ -273,7 +279,7 @@ func (w *wheel) pop() *Event {
 		}
 		// Wheel fully empty: the overflow heap owns whatever is left.
 		for len(w.overflow) > 0 && w.overflow[0].canceled {
-			w.overflow.pop()
+			w.pool.release(w.overflow.pop())
 		}
 		if len(w.overflow) == 0 {
 			return nil
@@ -290,25 +296,33 @@ func (w *wheel) pop() *Event {
 }
 
 // purge empties a wheel whose every filed event is cancelled (live == 0):
-// heaps and buckets are released so the dead events' slab blocks can be
-// collected, while the anchors and the cursor stay put.
+// heaps and buckets give their dead records back to the pool, while the
+// anchors and the cursor stay put.
 func (w *wheel) purge() {
-	clear(w.active)
-	w.active = w.active[:0]
-	clear(w.overflow)
-	w.overflow = w.overflow[:0]
+	w.active = w.releaseAll(w.active)
+	w.overflow = w.releaseAll(w.overflow)
 	for k := range w.levels {
 		l := &w.levels[k]
 		for j := l.firstSet(); j >= 0; j = l.firstSet() {
 			for ev := l.buckets[j]; ev != nil; {
 				nx := ev.next
-				ev.next = nil
+				w.pool.release(ev)
 				ev = nx
 			}
 			l.buckets[j] = nil
 			l.clear(j)
 		}
 	}
+}
+
+// releaseAll gives every record in h (all dead) back to the pool and returns
+// h emptied.
+func (w *wheel) releaseAll(h eventHeap) eventHeap {
+	for i, ev := range h {
+		w.pool.release(ev)
+		h[i] = nil
+	}
+	return h[:0]
 }
 
 // advance makes one unit of wheel progress: load the earliest level-0
@@ -341,7 +355,9 @@ func (w *wheel) loadBucket(j int) {
 	for ev := l.buckets[j]; ev != nil; {
 		nx := ev.next
 		ev.next = nil
-		if !ev.canceled {
+		if ev.canceled {
+			w.pool.release(ev)
+		} else {
 			w.active = append(w.active, ev)
 		}
 		ev = nx
@@ -362,7 +378,9 @@ func (w *wheel) cascade(level, j int) {
 	for ev := head; ev != nil; {
 		nx := ev.next
 		ev.next = nil
-		if !ev.canceled {
+		if ev.canceled {
+			w.pool.release(ev)
+		} else {
 			w.insert(ev)
 		}
 		ev = nx
@@ -379,7 +397,7 @@ func (w *wheel) reanchor(tick uint64) {
 	for len(w.overflow) > 0 {
 		top := w.overflow[0]
 		if top.canceled {
-			w.overflow.pop()
+			w.pool.release(w.overflow.pop())
 			continue
 		}
 		if top.tick >= horizon {
@@ -399,7 +417,7 @@ func (w *wheel) nextAt() (Time, bool) {
 		if !w.active[0].canceled {
 			return w.active[0].at, true
 		}
-		w.active.pop()
+		w.pool.release(w.active.pop())
 	}
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		l := &w.levels[lvl]
@@ -410,12 +428,12 @@ func (w *wheel) nextAt() (Time, bool) {
 			}
 			// Scan for the bucket's live minimum, unlinking dead events in
 			// passing so repeated peeks never rescan them.
-			var min *Event
+			var min *event
 			prev := &l.buckets[j]
 			for ev := *prev; ev != nil; ev = *prev {
 				if ev.canceled {
 					*prev = ev.next
-					ev.next = nil
+					w.pool.release(ev)
 					continue
 				}
 				if min == nil || eventLess(ev, min) {
@@ -434,7 +452,7 @@ func (w *wheel) nextAt() (Time, bool) {
 		if !w.overflow[0].canceled {
 			return w.overflow[0].at, true
 		}
-		w.overflow.pop()
+		w.pool.release(w.overflow.pop())
 	}
 	return 0, false
 }

@@ -51,7 +51,7 @@ type wheelHarness struct {
 	e       *Engine
 	rng     *rand.Rand
 	log     []string
-	events  []*Event
+	events  []Event
 	created int
 	budget  int
 }
@@ -81,8 +81,7 @@ func (h *wheelHarness) spawn() {
 	case 9: // beyond tick arithmetic entirely
 		delta = Duration(1e16 * (1 + h.rng.Float64()))
 	}
-	ev := h.e.After(delta, func() { h.fire(id) })
-	h.events = append(h.events, ev)
+	h.events = append(h.events, *h.e.After(delta, func() { h.fire(id) }))
 }
 
 func (h *wheelHarness) fire(id int) {
@@ -120,7 +119,7 @@ func TestWheelHeapPropertyDifferential(t *testing.T) {
 						h.created++
 						at := Time(h.rng.Float64() * 20)
 						batch = append(batch, BatchItem{At: at, Fn: func() { h.fire(id) }})
-						h.events = append(h.events, nil)
+						h.events = append(h.events, Event{})
 						continue
 					}
 					h.spawn()
@@ -145,9 +144,7 @@ func TestWheelHeapPropertyDifferential(t *testing.T) {
 						}
 					}
 					for i := 0; i < 3 && len(h.events) > 0; i++ {
-						if ev := h.events[h.rng.Intn(len(h.events))]; ev != nil {
-							ev.Cancel()
-						}
+						h.events[h.rng.Intn(len(h.events))].Cancel()
 					}
 				}
 				e.Run()
@@ -254,9 +251,9 @@ func TestWheelCrossLevelCascade(t *testing.T) {
 // bucket is drained at the head without firing anything.
 func TestWheelLazyCancelCounters(t *testing.T) {
 	e := newWheelEngine()
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 64; i++ {
-		evs = append(evs, e.Schedule(Time(1+i), func() { t.Error("cancelled event fired") }))
+		evs = append(evs, *e.Schedule(Time(1+i), func() { t.Error("cancelled event fired") }))
 	}
 	for i, ev := range evs {
 		if !ev.Cancel() {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -19,74 +20,83 @@ type Span struct {
 // Duration returns the span length in seconds.
 func (s Span) Duration() float64 { return s.End - s.Start }
 
+// NodeSpan is a span kept by node index: 24 bytes where a Span, with its two
+// strings, is 48. A job's execution records one per task — every job, traced
+// or not — so they stay index-shaped until someone reads the tracer, which
+// then asks its SpanNamer for each one's track and label.
+type NodeSpan struct {
+	Node       int32
+	Start, End float64
+}
+
+// SpanNamer renders the track and label of the spans a tracer keeps by node
+// index (a job's execution, from its graph).
+type SpanNamer interface {
+	SpanName(node int32) (track, label string)
+}
+
 // Tracer accumulates spans. It is not goroutine-safe; the simulation is
 // single-threaded by construction.
+//
+// A span in flight is its starter's to keep — Start hands it out, End takes
+// it back — and the tracer only counts how many are out, so neither call
+// searches anything. Completed spans are held in completion order: the order
+// Spans hands to its (unstable) sort, so it is part of the output.
 type Tracer struct {
-	// spans holds completed spans in completion order — the order Spans
-	// hands to its (unstable) sort, so it is part of the output.
+	// spans holds the completed spans of Start/End and Add; nodes those of
+	// StartNode/EndNode, named by namer when read. A tracer is fed one way or
+	// the other.
 	spans []Span
-	// open holds the spans started and not yet ended, in no particular
-	// order, and ids[i] the id Start gave open[i]. A job has a stage's
-	// parallelism plus its in-flight LLM calls open at once, so End finds its
-	// span by a short linear search.
-	open []Span
-	ids  []int32
-	next int32
+	nodes []NodeSpan
+	namer SpanNamer
+	open  int
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// NewTracerSized returns an empty tracer with room for spans completed spans
-// and open spans in flight at once; within those sizes Start and End do not
-// allocate. Size both from the job being traced (its graph's length, how many
-// of its tasks can run at once): a constant large enough for the biggest job
-// costs every small job the difference.
-func NewTracerSized(spans, open int) *Tracer {
-	tr := &Tracer{}
-	tr.Init(make([]Span, spans+open), make([]int32, open))
-	return tr
+// Init makes tr an empty tracer that keeps its spans by node index, in
+// storage the caller owns — size it from the job being traced (one span per
+// node of its graph; a retried task's extra span moves the tracer to storage
+// of its own) — and names them through namer when someone reads it.
+func (tr *Tracer) Init(namer SpanNamer, nodes []NodeSpan) {
+	*tr = Tracer{namer: namer, nodes: nodes[:0]}
 }
 
-// Init makes tr an empty tracer that keeps its spans in storage the caller
-// owns: as many spans open at once as ids is long, and the rest of spans for
-// completed ones. Past either size the tracer moves that part to storage of
-// its own.
-func (tr *Tracer) Init(spans []Span, ids []int32) {
-	done := len(spans) - len(ids)
-	*tr = Tracer{spans: spans[:0:done], open: spans[done:done:len(spans)], ids: ids[:0:len(ids)]}
+// Start opens a span at time t. The caller keeps it for the matching End.
+func (tr *Tracer) Start(track, label string, t float64) Span {
+	tr.open++
+	return Span{Track: track, Label: label, Start: t, End: t}
 }
 
-// Start opens a span at time t and returns its id for the matching End call.
-func (tr *Tracer) Start(track, label string, t float64) int {
-	id := tr.next
-	tr.next++
-	tr.open = append(tr.open, Span{Track: track, Label: label, Start: t})
-	tr.ids = append(tr.ids, id)
-	return int(id)
+// End closes sp, a span Start opened, at time t. A reversed interval and an
+// End with no span open panic: they indicate broken instrumentation, not a
+// runtime condition to tolerate.
+func (tr *Tracer) End(sp Span, t float64) {
+	tr.close(sp.Start, t)
+	sp.End = t
+	tr.spans = append(tr.spans, sp)
 }
 
-// End closes the span with the given id at time t. Unknown ids and reversed
-// intervals panic: they indicate broken instrumentation, not a runtime
-// condition to tolerate.
-func (tr *Tracer) End(id int, t float64) {
-	for i, open := range tr.ids {
-		if int(open) != id {
-			continue
-		}
-		sp := tr.open[i]
-		if t < sp.Start {
-			panic(fmt.Sprintf("telemetry: span %d ends at %v before start %v", id, t, sp.Start))
-		}
-		last := len(tr.open) - 1
-		tr.open[i], tr.ids[i] = tr.open[last], tr.ids[last]
-		tr.open[last] = Span{}
-		tr.open, tr.ids = tr.open[:last], tr.ids[:last]
-		sp.End = t
-		tr.spans = append(tr.spans, sp)
-		return
+// StartNode opens a span kept by node index. The caller keeps its node and
+// start time for the matching EndNode.
+func (tr *Tracer) StartNode() { tr.open++ }
+
+// EndNode closes the span a StartNode opened for node at time start, with
+// End's checks.
+func (tr *Tracer) EndNode(node int32, start, t float64) {
+	tr.close(start, t)
+	tr.nodes = append(tr.nodes, NodeSpan{Node: node, Start: start, End: t})
+}
+
+func (tr *Tracer) close(start, t float64) {
+	if tr.open == 0 {
+		panic(fmt.Sprintf("telemetry: span ending at %v was never started, or ended twice", t))
 	}
-	panic(fmt.Sprintf("telemetry: End of unknown span %d", id))
+	if t < start {
+		panic(fmt.Sprintf("telemetry: span ends at %v before start %v", t, start))
+	}
+	tr.open--
 }
 
 // Add records a complete span directly.
@@ -97,11 +107,25 @@ func (tr *Tracer) Add(sp Span) {
 	tr.spans = append(tr.spans, sp)
 }
 
+// completed returns the completed spans in completion order: the tracer's own
+// slice, or — for spans kept by node index — a fresh one with each span named.
+// Callers that modify the result copy it first.
+func (tr *Tracer) completed() []Span {
+	if tr.namer == nil {
+		return tr.spans
+	}
+	out := make([]Span, len(tr.nodes))
+	for i, ns := range tr.nodes {
+		track, label := tr.namer.SpanName(ns.Node)
+		out[i] = Span{Track: track, Label: label, Start: ns.Start, End: ns.End}
+	}
+	return out
+}
+
 // Spans returns completed spans sorted by start time (ties by track then
 // label, for deterministic output).
 func (tr *Tracer) Spans() []Span {
-	out := make([]Span, len(tr.spans))
-	copy(out, tr.spans)
+	out := slices.Clone(tr.completed())
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -116,13 +140,13 @@ func (tr *Tracer) Spans() []Span {
 
 // OpenCount reports spans started but not ended — nonzero after a run means
 // an agent never completed.
-func (tr *Tracer) OpenCount() int { return len(tr.open) }
+func (tr *Tracer) OpenCount() int { return tr.open }
 
 // Tracks returns the distinct track names in first-seen order.
 func (tr *Tracer) Tracks() []string {
 	seen := map[string]bool{}
 	var tracks []string
-	for _, sp := range tr.spans {
+	for _, sp := range tr.completed() {
 		if !seen[sp.Track] {
 			seen[sp.Track] = true
 			tracks = append(tracks, sp.Track)
@@ -135,7 +159,7 @@ func (tr *Tracer) Tracks() []string {
 // when the tracer covers a whole run).
 func (tr *Tracer) Makespan() float64 {
 	max := 0.0
-	for _, sp := range tr.spans {
+	for _, sp := range tr.completed() {
 		if sp.End > max {
 			max = sp.End
 		}
@@ -148,7 +172,7 @@ func (tr *Tracer) Makespan() float64 {
 func (tr *Tracer) TrackBusy(track string) float64 {
 	type iv struct{ s, e float64 }
 	var ivs []iv
-	for _, sp := range tr.spans {
+	for _, sp := range tr.completed() {
 		if sp.Track == track {
 			ivs = append(ivs, iv{sp.Start, sp.End})
 		}

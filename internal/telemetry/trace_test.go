@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,10 +33,10 @@ func TestTracerUnknownEndPanics(t *testing.T) {
 	tr := NewTracer()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("End of unknown span did not panic")
+			t.Fatal("End of a span the tracer never started did not panic")
 		}
 	}()
-	tr.End(99, 1)
+	tr.End(Span{Track: "x", Label: "y"}, 1)
 }
 
 func TestTracerReversedSpanPanics(t *testing.T) {
@@ -164,10 +165,10 @@ func TestSeriesCSVMismatchPanics(t *testing.T) {
 }
 
 func TestTracerInterleavedStartEnd(t *testing.T) {
-	tr := NewTracerSized(4, 2)
+	tr := NewTracer()
 	a := tr.Start("t", "a", 0)
 	b := tr.Start("t", "b", 1)
-	c := tr.Start("t", "c", 2) // past the sized open capacity: grows
+	c := tr.Start("t", "c", 2)
 	if tr.OpenCount() != 3 {
 		t.Fatalf("open = %d, want 3", tr.OpenCount())
 	}
@@ -184,7 +185,7 @@ func TestTracerInterleavedStartEnd(t *testing.T) {
 	}
 	// Tracks and the input to Spans' sort follow completion order.
 	var got []string
-	for _, sp := range tr.spans {
+	for _, sp := range tr.completed() {
 		got = append(got, sp.Label)
 	}
 	if strings.Join(got, "") != "badc" {
@@ -198,28 +199,92 @@ func TestTracerInterleavedStartEnd(t *testing.T) {
 	}
 }
 
+// A tracer does not keep the spans in flight, so the double End it can still
+// catch is the one that leaves fewer than no spans open.
 func TestTracerEndTwicePanics(t *testing.T) {
 	tr := NewTracer()
-	id := tr.Start("x", "y", 1)
-	other := tr.Start("x", "z", 1)
-	tr.End(id, 2)
+	sp := tr.Start("x", "y", 1)
+	tr.End(sp, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second End of one span did not panic")
 		}
-		if tr.OpenCount() != 1 {
-			t.Fatalf("open = %d after the refused End, want 1", tr.OpenCount())
+		if n := len(tr.Spans()); n != 1 || tr.OpenCount() != 0 {
+			t.Fatalf("%d spans, %d open after the refused End, want 1 and 0", n, tr.OpenCount())
 		}
-		tr.End(other, 2)
 	}()
-	tr.End(id, 3)
+	tr.End(sp, 3)
 }
 
 func TestTracerEndBeforeAnyStartPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("End on a tracer that never started a span did not panic")
+			t.Fatal("EndNode on a tracer that never started a span did not panic")
 		}
 	}()
-	NewTracerSized(8, 8).End(0, 1)
+	var tr Tracer
+	tr.Init(upperNamer{}, make([]NodeSpan, 8))
+	tr.EndNode(0, 0, 1)
+}
+
+// upperNamer names node i's span ("T<i%2>", "n<i>").
+type upperNamer struct{}
+
+func (upperNamer) SpanName(node int32) (string, string) {
+	return "T" + strconv.Itoa(int(node)%2), "n" + strconv.Itoa(int(node))
+}
+
+// TestNodeSpansReadLikeNamedOnes feeds one tracer spans by node index and
+// another the same spans already named, in the same completion order: every
+// reader must give the same answer, and the indexed one must stay inside the
+// storage it was given until a span more than that arrives.
+func TestNodeSpansReadLikeNamedOnes(t *testing.T) {
+	type rec struct {
+		node       int32
+		start, end float64
+	}
+	// Completion order, with ties on start (and on start + track) so Spans'
+	// unstable sort sees the same input both ways.
+	recs := []rec{{3, 0, 2}, {1, 0, 3}, {0, 1, 3}, {2, 1, 4}, {5, 3, 9}, {4, 3, 5}}
+	storage := make([]NodeSpan, len(recs))
+	var byNode Tracer
+	byNode.Init(upperNamer{}, storage)
+	named := NewTracer()
+	for _, r := range recs {
+		byNode.StartNode()
+		sp := named.Start("T"+strconv.Itoa(int(r.node)%2), "n"+strconv.Itoa(int(r.node)), r.start)
+		if byNode.OpenCount() != 1 || named.OpenCount() != 1 {
+			t.Fatalf("open = %d / %d, want 1 / 1", byNode.OpenCount(), named.OpenCount())
+		}
+		byNode.EndNode(r.node, r.start, r.end)
+		named.End(sp, r.end)
+	}
+	if &byNode.nodes[0] != &storage[0] {
+		t.Fatal("a tracer within its size moved off the storage it was given")
+	}
+	if got, want := SpansCSV(&byNode), SpansCSV(named); got != want {
+		t.Fatalf("SpansCSV differs:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := Gantt(&byNode, 40), Gantt(named, 40); got != want {
+		t.Fatalf("Gantt differs:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := strings.Join(byNode.Tracks(), ","), strings.Join(named.Tracks(), ","); got != want || got != "T1,T0" {
+		t.Fatalf("Tracks = %q, named %q, want T1,T0 (first seen in completion order)", got, want)
+	}
+	if byNode.Makespan() != 9 || byNode.TrackBusy("T0") != named.TrackBusy("T0") || byNode.TrackBusy("T1") != 9 {
+		t.Fatalf("Makespan %v, TrackBusy %v / %v", byNode.Makespan(), byNode.TrackBusy("T0"), byNode.TrackBusy("T1"))
+	}
+	// One span more than the storage holds (a retried task) spills.
+	byNode.StartNode()
+	byNode.EndNode(0, 9, 10)
+	if len(byNode.Spans()) != len(recs)+1 || byNode.Makespan() != 10 {
+		t.Fatalf("%d spans, makespan %v after the spill", len(byNode.Spans()), byNode.Makespan())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reversed node span did not panic")
+		}
+	}()
+	byNode.StartNode()
+	byNode.EndNode(1, 5, 4)
 }
