@@ -323,7 +323,7 @@ func BenchmarkReconfig(b *testing.B) {
 	b.ReportAllocs()
 	var last *serving.ReconfigComparison
 	for i := 0; i < b.N; i++ {
-		res, err := serving.RunReconfig(serving.DefaultReconfigOptions())
+		res, err := serving.RunReconfig()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func BenchmarkFaults(b *testing.B) {
 	b.ReportAllocs()
 	var last *serving.FaultsComparison
 	for i := 0; i < b.N; i++ {
-		res, err := serving.RunFaults(serving.DefaultFaultsOptions())
+		res, err := serving.RunFaults()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func BenchmarkOverload(b *testing.B) {
 	b.ReportAllocs()
 	var last *serving.OverloadComparison
 	for i := 0; i < b.N; i++ {
-		res, err := serving.RunOverload(serving.DefaultOverloadOptions())
+		res, err := serving.RunOverload(serving.DefaultOverloadX)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func BenchmarkServingRetention(b *testing.B) {
 	b.ReportAllocs()
 	var best *serving.RetentionResult
 	for i := 0; i < b.N; i++ {
-		res, err := serving.RunRetention(serving.DefaultRetentionOptions())
+		res, err := serving.RunRetention()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -189,6 +189,21 @@ func parseTenantTiers(s string) (map[string]string, error) {
 	return out, nil
 }
 
+// newHTTPServer bounds what a client can hold open: a request's headers must
+// arrive within 5 s and its whole body (at most 1 MiB) within 30 s, and an
+// idle keep-alive connection is closed after two minutes. WriteTimeout stays
+// unset: it would start when the request has been read and cut off wait:true
+// holders, whose answer comes whenever the job settles.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 2, "runtime shards (tenants hash across them)")
@@ -345,11 +360,7 @@ func main() {
 		closeRuntime = server.Close
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(*addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

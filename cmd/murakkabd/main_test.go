@@ -1,9 +1,16 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/api"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -68,5 +75,68 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("validateFlags error %q does not name %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestHTTPServerBoundsReadsNotHolds drives the daemon's http.Server settings
+// (with ReadTimeout scaled down) over a real listener: a client that stalls
+// mid-body is disconnected once ReadTimeout passes, while a handler that holds
+// its answer for longer than ReadTimeout — a wait:true job that has not
+// settled yet — still delivers it.
+func TestHTTPServerBoundsReadsNotHolds(t *testing.T) {
+	const readTimeout = 150 * time.Millisecond
+	const hold = 3 * readTimeout
+	pool, err := api.NewServer(api.PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/v1/jobs", pool)
+	mux.HandleFunc("/hold", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(hold)
+		io.WriteString(w, "settled")
+	})
+	srv := newHTTPServer("", mux)
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("daemon timeouts: header %v read %v idle %v write %v; want the first three set and no write timeout",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+	srv.ReadTimeout = readTimeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST /v1/jobs HTTP/1.1\r\nHost: murakkabd\r\nContent-Type: application/json\r\nContent-Length: 512\r\n\r\n{\"tenant\":")
+	stalled := time.Now()
+	conn.SetReadDeadline(stalled.Add(20 * readTimeout))
+	answer, err := io.ReadAll(conn) // returns at the server's close
+	if err != nil {
+		t.Fatalf("stalled client still connected after %v: %v", time.Since(stalled), err)
+	}
+	if strings.HasPrefix(string(answer), "HTTP/1.1 200") {
+		t.Fatalf("half a body was answered 200: %q", answer)
+	}
+	if waited := time.Since(stalled); waited < readTimeout {
+		t.Fatalf("disconnected after %v, before ReadTimeout %v", waited, readTimeout)
+	}
+
+	resp, err := http.Post("http://"+ln.Addr().String()+"/hold", "application/json", strings.NewReader(`{"wait":true}`))
+	if err != nil {
+		t.Fatalf("a hold of %v under a ReadTimeout of %v was cut off: %v", hold, readTimeout, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "settled" {
+		t.Fatalf("held answer = %d %q, %v", resp.StatusCode, body, err)
 	}
 }

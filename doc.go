@@ -77,11 +77,13 @@
 // goroutine while HTTP handlers post submissions into it; api.Pool shards
 // tenants across long-lived runtimes so concurrent jobs multiplex warm
 // serving engines and generation-checked plan/decomposition/tool-call
-// caches. The daemon has this one serving mode; BenchmarkServing replays a
-// mixed-tenant Poisson trace through the HTTP surface and reports ≥ 2× the
-// throughput of a testbed-per-request baseline handler kept in
-// internal/serving (serving_gain_x), with p50/p95 latency. api.Counters is
-// the single declaration of the additive /v1/stats counters.
+// caches. The daemon has this one serving mode. internal/serving is the
+// evaluation harness for all of it — seven scenarios (faults, reconfig,
+// overload, serving, retention, admission, cluster), each one identical
+// input through two arms, on one sim-time arm runner and one HTTP replay;
+// its package comment and README's "The serving scenarios" say what each
+// compares and gates. api.Counters is the single declaration of the
+// additive /v1/stats counters.
 //
 // Admission itself is pipelined off the shard loop: the configuration
 // search (decompose + optimizer enumerate/prune/score) runs on a
@@ -91,8 +93,7 @@
 // commit validates the capacity-class / profile / library generations and
 // re-plans inline only on conflict, so plans are bit-identical to inline
 // planning while bursts search in parallel. sim.Loop holds keep a draining
-// shard alive until in-flight searches land. BenchmarkAdmission replays a
-// bursty multi-tenant mix against both admission architectures and reports
+// shard alive until in-flight searches land. The admission scenario reports
 // plans/sec, admission_gain_x, submit p50/p95 and conflict_pct.
 //
 // # Telemetry retention
@@ -109,9 +110,9 @@
 // from a sim.Loop tick, clamped to the oldest running job's start, and
 // recycles a shard (drain → rebuild → swap; in-flight jobs complete) when
 // its retained points exceed the configured budget (murakkabd -retain /
-// -max-series-points). BenchmarkServingRetention shows the footprint
-// plateau across ≥ 10× the retention window of served history
-// (contained_x vs the unbounded baseline).
+// -max-series-points). The retention scenario shows the footprint plateau
+// across ≥ 10× the retention window of served history (contained_x vs the
+// unbounded arm).
 //
 // # Runtime reconfiguration
 //
@@ -130,9 +131,7 @@
 // off-loop plan search enabled the re-plan rides the same worker pool and
 // optimistic generation-validated commit as admission. With the controller
 // disabled, behavior is bit-identical to the pre-reconfiguration runtime.
-// BenchmarkReconfig replays a bursty mix plus a deterministic fleet-churn
-// trace (workload.ChurnTrace) through both arms entirely in simulated time
-// and gates the completion/energy gains in CI.
+// The reconfig scenario gates the completion/energy gains in CI.
 //
 // # Overload and SLO tiers
 //
@@ -150,8 +149,8 @@
 // per-tenant attainment and shed/degrade counters, folded monotonically
 // across shard recycles. With -slo off every path is untouched — a
 // differential test proves bit-identical paper metrics — and
-// BenchmarkOverload gates tiered-vs-FIFO goodput (≥ 1.2× at 4× overload),
-// bounded queue depth and zero stranded jobs in CI.
+// the overload scenario gates tiered-vs-FIFO goodput (≥ 1.2× at 4×
+// overload), bounded queue depth and zero stranded jobs in CI.
 //
 // # Horizontal scale-out
 //
@@ -172,7 +171,7 @@
 // still-queued jobs to survivors through the ring, and fails what runs past
 // the drain deadline with typed node_down — nothing strands. With -router
 // off the router package is never touched and single-node wire behavior is
-// byte-identical. serving.RunCluster measures routed throughput in
-// simulated time (completed jobs over the slowest node's makespan), so
-// BenchmarkCluster's ≥ 1.7× scaling gate at 3 nodes holds on any host.
+// byte-identical. The cluster scenario measures routed throughput in
+// simulated time (completed jobs over the slowest node's makespan), so its
+// ≥ 1.7× scaling gate at 3 nodes holds on any host.
 package repro

@@ -49,14 +49,16 @@ func (s Status) String() string {
 }
 
 // Ticket tracks one submitted job through the service. It is a tenant-facing
-// view over the core scheduler's job handle.
+// view over the core scheduler's job handle, and that handle's observer.
 type Ticket struct {
 	ID     int
 	Tenant string
 	Job    workflow.Job
 	Opts   core.SubmitOptions
 
-	h *core.Handle
+	svc      *Service
+	h        *core.Handle
+	whenDone []func(*Ticket)
 }
 
 // Status returns the current state.
@@ -88,10 +90,29 @@ func (t *Ticket) QueueDelayS() float64 { return t.h.QueueDelayS() }
 // the job was still cancelable.
 func (t *Ticket) Cancel() bool { return t.h.Cancel() }
 
-// OnDone registers a completion callback (fires for done, failed and
-// canceled).
-func (t *Ticket) OnDone(fn func(*Ticket)) {
-	t.h.OnDone(func(*core.Handle) { fn(t) })
+// WhenDone registers a completion callback: it fires once the ticket is
+// done, failed or canceled (at once when it already is), after the service has
+// metered the job.
+func (t *Ticket) WhenDone(fn func(*Ticket)) {
+	if t.h.Status().Terminal() {
+		fn(t)
+		return
+	}
+	t.whenDone = append(t.whenDone, fn)
+}
+
+// JobStarted, JobAttempt and JobDone make the ticket its handle's
+// core.JobObserver. Metering settles first, so tenant callbacks see the usage
+// record of the terminal state they are told about.
+func (t *Ticket) JobStarted(*core.Handle) {}
+
+func (t *Ticket) JobAttempt(*core.Handle, core.AttemptRecord) {}
+
+func (t *Ticket) JobDone(h *core.Handle) {
+	t.svc.meter(t, h)
+	for _, fn := range t.whenDone {
+		fn(t)
+	}
 }
 
 // TenantUsage is the §5 metering record for one tenant.
@@ -141,12 +162,11 @@ func (s *Service) Submit(tenant string, job workflow.Job, opts core.SubmitOption
 		Tenant: tenant,
 		Job:    job,
 		Opts:   opts,
+		svc:    s,
 		h:      h,
 	}
 	s.tenantUsage(tenant).Submitted++
-	// Metering registers first, so usage is settled before any tenant
-	// callbacks observe the terminal state.
-	h.OnDone(func(h *core.Handle) { s.meter(t, h) })
+	h.Observe(t)
 	return t, nil
 }
 

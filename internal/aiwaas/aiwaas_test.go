@@ -101,7 +101,7 @@ func TestFairShareAcrossTenants(t *testing.T) {
 	var order []string
 	for _, tk := range []*Ticket{a1, a2, a3, b1} {
 		tk := tk
-		tk.OnDone(func(*Ticket) { order = append(order, tk.Tenant) })
+		tk.WhenDone(func(*Ticket) { order = append(order, tk.Tenant) })
 	}
 	se.Run()
 	if len(order) != 4 {
@@ -182,9 +182,9 @@ func TestOnDoneAfterCompletionFiresImmediately(t *testing.T) {
 	tk, _ := s.Submit("alice", newsfeed(), core.SubmitOptions{RelaxFloor: true})
 	se.Run()
 	fired := false
-	tk.OnDone(func(*Ticket) { fired = true })
+	tk.WhenDone(func(*Ticket) { fired = true })
 	if !fired {
-		t.Fatal("OnDone on completed ticket did not fire")
+		t.Fatal("WhenDone on completed ticket did not fire")
 	}
 }
 

@@ -6,32 +6,42 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// canary is what the tests watch the collector reclaim in an execution's
-// place. A finalizer on the execution itself would never run: an execution
-// points back at itself (its stages, its own arrays), and an object reachable
-// from its own referents is never found unreachable. The canary hangs off the
-// job's handle, which the execution points at and which points at nothing the
-// canary could be reached from again: once the canary is gone, so are the
-// handle and the execution.
-type canary struct {
-	_ *int // with a pointer in it the allocator gives it a block of its own
-	_ [32]byte
+// tracked watches the collector reclaim settled jobs: a weak pointer per
+// job's core.Handle. A handle and its execution point at each other, so one is
+// unreachable exactly when the other is — and a weak pointer, unlike a
+// finalizer, sees an object in a cycle go.
+type tracked struct {
+	mu      sync.Mutex
+	handles []weak.Pointer[core.Handle]
 }
 
-// submitTracked submits req without waiting and arranges for collected to
-// count the job once the garbage collector has reclaimed its handle and
-// execution. The shard loops are held inside a gate while the record and,
-// right behind it, the hook are posted, so the hook finds the handle before
-// the simulation has taken a step.
-func submitTracked(t *testing.T, s *Server, req JobRequest, collected *atomic.Int64) string {
+// collected counts the tracked handles the collector has reclaimed.
+func (tr *tracked) collected() int64 {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	var n int64
+	for _, wp := range tr.handles {
+		if wp.Value() == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// submitTracked submits req without waiting and has tr track the job's
+// handle. The shard loops are held inside a gate while the record and, right
+// behind it, the hook are posted, so the hook finds the handle before the
+// simulation has taken a step.
+func submitTracked(t *testing.T, s *Server, req JobRequest, tr *tracked) string {
 	t.Helper()
 	s.pool.mu.Lock()
 	shards := append([]*shard(nil), s.pool.shards...)
@@ -63,9 +73,9 @@ func submitTracked(t *testing.T, s *Server, req JobRequest, collected *atomic.In
 			t.Errorf("%s: no handle behind the record's own turn on the loop", id)
 			return
 		}
-		c := &canary{}
-		runtime.SetFinalizer(c, func(*canary) { collected.Add(1) })
-		h.OnDone(func(*core.Handle) { runtime.KeepAlive(c) })
+		tr.mu.Lock()
+		tr.handles = append(tr.handles, weak.Make(h))
+		tr.mu.Unlock()
 	})
 	close(gate)
 	if !hooked {
@@ -85,14 +95,14 @@ func awaitDone(t *testing.T, s *Server, id string) {
 	}
 }
 
-// awaitCollected runs the collector until at least want jobs' canaries were
-// finalized, or gives up after a few seconds and reports how many were.
-func awaitCollected(collected *atomic.Int64, want int64) int64 {
-	for deadline := time.Now().Add(5 * time.Second); collected.Load() < want && time.Now().Before(deadline); {
+// awaitCollected runs the collector until at least want tracked jobs were
+// reclaimed, or gives up after a few seconds and reports how many were.
+func awaitCollected(tr *tracked, want int64) int64 {
+	for deadline := time.Now().Add(5 * time.Second); tr.collected() < want && time.Now().Before(deadline); {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	return collected.Load()
+	return tr.collected()
 }
 
 func getEnvelope(t *testing.T, s *Server, id string) string {
@@ -135,8 +145,8 @@ func TestSettledRecordReleasesItsExecution(t *testing.T) {
 	defer s.Close()
 	reqs := serviceMixRequests(t, 301)
 	reqs[0].Timeline = true
-	var collected atomic.Int64
-	id := submitTracked(t, s, reqs[0], &collected)
+	var tr tracked
+	id := submitTracked(t, s, reqs[0], &tr)
 	awaitDone(t, s, id)
 	before := getEnvelope(t, s, id)
 	var asPolled JobStatusResponse
@@ -148,7 +158,7 @@ func TestSettledRecordReleasesItsExecution(t *testing.T) {
 			t.Fatalf("submit answered %d: %v %s", rp.Code, rp.Err, rp.Job.Error)
 		}
 	}
-	if got := awaitCollected(&collected, 1); got != 1 {
+	if got := awaitCollected(&tr, 1); got != 1 {
 		t.Fatalf("the settled job's execution was not collected (%d finalized)", got)
 	}
 	if after := getEnvelope(t, s, id); after != before {
@@ -174,15 +184,16 @@ func TestShardKeepsNothingOfSettledJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var collected atomic.Int64
+	var tr tracked
 	for _, req := range serviceMixRequests(t, jobs) {
-		awaitDone(t, s, submitTracked(t, s, req, &collected))
+		awaitDone(t, s, submitTracked(t, s, req, &tr))
 	}
 	if st := s.Pool().Stats(); st.Completed != jobs || st.Failed != 0 {
 		t.Fatalf("completed %d failed %d, want %d and 0", st.Completed, st.Failed, jobs)
 	}
-	if got := awaitCollected(&collected, jobs-recent); got < jobs-recent {
+	got := awaitCollected(&tr, jobs-recent)
+	if got < jobs-recent {
 		t.Fatalf("%d of %d settled executions were collected, want at least %d", got, jobs, jobs-recent)
 	}
-	t.Logf("%d of %d settled executions collected", collected.Load(), jobs)
+	t.Logf("%d of %d settled executions collected", got, jobs)
 }

@@ -310,9 +310,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 func (p *Pool) newShard(idx int) (*shard, error) {
 	cfg := p.cfg
 	se := sim.NewEngine()
-	if core.DisableAllocReuse {
-		se.DisableEventSlab()
-	}
 	p.mu.Lock()
 	hint := p.peakHints[idx]
 	p.mu.Unlock()

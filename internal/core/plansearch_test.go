@@ -62,7 +62,13 @@ func submitOnLoop(t *testing.T, loop *sim.Loop, s *Scheduler, tenant string, job
 func waitDone(t *testing.T, loop *sim.Loop, h *Handle) {
 	t.Helper()
 	done := make(chan struct{})
-	if !loop.Post(func() { h.OnDone(func(*Handle) { close(done) }) }) {
+	if !loop.Post(func() {
+		if h.Status().Terminal() {
+			close(done)
+			return
+		}
+		h.Observe(observerFuncs{done: func(*Handle) { close(done) }})
+	}) {
 		t.Fatal("loop closed")
 	}
 	<-done

@@ -200,15 +200,17 @@ func TestReconfigOffLoopSearchCommits(t *testing.T) {
 			close(done)
 			return
 		}
-		h.OnDone(func(h *Handle) { done <- h })
-		// Churn only once the job is actually running (its off-loop admission
-		// search has committed), so the capacity change lands mid-flight
-		// rather than invalidating the admission search.
-		h.OnStart(func(*Handle) {
-			se.After(2, func() {
-				cl.AddVM("vm1", hardware.NDv4SKUName, false)
-				cl.AddVM("vm2", hardware.NDv4SKUName, false)
-			})
+		h.Observe(observerFuncs{
+			done: func(h *Handle) { done <- h },
+			// Churn only once the job is actually running (its off-loop
+			// admission search has committed), so the capacity change lands
+			// mid-flight rather than invalidating the admission search.
+			started: func(*Handle) {
+				se.After(2, func() {
+					cl.AddVM("vm1", hardware.NDv4SKUName, false)
+					cl.AddVM("vm2", hardware.NDv4SKUName, false)
+				})
+			},
 		})
 	})
 	h := <-done

@@ -291,7 +291,6 @@ type Execution struct {
 	// direct Runtime.Submit): finish settles it and the attempt log feeds its
 	// observer through this pointer.
 	owner     *Handle
-	onDone    []func(*report.Report, error)
 	toolCalls int
 	retries   int
 	// heldEngines records the serving-engine refs this execution holds, in
@@ -388,15 +387,6 @@ func (ex *Execution) Retries() int { return ex.retries }
 
 // Reconfigs returns how many mid-flight re-plans this execution adopted.
 func (ex *Execution) Reconfigs() int { return ex.reconfigs }
-
-// OnDone registers a completion callback.
-func (ex *Execution) OnDone(fn func(*report.Report, error)) {
-	if ex.done {
-		fn(&ex.rep, ex.err)
-		return
-	}
-	ex.onDone = append(ex.onDone, fn)
-}
 
 // planOptions maps a job plus its submit options onto the optimizer's search
 // options — the single definition both the inline path and the off-loop plan
@@ -746,9 +736,6 @@ func (ex *Execution) finish(err error) {
 	}
 	if h := ex.owner; h != nil {
 		h.s.settle(h, ex.err)
-	}
-	for _, fn := range ex.onDone {
-		fn(&ex.rep, ex.err)
 	}
 }
 

@@ -220,26 +220,6 @@ func TestDecisionsRecorded(t *testing.T) {
 	}
 }
 
-func TestOnDoneCallback(t *testing.T) {
-	se, _, rt := newRuntime(t)
-	ex, err := rt.Submit(paperJob(workflow.MinCost), SubmitOptions{Pinned: paperPins(), RelaxFloor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got *report.Report
-	ex.OnDone(func(r *report.Report, err error) { got = r })
-	se.Run()
-	if got == nil {
-		t.Fatal("OnDone never fired")
-	}
-	// Registering after completion fires immediately.
-	fired := false
-	ex.OnDone(func(*report.Report, error) { fired = true })
-	if !fired {
-		t.Fatal("OnDone after completion did not fire synchronously")
-	}
-}
-
 func TestSubmitErrorsSurfaceSynchronously(t *testing.T) {
 	_, _, rt := newRuntime(t)
 	// Unplannable job.

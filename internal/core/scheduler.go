@@ -155,85 +155,15 @@ type JobObserver interface {
 	JobDone(h *Handle)
 }
 
-// Observe installs obs as the handle's observer. The slot holds one, so it is
-// the first registration on a handle — in the turn Submit returned, while the
-// job is still queued — and the closure adapters below chain behind it.
+// Observe installs obs as the handle's observer. In the turn Submit returned
+// the job is still queued, so obs sees every transition; installed later it
+// sees those still to come. The slot holds one: whoever needs several
+// listeners fans out from its own observer.
 func (h *Handle) Observe(obs JobObserver) {
 	if h.obs != nil {
 		panic("core: Observe on a handle that already has an observer")
 	}
 	h.obs = obs
-}
-
-// funcObserver adapts the closure-taking registrations below to the observer
-// slot: it runs the slot's earlier occupant, then its own closure for the one
-// transition it was registered for.
-type funcObserver struct {
-	prev          JobObserver
-	started, done func(*Handle)
-	attempt       func(AttemptRecord)
-}
-
-func (h *Handle) chain(f *funcObserver) {
-	f.prev, h.obs = h.obs, f
-}
-
-func (f *funcObserver) JobStarted(h *Handle) {
-	if f.prev != nil {
-		f.prev.JobStarted(h)
-	}
-	if f.started != nil {
-		f.started(h)
-	}
-}
-
-func (f *funcObserver) JobAttempt(h *Handle, a AttemptRecord) {
-	if f.prev != nil {
-		f.prev.JobAttempt(h, a)
-	}
-	if f.attempt != nil {
-		f.attempt(a)
-	}
-}
-
-func (f *funcObserver) JobDone(h *Handle) {
-	if f.prev != nil {
-		f.prev.JobDone(h)
-	}
-	if f.done != nil {
-		f.done(h)
-	}
-}
-
-// OnStart registers a callback fired when the job leaves the admission
-// queue (immediately when already past it). Jobs canceled while queued never
-// start and never fire it. OnStart, OnDone and OnAttempt are closure adapters
-// over the observer slot for harnesses and tests, run in registration order;
-// the serving path observes directly.
-func (h *Handle) OnStart(fn func(*Handle)) {
-	if h.status == JobQueued {
-		h.chain(&funcObserver{started: fn})
-		return
-	}
-	if h.status != JobCanceled || h.exec != nil {
-		fn(h)
-	}
-}
-
-// OnDone registers a completion callback; it fires once for done, failed and
-// canceled jobs alike (immediately when already terminal).
-func (h *Handle) OnDone(fn func(*Handle)) {
-	if h.status.Terminal() {
-		fn(h)
-		return
-	}
-	h.chain(&funcObserver{done: fn})
-}
-
-// OnAttempt registers a callback for the job's task-failure attempts (fired
-// per recorded AttemptRecord; see faults.go).
-func (h *Handle) OnAttempt(fn func(AttemptRecord)) {
-	h.chain(&funcObserver{attempt: fn})
 }
 
 // Attempts returns the job's recorded attempt history (nil before start or
@@ -554,9 +484,9 @@ func (s *Scheduler) start(h *Handle) {
 		return
 	}
 	h.exec = ex
-	// The execution settles its handle through this back-pointer, ahead of
-	// any Execution.OnDone callback. launch never finishes an execution in the
-	// same turn (the planning charge is always deferred), so none is missed.
+	// The execution settles its handle through this back-pointer. launch never
+	// finishes an execution in the same turn (the planning charge is always
+	// deferred), so no finish is missed.
 	ex.owner = h
 }
 

@@ -84,7 +84,7 @@ func TestSchedulerConcurrencyBoundAndFairShare(t *testing.T) {
 	var order []string
 	for _, h := range []*Handle{a1, a2, b1} {
 		h := h
-		h.OnDone(func(*Handle) { order = append(order, h.Tenant()) })
+		h.Observe(observerFuncs{done: func(*Handle) { order = append(order, h.Tenant()) }})
 	}
 	se.Run()
 	// Fair share: bob's single job must not wait behind alice's backlog.
@@ -105,7 +105,7 @@ func TestSchedulerCancelQueued(t *testing.T) {
 		t.Fatalf("h2 = %v, want queued", h2.Status())
 	}
 	fired := false
-	h2.OnDone(func(*Handle) { fired = true })
+	h2.Observe(observerFuncs{done: func(*Handle) { fired = true }})
 	if !h2.Cancel() {
 		t.Fatal("Cancel on queued job returned false")
 	}

@@ -145,7 +145,7 @@ func TestSLODegradeAtAdmissionUnderOverload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.OnDone(func(h *Handle) { baseCost += h.Execution().Plan().EstCostUSD })
+		h.Observe(observerFuncs{done: func(h *Handle) { baseCost += h.Execution().Plan().EstCostUSD }})
 	}
 	se0.Run()
 
@@ -162,7 +162,7 @@ func TestSLODegradeAtAdmissionUnderOverload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.OnDone(func(h *Handle) { cost += h.Execution().Plan().EstCostUSD })
+		h.Observe(observerFuncs{done: func(h *Handle) { cost += h.Execution().Plan().EstCostUSD }})
 		handles = append(handles, h)
 	}
 	// Three queued jobs against one slot: pressure 3.0 crossed the 1.5

@@ -14,6 +14,7 @@ package imperative
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agents"
 	"repro/internal/cluster"
@@ -100,16 +101,27 @@ type Runner struct {
 	cl  *cluster.Cluster
 	lib *agents.Library
 	cat *hardware.Catalog
-	db  *vectordb.DB
+	// docs is what the embedding stage has produced, in completion order.
+	docs []vectordb.Doc
 }
+
+// embeddingDim is the dimension of the vectors the embedding stage produces.
+const embeddingDim = 64
 
 // NewRunner creates a baseline runner.
 func NewRunner(se *sim.Engine, cl *cluster.Cluster, lib *agents.Library) *Runner {
-	return &Runner{se: se, cl: cl, lib: lib, cat: cl.Catalog(), db: vectordb.New(64)}
+	return &Runner{se: se, cl: cl, lib: lib, cat: cl.Catalog()}
 }
 
-// VectorDB exposes the store the embedding stage writes to.
-func (r *Runner) VectorDB() *vectordb.DB { return r.db }
+// Documents returns what the embedding stage has produced so far — the §4
+// setup's VectorDB of scene summaries — as a searchable index.
+func (r *Runner) Documents() *vectordb.Index {
+	ix, err := vectordb.NewIndex(embeddingDim, slices.Clone(r.docs))
+	if err != nil {
+		panic(err)
+	}
+	return ix
+}
 
 // scene is one unit of sequential processing.
 type scene struct {
@@ -278,13 +290,7 @@ func (b *baselineRun) embed(sc scene, label string, i int) {
 			b.tracer.End(span, b.r.se.Now().Seconds())
 			b.rep.TasksCompleted++
 			text := fmt.Sprintf("summary of %s scene %d", sc.video, sc.index)
-			if err := b.r.db.Insert("scenes", vectordb.Doc{
-				ID:     label,
-				Vector: vectordb.Embed(text, b.r.db.Dim()),
-				Text:   text,
-			}); err != nil {
-				panic(err)
-			}
+			b.r.docs = append(b.r.docs, vectordb.Doc{ID: label, Vector: vectordb.Embed(text, embeddingDim), Text: text})
 			b.processScene(i + 1)
 		},
 	})

@@ -113,7 +113,7 @@ func TestBaselineVectorDBPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	se.Run()
-	if got := r.VectorDB().Len("scenes"); got != 16 {
+	if got := r.Documents().Len(); got != 16 {
 		t.Fatalf("vectordb has %d scene embeddings, want 16", got)
 	}
 }

@@ -1,29 +1,16 @@
-// admission.go is the burst-admission harness behind BenchmarkAdmission: it
-// replays a bursty multi-tenant submission storm against one runtime shard
-// (engine + cluster + scheduler + sim.Loop, exactly the stack an api.Pool
-// shard runs) twice — once with admission's plan search serialized inline on
-// the loop goroutine (the pre-PR baseline) and once with the off-loop
-// plan-search worker pool and optimistic snapshot commit — and reports
-// plans/sec, submit-to-admission latency percentiles and the
-// singleflight/conflict counters. Replayed bursts in the spirit of CGReplay:
-// the same trace drives both arms, so the ratio isolates the admission path.
 package serving
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
-	"repro/internal/agents"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/hardware"
 	"repro/internal/sim"
 	"repro/internal/workflow"
 )
 
-// AdmissionOptions shapes the burst.
+// AdmissionOptions shapes the admission scenario's burst.
 type AdmissionOptions struct {
 	// Jobs is the burst size; Shapes the number of structurally-distinct job
 	// shapes in it (each repeats Jobs/Shapes times, interleaved — repeats are
@@ -31,39 +18,31 @@ type AdmissionOptions struct {
 	// are what the worker pool parallelizes).
 	Jobs   int
 	Shapes int
-	// Tenants spreads the burst across this many tenants (fair-share
-	// admission interleaves them).
-	Tenants int
-	// VMs sizes the shard's cluster in ND96amsr_A100_v4 VMs.
-	VMs int
-	// PlanWorkers sizes the parallel arm's worker pool (0 = GOMAXPROCS).
-	PlanWorkers int
-	// MaxConcurrent bounds jobs running concurrently in the shard; 0 admits
-	// the whole burst (admission-bound, not execution-bound — the regime the
-	// benchmark isolates).
-	MaxConcurrent int
 	// Trials replays the burst this many times per arm, keeping the
-	// best-plans/sec trial (wall-clock noise is one-sided; default 3).
+	// best-plans/sec trial (wall-clock noise is one-sided).
 	Trials int
 }
 
 // DefaultAdmissionOptions is the benchmark configuration: a 256-job burst of
-// 64 distinct shapes across 8 tenants.
+// 64 distinct shapes, best of three.
 func DefaultAdmissionOptions() AdmissionOptions {
-	return AdmissionOptions{
-		Jobs:    256,
-		Shapes:  64,
-		Tenants: 8,
-		VMs:     2,
-		Trials:  3,
-	}
+	return AdmissionOptions{Jobs: 256, Shapes: 64, Trials: 3}
 }
+
+const (
+	// admissionTenants spreads the burst across this many tenants (fair-share
+	// admission interleaves them); admissionVMs sizes the shard's cluster.
+	// The whole burst is admitted at once — admission-bound, not
+	// execution-bound, is the regime the scenario isolates — and the parallel
+	// arm's worker pool takes GOMAXPROCS workers.
+	admissionTenants = 8
+	admissionVMs     = 2
+)
 
 // AdmissionResult is the measurement for one admission architecture.
 type AdmissionResult struct {
-	Mode    string
-	Workers int
-	Jobs    int
+	Mode string
+	Jobs int
 	// WallS is the wall-clock time from the first submission post until the
 	// last job of the burst was admitted (planned and started).
 	WallS       float64
@@ -112,27 +91,21 @@ func admissionJob(shape int) workflow.Job {
 	}
 }
 
-// RunAdmission replays the burst through both admission architectures.
+// RunAdmission replays a bursty multi-tenant submission storm against one
+// runtime shard (engine + cluster + scheduler + sim.Loop, exactly the stack
+// an api.Pool shard runs) twice — once with admission's plan search
+// serialized inline on the loop goroutine and once with the off-loop
+// plan-search worker pool and optimistic snapshot commit — and reports
+// plans/sec, submit-to-admission latency percentiles and the
+// singleflight/conflict counters.
 func RunAdmission(opts AdmissionOptions) (*AdmissionComparison, error) {
-	if opts.Jobs <= 0 || opts.Shapes <= 0 || opts.Shapes > opts.Jobs || opts.Tenants <= 0 {
+	if opts.Jobs <= 0 || opts.Shapes <= 0 || opts.Shapes > opts.Jobs || opts.Trials <= 0 {
 		return nil, fmt.Errorf("serving: invalid admission options %+v", opts)
 	}
-	trials := opts.Trials
-	if trials <= 0 {
-		trials = 1
-	}
 	best := func(parallel bool) (AdmissionResult, error) {
-		var bestRes AdmissionResult
-		for i := 0; i < trials; i++ {
-			res, err := runAdmissionArm(opts, parallel)
-			if err != nil {
-				return AdmissionResult{}, err
-			}
-			if i == 0 || res.PlansPerSec > bestRes.PlansPerSec {
-				bestRes = res
-			}
-		}
-		return bestRes, nil
+		return bestOf(opts.Trials,
+			func() (AdmissionResult, error) { return runAdmissionArm(opts, parallel) },
+			func(r AdmissionResult) float64 { return r.PlansPerSec })
 	}
 	serial, err := best(false)
 	if err != nil {
@@ -149,100 +122,101 @@ func RunAdmission(opts AdmissionOptions) (*AdmissionComparison, error) {
 	return cmp, nil
 }
 
+// burst is the admission clock: the one observer of every job of the burst,
+// stamping when each left the admission queue. All but the submit stamps are
+// touched on the loop goroutine only, until done closes.
+type burst struct {
+	submit, start []time.Time
+	// byID maps JobID-1 to the job's index in the burst.
+	byID       []int
+	arrived    int
+	submitErrs int
+	done       chan struct{}
+}
+
+// arrive counts a job as through admission for the burst clock; submission
+// failures count too (none occur), so an error cannot hang the harness.
+func (b *burst) arrive() {
+	if b.arrived++; b.arrived == len(b.submit) {
+		close(b.done)
+	}
+}
+
+func (b *burst) JobStarted(h *core.Handle) {
+	b.start[b.byID[h.ID()-1]] = time.Now()
+	b.arrive()
+}
+
+func (b *burst) JobAttempt(*core.Handle, core.AttemptRecord) {}
+
+func (b *burst) JobDone(*core.Handle) {}
+
 // runAdmissionArm replays the burst against one shard and measures the
 // wall-clock admission curve.
 func runAdmissionArm(opts AdmissionOptions, parallel bool) (AdmissionResult, error) {
-	runtime.GC() // keep one arm's garbage off the other arm's clock
-	se := sim.NewEngine()
-	cl := cluster.New(se, hardware.DefaultCatalog())
-	vms := opts.VMs
-	if vms <= 0 {
-		vms = 2
-	}
-	for v := 0; v < vms; v++ {
-		cl.AddVM(fmt.Sprintf("vm%d", v), hardware.NDv4SKUName, false)
-	}
-	rt, err := core.New(core.Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	se, _, rt, err := newStack(admissionVMs, 0)
 	if err != nil {
 		return AdmissionResult{}, err
 	}
-	maxc := opts.MaxConcurrent
-	if maxc <= 0 {
-		maxc = opts.Jobs
-	}
-	sched := core.NewScheduler(se, rt, maxc)
+	sched := core.NewScheduler(se, rt, opts.Jobs)
 	loop := sim.NewLoop(se)
 	mode := "serial"
 	if parallel {
-		sched.EnablePlanSearch(loop, opts.PlanWorkers)
+		sched.EnablePlanSearch(loop, 0)
 		mode = "parallel"
 	}
 	go loop.Run()
 
-	type timing struct{ submit, start time.Time }
-	timings := make([]timing, opts.Jobs)
-	done := make(chan struct{})
-	started, submitErrs := 0, 0
+	b := &burst{
+		submit: make([]time.Time, opts.Jobs),
+		start:  make([]time.Time, opts.Jobs),
+		done:   make(chan struct{}),
+	}
 	t0 := time.Now()
 	for i := 0; i < opts.Jobs; i++ {
-		i := i
 		job := admissionJob(i % opts.Shapes)
-		tenant := fmt.Sprintf("tenant-%d", i%opts.Tenants)
-		timings[i].submit = time.Now()
+		tenant := fmt.Sprintf("tenant-%d", i%admissionTenants)
+		b.submit[i] = time.Now()
 		if !loop.Post(func() {
-			// arrived counts a job as admitted for the burst clock; planning
-			// failures would count too (none occur), so an error cannot hang
-			// the harness.
-			arrived := func() {
-				started++
-				if started == opts.Jobs {
-					close(done)
-				}
-			}
 			h, err := sched.Submit(tenant, job, core.SubmitOptions{RelaxFloor: true, KeepEngines: true})
 			if err != nil {
-				submitErrs++
-				arrived()
+				b.submitErrs++
+				b.arrive()
 				return
 			}
-			h.OnStart(func(*core.Handle) {
-				timings[i].start = time.Now()
-				arrived()
-			})
+			b.byID = append(b.byID, i)
+			h.Observe(b)
 		}) {
 			return AdmissionResult{}, fmt.Errorf("serving: admission loop closed mid-burst")
 		}
 	}
-	<-done
+	<-b.done
 	wallS := time.Since(t0).Seconds()
 
-	var st core.SchedulerStats
-	statsDone := make(chan struct{})
-	loop.Post(func() { st = sched.Stats(); close(statsDone) })
-	<-statsDone
-	loop.Close() // drain: the admitted burst runs to completion
+	// Drain: the admitted burst runs to completion, and afterwards this
+	// goroutine is the scheduler's sole accessor.
+	loop.Close()
 	sched.StopPlanSearch()
+	st := sched.Stats()
 
 	res := AdmissionResult{
 		Mode:             mode,
-		Workers:          sched.PlanWorkers(),
 		Jobs:             opts.Jobs,
 		WallS:            wallS,
 		PlanSearches:     st.PlanSearches,
 		SingleflightHits: st.SingleflightHits,
 		PlanConflicts:    st.PlanConflicts,
-		SubmitErrors:     submitErrs,
+		ConflictFrac:     float64(st.PlanConflicts) / float64(opts.Jobs),
+		SubmitErrors:     b.submitErrs,
 	}
 	if wallS > 0 {
 		res.PlansPerSec = float64(opts.Jobs) / wallS
 	}
-	res.ConflictFrac = float64(st.PlanConflicts) / float64(opts.Jobs)
 	lats := make([]float64, 0, opts.Jobs)
-	for _, tm := range timings {
-		if tm.start.IsZero() {
-			continue
+	for i, started := range b.start {
+		if !started.IsZero() {
+			lats = append(lats, float64(started.Sub(b.submit[i]).Microseconds())/1000)
 		}
-		lats = append(lats, float64(tm.start.Sub(tm.submit).Microseconds())/1000)
 	}
 	if len(lats) > 0 {
 		sort.Float64s(lats)
@@ -250,20 +224,4 @@ func runAdmissionArm(opts AdmissionOptions, parallel bool) (AdmissionResult, err
 		res.SubmitP95Ms = percentile(lats, 0.95)
 	}
 	return res, nil
-}
-
-// String renders the comparison.
-func (c *AdmissionComparison) String() string {
-	var b []byte
-	f := func(format string, args ...any) { b = append(b, fmt.Sprintf(format, args...)...) }
-	f("Burst admission on one shard (wall clock)\n")
-	f("%-10s %8s %6s %10s %12s %10s %10s %9s %9s %9s\n",
-		"mode", "workers", "jobs", "wall(s)", "plans/s", "p50(ms)", "p95(ms)", "searches", "sfhits", "conflicts")
-	for _, m := range []AdmissionResult{c.Serial, c.Parallel} {
-		f("%-10s %8d %6d %10.3f %12.0f %10.2f %10.2f %9d %9d %9d\n",
-			m.Mode, m.Workers, m.Jobs, m.WallS, m.PlansPerSec,
-			m.SubmitP50Ms, m.SubmitP95Ms, m.PlanSearches, m.SingleflightHits, m.PlanConflicts)
-	}
-	f("Off-loop admission speedup: %.2fx\n", c.SpeedupX)
-	return string(b)
 }

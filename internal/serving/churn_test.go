@@ -12,6 +12,13 @@ import (
 	"repro/internal/workflow"
 )
 
+// settled is a core.JobObserver that sends each handle it sees turn terminal.
+type settled chan<- *core.Handle
+
+func (settled) JobStarted(*core.Handle)                     {}
+func (settled) JobAttempt(*core.Handle, core.AttemptRecord) {}
+func (s settled) JobDone(h *core.Handle)                    { s <- h }
+
 // TestShardChurnPreemptReloadNeverStrands drives a full serving-shard stack
 // (engine + cluster + scheduler + sim.Loop + off-loop plan search + the
 // reconfiguration controller + the rebalancing loop) through the worst churn
@@ -57,7 +64,7 @@ func TestShardChurnPreemptReloadNeverStrands(t *testing.T) {
 				done <- nil
 				return
 			}
-			h.OnDone(func(h *core.Handle) { done <- h })
+			h.Observe(settled(done))
 		}) {
 			t.Fatal("loop closed before submission")
 		}

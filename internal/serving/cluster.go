@@ -1,10 +1,3 @@
-// Multi-node cluster harness: drives the consistent-hash router tier over
-// in-process murakkabd nodes with a deterministic tenant trace, measures how
-// routed throughput scales with node count, and exercises membership churn
-// (warm join, drained leave) end to end. Throughput is measured in simulated
-// time — completed jobs over the slowest node's sim-time makespan — so the
-// scaling factor reflects how the ring divides work across nodes, not how
-// many host cores the benchmark machine happens to have.
 package serving
 
 import (
@@ -13,43 +6,34 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/router"
 	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
-// ClusterOptions shapes the scale-out measurement.
+// ClusterOptions shapes the cluster scenario's trace.
 type ClusterOptions struct {
 	// Tenants is the tenant population; each tenant submits JobsPerTenant
 	// jobs of identical total shape, so node load is proportional to the
 	// ring's tenant spread.
 	Tenants       int
 	JobsPerTenant int
-	// VNodes and RingSeed parameterize the ring (router defaults apply when
-	// zero).
-	VNodes   int
-	RingSeed int64
-	// Node sizes each in-process node's pool.
-	Node api.PoolConfig
 }
 
-// DefaultClusterOptions is the benchmark configuration: 48 tenants × 2 jobs
-// over single-shard nodes, small enough to rerun in CI.
+// DefaultClusterOptions is the benchmark configuration: 48 tenants × 2 jobs,
+// small enough to rerun in CI.
 func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{
-		Tenants:       48,
-		JobsPerTenant: 2,
-		RingSeed:      42,
-		Node: api.PoolConfig{
-			Shards:                1,
-			VMsPerShard:           2,
-			MaxConcurrentPerShard: 4,
-		},
-	}
+	return ClusterOptions{Tenants: 48, JobsPerTenant: 2}
+}
+
+// clusterConfig is the router over n in-process single-shard nodes, on a
+// fixed ring.
+func clusterConfig(nodes int) router.Config {
+	cfg := router.Config{Nodes: nodes, Seed: 42, Node: sharedPool}
+	cfg.Node.Shards = 1
+	return cfg
 }
 
 // ClusterArm is one measured configuration (a node count).
@@ -93,13 +77,8 @@ type ClusterResult struct {
 // clusterTrace renders the deterministic tenant trace: every tenant submits
 // the same rotation of job kinds, so total work per tenant is identical.
 func clusterTrace(opts ClusterOptions, wait bool) ([][]byte, error) {
-	tenants := opts.Tenants
-	if tenants <= 0 {
-		tenants = 48
-	}
-	perTenant := opts.JobsPerTenant
-	if perTenant <= 0 {
-		perTenant = 2
+	if opts.Tenants <= 0 || opts.JobsPerTenant <= 0 {
+		return nil, fmt.Errorf("serving: invalid cluster options %+v", opts)
 	}
 	kinds := []workflow.Job{
 		workload.VideoJob(1, 2, 30, 12, workflow.MinCost),
@@ -107,8 +86,8 @@ func clusterTrace(opts ClusterOptions, wait bool) ([][]byte, error) {
 		workload.DocQAJob(2, 2000, workflow.MinCost),
 	}
 	var out [][]byte
-	for round := 0; round < perTenant; round++ {
-		for ti := 0; ti < tenants; ti++ {
+	for round := 0; round < opts.JobsPerTenant; round++ {
+		for ti := 0; ti < opts.Tenants; ti++ {
 			req := requestFrom(fmt.Sprintf("tenant-%02d", ti), kinds[(ti+round)%len(kinds)])
 			req.Wait = wait
 			body, err := json.Marshal(req)
@@ -121,48 +100,45 @@ func clusterTrace(opts ClusterOptions, wait bool) ([][]byte, error) {
 	return out, nil
 }
 
-// routerConfig builds the router config for n nodes.
-func routerConfig(opts ClusterOptions, nodes int) router.Config {
-	return router.Config{
-		Nodes:  nodes,
-		VNodes: opts.VNodes,
-		Seed:   opts.RingSeed,
-		Node:   opts.Node,
-	}
-}
-
-// submit posts one request body through the router and returns the recorder.
-func submit(rt *router.Router, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+// roundTrip serves one request through the router and returns the status
+// code and the answer.
+func roundTrip(rt *router.Router, method, path string, body []byte) (int, []byte) {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, req)
-	return rec
+	return rec.Code, rec.Body.Bytes()
 }
 
-// runArm replays the waited trace against an n-node cluster. Submissions are
-// sequential and waited, so each node's sim schedule — and therefore the
-// arm's throughput — is a pure function of the trace.
-func runArm(opts ClusterOptions, nodes int, trace [][]byte) (ClusterArm, error) {
-	rt, err := router.New(routerConfig(opts, nodes))
+// envelope reads a job answer's id and status (empty when it has none).
+func envelope(answer []byte) (id, status string) {
+	var env struct {
+		ID     string `json:"id"`
+		Status string `json:"status"`
+	}
+	json.Unmarshal(answer, &env) // an undecodable answer reads as empty
+	return env.ID, env.Status
+}
+
+// runClusterArm replays the waited trace against an n-node cluster.
+// Submissions are sequential and waited, so each node's sim schedule — and
+// therefore the arm's throughput — is a pure function of the trace.
+func runClusterArm(nodes int, trace [][]byte) (ClusterArm, error) {
+	rt, err := router.New(clusterConfig(nodes))
 	if err != nil {
 		return ClusterArm{}, err
 	}
 	defer rt.Close()
 	arm := ClusterArm{Nodes: nodes}
 	for i, body := range trace {
-		rec := submit(rt, body)
-		if rec.Code != http.StatusOK {
-			return ClusterArm{}, fmt.Errorf("serving: cluster arm %d nodes, job %d: status %d: %s",
-				nodes, i, rec.Code, rec.Body.String())
+		if code, answer := roundTrip(rt, http.MethodPost, "/v1/jobs", body); code != http.StatusOK {
+			return ClusterArm{}, fmt.Errorf("serving: cluster arm %d nodes, job %d: status %d: %s", nodes, i, code, answer)
 		}
 		arm.Completed++
 	}
 	for _, n := range rt.Stats().Nodes {
 		arm.NodeSimS = append(arm.NodeSimS, n.SimTimeS)
-		if n.SimTimeS > arm.MaxNodeSimS {
-			arm.MaxNodeSimS = n.SimTimeS
-		}
+		arm.MaxNodeSimS = max(arm.MaxNodeSimS, n.SimTimeS)
 	}
 	if arm.MaxNodeSimS > 0 {
 		arm.Throughput = float64(arm.Completed) / arm.MaxNodeSimS
@@ -170,29 +146,11 @@ func runArm(opts ClusterOptions, nodes int, trace [][]byte) (ClusterArm, error) 
 	return arm, nil
 }
 
-// monotonicCheck tracks successive ClusterTotals reads.
-type monotonicCheck struct {
-	prev router.ClusterTotals
-	ok   bool
-}
-
-func newMonotonicCheck() *monotonicCheck { return &monotonicCheck{ok: true} }
-
-func (m *monotonicCheck) observe(t router.ClusterTotals) {
-	if t.Submitted < m.prev.Submitted || t.Completed < m.prev.Completed ||
-		t.Failed < m.prev.Failed || t.Canceled < m.prev.Canceled ||
-		t.PlanSearches < m.prev.PlanSearches || t.Recycles < m.prev.Recycles ||
-		t.EventsProcessed < m.prev.EventsProcessed {
-		m.ok = false
-	}
-	m.prev = t
-}
-
 // runChurn drives the membership-churn arm: async load, heartbeat, a warm
 // join, a drained leave with an immediately-expiring deadline, then a poll
 // proving every accepted job reached a terminal state through the router.
-func runChurn(opts ClusterOptions, trace [][]byte) (ChurnResult, error) {
-	cfg := routerConfig(opts, 2)
+func runChurn(trace [][]byte) (ChurnResult, error) {
+	cfg := clusterConfig(2)
 	cfg.DrainDeadline = -1
 	rt, err := router.New(cfg)
 	if err != nil {
@@ -201,19 +159,26 @@ func runChurn(opts ClusterOptions, trace [][]byte) (ChurnResult, error) {
 	defer rt.Close()
 
 	res := ChurnResult{Jobs: len(trace), JoinBuilds: -1, TotalsMonotonic: true}
-	mono := newMonotonicCheck()
+	var prev router.ClusterTotals
+	observeTotals := func() {
+		t := rt.Stats().Totals
+		if t.Submitted < prev.Submitted || t.Completed < prev.Completed ||
+			t.Failed < prev.Failed || t.Canceled < prev.Canceled ||
+			t.PlanSearches < prev.PlanSearches || t.Recycles < prev.Recycles ||
+			t.EventsProcessed < prev.EventsProcessed {
+			res.TotalsMonotonic = false
+		}
+		prev = t
+	}
 	var ids []string
 	sendSlice := func(bodies [][]byte) error {
 		for i, body := range bodies {
-			rec := submit(rt, body)
-			if rec.Code != http.StatusAccepted && rec.Code != http.StatusOK {
-				return fmt.Errorf("serving: churn submit %d: status %d: %s", i, rec.Code, rec.Body.String())
+			code, answer := roundTrip(rt, http.MethodPost, "/v1/jobs", body)
+			if code != http.StatusAccepted && code != http.StatusOK {
+				return fmt.Errorf("serving: churn submit %d: status %d: %s", i, code, answer)
 			}
-			var jr struct {
-				ID string `json:"id"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &jr); err == nil && jr.ID != "" {
-				ids = append(ids, jr.ID)
+			if id, _ := envelope(answer); id != "" {
+				ids = append(ids, id)
 			}
 		}
 		return nil
@@ -224,7 +189,7 @@ func runChurn(opts ClusterOptions, trace [][]byte) (ChurnResult, error) {
 		return res, err
 	}
 	rt.HeartbeatOnce()
-	mono.observe(rt.Stats().Totals)
+	observeTotals()
 
 	if err := rt.Join("n2"); err != nil {
 		return res, err
@@ -235,12 +200,12 @@ func runChurn(opts ClusterOptions, trace [][]byte) (ChurnResult, error) {
 	if err := sendSlice(trace[third : 2*third]); err != nil {
 		return res, err
 	}
-	mono.observe(rt.Stats().Totals)
+	observeTotals()
 
 	if err := rt.Leave("n0"); err != nil {
 		return res, err
 	}
-	mono.observe(rt.Stats().Totals)
+	observeTotals()
 	if err := sendSlice(trace[2*third:]); err != nil {
 		return res, err
 	}
@@ -249,16 +214,8 @@ func runChurn(opts ClusterOptions, trace [][]byte) (ChurnResult, error) {
 	deadline := time.Now().Add(120 * time.Second)
 	for _, id := range ids {
 		for {
-			req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil)
-			rec := httptest.NewRecorder()
-			rt.ServeHTTP(rec, req)
-			var jr struct {
-				Status string `json:"status"`
-			}
-			done := rec.Code == http.StatusOK &&
-				json.Unmarshal(rec.Body.Bytes(), &jr) == nil &&
-				(jr.Status == "done" || jr.Status == "failed" || jr.Status == "canceled")
-			if done {
+			code, answer := roundTrip(rt, http.MethodGet, "/v1/jobs/"+id, nil)
+			if _, st := envelope(answer); code == http.StatusOK && (st == "done" || st == "failed" || st == "canceled") {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -268,28 +225,31 @@ func runChurn(opts ClusterOptions, trace [][]byte) (ChurnResult, error) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	mono.observe(rt.Stats().Totals)
+	observeTotals()
 
 	s := rt.Stats()
 	res.ReroutedJobs = s.ReroutedJobs
 	res.NodeDownJobs = s.NodeDownJobs
 	res.TenantsMoved = s.TenantsMoved
-	res.TotalsMonotonic = mono.ok
 	return res, nil
 }
 
-// RunCluster measures routed throughput scaling (1 node vs 3 nodes on the
-// identical waited trace) and runs the churn arm.
+// RunCluster drives the consistent-hash router tier over in-process murakkabd
+// nodes: routed throughput scaling (1 node vs 3 nodes on the identical waited
+// trace) and the churn arm. Throughput is measured in simulated time —
+// completed jobs over the slowest node's sim-time makespan — so the scaling
+// factor reflects how the ring divides work across nodes, not how many host
+// cores the benchmark machine happens to have.
 func RunCluster(opts ClusterOptions) (*ClusterResult, error) {
 	waited, err := clusterTrace(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	one, err := runArm(opts, 1, waited)
+	one, err := runClusterArm(1, waited)
 	if err != nil {
 		return nil, err
 	}
-	three, err := runArm(opts, 3, waited)
+	three, err := runClusterArm(3, waited)
 	if err != nil {
 		return nil, err
 	}
@@ -301,24 +261,9 @@ func RunCluster(opts ClusterOptions) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Churn, err = runChurn(opts, async)
+	res.Churn, err = runChurn(async)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// String renders the measurement.
-func (r *ClusterResult) String() string {
-	var b strings.Builder
-	b.WriteString("Horizontal scale-out through the consistent-hash router tier (sim-time throughput)\n")
-	fmt.Fprintf(&b, "%-8s %6s %14s %16s\n", "nodes", "jobs", "makespan(s)", "jobs/sim-s")
-	for _, arm := range []ClusterArm{r.OneNode, r.ThreeNode} {
-		fmt.Fprintf(&b, "%-8d %6d %14.1f %16.3f\n", arm.Nodes, arm.Completed, arm.MaxNodeSimS, arm.Throughput)
-	}
-	fmt.Fprintf(&b, "Routed throughput scaling at 3 nodes: %.2fx\n", r.ScalingX)
-	fmt.Fprintf(&b, "Churn: %d jobs, %d stranded, %d rerouted, %d node_down, %d tenants moved, join builds %d, totals monotonic %v\n",
-		r.Churn.Jobs, r.Churn.Stranded, r.Churn.ReroutedJobs, r.Churn.NodeDownJobs,
-		r.Churn.TenantsMoved, r.Churn.JoinBuilds, r.Churn.TotalsMonotonic)
-	return b.String()
 }

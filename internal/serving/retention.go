@@ -1,56 +1,27 @@
 package serving
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
 )
 
-// RetentionOptions shapes the long-history replay that exercises tiered
-// telemetry retention: the same mixed-tenant trace as the serving
-// comparison, but replayed against a pool with a deliberately small
-// retention window so the served simulated history spans many windows.
-type RetentionOptions struct {
-	Options
-	// RetainSimSeconds / MaxSeriesPoints configure the pool under test (see
-	// api.PoolConfig); RetainSimSeconds should be far below the simulated
-	// history the trace accumulates.
-	RetainSimSeconds float64
-	MaxSeriesPoints  int
-	// CompareUnbounded additionally replays the trace with retention
-	// disabled, reporting the unbounded peak footprint the compacting pool
-	// is measured against.
-	CompareUnbounded bool
-	// SamplePeriod is the wall-clock stats sampling cadence (default 25ms).
-	SamplePeriod time.Duration
-}
-
-// DefaultRetentionOptions replays the default serving trace with a 60
-// simulated-second retention window — a small fraction of the simulated
-// history the trace serves, so a bounded footprint is a real claim.
-func DefaultRetentionOptions() RetentionOptions {
-	o := DefaultOptions()
-	o.Trials = 1
-	return RetentionOptions{
-		Options:          o,
-		RetainSimSeconds: 60,
-		MaxSeriesPoints:  -1, // compaction only; recycling has its own test
-		CompareUnbounded: true,
-	}
-}
+// The retention scenario replays the serving scenario's default trace against
+// the shared pool with a 60 simulated-second retention window — a small
+// fraction of the simulated history the trace serves, so a bounded footprint
+// is a real claim — and again with retention off. Compaction only: shard
+// recycling (MaxSeriesPoints) has its own test in internal/api.
+const (
+	retentionWindowS = 60
+	// retentionSamplePeriod is the wall-clock cadence of the pool-stats
+	// sampler that watches the footprint during a replay.
+	retentionSamplePeriod = 25 * time.Millisecond
+)
 
 // RetentionResult reports the bounded-memory claim: peak and final retained
-// telemetry under retention, served-history-to-retention ratio, and (when
-// compared) the unbounded baseline's peak.
+// telemetry under retention, served-history-to-retention ratio, and the
+// unbounded baseline's peak.
 type RetentionResult struct {
 	Jobs      int
 	Completed int
@@ -61,12 +32,11 @@ type RetentionResult struct {
 	Throughput float64
 
 	// PeakPoints/PeakBytes are the largest pool-wide retained-telemetry
-	// readings sampled during the replay; FinalPoints/FinalBytes the
-	// quiescent readings after it.
+	// readings sampled during the replay; FinalPoints the quiescent reading
+	// after it.
 	PeakPoints  int
 	PeakBytes   int
 	FinalPoints int
-	FinalBytes  int
 	// CompactedPoints totals change points dropped by compaction; Recycles
 	// counts shard replacements.
 	CompactedPoints int
@@ -76,191 +46,82 @@ type RetentionResult struct {
 	MaxShardSimS       float64
 	HistoryOverRetainX float64
 
-	// UnboundedPeakPoints/UnboundedPeakBytes are the no-retention replay's
-	// peak footprint (0 when CompareUnbounded is off); GrowthContainedX is
-	// unbounded peak points / retained peak points.
+	// UnboundedPeakPoints is the no-retention replay's peak footprint;
+	// GrowthContainedX is that over the retained peak.
 	UnboundedPeakPoints int
-	UnboundedPeakBytes  int
 	GrowthContainedX    float64
 }
 
 // RunRetention replays the trace against the shared pool with tiered
-// retention enabled, sampling /v1/stats for the telemetry footprint, and
-// optionally against an unbounded pool for contrast.
-func RunRetention(opts RetentionOptions) (*RetentionResult, error) {
-	trace, err := buildTrace(opts.Options)
+// retention enabled, sampling the pool's stats for the telemetry footprint,
+// and against an unbounded pool for contrast.
+func RunRetention() (*RetentionResult, error) {
+	trace, err := buildTrace(DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	if opts.SamplePeriod <= 0 {
-		opts.SamplePeriod = 25 * time.Millisecond
-	}
-	retained, err := runRetentionMode(opts, trace, opts.RetainSimSeconds, opts.MaxSeriesPoints)
+	res, err := runRetentionArm(trace, retentionWindowS)
 	if err != nil {
 		return nil, err
 	}
-	res := retained
-	if opts.CompareUnbounded {
-		unbounded, err := runRetentionMode(opts, trace, -1, -1)
-		if err != nil {
-			return nil, err
-		}
-		res.UnboundedPeakPoints = unbounded.PeakPoints
-		res.UnboundedPeakBytes = unbounded.PeakBytes
-		if res.PeakPoints > 0 {
-			res.GrowthContainedX = float64(unbounded.PeakPoints) / float64(res.PeakPoints)
-		}
+	unbounded, err := runRetentionArm(trace, -1)
+	if err != nil {
+		return nil, err
+	}
+	res.UnboundedPeakPoints = unbounded.PeakPoints
+	if res.PeakPoints > 0 {
+		res.GrowthContainedX = float64(unbounded.PeakPoints) / float64(res.PeakPoints)
 	}
 	return res, nil
 }
 
-// runRetentionMode is one replay: trace through the HTTP surface with a
-// concurrent stats sampler watching the telemetry footprint.
-func runRetentionMode(opts RetentionOptions, trace [][]byte, retainS float64, maxPoints int) (*RetentionResult, error) {
-	runtime.GC()
-	server, err := api.NewServer(api.PoolConfig{
-		Shards:                opts.Shards,
-		VMsPerShard:           opts.VMsPerShard,
-		MaxConcurrentPerShard: opts.MaxConcurrentPerShard,
-		RetainSimSeconds:      retainS,
-		MaxSeriesPoints:       maxPoints,
-	})
+// runRetentionArm is one replay with a concurrent stats sampler watching the
+// telemetry footprint (retainS < 0 turns retention off).
+func runRetentionArm(trace [][]byte, retainS float64) (*RetentionResult, error) {
+	runtime.GC() // keep one arm's garbage off the other arm's clock
+	cfg := sharedPool
+	cfg.RetainSimSeconds, cfg.MaxSeriesPoints = retainS, -1
+	server, err := api.NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	srv := httptest.NewServer(server)
-	defer func() {
-		srv.Close()
-		server.Close()
-	}()
-	clients := opts.Clients
-	if clients <= 0 {
-		clients = 8
-	}
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        clients + 1,
-		MaxIdleConnsPerHost: clients + 1,
-	}}
-	defer client.CloseIdleConnections()
-
-	fetch := func() (api.PoolStats, error) {
-		resp, err := client.Get(srv.URL + "/v1/stats")
-		if err != nil {
-			return api.PoolStats{}, err
-		}
-		defer resp.Body.Close()
-		var st api.PoolStats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return api.PoolStats{}, err
-		}
-		return st, nil
-	}
+	defer server.Close()
 
 	res := &RetentionResult{Jobs: len(trace)}
-	var peakMu sync.Mutex
-	observe := func(st api.PoolStats) {
-		peakMu.Lock()
-		if st.TelemetryPoints > res.PeakPoints {
-			res.PeakPoints = st.TelemetryPoints
-		}
-		if st.TelemetryBytes > res.PeakBytes {
-			res.PeakBytes = st.TelemetryBytes
-		}
-		peakMu.Unlock()
+	observe := func() api.PoolStats {
+		st := server.Pool().Stats()
+		res.PeakPoints = max(res.PeakPoints, st.TelemetryPoints)
+		res.PeakBytes = max(res.PeakBytes, st.TelemetryBytes)
+		return st
 	}
-
-	stop := make(chan struct{})
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer samplerWG.Done()
-		tick := time.NewTicker(opts.SamplePeriod)
+		defer close(stopped)
+		tick := time.NewTicker(retentionSamplePeriod)
 		defer tick.Stop()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-tick.C:
-				if st, err := fetch(); err == nil {
-					observe(st)
-				}
+				observe()
 			}
 		}
 	}()
-
-	work := make(chan []byte)
-	var mu sync.Mutex
-	var completed, failed int
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for body := range work {
-				resp, err := client.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-				ok := false
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					ok = resp.StatusCode == http.StatusOK
-				}
-				mu.Lock()
-				if ok {
-					completed++
-				} else {
-					failed++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, body := range trace {
-		work <- body
-	}
-	close(work)
-	wg.Wait()
+	rep := replayHTTP(server, trace, DefaultOptions().Clients)
 	close(stop)
-	samplerWG.Wait()
-	res.WallS = time.Since(start).Seconds()
-	res.Completed, res.Failed = completed, failed
-	if res.WallS > 0 {
-		res.Throughput = float64(completed) / res.WallS
-	}
+	<-stopped
+	res.Completed, res.Failed, res.WallS, res.Throughput = rep.completed, rep.failed, rep.wallS, rep.throughput()
 
-	final, err := fetch()
-	if err != nil {
-		return nil, err
-	}
-	observe(final)
+	final := observe()
 	res.FinalPoints = final.TelemetryPoints
-	res.FinalBytes = final.TelemetryBytes
 	res.Recycles = final.Recycles
 	for _, sh := range final.Shards {
 		res.CompactedPoints += sh.CompactedPoints
-		if sh.SimTimeS > res.MaxShardSimS {
-			res.MaxShardSimS = sh.SimTimeS
-		}
+		res.MaxShardSimS = max(res.MaxShardSimS, sh.SimTimeS)
 	}
 	if retainS > 0 {
 		res.HistoryOverRetainX = res.MaxShardSimS / retainS
 	}
 	return res, nil
-}
-
-// String renders the bounded-memory comparison.
-func (r *RetentionResult) String() string {
-	var b strings.Builder
-	b.WriteString("Tiered telemetry retention on the mixed-tenant trace (shared pool, HTTP surface)\n")
-	fmt.Fprintf(&b, "jobs %d done %d fail %d in %.2fs (%.1f jobs/s)\n",
-		r.Jobs, r.Completed, r.Failed, r.WallS, r.Throughput)
-	fmt.Fprintf(&b, "served history %.0f sim-s = %.1f× retention window\n",
-		r.MaxShardSimS, r.HistoryOverRetainX)
-	fmt.Fprintf(&b, "retained telemetry: peak %d pts (%d B), final %d pts; compacted %d pts, %d recycles\n",
-		r.PeakPoints, r.PeakBytes, r.FinalPoints, r.CompactedPoints, r.Recycles)
-	if r.UnboundedPeakPoints > 0 {
-		fmt.Fprintf(&b, "unbounded baseline peak: %d pts (%d B) — %.1f× the retained peak\n",
-			r.UnboundedPeakPoints, r.UnboundedPeakBytes, r.GrowthContainedX)
-	}
-	return b.String()
 }

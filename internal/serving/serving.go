@@ -1,25 +1,34 @@
-// Package serving is the load harness for the sharded AIWaaS daemon: it
-// replays a mixed-tenant Poisson trace through the real HTTP surface
-// (httptest transport, concurrent clients) against both serving
-// architectures — the long-lived shared runtime pool and the per-request
-// throwaway-testbed baseline — and reports wall-clock throughput, latency
-// percentiles and the multiplexing gain of sharing. The per-request baseline
-// is not a daemon mode: it exists only here, as perRequestHandler.
+// Package serving is the evaluation harness for the serving stack: seven
+// scenarios, each replaying one identical captured input through two arms
+// and comparing (CGReplay's method), on two shared runners.
+//
+// Sim-time scenarios (sim.go: one shard stack per arm, arrivals and trace
+// events on the engine, every number deterministic and gated in CI):
+//   - faults: a seeded fault trace, failure recovery off vs on, goodput.
+//   - reconfig: spot VMs arriving mid-run, mid-flight re-planning off vs on,
+//     completion time and energy.
+//   - overload: a 4× burst, FIFO vs SLO-tiered admission, goodput in target.
+//
+// Wall-clock scenarios over the real HTTP surface (http.go: httptest
+// transport, concurrent clients):
+//   - serving: the shared runtime pool vs a throwaway testbed per request,
+//     throughput and latency percentiles.
+//   - retention: tiered telemetry retention vs an unbounded pool, footprint.
+//
+// And two with bodies of their own on the shared stack and trace builders:
+//   - admission: a submission burst on one shard, plan search inline on the
+//     loop vs the off-loop worker pool, plans/sec.
+//   - cluster: the consistent-hash router tier at one node vs three (sim-time
+//     throughput), plus a membership-churn arm that must strand nothing.
 package serving
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/agents"
 	"repro/internal/api"
@@ -31,57 +40,46 @@ import (
 	"repro/internal/workload"
 )
 
-// Options shapes the replay.
+// Options shapes the serving scenario's replay.
 type Options struct {
-	// Rate and HorizonS parameterize the Poisson trace (jobs/s of simulated
-	// arrival time; the replay itself submits as fast as clients allow).
+	// Rate and HorizonS parameterize the Poisson trace over
+	// workload.ServiceMix (jobs/s of simulated arrival time; the replay
+	// itself submits as fast as clients allow).
 	Rate     float64
 	HorizonS float64
-	Seed     int64
-	// Mix is the request mix (workload.ServiceMix when zero). Its tenant
-	// population should be at least the shard count or hashing leaves
-	// shards idle.
-	Mix workload.MixSpec
-	// Shards / VMsPerShard / MaxConcurrentPerShard size the shared pool.
-	Shards                int
-	VMsPerShard           int
-	MaxConcurrentPerShard int
 	// Clients is the number of concurrent HTTP submitters.
 	Clients int
-	// Trials replays the trace this many times per mode and keeps each
-	// mode's best-throughput trial (default 3). Wall-clock noise on a busy
-	// host is one-sided — slowdowns, never speedups — so best-of-N is the
-	// stable estimator of what each architecture can actually sustain.
-	Trials int
 }
 
 // DefaultOptions is the benchmark configuration: ~150 mixed jobs over the
-// eight-tenant service mix on two shards.
+// eight-tenant service mix, eight clients.
 func DefaultOptions() Options {
-	return Options{
-		Rate:                  0.25,
-		HorizonS:              600,
-		Seed:                  11,
-		Mix:                   workload.ServiceMix(),
-		Shards:                2,
-		VMsPerShard:           2,
-		MaxConcurrentPerShard: 4,
-		Clients:               8,
-		Trials:                3,
-	}
+	return Options{Rate: 0.25, HorizonS: 600, Clients: 8}
 }
+
+const (
+	// servingSeed fixes the trace; servingTrials replays it this many times
+	// per arm, keeping each arm's best-throughput trial. Wall-clock noise on
+	// a busy host is one-sided — slowdowns, never speedups — so best-of-N is
+	// the stable estimator of what each architecture can actually sustain.
+	servingSeed   = 11
+	servingTrials = 3
+)
+
+// sharedPool is the pool every HTTP scenario serves from: the service mix's
+// eight tenants hash across two shards.
+var sharedPool = api.PoolConfig{Shards: 2, VMsPerShard: 2, MaxConcurrentPerShard: 4}
 
 // ModeResult is the measurement for one serving architecture.
 type ModeResult struct {
-	Mode          string
-	Jobs          int
-	Completed     int
-	Failed        int
-	WallS         float64
-	Throughput    float64 // completed jobs per wall-clock second
-	MeanLatencyMs float64
-	P50LatencyMs  float64
-	P95LatencyMs  float64
+	Mode         string
+	Jobs         int
+	Completed    int
+	Failed       int
+	WallS        float64
+	Throughput   float64 // completed jobs per wall-clock second
+	P50LatencyMs float64
+	P95LatencyMs float64
 }
 
 // Result compares shared-runtime serving against per-request testbeds on the
@@ -96,63 +94,68 @@ type Result struct {
 
 // Run replays the trace through both architectures.
 func Run(opts Options) (*Result, error) {
+	if opts.Clients <= 0 {
+		return nil, fmt.Errorf("serving: %d clients", opts.Clients)
+	}
 	trace, err := buildTrace(opts)
 	if err != nil {
 		return nil, err
 	}
-	trials := opts.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	best := func(mode string, serve func() (http.Handler, func(), error)) (ModeResult, error) {
-		var bestRes ModeResult
-		for i := 0; i < trials; i++ {
-			res, err := runMode(mode, serve, trace, opts.Clients)
-			if err != nil {
-				return ModeResult{}, err
-			}
-			// Seed with the first trial so an all-failed run still reports
-			// its job and failure counts instead of a zero value.
-			if i == 0 || res.Throughput > bestRes.Throughput {
-				bestRes = res
-			}
+	trial := func(mode string, handler http.Handler) ModeResult {
+		rep := replayHTTP(handler, trace, opts.Clients)
+		res := ModeResult{Mode: mode, Jobs: len(trace), Completed: rep.completed, Failed: rep.failed,
+			WallS: rep.wallS, Throughput: rep.throughput()}
+		if len(rep.latenciesMs) > 0 {
+			res.P50LatencyMs, res.P95LatencyMs = percentile(rep.latenciesMs, 0.50), percentile(rep.latenciesMs, 0.95)
 		}
-		return bestRes, nil
+		return res
 	}
-	shared, err := best("shared", func() (http.Handler, func(), error) {
-		server, err := api.NewServer(api.PoolConfig{
-			Shards:                opts.Shards,
-			VMsPerShard:           opts.VMsPerShard,
-			MaxConcurrentPerShard: opts.MaxConcurrentPerShard,
-		})
+	throughput := func(r ModeResult) float64 { return r.Throughput }
+	res := &Result{}
+	if res.Shared, err = bestOf(servingTrials, func() (ModeResult, error) {
+		server, err := api.NewServer(sharedPool)
 		if err != nil {
-			return nil, nil, err
+			return ModeResult{}, err
 		}
-		return server, server.Close, nil
-	})
-	if err != nil {
+		defer server.Close()
+		return trial("shared", server), nil
+	}, throughput); err != nil {
 		return nil, err
 	}
-	perReq, err := best("per-request", func() (http.Handler, func(), error) {
-		return http.HandlerFunc(perRequestHandler), func() {}, nil
-	})
-	if err != nil {
+	// The per-request baseline is not a daemon mode: it exists only here.
+	if res.PerRequest, err = bestOf(servingTrials, func() (ModeResult, error) {
+		return trial("per-request", http.HandlerFunc(perRequestHandler)), nil
+	}, throughput); err != nil {
 		return nil, err
 	}
-	res := &Result{Shared: shared, PerRequest: perReq}
-	if perReq.Throughput > 0 {
-		res.ThroughputGainX = shared.Throughput / perReq.Throughput
+	if res.PerRequest.Throughput > 0 {
+		res.ThroughputGainX = res.Shared.Throughput / res.PerRequest.Throughput
 	}
 	return res, nil
 }
 
-// buildTrace renders the workload trace to ready-to-send request bodies.
-func buildTrace(opts Options) ([][]byte, error) {
-	mix := opts.Mix
-	if len(mix.Tenants) == 0 {
-		mix = workload.ServiceMix()
+// bestOf runs a wall-clock arm trials times and keeps the highest-scoring
+// result (the first when every score ties, so an all-failed arm still reports
+// its counts instead of a zero value).
+func bestOf[T any](trials int, run func() (T, error), score func(T) float64) (best T, err error) {
+	for i := 0; i < trials; i++ {
+		// Settle the heap so one trial's garbage is not collected on the
+		// next one's clock.
+		runtime.GC()
+		res, err := run()
+		if err != nil {
+			return best, err
+		}
+		if i == 0 || score(res) > score(best) {
+			best = res
+		}
 	}
-	arrivals, err := workload.PoissonTrace(mix, opts.Rate, opts.HorizonS, opts.Seed)
+	return best, nil
+}
+
+// buildTrace renders the service-mix trace to ready-to-send request bodies.
+func buildTrace(opts Options) ([][]byte, error) {
+	arrivals, err := workload.PoissonTrace(workload.ServiceMix(), opts.Rate, opts.HorizonS, servingSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -181,13 +184,25 @@ func requestFrom(tenant string, job workflow.Job) api.JobRequest {
 		Wait:        true,
 	}
 	for _, in := range job.Inputs {
-		req.Inputs = append(req.Inputs, api.InputRequest{
-			Name:  in.Name,
-			Kind:  string(in.Kind),
-			Attrs: in.Attrs,
-		})
+		req.Inputs = append(req.Inputs, api.InputRequest{Name: in.Name, Kind: string(in.Kind), Attrs: in.Attrs})
 	}
 	return req
+}
+
+// newStack provisions what one runtime shard runs on: an engine, a cluster
+// of vms on-demand ND96amsr_A100_v4 VMs, and a runtime over the default agent
+// library (rebalancePeriodS > 0 turns on the manager's rebalancing loop).
+func newStack(vms int, rebalancePeriodS float64) (*sim.Engine, *cluster.Cluster, *core.Runtime, error) {
+	se := sim.NewEngine()
+	cl := cluster.New(se, hardware.DefaultCatalog())
+	for v := 0; v < vms; v++ {
+		cl.AddVM(fmt.Sprintf("vm%d", v), hardware.NDv4SKUName, false)
+	}
+	rt, err := core.New(core.Config{
+		Engine: se, Cluster: cl, Library: agents.DefaultLibrary(),
+		RebalancePeriod: sim.Duration(rebalancePeriodS),
+	})
+	return se, cl, rt, err
 }
 
 // perRequestHandler is the pre-daemon baseline the shared pool is measured
@@ -215,14 +230,7 @@ func perRequestHandler(w http.ResponseWriter, r *http.Request) {
 		reply(http.StatusBadRequest, err)
 		return
 	}
-	se := sim.NewEngine()
-	if core.DisableAllocReuse {
-		se.DisableEventSlab()
-	}
-	cl := cluster.New(se, hardware.DefaultCatalog())
-	cl.AddVM("vm0", hardware.NDv4SKUName, false)
-	cl.AddVM("vm1", hardware.NDv4SKUName, false)
-	rt, err := core.New(core.Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	se, _, rt, err := newStack(2, 0)
 	if err != nil {
 		reply(http.StatusInternalServerError, err)
 		return
@@ -248,118 +256,9 @@ func perRequestHandler(w http.ResponseWriter, r *http.Request) {
 	reply(http.StatusOK, nil)
 }
 
-// runMode replays the trace against one architecture with opts.Clients
-// concurrent submitters and measures the wall-clock service curve. serve
-// builds the architecture's handler and its teardown.
-func runMode(mode string, serve func() (http.Handler, func(), error), trace [][]byte, clients int) (ModeResult, error) {
-	// Settle the heap so one mode's garbage is not collected on the other
-	// mode's clock.
-	runtime.GC()
-	handler, closeHandler, err := serve()
-	if err != nil {
-		return ModeResult{}, err
-	}
-	srv := httptest.NewServer(handler)
-	defer func() {
-		srv.Close()
-		closeHandler()
-	}()
-	if clients <= 0 {
-		clients = 8
-	}
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        clients,
-		MaxIdleConnsPerHost: clients,
-	}}
-	defer client.CloseIdleConnections()
-
-	work := make(chan []byte)
-	latencies := make([]float64, 0, len(trace))
-	var mu sync.Mutex
-	var completed, failed int
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for body := range work {
-				t0 := time.Now()
-				resp, err := client.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-				latMs := float64(time.Since(t0).Microseconds()) / 1000
-				ok := false
-				if err == nil {
-					// wait:true means a 200 carries the finished result; like
-					// any load generator, drain the body without decoding it.
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					ok = resp.StatusCode == http.StatusOK
-				}
-				mu.Lock()
-				if ok {
-					completed++
-					latencies = append(latencies, latMs)
-				} else {
-					failed++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, body := range trace {
-		work <- body
-	}
-	close(work)
-	wg.Wait()
-	wallS := time.Since(start).Seconds()
-
-	res := ModeResult{
-		Mode:      mode,
-		Jobs:      len(trace),
-		Completed: completed,
-		Failed:    failed,
-		WallS:     wallS,
-	}
-	if wallS > 0 {
-		res.Throughput = float64(completed) / wallS
-	}
-	if len(latencies) > 0 {
-		sort.Float64s(latencies)
-		sum := 0.0
-		for _, l := range latencies {
-			sum += l
-		}
-		res.MeanLatencyMs = sum / float64(len(latencies))
-		res.P50LatencyMs = percentile(latencies, 0.50)
-		res.P95LatencyMs = percentile(latencies, 0.95)
-	}
-	return res, nil
-}
-
 // percentile reads the p-quantile from sorted samples (nearest-rank:
 // ceil(p·n)-1, so small sample sets report from the tail, not below it).
 func percentile(sorted []float64, p float64) float64 {
 	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// String renders the comparison.
-func (r *Result) String() string {
-	var b strings.Builder
-	b.WriteString("Serving architectures on the mixed-tenant trace (wall clock, HTTP surface)\n")
-	fmt.Fprintf(&b, "%-12s %6s %6s %6s %10s %12s %10s %10s\n",
-		"mode", "jobs", "done", "fail", "wall(s)", "jobs/s", "p50(ms)", "p95(ms)")
-	for _, m := range []ModeResult{r.Shared, r.PerRequest} {
-		fmt.Fprintf(&b, "%-12s %6d %6d %6d %10.2f %12.1f %10.2f %10.2f\n",
-			m.Mode, m.Jobs, m.Completed, m.Failed, m.WallS, m.Throughput,
-			m.P50LatencyMs, m.P95LatencyMs)
-	}
-	fmt.Fprintf(&b, "Shared-runtime throughput gain: %.2fx\n", r.ThroughputGainX)
-	return b.String()
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

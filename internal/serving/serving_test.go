@@ -16,7 +16,7 @@ import (
 // spans ≥ 10 retention windows, and the retained footprint stays far below
 // the unbounded baseline's peak (which grows with history).
 func TestRetentionBoundsTelemetry(t *testing.T) {
-	res, err := RunRetention(DefaultRetentionOptions())
+	res, err := RunRetention()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +39,6 @@ func TestRetentionBoundsTelemetry(t *testing.T) {
 	if res.GrowthContainedX < 4 {
 		t.Fatalf("retained peak %d vs unbounded %d (%.1f×): telemetry no longer bounded",
 			res.PeakPoints, res.UnboundedPeakPoints, res.GrowthContainedX)
-	}
-	if res.String() == "" {
-		t.Fatal("empty rendering")
 	}
 }
 
@@ -66,9 +63,6 @@ func TestRunSmallTrace(t *testing.T) {
 	}
 	if res.ThroughputGainX <= 0 {
 		t.Fatalf("gain = %v", res.ThroughputGainX)
-	}
-	if res.String() == "" {
-		t.Fatal("empty rendering")
 	}
 }
 
@@ -140,17 +134,14 @@ func TestRunAdmissionSmallBurst(t *testing.T) {
 	if res.Parallel.ConflictFrac >= 0.10 {
 		t.Fatalf("conflicts %.0f%% of admissions, want < 10%%", 100*res.Parallel.ConflictFrac)
 	}
-	if res.String() == "" {
-		t.Fatal("empty rendering")
-	}
 }
 
 // TestRunReconfigDeterministicGain is the cheap in-suite version of
 // BenchmarkReconfig: both arms complete every job of the replayed trace, the
-// controller adopts at least one re-plan, the enabled arm improves mean
-// completion, and a replay reproduces the identical simulated metrics.
+// controller adopts at least one re-plan and the enabled arm improves mean
+// completion. (TestScenariosDeterministic holds the replay half.)
 func TestRunReconfigDeterministicGain(t *testing.T) {
-	res, err := RunReconfig(DefaultReconfigOptions())
+	res, err := RunReconfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +157,5 @@ func TestRunReconfigDeterministicGain(t *testing.T) {
 	if res.CompletionGainX <= 1 {
 		t.Fatalf("no completion gain: %.3f (off %.1fs on %.1fs)",
 			res.CompletionGainX, res.Off.MeanCompletionS, res.On.MeanCompletionS)
-	}
-	replay, err := RunReconfig(DefaultReconfigOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.CompletionGainX != res.CompletionGainX || replay.On.MeanCompletionS != res.On.MeanCompletionS ||
-		replay.On.EnergyWh != res.On.EnergyWh {
-		t.Fatalf("replay diverged: %+v vs %+v", replay.On, res.On)
 	}
 }

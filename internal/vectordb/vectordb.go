@@ -1,11 +1,11 @@
 // Package vectordb is an in-memory vector store with cosine-similarity
 // search — the substrate behind the paper's §4 setup, where scene-summary
 // embeddings are inserted into a VectorDB for question answering. It is a
-// real (if small) index, not a stub: insertions validate dimensions, search
-// returns exact top-k, and namespaces isolate workflows. A DB is the store a
-// pipeline inserts into as it goes (the imperative baseline); an Index is a
-// finished set of documents built in one step, which is how the runtime hands
-// out an execution's embeddings.
+// real (if small) index, not a stub: documents are validated, search returns
+// exact top-k. An Index is a finished set of documents built in one
+// step, which is how the runtime and the imperative baseline hand out a run's
+// embeddings; whoever built it owns it, so workflows are isolated by
+// construction.
 package vectordb
 
 import (
@@ -28,66 +28,16 @@ type Match struct {
 	Score float64 // cosine similarity in [-1, 1]
 }
 
-// DB is a namespaced vector store. Not goroutine-safe: the simulation is
-// single-threaded.
-type DB struct {
-	dim        int
-	namespaces map[string][]Doc
-	inserted   int
-}
-
-// New creates a store for vectors of the given dimension.
-func New(dim int) *DB {
-	if dim <= 0 {
-		panic(fmt.Sprintf("vectordb: non-positive dimension %d", dim))
-	}
-	return &DB{dim: dim, namespaces: make(map[string][]Doc)}
-}
-
-// Dim returns the configured dimension.
-func (db *DB) Dim() int { return db.dim }
-
-// Len returns the document count in a namespace.
-func (db *DB) Len(namespace string) int { return len(db.namespaces[namespace]) }
-
-// TotalInserted returns lifetime insertions (for overhead accounting).
-func (db *DB) TotalInserted() int { return db.inserted }
-
-// Insert stores a document. Dimension mismatches and zero vectors are
-// errors (a zero vector has no direction; cosine against it is undefined).
-func (db *DB) Insert(namespace string, d Doc) error {
-	if err := checkDoc(db.dim, d); err != nil {
-		return err
-	}
-	for _, existing := range db.namespaces[namespace] {
-		if existing.ID == d.ID {
-			return fmt.Errorf("vectordb: duplicate doc %q in namespace %q", d.ID, namespace)
-		}
-	}
-	db.namespaces[namespace] = append(db.namespaces[namespace], d)
-	db.inserted++
-	return nil
-}
-
-// Search returns the top-k documents by cosine similarity to the query.
-// k larger than the namespace returns everything, sorted.
-func (db *DB) Search(namespace string, query []float64, k int) ([]Match, error) {
-	return search(db.dim, db.namespaces[namespace], query, k)
-}
-
-// Drop removes a namespace entirely.
-func (db *DB) Drop(namespace string) { delete(db.namespaces, namespace) }
-
-// Index is a fixed, ordered set of documents with the store's search: what a
-// namespace holds, owned by whoever built it instead of by a DB.
+// Index is a fixed, ordered set of documents with cosine-similarity search.
+// Not goroutine-safe: the simulation is single-threaded.
 type Index struct {
 	dim  int
 	docs []Doc
 }
 
-// NewIndex checks docs the way Insert would have, one at a time — dimension,
-// zero vector, and an ID no earlier document has, looked up in a set — and
-// returns the index over them. It keeps docs; the caller must not reuse it.
+// NewIndex checks docs one at a time — dimension, zero vector, and an ID no
+// earlier document has, looked up in a set — and returns the index over them.
+// It keeps docs; the caller must not reuse it.
 func NewIndex(dim int, docs []Doc) (*Index, error) {
 	if dim <= 0 {
 		panic(fmt.Sprintf("vectordb: non-positive dimension %d", dim))
@@ -115,12 +65,6 @@ func (ix *Index) Len() int { return len(ix.docs) }
 // read-only view.
 func (ix *Index) Docs() []Doc { return ix.docs }
 
-// Search returns the top-k documents by cosine similarity to the query, like
-// DB.Search over one namespace.
-func (ix *Index) Search(query []float64, k int) ([]Match, error) {
-	return search(ix.dim, ix.docs, query, k)
-}
-
 // checkDoc rejects what no store of dimension dim can hold: a vector of
 // another dimension, or a zero vector (it has no direction; cosine against it
 // is undefined).
@@ -134,9 +78,11 @@ func checkDoc(dim int, d Doc) error {
 	return nil
 }
 
-func search(dim int, docs []Doc, query []float64, k int) ([]Match, error) {
-	if len(query) != dim {
-		return nil, fmt.Errorf("vectordb: query dim %d, store dim %d", len(query), dim)
+// Search returns the top-k documents by cosine similarity to the query. k
+// larger than the index returns everything, sorted.
+func (ix *Index) Search(query []float64, k int) ([]Match, error) {
+	if len(query) != ix.dim {
+		return nil, fmt.Errorf("vectordb: query dim %d, store dim %d", len(query), ix.dim)
 	}
 	qn := norm(query)
 	if qn == 0 {
@@ -145,8 +91,8 @@ func search(dim int, docs []Doc, query []float64, k int) ([]Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("vectordb: non-positive k %d", k)
 	}
-	matches := make([]Match, 0, len(docs))
-	for _, d := range docs {
+	matches := make([]Match, 0, len(ix.docs))
+	for _, d := range ix.docs {
 		matches = append(matches, Match{Doc: d, Score: dot(query, d.Vector) / (qn * norm(d.Vector))})
 	}
 	sort.SliceStable(matches, func(i, j int) bool {

@@ -7,19 +7,23 @@ import (
 	"testing/quick"
 )
 
+// index builds an Index over docs or fails the test.
+func index(t *testing.T, dim int, docs ...Doc) *Index {
+	t.Helper()
+	ix, err := NewIndex(dim, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func TestInsertAndSearch(t *testing.T) {
-	db := New(3)
-	docs := []Doc{
-		{ID: "x", Vector: []float64{1, 0, 0}, Text: "x axis"},
-		{ID: "y", Vector: []float64{0, 1, 0}, Text: "y axis"},
-		{ID: "xy", Vector: []float64{1, 1, 0}, Text: "diagonal"},
-	}
-	for _, d := range docs {
-		if err := db.Insert("ns", d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := db.Search("ns", []float64{1, 0.1, 0}, 2)
+	ix := index(t, 3,
+		Doc{ID: "x", Vector: []float64{1, 0, 0}, Text: "x axis"},
+		Doc{ID: "y", Vector: []float64{0, 1, 0}, Text: "y axis"},
+		Doc{ID: "xy", Vector: []float64{1, 1, 0}, Text: "diagonal"},
+	)
+	got, err := ix.Search([]float64{1, 0.1, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +39,8 @@ func TestInsertAndSearch(t *testing.T) {
 }
 
 func TestSearchKLargerThanStore(t *testing.T) {
-	db := New(2)
-	db.Insert("ns", Doc{ID: "a", Vector: []float64{1, 0}})
-	got, err := db.Search("ns", []float64{1, 0}, 10)
+	ix := index(t, 2, Doc{ID: "a", Vector: []float64{1, 0}})
+	got, err := ix.Search([]float64{1, 0}, 10)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -46,45 +49,41 @@ func TestSearchKLargerThanStore(t *testing.T) {
 	}
 }
 
+// TestNamespaceIsolation: an index is its builder's own namespace — it holds
+// what it was given and nothing another index holds.
 func TestNamespaceIsolation(t *testing.T) {
-	db := New(2)
-	db.Insert("a", Doc{ID: "d", Vector: []float64{1, 0}})
-	got, _ := db.Search("b", []float64{1, 0}, 5)
+	a := index(t, 2, Doc{ID: "d", Vector: []float64{1, 0}})
+	b := index(t, 2)
+	got, _ := b.Search([]float64{1, 0}, 5)
 	if len(got) != 0 {
-		t.Fatal("namespace b sees namespace a's docs")
+		t.Fatal("index b sees index a's docs")
 	}
-	if db.Len("a") != 1 || db.Len("b") != 0 {
+	if a.Len() != 1 || b.Len() != 0 {
 		t.Fatal("Len wrong")
-	}
-	db.Drop("a")
-	if db.Len("a") != 0 {
-		t.Fatal("Drop did not clear namespace")
 	}
 }
 
 func TestInsertErrors(t *testing.T) {
-	db := New(2)
-	if err := db.Insert("ns", Doc{ID: "bad", Vector: []float64{1}}); err == nil {
+	if _, err := NewIndex(2, []Doc{{ID: "bad", Vector: []float64{1}}}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if err := db.Insert("ns", Doc{ID: "zero", Vector: []float64{0, 0}}); err == nil {
+	if _, err := NewIndex(2, []Doc{{ID: "zero", Vector: []float64{0, 0}}}); err == nil {
 		t.Error("zero vector accepted")
 	}
-	db.Insert("ns", Doc{ID: "dup", Vector: []float64{1, 0}})
-	if err := db.Insert("ns", Doc{ID: "dup", Vector: []float64{0, 1}}); err == nil {
+	if _, err := NewIndex(2, []Doc{{ID: "dup", Vector: []float64{1, 0}}, {ID: "dup", Vector: []float64{0, 1}}}); err == nil {
 		t.Error("duplicate ID accepted")
 	}
 }
 
 func TestSearchErrors(t *testing.T) {
-	db := New(2)
-	if _, err := db.Search("ns", []float64{1}, 1); err == nil {
+	ix := index(t, 2)
+	if _, err := ix.Search([]float64{1}, 1); err == nil {
 		t.Error("query dim mismatch accepted")
 	}
-	if _, err := db.Search("ns", []float64{0, 0}, 1); err == nil {
+	if _, err := ix.Search([]float64{0, 0}, 1); err == nil {
 		t.Error("zero query accepted")
 	}
-	if _, err := db.Search("ns", []float64{1, 0}, 0); err == nil {
+	if _, err := ix.Search([]float64{1, 0}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -115,19 +114,18 @@ func TestEmbedDeterministicUnit(t *testing.T) {
 
 func TestEmbedRetrieval(t *testing.T) {
 	// A document embedded and searched by its own text must rank first.
-	db := New(32)
 	texts := []string{
 		"scene 0: cats playing with yarn",
 		"scene 1: formula one cars racing",
 		"scene 2: a chef cooking pasta",
 	}
+	var docs []Doc
 	for i, txt := range texts {
-		if err := db.Insert("scenes", Doc{ID: fmt.Sprint(i), Vector: Embed(txt, 32), Text: txt}); err != nil {
-			t.Fatal(err)
-		}
+		docs = append(docs, Doc{ID: fmt.Sprint(i), Vector: Embed(txt, 32), Text: txt})
 	}
+	ix := index(t, 32, docs...)
 	for i, txt := range texts {
-		got, err := db.Search("scenes", Embed(txt, 32), 1)
+		got, err := ix.Search(Embed(txt, 32), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,19 +139,23 @@ func TestEmbedRetrieval(t *testing.T) {
 // and queried vectors.
 func TestPropertyCosineBounds(t *testing.T) {
 	f := func(raw []int8, q1, q2, q3 int8) bool {
-		db := New(3)
+		var docs []Doc
 		for i := 0; i+2 < len(raw); i += 3 {
 			v := []float64{float64(raw[i]), float64(raw[i+1]), float64(raw[i+2])}
 			if norm(v) == 0 {
 				continue
 			}
-			db.Insert("p", Doc{ID: fmt.Sprint(i), Vector: v})
+			docs = append(docs, Doc{ID: fmt.Sprint(i), Vector: v})
+		}
+		ix, err := NewIndex(3, docs)
+		if err != nil {
+			return false
 		}
 		q := []float64{float64(q1), float64(q2), float64(q3)}
 		if norm(q) == 0 {
 			return true
 		}
-		got, err := db.Search("p", q, 1000)
+		got, err := ix.Search(q, 1000)
 		if err != nil {
 			return false
 		}
