@@ -25,6 +25,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/agents"
 	"repro/internal/core"
@@ -71,6 +72,11 @@ const maxSubmitBody = 1 << 20
 // below an engine's KV capacity (90,000 tokens), which a near-limit body used
 // to overflow, panicking the shard loop.
 const maxPlanningText = 64 << 10
+
+// maxWaitHolders caps the wait:true requests one server holds open at once,
+// each a parked goroutine and connection. One past it is answered as a holder
+// whose context ended is: 202 with the pollable envelope, the job runs on.
+const maxWaitHolders = 1024
 
 // maxRequestPaths caps MAX_QUALITY execution-path replication per request:
 // every LLM task replicates up to this factor on the tenant's shared shard,
@@ -153,6 +159,8 @@ type errorBody struct {
 type Server struct {
 	pool *Pool
 	mux  *http.ServeMux
+	// holders counts the wait:true requests blocked in Submit right now.
+	holders atomic.Int64
 }
 
 // NewServer provisions the pool and wires the routes.
@@ -339,9 +347,13 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) Reply {
 	if tenant == "" {
 		tenant = "default"
 	}
+	hold := req.Wait && s.holders.Add(1) <= maxWaitHolders
+	if req.Wait {
+		defer s.holders.Add(-1)
+	}
 	rec, err := s.pool.Submit(tenant, job, core.SubmitOptions{
 		RelaxFloor: true, MaxPaths: req.MaxPaths, SLOClass: req.SLOClass,
-	}, req.Timeline, req.Wait)
+	}, req.Timeline, hold)
 	if err != nil {
 		code := core.ErrorCodeOf(err)
 		if code != core.CodeShedOverload && code != core.CodeBudgetExhausted {
@@ -358,11 +370,8 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) Reply {
 		rp.RetryAfter = code == core.CodeShedOverload
 		return rp
 	}
-	if !req.Wait {
-		return jobReply(http.StatusAccepted, rec.snapshot())
-	}
-	if !rec.wait(ctx) {
-		// Client gave up; the job keeps running and stays pollable.
+	if !hold || !rec.wait(ctx) {
+		// Not held, or the client gave up: the job keeps running, pollable.
 		return jobReply(http.StatusAccepted, rec.snapshot())
 	}
 	st := rec.snapshot()
@@ -487,6 +496,9 @@ func (req JobRequest) ToJob() (workflow.Job, error) {
 		Tasks:       req.Tasks,
 		Constraint:  c,
 		MinQuality:  req.MinQuality,
+	}
+	if len(req.Inputs) > 0 {
+		job.Inputs = make([]workflow.Input, 0, len(req.Inputs))
 	}
 	for _, in := range req.Inputs {
 		if !allowedKinds[workflow.InputKind(in.Kind)] {

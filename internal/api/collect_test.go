@@ -12,29 +12,52 @@ import (
 	"weak"
 
 	"repro/internal/core"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
 // tracked watches the collector reclaim settled jobs: a weak pointer per
-// job's core.Handle. A handle and its execution point at each other, so one is
-// unreachable exactly when the other is — and a weak pointer, unlike a
-// finalizer, sees an object in a cycle go.
+// job's core.Handle — a weak pointer, unlike a finalizer, sees an object in a
+// cycle go — and one to the first of the inputs the request arrived with. The
+// record releases the handle at settle and the execution's block is parked on
+// the shard's runtime, so neither may be reachable from there: the handle
+// through the block's owner field, the inputs through its job.
 type tracked struct {
 	mu      sync.Mutex
 	handles []weak.Pointer[core.Handle]
+	inputs  []weak.Pointer[workflow.Input]
 }
 
-// collected counts the tracked handles the collector has reclaimed.
+// collected counts the tracked jobs of which the collector has reclaimed both
+// the handle and the inputs.
 func (tr *tracked) collected() int64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	var n int64
-	for _, wp := range tr.handles {
-		if wp.Value() == nil {
+	for i, wp := range tr.handles {
+		if wp.Value() == nil && tr.inputs[i].Value() == nil {
 			n++
 		}
 	}
 	return n
+}
+
+// parkedBlocks reads, on each shard's loop, how many execution blocks its
+// runtime has parked.
+func parkedBlocks(t *testing.T, s *Server) int {
+	t.Helper()
+	s.pool.mu.Lock()
+	shards := append([]*shard(nil), s.pool.shards...)
+	s.pool.mu.Unlock()
+	total := 0
+	for _, sh := range shards {
+		n := make(chan int, 1)
+		if !sh.loop.Post(func() { n <- sh.rt.ParkedBlocks() }) {
+			t.Fatal("shard loop refused the read")
+		}
+		total += <-n
+	}
+	return total
 }
 
 // submitTracked submits req without waiting and has tr track the job's
@@ -75,6 +98,7 @@ func submitTracked(t *testing.T, s *Server, req JobRequest, tr *tracked) string 
 		}
 		tr.mu.Lock()
 		tr.handles = append(tr.handles, weak.Make(h))
+		tr.inputs = append(tr.inputs, weak.Make(&rec.job.Inputs[0]))
 		tr.mu.Unlock()
 	})
 	close(gate)
@@ -134,9 +158,11 @@ func serviceMixRequests(t *testing.T, n int) []JobRequest {
 // core.Handle — and through it the execution, its tracker, spans, stages,
 // plan and decomposition, and the request's job — for as long. The result was
 // copied out by value at settle, so nothing of that is needed again: the
-// execution must be collectable while the envelope is still served, byte for
-// byte. (A few dozen later jobs first: the runtime's request and event slabs
-// hold a job's callbacks until their block is used up.)
+// handle and the request's inputs must be collectable while the envelope is
+// still served, byte for byte, and while the block the job ran in sits on the
+// runtime's free list, released by the record at settle. (A few dozen later
+// jobs first: the runtime's request and event slabs hold a job's callbacks
+// until their block is used up.)
 func TestSettledRecordReleasesItsExecution(t *testing.T) {
 	s, err := NewServer(PoolConfig{Shards: 1})
 	if err != nil {
@@ -159,7 +185,11 @@ func TestSettledRecordReleasesItsExecution(t *testing.T) {
 		}
 	}
 	if got := awaitCollected(&tr, 1); got != 1 {
-		t.Fatalf("the settled job's execution was not collected (%d finalized)", got)
+		t.Fatalf("the settled job's handle and inputs were not collected (%d finalized)", got)
+	}
+	// One job at a time: every job ran in the one block, parked again now.
+	if got := parkedBlocks(t, s); got != 1 {
+		t.Fatalf("%d execution blocks parked after 301 jobs one at a time, want 1", got)
 	}
 	if after := getEnvelope(t, s, id); after != before {
 		t.Fatalf("the envelope changed once the execution was gone:\n%s\n%s", before, after)
@@ -176,7 +206,8 @@ func TestSettledRecordReleasesItsExecution(t *testing.T) {
 // had ever served; the documents now hang off the execution, there is no
 // runtime-wide store, and what a shard keeps of a settled job is its record.
 // Only the latest jobs may still be reachable, from the slabs their callbacks
-// were cut from.
+// were cut from — and not from the execution blocks, which the records release
+// at settle and the shards' runtimes park: one per shard here, whoever ran last.
 func TestShardKeepsNothingOfSettledJobs(t *testing.T) {
 	const jobs, recent = 500, 100
 	s, err := NewServer(PoolConfig{})
@@ -196,4 +227,7 @@ func TestShardKeepsNothingOfSettledJobs(t *testing.T) {
 		t.Fatalf("%d of %d settled executions were collected, want at least %d", got, jobs, jobs-recent)
 	}
 	t.Logf("%d of %d settled executions collected", got, jobs)
+	if got := parkedBlocks(t, s); got < 1 || got > len(s.pool.shards) {
+		t.Fatalf("%d execution blocks parked after %d jobs one at a time on %d shards", got, jobs, len(s.pool.shards))
+	}
 }

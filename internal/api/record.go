@@ -145,6 +145,9 @@ func (r *jobRecord) settle(st core.JobStatus, err error, h *core.Handle) {
 	if st == core.JobDone {
 		// Rendered outside the lock; the status write below publishes it.
 		r.result = jobResponseFrom(h.Execution(), r.timeline)
+		// The record is the handle's one owner and now has all it wants of the
+		// execution: the block goes back to the shard's runtime.
+		h.Release()
 	}
 	r.mu.Lock()
 	r.status = st

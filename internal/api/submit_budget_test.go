@@ -17,11 +17,12 @@ import (
 // hand-off fails `go test ./...` without the ledger. It sits beside
 // TestWireAllocBudget (the bytes on either side of this) and
 // core.TestExecAllocBudget (the execution alone). The budgets are the measured
-// 10 / 12 / 11 (video / user-profile / document, the same waiting and polled)
-// + 2. They were 49 / 37 / 34 while an execution was some thirty objects and
-// embedded a document per embedding task, and 73 / 58 / 55 before the record
-// became the posted task and its handle's observer and the admission probe
-// stopped building a snapshot.
+// 4 / 4 / 5 (video / user-profile / document, the same waiting and polled)
+// + 2. They were 10 / 12 / 11 while every job made its execution block and
+// ToJob grew the inputs by doubling, 49 / 37 / 34 while an execution was some
+// thirty objects and embedded a document per embedding task, and 73 / 58 / 55
+// before the record became the posted task and its handle's observer and the
+// admission probe stopped building a snapshot.
 func TestSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -32,7 +33,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := context.Background()
-	budget := map[string][2]float64{"video": {12, 12}, "user-profile": {14, 14}, "document": {13, 13}}
+	budget := map[string][2]float64{"video": {6, 6}, "user-profile": {6, 6}, "document": {7, 7}}
 
 	bodies := serviceMixBodies(t)
 	shapes := make([]string, 0, len(bodies))

@@ -25,16 +25,19 @@ import (
 // and stored a document; 42 / 12 / 12 and 19 / 12 / 12 while every job brought
 // its serving engines up and released them (no daemon does: runToCompletion
 // now keeps them, which alone reads 17 / 7 / 7 and 7 / 6 / 6) and sim events
-// and LLM requests were cut from slabs and left to the collector. The budgets
-// are the measured 13 / 6 / 7 and 6 / 6 / 6 + 2 (telemetry doublings land on
-// some jobs and not others).
+// and LLM requests were cut from slabs and left to the collector; 13 / 6 / 7
+// and 6 / 6 / 6 while every job made its block (an Execution, four arrays and
+// the planning callback) and left it to the collector. runToCompletion now
+// releases the block as the api's record does, and the budgets are the measured
+// 7 / 0 / 1 and 0 / 0 / 0 + 2 (telemetry doublings land on some jobs and not
+// others): what is left is the cluster's allocation records and the series.
 func TestExecAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not asserted under the race detector")
 	}
 	budget := map[string]float64{
-		"video_3x16": 15, "newsfeed_12": 8, "docqa_12": 9,
-		"mix_video_1x2": 8, "mix_newsfeed_2": 8, "mix_docqa_2": 8,
+		"video_3x16": 9, "newsfeed_12": 2, "docqa_12": 3,
+		"mix_video_1x2": 2, "mix_newsfeed_2": 2, "mix_docqa_2": 2,
 	}
 	se, rt := warmRuntime(t)
 	for _, sh := range execShapes() {
@@ -54,14 +57,17 @@ func TestExecAllocBudget(t *testing.T) {
 // execution and a stage per capability), the cluster's allocation records and
 // the telemetry series' growth; before sim events and LLM requests went back
 // to their owners and spans were kept by node index the same protocol read
-// 91,036 / 8,288 / 12,099 and 9,884 / 3,987 / 4,240. The budgets are the measured 34,473 / 4,214 / 8,476 and 6,790 / 2,464 / 2,876 + 5 %.
+// 91,036 / 8,288 / 12,099 and 9,884 / 3,987 / 4,240, and before a settled
+// job's block went back to the runtime 34,473 / 4,214 / 8,476 and 6,790 / 2,464
+// / 2,876. The budgets are the measured 21,017 / 1,414 / 6,316 and 4,006 / 160 /
+// 1,228 + 5 % (+ 64 bytes where that is more).
 func TestExecByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not asserted under the race detector")
 	}
 	budget := map[string]uint64{
-		"video_3x16": 36200, "newsfeed_12": 4430, "docqa_12": 8900,
-		"mix_video_1x2": 7130, "mix_newsfeed_2": 2590, "mix_docqa_2": 3020,
+		"video_3x16": 22070, "newsfeed_12": 1485, "docqa_12": 6630,
+		"mix_video_1x2": 4205, "mix_newsfeed_2": 224, "mix_docqa_2": 1292,
 	}
 	se, rt := warmRuntime(t)
 	for _, sh := range execShapes() {

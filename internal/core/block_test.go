@@ -31,12 +31,15 @@ func mallocsDuring(f func()) uint64 {
 }
 
 // blockAllocs is what launching a job allocates on a warm runtime whose
-// engines are up: the Execution and the four arrays cut up beside it (int32s,
-// spans, stages, worker slots), and the planning charge's one callback.
+// engines are up when no released block is parked: the Execution and the four
+// arrays cut up beside it (int32s, spans, stages, worker slots), and the
+// planning charge's one callback, which binds the Execution and stays with it.
+// Launching into a parked block that is large enough allocates nothing.
 const blockAllocs = 5 + 1
 
 // TestExecutionIsOneBlock holds launch to the block — the same count for two
-// stages and 13 nodes as for five stages and 240 — and checks after the run
+// stages and 13 nodes as for five stages and 240, and none at all once the
+// job's owner released a block of that size — and checks after the run
 // that nothing outgrew it: no stage replaced its queue or worker list, the
 // ready buffer, the embedding record and the engine refs are the arrays
 // launch cut, and the job left one span per node — the slots the tracer was
@@ -110,6 +113,29 @@ func TestExecutionIsOneBlock(t *testing.T) {
 		if extra != 1 {
 			t.Errorf("%s: a span past the graph's %d nodes allocated %d times, want 1 (the spill)", sh.name, nodes, extra)
 		}
+
+		// Released, the block is what the next launch of the shape is cut from.
+		for i := 0; i < 3; i++ {
+			ex.release()
+			if rt.ParkedBlocks() != 1 {
+				t.Fatalf("%s: %d blocks parked after a clean job's release, want 1", sh.name, rt.ParkedBlocks())
+			}
+			parked := ex
+			n := mallocsDuring(func() {
+				var err error
+				if ex, err = rt.Submit(sh.job, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 0 || ex != parked {
+				t.Errorf("%s: launching into the released block allocates %d (same block: %v), want 0", sh.name, n, ex == parked)
+			}
+			se.Run()
+			if !ex.Done() || ex.Err() != nil {
+				t.Fatalf("%s: done=%v err=%v", sh.name, ex.Done(), ex.Err())
+			}
+		}
+		rt.execFree = nil // the next shape starts cold
 	}
 	if got := unsafe.Sizeof(telemetry.NodeSpan{}); got != 24 {
 		t.Errorf("a span slot is %d bytes, want 24", got)

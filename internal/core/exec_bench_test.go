@@ -29,7 +29,8 @@ func execShapes() []execShape {
 }
 
 // runToCompletion submits one job the way a serving shard does — engines stay
-// up between jobs, as the daemon's always do — and drains the simulation.
+// up between jobs, as the daemon's always do, and the finished job's block goes
+// back to the runtime, as the api's record sends it — and drains the simulation.
 func runToCompletion(tb testing.TB, se *sim.Engine, rt *Runtime, job workflow.Job) {
 	ex, err := rt.Submit(job, SubmitOptions{RelaxFloor: true, KeepEngines: true})
 	if err != nil {
@@ -39,6 +40,7 @@ func runToCompletion(tb testing.TB, se *sim.Engine, rt *Runtime, job workflow.Jo
 	if !ex.Done() || ex.Err() != nil {
 		tb.Fatalf("job did not complete: done=%v err=%v", ex.Done(), ex.Err())
 	}
+	ex.release()
 }
 
 // warmRuntime returns a runtime that has already served every shape once, so

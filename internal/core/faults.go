@@ -335,6 +335,7 @@ func (st *stage) taskFailed(node int32, cause error) {
 	if err := ex.tracker.FailAt(node); err != nil {
 		panic(err)
 	}
+	ex.unclean = true
 	id := string(ex.graph.NodeAt(int(node)).ID)
 	rc := ex.rt.recovery
 	if rc == nil {

@@ -371,6 +371,7 @@ func (ex *Execution) adoptPlan(newPlan *optimizer.Plan) (int, error) {
 	ex.heldEngines = append(ex.heldEngines, acquired...)
 	ex.plan = merged
 	ex.reconfigs++
+	ex.unclean = true
 	return len(changed), nil
 }
 

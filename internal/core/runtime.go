@@ -128,6 +128,10 @@ type Runtime struct {
 	reqFree  []*llmsim.Request
 	reqSlab  []llmsim.Request
 	reqBlock int
+	// execFree holds the execution blocks their owners released after a clean
+	// completion (see Execution.release); launch re-cuts the last one. It is as
+	// long as the most jobs this runtime had live at once and goes with it.
+	execFree []*Execution
 
 	// scratchHits counts pool pops that reused a retired object;
 	// scratchMisses counts fresh allocations. Engine-goroutine-only, read
@@ -142,6 +146,9 @@ type Runtime struct {
 func (rt *Runtime) ScratchPoolStats() (hits, misses uint64) {
 	return rt.scratchHits, rt.scratchMisses
 }
+
+// ParkedBlocks reports how many released execution blocks wait for a launch.
+func (rt *Runtime) ParkedBlocks() int { return len(rt.execFree) }
 
 // requestSlabSize is the most LLM request records one allocation block holds.
 const requestSlabSize = 64
@@ -266,6 +273,8 @@ type SubmitOptions struct {
 // from a single allocation). The count does not depend on the graph: a job
 // costs the same five allocations with two stages or ten, 13 nodes or 240,
 // and everything in the block is addressed by node index or capability slot.
+// On a runtime whose jobs' owners release them it costs none: launch re-cuts a
+// parked block, growing only an array the job does not fit in.
 type Execution struct {
 	rt     *Runtime
 	id     int
@@ -314,6 +323,16 @@ type Execution struct {
 	// someone asked for it (see Documents).
 	embedded []int32
 	docs     *vectordb.Index
+	// ints, spans and slots are the block's arrays at full length (stages is
+	// the fourth) and the method values bind the head, not the job: all a parked
+	// block keeps. unclean marks a job that left the nominal path (a failed
+	// task, an adopted re-plan, a degraded admission): its block is never parked.
+	ints            []int32
+	spans           []telemetry.NodeSpan
+	slots           []*worker
+	planQueryDoneFn func(*llmsim.Request)
+	dispatchReadyFn func()
+	unclean         bool
 
 	// Failure-recovery state (all nil/zero unless the runtime has recovery
 	// enabled; see faults.go): attempt counts per task (by node index),
@@ -427,17 +446,18 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	rt.nextExecID++
 	g := decomp.Graph
 	nodes := g.Len()
-	ex := &Execution{
-		rt:        rt,
-		id:        rt.nextExecID,
-		job:       job,
-		opts:      opts,
-		plan:      plan,
-		decomp:    decomp,
-		graph:     g,
-		startedAt: rt.se.Now(),
-		stages:    make([]stage, g.CapSlots()),
+	// A parked head is zero but for its arrays (release), so it is filled in as
+	// a fresh one is.
+	var ex *Execution
+	if n := len(rt.execFree); n > 0 {
+		ex, rt.execFree[n-1] = rt.execFree[n-1], nil
+		rt.execFree = rt.execFree[:n-1]
+	} else {
+		ex = &Execution{}
 	}
+	ex.rt, ex.id, ex.done, ex.startedAt = rt, rt.nextExecID, false, rt.se.Now()
+	ex.job, ex.opts, ex.plan, ex.decomp, ex.graph = job, opts, plan, decomp, g
+	ex.stages = sized(ex.stages, g.CapSlots())
 	ex.heldEngines = ex.heldBuf[:0]
 	// The block's arrays are sized from the job: a stage can have as many
 	// tasks queued as the graph has nodes of its capability and runs at most
@@ -460,7 +480,8 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 			embeds = st.tasks
 		}
 	}
-	ints := make([]int32, dag.TrackerCells(g)+2*nodes+embeds)
+	ex.ints = sized(ex.ints, dag.TrackerCells(g)+2*nodes+embeds)
+	ints := ex.ints
 	cut := func(n int) []int32 {
 		part := ints[:n:n]
 		ints = ints[n:]
@@ -469,8 +490,10 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	ex.tracker.Init(g, cut(dag.TrackerCells(g)))
 	ex.readyBuf = cut(nodes)[:0]
 	ex.embedded = cut(embeds)[:0]
-	ex.tracer.Init(ex, make([]telemetry.NodeSpan, nodes))
-	pool := make([]*worker, workers)
+	ex.spans = sized(ex.spans, nodes)
+	ex.tracer.Init(ex, ex.spans[:nodes:nodes])
+	ex.slots = sized(ex.slots, workers)
+	pool := ex.slots
 	for i := range ex.stages {
 		st := &ex.stages[i]
 		st.queue = cut(st.tasks)[:0]
@@ -507,6 +530,50 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	ex.chargePlanning()
 	return ex, nil
 }
+
+// sized returns s at length n, zeroed: in its own array when that is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// release parks a finished execution's block for launch to re-cut; its caller
+// is the one owner of ex, finished with it (see Handle.Release). Safety is by
+// restriction, not by generations: only a clean completion is parked — no
+// error, every node done, no stage with a task in flight, a worker or a pump
+// ever deferred, nothing that set unclean — because then no LLM task, worker
+// event, planning query, retry or deadline event, fault victim list, tracker
+// registration or scheduler set can still name the block. Every other ending is
+// left to the collector. A parked block keeps nothing of its job — the head is
+// zeroed but for its arrays and method values, the arrays that hold pointers
+// are cleared — and stays done, as a callback that outlived the job would find.
+func (ex *Execution) release() {
+	if DisableAllocReuse || !ex.done || ex.err != nil || ex.unclean || !ex.tracker.Done() {
+		return
+	}
+	for i := range ex.stages {
+		if st := &ex.stages[i]; st.inflight != 0 || len(st.workers) != 0 || st.pumpFn != nil {
+			return
+		}
+	}
+	rt := ex.rt
+	clear(ex.stages[:cap(ex.stages)])
+	clear(ex.slots[:cap(ex.slots)])
+	*ex = Execution{done: true, stages: ex.stages, ints: ex.ints, spans: ex.spans, slots: ex.slots,
+		planQueryDoneFn: ex.planQueryDoneFn, dispatchReadyFn: ex.dispatchReadyFn}
+	if parkHook != nil {
+		parkHook(ex)
+	}
+	rt.execFree = append(rt.execFree, ex)
+}
+
+// parkHook, when a test sets it, sees every block release parks, and poisons its
+// arrays: launch relies on the head alone being as release left it.
+var parkHook func(*Execution)
 
 // engineSpecFor maps an LLM implementation to its serving ModelSpec.
 func engineSpecFor(impl string) (llmsim.ModelSpec, bool) {
@@ -602,12 +669,18 @@ func (ex *Execution) chargePlanning() {
 	}
 	ex.planQueries = len(ex.decomp.Queries)
 	if ex.planQueries == 0 {
-		rt.se.Defer(ex.dispatchReady)
+		if ex.dispatchReadyFn == nil {
+			ex.dispatchReadyFn = ex.dispatchReady
+		}
+		rt.se.Defer(ex.dispatchReadyFn)
 		return
 	}
-	// One completion callback shared by every planning query (not one per
-	// query); request IDs repeat across jobs of a shape, so they intern.
-	onComplete := ex.planQueryDone
+	// One completion callback shared by every planning query, materialized once
+	// per Execution object and kept across release, as worker.taskDoneFn is;
+	// request IDs repeat across jobs of a shape, so they intern.
+	if ex.planQueryDoneFn == nil {
+		ex.planQueryDoneFn = ex.planQueryDone
+	}
 	for i, q := range ex.decomp.Queries {
 		rt.keyBuf = append(rt.keyBuf[:0], "plan-"...)
 		rt.keyBuf = append(rt.keyBuf, q.Purpose...)
@@ -616,7 +689,7 @@ func (ex *Execution) chargePlanning() {
 		r := rt.newRequest()
 		r.ID = rt.internKey(rt.keyBuf)
 		r.PromptTokens, r.OutputTokens = q.PromptTokens, q.OutputTokens
-		r.OnComplete = onComplete
+		r.OnComplete = ex.planQueryDoneFn
 		h.Engine.Submit(r)
 	}
 }

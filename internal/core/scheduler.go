@@ -124,8 +124,22 @@ func (h *Handle) Status() JobStatus { return h.status }
 func (h *Handle) Err() error { return h.err }
 
 // Execution returns the underlying execution (nil until the job is released
-// from the admission queue, and still nil if planning rejected it).
+// from the admission queue, still nil if planning rejected it, and nil again
+// once the handle's owner has called Release).
 func (h *Handle) Execution() *Execution { return h.exec }
+
+// Release tells the runtime that the handle's one owner — whoever holds and
+// observes it — has copied out all it wants of the job's execution: the runtime
+// may reuse the execution's memory for a later job, and Execution, Report and
+// Attempts return nil from here on. A no-op before the job is terminal and after
+// the first call; JobDone may call it. Whoever keeps reading an execution never
+// calls it: an unreleased execution stays readable as long as it is reachable.
+func (h *Handle) Release() {
+	if ex := h.exec; ex != nil && h.status.Terminal() {
+		h.exec = nil
+		ex.release()
+	}
+}
 
 // Report returns the result once the job is done.
 func (h *Handle) Report() *report.Report {
@@ -491,7 +505,9 @@ func (s *Scheduler) start(h *Handle) {
 }
 
 // settle retires a released job (completed, failed or canceled mid-run) and
-// re-pumps the admission queue.
+// re-pumps the admission queue. The pump must stay deferred: the observer may
+// release the execution's block inside h.finish, under the frames of the event
+// that finished it, and a pump here could launch the next job into that block.
 func (s *Scheduler) settle(h *Handle, err error) {
 	s.running--
 	delete(s.runningSet, h.id)

@@ -430,14 +430,19 @@ func (s *Scheduler) startDegraded(h *Handle) (*Execution, error) {
 			maxLatX = cl.MaxDegradeLatencyX
 		}
 	}
-	if degraded := rt.degradePlanForOverload(decomp, plan, h.job, h.opts, floor, maxLatX); degraded != nil {
+	degraded := rt.degradePlanForOverload(decomp, plan, h.job, h.opts, floor, maxLatX)
+	if degraded != nil {
 		plan = degraded
 		s.slo.degradedAdmits++
 		if ts := s.slo.tenants[h.tenant]; ts != nil {
 			ts.stats.DegradedAdmits++
 		}
 	}
-	return rt.launch(h.job, h.opts, decomp, plan)
+	ex, err := rt.launch(h.job, h.opts, decomp, plan)
+	if ex != nil {
+		ex.unclean = degraded != nil
+	}
+	return ex, err
 }
 
 // cheapestProfile returns an implementation's cheapest profiled cost for

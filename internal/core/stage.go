@@ -505,7 +505,11 @@ func (w *worker) taskDone() {
 	}
 	st.afterTask(node)
 	ex.completeNode(node)
-	st.pump()
+	// The last node finishes the execution, and the owner may release the block
+	// inside that call (Handle.Release): st is shut down by now, if it still is st.
+	if !ex.done {
+		st.pump()
+	}
 }
 
 // stall pushes the in-flight task's completion out by d seconds — fault
