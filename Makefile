@@ -24,18 +24,20 @@ race:
 # cap, and the recycling canaries: stale event handles, reused LLM requests,
 # and execution blocks — both differentials against the never-reuse arm, the
 # stale-release cases and the parked block's collectability, all with released
-# blocks poisoned, as every test of the core binary runs) under the race
-# detector: a one-in-twelve failure passes a single run 92 % of the time. CI
-# runs the same line.
+# blocks poisoned, as every test of the core binary runs; and the plan search's
+# dispatch against the capacity class with its commit conflicts) under the
+# race detector: a one-in-twelve failure passes a single run 92 % of the time.
+# CI runs the same line.
 stress:
-	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs|StaleHandle|CompletedRequestsAreReused|RecycledBlocks|FromRecycledBlocks|ReleaseIsDefined|ParkedBlockKeeps|WaitHolders' ./internal/serving ./internal/router ./internal/api ./internal/core ./internal/sim
+	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs|StaleHandle|CompletedRequestsAreReused|RecycledBlocks|FromRecycledBlocks|ReleaseIsDefined|ParkedBlockKeeps|WaitHolders|DispatchCapturesCapacityClass|PlanConflict' ./internal/serving ./internal/router ./internal/api ./internal/core ./internal/sim
 
 # allocs runs the tier-1 allocation budgets (the wire, the job hand-off, the
 # execution layer in objects and in bytes, a launch cold and into a released
-# block, the event core, telemetry compaction) verbosely, so their measured
-# counts print in one place; CI runs the same line.
+# block, a warm plan search and its worker queue, the event core, telemetry
+# compaction) verbosely, so their measured counts print in one place; CI runs
+# the same line.
 allocs:
-	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab' ./internal/api ./internal/core ./internal/sim ./internal/telemetry
+	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab|SearchQueueDrainsClean' ./internal/api ./internal/core ./internal/optimizer ./internal/sim ./internal/telemetry
 
 # fuzz runs the native fuzz targets for a short while each (one -fuzz
 # pattern per go test invocation); CI runs the same line.

@@ -86,7 +86,7 @@
 // additive /v1/stats counters.
 //
 // Admission itself is pipelined off the shard loop: the configuration
-// search (decompose + optimizer enumerate/prune/score) runs on a
+// search (decompose + the optimizer's one-pass argmin) runs on a
 // plan-search worker pool (murakkabd -plan-workers, default GOMAXPROCS)
 // against immutable generation-stamped cluster snapshots, deduped through a
 // singleflight table, and commits optimistically back on the loop — the

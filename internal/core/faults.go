@@ -454,7 +454,8 @@ func (ex *Execution) degradeStage(cap string) bool {
 		return false
 	}
 	cur := ex.plan.Decisions[cap]
-	casc, cfgs := rt.degradeCandidates(cap, cur.Implementation, work, rt.cl.Snapshot())
+	snap, _ := rt.capacityClass()
+	casc, cfgs := rt.degradeCandidates(cap, cur.Implementation, work, snap)
 	if len(casc.Levels) == 0 {
 		return false
 	}
@@ -489,7 +490,7 @@ func (ex *Execution) degradeStage(cap string) bool {
 		// The floor was checked chain-wise above; a stage-wise floor here
 		// would reject the very degradation this path exists to make.
 		o.MinQuality = 0
-		newPlan, err := rt.opt.Plan(rv.graph, rt.cl.Snapshot(), o)
+		newPlan, err := rt.opt.Plan(rv.graph, snap, o)
 		if err != nil {
 			continue
 		}

@@ -14,8 +14,10 @@ import (
 
 // The plan cache memoizes optimizer.Plan results. A load sweep submits
 // hundreds of structurally-identical jobs; without the cache each submit
-// re-enumerates every (implementation, config, parallelism, paths) candidate
-// and re-runs the O(n²) Pareto prune. The key captures everything Plan reads:
+// re-walks every (implementation, config, parallelism, paths) option of every
+// capability — one pass keeping the best so far, a few microseconds, but
+// still the largest part of a cold admission after decomposition. The key
+// captures everything Plan reads:
 //
 //   - the DAG's (capability, work) content — the only node fields demands()
 //     consumes;
@@ -41,45 +43,41 @@ import (
 // × capacity classes — so a reset effectively never fires mid-sweep).
 const planCacheLimit = 1024
 
-// planCacheKey renders the plan-cache key against an explicit snapshot
-// (tests; the runtime renders it against the live cluster, appendPlanKey).
-// The DAG half is Graph.AppendContent, which a frozen graph renders once: a
-// warm admission copies the bytes instead of formatting every node again.
-func planCacheKey(g *dag.Graph, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) string {
-	return string(appendPlanEnv(g.AppendContent(make([]byte, 0, 256)), snap, opts, storeGen, libGen))
+// appendPlanKey renders the plan-cache key for g against the live cluster:
+// the DAG's content — Graph.AppendContent, which a frozen graph renders once,
+// so a warm admission copies the bytes instead of formatting every node
+// again — then the plan environment.
+func (rt *Runtime) appendPlanKey(key []byte, g *dag.Graph, opts optimizer.Options) []byte {
+	return rt.appendPlanEnv(g.AppendContent(key), opts)
 }
 
 // appendPlanEnv renders everything a plan depends on besides the DAG itself:
-// the search options, the capacity class and the store/library generations.
-// The plan-cache key prefixes it with the DAG's content; searchKeyFrom
-// prefixes it with the job's content key (which determines the DAG, so the
-// two keys discriminate identically).
-func appendPlanEnv(key []byte, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) []byte {
-	key = appendPlanOptions(key, opts)
-	key = appendCapacity(key, snap)
-	return appendGens(key, storeGen, libGen)
-}
-
-// appendPlanKey renders the plan-cache key for g against the live cluster:
-// appendPlanEnv's bytes, with the capacity part served from capacityKey
-// instead of a snapshot.
-func (rt *Runtime) appendPlanKey(key []byte, g *dag.Graph, opts optimizer.Options) []byte {
-	key = appendPlanOptions(g.AppendContent(key), opts)
-	key = append(key, rt.capacityKey()...)
+// the search options, the live capacity class (served from capacityClass, not
+// a fresh snapshot) and the store/library generations. The plan-cache key
+// prefixes it with the DAG's content; appendSearchKey prefixes it with the
+// job's content key (which determines the DAG, so the two keys discriminate
+// identically).
+func (rt *Runtime) appendPlanEnv(key []byte, opts optimizer.Options) []byte {
+	_, capKey := rt.capacityClass()
+	key = append(appendPlanOptions(key, opts), capKey...)
 	return appendGens(key, rt.store.Gen(), rt.lib.Gen())
 }
 
-// capacityKey is appendCapacity of the live cluster, memoized on CapacityGen.
-// The totals it renders move only with the capacity class, while
-// Cluster.Snapshot is memoized on the state generation, which every
-// allocation moves — rendering from a snapshot would rebuild its two maps on
-// every warm admission to produce these same bytes.
-func (rt *Runtime) capacityKey() []byte {
-	if g := rt.cl.CapacityGen(); rt.capKey == nil || rt.capKeyGen != g {
-		rt.capKey = appendCapacity(rt.capKey[:0], rt.cl.Snapshot())
-		rt.capKeyGen = g
+// capacityClass returns the live cluster's capacity class, memoized on
+// CapacityGen: a snapshot holding the totals and nothing else — all the
+// optimizer and the degradation walks read of one — and appendCapacity of it.
+// The totals move only with the capacity class, while Cluster.Snapshot is
+// memoized on the state generation, which every allocation moves: taking a
+// fresh one per search (or per rendered key) re-walks the fleet and rebuilds
+// its two maps to arrive at these same two totals.
+func (rt *Runtime) capacityClass() (cluster.Snapshot, []byte) {
+	if g := rt.cl.CapacityGen(); rt.capKey == nil || rt.capGen != g {
+		s := rt.cl.Snapshot()
+		rt.capSnap = cluster.Snapshot{TotalGPUs: s.TotalGPUs, TotalCPUCores: s.TotalCPUCores}
+		rt.capKey = appendCapacity(rt.capKey[:0], rt.capSnap)
+		rt.capGen = g
 	}
-	return rt.capKey
+	return rt.capSnap, rt.capKey
 }
 
 func appendPlanOptions(key []byte, opts optimizer.Options) []byte {
@@ -154,15 +152,13 @@ func appendGPU(key []byte, t string, n int) []byte {
 	return contentkey.AppendInt(key, n)
 }
 
-// searchKeyFrom is the singleflight key for off-loop plan search: the job's
-// content key plus the plan environment. Two submissions with equal search
-// keys are guaranteed an identical decomposition (jobKey determines the DAG)
-// and an identical plan (appendPlanEnv covers every other Plan input), so a
-// burst of like jobs shares one search.
-func searchKeyFrom(jobKey string, snap cluster.Snapshot, opts optimizer.Options, storeGen, libGen int) string {
-	key := make([]byte, 0, len(jobKey)+128)
-	key = append(key, jobKey...)
-	return string(appendPlanEnv(key, snap, opts, storeGen, libGen))
+// appendSearchKey renders the singleflight key for off-loop plan search: the
+// job's content key plus the live plan environment. Two submissions with
+// equal search keys are guaranteed an identical decomposition (jobKey
+// determines the DAG) and an identical plan (appendPlanEnv covers every other
+// Plan input), so a burst of like jobs shares one search.
+func (rt *Runtime) appendSearchKey(key []byte, jobKey string, opts optimizer.Options) []byte {
+	return rt.appendPlanEnv(append(key, jobKey...), opts)
 }
 
 // internKey materializes the scratch key as a canonical string — once per
@@ -176,14 +172,15 @@ func (rt *Runtime) internKey(key []byte) string {
 }
 
 // planFor returns the cached plan for g under the live cluster's capacity
-// class, or searches one against a fresh snapshot and caches it.
+// class, or searches one against that class and caches it.
 func (rt *Runtime) planFor(g *dag.Graph, opts optimizer.Options) (*optimizer.Plan, error) {
 	rt.keyBuf = rt.appendPlanKey(rt.keyBuf[:0], g, opts)
 	if p, ok := rt.planCache[string(rt.keyBuf)]; ok {
 		rt.planCacheHits++
 		return p, nil
 	}
-	p, err := rt.opt.Plan(g, rt.cl.Snapshot(), opts)
+	snap, _ := rt.capacityClass()
+	p, err := rt.opt.Plan(g, snap, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -14,13 +14,14 @@ import (
 
 // Off-loop admission (the serving tier's "fast as the hardware allows" item):
 // a shard's loop goroutine is the only place cluster state may be touched, so
-// with inline planning every job's decompose → profile lookup → enumerate →
-// prune → score runs serialized on one core and plans/sec is bounded by it.
+// with inline planning every job's decompose → profile lookup → configuration
+// search runs serialized on one core and plans/sec is bounded by it.
 // This file moves the expensive, side-effect-free part of admission — the
 // configuration search — onto a pool of worker goroutines:
 //
-//   - dispatch (loop goroutine): capture an immutable cluster.Snapshot plus
-//     the generations the plan depends on (capacity class, profile store,
+//   - dispatch (loop goroutine): capture the capacity class (an immutable
+//     cluster.Snapshot of the totals, memoized per CapacityGen) plus the
+//     generations the plan depends on (capacity class, profile store,
 //     library) and hand the job to a worker. Identical concurrent searches
 //     (same job content, options, capacity class, generations) are deduped
 //     through a singleflight table so a burst of like jobs runs one search.
@@ -63,15 +64,20 @@ func (p *preparedPlan) valid(rt *Runtime) bool {
 
 // searchWork is one unit for the worker pool: admission plan searches and
 // mid-flight reconfiguration searches share the same workers, goroutine-local
-// planner/optimizer instances and hold-based drain safety.
+// planner/optimizer instances and hold-based drain safety. A unit is one
+// record for both hand-offs: a worker runs search, which posts the unit itself
+// back through its hold, and the loop goroutine then runs Run — the commit.
 type searchWork interface {
-	run(pl *planner.Planner, opt *optimizer.Optimizer)
+	search(pl *planner.Planner, opt *optimizer.Optimizer)
+	sim.Task
 }
 
 // searchTask is one singleflight plan search. The result fields are written
 // by the worker before the commit post and read on the loop goroutine after
 // it (the hold's inbox hand-off orders them); decomp may instead be pre-set
-// at dispatch when the shard already had the decomposition cached.
+// at dispatch when the shard already had the decomposition cached. The
+// submission that dispatched the search is first; more holds the ones that
+// joined it while it was in flight.
 type searchTask struct {
 	key    string
 	jobKey string
@@ -85,7 +91,8 @@ type searchTask struct {
 	storeGen int
 	libGen   int
 	hold     *sim.LoopHold
-	waiters  []*Handle
+	first    *Handle
+	more     []*Handle
 
 	decomp *planner.Result
 	plan   *optimizer.Plan
@@ -94,16 +101,19 @@ type searchTask struct {
 	ps *planSearch
 }
 
-// run executes the admission search on a worker goroutine.
-func (t *searchTask) run(pl *planner.Planner, opt *optimizer.Optimizer) {
+// search executes the admission search on a worker goroutine.
+func (t *searchTask) search(pl *planner.Planner, opt *optimizer.Optimizer) {
 	if t.decomp == nil {
 		t.decomp, t.err = pl.Decompose(t.job)
 	}
 	if t.err == nil {
 		t.plan, t.err = opt.Plan(t.decomp.Graph, t.snap, t.planO)
 	}
-	t.hold.Post(func() { t.ps.s.commit(t) })
+	t.hold.PostTask(t)
 }
+
+// Run commits the search on the loop goroutine.
+func (t *searchTask) Run() { t.ps.s.commit(t) }
 
 // reconfigSearch is one mid-flight re-plan over a running job's remaining
 // DAG. It is never singleflighted — the remaining graph is unique to the
@@ -127,11 +137,14 @@ type reconfigSearch struct {
 	err  error
 }
 
-// run executes the re-plan on a worker goroutine.
-func (t *reconfigSearch) run(_ *planner.Planner, opt *optimizer.Optimizer) {
+// search executes the re-plan on a worker goroutine.
+func (t *reconfigSearch) search(_ *planner.Planner, opt *optimizer.Optimizer) {
 	t.plan, t.err = opt.Plan(t.graph, t.snap, t.planO)
-	t.hold.Post(func() { t.ps.s.commitReconfig(t) })
+	t.hold.PostTask(t)
 }
+
+// Run commits the re-plan on the loop goroutine.
+func (t *reconfigSearch) Run() { t.ps.s.commitReconfig(t) }
 
 // planSearch is the worker pool plus the loop-goroutine-owned singleflight
 // table.
@@ -143,9 +156,13 @@ type planSearch struct {
 	// the loop goroutine (dispatch and commit), so it needs no lock.
 	inflight map[string]*searchTask
 
+	// queue[head:] is the pending work. pop clears the slot it takes and an
+	// emptied queue rewinds to the front of its array, so a drained pool pins
+	// no task and a push into spare capacity allocates nothing.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []searchWork
+	head   int
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -207,32 +224,31 @@ func (s *Scheduler) PlanWorkers() int { return s.planWorkers }
 // decomposition half cached — lets the worker skip re-decomposing (the graph
 // is frozen and immutable, so sharing it off-loop is safe).
 func (ps *planSearch) dispatch(h *Handle, jk string, decomp *planner.Result) {
-	s := ps.s
+	s, rt := ps.s, ps.s.rt
 	planO := planOptions(h.job, h.opts)
-	snap := s.rt.cl.Snapshot()
-	storeGen, libGen := s.rt.store.Gen(), s.rt.lib.Gen()
-	key := searchKeyFrom(jk, snap, planO, storeGen, libGen)
-	if t, ok := ps.inflight[key]; ok {
-		t.waiters = append(t.waiters, h)
+	rt.keyBuf = rt.appendSearchKey(rt.keyBuf[:0], jk, planO)
+	if t, ok := ps.inflight[string(rt.keyBuf)]; ok {
+		t.more = append(t.more, h)
 		s.singleflightHits++
 		return
 	}
+	snap, _ := rt.capacityClass()
 	t := &searchTask{
-		key:      key,
+		key:      string(rt.keyBuf),
 		jobKey:   jk,
 		job:      h.job,
 		opts:     h.opts,
 		planO:    planO,
 		snap:     snap,
-		capGen:   s.rt.cl.CapacityGen(),
-		storeGen: storeGen,
-		libGen:   libGen,
+		capGen:   rt.cl.CapacityGen(),
+		storeGen: rt.store.Gen(),
+		libGen:   rt.lib.Gen(),
 		hold:     ps.loop.Hold(),
-		waiters:  []*Handle{h},
+		first:    h,
 		decomp:   decomp,
 		ps:       ps,
 	}
-	ps.inflight[key] = t
+	ps.inflight[t.key] = t
 	s.planSearches++
 	ps.enqueue(t)
 }
@@ -263,6 +279,20 @@ func (ps *planSearch) enqueue(w searchWork) {
 	ps.mu.Unlock()
 }
 
+// pop takes the oldest queued unit. The caller holds ps.mu and has checked
+// that one is queued.
+func (ps *planSearch) pop() searchWork {
+	w := ps.queue[ps.head]
+	ps.queue[ps.head] = nil
+	if ps.head++; ps.head == len(ps.queue) {
+		ps.queue, ps.head = ps.queue[:0], 0
+	}
+	return w
+}
+
+// queued reports how many units wait for a worker. The caller holds ps.mu.
+func (ps *planSearch) queued() int { return len(ps.queue) - ps.head }
+
 // worker runs searches with goroutine-local planner/optimizer instances until
 // the pool closes (draining any queued tasks first, so every hold resolves).
 func (ps *planSearch) worker() {
@@ -271,18 +301,17 @@ func (ps *planSearch) worker() {
 	opt := ps.s.rt.opt.Clone()
 	for {
 		ps.mu.Lock()
-		for len(ps.queue) == 0 && !ps.closed {
+		for ps.queued() == 0 && !ps.closed {
 			ps.cond.Wait()
 		}
-		if len(ps.queue) == 0 {
+		if ps.queued() == 0 {
 			ps.mu.Unlock()
 			return
 		}
-		t := ps.queue[0]
-		ps.queue = ps.queue[1:]
+		t := ps.pop()
 		ps.mu.Unlock()
 
-		t.run(pl, opt)
+		t.search(pl, opt)
 	}
 }
 
@@ -310,6 +339,7 @@ func (s *Scheduler) commitReconfig(t *reconfigSearch) {
 func (s *Scheduler) commit(t *searchTask) {
 	delete(s.search.inflight, t.key)
 	var prep preparedPlan // stays zero when the waiters must re-plan inline
+	stale := false
 	switch {
 	case t.err != nil:
 		// The search failed (e.g. no feasible configuration). Fall back to
@@ -320,17 +350,20 @@ func (s *Scheduler) commit(t *searchTask) {
 		// Stale snapshot: the capacity class (or a profile/library
 		// generation) moved between capture and commit. Count one conflict
 		// per affected admission; each re-plans inline at start.
-		for _, h := range t.waiters {
-			if h.status == JobQueued {
-				s.planConflicts++
-			}
-		}
+		stale = true
 	default:
 		prep = s.rt.adoptPrepared(t.jobKey, t.job, t.opts, t.decomp, t.plan)
 	}
-	for _, h := range t.waiters {
+	for i := 0; i <= len(t.more); i++ {
+		h := t.first
+		if i > 0 {
+			h = t.more[i-1]
+		}
 		if h.status != JobQueued {
 			continue // canceled while the search was in flight
+		}
+		if stale {
+			s.planConflicts++
 		}
 		h.planReady = true
 		h.prepared = prep

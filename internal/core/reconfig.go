@@ -223,7 +223,7 @@ func (s *Scheduler) considerReconfig(h *Handle) {
 	// is cheap (applyPin per capability, no enumeration); the candidate
 	// search pays full price only on the rare capacity events that trigger
 	// evaluation.
-	snap := s.rt.cl.Snapshot()
+	snap, _ := s.rt.capacityClass()
 	curObj := math.Inf(1)
 	if curPlan, err := s.rt.opt.Plan(rv.graph, snap, curO); err == nil {
 		curObj = curPlan.Objective(h.job.Constraint)

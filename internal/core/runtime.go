@@ -97,15 +97,17 @@ type Runtime struct {
 	// rendered into; keys interns the strings that must outlive the render
 	// (nil when DisableAllocReuse, in which case each is a fresh copy).
 	// sortBuf is the reusable scratch for the string sets that are rendered
-	// in sorted order (a job key's attribute names). capKey is the
-	// capacity-class part of the plan environment key, rendered once per
-	// capKeyGen (see capacityKey). All are engine-goroutine-only, like the
-	// runtime.
-	keyBuf    []byte
-	keys      *contentkey.Interner
-	sortBuf   []string
-	capKey    []byte
-	capKeyGen uint64
+	// in sorted order (a job key's attribute names). capSnap is the
+	// capacity class — the cluster's totals — and capKey its part of the plan
+	// environment key, both taken once per capGen (see capacityClass). All
+	// are engine-goroutine-only, like the runtime; capSnap is replaced, never
+	// mutated, so the searches it was handed to keep reading it off-loop.
+	keyBuf  []byte
+	keys    *contentkey.Interner
+	sortBuf []string
+	capSnap cluster.Snapshot
+	capKey  []byte
+	capGen  uint64
 
 	// workerPool and llmTaskPool recycle the per-task scratch of the two
 	// dispatch paths (pool workers and LLM top-k barrier state). Stages are
@@ -429,8 +431,8 @@ func (rt *Runtime) Submit(job workflow.Job, opts SubmitOptions) (*Execution, err
 		return nil, err
 	}
 	// Plans are memoized: the load sweep's structurally-identical jobs reuse
-	// the first job's configuration search instead of re-enumerating and
-	// re-pruning per submit (§3.3(c) amortized).
+	// the first job's configuration search instead of repeating it per
+	// submit (§3.3(c) amortized).
 	plan, err := rt.planFor(decomp.Graph, planOptions(job, opts))
 	if err != nil {
 		return nil, err

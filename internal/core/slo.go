@@ -473,7 +473,7 @@ func (rt *Runtime) cheapestProfile(cap, impl string, work float64, snap cluster.
 // Everything iterates in sorted order, so the outcome is deterministic for
 // a given scheduler state.
 func (rt *Runtime) degradePlanForOverload(decomp *planner.Result, plan *optimizer.Plan, job workflow.Job, opts SubmitOptions, floor, maxLatX float64) *optimizer.Plan {
-	snap := rt.cl.Snapshot()
+	snap, _ := rt.capacityClass()
 	work := decomp.Graph.CapabilityWork()
 	sq := make(quality.StageQuality, len(plan.Decisions))
 	caps := make([]string, 0, len(plan.Decisions))

@@ -8,16 +8,30 @@
 //
 // The search is the paper's "greedy search using hierarchy of optimization
 // functions": capabilities are decided in descending order of total work
-// (the dominant stage first), candidates are pruned by Pareto dominance
-// before scoring, and LLM-served capabilities are decided first because
-// their engines reserve GPUs that other stages then cannot use.
+// (the dominant stage first), and LLM-served capabilities are decided first
+// because their engines reserve GPUs that other stages then cannot use.
+//
+// Deciding one capability is a single pass: every (profile, parallelism,
+// paths) option is estimated in place and compared against the best so far
+// under the constraint's lexicographic key (better). Nothing is collected and
+// nothing is pruned. The Pareto prune of §3.3(c) is implied by the pick
+// rather than performed: a candidate dominated on (latency, cost, energy,
+// -quality) is no better than its dominator on every component of every
+// constraint's key and worse on one, so it can never be the pick, and the
+// first-best of the whole walk is the pick of the Pareto front. The
+// enumerate → prune → pick search this replaced lives on in oracle_test.go,
+// where TestSearchMatchesEnumeratePrunePick holds the two to the same
+// Decision, bit for bit.
 package optimizer
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/agents"
 	"repro/internal/cluster"
@@ -159,39 +173,36 @@ type Options struct {
 
 // Optimizer performs configuration search.
 //
-// An Optimizer carries per-instance scratch state (candidate buffers and
-// generation-checked library/profile views), so a single instance must not
-// run Plan concurrently from multiple goroutines; concurrent searchers each
-// take their own via Clone.
+// An Optimizer carries per-instance scratch state (the demand arena and a
+// generation-checked view of the library's and store's profiles), so a single
+// instance must not run Plan concurrently from multiple goroutines; concurrent
+// searchers each take their own via Clone.
 type Optimizer struct {
 	cat     *hardware.Catalog
 	lib     *agents.Library
 	store   *profiles.Store
 	cpuType hardware.CPUType
 
-	// implsByCap / profsByImpl memoize the library's and store's defensive
-	// copies per generation: enumerate runs once per capability per planned
-	// job, and re-cloning the implementation list and profile slices on every
-	// search dominated its allocations.
-	implsByCap  map[string][]*agents.Implementation
-	implsGen    int
-	profsByImpl map[string][]profiles.Profile
-	profsGen    int
-	// enumBuf / pruneBuf are reused across decide calls: candidates are
-	// consumed (picked from) before the next capability's enumeration, so the
-	// backing arrays amortize to zero allocation per plan. Sized by
-	// implementations × profiles × parallelism ladder × execution paths.
-	enumBuf  []candidate
-	pruneBuf []candidate
-	// Per-plan arena scratch, reset (not reallocated) at every Plan call so
-	// the buffers survive across stages and re-plans: demand accumulation,
-	// the availability GPU map, and the parallelism/paths ladders inside
-	// enumerate.
+	// profsByCap memoizes, per capability, every profile the search walks —
+	// the library's implementations in name order, each one's profiles in the
+	// store's config order — with the profile's price and power beside it. It
+	// is dropped when the library or store generation moves.
+	profsByCap map[string][]pricedProfile
+	implsGen   int
+	profsGen   int
+	// Per-plan arena scratch, reset (not reallocated) at every Plan call:
+	// demand accumulation and the availability GPU map.
 	demandBuf []capDemand
-	demandIdx map[string]int
 	availGPUs map[hardware.GPUType]int
-	ladderBuf []int
-	pathsBuf  []int
+}
+
+// pricedProfile is a profile (in the memo's own copy of the store's list)
+// with the two constants every estimate under it multiplies by: the config's
+// hourly price and the execution's attributable power, both functions of the
+// profile and the immutable catalog.
+type pricedProfile struct {
+	*profiles.Profile
+	hourlyUSD, powerW float64
 }
 
 // New creates an optimizer.
@@ -209,33 +220,26 @@ func (o *Optimizer) Clone() *Optimizer {
 	return New(o.cat, o.lib, o.store, o.cpuType)
 }
 
-// implementations returns the library's implementations for a capability,
-// memoized per library generation.
-func (o *Optimizer) implementations(capability string) []*agents.Implementation {
-	if o.implsByCap == nil || o.implsGen != o.lib.Gen() {
-		o.implsByCap = make(map[string][]*agents.Implementation, 8)
-		o.implsGen = o.lib.Gen()
+// profilesFor returns the profiles a search for capability walks, in search
+// order, memoized per library and store generation.
+func (o *Optimizer) profilesFor(capability string) []pricedProfile {
+	if o.profsByCap == nil || o.implsGen != o.lib.Gen() || o.profsGen != o.store.Gen() {
+		o.profsByCap = make(map[string][]pricedProfile, 8)
+		o.implsGen, o.profsGen = o.lib.Gen(), o.store.Gen()
 	}
-	if impls, ok := o.implsByCap[capability]; ok {
-		return impls
+	profs, ok := o.profsByCap[capability]
+	if !ok {
+		for _, im := range o.lib.Implementations(agents.Capability(capability)) {
+			// The memo keeps the store's defensive copy: entries point into it.
+			ps := o.store.ForImplementation(im.Name)
+			for i := range ps {
+				if p := &ps[i]; p.Capability == capability {
+					profs = append(profs, pricedProfile{p, p.Config.HourlyUSD(o.cat, o.cpuType), p.PowerW(o.cat, o.cpuType)})
+				}
+			}
+		}
+		o.profsByCap[capability] = profs
 	}
-	impls := o.lib.Implementations(agents.Capability(capability))
-	o.implsByCap[capability] = impls
-	return impls
-}
-
-// profilesFor returns the store's profiles for an implementation, memoized
-// per store generation.
-func (o *Optimizer) profilesFor(impl string) []profiles.Profile {
-	if o.profsByImpl == nil || o.profsGen != o.store.Gen() {
-		o.profsByImpl = make(map[string][]profiles.Profile, 16)
-		o.profsGen = o.store.Gen()
-	}
-	if profs, ok := o.profsByImpl[impl]; ok {
-		return profs
-	}
-	profs := o.store.ForImplementation(impl)
-	o.profsByImpl[impl] = profs
 	return profs
 }
 
@@ -259,14 +263,17 @@ func (o *Optimizer) Plan(g *dag.Graph, snap cluster.Snapshot, opts Options) (*Pl
 	demands := o.demands(g)
 	// Hierarchy: LLM capabilities first (their engines reserve GPUs), then
 	// by descending total work.
-	sort.SliceStable(demands, func(i, j int) bool {
-		if demands[i].isLLM != demands[j].isLLM {
-			return demands[i].isLLM
+	slices.SortStableFunc(demands, func(a, b capDemand) int {
+		if a.isLLM != b.isLLM {
+			if a.isLLM {
+				return -1
+			}
+			return 1
 		}
-		if demands[i].totalWork != demands[j].totalWork {
-			return demands[i].totalWork > demands[j].totalWork
+		if c := cmp.Compare(b.totalWork, a.totalWork); c != 0 {
+			return c
 		}
-		return demands[i].capability < demands[j].capability
+		return strings.Compare(a.capability, b.capability)
 	})
 
 	if o.availGPUs == nil {
@@ -281,8 +288,10 @@ func (o *Optimizer) Plan(g *dag.Graph, snap cluster.Snapshot, opts Options) (*Pl
 		avail.gpus[t] = n
 	}
 
-	plan := &Plan{Constraint: opts.Constraint, Decisions: map[string]Decision{}}
-	for _, d := range demands {
+	plan := &Plan{Constraint: opts.Constraint, Decisions: make(map[string]Decision, len(demands))}
+	totalWork, weighted := 0.0, 0.0 // work-weighted quality
+	for i := range demands {
+		d := &demands[i]
 		dec, err := o.decide(d, avail, opts)
 		if err != nil {
 			return nil, err
@@ -295,12 +304,6 @@ func (o *Optimizer) Plan(g *dag.Graph, snap cluster.Snapshot, opts Options) (*Pl
 		plan.EstCostUSD += dec.EstCostUSD
 		plan.EstEnergyJ += dec.EstEnergyJ
 		plan.EstLatencyS += dec.EstLatencyS
-	}
-
-	// Work-weighted quality.
-	totalWork, weighted := 0.0, 0.0
-	for _, d := range demands {
-		dec := plan.Decisions[d.capability]
 		totalWork += d.totalWork
 		weighted += d.totalWork * dec.Quality
 	}
@@ -310,26 +313,21 @@ func (o *Optimizer) Plan(g *dag.Graph, snap cluster.Snapshot, opts Options) (*Pl
 	return plan, nil
 }
 
-// demands summarizes per-capability task demand. The returned slice aliases
-// the optimizer's reusable demand arena; it is valid until the next Plan
-// call. (Plan's subsequent sort fully orders it, so accumulation order does
-// not affect the result.)
+// demands summarizes per-capability task demand, one entry per capability
+// slot of the frozen graph (sorted capability order; Plan's sort then fully
+// orders them). The returned slice aliases the optimizer's reusable demand
+// arena; it is valid until the next Plan call.
 func (o *Optimizer) demands(g *dag.Graph) []capDemand {
-	if o.demandIdx == nil {
-		o.demandIdx = make(map[string]int, 8)
-	}
-	clear(o.demandIdx)
 	llm := agents.LLMCapabilities()
-	out := o.demandBuf[:0]
-	for _, n := range g.Nodes() {
-		i, ok := o.demandIdx[n.Capability]
-		if !ok {
-			i = len(out)
-			o.demandIdx[n.Capability] = i
-			out = append(out, capDemand{capability: n.Capability, isLLM: llm[agents.Capability(n.Capability)]})
-		}
-		out[i].tasks++
-		out[i].totalWork += n.Work
+	out := slices.Grow(o.demandBuf[:0], g.CapSlots())[:g.CapSlots()]
+	for s := range out {
+		c := g.SlotCapability(s)
+		out[s] = capDemand{capability: c, isLLM: llm[agents.Capability(c)]}
+	}
+	for i := range g.Len() {
+		d := &out[g.CapSlot(i)]
+		d.tasks++
+		d.totalWork += g.NodeAt(i).Work
 	}
 	for i := range out {
 		out[i].avgWork = out[i].totalWork / float64(out[i].tasks)
@@ -351,7 +349,8 @@ func (a availability) fits(cfg profiles.ResourceConfig) bool {
 	return cfg.CPUCores <= a.cores
 }
 
-// maxParallel returns how many workers of cfg fit in the availability.
+// maxParallel returns how many workers of cfg fit in the availability (0 for
+// a config that does not fit at all).
 func (a availability) maxParallel(cfg profiles.ResourceConfig) int {
 	k := math.MaxInt32
 	if cfg.GPUs > 0 {
@@ -378,53 +377,38 @@ type candidate struct {
 	quality  float64
 }
 
-func (o *Optimizer) decide(d capDemand, avail availability, opts Options) (Decision, error) {
+func (c *candidate) decision(capability string) Decision {
+	return Decision{
+		Capability:     capability,
+		Implementation: c.impl,
+		Config:         c.cfg,
+		Parallelism:    c.parallel,
+		ExecutionPaths: c.paths,
+		EstLatencyS:    c.latency,
+		EstCostUSD:     c.cost,
+		EstEnergyJ:     c.energy,
+		Quality:        c.quality,
+	}
+}
+
+func (o *Optimizer) decide(d *capDemand, avail availability, opts Options) (Decision, error) {
 	if pin, ok := opts.Pinned[d.capability]; ok {
 		return o.applyPin(d, avail, pin)
 	}
-	cands := o.enumerate(d, avail, opts)
-	if len(cands) == 0 && opts.MinQuality > 0 && opts.RelaxFloor {
+	best, ok := o.search(d, avail, opts, false)
+	if !ok && opts.MinQuality > 0 && opts.RelaxFloor {
 		// No implementation clears the floor: fall back to the best
 		// quality available rather than failing the plan.
-		relaxed := opts
-		relaxed.MinQuality = 0
-		all := o.enumerate(d, avail, relaxed)
-		best := 0.0
-		for _, c := range all {
-			if c.quality > best {
-				best = c.quality
-			}
-		}
-		// In-place filter over the shared enumeration buffer (the write index
-		// never passes the read index).
-		cands = all[:0]
-		for _, c := range all {
-			if c.quality == best {
-				cands = append(cands, c)
-			}
-		}
+		best, ok = o.search(d, avail, opts, true)
 	}
-	if len(cands) == 0 {
+	if !ok {
 		return Decision{}, fmt.Errorf("optimizer: no feasible configuration for capability %q (quality floor %.2f)",
 			d.capability, opts.MinQuality)
 	}
-	o.pruneBuf = prunedominatedInto(o.pruneBuf[:0], cands)
-	cands = o.pruneBuf
-	best := pick(cands, opts.Constraint)
-	return Decision{
-		Capability:     d.capability,
-		Implementation: best.impl,
-		Config:         best.cfg,
-		Parallelism:    best.parallel,
-		ExecutionPaths: best.paths,
-		EstLatencyS:    best.latency,
-		EstCostUSD:     best.cost,
-		EstEnergyJ:     best.energy,
-		Quality:        best.quality,
-	}, nil
+	return best.decision(d.capability), nil
 }
 
-func (o *Optimizer) applyPin(d capDemand, avail availability, pin Pin) (Decision, error) {
+func (o *Optimizer) applyPin(d *capDemand, avail availability, pin Pin) (Decision, error) {
 	prof, ok := o.store.Get(pin.Implementation, pin.Config)
 	if !ok {
 		return Decision{}, fmt.Errorf("optimizer: pinned %s/%v has no profile", pin.Implementation, pin.Config)
@@ -443,142 +427,97 @@ func (o *Optimizer) applyPin(d capDemand, avail availability, pin Pin) (Decision
 			k = 1
 		}
 	}
-	paths := max(pin.ExecutionPaths, 1)
-	c := o.score(d, prof, k, paths)
-	return Decision{
-		Capability:     d.capability,
-		Implementation: pin.Implementation,
-		Config:         pin.Config,
-		Parallelism:    k,
-		ExecutionPaths: paths,
-		Pinned:         true,
-		AllowScaling:   pin.AllowScaling,
-		EstLatencyS:    c.latency,
-		EstCostUSD:     c.cost,
-		EstEnergyJ:     c.energy,
-		Quality:        c.quality,
-	}, nil
+	c := candidate{impl: pin.Implementation, cfg: pin.Config}
+	perTask{
+		latency: prof.LatencyS(d.avgWork),
+		cost:    prof.CostUSD(o.cat, o.cpuType, d.avgWork),
+		energy:  prof.EnergyJ(o.cat, o.cpuType, d.avgWork),
+		quality: prof.Quality,
+	}.stage(&c, d.tasks, k, max(pin.ExecutionPaths, 1))
+	dec := c.decision(d.capability)
+	dec.Pinned, dec.AllowScaling = true, pin.AllowScaling
+	return dec, nil
 }
 
-// enumerate produces scored candidates across implementations, configs,
-// parallelism levels and (under MAX_QUALITY) execution paths. The returned
-// slice aliases the optimizer's reusable enumeration buffer; it is valid
-// until the next enumerate call.
-func (o *Optimizer) enumerate(d capDemand, avail availability, opts Options) []candidate {
-	out := o.enumBuf[:0]
-	for _, im := range o.implementations(d.capability) {
-		for _, prof := range o.profilesFor(im.Name) {
-			if prof.Capability != d.capability || !avail.fits(prof.Config) {
-				continue
-			}
-			if opts.MinQuality > 0 && prof.Quality < opts.MinQuality {
-				continue
-			}
-			maxK := min(d.tasks, avail.maxParallel(prof.Config))
-			if maxK < 1 {
-				continue
-			}
-			// Parallelism ladder: 1, 2, 4, ... maxK (always include maxK).
-			o.ladderBuf = appendParallelLadder(o.ladderBuf[:0], maxK)
-			for _, k := range o.ladderBuf {
-				paths := append(o.pathsBuf[:0], 1)
-				if opts.Constraint == workflow.MaxQuality && opts.MaxPaths > 1 &&
-					d.isLLM {
-					for p := 2; p <= opts.MaxPaths; p *= 2 {
-						paths = append(paths, p)
-					}
-				}
-				o.pathsBuf = paths
-				for _, p := range paths {
-					out = append(out, o.score(d, prof, k, p))
-				}
-			}
-		}
-	}
-	o.enumBuf = out
-	return out
-}
+// perTask is what one task of a demand takes under one profile; a stage's
+// estimates at any parallelism and path count are these scaled.
+type perTask struct{ latency, cost, energy, quality float64 }
 
-func parallelLadder(maxK int) []int { return appendParallelLadder(nil, maxK) }
-
-// appendParallelLadder appends 1, 2, 4, ... maxK (always including maxK) to
-// ks, letting enumerate reuse one ladder buffer across candidates.
-func appendParallelLadder(ks []int, maxK int) []int {
-	for k := 1; k < maxK; k *= 2 {
-		ks = append(ks, k)
-	}
-	return append(ks, maxK)
-}
-
-// score estimates a stage's latency, cost, energy and quality under one
-// candidate. Waves = ceil(tasks/k); each wave costs one per-task profile
+// stage writes into c the estimates of a stage of tasks under k workers and
+// paths execution paths. Waves = ceil(tasks/k); each wave costs one per-task
 // latency. Execution paths multiply per-task cost and energy, add a small
-// synchronization latency overhead, and lift quality as independent
-// attempts: q' = 1-(1-q)^paths.
-func (o *Optimizer) score(d capDemand, prof profiles.Profile, k, paths int) candidate {
-	perTask := prof.LatencyS(d.avgWork)
-	waves := math.Ceil(float64(d.tasks) / float64(k))
-	latency := waves * perTask
-	costPerTask := prof.CostUSD(o.cat, o.cpuType, d.avgWork)
-	energyPerTask := prof.EnergyJ(o.cat, o.cpuType, d.avgWork)
-	quality := prof.Quality
+// synchronization latency overhead, and lift quality as independent attempts:
+// q' = 1-(1-q)^paths. Cost, energy and quality do not depend on k.
+func (t perTask) stage(c *candidate, tasks, k, paths int) {
+	c.parallel, c.paths = k, paths
+	c.latency = math.Ceil(float64(tasks)/float64(k)) * t.latency
+	c.quality = t.quality
 	if paths > 1 {
-		latency *= 1.05 // top-k selection barrier
-		quality = 1 - math.Pow(1-quality, float64(paths))
+		c.latency *= 1.05 // top-k selection barrier
+		c.quality = 1 - math.Pow(1-t.quality, float64(paths))
 	}
-	return candidate{
-		impl:     prof.Implementation,
-		cfg:      prof.Config,
-		parallel: k,
-		paths:    paths,
-		latency:  latency,
-		cost:     costPerTask * float64(d.tasks) * float64(paths),
-		energy:   energyPerTask * float64(d.tasks) * float64(paths),
-		quality:  quality,
-	}
+	c.cost = t.cost * float64(tasks) * float64(paths)
+	c.energy = t.energy * float64(tasks) * float64(paths)
 }
 
-// prunedominated removes candidates strictly dominated on
-// (latency, cost, energy, -quality) — the greedy space reduction of §3.3(c).
-func prunedominated(cands []candidate) []candidate {
-	return prunedominatedInto(nil, cands)
-}
-
-// prunedominatedInto appends the non-dominated candidates to out (which must
-// not alias cands: every element of cands is read for every dominance check).
-func prunedominatedInto(out, cands []candidate) []candidate {
-	for i, c := range cands {
-		dominated := false
-		for j, d := range cands {
-			if i == j {
-				continue
+// search walks every (profile, parallelism, paths) option for d once — the
+// profiles that fit and clear the floor, the parallelism ladder 1, 2, 4, …
+// maxK (always including maxK) and, for an LLM capability under MAX_QUALITY,
+// the paths ladder 1, 2, 4, … MaxPaths — and returns the constraint-optimal
+// one; among equals the first walked wins. Relaxed ignores the floor and
+// ranks by quality before the constraint: the best quality available, then
+// the pick among those. ok is false when nothing is feasible.
+func (o *Optimizer) search(d *capDemand, avail availability, opts Options, relaxed bool) (best candidate, ok bool) {
+	maxPaths := 1
+	if opts.Constraint == workflow.MaxQuality && d.isLLM {
+		maxPaths = opts.MaxPaths
+	}
+	profs := o.profilesFor(d.capability)
+	for i := range profs {
+		p := &profs[i]
+		if !relaxed && opts.MinQuality > 0 && p.Quality < opts.MinQuality {
+			continue
+		}
+		maxK := min(d.tasks, avail.maxParallel(p.Config))
+		if maxK < 1 {
+			continue
+		}
+		// Profile.CostUSD and EnergyJ, with their constants read once.
+		t := perTask{latency: p.LatencyS(d.avgWork), quality: p.Quality}
+		t.cost = p.hourlyUSD * t.latency / 3600
+		t.energy = p.powerW * t.latency
+		cur := candidate{impl: p.Implementation, cfg: p.Config}
+		for k := 1; ; k *= 2 {
+			k = min(k, maxK)
+			for paths := 1; paths <= maxPaths; paths *= 2 {
+				t.stage(&cur, d.tasks, k, paths)
+				var wins bool
+				switch {
+				case relaxed && cur.quality != best.quality:
+					wins = cur.quality > best.quality // 0 until something is kept
+				case !ok:
+					wins = true
+				default:
+					wins = better(&cur, &best, opts.Constraint)
+				}
+				if wins {
+					best, ok = cur, true
+				}
 			}
-			if d.latency <= c.latency && d.cost <= c.cost && d.energy <= c.energy && d.quality >= c.quality &&
-				(d.latency < c.latency || d.cost < c.cost || d.energy < c.energy || d.quality > c.quality) {
-				dominated = true
+			if k == maxK {
 				break
 			}
 		}
-		if !dominated {
-			out = append(out, c)
-		}
 	}
-	return out
+	return best, ok
 }
 
-// pick selects the constraint-optimal candidate with deterministic
-// tie-breaking.
-func pick(cands []candidate, c workflow.Constraint) candidate {
-	best := cands[0]
-	for _, cand := range cands[1:] {
-		if better(cand, best, c) {
-			best = cand
-		}
-	}
-	return best
-}
-
-func better(a, b candidate, c workflow.Constraint) bool {
+// better orders candidates by the constraint's lexicographic key, then by
+// implementation and config string for determinism. A candidate dominated on
+// (latency, cost, energy, -quality) is worse than its dominator under every
+// constraint's key, so the first-best of a walk is the pick of its Pareto
+// front: the prune of §3.3(c) is implied, not performed.
+func better(a, b *candidate, c workflow.Constraint) bool {
 	var ka, kb [4]float64
 	switch c {
 	case workflow.MinCost:
@@ -599,10 +538,13 @@ func better(a, b candidate, c workflow.Constraint) bool {
 			return ka[i] < kb[i]
 		}
 	}
-	// Full tie: prefer the lexicographically smaller impl/config for
-	// determinism.
+	// Full tie: prefer the lexicographically smaller impl/config string.
 	if a.impl != b.impl {
 		return a.impl < b.impl
 	}
-	return a.cfg.String() < b.cfg.String()
+	if a.cfg == b.cfg {
+		return false
+	}
+	var sa, sb [40]byte
+	return bytes.Compare(a.cfg.AppendTo(sa[:0]), b.cfg.AppendTo(sb[:0])) < 0
 }

@@ -168,7 +168,7 @@ func (p *Planner) Decompose(job workflow.Job) (*Result, error) {
 	if err := res.Graph.Freeze(); err != nil {
 		return nil, fmt.Errorf("planner: produced invalid DAG: %w", err)
 	}
-	caps := len(res.Graph.CapabilityWork())
+	caps := res.Graph.CapSlots()
 	res.Trace = append(res.Trace, Step{
 		Thought:     "The task graph is complete.",
 		Action:      "emit DAG",

@@ -44,9 +44,9 @@ func (r ResourceConfig) Validate() error {
 	return nil
 }
 
-// String renders e.g. "2xA100-80GB+32c" / "64c" / "1xH100". It is on the
-// optimizer's enumeration hot path, so it concatenates directly rather than
-// going through fmt.
+// String renders e.g. "2xA100-80GB+32c" / "64c" / "1xH100". It concatenates
+// directly rather than going through fmt; hot paths render into a buffer of
+// their own with AppendTo.
 func (r ResourceConfig) String() string {
 	switch {
 	case r.GPUs > 0 && r.CPUCores > 0:

@@ -119,14 +119,11 @@ func (l *Loop) Hold() *LoopHold {
 	return &LoopHold{l: l}
 }
 
-// Post delivers the held completion: fn is enqueued for the loop goroutine
+// PostTask delivers the held completion: t is enqueued for the loop goroutine
 // even when the loop is already draining (that is the point of the hold), and
 // the hold is released. Safe to call from any goroutine; using a hold twice
 // panics.
-func (h *LoopHold) Post(fn func()) {
-	if fn == nil {
-		panic("sim: LoopHold.Post with nil closure")
-	}
+func (h *LoopHold) PostTask(t Task) {
 	l := h.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -135,9 +132,17 @@ func (h *LoopHold) Post(fn func()) {
 	}
 	h.done = true
 	l.holds--
-	l.inbox = append(l.inbox, funcTask(fn))
+	l.inbox = append(l.inbox, t)
 	l.posted++
 	l.cond.Signal()
+}
+
+// Post is PostTask for a closure.
+func (h *LoopHold) Post(fn func()) {
+	if fn == nil {
+		panic("sim: LoopHold.Post with nil closure")
+	}
+	h.PostTask(funcTask(fn))
 }
 
 // Release abandons the hold without posting. Idempotent after the hold is
