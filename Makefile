@@ -63,9 +63,10 @@ bench-smoke:
 # streams: one BENCH_<scenario>.json per internal/serving scenario (admission,
 # serving, reconfig, faults, overload, cluster — README "The serving
 # scenarios" says what each compares) plus BENCH_engine.json, the raw
-# event-core throughput (timer wheel vs reference heap at several pending
-# depths). The checked-in copies are the first baseline; rerun this target to
-# extend the trajectory when the hot path changes.
+# event-core throughput (the timer wheel at several pending depths; its
+# correctness oracle is the reference engine in internal/sim/oracle_test.go,
+# which is not benchmarked). The checked-in copies are the first baseline;
+# rerun this target to extend the trajectory when the hot path changes.
 bench-json:
 	$(GO) test -bench '^BenchmarkAdmission$$' -benchmem -benchtime 3x -run '^$$' -json . > BENCH_admission.json
 	$(GO) test -bench '^BenchmarkServing$$' -benchmem -benchtime 1x -run '^$$' -json . > BENCH_serving.json

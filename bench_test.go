@@ -223,55 +223,47 @@ func BenchmarkCluster(b *testing.B) {
 	b.ReportMetric(float64(last.Churn.TenantsMoved), "tenants_moved")
 }
 
-// BenchmarkEngine measures the raw event core: a steady-state
-// schedule/cancel/fire mix at several pending-queue depths, on both the
-// timer wheel (default) and the reference binary heap. Each op is one
-// fired event; every firing schedules its replacement and every fourth
-// also cancels a random pending event and replaces it, so the queue holds
-// `depth` live events throughout and ns/op isolates queue maintenance —
-// the cost PR 7's allocation work left on the hot loop.
+// BenchmarkEngine measures the raw event core, the timer wheel: a
+// steady-state schedule/cancel/fire mix at several pending-queue depths.
+// Each op is one fired event; every firing schedules its replacement and
+// every fourth also cancels a random pending event and replaces it, so the
+// queue holds `depth` live events throughout and ns/op isolates queue
+// maintenance. The sub-benchmarks keep their "wheel/" prefix, which
+// bench/baseline.txt rows are keyed by.
 func BenchmarkEngine(b *testing.B) {
-	for _, arm := range []struct {
-		name string
-		heap bool
-	}{{"wheel", false}, {"heap", true}} {
-		for _, depth := range []int{64, 1024, 16384} {
-			b.Run(fmt.Sprintf("%s/depth=%d", arm.name, depth), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(42))
-				e := sim.NewEngine()
-				if arm.heap {
-					e.DisableEventWheel()
-				}
-				e.Reserve(depth + 1)
-				ring := make([]sim.Event, depth)
-				fired := 0
-				var fire func()
-				fire = func() {
-					ring[fired%depth] = *e.After(sim.Duration(rng.Float64()*2), fire)
-					fired++
-					if fired%4 == 0 {
-						// Ring slots can hold handles on already-fired events
-						// (whose records other events have since been given);
-						// Cancel is then a no-op returning false, and only a
-						// real cancel schedules the compensating replacement
-						// that keeps the live count at depth.
-						if ring[rng.Intn(depth)].Cancel() {
-							ring[rng.Intn(depth)] = *e.After(sim.Duration(rng.Float64()*2), fire)
-						}
+	for _, depth := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("wheel/depth=%d", depth), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			e := sim.NewEngine()
+			e.Reserve(depth + 1)
+			ring := make([]sim.Event, depth)
+			fired := 0
+			var fire func()
+			fire = func() {
+				ring[fired%depth] = *e.After(sim.Duration(rng.Float64()*2), fire)
+				fired++
+				if fired%4 == 0 {
+					// Ring slots can hold handles on already-fired events
+					// (whose records other events have since been given);
+					// Cancel is then a no-op returning false, and only a
+					// real cancel schedules the compensating replacement
+					// that keeps the live count at depth.
+					if ring[rng.Intn(depth)].Cancel() {
+						ring[rng.Intn(depth)] = *e.After(sim.Duration(rng.Float64()*2), fire)
 					}
 				}
-				for i := range ring {
-					ring[i] = *e.After(sim.Duration(rng.Float64()*2), fire)
+			}
+			for i := range ring {
+				ring[i] = *e.After(sim.Duration(rng.Float64()*2), fire)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !e.Step() {
+					b.Fatal("event queue ran dry")
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !e.Step() {
-						b.Fatal("event queue ran dry")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

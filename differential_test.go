@@ -3,226 +3,103 @@ package repro
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-// TestAllocReuseDifferential is the bit-identical contract behind this
-// repo's allocation-reuse fast paths (key interning, sim event slabs, the
-// runtime's worker and LLM-task scratch pools): the same seeded workloads
-// run with every fast path force-disabled and again with them enabled, and
-// the full result structures — per-job reports, traces, and the paper's
-// headline metrics — must serialize to the same bytes. Reuse is allowed to
-// change where memory comes from, never what the simulation computes.
-func TestAllocReuseDifferential(t *testing.T) {
-	runAll := func() map[string][]byte {
-		out := map[string][]byte{}
-		mustJSON := func(name string, v interface{}, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			b, jerr := json.Marshal(v)
-			if jerr != nil {
-				t.Fatalf("%s: marshal: %v", name, jerr)
-			}
-			out[name] = b
-		}
-		f3, err := experiments.Figure3()
-		mustJSON("figure3", f3, err)
-		out["speedup_x"] = []byte(fmt.Sprintf("%.3f", f3.Speedup()))
-		t2, err := experiments.Table2()
-		mustJSON("table2", t2, err)
-		out["energy_gain_x"] = []byte(fmt.Sprintf("%.3f", t2.EnergyEfficiencyGain))
-		t1, err := experiments.Table1()
-		mustJSON("table1", t1, err)
-		out["mismatches"] = []byte(fmt.Sprintf("%d", len(t1.Check())))
-		mt, err := experiments.MultiTenant()
-		mustJSON("multitenant", mt, err)
-		out["multiplex_gain_x"] = []byte(fmt.Sprintf("%.3f", mt.MultiplexGain))
-		return out
-	}
-
-	if core.DisableAllocReuse {
-		t.Fatal("DisableAllocReuse already set; differential reference would not be a reference")
-	}
-	core.DisableAllocReuse = true
-	reference := runAll()
-	core.DisableAllocReuse = false
-	reused := runAll()
-
-	for name, want := range reference {
-		got, ok := reused[name]
-		if !ok {
-			t.Fatalf("%s missing from reuse-enabled run", name)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s diverged with allocation reuse enabled:\n  disabled: %s\n  enabled:  %s",
-				name, truncated(want), truncated(got))
-		}
-	}
-
-	// The headline paper metrics are deterministic simulated-time outputs;
-	// pin them so a "bit-identical both ways" regression that shifts both
-	// arms together still trips the test.
-	for name, want := range map[string]string{
-		"speedup_x":        "4.516",
-		"energy_gain_x":    "3.469",
-		"mismatches":       "0",
-		"multiplex_gain_x": "1.629",
-	} {
-		if got := string(reused[name]); got != want {
-			t.Errorf("%s = %s, want %s", name, got, want)
-		}
-	}
-}
-
-// TestEventWheelDifferential is the same contract for the event core: the
-// hierarchical timer wheel is a drop-in replacement for the binary heap,
-// and the seeded workloads must serialize to the same bytes on both arms.
-// The wheel is allowed to change how the next event is found, never which
-// event fires next — pop order is (time, sequence) on both arms by
-// construction, and this test is the end-to-end witness.
-func TestEventWheelDifferential(t *testing.T) {
-	runAll := func() map[string][]byte {
-		out := map[string][]byte{}
-		mustJSON := func(name string, v interface{}, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			b, jerr := json.Marshal(v)
-			if jerr != nil {
-				t.Fatalf("%s: marshal: %v", name, jerr)
-			}
-			out[name] = b
-		}
-		f3, err := experiments.Figure3()
-		mustJSON("figure3", f3, err)
-		out["speedup_x"] = []byte(fmt.Sprintf("%.3f", f3.Speedup()))
-		t2, err := experiments.Table2()
-		mustJSON("table2", t2, err)
-		out["energy_gain_x"] = []byte(fmt.Sprintf("%.3f", t2.EnergyEfficiencyGain))
-		t1, err := experiments.Table1()
-		mustJSON("table1", t1, err)
-		out["mismatches"] = []byte(fmt.Sprintf("%d", len(t1.Check())))
-		mt, err := experiments.MultiTenant()
-		mustJSON("multitenant", mt, err)
-		out["multiplex_gain_x"] = []byte(fmt.Sprintf("%.3f", mt.MultiplexGain))
-		return out
-	}
-
-	if sim.DisableEventWheel {
-		t.Fatal("DisableEventWheel already set; differential reference would not be a reference")
-	}
-	sim.DisableEventWheel = true
-	heap := runAll()
-	sim.DisableEventWheel = false
-	wheel := runAll()
-
-	for name, want := range heap {
-		got, ok := wheel[name]
-		if !ok {
-			t.Fatalf("%s missing from wheel-enabled run", name)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s diverged with the timer wheel enabled:\n  heap:  %s\n  wheel: %s",
-				name, truncated(want), truncated(got))
-		}
-	}
-
-	// Pin the paper's headline metrics so a regression that shifts both arms
-	// identically (e.g. a broken tick quantization applied to both) still
-	// fails loudly.
-	for name, want := range map[string]string{
-		"speedup_x":        "4.516",
-		"energy_gain_x":    "3.469",
-		"mismatches":       "0",
-		"multiplex_gain_x": "1.629",
-	} {
-		if got := string(wheel[name]); got != want {
-			t.Errorf("%s = %s, want %s", name, got, want)
-		}
+// neutralSLO is a tier set that constrains nothing: one default class with no
+// latency target, budget, quality floor or queue bound, and a high watermark
+// the pressure signal can never reach, so the overload controller never
+// engages and every rung of the ladder is a no-op.
+func neutralSLO() core.SLOConfig {
+	return core.SLOConfig{
+		Classes:       map[string]core.SLOClass{"neutral": {Name: "neutral"}},
+		DefaultClass:  "neutral",
+		HighWatermark: math.MaxFloat64,
+		LowWatermark:  1,
 	}
 }
 
 // TestSLOTiersOffDifferential is the bit-identical contract for SLO-tiered
-// serving: the SLO hooks threaded through the scheduler's admission hot path
-// (class resolution, budget/queue gates, the overload controller, settle-time
-// attainment) must not change what the simulation computes unless a
-// constraint binds. The seeded paper workloads run once with the machinery
-// absent (the default — EnableSLO never called) and once with core.NeutralSLO
-// installing a constrains-nothing tier set on every scheduler, and the full
-// result structures must serialize to the same bytes.
+// serving: the SLO hooks threaded through the scheduler's admission path
+// (class resolution, budget and queue gates, the overload controller,
+// settle-time attainment) must not change what the simulation computes unless
+// a constraint binds. Twin schedulers replay one seeded multi-tenant trace,
+// one without EnableSLO and one with neutralSLO; every arrival's outcome, every
+// job's report and timeline, and the scheduler's counters must be the same
+// bytes. A third twin whose queue bound binds must differ, so the comparison
+// cannot pass without the trace reaching the hooks.
 func TestSLOTiersOffDifferential(t *testing.T) {
-	runAll := func() map[string][]byte {
-		out := map[string][]byte{}
-		mustJSON := func(name string, v interface{}, err error) {
-			t.Helper()
+	trace, err := workload.PoissonTrace(workload.DefaultMix(), 0.5, 120, 11)
+	if err != nil || len(trace) < 30 {
+		t.Fatalf("trace: %d arrivals, %v", len(trace), err)
+	}
+	replay := func(slo *core.SLOConfig) (string, *core.Scheduler) {
+		tb, err := experiments.NewTestbed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := core.NewScheduler(tb.Engine, tb.Runtime, 2)
+		if slo != nil {
+			s.EnableSLO(*slo)
+		}
+		var log strings.Builder
+		var handles []*core.Handle
+		for i, arr := range trace {
+			tb.Engine.Schedule(sim.Time(arr.AtS), func() {
+				h, err := s.Submit(arr.Tenant, arr.Job, core.SubmitOptions{RelaxFloor: true})
+				if err != nil {
+					fmt.Fprintf(&log, "arrival %d (%s) refused: %v\n", i, arr.Tenant, err)
+					return
+				}
+				handles = append(handles, h)
+			})
+		}
+		tb.Engine.Run()
+		for _, h := range handles {
+			rep, err := json.Marshal(h.Report())
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatal(err)
 			}
-			b, jerr := json.Marshal(v)
-			if jerr != nil {
-				t.Fatalf("%s: marshal: %v", name, jerr)
+			fmt.Fprintf(&log, "job %d %s %v err=%v queue=%v\n%s\n", h.ID(), h.Tenant(), h.Status(), h.Err(), h.QueueDelayS(), rep)
+			if r := h.Report(); r != nil {
+				log.WriteString(r.Timeline(72))
 			}
-			out[name] = b
 		}
-		f3, err := experiments.Figure3()
-		mustJSON("figure3", f3, err)
-		out["speedup_x"] = []byte(fmt.Sprintf("%.3f", f3.Speedup()))
-		t2, err := experiments.Table2()
-		mustJSON("table2", t2, err)
-		out["energy_gain_x"] = []byte(fmt.Sprintf("%.3f", t2.EnergyEfficiencyGain))
-		t1, err := experiments.Table1()
-		mustJSON("table1", t1, err)
-		out["mismatches"] = []byte(fmt.Sprintf("%d", len(t1.Check())))
-		mt, err := experiments.MultiTenant()
-		mustJSON("multitenant", mt, err)
-		out["multiplex_gain_x"] = []byte(fmt.Sprintf("%.3f", mt.MultiplexGain))
-		return out
+		fmt.Fprintf(&log, "stats: %+v\n", s.Stats())
+		return log.String(), s
 	}
 
-	if core.NeutralSLO {
-		t.Fatal("NeutralSLO already set; differential reference would not be a reference")
-	}
-	off := runAll()
-	core.NeutralSLO = true
-	defer func() { core.NeutralSLO = false }()
-	neutral := runAll()
-
-	for name, want := range off {
-		got, ok := neutral[name]
-		if !ok {
-			t.Fatalf("%s missing from neutral-SLO run", name)
+	off, _ := replay(nil)
+	neutral := neutralSLO()
+	on, s := replay(&neutral)
+	if on != off {
+		gl, wl := strings.SplitAfter(on, "\n"), strings.SplitAfter(off, "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs with neutral SLO tiers on\non:  %.400s\noff: %.400s", i+1, gl[i], wl[i])
+			}
 		}
-		if string(got) != string(want) {
-			t.Errorf("%s diverged with neutral SLO tiers enabled:\n  off:     %s\n  neutral: %s",
-				name, truncated(want), truncated(got))
-		}
+		t.Fatalf("neutral SLO tiers logged %d lines, without them %d", len(gl), len(wl))
+	}
+	admitted := 0
+	for _, ts := range s.SLOTenants() {
+		admitted += ts.Admitted
+	}
+	if st := s.Stats(); admitted != len(trace) || st.Completed != len(trace) {
+		t.Fatalf("the SLO gate admitted %d of %d arrivals, %d completed", admitted, len(trace), st.Completed)
 	}
 
-	// Pin the paper's headline metrics so a regression that shifts both arms
-	// identically still fails loudly.
-	for name, want := range map[string]string{
-		"speedup_x":        "4.516",
-		"energy_gain_x":    "3.469",
-		"mismatches":       "0",
-		"multiplex_gain_x": "1.629",
-	} {
-		if got := string(neutral[name]); got != want {
-			t.Errorf("%s = %s, want %s", name, got, want)
-		}
+	bound := neutralSLO()
+	bound.QueueBound = 1
+	shed, s := replay(&bound)
+	if shed == off || s.Stats().SLOShed == 0 {
+		t.Fatalf("a queue bound of 1 shed %d jobs and changed nothing: the trace never queues", s.Stats().SLOShed)
 	}
-}
-
-func truncated(b []byte) string {
-	const max = 400
-	if len(b) <= max {
-		return string(b)
-	}
-	return string(b[:max]) + "..."
 }

@@ -147,10 +147,21 @@
 // bound or cost budget synchronously with typed errors (shed_overload,
 // budget_exhausted → HTTP 429), so nothing strands. /v1/stats exposes
 // per-tenant attainment and shed/degrade counters, folded monotonically
-// across shard recycles. With -slo off every path is untouched — a
-// differential test proves bit-identical paper metrics — and
-// the overload scenario gates tiered-vs-FIFO goodput (≥ 1.2× at 4×
-// overload), bounded queue depth and zero stranded jobs in CI.
+// across shard recycles. With -slo off every path is untouched, and a tier
+// set that binds nothing changes nothing: TestSLOTiersOffDifferential
+// replays one seeded multi-tenant trace through twin schedulers, with and
+// without EnableSLO, and requires the same bytes. The overload scenario
+// gates tiered-vs-FIFO goodput (≥ 1.2× at 4× overload), bounded queue depth
+// and zero stranded jobs in CI.
+//
+// # One path in production
+//
+// Every reference implementation a fast path is checked against lives in a
+// _test.go file, never behind a flag: the map-based graph
+// (internal/dag/oracle_test.go), the enumerate-prune-pick plan search
+// (internal/optimizer/oracle_test.go), the slice-scanned event queue
+// (internal/sim/oracle_test.go), and core's never-reuse runtime, switched
+// by an unexported variable only core's own test binary can set.
 //
 // # Horizontal scale-out
 //

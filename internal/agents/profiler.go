@@ -84,8 +84,8 @@ func (p *Profiler) ProfileImplementation(im *Implementation, cfg profiles.Resour
 // catalog and library contents match; callers that mutate their view
 // (calibration tests) detach automatically and cannot perturb anyone else.
 //
-// The content key lives in profiles.Shared rather than taking the library
-// directly because profiles must not import agents (agents consumes
+// The content key lives in profiles.Registry.Shared rather than taking the
+// library directly because profiles must not import agents (agents consumes
 // profiles).
 func SharedProfiles(cat *hardware.Catalog, lib *Library) (*profiles.Store, error) {
 	return SharedProfilesIn(nil, cat, lib)

@@ -144,9 +144,6 @@ func New(se *sim.Engine, rt *core.Runtime, maxConcurrent int) *Service {
 	}
 }
 
-// Scheduler exposes the admission layer (for stats).
-func (s *Service) Scheduler() *core.Scheduler { return s.sched }
-
 // Submit enqueues a job for a tenant. Validation errors return immediately;
 // planning/execution errors surface on the ticket.
 func (s *Service) Submit(tenant string, job workflow.Job, opts core.SubmitOptions) (*Ticket, error) {

@@ -252,7 +252,13 @@ func TestConcurrentSubmitCancelRecycleWithPlanSearch(t *testing.T) {
 	if done+canceled != total {
 		t.Fatalf("settled %d done + %d canceled of %d", done, canceled, total)
 	}
+	// A job canceled while its plan search is in flight settles at once; the
+	// search still lands on the shard loop afterwards, and only then leaves
+	// the in-flight gauge.
 	stats := fetchStats(t, srv)
+	for deadline := time.Now().Add(5 * time.Second); stats.PlanSearchInflight != 0 && time.Now().Before(deadline); stats = fetchStats(t, srv) {
+		time.Sleep(time.Millisecond)
+	}
 	if stats.Submitted != total {
 		t.Fatalf("submitted = %d, want %d", stats.Submitted, total)
 	}

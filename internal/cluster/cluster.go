@@ -98,9 +98,6 @@ func (v *VM) FreeGPUs() int {
 	return n
 }
 
-// Preempted reports whether the VM has been taken away (spot eviction).
-func (v *VM) Preempted() bool { return v.preempted }
-
 // CPUUtil returns the VM's CPU utilization series (0..1 across all cores).
 func (v *VM) CPUUtil() *telemetry.StepSeries { return v.cpuUtil }
 

@@ -107,9 +107,6 @@ type EngineHandle struct {
 // GPUs returns the engine's current GPU count.
 func (h *EngineHandle) GPUs() int { return h.Engine.GPUs() }
 
-// Pinned reports whether autoscaling is disabled for this engine.
-func (h *EngineHandle) Pinned() bool { return h.pinned }
-
 // New creates a manager over a cluster.
 func New(se *sim.Engine, cl *cluster.Cluster) *Manager {
 	m := &Manager{
@@ -123,9 +120,6 @@ func New(se *sim.Engine, cl *cluster.Cluster) *Manager {
 	cl.OnPreempt(m.handlePreempt)
 	return m
 }
-
-// Cluster returns the managed cluster.
-func (m *Manager) Cluster() *cluster.Cluster { return m.cl }
 
 // RequestGPUs asynchronously acquires n GPUs of type t, handing them to
 // grantee (with token) when they are held. Requests queue FIFO when capacity

@@ -108,6 +108,3 @@ func (in *Interner) Intern(key []byte) string {
 // Stats reports lifetime hit/miss counters (misses count distinct key
 // materializations, including re-warming after a reset).
 func (in *Interner) Stats() (hits, misses uint64) { return in.hits, in.miss }
-
-// Len reports the number of live canonical keys.
-func (in *Interner) Len() int { return len(in.m) }

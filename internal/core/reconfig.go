@@ -72,9 +72,6 @@ func (s *Scheduler) EnableReconfig(cfg ReconfigConfig) {
 	s.rt.mgr.OnRebalance(func() { s.scheduleReconfig() })
 }
 
-// ReconfigEnabled reports whether the controller is attached.
-func (s *Scheduler) ReconfigEnabled() bool { return s.reconfig != nil }
-
 // scheduleReconfig arranges one evaluation pass at the current simulated
 // instant (deduplicating bursts of triggers).
 func (s *Scheduler) scheduleReconfig() {

@@ -43,7 +43,7 @@ func dropReuseCounters(v any) {
 
 // TestServedJobsAreTheSameFromRecycledBlocks is the serving path's half of
 // TestRecycledBlocksChangeNothing: one single-shard api.Server per arm — the
-// record releasing every settled job's block, against DisableAllocReuse —
+// record releasing every settled job's block, against one built under noReuse —
 // serves the same sequence one job at a time, and every response byte
 // (envelopes, results, timelines, polls) and /v1/stats but for the reuse
 // counters must agree. The sequence mixes ServiceMix traffic with the ledger's
@@ -63,8 +63,8 @@ func TestServedJobsAreTheSameFromRecycledBlocks(t *testing.T) {
 		}
 	}
 	serve := func(reuse bool) (string, int) {
-		core.DisableAllocReuse = !reuse
-		defer func() { core.DisableAllocReuse = false }()
+		core.SetNoReuse(!reuse)
+		defer core.SetNoReuse(false)
 		s, err := api.NewServer(api.PoolConfig{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -105,9 +105,6 @@ func TestServedJobsAreTheSameFromRecycledBlocks(t *testing.T) {
 		}
 		fmt.Fprintf(&log, "== stats\n%s\n", b)
 		return log.String(), int(hits)
-	}
-	if core.DisableAllocReuse {
-		t.Fatal("DisableAllocReuse already set; the reference would not be one")
 	}
 	want, refHits := serve(false)
 	got, hits := serve(true)

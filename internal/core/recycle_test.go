@@ -298,20 +298,17 @@ func endings() []ending {
 }
 
 // TestRecycledBlocksChangeNothing plays every ending on a recycling runtime
-// and on one that never reuses a block (DisableAllocReuse): what the owner
+// and on one that never reuses a block (noReuse): what the owner
 // copies out at JobDone — status, error, attempts, the report, the decisions,
 // a hash of every span, the rendered timeline — and the scheduler's counters
 // must be the same bytes. On the recycling arm a clean completion's block is
 // parked and every other ending's is not; the reference arm parks nothing.
 func TestRecycledBlocksChangeNothing(t *testing.T) {
-	if DisableAllocReuse {
-		t.Fatal("DisableAllocReuse already set; the reference would not be one")
-	}
 	for _, e := range endings() {
 		t.Run(e.name, func(t *testing.T) {
 			play := func(reuse bool) (string, *Scheduler, map[string]bool, int) {
-				DisableAllocReuse = !reuse
-				defer func() { DisableAllocReuse = false }()
+				noReuse = !reuse
+				defer func() { noReuse = false }()
 				var log strings.Builder
 				parked, blocks := map[string]bool{}, map[*Execution]bool{}
 				s := e.run(t, func(s *Scheduler, name, tenant string, job workflow.Job) *Handle {

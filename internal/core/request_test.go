@@ -82,14 +82,14 @@ func requestScenarios(t *testing.T, g *grantLog, rt *Runtime) {
 // an llmsim.Request goes back to the runtime in its own completion callback
 // and the next call takes it. That is only sound if nothing reads a request
 // after its callback — so the scenarios run on a recycling runtime and on one
-// that never reuses a record (DisableAllocReuse), and must log the same bytes;
+// that never reuses a record (noReuse), and must log the same bytes;
 // and it is only worth having if records really do come back — so a second
 // pass over the scenarios must be served entirely by the first pass's records,
 // every one of which must be home again at the end.
 func TestCompletedRequestsAreReused(t *testing.T) {
 	run := func(reuse bool) (log [2]string, rt *Runtime, firstPass map[*llmsim.Request]bool) {
-		DisableAllocReuse = !reuse
-		defer func() { DisableAllocReuse = false }()
+		noReuse = !reuse
+		defer func() { noReuse = false }()
 		_, _, rt = newRuntime(t)
 		rt.recovery = &recoveryState{policy: FaultPolicy{Seed: 5}.withDefaults()}
 		for pass := range log {
@@ -104,9 +104,6 @@ func TestCompletedRequestsAreReused(t *testing.T) {
 			}
 		}
 		return log, rt, firstPass
-	}
-	if DisableAllocReuse {
-		t.Fatal("DisableAllocReuse already set; the reference would not be one")
 	}
 	want, ref, _ := run(false)
 	got, rt, firstPass := run(true)

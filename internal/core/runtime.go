@@ -95,7 +95,7 @@ type Runtime struct {
 
 	// keyBuf is the reusable scratch every cache key and report label is
 	// rendered into; keys interns the strings that must outlive the render
-	// (nil when DisableAllocReuse, in which case each is a fresh copy).
+	// (nil when noReuse, in which case each is a fresh copy).
 	// sortBuf is the reusable scratch for the string sets that are rendered
 	// in sorted order (a job key's attribute names). capSnap is the
 	// capacity class — the cluster's totals — and capKey its part of the plan
@@ -113,7 +113,7 @@ type Runtime struct {
 	// dispatch paths (pool workers and LLM top-k barrier state). Stages are
 	// per-execution, so pooling at the runtime level is what lets a
 	// long-lived serving shard reach steady-state zero allocation across
-	// jobs. Engine-goroutine-only; disabled by DisableAllocReuse.
+	// jobs. Engine-goroutine-only; disabled by noReuse.
 	workerPool  []*worker
 	llmTaskPool []*llmTask
 	// reqFree holds the LLM request records whose calls have completed: the
@@ -126,7 +126,7 @@ type Runtime struct {
 	// job does not pay for 64. The runtime owns them, not the engine: a
 	// serving engine is released when the last job holding it finishes, so
 	// engine-owned records cost every small job a whole block (+8 kB per
-	// engine per job, measured). Nothing is reused under DisableAllocReuse.
+	// engine per job, measured). Nothing is reused under noReuse.
 	reqFree  []*llmsim.Request
 	reqSlab  []llmsim.Request
 	reqBlock int
@@ -143,7 +143,7 @@ type Runtime struct {
 }
 
 // ScratchPoolStats reports the runtime's scratch-pool (worker + LLM-task)
-// lifetime reuse counters. Hits stay zero when DisableAllocReuse is set
+// lifetime reuse counters. Hits stay zero when noReuse is set
 // (every acquisition is then a fresh allocation, counted as a miss).
 func (rt *Runtime) ScratchPoolStats() (hits, misses uint64) {
 	return rt.scratchHits, rt.scratchMisses
@@ -175,7 +175,7 @@ func (rt *Runtime) newRequest() *llmsim.Request {
 // releaseRequest takes back the record of a call that has completed. Only a
 // request's own OnComplete may call it, once it has read what it needs of r.
 func (rt *Runtime) releaseRequest(r *llmsim.Request) {
-	if DisableAllocReuse || len(rt.reqFree) == poolCap {
+	if noReuse || len(rt.reqFree) == poolCap {
 		return
 	}
 	*r = llmsim.Request{}
@@ -187,14 +187,13 @@ func (rt *Runtime) releaseRequest(r *llmsim.Request) {
 // forever).
 const poolCap = 256
 
-// DisableAllocReuse, when set before stacks are constructed, force-disables
-// the allocation-reuse fast paths: runtimes skip key interning (every cache
-// key and report label is a fresh string) and newly-built testbeds allocate
-// sim events individually instead of carving slabs. Outputs are bit-identical
-// either way — the differential test runs the same workload with the flag on
-// and off and compares reports byte for byte; this flag exists only to give
-// that test a reference configuration.
-var DisableAllocReuse bool
+// noReuse, when set before runtimes are constructed, turns off the runtime's
+// allocation-reuse fast paths: key interning (every cache key and report
+// label is a fresh string), the worker and LLM-task scratch pools, the LLM
+// request free list and the parked execution blocks. Outputs are
+// bit-identical either way; only this package's test binary sets it (see
+// export_test.go), to give the reuse differentials their reference.
+var noReuse bool
 
 // New builds a runtime. Profiling the library happens here when no store is
 // supplied.
@@ -234,7 +233,7 @@ func New(cfg Config) (*Runtime, error) {
 		rebalance:   cfg.RebalancePeriod,
 		cpuType:     cfg.CPUType,
 	}
-	if !DisableAllocReuse {
+	if !noReuse {
 		rt.keys = contentkey.NewInterner(0)
 	}
 	return rt, nil
@@ -554,7 +553,7 @@ func sized[T any](s []T, n int) []T {
 // zeroed but for its arrays and method values, the arrays that hold pointers
 // are cleared — and stays done, as a callback that outlived the job would find.
 func (ex *Execution) release() {
-	if DisableAllocReuse || !ex.done || ex.err != nil || ex.unclean || !ex.tracker.Done() {
+	if noReuse || !ex.done || ex.err != nil || ex.unclean || !ex.tracker.Done() {
 		return
 	}
 	for i := range ex.stages {

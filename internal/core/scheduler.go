@@ -114,9 +114,6 @@ func (h *Handle) ID() JobID { return h.id }
 // Tenant returns the submitting tenant.
 func (h *Handle) Tenant() string { return h.tenant }
 
-// Job returns the submitted job.
-func (h *Handle) Job() workflow.Job { return h.job }
-
 // Status returns the current lifecycle state.
 func (h *Handle) Status() JobStatus { return h.status }
 
@@ -347,9 +344,6 @@ func NewScheduler(se *sim.Engine, rt *Runtime, maxConcurrent int) *Scheduler {
 		admitted:      map[string]int{},
 	}
 	s.pumpFn = s.pump
-	if NeutralSLO {
-		s.EnableSLO(NeutralSLOConfig())
-	}
 	return s
 }
 

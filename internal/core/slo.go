@@ -218,27 +218,6 @@ func (c SLOConfig) Validate() error {
 	return nil
 }
 
-// NeutralSLO, when set before schedulers are constructed, enables the SLO
-// machinery on every new scheduler with NeutralSLOConfig — a configuration
-// that constrains nothing. It backs the differential test proving the SLO
-// hooks threaded through the admission hot path are behaviorally inert unless
-// a constraint actually binds (the same contract DisableAllocReuse backs for
-// the allocation fast paths); it is not a serving knob.
-var NeutralSLO bool
-
-// NeutralSLOConfig is the constrains-nothing tier set NeutralSLO installs:
-// one default class with no latency target, budget, quality floor or queue
-// bound, and a high watermark the pressure signal can never reach, so the
-// overload controller never engages and every rung of the ladder is a no-op.
-func NeutralSLOConfig() SLOConfig {
-	return SLOConfig{
-		Classes:       map[string]SLOClass{"neutral": {Name: "neutral"}},
-		DefaultClass:  "neutral",
-		HighWatermark: math.MaxFloat64,
-		LowWatermark:  1,
-	}
-}
-
 // EnableSLO turns on SLO tiers and the overload controller for every job
 // admitted through this scheduler. Call once, before jobs run.
 func (s *Scheduler) EnableSLO(cfg SLOConfig) {
@@ -255,9 +234,6 @@ func (s *Scheduler) EnableSLO(cfg SLOConfig) {
 		tenants: map[string]*tenantSLO{},
 	}
 }
-
-// SLOEnabled reports whether SLO tiers are on.
-func (s *Scheduler) SLOEnabled() bool { return s.slo != nil }
 
 // OverloadActive reports whether the overload controller is currently
 // engaged (always false with SLO tiers disabled).

@@ -171,7 +171,7 @@ type llmTask struct {
 }
 
 func (rt *Runtime) newLLMTask() *llmTask {
-	if n := len(rt.llmTaskPool); n > 0 && !DisableAllocReuse {
+	if n := len(rt.llmTaskPool); n > 0 && !noReuse {
 		t := rt.llmTaskPool[n-1]
 		rt.llmTaskPool[n-1] = nil
 		rt.llmTaskPool = rt.llmTaskPool[:n-1]
@@ -186,7 +186,7 @@ func (rt *Runtime) newLLMTask() *llmTask {
 
 func (rt *Runtime) releaseLLMTask(t *llmTask) {
 	t.st, t.firstErr = nil, nil
-	if !DisableAllocReuse && len(rt.llmTaskPool) < poolCap {
+	if !noReuse && len(rt.llmTaskPool) < poolCap {
 		rt.llmTaskPool = append(rt.llmTaskPool, t)
 	}
 }
@@ -625,7 +625,7 @@ func (w *worker) destroy() {
 	rt := st.ex.rt
 	// A retired worker must not keep its last job alive from the free list.
 	w.st = nil
-	if !DisableAllocReuse && len(rt.workerPool) < poolCap {
+	if !noReuse && len(rt.workerPool) < poolCap {
 		rt.workerPool = append(rt.workerPool, w)
 	}
 }

@@ -54,22 +54,18 @@ func runLoadPoint(rate, horizonS float64, seed int64) (LoadPoint, error) {
 	if err != nil {
 		return LoadPoint{}, err
 	}
-	// The whole arrival trace is scheduled as one batch: a single heap-fix
-	// pass instead of per-arrival sift-ups, with firing order identical to
-	// sequential Schedule calls (the queue pops in strict (time, seq) order).
+	// The whole arrival trace is scheduled up front, in trace order; ties
+	// fire in scheduling order.
 	tickets := make([]*aiwaas.Ticket, 0, len(trace))
-	items := make([]sim.BatchItem, 0, len(trace))
 	for _, arr := range trace {
-		arr := arr
-		items = append(items, sim.BatchItem{At: sim.Time(arr.AtS), Fn: func() {
+		tb.Engine.Schedule(sim.Time(arr.AtS), func() {
 			tk, err := svc.Submit(arr.Tenant, arr.Job, core.SubmitOptions{RelaxFloor: true})
 			if err != nil {
 				panic(err) // generator only emits valid jobs
 			}
 			tickets = append(tickets, tk)
-		}})
+		})
 	}
-	tb.Engine.ScheduleBatch(items)
 	tb.Engine.Run()
 
 	pt := LoadPoint{RateJobsPerS: rate, Jobs: len(trace)}

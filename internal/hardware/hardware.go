@@ -156,12 +156,6 @@ func (c *Catalog) validateVM(v VMSKU) {
 	}
 }
 
-// GPU returns the spec for a GPU type; ok is false if absent.
-func (c *Catalog) GPU(t GPUType) (GPUSpec, bool) {
-	g, ok := c.gpus[t]
-	return g, ok
-}
-
 // MustGPU returns the spec for a GPU type, panicking if absent. Use when the
 // type came from the catalog itself.
 func (c *Catalog) MustGPU(t GPUType) GPUSpec {
@@ -170,12 +164,6 @@ func (c *Catalog) MustGPU(t GPUType) GPUSpec {
 		panic(fmt.Sprintf("hardware: unknown GPU type %q", t))
 	}
 	return g
-}
-
-// CPU returns the spec for a CPU type; ok is false if absent.
-func (c *Catalog) CPU(t CPUType) (CPUSpec, bool) {
-	p, ok := c.cpus[t]
-	return p, ok
 }
 
 // MustCPU returns the spec for a CPU type, panicking if absent.

@@ -151,8 +151,6 @@ type Engine struct {
 
 	// Stats.
 	completed      int
-	failed         int
-	crashes        int
 	tokensServed   float64
 	busyIntegral   float64 // ∫ utilization dt, for mean-utilization stats
 	drainCallbacks []func()
@@ -193,9 +191,6 @@ func (e *Engine) adoptAlloc(alloc *cluster.GPUAlloc) {
 	e.speedup = e.cat.SpeedupVs(gt, e.model.RefGPU)
 	e.lastUpdate = e.engine.Now()
 }
-
-// Model returns the served model spec.
-func (e *Engine) Model() ModelSpec { return e.model }
 
 // GPUs returns the current GPU count.
 func (e *Engine) GPUs() int { return e.gpus }
@@ -455,7 +450,6 @@ func (e *Engine) Crash(reloadS float64) {
 	e.active = e.active[:0]
 	e.kvUsed = 0
 	e.down = true
-	e.crashes++
 	e.nextDone.Cancel()
 	if !e.alloc.Released() {
 		e.alloc.SetIntensity(0)
@@ -473,12 +467,6 @@ func (e *Engine) Crash(reloadS float64) {
 
 // Down reports whether the engine is crashed and reloading.
 func (e *Engine) Down() bool { return e.down }
-
-// Crashes returns the number of injected crashes.
-func (e *Engine) Crashes() int { return e.crashes }
-
-// Failed returns the number of requests failed by injection.
-func (e *Engine) Failed() int { return e.failed }
 
 // FailNext fails one in-flight or queued request with ErrInjected — a
 // transient call error. pick ∈ [0,1) selects the victim over active then
@@ -510,7 +498,6 @@ func (e *Engine) FailNext(pick float64) bool {
 		r = e.queue[qi]
 		e.queue = append(e.queue[:qi], e.queue[qi+1:]...)
 	}
-	e.failed++
 	r.Err = ErrInjected
 	e.complete(r)
 	e.admit()

@@ -270,22 +270,3 @@ func (s *Store) Len() int {
 	}
 	return n
 }
-
-// Shared memoizes store construction under a content key, implementing the
-// paper's §3.3(a) amortization: profiling runs once per distinct
-// (catalog, library) content and every later caller — each experiment, each
-// load point, each testbed — receives a copy-on-write view of the same
-// master in O(1). The key must capture everything the builder reads (use
-// the catalog/library fingerprints); the builder runs at most once per key.
-//
-// The registry itself is mutex-guarded; the build function runs while the
-// lock is held, so it must not call Shared recursively. Note that callers
-// typically derive the key from Library/Catalog fingerprints, and those
-// types (like the rest of the simulation) are not goroutine-safe — share a
-// Library across goroutines only with external synchronization.
-//
-// Shared delegates to the process-wide DefaultRegistry; cluster nodes that
-// need isolated, replicable profile state hold their own Registry instead.
-func Shared(key string, build func() (*Store, error)) (*Store, error) {
-	return defaultRegistry.Shared(key, build)
-}

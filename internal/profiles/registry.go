@@ -5,13 +5,12 @@ import (
 	"sync"
 )
 
-// Registry is a content-keyed collection of memoized profile stores. The
-// process-wide Shared function delegates to a default Registry; cluster
-// nodes own one Registry each so that profile state can replicate between
-// nodes explicitly (as generation deltas) instead of leaking through a
-// global. A Registry is goroutine-safe; the build function passed to Shared
-// runs while the registry lock is held and must not call back into the same
-// Registry.
+// Registry is a content-keyed collection of memoized profile stores.
+// Single-process callers share DefaultRegistry; cluster nodes own one
+// Registry each so that profile state can replicate between nodes explicitly
+// (as generation deltas) instead of leaking through a global. A Registry is
+// goroutine-safe; the build function passed to Shared runs while the
+// registry lock is held and must not call back into the same Registry.
 type Registry struct {
 	mu     sync.Mutex
 	stores map[string]*Store
@@ -23,9 +22,15 @@ func NewRegistry() *Registry {
 	return &Registry{stores: make(map[string]*Store)}
 }
 
-// Shared memoizes store construction under a content key (see the
-// package-level Shared for the full contract). The builder runs at most once
-// per key per registry; replicated keys never rebuild.
+// Shared memoizes store construction under a content key, implementing the
+// paper's §3.3(a) amortization: profiling runs once per distinct
+// (catalog, library) content and every later caller — each experiment, each
+// load point, each testbed — receives a copy-on-write view of the same
+// master in O(1). The key must capture everything the builder reads (use
+// the catalog/library fingerprints); the builder runs at most once per key
+// per registry, and replicated keys never rebuild. Those fingerprinted types
+// (like the rest of the simulation) are not goroutine-safe — share a Library
+// across goroutines only with external synchronization.
 func (g *Registry) Shared(key string, build func() (*Store, error)) (*Store, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -60,13 +65,6 @@ func (g *Registry) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of memoized stores.
-func (g *Registry) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.stores)
 }
 
 // ReplicationStats accounts one ReplicateFrom call: how many keys were
@@ -164,9 +162,8 @@ func (s *Store) DiffFrom(base *Store) []Profile {
 	return delta
 }
 
-// defaultRegistry backs the package-level Shared for single-process callers.
 var defaultRegistry = NewRegistry()
 
-// DefaultRegistry returns the process-wide registry that the package-level
-// Shared delegates to.
+// DefaultRegistry returns the process-wide registry single-process callers
+// share.
 func DefaultRegistry() *Registry { return defaultRegistry }

@@ -126,20 +126,6 @@ func (r *Ring) Remove(name string) bool {
 	return true
 }
 
-// Has reports membership.
-func (r *Ring) Has(name string) bool {
-	i := sort.SearchStrings(r.nodes, name)
-	return i < len(r.nodes) && r.nodes[i] == name
-}
-
-// Nodes returns the member names, sorted.
-func (r *Ring) Nodes() []string {
-	return append([]string(nil), r.nodes...)
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // NodeFor maps a tenant to its owning node: the first virtual point
 // clockwise from the tenant's hash. It reports false on an empty ring.
 func (r *Ring) NodeFor(tenant string) (string, bool) {

@@ -453,18 +453,6 @@ func maxShardSimS(ps api.PoolStats) float64 {
 	return max
 }
 
-// NodeNames returns the current member names, sorted.
-func (rt *Router) NodeNames() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]string, 0, len(rt.nodes))
-	for name := range rt.nodes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NodeBuilds returns how many profile builds a node actually ran — zero for
 // a node warmed by replication.
 func (rt *Router) NodeBuilds(name string) (int, bool) {

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -46,17 +45,17 @@ type event struct {
 	// order and, because the engine never issues one twice, the generation a
 	// handle is checked against. Zero while the record is free.
 	seq uint64
-	// tick is the wheel bucket key, tickOf(at), set once at scheduling
-	// (unused by the heap arm).
+	// tick is the wheel bucket key, tickOf(at), set once at scheduling.
 	tick uint64
 	// next links events within one wheel bucket (intrusive, so filing an
-	// event allocates nothing) and free records on the free list; nil on the
-	// heap arm.
+	// event allocates nothing) and free records on the free list.
 	next     *event
-	index    int // heap index (heap arm); <0 once fired or cancelled
 	owner    *Engine
 	fn       func()
 	canceled bool
+	// fired is set as the callback starts: the record is not free yet, but
+	// its event is over.
+	fired bool
 }
 
 // Event is a handle on a scheduled callback: the engine's record and the
@@ -74,7 +73,7 @@ type Event struct {
 // pending returns the record while the handle's event is still queued to
 // fire, nil otherwise.
 func (h Event) pending() *event {
-	if ev := h.rec; ev != nil && ev.seq == h.seq && !ev.canceled && ev.index >= 0 {
+	if ev := h.rec; ev != nil && ev.seq == h.seq && !ev.canceled && !ev.fired {
 		return ev
 	}
 	return nil
@@ -95,32 +94,25 @@ func (h Event) At() Time {
 }
 
 // Cancel prevents the event from firing and releases its callback (and
-// whatever the callback closes over) immediately. On the timer wheel this
-// is O(1): the event is marked dead where it sits, skipped lazily when its
+// whatever the callback closes over) immediately. It is O(1): the event is
+// marked dead where it sits in the timer wheel, skipped lazily when its
 // bucket is reached, and drained eagerly whenever it surfaces at a bucket
 // head; the live-event counter drops right away, so Pending never counts
-// it. On the heap arm (DisableEventWheel) the event is removed from the
-// queue eagerly via its stored heap index. Cancelling an event that
-// already fired or was already cancelled — through however old a handle —
-// is a no-op. Cancel returns true if the event had been pending.
+// it. Cancelling an event that already fired or was already cancelled —
+// through however old a handle — is a no-op. Cancel returns true if the
+// event had been pending.
 func (h Event) Cancel() bool {
 	ev := h.pending()
 	if ev == nil {
 		return false
 	}
-	own := ev.owner
-	if own.noWheel {
-		heap.Remove(&own.queue, ev.index)
-		own.pool.release(ev)
-		return true
-	}
 	// The wheel still links the record: it stays, dead, until the wheel
 	// reaches it and releases it.
 	ev.canceled = true
-	ev.index = -1
 	ev.fn = nil
-	own.wheel.live--
-	own.wheel.cancelsLazy++
+	w := &ev.owner.wheel
+	w.live--
+	w.cancelsLazy++
 	return true
 }
 
@@ -134,10 +126,6 @@ type eventPool struct {
 	// pre-sized slabs, one heap allocation per eventSlabSize of them.
 	slab    []event
 	slabOff int
-	// noSlab allocates each event individually and never reuses one — the
-	// differential tests' reference configuration, proving that neither slab
-	// carving nor recycling changes anything.
-	noSlab bool
 }
 
 // eventSlabSize is the number of events per allocation block.
@@ -145,9 +133,6 @@ const eventSlabSize = 64
 
 // get returns a record for the caller to fill in.
 func (p *eventPool) get() *event {
-	if p.noSlab {
-		return new(event)
-	}
 	if ev := p.free; ev != nil {
 		p.free = ev.next
 		return ev
@@ -166,11 +151,8 @@ func (p *eventPool) get() *event {
 // record makes every handle on it stale (no event has sequence number zero)
 // and drops the callback; then it is free for the next event.
 func (p *eventPool) release(ev *event) {
-	*ev = event{}
-	if !p.noSlab {
-		ev.next = p.free
-		p.free = ev
-	}
+	*ev = event{next: p.free}
+	p.free = ev
 }
 
 // Engine is the discrete-event simulator core. The zero value is not usable;
@@ -190,43 +172,14 @@ type Engine struct {
 	// peakPending records the high-water mark of the pending queue, the
 	// sizing hint a rebuilt engine's Reserve call uses.
 	peakPending int
-
-	// The event queue has two arms. The default is the hierarchical timer
-	// wheel (see wheel.go): O(1) amortized schedule/cancel, pops found by
-	// bitmap scan instead of O(log n) heap comparisons. noWheel switches to
-	// the reference binary-heap queue, kept alive so the differential and
-	// property tests can prove the wheel changes nothing observable.
-	noWheel bool
-	queue   eventQueue // heap arm
-	wheel   wheel      // wheel arm
+	// wheel is the event queue, a hierarchical timer wheel (see wheel.go):
+	// O(1) amortized schedule/cancel, pops found by bitmap scan.
+	wheel wheel
 }
-
-// DisableEventWheel, when set before engines are constructed, routes every
-// NewEngine onto the reference binary-heap event queue instead of the
-// hierarchical timer wheel. Like core.DisableAllocReuse it exists for the
-// differential tests (wheel on vs off must be byte-identical) and as an
-// operational escape hatch; it is not a tuning knob.
-var DisableEventWheel bool
-
-// DisableEventWheel switches this engine onto the heap queue. It must be
-// called before any event is scheduled; the two arms file pending events
-// in incompatible structures.
-func (e *Engine) DisableEventWheel() {
-	if e.seq != 0 {
-		panic("sim: DisableEventWheel after events were scheduled")
-	}
-	e.noWheel = true
-}
-
-// DisableEventSlab makes the engine allocate every event individually and
-// never reuse a record, instead of carving slabs and recycling. Scheduling
-// semantics are unchanged; it exists so the differential test can run a
-// no-reuse reference stack.
-func (e *Engine) DisableEventSlab() { e.pool.noSlab = true }
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
 func NewEngine() *Engine {
-	e := &Engine{noWheel: DisableEventWheel}
+	e := &Engine{}
 	e.wheel.pool = &e.pool
 	return e
 }
@@ -238,45 +191,20 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // WheelEvents returns how many scheduled events were filed into the timer
-// wheel's near-future levels (zero on the heap arm).
+// wheel's near-future levels.
 func (e *Engine) WheelEvents() uint64 { return e.wheel.wheelEvents }
 
 // OverflowEvents returns how many scheduled events were parked in the
-// wheel's far-future overflow heap (zero on the heap arm).
+// wheel's far-future overflow heap.
 func (e *Engine) OverflowEvents() uint64 { return e.wheel.overflowEvents }
 
 // CancelsLazy returns how many cancels were handled as O(1) dead marks to
-// be skipped lazily (zero on the heap arm, which removes eagerly).
+// be skipped lazily.
 func (e *Engine) CancelsLazy() uint64 { return e.wheel.cancelsLazy }
 
 // SetEventLimit makes Run panic after n events; 0 disables the limit.
 // It exists to catch accidental infinite event loops in tests.
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvents = n }
-
-// newEvent takes a record from the pool and numbers it.
-func (e *Engine) newEvent(at Time, fn func()) *event {
-	ev := e.pool.get()
-	e.seq++
-	*ev = event{at: at, seq: e.seq, owner: e, fn: fn}
-	return ev
-}
-
-// enqueue files a freshly created event into whichever queue arm is active
-// and maintains the pending high-water mark.
-func (e *Engine) enqueue(ev *event) {
-	if e.noWheel {
-		heap.Push(&e.queue, ev)
-		if n := len(e.queue); n > e.peakPending {
-			e.peakPending = n
-		}
-		return
-	}
-	ev.tick = tickOf(ev.at)
-	e.wheel.schedule(ev)
-	if e.wheel.live > e.peakPending {
-		e.peakPending = e.wheel.live
-	}
-}
 
 // schedule is Schedule, returning the handle by value.
 func (e *Engine) schedule(at Time, fn func()) Event {
@@ -286,8 +214,13 @@ func (e *Engine) schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	ev := e.newEvent(at, fn)
-	e.enqueue(ev)
+	ev := e.pool.get()
+	e.seq++
+	*ev = event{at: at, seq: e.seq, tick: tickOf(at), owner: e, fn: fn}
+	e.wheel.schedule(ev)
+	if e.wheel.live > e.peakPending {
+		e.peakPending = e.wheel.live
+	}
 	return Event{rec: ev, seq: ev.seq}
 }
 
@@ -315,68 +248,12 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	return &ev
 }
 
-// BatchItem is one (time, callback) entry for ScheduleBatch.
-type BatchItem struct {
-	At Time
-	Fn func()
-}
-
-// ScheduleBatch schedules every item, taking consecutive sequence numbers
-// exactly as if Schedule had been called per item, so firing order is
-// identical to sequential Schedule calls. On the wheel arm each insert is
-// already O(1), so the batch is a plain loop; the heap arm appends all
-// items and restores the heap invariant with a single O(queue) fix-up pass
-// instead of O(batch × log queue) sift-ups. Items fire in slice order at
-// equal times. Past times and nil callbacks panic, as in Schedule.
-func (e *Engine) ScheduleBatch(items []BatchItem) {
-	if len(items) == 0 {
-		return
-	}
-	for _, it := range items {
-		if it.At < e.now {
-			panic(fmt.Sprintf("sim: schedule at %v before now %v", it.At, e.now))
-		}
-		if it.Fn == nil {
-			panic("sim: schedule with nil callback")
-		}
-		ev := e.newEvent(it.At, it.Fn)
-		if e.noWheel {
-			ev.index = len(e.queue)
-			e.queue = append(e.queue, ev)
-			continue
-		}
-		ev.tick = tickOf(ev.at)
-		e.wheel.schedule(ev)
-	}
-	if e.noWheel {
-		heap.Init(&e.queue)
-		if n := len(e.queue); n > e.peakPending {
-			e.peakPending = n
-		}
-		return
-	}
-	if e.wheel.live > e.peakPending {
-		e.peakPending = e.wheel.live
-	}
-}
-
 // Reserve grows the pending-queue capacity to hold at least n events without
 // reallocation — a rebuilt engine pre-sizes from its predecessor's
-// PeakPending so warm-up stops paying growth copies. On the wheel arm this
-// pre-sizes the active-bucket and overflow heaps; wheel buckets grow (and
-// keep) their backing arrays on demand.
-func (e *Engine) Reserve(n int) {
-	if e.noWheel {
-		if cap(e.queue) >= n {
-			return
-		}
-		q := make(eventQueue, len(e.queue), n)
-		copy(q, e.queue)
-		e.queue = q
-		return
-	}
-	e.wheel.reserve(n)
-}
+// PeakPending so warm-up stops paying growth copies. It pre-sizes the
+// wheel's active-bucket and overflow heaps; wheel buckets are linked through
+// the event records and need no storage of their own.
+func (e *Engine) Reserve(n int) { e.wheel.reserve(n) }
 
 // PeakPending returns the high-water mark of the pending event queue.
 func (e *Engine) PeakPending() int { return e.peakPending }
@@ -395,34 +272,19 @@ func (e *Engine) Defer(fn func()) *Event {
 	return &ev
 }
 
-// Pending reports the number of undelivered live events. The wheel arm
-// answers from its live-event counter — cancelled events stop counting the
-// moment Cancel marks them dead, without any queue scan; the heap arm
-// removes cancelled events eagerly, so its queue length is exact too.
-func (e *Engine) Pending() int {
-	if e.noWheel {
-		return e.queue.Len()
-	}
-	return e.wheel.live
-}
+// Pending reports the number of undelivered live events, answered from the
+// wheel's live-event counter: cancelled events stop counting the moment
+// Cancel marks them dead, without any queue scan.
+func (e *Engine) Pending() int { return e.wheel.live }
 
 // step executes the earliest pending event. It returns false when the queue
 // holds no live events.
 func (e *Engine) step() bool {
-	var ev *event
-	if e.noWheel {
-		// The heap arm's Cancel removes events eagerly, so every queued
-		// event is live.
-		if e.queue.Len() > 0 {
-			ev = heap.Pop(&e.queue).(*event)
-		}
-	} else {
-		ev = e.wheel.pop()
-	}
+	ev := e.wheel.pop()
 	if ev == nil {
 		return false
 	}
-	ev.index = -1
+	ev.fired = true
 	if ev.at < e.now {
 		panic("sim: event queue went backwards")
 	}
@@ -463,18 +325,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// nextAt reports the earliest live event's firing time without executing
-// anything.
-func (e *Engine) nextAt() (Time, bool) {
-	if e.noWheel {
-		if e.queue.Len() == 0 {
-			return 0, false
-		}
-		return e.queue[0].at, true
-	}
-	return e.wheel.nextAt()
-}
-
 // RunUntil executes events with firing time ≤ deadline, then advances the
 // clock to exactly deadline (even if no event fired there). Events scheduled
 // beyond the deadline remain queued.
@@ -488,45 +338,11 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.running = true
 	defer func() { e.running = false }()
 	for {
-		at, ok := e.nextAt()
+		at, ok := e.wheel.nextAt()
 		if !ok || at > deadline {
 			break
 		}
 		e.step()
 	}
 	e.now = deadline
-}
-
-// eventQueue is a min-heap ordered by (at, seq): the engine's reference
-// queue arm, selected by DisableEventWheel.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
 }

@@ -52,9 +52,6 @@ func (l *Latch) Done() {
 	}
 }
 
-// Remaining returns the outstanding completion count.
-func (l *Latch) Remaining() int { return l.remaining }
-
 func (l *Latch) fire() {
 	if l.fired {
 		return
@@ -138,17 +135,11 @@ func NewTokens(e *Engine, capacity int) *Tokens {
 	return &Tokens{engine: e, capacity: capacity}
 }
 
-// Capacity returns the total token count.
-func (tk *Tokens) Capacity() int { return tk.capacity }
-
 // InUse returns the number of tokens currently held.
 func (tk *Tokens) InUse() int { return tk.inUse }
 
 // Available returns the number of free tokens.
 func (tk *Tokens) Available() int { return tk.capacity - tk.inUse }
-
-// QueueLen returns the number of parked acquisitions.
-func (tk *Tokens) QueueLen() int { return len(tk.waiters) }
 
 // Resize changes capacity. Shrinking below the in-use count is allowed — the
 // pool simply stops granting until enough tokens are released. Growth drains

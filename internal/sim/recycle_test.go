@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// bothArms runs f on a wheel engine and on a heap engine, both recycling.
-func bothArms(t *testing.T, f func(t *testing.T, e *Engine)) {
-	t.Run("wheel", func(t *testing.T) { f(t, newWheelEngine()) })
-	t.Run("heap", func(t *testing.T) { f(t, newHeapEngine()) })
+// onWheel runs f on a fresh engine as the subtest "wheel", the name these
+// tests have had since a heap arm ran beside it.
+func onWheel(t *testing.T, f func(t *testing.T, e *Engine)) {
+	t.Run("wheel", func(t *testing.T) { f(t, NewEngine()) })
 }
 
 // TestStaleHandleCannotTouchARecycledEvent is the safety half of recycling: a
@@ -46,7 +46,7 @@ func TestStaleHandleCannotTouchARecycledEvent(t *testing.T) {
 	}
 
 	t.Run("cancel after fire", func(t *testing.T) {
-		bothArms(t, func(t *testing.T, e *Engine) {
+		onWheel(t, func(t *testing.T, e *Engine) {
 			h := *e.After(1, func() {})
 			e.Run()
 			over(t, h)
@@ -54,7 +54,7 @@ func TestStaleHandleCannotTouchARecycledEvent(t *testing.T) {
 		})
 	})
 	t.Run("cancel after cancel", func(t *testing.T) {
-		bothArms(t, func(t *testing.T, e *Engine) {
+		onWheel(t, func(t *testing.T, e *Engine) {
 			h := *e.After(1, func() { t.Error("cancelled event fired") })
 			if !h.Cancel() {
 				t.Fatal("Cancel of a pending event returned false")
@@ -69,7 +69,7 @@ func TestStaleHandleCannotTouchARecycledEvent(t *testing.T) {
 		})
 	})
 	t.Run("cancel from the event's own callback", func(t *testing.T) {
-		bothArms(t, func(t *testing.T, e *Engine) {
+		onWheel(t, func(t *testing.T, e *Engine) {
 			var h, inside Event
 			h = *e.After(1, func() {
 				over(t, h)
@@ -98,7 +98,7 @@ func TestStaleHandleCannotTouchARecycledEvent(t *testing.T) {
 // dereferenced on the spot — which also holds the compiler to inlining
 // Schedule / After / Defer (see the comment on them).
 func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
-	bothArms(t, func(t *testing.T, e *Engine) {
+	onWheel(t, func(t *testing.T, e *Engine) {
 		fn := func() {}
 		var kept Event
 		for i := 0; i < 2*eventSlabSize; i++ { // warm: records, heaps
@@ -133,15 +133,15 @@ func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 // answer, Now and Pending after each driving call. Handles are kept for ever,
 // so most cancels go through one whose event is long over — and, on a
 // recycling engine, whose record some later event holds.
-func engineOps(e *Engine, data []byte) []string {
+func engineOps(e queue, data []byte) []string {
 	var log []string
-	var handles []Event
+	var handles []handle
 	id := 0
 	var spawn func(d Duration, chain byte)
 	spawn = func(d Duration, chain byte) {
 		me := id
 		id++
-		handles = append(handles, *e.After(d, func() {
+		handles = append(handles, e.After(d, func() {
 			log = append(log, fmt.Sprintf("fire %d@%v", me, e.Now()))
 			switch chain % 4 {
 			case 1: // fire → reschedule
@@ -189,13 +189,13 @@ func engineOps(e *Engine, data []byte) []string {
 		case 2:
 			me := id
 			id++
-			handles = append(handles, *e.Schedule(e.Now().Add(delay(arg())), func() {
+			handles = append(handles, e.Schedule(e.Now().Add(delay(arg())), func() {
 				log = append(log, fmt.Sprintf("fire %d@%v", me, e.Now()))
 			}))
 		case 3:
 			me := id
 			id++
-			handles = append(handles, *e.Defer(func() { log = append(log, fmt.Sprintf("fire %d@%v", me, e.Now())) }))
+			handles = append(handles, e.Defer(func() { log = append(log, fmt.Sprintf("fire %d@%v", me, e.Now())) }))
 		case 4, 5:
 			if len(handles) > 0 {
 				k := int(arg()) % len(handles)
@@ -249,22 +249,20 @@ func engineOpSeeds() [][]byte {
 }
 
 // FuzzEngineOps runs one decoded operation sequence on the timer wheel with
-// recycled records and on the reference arm — binary heap, every event
-// allocated on its own and never reused — and requires the two logs to be
-// identical: fire order, Now, Pending, and what every Cancel returned,
-// stale handles included.
+// recycled records and on the reference engine (oracle_test.go: a slice
+// scanned for the least (at, seq), every event a record of its own, never
+// reused) and requires the two logs to be identical: fire order, Now,
+// Pending, and what every Cancel returned, stale handles included.
 func FuzzEngineOps(f *testing.F) {
 	for _, seed := range engineOpSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref := newHeapEngine()
-		ref.DisableEventSlab()
-		want := engineOps(ref, data)
-		got := engineOps(newWheelEngine(), data)
+		want := engineOps(newRefEngine(), data)
+		got := engineOps(newWheelQueue(), data)
 		for i := range want {
 			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("diverged at line %d:\nwheel + recycling: %v\nheap, no reuse:    %v", i, tail(got[:min(i+1, len(got))]), tail(want[:i+1]))
+				t.Fatalf("diverged at line %d:\nwheel + recycling: %v\nreference:         %v", i, tail(got[:min(i+1, len(got))]), tail(want[:i+1]))
 			}
 		}
 		if len(got) != len(want) {

@@ -2,13 +2,14 @@ package sim
 
 import "math/bits"
 
-// This file implements the engine's default event queue: a hierarchical
-// timer wheel. The binary heap it replaces (eventQueue, kept alive behind
-// DisableEventWheel) pays O(log n) pointer-chasing comparisons on every
-// push and pop of the hottest loop in the repository; the wheel files
-// near-future events into tick-indexed buckets in O(1) and pops them by
-// scanning occupancy bitmaps, so per-event cost no longer grows with the
-// pending-queue depth.
+// This file implements the engine's event queue: a hierarchical timer
+// wheel. A binary heap over every pending event pays O(log n)
+// pointer-chasing comparisons on every push and pop of the hottest loop in
+// the repository; the wheel files near-future events into tick-indexed
+// buckets in O(1) and pops them by scanning occupancy bitmaps, so per-event
+// cost no longer grows with the pending-queue depth. The reference it is
+// tested against — a slice scanned for the least (at, seq) — lives in
+// oracle_test.go.
 //
 // # Geometry
 //
@@ -29,10 +30,10 @@ import "math/bits"
 //
 // # Determinism
 //
-// The wheel reproduces the heap's pop order bit-for-bit by construction.
+// The wheel pops in global (at, seq) order by construction.
 // A level-0 bucket holds events of exactly one tick; when the cursor
 // reaches it, the bucket is loaded into a small "active" min-heap ordered
-// by (at, seq) — the same key the global heap used — and fired from
+// by (at, seq) — the engine's firing key — and fired from
 // there, so events inside one tick (including same-instant Defer storms,
 // which push into the active heap mid-fire) keep exact (time, sequence)
 // order. Across buckets, order follows from the window invariants: the
@@ -458,8 +459,7 @@ func (w *wheel) nextAt() (Time, bool) {
 }
 
 // reserve pre-sizes the active and overflow heaps from a predecessor
-// engine's high-water mark, the wheel-arm analogue of growing the heap's
-// backing array.
+// engine's high-water mark.
 func (w *wheel) reserve(n int) {
 	if a := min(n, wheelSlots); cap(w.active) < a {
 		act := make(eventHeap, len(w.active), a)

@@ -6,23 +6,6 @@ import (
 	"testing"
 )
 
-// newHeapEngine returns an engine pinned to the reference binary-heap
-// queue, regardless of the package default.
-func newHeapEngine() *Engine {
-	e := NewEngine()
-	if !e.noWheel {
-		e.DisableEventWheel()
-	}
-	return e
-}
-
-// newWheelEngine returns an engine pinned to the timer wheel.
-func newWheelEngine() *Engine {
-	e := NewEngine()
-	e.noWheel = false
-	return e
-}
-
 func TestTickOfMonotone(t *testing.T) {
 	times := []Time{0, 1e-9, 1.0 / tickHz, 2.0 / tickHz, 0.5, 1, 1.0000001,
 		4096, 4097, 1 << 24, 1e12, Time(maxTickFloat / tickHz), Forever}
@@ -42,21 +25,21 @@ func TestTickOfMonotone(t *testing.T) {
 	}
 }
 
-// wheelHarness drives one engine through a scripted random workload and
+// wheelHarness drives one queue through a scripted random workload and
 // records the exact firing sequence. Two harnesses built from the same
-// seed make identical decisions as long as their engines fire events in
+// seed make identical decisions as long as their queues fire events in
 // the same order — any ordering divergence contaminates the RNG stream
 // and shows up as a log mismatch.
 type wheelHarness struct {
-	e       *Engine
+	e       queue
 	rng     *rand.Rand
 	log     []string
-	events  []Event
+	events  []handle
 	created int
 	budget  int
 }
 
-func newWheelHarness(e *Engine, seed int64, budget int) *wheelHarness {
+func newWheelHarness(e queue, seed int64, budget int) *wheelHarness {
 	return &wheelHarness{e: e, rng: rand.New(rand.NewSource(seed)), budget: budget}
 }
 
@@ -81,7 +64,7 @@ func (h *wheelHarness) spawn() {
 	case 9: // beyond tick arithmetic entirely
 		delta = Duration(1e16 * (1 + h.rng.Float64()))
 	}
-	h.events = append(h.events, *h.e.After(delta, func() { h.fire(id) }))
+	h.events = append(h.events, h.e.After(delta, func() { h.fire(id) }))
 }
 
 func (h *wheelHarness) fire(id int) {
@@ -89,8 +72,8 @@ func (h *wheelHarness) fire(id int) {
 	for h.budget > 0 && h.rng.Float64() < 0.55 {
 		h.budget--
 		if h.rng.Intn(4) == 0 && len(h.events) > 0 {
-			// Cancel a random earlier event (often already fired: no-op,
-			// exercised on both arms identically).
+			// Cancel a random earlier event (often already fired: a no-op,
+			// which both queues must answer alike).
 			h.events[h.rng.Intn(len(h.events))].Cancel()
 			continue
 		}
@@ -98,33 +81,29 @@ func (h *wheelHarness) fire(id int) {
 	}
 }
 
-// TestWheelHeapPropertyDifferential is the ordering contract of the PR:
-// for randomized schedule/cancel/re-schedule traces — including
+// TestWheelHeapPropertyDifferential is the ordering contract of the timer
+// wheel: for randomized schedule/cancel/re-schedule traces — including
 // adversarial same-tick Defer storms and far-future events crossing wheel
-// levels into the overflow heap — the wheel and the heap must produce
-// identical (time, seq) pop sequences, identical Pending counts, and
-// identical final clocks, whether driven by Run or by RunUntil slices.
+// levels into the overflow heap — the wheel and the reference engine
+// (oracle_test.go) must produce identical (time, seq) pop sequences,
+// identical Pending counts, and identical final clocks, whether driven by
+// Run or by RunUntil slices.
 func TestWheelHeapPropertyDifferential(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runArm := func(e *Engine) *wheelHarness {
+			runArm := func(e queue) *wheelHarness {
 				h := newWheelHarness(e, seed, 400)
-				// Deterministic seed workload, partly batched so
-				// ScheduleBatch's arm-specific bulk path is covered too.
-				var batch []BatchItem
+				// Deterministic seed workload, partly at absolute times.
 				for i := 0; i < 40; i++ {
 					if i%3 == 0 {
 						id := h.created
 						h.created++
 						at := Time(h.rng.Float64() * 20)
-						batch = append(batch, BatchItem{At: at, Fn: func() { h.fire(id) }})
-						h.events = append(h.events, Event{})
+						h.events = append(h.events, e.Schedule(at, func() { h.fire(id) }))
 						continue
 					}
 					h.spawn()
 				}
-				e.ScheduleBatch(batch)
 				// Drive through RunUntil slices first (peek path), then
 				// drain; cancel a few pending events between slices.
 				for _, deadline := range []Time{0.001, 1, 2.5, 100, 5000} {
@@ -153,18 +132,17 @@ func TestWheelHeapPropertyDifferential(t *testing.T) {
 				return h
 			}
 
-			heapArm := runArm(newHeapEngine())
-			wheelArm := runArm(newWheelEngine())
+			ref := runArm(newRefEngine())
+			wheel := runArm(newWheelQueue())
 
-			if len(heapArm.log) != len(wheelArm.log) {
-				t.Fatalf("log lengths diverged: heap %d, wheel %d\nheap tail: %v\nwheel tail: %v",
-					len(heapArm.log), len(wheelArm.log),
-					tail(heapArm.log), tail(wheelArm.log))
+			if len(ref.log) != len(wheel.log) {
+				t.Fatalf("log lengths diverged: reference %d, wheel %d\nreference tail: %v\nwheel tail: %v",
+					len(ref.log), len(wheel.log), tail(ref.log), tail(wheel.log))
 			}
-			for i := range heapArm.log {
-				if heapArm.log[i] != wheelArm.log[i] {
-					t.Fatalf("pop sequence diverged at %d: heap %q, wheel %q",
-						i, heapArm.log[i], wheelArm.log[i])
+			for i := range ref.log {
+				if ref.log[i] != wheel.log[i] {
+					t.Fatalf("pop sequence diverged at %d: reference %q, wheel %q",
+						i, ref.log[i], wheel.log[i])
 				}
 			}
 		})
@@ -180,9 +158,10 @@ func tail(s []string) []string {
 
 // TestWheelDeferStormSingleTick pins the adversarial case the active
 // bucket exists for: a cascade of Defers and sub-tick schedules landing
-// at one instant must fire strictly in scheduling order on both arms.
+// at one instant must fire strictly in scheduling order, on the wheel as
+// on the reference.
 func TestWheelDeferStormSingleTick(t *testing.T) {
-	for _, mk := range []func() *Engine{newWheelEngine, newHeapEngine} {
+	for _, mk := range []func() queue{newWheelQueue, newRefEngine} {
 		e := mk()
 		var order []int
 		n := 0
@@ -198,15 +177,15 @@ func TestWheelDeferStormSingleTick(t *testing.T) {
 		e.Schedule(1, storm)
 		e.Run()
 		if len(order) != 500 {
-			t.Fatalf("fired %d, want 500", len(order))
+			t.Fatalf("%T: fired %d, want 500", e, len(order))
 		}
 		for i, v := range order {
 			if v != i {
-				t.Fatalf("defer storm fired out of order at %d: %v", i, order[:i+1])
+				t.Fatalf("%T: defer storm fired out of order at %d: %v", e, i, order[:i+1])
 			}
 		}
 		if e.Now() != 1 {
-			t.Fatalf("defer storm moved the clock to %v", e.Now())
+			t.Fatalf("%T: defer storm moved the clock to %v", e, e.Now())
 		}
 	}
 }
@@ -215,7 +194,7 @@ func TestWheelDeferStormSingleTick(t *testing.T) {
 // and the overflow heap, then checks global firing order and that the
 // far-future events really took the overflow route.
 func TestWheelCrossLevelCascade(t *testing.T) {
-	e := newWheelEngine()
+	e := NewEngine()
 	deltas := []Duration{
 		1e-4,    // level 0
 		0.5,     // level 1
@@ -226,7 +205,6 @@ func TestWheelCrossLevelCascade(t *testing.T) {
 	}
 	var fired []Duration
 	for _, d := range deltas {
-		d := d
 		e.After(d, func() { fired = append(fired, d) })
 	}
 	if e.OverflowEvents() != 2 {
@@ -250,7 +228,7 @@ func TestWheelCrossLevelCascade(t *testing.T) {
 // drops immediately, CancelsLazy counts the dead marks, and an all-dead
 // bucket is drained at the head without firing anything.
 func TestWheelLazyCancelCounters(t *testing.T) {
-	e := newWheelEngine()
+	e := NewEngine()
 	var evs []Event
 	for i := 0; i < 64; i++ {
 		evs = append(evs, *e.Schedule(Time(1+i), func() { t.Error("cancelled event fired") }))
@@ -282,7 +260,7 @@ func TestWheelLazyCancelCounters(t *testing.T) {
 // anchors, so scheduling near-past-the-deadline events afterwards still
 // files them correctly ahead of the far event.
 func TestWheelRunUntilPeekDoesNotReanchor(t *testing.T) {
-	e := newWheelEngine()
+	e := NewEngine()
 	var fired []string
 	e.After(9000, func() { fired = append(fired, "far") }) // overflow range
 	e.RunUntil(10)                                         // peeks at the far event, fires nothing
@@ -304,14 +282,13 @@ func TestWheelRunUntilPeekDoesNotReanchor(t *testing.T) {
 // advanced, and the next insert near now indexed below its level's window.
 func TestWheelCancelOnlyDrainKeepsAnchors(t *testing.T) {
 	for _, far := range []Duration{0.5, 100, 9000} { // level 1, level 2, overflow
-		e := newWheelEngine()
+		e := NewEngine()
 		e.After(far, func() { t.Error("cancelled event fired") }).Cancel()
 		if e.Step() {
 			t.Fatalf("far=%v: Step fired something in an all-dead queue", far)
 		}
 		var fired []Duration
 		for _, d := range []Duration{far, 0.001, 0} {
-			d := d
 			e.After(d, func() { fired = append(fired, d) })
 		}
 		e.Run()
@@ -325,9 +302,10 @@ func TestWheelCancelOnlyDrainKeepsAnchors(t *testing.T) {
 }
 
 // TestWheelSentinelTimes exercises events beyond tick arithmetic (near
-// Forever): they must fire last, in (time, seq) order, on both arms.
+// Forever): they must fire last, in (time, seq) order, on the wheel as on
+// the reference.
 func TestWheelSentinelTimes(t *testing.T) {
-	for _, mk := range []func() *Engine{newWheelEngine, newHeapEngine} {
+	for _, mk := range []func() queue{newWheelQueue, newRefEngine} {
 		e := mk()
 		var fired []string
 		e.Schedule(Time(3e15), func() {
@@ -342,7 +320,7 @@ func TestWheelSentinelTimes(t *testing.T) {
 		e.Run()
 		want := "[near a b c d]"
 		if fmt.Sprint(fired) != want {
-			t.Fatalf("sentinel order %v, want %v", fired, want)
+			t.Fatalf("%T: sentinel order %v, want %v", e, fired, want)
 		}
 	}
 }
@@ -351,7 +329,7 @@ func TestWheelSentinelTimes(t *testing.T) {
 // queue holding only dead events must report Pending()==0 (so Close can
 // drain) while still releasing the dead buckets on the next step.
 func TestWheelPendingDrainInteraction(t *testing.T) {
-	e := newWheelEngine()
+	e := NewEngine()
 	ev := e.Schedule(50, func() {})
 	ev.Cancel()
 	if e.Pending() != 0 {
