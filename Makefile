@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race stress allocs fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
+.PHONY: all build test race stress allocs coverage fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
 
 all: vet build test
 
@@ -38,6 +38,14 @@ stress:
 # the same line.
 allocs:
 	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab|SearchQueueDrainsClean' ./internal/api ./internal/core ./internal/optimizer ./internal/sim ./internal/telemetry
+
+# coverage runs the whole suite with statement coverage over internal/ and
+# cmd/ (the allocation budgets skip: coverage counters allocate) into
+# cover.out, then lists the non-test functions no test executes (ROADMAP item
+# 18 gives each one a verdict).
+coverage:
+	$(GO) test -coverpkg=./internal/...,./cmd/... -coverprofile=cover.out ./...
+	$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" { print; n++ } END { print n + 0, "functions at 0.0%" }'
 
 # fuzz runs the native fuzz targets for a short while each (one -fuzz
 # pattern per go test invocation); CI runs the same line.

@@ -3,9 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,66 +15,85 @@ import (
 	"repro/internal/api"
 )
 
+// TestValidateFlags drives real argv through the daemon's flag set: the
+// flags land in one api.PoolConfig, PoolConfig.Validate is the check, and the
+// defaults are the ones the daemon has always served with.
 func TestValidateFlags(t *testing.T) {
+	defaults := options{addr: ":8080", drainTimeout: 30 * time.Second,
+		pool: api.PoolConfig{Shards: 2, VMsPerShard: 2, MaxConcurrentPerShard: 4, FaultSeed: 1}}
 	cases := []struct {
-		name        string
-		flags       daemonFlags
-		wantErr     string
-		wantTenants map[string]string
+		name    string
+		args    []string
+		wantErr string
+		want    func(*options) // edits defaults into the expected options
 	}{
-		{name: "defaults ok"},
-		{name: "explicit ok", flags: daemonFlags{retain: 3600, maxSeriesPoints: 1 << 20, planWorkers: 4, rebalance: 30}},
-		{name: "faults ok", flags: daemonFlags{faults: 0.1, maxRetries: 4, jobDeadline: 1800}},
-		{name: "negative retain", flags: daemonFlags{retain: -1}, wantErr: "-retain"},
-		{name: "negative max-series-points", flags: daemonFlags{maxSeriesPoints: -5}, wantErr: "-max-series-points"},
-		{name: "negative plan-workers", flags: daemonFlags{planWorkers: -1}, wantErr: "-plan-workers"},
-		{name: "negative rebalance", flags: daemonFlags{rebalance: -0.5}, wantErr: "-rebalance"},
-		{name: "negative faults", flags: daemonFlags{faults: -0.1}, wantErr: "-faults"},
-		{name: "negative max-retries", flags: daemonFlags{maxRetries: -1}, wantErr: "-max-retries"},
-		{name: "negative job-deadline", flags: daemonFlags{jobDeadline: -30}, wantErr: "-job-deadline"},
-		{name: "router ok", flags: daemonFlags{router: true}},
-		{name: "router nodes ok", flags: daemonFlags{router: true, nodes: 5}},
-		{name: "nodes without router", flags: daemonFlags{nodes: 3}, wantErr: "-nodes requires -router"},
-		{name: "negative nodes", flags: daemonFlags{router: true, nodes: -1}, wantErr: "-nodes"},
+		{name: "defaults ok", want: func(*options) {}},
+		{name: "explicit ok",
+			args: []string{"-retain", "3600", "-max-series-points", "1048576", "-plan-workers", "4", "-rebalance", "30"},
+			want: func(o *options) {
+				o.pool.RetainSimSeconds, o.pool.MaxSeriesPoints, o.pool.PlanWorkers, o.pool.RebalancePeriodS = 3600, 1<<20, 4, 30
+			}},
+		{name: "never ok", args: []string{"-retain", "Inf", "-max-series-points", strconv.Itoa(math.MaxInt)},
+			want: func(o *options) { o.pool.RetainSimSeconds, o.pool.MaxSeriesPoints = math.Inf(1), math.MaxInt }},
+		{name: "faults ok", args: []string{"-faults", "0.1", "-fault-seed", "9", "-max-retries", "4", "-job-deadline", "1800"},
+			want: func(o *options) {
+				o.pool.FaultRate, o.pool.FaultSeed, o.pool.MaxRetries, o.pool.JobDeadlineS = 0.1, 9, 4, 1800
+			}},
+		{name: "negative retain", args: []string{"-retain", "-1"}, wantErr: "RetainSimSeconds must be >= 0"},
+		{name: "NaN retain", args: []string{"-retain", "NaN"}, wantErr: "RetainSimSeconds must be >= 0 (got NaN)"},
+		{name: "negative max-series-points", args: []string{"-max-series-points", "-5"}, wantErr: "MaxSeriesPoints"},
+		{name: "negative plan-workers", args: []string{"-plan-workers", "-1"}, wantErr: "PlanWorkers"},
+		{name: "negative rebalance", args: []string{"-rebalance", "-0.5"}, wantErr: "RebalancePeriodS"},
+		{name: "negative faults", args: []string{"-faults", "-0.1"}, wantErr: "FaultRate"},
+		{name: "negative max-retries", args: []string{"-max-retries", "-1"}, wantErr: "MaxRetries"},
+		{name: "negative job-deadline", args: []string{"-job-deadline", "-30"}, wantErr: "JobDeadlineS"},
+		{name: "negative shards", args: []string{"-shards", "-2"}, wantErr: "Shards"},
+		{name: "router ok", args: []string{"-nodes", "1"}, want: func(o *options) { o.nodes = 1 }},
+		{name: "router nodes ok", args: []string{"-nodes", "5", "-shards", "1"},
+			want: func(o *options) { o.nodes, o.pool.Shards = 5, 1 }},
+		{name: "negative nodes", args: []string{"-nodes", "-1"}, wantErr: "-nodes"},
+		{name: "router flag gone", args: []string{"-router"}, wantErr: "not defined: -router"},
 
-		{name: "slo ok", flags: daemonFlags{slo: true}},
+		{name: "slo ok", args: []string{"-slo"}, want: func(o *options) { o.pool.SLO = true }},
 		{name: "slo full ok",
-			flags: daemonFlags{slo: true, sloTenants: "alice=gold, bob=bronze", sloDefault: "silver",
-				sloHigh: 2.5, sloLow: 1.25, sloQueueBound: 8, sloBudget: 32},
-			wantTenants: map[string]string{"alice": "gold", "bob": "bronze"}},
-		{name: "slo tenants without slo", flags: daemonFlags{sloTenants: "alice=gold"}, wantErr: "requires -slo"},
-		{name: "slo default without slo", flags: daemonFlags{sloDefault: "gold"}, wantErr: "requires -slo"},
-		{name: "slo watermark without slo", flags: daemonFlags{sloHigh: 3}, wantErr: "require -slo"},
-		{name: "slo queue bound without slo", flags: daemonFlags{sloQueueBound: 4}, wantErr: "requires -slo"},
-		{name: "slo budget without slo", flags: daemonFlags{sloBudget: 10}, wantErr: "requires -slo"},
-		{name: "negative watermark", flags: daemonFlags{slo: true, sloLow: -1}, wantErr: "-slo-high/-slo-low"},
-		{name: "inverted watermarks", flags: daemonFlags{slo: true, sloHigh: 1, sloLow: 2}, wantErr: "watermark"},
-		{name: "high below default low", flags: daemonFlags{slo: true, sloHigh: 0.5}, wantErr: "watermark"},
-		{name: "negative queue bound", flags: daemonFlags{slo: true, sloQueueBound: -1}, wantErr: "-slo-queue-bound"},
-		{name: "negative budget", flags: daemonFlags{slo: true, sloBudget: -0.5}, wantErr: "-slo-budget"},
-		{name: "malformed tenants", flags: daemonFlags{slo: true, sloTenants: "alice"}, wantErr: "tenant=class"},
-		{name: "empty tenant class", flags: daemonFlags{slo: true, sloTenants: "alice="}, wantErr: "tenant=class"},
-		{name: "duplicate tenant", flags: daemonFlags{slo: true, sloTenants: "a=gold,a=bronze"}, wantErr: "twice"},
-		{name: "unknown tenant class", flags: daemonFlags{slo: true, sloTenants: "alice=platinum"}, wantErr: "platinum"},
-		{name: "unknown default class", flags: daemonFlags{slo: true, sloDefault: "platinum"}, wantErr: "platinum"},
+			args: []string{"-slo", "-slo-tenants", "alice=gold, bob=bronze", "-slo-default", "silver",
+				"-slo-high", "2.5", "-slo-low", "1.25", "-slo-queue-bound", "8", "-slo-budget", "32"},
+			want: func(o *options) {
+				o.pool.SLO, o.pool.SLOTenantTiers, o.pool.SLODefaultClass = true, map[string]string{"alice": "gold", "bob": "bronze"}, "silver"
+				o.pool.SLOHighWatermark, o.pool.SLOLowWatermark, o.pool.SLOQueueBound, o.pool.SLOBudgetUSD = 2.5, 1.25, 8, 32
+			}},
+		{name: "slo tenants without slo", args: []string{"-slo-tenants", "alice=gold"}, wantErr: "SLOTenantTiers requires SLO"},
+		{name: "slo default without slo", args: []string{"-slo-default", "gold"}, wantErr: "SLODefaultClass requires SLO"},
+		{name: "slo watermark without slo", args: []string{"-slo-high", "3"}, wantErr: "requires SLO"},
+		{name: "slo queue bound without slo", args: []string{"-slo-queue-bound", "4"}, wantErr: "SLOQueueBound requires SLO"},
+		{name: "slo budget without slo", args: []string{"-slo-budget", "10"}, wantErr: "SLOBudgetUSD requires SLO"},
+		{name: "negative watermark", args: []string{"-slo", "-slo-low", "-1"}, wantErr: "SLOLowWatermark"},
+		{name: "inverted watermarks", args: []string{"-slo", "-slo-high", "1", "-slo-low", "2"}, wantErr: "watermark"},
+		{name: "high below default low", args: []string{"-slo", "-slo-high", "0.5"}, wantErr: "watermark"},
+		{name: "negative queue bound", args: []string{"-slo", "-slo-queue-bound", "-1"}, wantErr: "SLOQueueBound"},
+		{name: "negative budget", args: []string{"-slo", "-slo-budget", "-0.5"}, wantErr: "SLOBudgetUSD"},
+		{name: "malformed tenants", args: []string{"-slo", "-slo-tenants", "alice"}, wantErr: "tenant=class"},
+		{name: "empty tenant class", args: []string{"-slo", "-slo-tenants", "alice="}, wantErr: "tenant=class"},
+		{name: "duplicate tenant", args: []string{"-slo", "-slo-tenants", "a=gold,a=bronze"}, wantErr: "twice"},
+		{name: "unknown tenant class", args: []string{"-slo", "-slo-tenants", "alice=platinum"}, wantErr: "platinum"},
+		{name: "unknown default class", args: []string{"-slo", "-slo-default", "platinum"}, wantErr: "platinum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tenants, err := validateFlags(tc.flags)
+			got, err := parse(tc.args)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validateFlags: unexpected error %v", err)
+					t.Fatalf("parse(%q): unexpected error %v", tc.args, err)
 				}
-				if tc.wantTenants != nil && !reflect.DeepEqual(tenants, tc.wantTenants) {
-					t.Fatalf("validateFlags tenants = %v, want %v", tenants, tc.wantTenants)
+				want := defaults
+				tc.want(&want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("parse(%q) = %+v, want %+v", tc.args, got, want)
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("validateFlags: want error naming %s, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validateFlags error %q does not name %s", err, tc.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("parse(%q) error = %v, want one naming %s", tc.args, err, tc.wantErr)
 			}
 		})
 	}

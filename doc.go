@@ -165,7 +165,7 @@
 //
 // # Horizontal scale-out
 //
-// Beyond one machine, murakkabd -router -nodes N serves a cluster of N
+// Beyond one machine, murakkabd -nodes N serves a cluster of N
 // identical in-process nodes behind a consistent-hash router tier
 // (internal/router): tenants hash onto a ring of seeded virtual nodes
 // (placement is a pure function of tenant, seed and membership —
@@ -180,8 +180,8 @@
 // encoding/json as fallback and test oracle. A joining node warms from the content-keyed profile store via
 // generation deltas (zero rebuilds); a leaving node drains, re-submits
 // still-queued jobs to survivors through the ring, and fails what runs past
-// the drain deadline with typed node_down — nothing strands. With -router
-// off the router package is never touched and single-node wire behavior is
+// the drain deadline with typed node_down — nothing strands. Without -nodes
+// the router package is never touched and single-node wire behavior is
 // byte-identical. The cluster scenario measures routed throughput in
 // simulated time (completed jobs over the slowest node's makespan), so its
 // ≥ 1.7× scaling gate at 3 nodes holds on any host.

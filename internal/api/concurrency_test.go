@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -155,8 +156,8 @@ func TestConcurrentSubmitCancelRecycleWithPlanSearch(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:                2,
 		MaxConcurrentPerShard: 2,
-		RetainSimSeconds:      -1, // compaction off: force budget recycles
-		MaxSeriesPoints:       64, // below even one busy job's footprint
+		RetainSimSeconds:      math.Inf(1), // compaction off: force budget recycles
+		MaxSeriesPoints:       64,          // below even one busy job's footprint
 		PlanWorkers:           4,
 	})
 	if err != nil {
@@ -287,8 +288,8 @@ func TestConcurrentSubmitCancelRecycleWithFaults(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:                2,
 		MaxConcurrentPerShard: 2,
-		RetainSimSeconds:      -1, // compaction off: force budget recycles
-		MaxSeriesPoints:       64, // below even one busy job's footprint
+		RetainSimSeconds:      math.Inf(1), // compaction off: force budget recycles
+		MaxSeriesPoints:       64,          // below even one busy job's footprint
 		PlanWorkers:           4,
 		FaultRate:             0.8, // one fault per 1.25 simulated seconds
 		FaultSeed:             11,
@@ -424,9 +425,9 @@ func TestConcurrentSubmitCancelRecycleWithFaults(t *testing.T) {
 func TestConcurrentSubmitWaitCancelDrain(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:                2,
-		MaxConcurrentPerShard: 1,  // a backlog, so cancels find queued jobs
-		RetainSimSeconds:      -1, // compaction off: force budget recycles
-		MaxSeriesPoints:       64, // below even one busy job's footprint
+		MaxConcurrentPerShard: 1,           // a backlog, so cancels find queued jobs
+		RetainSimSeconds:      math.Inf(1), // compaction off: force budget recycles
+		MaxSeriesPoints:       64,          // below even one busy job's footprint
 		SLO:                   true,
 		SLOQueueBound:         2, // four clients a tenant: some submissions shed
 	})

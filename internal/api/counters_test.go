@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -109,7 +110,7 @@ func TestTotalsNeverDecreaseAcrossRecyclesAndClose(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:                1,
 		MaxConcurrentPerShard: 1,
-		RetainSimSeconds:      -1,
+		RetainSimSeconds:      math.Inf(1),
 		MaxSeriesPoints:       64, // every busy shard overruns: recycles guaranteed
 		SLO:                   true,
 		SLOQueueBound:         1,

@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -72,7 +73,7 @@ func TestStatsExposeEventEngineCounters(t *testing.T) {
 func TestEventCountersMonotonicAcrossRecycles(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:           1,
-		RetainSimSeconds: -1,
+		RetainSimSeconds: math.Inf(1),
 		MaxSeriesPoints:  64, // every busy shard overruns: recycles guaranteed
 	})
 	if err != nil {

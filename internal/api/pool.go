@@ -83,11 +83,6 @@ type Pool struct {
 	// Stats sees every shard exactly once — live, draining or retired.
 	retiredTotals shardTotals
 
-	// peakHints remembers each shard index's event-queue high-water mark,
-	// recorded when a shard is recycled, so its replacement pre-sizes the
-	// pending heap and skips warm-up growth copies. Guarded by mu.
-	peakHints map[int]int
-
 	// started anchors the uptime_s stats field (wall clock).
 	started time.Time
 }
@@ -109,32 +104,29 @@ type PoolConfig struct {
 	// simulated seconds: the compaction tick keeps full-resolution series
 	// only over roughly the last RetainSimSeconds of shard history (older
 	// epochs collapse into rollup buckets), clamped so the watermark never
-	// passes a running job's start. 0 selects the default (3600); negative
-	// disables compaction (the pre-retention append-only behaviour).
+	// passes a running job's start. 0 selects the default (3600);
+	// math.Inf(1) never compacts (the pre-retention append-only behaviour).
 	RetainSimSeconds float64
 	// MaxSeriesPoints is a shard's retained-telemetry budget in change
 	// points; a shard still exceeding it after compaction is recycled
 	// (drain → rebuild → swap) without failing in-flight jobs. 0 selects
-	// the default (1<<20, ~24 MiB of series data); negative disables
-	// recycling.
+	// the default (1<<20, ~24 MiB of series data); math.MaxInt never
+	// recycles.
 	MaxSeriesPoints int
 	// PlanWorkers sizes each shard's off-loop plan-search pool: admission's
 	// configuration search runs on these workers against an immutable
 	// cluster snapshot and commits optimistically on the shard loop, so
 	// bursts plan in parallel instead of serializing on the loop goroutine.
-	// 0 selects the default (GOMAXPROCS); negative disables off-loop search
-	// (the serial inline-planning baseline).
+	// 0 selects the default (GOMAXPROCS).
 	PlanWorkers int
 	// Reconfig enables each shard's mid-flight reconfiguration controller:
 	// when the shard's fleet churns (capacity generation moves) or its
 	// cluster manager rebalances, running jobs' remaining stages are
 	// re-planned and re-bound at stage boundaries if the new plan beats the
-	// current one by ReconfigHysteresis. Off by default — disabled shards
-	// behave bit-identically to the pre-reconfiguration daemon.
+	// current one by core's hysteresis margin (0.05). Off by default —
+	// disabled shards behave bit-identically to the pre-reconfiguration
+	// daemon.
 	Reconfig bool
-	// ReconfigHysteresis is the minimum relative objective improvement
-	// before a re-plan is adopted (0 selects the default 0.05).
-	ReconfigHysteresis float64
 	// RebalancePeriodS enables each shard's workflow-aware rebalancing loop
 	// (engine grow/shrink from DAG lookahead) with the given period in
 	// simulated seconds — the fleet-churn source reconfiguration reacts to.
@@ -203,6 +195,61 @@ func (c PoolConfig) sloConfig() core.SLOConfig {
 		QueueBound:    c.SLOQueueBound,
 		BudgetUSD:     c.SLOBudgetUSD,
 	}
+}
+
+// Validate reports the first setting the pool would otherwise have to
+// reinterpret: a negative or NaN number (0 selects a field's default, and a
+// window or budget that must never trigger is math.Inf(1) or math.MaxInt), an
+// SLO sub-field set while SLO is off (it would be ignored), or an SLO
+// configuration core.SLOConfig.Validate rejects. FaultSeed is a seed, not a
+// quantity, and takes any value. NewPool calls it.
+func (c PoolConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Shards", float64(c.Shards)},
+		{"VMsPerShard", float64(c.VMsPerShard)},
+		{"MaxConcurrentPerShard", float64(c.MaxConcurrentPerShard)},
+		{"JobHistoryLimit", float64(c.JobHistoryLimit)},
+		{"RetainSimSeconds", c.RetainSimSeconds},
+		{"MaxSeriesPoints", float64(c.MaxSeriesPoints)},
+		{"PlanWorkers", float64(c.PlanWorkers)},
+		{"RebalancePeriodS", c.RebalancePeriodS},
+		{"FaultRate", c.FaultRate},
+		{"MaxRetries", float64(c.MaxRetries)},
+		{"JobDeadlineS", c.JobDeadlineS},
+		{"SLOHighWatermark", c.SLOHighWatermark},
+		{"SLOLowWatermark", c.SLOLowWatermark},
+		{"SLOQueueBound", float64(c.SLOQueueBound)},
+		{"SLOBudgetUSD", c.SLOBudgetUSD},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("api: %s must be >= 0 (got %v)", f.name, f.v)
+		}
+	}
+	if !c.SLO {
+		orphan := ""
+		switch {
+		case len(c.SLOTenantTiers) > 0:
+			orphan = "SLOTenantTiers"
+		case c.SLODefaultClass != "":
+			orphan = "SLODefaultClass"
+		case c.SLOHighWatermark != 0 || c.SLOLowWatermark != 0:
+			orphan = "SLOHighWatermark/SLOLowWatermark"
+		case c.SLOQueueBound != 0:
+			orphan = "SLOQueueBound"
+		case c.SLOBudgetUSD != 0:
+			orphan = "SLOBudgetUSD"
+		default:
+			return nil
+		}
+		return fmt.Errorf("api: %s requires SLO", orphan)
+	}
+	if err := c.sloConfig().Validate(); err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	return nil
 }
 
 // Retention defaults: an hour of simulated history at full resolution, and
@@ -286,14 +333,11 @@ var errShuttingDown = fmt.Errorf("api: pool is shutting down")
 
 // NewPool provisions the shards and starts their loop goroutines.
 func NewPool(cfg PoolConfig) (*Pool, error) {
-	cfg = cfg.withDefaults()
-	if cfg.SLO {
-		if err := cfg.sloConfig().Validate(); err != nil {
-			return nil, fmt.Errorf("api: %w", err)
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	p := &Pool{cfg: cfg, jobs: map[string]*jobRecord{}, peakHints: map[int]int{}, started: time.Now()}
-	for i := 0; i < cfg.Shards; i++ {
+	p := &Pool{cfg: cfg.withDefaults(), jobs: map[string]*jobRecord{}, started: time.Now()}
+	for i := 0; i < p.cfg.Shards; i++ {
 		sh, err := p.newShard(i)
 		if err != nil {
 			return nil, err
@@ -310,14 +354,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 func (p *Pool) newShard(idx int) (*shard, error) {
 	cfg := p.cfg
 	se := sim.NewEngine()
-	p.mu.Lock()
-	hint := p.peakHints[idx]
-	p.mu.Unlock()
-	if hint > 0 {
-		// Pre-size the pending heap from the predecessor shard's high-water
-		// mark so the rebuilt engine skips warm-up growth copies.
-		se.Reserve(hint)
-	}
 	cl := cluster.New(se, hardware.DefaultCatalog())
 	for v := 0; v < cfg.VMsPerShard; v++ {
 		cl.AddVM(fmt.Sprintf("s%d-vm%d", idx, v), hardware.NDv4SKUName, false)
@@ -339,15 +375,13 @@ func (p *Pool) newShard(idx int) (*shard, error) {
 		sched: core.NewScheduler(se, rt, cfg.MaxConcurrentPerShard),
 		loop:  sim.NewLoop(se),
 	}
-	if cfg.PlanWorkers >= 0 {
-		// Off-loop admission: plan search runs on a worker pool against
-		// immutable snapshots and commits on the loop (0 = GOMAXPROCS).
-		sh.sched.EnablePlanSearch(sh.loop, cfg.PlanWorkers)
-	}
+	// Off-loop admission: plan search runs on a worker pool against
+	// immutable snapshots and commits on the loop (0 = GOMAXPROCS).
+	sh.sched.EnablePlanSearch(sh.loop, cfg.PlanWorkers)
 	if cfg.Reconfig {
 		// Mid-flight reconfiguration: fleet churn and rebalance passes
 		// re-plan running jobs' remaining stages at stage boundaries.
-		sh.sched.EnableReconfig(core.ReconfigConfig{Hysteresis: cfg.ReconfigHysteresis})
+		sh.sched.EnableReconfig(core.ReconfigConfig{})
 	}
 	if cfg.MaxRetries > 0 || cfg.JobDeadlineS > 0 {
 		// Failure recovery: retries with capped backoff on re-planned
@@ -379,15 +413,11 @@ func (p *Pool) newShard(idx int) (*shard, error) {
 		}
 		sh.faults = faults
 	}
-	if cfg.RetainSimSeconds >= 0 {
-		sh.compactStride = cfg.RetainSimSeconds / 4
-	}
-	if cfg.RetainSimSeconds >= 0 || cfg.MaxSeriesPoints > 0 || len(sh.faults) > 0 {
-		// The retention tick rides the loop (SetTick must precede Run): it
-		// runs after each event batch, so it never interleaves with
-		// simulation callbacks and needs no locks for shard state.
-		sh.loop.SetTick(sh.tick)
-	}
+	sh.compactStride = cfg.RetainSimSeconds / 4
+	// The retention tick rides the loop (SetTick must precede Run): it runs
+	// after each event batch, so it never interleaves with simulation
+	// callbacks and needs no locks for shard state.
+	sh.loop.SetTick(sh.tick)
 	go sh.loop.Run()
 	return sh, nil
 }
@@ -405,19 +435,19 @@ func (sh *shard) tick() {
 		sh.sched.Inject(sh.faults[sh.faultIdx])
 		sh.faultIdx++
 	}
-	if p.cfg.RetainSimSeconds >= 0 {
-		target := sh.eng.Now().Seconds() - p.cfg.RetainSimSeconds
-		// Never compact past a running job's execution window: Finalize
-		// integrates from the job's start, and a window behind the
-		// watermark is a loud typed error.
-		if min, ok := sh.sched.MinRunningStartS(); ok && min < target {
-			target = min
-		}
-		if target-sh.cl.Watermark() >= sh.compactStride {
-			sh.droppedPoints += sh.cl.AdvanceEpoch(target)
-		}
+	// An infinite window puts the target at -Inf, which never lags the
+	// watermark by the (infinite) stride.
+	target := sh.eng.Now().Seconds() - p.cfg.RetainSimSeconds
+	// Never compact past a running job's execution window: Finalize
+	// integrates from the job's start, and a window behind the watermark is
+	// a loud typed error.
+	if min, ok := sh.sched.MinRunningStartS(); ok && min < target {
+		target = min
 	}
-	if p.cfg.MaxSeriesPoints > 0 && !sh.recycling {
+	if target-sh.cl.Watermark() >= sh.compactStride {
+		sh.droppedPoints += sh.cl.AdvanceEpoch(target)
+	}
+	if !sh.recycling {
 		if fp := sh.cl.TelemetryFootprint(); fp.Points > p.cfg.MaxSeriesPoints {
 			sh.recycling = true
 			// The Add happens on the loop goroutine, which Close joins
@@ -442,7 +472,7 @@ type Counters struct {
 	// Off-loop admission: searches dispatched to the plan-search workers,
 	// submissions deduped onto an identical in-flight search, and admissions
 	// whose optimistic commit a capacity-class change invalidated (re-planned
-	// inline). All zero when PlanWorkers is negative (serial admission).
+	// inline).
 	PlanSearches     int `json:"plan_searches"`
 	SingleflightHits int `json:"singleflight_hits"`
 	PlanConflicts    int `json:"plan_conflicts"`
@@ -484,8 +514,7 @@ type Counters struct {
 	ScratchPoolMisses uint64 `json:"scratch_pool_misses"`
 	// Event engine: events fired, how schedules routed (near-future
 	// timer-wheel buckets vs the far-future overflow heap), and cancels
-	// handled as O(1) lazy mark-dead. All zero on the heap escape hatch
-	// except events_processed.
+	// handled as O(1) lazy mark-dead.
 	EventsProcessed uint64 `json:"events_processed"`
 	WheelEvents     uint64 `json:"wheel_events"`
 	OverflowEvents  uint64 `json:"overflow_events"`
@@ -632,16 +661,6 @@ func (p *Pool) retireShard(sh *shard) {
 // to completion (their records settle normally; cancels still reach the
 // draining loop through the records' shard pointers).
 func (p *Pool) recycleShard(old *shard) {
-	// Read the displaced shard's event-queue high-water mark on its own loop
-	// goroutine (the engine is loop-owned) so the replacement can pre-size
-	// its pending heap from real history.
-	reply := make(chan int, 1)
-	if old.loop.Post(func() { reply <- old.eng.PeakPending() }) {
-		hint := <-reply
-		p.mu.Lock()
-		p.peakHints[old.idx] = hint
-		p.mu.Unlock()
-	}
 	fresh, err := p.newShard(old.idx)
 	if err != nil {
 		// Rebuild failed (same config that provisioned the pool, so this is
@@ -894,8 +913,7 @@ type ShardStats struct {
 	// Live gauges beside the counters: the plan-search pool's size and
 	// in-flight searches, circuit breakers not currently closed, the
 	// overload controller's engaged state, and the sim engine's
-	// pending-queue high-water mark (the Reserve hint a recycled replacement
-	// pre-sizes from).
+	// pending-queue high-water mark.
 	PlanWorkers        int  `json:"plan_workers"`
 	PlanSearchInflight int  `json:"plan_search_inflight"`
 	BreakerOpen        int  `json:"breaker_open"`

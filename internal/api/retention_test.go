@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,8 +42,8 @@ func waitBody(tenant string) string {
 func TestStatsExposeTelemetryRetention(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:           1,
-		RetainSimSeconds: 2,  // a few simulated seconds: jobs are ~3 s each
-		MaxSeriesPoints:  -1, // isolate compaction from recycling
+		RetainSimSeconds: 2,           // a few simulated seconds: jobs are ~3 s each
+		MaxSeriesPoints:  math.MaxInt, // isolate compaction from recycling
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +100,8 @@ func TestStatsExposeTelemetryRetention(t *testing.T) {
 func TestShardRecycleKeepsServingJobs(t *testing.T) {
 	s, err := NewServer(PoolConfig{
 		Shards:           1,
-		RetainSimSeconds: -1, // compaction off: only recycling can bound memory
-		MaxSeriesPoints:  64, // below even one busy job's footprint
+		RetainSimSeconds: math.Inf(1), // compaction off: only recycling can bound memory
+		MaxSeriesPoints:  64,          // below even one busy job's footprint
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -224,7 +225,7 @@ func TestSLOCountersMonotonicAcrossRecycles(t *testing.T) {
 	srv := sloServer(t, PoolConfig{
 		Shards:                1,
 		MaxConcurrentPerShard: 1,
-		RetainSimSeconds:      -1,
+		RetainSimSeconds:      math.Inf(1),
 		MaxSeriesPoints:       64, // every busy shard overruns: recycles guaranteed
 		SLOQueueBound:         1,
 		SLOTenantTiers:        map[string]string{"churn": "bronze"},
@@ -232,7 +233,9 @@ func TestSLOCountersMonotonicAcrossRecycles(t *testing.T) {
 
 	var last PoolStats
 	totalShed := 0
-	for wave := 0; wave < 6; wave++ {
+	// Six waves at least, and more (bounded) until one has shed: on a loaded
+	// host a burst's POSTs can arrive further apart than a job runs.
+	for wave := 0; wave < 6 || (totalShed == 0 && wave < 60); wave++ {
 		// Concurrent wait:true submissions: one runs, one queues, the rest
 		// shed on the bound — every wave exercises both outcomes while the
 		// tight series budget recycles the shard underneath.
@@ -295,7 +298,7 @@ func TestShedUnderRecycleRace(t *testing.T) {
 	srv := sloServer(t, PoolConfig{
 		Shards:                1,
 		MaxConcurrentPerShard: 2,
-		RetainSimSeconds:      -1,
+		RetainSimSeconds:      math.Inf(1),
 		MaxSeriesPoints:       64,
 		SLOQueueBound:         2,
 	})

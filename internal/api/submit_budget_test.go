@@ -24,8 +24,8 @@ import (
 // before the record became the posted task and its handle's observer and the
 // admission probe stopped building a snapshot.
 func TestSubmitAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("sync.Pool drops items under the race detector; coverage counters allocate")
 	}
 	s, err := NewServer(PoolConfig{Shards: 1})
 	if err != nil {

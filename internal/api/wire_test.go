@@ -231,8 +231,8 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // took 22 / 35 / 30 for the three shapes); Reply.Write allocates the
 // Content-Type header value and nothing else (encoding/json: 11).
 func TestWireAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("sync.Pool drops items under the race detector; coverage counters allocate")
 	}
 	budget := map[string]float64{"video": 8, "user-profile": 12, "document": 11}
 	for shape, body := range serviceMixBodies(t) {

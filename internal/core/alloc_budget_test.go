@@ -32,8 +32,8 @@ import (
 // 7 / 0 / 1 and 0 / 0 / 0 + 2 (telemetry doublings land on some jobs and not
 // others): what is left is the cluster's allocation records and the series.
 func TestExecAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are not asserted under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation budgets are not asserted under the race detector or coverage")
 	}
 	budget := map[string]float64{
 		"video_3x16": 9, "newsfeed_12": 2, "docqa_12": 3,
@@ -62,8 +62,8 @@ func TestExecAllocBudget(t *testing.T) {
 // / 2,876. The budgets are the measured 21,017 / 1,414 / 6,316 and 4,006 / 160 /
 // 1,228 + 5 % (+ 64 bytes where that is more).
 func TestExecByteBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are not asserted under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation budgets are not asserted under the race detector or coverage")
 	}
 	budget := map[string]uint64{
 		"video_3x16": 22070, "newsfeed_12": 1485, "docqa_12": 6630,
@@ -98,8 +98,8 @@ func (releasingGrantee) GrantCPUs(a *cluster.CPUAlloc, _ uint32) { a.Release() }
 // sim events, allocations or requests, a telemetry series doubling — reads as
 // zero, and one allocation per cycle does not.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are not asserted under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation budgets are not asserted under the race detector or coverage")
 	}
 	se, rt := warmRuntime(t)
 

@@ -46,8 +46,8 @@ const blockAllocs = 5 + 1
 // given, each 24 bytes — and never had more of them open at once than it ran
 // tasks side by side.
 func TestExecutionIsOneBlock(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not asserted under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation counts are not asserted under the race detector or coverage")
 	}
 	se, rt := warmRuntime(t)
 	opts := SubmitOptions{RelaxFloor: true, KeepEngines: true}

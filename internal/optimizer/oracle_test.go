@@ -332,8 +332,8 @@ func TestBetterTieBreakMatchesConfigString(t *testing.T) {
 // the map is a header plus its table — and nothing else, whatever the
 // constraint, the floor mode or the ties.
 func TestPlanAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation counts differ under the race detector or coverage")
 	}
 	opt, snap, res := setup(t)
 	for _, c := range allConstraints {

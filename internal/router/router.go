@@ -271,32 +271,37 @@ func (rt *Router) Leave(name string) error {
 		timer.Stop()
 	}
 
-	// Phase 2: classify what outlived the deadline. Queued jobs re-enter a
-	// surviving node (the capacity-event path: cancel on the departing node,
-	// resubmit the retained request); running jobs cancel and surface the
-	// typed node_down error.
+	// Phase 2: classify what outlived the deadline, then cancel it. Queued
+	// jobs re-enter a surviving node (the capacity-event path: cancel on the
+	// departing node, resubmit the retained request); running jobs cancel
+	// and surface the typed node_down error. Every queued job is canceled
+	// before any running one: a canceled running job frees its slot, and the
+	// shard would admit the next queued job into it.
 	type expiredJob struct {
 		e *jobEntry
 		// req is set when the job was still queued: it re-enters elsewhere.
 		req *api.JobRequest
 	}
-	var expired []expiredJob
+	var expired, running []expiredJob
 	for _, e := range outstanding {
 		st, ok := pool.Get(e.id)
 		if !ok || st.Status.Terminal() {
 			continue
 		}
-		x := expiredJob{e: e}
-		if st.Status == core.JobQueued {
-			// Snapshot the retained request under the lock before canceling:
-			// a concurrent status read that observes the cancel settle drops
-			// e.req, and the resubmit below must not race that.
-			rt.mu.Lock()
-			x.req = e.req
-			rt.mu.Unlock()
+		if st.Status != core.JobQueued {
+			running = append(running, expiredJob{e: e})
+			continue
 		}
-		pool.Cancel(e.id)
-		expired = append(expired, x)
+		// Snapshot the retained request under the lock before canceling: a
+		// concurrent status read that observes the cancel settle drops e.req,
+		// and the resubmit below must not race that.
+		rt.mu.Lock()
+		expired = append(expired, expiredJob{e: e, req: e.req})
+		rt.mu.Unlock()
+	}
+	expired = append(expired, running...)
+	for _, x := range expired {
+		pool.Cancel(x.e.id)
 	}
 
 	// Close drains everything that remains to completion, so every job on

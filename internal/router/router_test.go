@@ -237,20 +237,22 @@ func TestRouterJoinWarmsWithoutRecomputation(t *testing.T) {
 // TestRouterLeaveDrainReroutesAndTypesNodeDown pins the leave contract with
 // an immediately-expiring drain deadline: still-queued jobs re-enter
 // surviving nodes, still-running jobs surface the typed node_down error,
-// nothing strands, and cluster totals stay monotonic across the fold.
+// nothing strands, and cluster totals stay monotonic across the fold. The
+// departing node holds both kinds at once — four long jobs running in its
+// four slots, short ones queued behind — so the leave must take both paths;
+// canceling a running job first would admit a queued one into its slot and
+// type it node_down instead of rerouting it.
 func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
-	// Whether the leave finds jobs in flight is a real-time race against the
-	// shard loops (async submissions normally enqueue far faster than jobs
-	// complete, but a starved submitter goroutine can lose). Retry the whole
-	// scenario on a fresh cluster until a leave catches work mid-air —
-	// virtually always the first attempt; bounded for slow or contended
-	// machines.
+	// Whether the leave finds the long jobs still running is a real-time
+	// race against the shard loop (each runs for many times the cost of the
+	// leave, but a starved test goroutine can lose). Retry the whole scenario
+	// on a fresh cluster until a leave catches work mid-air — virtually
+	// always the first attempt; bounded for slow or contended machines.
 	var rt *Router
 	var ids []string
 	var before ClusterStats
 	for attempt := 0; ; attempt++ {
 		rt = newTestRouter(t, Config{Nodes: 2, Seed: 42, DrainDeadline: -1})
-		// Flood one departing node with async jobs.
 		var victimTenants []string
 		for i := 0; len(victimTenants) < 4 && i < 256; i++ {
 			tenant := fmt.Sprintf("flood-%d", i)
@@ -262,14 +264,31 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 			t.Fatal("could not find tenants owned by n0")
 		}
 		ids = ids[:0]
-		for i := 0; i < 40; i++ {
-			// Hour-long videos: each job holds the shard loop for many times
-			// the cost of one submission, so a backlog is certain to build.
-			rec := do(rt, http.MethodPost, "/v1/jobs", videoJobBody(victimTenants[i%len(victimTenants)], false, 3600))
+		submit := func(tenant string, durationS int) string {
+			rec := do(rt, http.MethodPost, "/v1/jobs", videoJobBody(tenant, false, durationS))
 			if rec.Code != http.StatusAccepted {
 				t.Fatalf("async submit = %d: %s", rec.Code, rec.Body.String())
 			}
-			ids = append(ids, decodeStatus(t, rec).ID)
+			id := decodeStatus(t, rec).ID
+			ids = append(ids, id)
+			return id
+		}
+		// Fill n0's four slots with ten-hour videos and wait until all four
+		// run, then queue short jobs behind them.
+		var long []string
+		for _, tenant := range victimTenants {
+			long = append(long, submit(tenant, 36000))
+		}
+		for _, id := range long {
+			for st := ""; st != "running"; {
+				st = decodeStatus(t, do(rt, http.MethodGet, "/v1/jobs/"+id, "")).Status
+				if terminalStatus(st) {
+					t.Fatalf("long job %s ended %s before the leave", id, st)
+				}
+			}
+		}
+		for i := 0; i < 8; i++ {
+			submit(victimTenants[i%len(victimTenants)], 120)
 		}
 		before = rt.Stats()
 
@@ -301,10 +320,10 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 	if after.Leaves != 1 || len(after.Nodes) != 1 {
 		t.Fatalf("post-leave shape: %+v", after)
 	}
-	// The drain must have exercised the deadline paths: with an immediate
-	// deadline and 40 in-flight jobs, reroutes and/or node_down are certain.
-	if after.ReroutedJobs == 0 && after.NodeDownJobs == 0 {
-		t.Fatalf("leave exercised no handoff: %+v", after)
+	// The drain must have exercised both deadline paths: the queued jobs
+	// re-entered n1 and the running ones were typed node_down.
+	if after.ReroutedJobs == 0 || after.NodeDownJobs == 0 {
+		t.Fatalf("leave rerouted %d and typed %d node_down; want both > 0", after.ReroutedJobs, after.NodeDownJobs)
 	}
 	// Monotonic fold: the departed node's final counters are in the
 	// retired totals, so nothing regresses.

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"runtime"
 	"time"
 
@@ -64,7 +65,7 @@ func RunRetention() (*RetentionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	unbounded, err := runRetentionArm(trace, -1)
+	unbounded, err := runRetentionArm(trace, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
@@ -76,11 +77,11 @@ func RunRetention() (*RetentionResult, error) {
 }
 
 // runRetentionArm is one replay with a concurrent stats sampler watching the
-// telemetry footprint (retainS < 0 turns retention off).
+// telemetry footprint (an infinite retainS turns retention off).
 func runRetentionArm(trace [][]byte, retainS float64) (*RetentionResult, error) {
 	runtime.GC() // keep one arm's garbage off the other arm's clock
 	cfg := sharedPool
-	cfg.RetainSimSeconds, cfg.MaxSeriesPoints = retainS, -1
+	cfg.RetainSimSeconds, cfg.MaxSeriesPoints = retainS, math.MaxInt
 	server, err := api.NewServer(cfg)
 	if err != nil {
 		return nil, err
