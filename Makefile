@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race stress allocs coverage fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
+.PHONY: all build test race stress allocs coverage loc fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
 
 all: vet build test
 
@@ -46,6 +46,11 @@ allocs:
 coverage:
 	$(GO) test -coverpkg=./internal/...,./cmd/... -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" { print; n++ } END { print n + 0, "functions at 0.0%" }'
+
+# loc prints the non-test Go source lines outside bench/ledger: the size a
+# subtraction change is measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/ledger/*' -print0 | xargs -0 cat | wc -l
 
 # fuzz runs the native fuzz targets for a short while each (one -fuzz
 # pattern per go test invocation); CI runs the same line.

@@ -82,8 +82,9 @@
 // overload, serving, retention, admission, cluster), each one identical
 // input through two arms, on one sim-time arm runner and one HTTP replay;
 // its package comment and README's "The serving scenarios" say what each
-// compares and gates. api.Counters is the single declaration of the
-// additive /v1/stats counters.
+// compares and gates. core.Counters is the single declaration of the
+// additive /v1/stats counters: the scheduler, the pool's shard and pool rows
+// and the router's cluster totals embed it.
 //
 // Admission itself is pipelined off the shard loop: the configuration
 // search (decompose + the optimizer's one-pass argmin) runs on a

@@ -91,7 +91,8 @@ const maxRequestPaths = 8
 // overlapping tenants each observe the shared total (summing cost_usd
 // across jobs double-counts the rental). EstCostUSD is the per-job metering
 // figure — the optimizer's estimate of the resources this job alone
-// committed — and is what aiwaas-style billing charges.
+// committed — and is what an SLO tier's tenant budget charges (tenant_slo's
+// cost_spent_usd in /v1/stats).
 type JobResponse struct {
 	Name                 string            `json:"name"`
 	MakespanS            float64           `json:"makespan_s"`

@@ -462,147 +462,20 @@ func (sh *shard) tick() {
 	}
 }
 
-// Counters is the single list of the pool's additive counters: each is
-// cumulative and monotone on a live shard, summed across shards, and merged
-// into the pool's retired totals when its shard is recycled or closed. Both
-// /v1/stats levels embed it (ShardStats, PoolStats), so the JSON tags here are
-// the wire names. To add a counter: one field here, one line in
-// readShardCounters, one line in Add.
-type Counters struct {
-	// Off-loop admission: searches dispatched to the plan-search workers,
-	// submissions deduped onto an identical in-flight search, and admissions
-	// whose optimistic commit a capacity-class change invalidated (re-planned
-	// inline).
-	PlanSearches     int `json:"plan_searches"`
-	SingleflightHits int `json:"singleflight_hits"`
-	PlanConflicts    int `json:"plan_conflicts"`
-	// Reconfiguration controller: running-job evaluations, adopted re-plans,
-	// kept-current-plan skips and generation-drift conflicts. All zero with
-	// -reconfig off.
-	Reconfigs         int `json:"reconfigs"`
-	ReconfigWins      int `json:"reconfig_wins"`
-	ReconfigSkips     int `json:"reconfig_skips"`
-	ReconfigConflicts int `json:"reconfig_conflicts"`
-	// Fault/recovery: injected fault events, task retries, jobs failed on the
-	// attempt budget or deadline, adopted degradation re-plans, watchdog
-	// firings and circuit-breaker trips. All zero with faults and recovery
-	// disabled.
-	FaultsInjected    int `json:"faults_injected"`
-	TaskRetries       int `json:"task_retries"`
-	RetriesExhausted  int `json:"retries_exhausted"`
-	DeadlinesExceeded int `json:"deadlines_exceeded"`
-	Degradations      int `json:"degradations"`
-	StageTimeouts     int `json:"stage_timeouts"`
-	BreakerTrips      int `json:"breaker_trips"`
-	// SLO/overload: submissions shed on the tenant queue bound or rejected on
-	// the tenant budget, admissions launched on degraded cheaper plans,
-	// completions classified against the tier latency target, and the
-	// overload controller's transitions. All zero with SLO tiers disabled.
-	SLOShed            int `json:"slo_shed"`
-	SLOBudgetExhausted int `json:"slo_budget_exhausted"`
-	SLODegradedAdmits  int `json:"slo_degraded_admits"`
-	SLOMet             int `json:"slo_met"`
-	SLOMissed          int `json:"slo_missed"`
-	OverloadEnters     int `json:"overload_enters"`
-	OverloadExits      int `json:"overload_exits"`
-	// Allocation reuse: cache keys and report labels served from the runtime's
-	// canonical intern table (hits) vs freshly allocated (misses), and
-	// per-task scratch (workers, LLM-task barriers) recycled vs allocated.
-	KeyInternHits     uint64 `json:"key_intern_hits"`
-	KeyInternMisses   uint64 `json:"key_intern_misses"`
-	ScratchPoolHits   uint64 `json:"scratch_pool_hits"`
-	ScratchPoolMisses uint64 `json:"scratch_pool_misses"`
-	// Event engine: events fired, how schedules routed (near-future
-	// timer-wheel buckets vs the far-future overflow heap), and cancels
-	// handled as O(1) lazy mark-dead.
-	EventsProcessed uint64 `json:"events_processed"`
-	WheelEvents     uint64 `json:"wheel_events"`
-	OverflowEvents  uint64 `json:"overflow_events"`
-	CancelsLazy     uint64 `json:"cancels_lazy"`
-}
-
-// Add sums o into c, field by field.
-func (c *Counters) Add(o Counters) {
-	c.PlanSearches += o.PlanSearches
-	c.SingleflightHits += o.SingleflightHits
-	c.PlanConflicts += o.PlanConflicts
-	c.Reconfigs += o.Reconfigs
-	c.ReconfigWins += o.ReconfigWins
-	c.ReconfigSkips += o.ReconfigSkips
-	c.ReconfigConflicts += o.ReconfigConflicts
-	c.FaultsInjected += o.FaultsInjected
-	c.TaskRetries += o.TaskRetries
-	c.RetriesExhausted += o.RetriesExhausted
-	c.DeadlinesExceeded += o.DeadlinesExceeded
-	c.Degradations += o.Degradations
-	c.StageTimeouts += o.StageTimeouts
-	c.BreakerTrips += o.BreakerTrips
-	c.SLOShed += o.SLOShed
-	c.SLOBudgetExhausted += o.SLOBudgetExhausted
-	c.SLODegradedAdmits += o.SLODegradedAdmits
-	c.SLOMet += o.SLOMet
-	c.SLOMissed += o.SLOMissed
-	c.OverloadEnters += o.OverloadEnters
-	c.OverloadExits += o.OverloadExits
-	c.KeyInternHits += o.KeyInternHits
-	c.KeyInternMisses += o.KeyInternMisses
-	c.ScratchPoolHits += o.ScratchPoolHits
-	c.ScratchPoolMisses += o.ScratchPoolMisses
-	c.EventsProcessed += o.EventsProcessed
-	c.WheelEvents += o.WheelEvents
-	c.OverflowEvents += o.OverflowEvents
-	c.CancelsLazy += o.CancelsLazy
-}
-
-// readShardCounters reads sh's counters beside its scheduler stats st. The
-// caller must be the shard's loop goroutine, or its sole remaining accessor
-// after the loop has exited.
-func readShardCounters(sh *shard, st core.SchedulerStats) Counters {
-	c := Counters{
-		PlanSearches:       st.PlanSearches,
-		SingleflightHits:   st.SingleflightHits,
-		PlanConflicts:      st.PlanConflicts,
-		Reconfigs:          st.Reconfigs,
-		ReconfigWins:       st.ReconfigWins,
-		ReconfigSkips:      st.ReconfigSkips,
-		ReconfigConflicts:  st.ReconfigConflicts,
-		FaultsInjected:     st.FaultsInjected,
-		TaskRetries:        st.TaskRetries,
-		RetriesExhausted:   st.RetriesExhausted,
-		DeadlinesExceeded:  st.DeadlinesExceeded,
-		Degradations:       st.Degradations,
-		StageTimeouts:      st.StageTimeouts,
-		BreakerTrips:       st.BreakerTrips,
-		SLOShed:            st.SLOShed,
-		SLOBudgetExhausted: st.SLOBudgetExhausted,
-		SLODegradedAdmits:  st.SLODegradedAdmits,
-		SLOMet:             st.SLOMet,
-		SLOMissed:          st.SLOMissed,
-		OverloadEnters:     st.OverloadEnters,
-		OverloadExits:      st.OverloadExits,
-		EventsProcessed:    sh.eng.Processed(),
-		WheelEvents:        sh.eng.WheelEvents(),
-		OverflowEvents:     sh.eng.OverflowEvents(),
-		CancelsLazy:        sh.eng.CancelsLazy(),
-	}
-	c.KeyInternHits, c.KeyInternMisses = sh.rt.KeyInternStats()
-	c.ScratchPoolHits, c.ScratchPoolMisses = sh.rt.ScratchPoolStats()
-	return c
-}
-
 // shardSnapshot is everything a shard contributes to the pool totals, read in
-// one visit (same caller contract as readShardCounters): the additive
-// counters, the per-tenant SLO accounting (sorted by tenant) and the event
-// queue's high-water mark.
+// one visit beside its scheduler stats st: the additive counters, the
+// per-tenant SLO accounting (sorted by tenant) and the event queue's
+// high-water mark. The caller must be the shard's loop goroutine, or its sole
+// remaining accessor after the loop has exited.
 type shardSnapshot struct {
-	Counters
+	core.Counters
 	tenants     []core.TenantSLOStats
 	peakPending int
 }
 
 func readShardSnapshot(sh *shard, st core.SchedulerStats) shardSnapshot {
 	return shardSnapshot{
-		Counters:    readShardCounters(sh, st),
+		Counters:    st.Counters,
 		tenants:     sh.sched.SLOTenants(),
 		peakPending: sh.eng.PeakPending(),
 	}
@@ -613,7 +486,7 @@ func readShardSnapshot(sh *shard, st core.SchedulerStats) shardSnapshot {
 // draining and each live shard's snapshot into it; retireShard merges a
 // departed shard's final snapshot into p.retiredTotals itself.
 type shardTotals struct {
-	Counters
+	core.Counters
 	tenants map[string]core.TenantSLOStats
 	// peakPending is a running max, not a sum: the deepest pending event
 	// queue any merged shard generation reached.
@@ -628,14 +501,7 @@ func (t *shardTotals) merge(s shardSnapshot) {
 	}
 	for _, row := range s.tenants {
 		agg := t.tenants[row.Tenant]
-		agg.Tenant, agg.Class = row.Tenant, row.Class
-		agg.Admitted += row.Admitted
-		agg.Shed += row.Shed
-		agg.BudgetExhausted += row.BudgetExhausted
-		agg.DegradedAdmits += row.DegradedAdmits
-		agg.SLOMet += row.SLOMet
-		agg.SLOMissed += row.SLOMissed
-		agg.CostSpentUSD += row.CostSpentUSD
+		agg.Add(row)
 		t.tenants[row.Tenant] = agg
 	}
 }
@@ -909,7 +775,7 @@ type ShardStats struct {
 	PeakRunning     int     `json:"peak_running"`
 	PlanCacheHits   int     `json:"plan_cache_hits"`
 	DecompCacheHits int     `json:"decomp_cache_hits"`
-	Counters
+	core.Counters
 	// Live gauges beside the counters: the plan-search pool's size and
 	// in-flight searches, circuit breakers not currently closed, the
 	// overload controller's engaged state, and the sim engine's
@@ -943,33 +809,15 @@ type ShardStats struct {
 
 // TenantSLOJSON is one tenant's SLO accounting row in GET /v1/stats.
 type TenantSLOJSON struct {
-	Tenant          string `json:"tenant"`
-	Class           string `json:"class"`
-	Admitted        int    `json:"admitted"`
-	DegradedAdmits  int    `json:"degraded_admits"`
-	Shed            int    `json:"shed"`
-	BudgetExhausted int    `json:"budget_exhausted"`
-	SLOMet          int    `json:"slo_met"`
-	SLOMissed       int    `json:"slo_missed"`
+	core.TenantSLOStats
 	// Attainment is SLOMet / (SLOMet + SLOMissed); 0 when the tier's
 	// latency target is untracked or nothing completed yet.
-	Attainment   float64 `json:"attainment"`
-	CostSpentUSD float64 `json:"cost_spent_usd"`
+	Attainment float64 `json:"attainment"`
 }
 
-// tenantSLORow converts core accounting to the wire row (attainment filled).
+// tenantSLORow wraps core accounting as the wire row (attainment filled).
 func tenantSLORow(t core.TenantSLOStats) TenantSLOJSON {
-	row := TenantSLOJSON{
-		Tenant:          t.Tenant,
-		Class:           t.Class,
-		Admitted:        t.Admitted,
-		DegradedAdmits:  t.DegradedAdmits,
-		Shed:            t.Shed,
-		BudgetExhausted: t.BudgetExhausted,
-		SLOMet:          t.SLOMet,
-		SLOMissed:       t.SLOMissed,
-		CostSpentUSD:    t.CostSpentUSD,
-	}
+	row := TenantSLOJSON{TenantSLOStats: t}
 	if n := t.SLOMet + t.SLOMissed; n > 0 {
 		row.Attainment = float64(t.SLOMet) / float64(n)
 	}
@@ -1011,7 +859,7 @@ type PoolStats struct {
 	Recycles        int `json:"recycles"`
 	// Counters sums every shard generation — live, draining and retired — so
 	// each stays monotonic while shards churn.
-	Counters
+	core.Counters
 	// Live-shard gauges: in-flight plan searches, breakers not closed, and
 	// whether any live shard's overload controller is engaged.
 	PlanSearchInflight int  `json:"plan_search_inflight"`

@@ -193,16 +193,11 @@ type AttemptRecord struct {
 // limit).
 const maxAttemptLog = 32
 
-// recoveryState is the runtime-wide recovery configuration and accounting,
-// shared by every execution (nil when recovery is disabled).
+// recoveryState is the runtime-wide recovery configuration, shared by every
+// execution (nil when recovery is disabled); its accounting is the runtime's
+// Counters.
 type recoveryState struct {
 	policy FaultPolicy
-
-	taskRetries      int
-	exhausted        int
-	deadlineExceeded int
-	degradations     int
-	timeouts         int
 }
 
 // EnableRecovery turns failure recovery on for every job admitted through
@@ -246,7 +241,7 @@ func (s *Scheduler) Inject(ev workload.FaultEvent) bool {
 		ok = s.rt.mgr.FailNextCall(ev.Pick)
 	}
 	if ok {
-		s.faultsInjected++
+		s.rt.counters.FaultsInjected++
 	}
 	return ok
 }
@@ -303,7 +298,7 @@ func (ex *Execution) initRecovery() {
 	ex.recRng = rand.New(rand.NewSource(rc.policy.Seed + int64(ex.id)))
 	if rc.policy.JobDeadlineS > 0 {
 		ex.deadlineEv = *ex.rt.se.After(sim.Duration(rc.policy.JobDeadlineS), func() {
-			rc.deadlineExceeded++
+			ex.rt.counters.DeadlinesExceeded++
 			ex.finish(&JobError{Code: CodeDeadlineExceeded, Op: "job",
 				Err: fmt.Errorf("core: job deadline %.0fs exceeded", rc.policy.JobDeadlineS)})
 		})
@@ -350,12 +345,12 @@ func (st *stage) taskFailed(node int32, cause error) {
 	n := ex.attempts[node] + 1
 	ex.attempts[node] = n
 	if n >= rc.policy.MaxAttempts {
-		rc.exhausted++
+		ex.rt.counters.RetriesExhausted++
 		ex.logAttempt(id, st, n, 0, cause)
 		ex.finish(&JobError{Code: CodeRetriesExhausted, Op: id, Err: cause})
 		return
 	}
-	rc.taskRetries++
+	ex.rt.counters.TaskRetries++
 	ex.retries++
 	backoff := backoffFor(rc.policy, n, ex.recRng.Float64())
 	ex.logAttempt(id, st, n, backoff, cause)
@@ -434,7 +429,7 @@ func (ex *Execution) maybeDegrade(cap string) {
 	}
 	if ex.degradeStage(cap) {
 		ex.degraded[cap] = true
-		rc.degradations++
+		ex.rt.counters.Degradations++
 	}
 }
 

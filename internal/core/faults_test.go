@@ -200,6 +200,37 @@ func TestStageTimeoutWatchdogRecovers(t *testing.T) {
 	}
 }
 
+// TestStatsFilledCountersStayZeroInRuntime pins the split Counters documents:
+// Stats() overwrites breaker trips, key-intern hits/misses and the event
+// engine's four counters from their owners, so the runtime's own copy of
+// those fields must never be incremented — an increment there would be lost.
+func TestStatsFilledCountersStayZeroInRuntime(t *testing.T) {
+	se, s := schedTestbed(t, 2)
+	s.EnableRecovery(FaultPolicy{Seed: 5, BreakerThreshold: 1})
+	if _, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true}); err != nil {
+		t.Fatal(err)
+	}
+	injectEvery(se, s, workload.FaultEvent{Kind: workload.FaultCallError, Pick: 0.3}, 5, 35, 10)
+	se.Run()
+	c, st := s.rt.counters, s.Stats()
+	if st.BreakerTrips == 0 || st.KeyInternHits+st.KeyInternMisses == 0 || st.EventsProcessed == 0 {
+		t.Fatalf("stats = %+v: the scenario no longer exercises the filled counters", st)
+	}
+	for name, v := range map[string]uint64{
+		"BreakerTrips":    uint64(c.BreakerTrips),
+		"KeyInternHits":   c.KeyInternHits,
+		"KeyInternMisses": c.KeyInternMisses,
+		"EventsProcessed": c.EventsProcessed,
+		"WheelEvents":     c.WheelEvents,
+		"OverflowEvents":  c.OverflowEvents,
+		"CancelsLazy":     c.CancelsLazy,
+	} {
+		if v != 0 {
+			t.Errorf("runtime counters.%s = %d; Stats() fills it from its owner and would drop this", name, v)
+		}
+	}
+}
+
 func TestInjectOnIdleSchedulerIsNoop(t *testing.T) {
 	_, s := schedTestbed(t, 2)
 	for _, kind := range []workload.FaultKind{

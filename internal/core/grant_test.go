@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,6 +33,26 @@ type grantLog struct {
 }
 
 func (g *grantLog) linef(format string, args ...any) { fmt.Fprintf(g, format+"\n", args...) }
+
+// goldenStatsFields are the fields SchedulerStats had, in their order, when
+// the golden was rendered with %+v — before its counters moved into the
+// embedded Counters.
+var goldenStatsFields = strings.Fields(`Submitted Completed Failed Canceled Running Queued
+	PeakRunning PlanSearches SingleflightHits PlanConflicts PlanSearchInflight Reconfigs
+	ReconfigWins ReconfigSkips ReconfigConflicts TaskRetries RetriesExhausted
+	DeadlinesExceeded Degradations StageTimeouts FaultsInjected BreakerTrips BreakerOpen
+	SLOShed SLOBudgetExhausted SLODegradedAdmits SLOMet SLOMissed OverloadEnters
+	OverloadExits OverloadActive`)
+
+// goldenStats renders st as %+v rendered the SchedulerStats of goldenStatsFields.
+func goldenStats(st SchedulerStats) string {
+	v := reflect.ValueOf(st)
+	parts := make([]string, len(goldenStatsFields))
+	for i, name := range goldenStatsFields {
+		parts[i] = fmt.Sprintf("%s:%v", name, v.FieldByName(name))
+	}
+	return "{" + strings.Join(parts, " ") + "}"
+}
 
 func cpuID(a *cluster.CPUAlloc) string {
 	if a == nil {
@@ -334,7 +355,7 @@ func grantsUnderFaultsAndChurn(t *testing.T, g *grantLog) {
 			g.execution(fmt.Sprintf("job %d", i), ex)
 		}
 	}
-	g.linef("stats: %+v", s.Stats())
+	g.linef("stats: %s", goldenStats(s.Stats()))
 	g.cluster(cl)
 	if rebuilds == 0 {
 		t.Fatal("no preemption changed an engine's size; the engine-rebuild grantee is not covered")

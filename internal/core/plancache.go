@@ -195,15 +195,6 @@ func (rt *Runtime) planFor(g *dag.Graph, opts optimizer.Options) (*optimizer.Pla
 // overhead accounting and tests).
 func (rt *Runtime) PlanCacheHits() int { return rt.planCacheHits }
 
-// KeyInternStats reports the runtime interner's lifetime hit/miss counters
-// (zero when interning is disabled).
-func (rt *Runtime) KeyInternStats() (hits, misses uint64) {
-	if rt.keys == nil {
-		return 0, 0
-	}
-	return rt.keys.Stats()
-}
-
 // appendJobKey renders a job's full content deterministically for the
 // decomposition cache. Free-text fields (description, tasks, input names,
 // attr keys) are length-prefixed and every numeric value is

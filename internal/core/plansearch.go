@@ -224,12 +224,12 @@ func (s *Scheduler) PlanWorkers() int { return s.planWorkers }
 // decomposition half cached — lets the worker skip re-decomposing (the graph
 // is frozen and immutable, so sharing it off-loop is safe).
 func (ps *planSearch) dispatch(h *Handle, jk string, decomp *planner.Result) {
-	s, rt := ps.s, ps.s.rt
+	rt := ps.s.rt
 	planO := planOptions(h.job, h.opts)
 	rt.keyBuf = rt.appendSearchKey(rt.keyBuf[:0], jk, planO)
 	if t, ok := ps.inflight[string(rt.keyBuf)]; ok {
 		t.more = append(t.more, h)
-		s.singleflightHits++
+		rt.counters.SingleflightHits++
 		return
 	}
 	snap, _ := rt.capacityClass()
@@ -249,7 +249,7 @@ func (ps *planSearch) dispatch(h *Handle, jk string, decomp *planner.Result) {
 		ps:       ps,
 	}
 	ps.inflight[t.key] = t
-	s.planSearches++
+	rt.counters.PlanSearches++
 	ps.enqueue(t)
 }
 
@@ -324,9 +324,9 @@ func (s *Scheduler) commitReconfig(t *reconfigSearch) {
 	t.h.reconfigInflight = false
 	switch {
 	case t.capGen != s.rt.cl.CapacityGen() || t.storeGen != s.rt.store.Gen() || t.libGen != s.rt.lib.Gen():
-		s.reconfigConflicts++
+		s.rt.counters.ReconfigConflicts++
 	case t.err != nil:
-		s.reconfigSkips++
+		s.rt.counters.ReconfigSkips++
 	default:
 		s.finishReconfig(t.h, t.plan, t.curObj)
 	}
@@ -363,7 +363,7 @@ func (s *Scheduler) commit(t *searchTask) {
 			continue // canceled while the search was in flight
 		}
 		if stale {
-			s.planConflicts++
+			s.rt.counters.PlanConflicts++
 		}
 		h.planReady = true
 		h.prepared = prep

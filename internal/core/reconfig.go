@@ -185,7 +185,7 @@ func (s *Scheduler) considerReconfig(h *Handle) {
 	if rv.free == 0 || rv.graph.Len() == 0 {
 		return
 	}
-	s.reconfigs++
+	s.rt.counters.Reconfigs++
 
 	planO := planOptions(h.job, h.opts)
 	// The candidate search holds user pins plus every in-flight capability.
@@ -233,7 +233,7 @@ func (s *Scheduler) considerReconfig(h *Handle) {
 	}
 	newPlan, err := s.rt.opt.Plan(rv.graph, snap, newO)
 	if err != nil {
-		s.reconfigSkips++
+		s.rt.counters.ReconfigSkips++
 		return
 	}
 	s.finishReconfig(h, newPlan, curObj)
@@ -243,21 +243,21 @@ func (s *Scheduler) considerReconfig(h *Handle) {
 func (s *Scheduler) finishReconfig(h *Handle, newPlan *optimizer.Plan, curObj float64) {
 	ex := h.exec
 	if ex == nil || ex.done {
-		s.reconfigSkips++
+		s.rt.counters.ReconfigSkips++
 		return
 	}
 	newObj := newPlan.Objective(h.job.Constraint)
 	margin := s.reconfig.cfg.Hysteresis
 	if !(newObj < curObj && curObj-newObj >= margin*math.Abs(curObj)) {
-		s.reconfigSkips++
+		s.rt.counters.ReconfigSkips++
 		return
 	}
 	changed, err := ex.adoptPlan(newPlan)
 	if err != nil || changed == 0 {
-		s.reconfigSkips++
+		s.rt.counters.ReconfigSkips++
 		return
 	}
-	s.reconfigWins++
+	s.rt.counters.ReconfigWins++
 }
 
 // adoptPlan re-binds the execution's remaining stages to newPlan's decisions

@@ -135,18 +135,10 @@ type Runtime struct {
 	// long as the most jobs this runtime had live at once and goes with it.
 	execFree []*Execution
 
-	// scratchHits counts pool pops that reused a retired object;
-	// scratchMisses counts fresh allocations. Engine-goroutine-only, read
-	// via ScratchPoolStats from the same goroutine (shard snapshots run on
-	// the shard's loop).
-	scratchHits, scratchMisses uint64
-}
-
-// ScratchPoolStats reports the runtime's scratch-pool (worker + LLM-task)
-// lifetime reuse counters. Hits stay zero when noReuse is set
-// (every acquisition is then a fresh allocation, counted as a miss).
-func (rt *Runtime) ScratchPoolStats() (hits, misses uint64) {
-	return rt.scratchHits, rt.scratchMisses
+	// counters is the shard's additive accounting (see Counters), incremented
+	// in place by the scheduler, recovery, SLO and scratch-pool paths.
+	// Engine-goroutine-only; Scheduler.Stats reads it from the same goroutine.
+	counters Counters
 }
 
 // ParkedBlocks reports how many released execution blocks wait for a launch.

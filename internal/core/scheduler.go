@@ -212,7 +212,11 @@ func (h *Handle) finish(st JobStatus, err error) {
 	}
 }
 
-// SchedulerStats is a point-in-time view of the admission layer.
+// SchedulerStats is a point-in-time view of the admission layer: the
+// runtime's Counters plus the lifecycle counts and the live gauges.
+// PlanSearchInflight counts searches between dispatch and commit,
+// BreakerOpen the circuit breakers not currently closed, and OverloadActive
+// the SLO overload controller's state.
 type SchedulerStats struct {
 	Submitted   int
 	Completed   int
@@ -221,54 +225,9 @@ type SchedulerStats struct {
 	Running     int
 	Queued      int
 	PeakRunning int
-	// Off-loop plan-search accounting (all zero for serial schedulers):
-	// PlanSearches counts searches dispatched to the worker pool,
-	// SingleflightHits counts submissions that joined an in-flight identical
-	// search instead of starting their own, PlanConflicts counts admissions
-	// whose searched plan was invalidated by a snapshot-generation change and
-	// re-planned inline at commit, and PlanSearchInflight is the live gauge
-	// of searches currently between dispatch and commit.
-	PlanSearches       int
-	SingleflightHits   int
-	PlanConflicts      int
+	Counters
 	PlanSearchInflight int
-	// Reconfiguration accounting (all zero with the controller disabled):
-	// Reconfigs counts running-job evaluations, ReconfigWins adopted
-	// re-plans, ReconfigSkips evaluations that kept the current plan, and
-	// ReconfigConflicts off-loop re-plans invalidated by generation drift.
-	Reconfigs         int
-	ReconfigWins      int
-	ReconfigSkips     int
-	ReconfigConflicts int
-	// Failure-recovery accounting (all zero with recovery disabled):
-	// TaskRetries counts retried task failures, RetriesExhausted jobs
-	// failed on the attempt budget, DeadlinesExceeded jobs failed on their
-	// deadline, Degradations adopted cheaper-implementation re-plans,
-	// StageTimeouts watchdog firings, FaultsInjected applied fault events,
-	// BreakerTrips total circuit-breaker trips and BreakerOpen the live
-	// gauge of breakers currently not closed.
-	TaskRetries       int
-	RetriesExhausted  int
-	DeadlinesExceeded int
-	Degradations      int
-	StageTimeouts     int
-	FaultsInjected    int
-	BreakerTrips      int
-	BreakerOpen       int
-	// SLO/overload accounting (all zero with SLO tiers disabled; see
-	// slo.go): SLOShed counts submissions shed at the per-tenant queue
-	// bound, SLOBudgetExhausted submissions rejected on the tenant cost
-	// budget, SLODegradedAdmits jobs launched on a degraded cheaper plan,
-	// SLOMet/SLOMissed completed jobs classified against their tier's
-	// latency target, OverloadEnters/OverloadExits controller transitions
-	// and OverloadActive the live controller state.
-	SLOShed            int
-	SLOBudgetExhausted int
-	SLODegradedAdmits  int
-	SLOMet             int
-	SLOMissed          int
-	OverloadEnters     int
-	OverloadExits      int
+	BreakerOpen        int
 	OverloadActive     bool
 }
 
@@ -298,27 +257,13 @@ type Scheduler struct {
 	peakRunning int
 
 	// search is the off-loop plan-search pool (nil for serial schedulers);
-	// planWorkers its size. The counters are owned by the engine goroutine.
-	search           *planSearch
-	planWorkers      int
-	planSearches     int
-	singleflightHits int
-	planConflicts    int
+	// planWorkers its size.
+	search      *planSearch
+	planWorkers int
 
 	// reconfig is the mid-flight reconfiguration controller (nil when
-	// disabled; see reconfig.go). Counters: evaluations of running jobs,
-	// adopted re-plans, evaluations that kept the current plan, and off-loop
-	// re-plans discarded for generation drift at commit.
-	reconfig          *reconfigState
-	reconfigs         int
-	reconfigWins      int
-	reconfigSkips     int
-	reconfigConflicts int
-
-	// faultsInjected counts fault events applied through Inject (counted
-	// whether or not recovery is enabled — injection and recovery are
-	// independent toggles).
-	faultsInjected int
+	// disabled; see reconfig.go).
+	reconfig *reconfigState
 
 	// slo is the SLO-tier / overload-control state (nil when disabled; see
 	// slo.go). Every hook is nil-guarded so the disabled path is untouched.
@@ -478,7 +423,7 @@ func (s *Scheduler) start(h *Handle) {
 			// The fleet changed while the job waited in the admission queue:
 			// the plan committed earlier is stale. Re-plan inline against
 			// current state, exactly like the serial path.
-			s.planConflicts++
+			s.rt.counters.PlanConflicts++
 		}
 		ex, err = s.rt.Submit(h.job, h.opts)
 	}
@@ -563,45 +508,29 @@ func (s *Scheduler) MinRunningStartS() (float64, bool) {
 // Running returns currently-admitted jobs.
 func (s *Scheduler) Running() int { return s.running }
 
-// Stats returns lifecycle counters.
+// Stats returns the runtime's counters with the lifecycle counts and gauges,
+// filling in the counters other layers keep: breaker trips (cluster manager),
+// key-intern hits and misses (the runtime's interner) and the event engine's.
 func (s *Scheduler) Stats() SchedulerStats {
 	st := SchedulerStats{
-		Submitted:         int(s.nextID),
-		Completed:         s.completed,
-		Failed:            s.failed,
-		Canceled:          s.canceled,
-		Running:           s.running,
-		Queued:            len(s.queue),
-		PeakRunning:       s.peakRunning,
-		PlanSearches:      s.planSearches,
-		SingleflightHits:  s.singleflightHits,
-		PlanConflicts:     s.planConflicts,
-		Reconfigs:         s.reconfigs,
-		ReconfigWins:      s.reconfigWins,
-		ReconfigSkips:     s.reconfigSkips,
-		ReconfigConflicts: s.reconfigConflicts,
-		FaultsInjected:    s.faultsInjected,
+		Submitted:   int(s.nextID),
+		Completed:   s.completed,
+		Failed:      s.failed,
+		Canceled:    s.canceled,
+		Running:     s.running,
+		Queued:      len(s.queue),
+		PeakRunning: s.peakRunning,
+		Counters:    s.rt.counters,
 	}
 	if s.search != nil {
 		st.PlanSearchInflight = len(s.search.inflight)
 	}
-	if rc := s.rt.recovery; rc != nil {
-		st.TaskRetries = rc.taskRetries
-		st.RetriesExhausted = rc.exhausted
-		st.DeadlinesExceeded = rc.deadlineExceeded
-		st.Degradations = rc.degradations
-		st.StageTimeouts = rc.timeouts
-	}
 	st.BreakerOpen, st.BreakerTrips = s.rt.mgr.BreakerStats()
-	if sl := s.slo; sl != nil {
-		st.SLOShed = sl.shed
-		st.SLOBudgetExhausted = sl.budgetExhausted
-		st.SLODegradedAdmits = sl.degradedAdmits
-		st.SLOMet = sl.sloMet
-		st.SLOMissed = sl.sloMissed
-		st.OverloadEnters = sl.ctrl.enters
-		st.OverloadExits = sl.ctrl.exits
-		st.OverloadActive = sl.ctrl.degraded
+	if s.rt.keys != nil {
+		st.KeyInternHits, st.KeyInternMisses = s.rt.keys.Stats()
 	}
+	st.EventsProcessed, st.WheelEvents = s.se.Processed(), s.se.WheelEvents()
+	st.OverflowEvents, st.CancelsLazy = s.se.OverflowEvents(), s.se.CancelsLazy()
+	st.OverloadActive = s.OverloadActive()
 	return st
 }

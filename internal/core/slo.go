@@ -137,20 +137,16 @@ func (c SLOConfig) withDefaults() SLOConfig {
 type overloadController struct {
 	high, low float64
 	degraded  bool
-	enters    int
-	exits     int
 }
 
 // observe feeds one pressure sample and reports whether the state changed.
 func (c *overloadController) observe(pressure float64) bool {
 	if !c.degraded && pressure >= c.high {
 		c.degraded = true
-		c.enters++
 		return true
 	}
 	if c.degraded && pressure <= c.low {
 		c.degraded = false
-		c.exits++
 		return true
 	}
 	return false
@@ -170,31 +166,6 @@ type sloState struct {
 	cfg     SLOConfig
 	ctrl    overloadController
 	tenants map[string]*tenantSLO
-
-	shed            int
-	budgetExhausted int
-	degradedAdmits  int
-	sloMet          int
-	sloMissed       int
-}
-
-// TenantSLOStats is one tenant's SLO accounting snapshot.
-type TenantSLOStats struct {
-	Tenant string
-	Class  string
-	// Admitted counts submissions accepted into the queue; Shed and
-	// BudgetExhausted count synchronous rejections; DegradedAdmits counts
-	// admissions launched on a degraded cheaper plan.
-	Admitted        int
-	Shed            int
-	BudgetExhausted int
-	DegradedAdmits  int
-	// SLOMet / SLOMissed classify completed jobs against the tier's
-	// latency target (untracked when the target is 0).
-	SLOMet    int
-	SLOMissed int
-	// CostSpentUSD is the cumulative planned cost charged at launch.
-	CostSpentUSD float64
 }
 
 // Validate checks the configuration as EnableSLO would see it (defaults
@@ -287,9 +258,15 @@ func (s *Scheduler) updateOverload() {
 	if s.slo == nil {
 		return
 	}
-	if s.slo.ctrl.observe(s.pressure()) && s.slo.ctrl.degraded {
-		s.scheduleReconfig()
+	if !s.slo.ctrl.observe(s.pressure()) {
+		return
 	}
+	if !s.slo.ctrl.degraded {
+		s.rt.counters.OverloadExits++
+		return
+	}
+	s.rt.counters.OverloadEnters++
+	s.scheduleReconfig()
 }
 
 // sloAdmit is the Submit-time gate: it resolves the submission's class and
@@ -305,13 +282,13 @@ func (s *Scheduler) sloAdmit(tenant string, opts SubmitOptions) (string, error) 
 	ts := s.slo.tenant(tenant, cl.Name)
 	if cl.CostBudgetUSD > 0 && ts.spent >= cl.CostBudgetUSD {
 		ts.stats.BudgetExhausted++
-		s.slo.budgetExhausted++
+		s.rt.counters.SLOBudgetExhausted++
 		return "", &JobError{Code: CodeBudgetExhausted, Op: "admission",
 			Err: fmt.Errorf("core: tenant %q spent $%.4f of its $%.4f budget", tenant, ts.spent, cl.CostBudgetUSD)}
 	}
 	if cl.MaxQueue > 0 && ts.queued >= cl.MaxQueue {
 		ts.stats.Shed++
-		s.slo.shed++
+		s.rt.counters.SLOShed++
 		return "", &JobError{Code: CodeShedOverload, Op: "admission",
 			Err: fmt.Errorf("core: tenant %q queue bound %d reached under overload", tenant, cl.MaxQueue)}
 	}
@@ -349,10 +326,10 @@ func (s *Scheduler) sloSettled(h *Handle) {
 	}
 	if s.se.Now().Sub(h.submittedAt).Seconds() <= cl.LatencyTargetS {
 		ts.stats.SLOMet++
-		s.slo.sloMet++
+		s.rt.counters.SLOMet++
 	} else {
 		ts.stats.SLOMissed++
-		s.slo.sloMissed++
+		s.rt.counters.SLOMissed++
 	}
 }
 
@@ -386,7 +363,7 @@ func (s *Scheduler) startDegraded(h *Handle) (*Execution, error) {
 		decomp, plan = h.prepared.decomp, h.prepared.plan
 	} else {
 		if h.prepared.plan != nil {
-			s.planConflicts++
+			rt.counters.PlanConflicts++
 		}
 		var err error
 		if decomp, err = rt.decompose(h.job); err != nil {
@@ -409,7 +386,7 @@ func (s *Scheduler) startDegraded(h *Handle) (*Execution, error) {
 	degraded := rt.degradePlanForOverload(decomp, plan, h.job, h.opts, floor, maxLatX)
 	if degraded != nil {
 		plan = degraded
-		s.slo.degradedAdmits++
+		rt.counters.SLODegradedAdmits++
 		if ts := s.slo.tenants[h.tenant]; ts != nil {
 			ts.stats.DegradedAdmits++
 		}

@@ -59,16 +59,19 @@ func TestOverloadControllerHysteresisProperty(t *testing.T) {
 				t.Fatalf("seed %d: disengaged above the low watermark (%.3f) at step %d", seed, trace[i], i)
 			}
 		}
+		// The replay also checks observe's report, which the scheduler counts
+		// as overload enters and exits.
 		replay := overloadController{high: 2, low: 1}
+		prev := false
 		for i, p := range trace {
-			replay.observe(p)
+			changed := replay.observe(p)
 			if replay.degraded != states[i] {
 				t.Fatalf("seed %d: replay diverged at step %d", seed, i)
 			}
-		}
-		if replay.enters != ctrl.enters || replay.exits != ctrl.exits {
-			t.Fatalf("seed %d: replay counters %d/%d, original %d/%d",
-				seed, replay.enters, replay.exits, ctrl.enters, ctrl.exits)
+			if changed != (states[i] != prev) {
+				t.Fatalf("seed %d: observe reported change=%v at step %d, state %v -> %v", seed, changed, i, prev, states[i])
+			}
+			prev = states[i]
 		}
 	}
 }

@@ -175,10 +175,10 @@ func (rt *Runtime) newLLMTask() *llmTask {
 		t := rt.llmTaskPool[n-1]
 		rt.llmTaskPool[n-1] = nil
 		rt.llmTaskPool = rt.llmTaskPool[:n-1]
-		rt.scratchHits++
+		rt.counters.ScratchPoolHits++
 		return t
 	}
-	rt.scratchMisses++
+	rt.counters.ScratchPoolMisses++
 	t := &llmTask{}
 	t.fn = t.onComplete
 	return t
@@ -371,9 +371,9 @@ func (st *stage) spawnWorker() {
 		rt.workerPool = rt.workerPool[:n-1]
 		w.st = st
 		w.dead = false
-		rt.scratchHits++
+		rt.counters.ScratchPoolHits++
 	} else {
-		rt.scratchMisses++
+		rt.counters.ScratchPoolMisses++
 		w = &worker{st: st}
 		w.taskDoneFn = w.taskDone
 		w.timedOutFn = w.timedOut
@@ -542,7 +542,7 @@ func (w *worker) timedOut() {
 	w.setIntensity(0, 0)
 	w.setState(w.ready, false)
 	st.inflight--
-	rc.timeouts++
+	ex.rt.counters.StageTimeouts++
 	w.destroy()
 	st.taskFailed(node, &JobError{Code: CodeTaskFailed, Op: string(ex.graph.NodeAt(int(node)).ID),
 		Err: fmt.Errorf("core: stage %s timed out after %.0fs", st.cap, rc.policy.StageTimeoutS)})

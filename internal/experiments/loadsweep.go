@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/aiwaas"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -22,7 +21,7 @@ type LoadPoint struct {
 	MakespanS     float64
 }
 
-// LoadSweepResult drives the AIWaaS service with Poisson job traces at
+// LoadSweepResult drives one shared runtime's scheduler with Poisson job traces at
 // increasing arrival rates — the "AI Workflows-as-a-Service" operating curve
 // (§5): latency stays flat while the cluster has headroom, then queueing
 // delay grows as the offered load saturates it.
@@ -49,37 +48,39 @@ func runLoadPoint(rate, horizonS float64, seed int64) (LoadPoint, error) {
 	if err != nil {
 		return LoadPoint{}, err
 	}
-	svc := aiwaas.New(tb.Engine, tb.Runtime, 4)
+	sched := core.NewScheduler(tb.Engine, tb.Runtime, 4)
 	trace, err := workload.PoissonTrace(workload.DefaultMix(), rate, horizonS, seed)
 	if err != nil {
 		return LoadPoint{}, err
 	}
 	// The whole arrival trace is scheduled up front, in trace order; ties
 	// fire in scheduling order.
-	tickets := make([]*aiwaas.Ticket, 0, len(trace))
+	// Engines stay warm across jobs: the sweep's shared runtime owns their
+	// lifecycle.
+	handles := make([]*core.Handle, 0, len(trace))
 	for _, arr := range trace {
 		tb.Engine.Schedule(sim.Time(arr.AtS), func() {
-			tk, err := svc.Submit(arr.Tenant, arr.Job, core.SubmitOptions{RelaxFloor: true})
+			h, err := sched.Submit(arr.Tenant, arr.Job, core.SubmitOptions{RelaxFloor: true, KeepEngines: true})
 			if err != nil {
 				panic(err) // generator only emits valid jobs
 			}
-			tickets = append(tickets, tk)
+			handles = append(handles, h)
 		})
 	}
 	tb.Engine.Run()
 
 	pt := LoadPoint{RateJobsPerS: rate, Jobs: len(trace)}
 	var latSum, queueSum float64
-	for _, tk := range tickets {
-		switch tk.Status() {
-		case aiwaas.StatusDone:
+	for _, h := range handles {
+		switch h.Status() {
+		case core.JobDone:
 			pt.Completed++
-			latSum += tk.Report().MakespanS + tk.QueueDelayS()
-			queueSum += tk.QueueDelayS()
-		case aiwaas.StatusFailed:
+			latSum += h.Report().MakespanS + h.QueueDelayS()
+			queueSum += h.QueueDelayS()
+		case core.JobFailed:
 			pt.Failed++
 		default:
-			return LoadPoint{}, fmt.Errorf("ticket stuck in %v", tk.Status())
+			return LoadPoint{}, fmt.Errorf("job stuck in %v", h.Status())
 		}
 	}
 	if pt.Completed > 0 {

@@ -92,10 +92,8 @@ func TestRouterLeaveRaceUnderChurn(t *testing.T) {
 		var prev ClusterTotals
 		for i := 0; i < 15; i++ {
 			tot := rt.Stats().Totals
-			if tot.Submitted < prev.Submitted || tot.Completed < prev.Completed ||
-				tot.Failed < prev.Failed || tot.Canceled < prev.Canceled ||
-				tot.EventsProcessed < prev.EventsProcessed || tot.Recycles < prev.Recycles {
-				t.Errorf("totals regressed mid-churn: %+v -> %+v", prev, tot)
+			if r := regressed(prev, tot); len(r) > 0 {
+				t.Errorf("totals regressed mid-churn: %v", r)
 			}
 			prev = tot
 			time.Sleep(time.Millisecond)

@@ -187,9 +187,8 @@ func TestRouterStatsFanInMonotonic(t *testing.T) {
 		t.Fatalf("submit = %d", rec.Code)
 	}
 	s2 := rt.Stats()
-	if s2.Totals.Submitted < s1.Totals.Submitted || s2.Totals.Completed < s1.Totals.Completed ||
-		s2.Totals.EventsProcessed < s1.Totals.EventsProcessed {
-		t.Fatalf("totals regressed: %+v -> %+v", s1.Totals, s2.Totals)
+	if r := regressed(s1.Totals, s2.Totals); len(r) > 0 {
+		t.Fatalf("totals regressed: %v", r)
 	}
 }
 
@@ -246,8 +245,10 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 	// Whether the leave finds the long jobs still running is a real-time
 	// race against the shard loop (each runs for many times the cost of the
 	// leave, but a starved test goroutine can lose). Retry the whole scenario
-	// on a fresh cluster until a leave catches work mid-air — virtually
-	// always the first attempt; bounded for slow or contended machines.
+	// on a fresh cluster until a leave catches a running job — virtually
+	// always the first attempt; bounded for slow or contended machines. The
+	// queued jobs are never part of that race: they must reroute on every
+	// attempt, and the assertion below is not retried.
 	var rt *Router
 	var ids []string
 	var before ClusterStats
@@ -295,11 +296,11 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 		if err := rt.Leave("n0"); err != nil {
 			t.Fatal(err)
 		}
-		if s := rt.Stats(); s.ReroutedJobs+s.NodeDownJobs > 0 {
+		if rt.Stats().NodeDownJobs > 0 {
 			break
 		}
 		if attempt == 9 {
-			t.Fatal("no leave caught jobs in flight in 10 attempts")
+			t.Fatal("no leave caught a running job in 10 attempts")
 		}
 		rt.Close()
 	}
@@ -327,11 +328,8 @@ func TestRouterLeaveDrainReroutesAndTypesNodeDown(t *testing.T) {
 	}
 	// Monotonic fold: the departed node's final counters are in the
 	// retired totals, so nothing regresses.
-	if after.Totals.Submitted < before.Totals.Submitted ||
-		after.Totals.Completed < before.Totals.Completed ||
-		after.Totals.Canceled < before.Totals.Canceled ||
-		after.Totals.EventsProcessed < before.Totals.EventsProcessed {
-		t.Fatalf("totals regressed across leave: %+v -> %+v", before.Totals, after.Totals)
+	if r := regressed(before.Totals, after.Totals); len(r) > 0 {
+		t.Fatalf("totals regressed across leave: %v", r)
 	}
 	// Only the departed node's tenants moved.
 	if after.TenantsMoved == 0 {

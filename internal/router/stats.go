@@ -4,24 +4,22 @@ import (
 	"net/http"
 
 	"repro/internal/api"
+	"repro/internal/core"
 )
 
-// ClusterTotals is the cluster-wide lifecycle fold: live nodes' pool
-// counters plus the final counters of every departed node (folded at leave,
-// the same discipline the pool applies to recycled shards), so every field
-// is monotonic across membership changes. Submitted counts node-level
-// admissions and therefore includes leave-time re-entries (a rerouted job is
-// admitted twice); the router's routed_submits counter is the client-facing
-// count.
+// ClusterTotals is the cluster-wide fold: live nodes' pool totals plus the
+// final totals of every departed node (folded at leave, the same discipline
+// the pool applies to recycled shards), so every field is monotonic across
+// membership changes. Submitted counts node-level admissions and therefore
+// includes leave-time re-entries (a rerouted job is admitted twice); the
+// router's routed_submits counter is the client-facing count.
 type ClusterTotals struct {
-	Submitted       int    `json:"submitted"`
-	Completed       int    `json:"completed"`
-	Failed          int    `json:"failed"`
-	Canceled        int    `json:"canceled"`
-	PlanSearches    int    `json:"plan_searches"`
-	Reconfigs       int    `json:"reconfigs"`
-	Recycles        int    `json:"recycles"`
-	EventsProcessed uint64 `json:"events_processed"`
+	Submitted int `json:"submitted"`
+	Completed int `json:"completed"`
+	Failed    int `json:"failed"`
+	Canceled  int `json:"canceled"`
+	Recycles  int `json:"recycles"`
+	core.Counters
 }
 
 // addPool folds one pool's monotonic totals in.
@@ -30,10 +28,8 @@ func (t *ClusterTotals) addPool(ps api.PoolStats) {
 	t.Completed += ps.Completed
 	t.Failed += ps.Failed
 	t.Canceled += ps.Canceled
-	t.PlanSearches += ps.PlanSearches
-	t.Reconfigs += ps.Reconfigs
 	t.Recycles += ps.Recycles
-	t.EventsProcessed += ps.EventsProcessed
+	t.Counters.Add(ps.Counters)
 }
 
 // NodeStats is one member's row in the cluster stats fan-in.

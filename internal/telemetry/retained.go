@@ -64,13 +64,9 @@ func (r *RetainedSeries) DroppedPoints() int { return r.dropped }
 // Len returns live change points retained (rollup buckets not included).
 func (r *RetainedSeries) Len() int { return r.live.Len() }
 
-// Set, AddDelta, Last and Value delegate to the live series.
+// Set and AddDelta delegate to the live series.
 func (r *RetainedSeries) Set(t, v float64)      { r.live.Set(t, v) }
 func (r *RetainedSeries) AddDelta(t, d float64) { r.live.AddDelta(t, d) }
-func (r *RetainedSeries) Last() float64         { return r.live.Last() }
-func (r *RetainedSeries) Value(t float64) float64 {
-	return r.live.Value(t)
-}
 
 // maxRollups bounds the bucket list: without a cap, one bucket per epoch
 // per series is a small but unbounded leak — the exact growth mode tiered
