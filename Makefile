@@ -25,11 +25,12 @@ race:
 # and execution blocks — both differentials against the never-reuse arm, the
 # stale-release cases and the parked block's collectability, all with released
 # blocks poisoned, as every test of the core binary runs; and the plan search's
-# dispatch against the capacity class with its commit conflicts) under the
-# race detector: a one-in-twelve failure passes a single run 92 % of the time.
+# dispatch against the capacity class with its commit conflicts, and the
+# off-loop reconfiguration re-plan's commit) under the race detector: a
+# one-in-twelve failure passes a single run 92 % of the time.
 # CI runs the same line.
 stress:
-	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs|StaleHandle|CompletedRequestsAreReused|RecycledBlocks|FromRecycledBlocks|ReleaseIsDefined|ParkedBlockKeeps|WaitHolders|DispatchCapturesCapacityClass|PlanConflict' ./internal/serving ./internal/router ./internal/api ./internal/core ./internal/sim
+	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs|StaleHandle|CompletedRequestsAreReused|RecycledBlocks|FromRecycledBlocks|ReleaseIsDefined|ParkedBlockKeeps|WaitHolders|DispatchCapturesCapacityClass|PlanConflict|ReconfigOffLoop' ./internal/serving ./internal/router ./internal/api ./internal/core ./internal/sim
 
 # allocs runs the tier-1 allocation budgets (the wire, the job hand-off, the
 # execution layer in objects and in bytes, a launch cold and into a released

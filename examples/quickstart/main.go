@@ -11,6 +11,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/agents"
 	"repro/internal/cluster"
@@ -64,8 +66,8 @@ func main() {
 	fmt.Println(rep.String())
 
 	fmt.Println("\n== Decisions the runtime made (Table 1 levers) ==")
-	for cap, d := range rep.Decisions {
-		fmt.Printf("  %-20s %s\n", cap, d)
+	for _, cap := range slices.Sorted(maps.Keys(rep.Decisions)) {
+		fmt.Printf("  %-20s %s\n", cap, rep.Decisions[cap])
 	}
 
 	fmt.Println("\n== How the orchestrator decomposed the job (ReAct) ==")

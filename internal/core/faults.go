@@ -7,12 +7,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/agents"
-	"repro/internal/cascade"
-	"repro/internal/cluster"
-	"repro/internal/optimizer"
-	"repro/internal/profiles"
-	"repro/internal/quality"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -26,10 +20,10 @@ import (
 // stage when the backoff fires, landing on whatever binding is current by
 // then. Attempt budgets and per-job deadlines bound the damage; repeated
 // failures of one capability degrade the job to a cheaper implementation
-// via the cascade (quality floor respected); the cluster manager's circuit
-// breaker quarantines flapping implementations between jobs. With recovery
-// disabled every path below is unreachable and behavior is bit-identical
-// to a build without this file.
+// through the re-plan verb (replan.go; quality floor respected); the cluster
+// manager's circuit breaker quarantines flapping implementations between
+// jobs. With recovery disabled every path below is unreachable and behavior
+// is bit-identical to a build without this file.
 
 // ErrorCode is a machine-readable classification of a job's terminal error,
 // stable across releases (the job API's error_code field).
@@ -433,14 +427,14 @@ func (ex *Execution) maybeDegrade(cap string) {
 	}
 }
 
-// degradeStage re-plans the remaining DAG with the failing capability pinned
-// to the cheapest alternative implementation that clears the job's quality
-// floor — the cascade walked cheapest-first, chain-correctness checked over
-// the remaining graph — and every other capability pinned to its current
-// decision. Adoption reuses the reconfiguration path (adoptPlan), so engine
-// refs move two-phase and in-flight stages are left alone.
+// degradeStage re-plans the remaining DAG through the re-plan verb with every
+// other capability held at its current decision and the failing one swapped
+// to the cheapest alternative implementation that keeps chain correctness
+// over the remaining graph at or above the job's floor. Alternatives are
+// tried cheapest-first; the first one that re-plans and rebinds wins.
+// Adoption reuses the reconfiguration path (adoptPlan), so engine refs move
+// two-phase and in-flight stages are left alone.
 func (ex *Execution) degradeStage(cap string) bool {
-	rt := ex.rt
 	if st := ex.stageNamed(cap); st != nil && st.inflight > 0 {
 		return false
 	}
@@ -448,99 +442,26 @@ func (ex *Execution) degradeStage(cap string) bool {
 	if work <= 0 {
 		return false
 	}
-	cur := ex.plan.Decisions[cap]
-	snap, _ := rt.capacityClass()
-	casc, cfgs := rt.degradeCandidates(cap, cur.Implementation, work, snap)
-	if len(casc.Levels) == 0 {
-		return false
-	}
-	casc.SortByCost()
-
 	rv := ex.remainingView()
 	if rv.graph.Len() == 0 || rv.inflight[cap] {
 		return false
 	}
 	floor := ex.job.MinQuality
-	enforceFloor := floor > 0 && !ex.opts.RelaxFloor
-	for _, lvl := range casc.Levels {
-		if enforceFloor {
-			sq := quality.StageQuality{}
-			for c, d := range ex.plan.Decisions {
-				sq[c] = d.Quality
-			}
-			sq[cap] = lvl.Quality
-			if quality.ChainCorrectness(rv.graph, sq) < floor {
-				continue
-			}
-		}
-		pins := map[string]optimizer.Pin{}
-		for _, n := range rv.graph.Nodes() {
-			if _, ok := pins[n.Capability]; !ok {
-				pins[n.Capability] = pinFromDecision(ex.plan.Decisions[n.Capability])
-			}
-		}
-		pins[cap] = optimizer.Pin{Implementation: lvl.Implementation, Config: cfgs[lvl.Implementation]}
-		o := planOptions(ex.job, ex.opts)
-		o.Pinned = pins
-		// The floor was checked chain-wise above; a stage-wise floor here
-		// would reject the very degradation this path exists to make.
-		o.MinQuality = 0
-		newPlan, err := rt.opt.Plan(rv.graph, snap, o)
-		if err != nil {
+	if ex.opts.RelaxFloor {
+		floor = 0
+	}
+	r := ex.rt.newReplan(rv, ex.plan, ex.job, ex.opts, true, floor)
+	cur := ex.plan.Decisions[cap].Implementation
+	for _, a := range ex.rt.alternatives(cap, cur, work, r.snap) {
+		if a.impl == cur || !r.clears(cap, a) {
 			continue
 		}
-		if changed, err := ex.adoptPlan(newPlan); err == nil && changed > 0 {
-			return true
+		r.swap(cap, a)
+		if res := r.search(ex.rt.opt); res.err == nil {
+			if changed, err := ex.adoptPlan(res.plan); err == nil && changed > 0 {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// snapFits reports whether a resource configuration could ever be placed on
-// the snapshotted cluster (total capacity, not instantaneous free capacity —
-// degradation pins must be plannable, not necessarily immediately free).
-func snapFits(snap cluster.Snapshot, cfg profiles.ResourceConfig) bool {
-	if cfg.GPUs > 0 && snap.TotalGPUs[cfg.GPUType] < cfg.GPUs {
-		return false
-	}
-	return cfg.CPUCores <= snap.TotalCPUCores
-}
-
-// degradeCandidates builds a capability's degradation cascade: every other
-// registered implementation of the capability, each on its cheapest
-// profiled configuration that fits the snapshotted cluster, excluding
-// quarantined ones. The returned map carries each candidate's chosen
-// configuration (optimizer pins need a real profiled config, not just an
-// implementation name). It lives on the Runtime because two callers share
-// it: per-execution failure degradation (degradeStage, above) and
-// admission-time overload degradation (degradePlanForOverload, slo.go).
-func (rt *Runtime) degradeCandidates(cap, curImpl string, work float64, snap cluster.Snapshot) (cascade.Cascade, map[string]profiles.ResourceConfig) {
-	var casc cascade.Cascade
-	cfgs := map[string]profiles.ResourceConfig{}
-	for _, im := range rt.lib.ByCapability(agents.Capability(cap)) {
-		if im.Name == curImpl || rt.mgr.Quarantined(im.Name) {
-			continue
-		}
-		var best profiles.Profile
-		bestCost := math.Inf(1)
-		for _, p := range rt.store.ForImplementation(im.Name) {
-			if p.Capability != cap || !snapFits(snap, p.Config) {
-				continue
-			}
-			if c := p.CostUSD(rt.cl.Catalog(), rt.cpuType, work); c < bestCost {
-				best, bestCost = p, c
-			}
-		}
-		if math.IsInf(bestCost, 1) {
-			continue
-		}
-		casc.Levels = append(casc.Levels, cascade.Level{
-			Implementation: im.Name,
-			Quality:        best.Quality,
-			CostUSD:        bestCost,
-			LatencyS:       best.LatencyS(work),
-		})
-		cfgs[im.Name] = best.Config
-	}
-	return casc, cfgs
 }

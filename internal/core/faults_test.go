@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/agents"
 	"repro/internal/llmsim"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
@@ -261,5 +263,49 @@ func TestErrorCodeOf(t *testing.T) {
 		if got := ErrorCodeOf(tc.err); got != tc.want {
 			t.Fatalf("ErrorCodeOf(%v) = %q, want %q", tc.err, got, tc.want)
 		}
+	}
+}
+
+// Repeated call failures on the summarization engine degrade summarization
+// to the cheapest alternative whose chain correctness over the remaining
+// graph clears the job floor. llama-8b is the cheapest alternative but sits
+// below the 0.9 floor, so the degradation must skip it for llama-70b.
+func TestDegradeSkipsCheaperAlternativeBelowTheFloor(t *testing.T) {
+	se, s := schedTestbed(t, 1)
+	s.EnableRecovery(FaultPolicy{Seed: 3, DegradeAfter: 1, BreakerThreshold: -1})
+	// One scene: the failed summarization task is the stage's only one, so
+	// the failure leaves the stage at a boundary where it can rebind.
+	job := sloQualityVideoJob()
+	job.Inputs = []workflow.Input{workflow.VideoInput("a.mov", 30, 30, 24)}
+	job.MinQuality = 0.9
+	h, err := s.Submit("alice", job, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := string(agents.CapSummarization)
+	se.Step() // admission launches the job on the loop
+	ex := h.Execution()
+	if got := ex.Plan().Decisions[sum].Implementation; got != agents.ImplNVLM {
+		t.Fatalf("MAX_QUALITY summarization = %s, want %s", got, agents.ImplNVLM)
+	}
+	snap, _ := s.rt.capacityClass()
+	alts := s.rt.alternatives(sum, agents.ImplNVLM, ex.Decomposition().Graph.CapabilityWork()[sum], snap)
+	if len(alts) < 2 || alts[0].impl != agents.ImplLlama8B || alts[0].quality >= job.MinQuality ||
+		alts[1].impl != agents.ImplLlama70B || alts[1].quality < job.MinQuality {
+		t.Fatalf("alternatives %+v: want llama-8b (below the floor) cheaper than llama-70b (above it)", alts)
+	}
+	landed := injectEvery(se, s, workload.FaultEvent{Kind: workload.FaultCallError, Pick: 0.3}, 5, 35, 10)
+	se.Run()
+	if *landed == 0 {
+		t.Fatal("no call-error injection found a busy engine")
+	}
+	if h.Status() != JobDone {
+		t.Fatalf("status = %v err = %v", h.Status(), h.Err())
+	}
+	if st := s.Stats(); st.Degradations == 0 || !ex.degraded[sum] {
+		t.Fatalf("summarization never degraded (stats %+v)", st)
+	}
+	if got := ex.Plan().Decisions[sum].Implementation; got != agents.ImplLlama70B {
+		t.Fatalf("summarization degraded to %s, want %s", got, agents.ImplLlama70B)
 	}
 }

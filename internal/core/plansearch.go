@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/dag"
 	"repro/internal/optimizer"
 	"repro/internal/planner"
 	"repro/internal/sim"
@@ -122,10 +121,7 @@ func (t *searchTask) Run() { t.ps.s.commit(t) }
 type reconfigSearch struct {
 	ps     *planSearch
 	h      *Handle
-	graph  *dag.Graph
-	planO  optimizer.Options
-	curObj float64
-	snap   cluster.Snapshot
+	r      *replan
 	capGen uint64
 	// storeGen/libGen pin the profile-store and library contents the search
 	// reads; commit re-checks them alongside the capacity generation.
@@ -133,13 +129,12 @@ type reconfigSearch struct {
 	libGen   int
 	hold     *sim.LoopHold
 
-	plan *optimizer.Plan
-	err  error
+	res replanResult
 }
 
 // search executes the re-plan on a worker goroutine.
 func (t *reconfigSearch) search(_ *planner.Planner, opt *optimizer.Optimizer) {
-	t.plan, t.err = opt.Plan(t.graph, t.snap, t.planO)
+	t.res = t.r.search(opt)
 	t.hold.PostTask(t)
 }
 
@@ -255,15 +250,12 @@ func (ps *planSearch) dispatch(h *Handle, jk string, decomp *planner.Result) {
 
 // dispatchReconfig hands a mid-flight re-plan to the worker pool. Runs on the
 // loop goroutine; the hold keeps a draining shard from stranding the commit.
-func (ps *planSearch) dispatchReconfig(h *Handle, g *dag.Graph, planO optimizer.Options, curObj float64, snap cluster.Snapshot) {
+func (ps *planSearch) dispatchReconfig(h *Handle, r *replan) {
 	s := ps.s
 	ps.enqueue(&reconfigSearch{
 		ps:       ps,
 		h:        h,
-		graph:    g,
-		planO:    planO,
-		curObj:   curObj,
-		snap:     snap,
+		r:        r,
 		capGen:   s.rt.cl.CapacityGen(),
 		storeGen: s.rt.store.Gen(),
 		libGen:   s.rt.lib.Gen(),
@@ -322,14 +314,11 @@ func (ps *planSearch) worker() {
 // re-plan falling back to current state.
 func (s *Scheduler) commitReconfig(t *reconfigSearch) {
 	t.h.reconfigInflight = false
-	switch {
-	case t.capGen != s.rt.cl.CapacityGen() || t.storeGen != s.rt.store.Gen() || t.libGen != s.rt.lib.Gen():
+	if t.capGen != s.rt.cl.CapacityGen() || t.storeGen != s.rt.store.Gen() || t.libGen != s.rt.lib.Gen() {
 		s.rt.counters.ReconfigConflicts++
-	case t.err != nil:
-		s.rt.counters.ReconfigSkips++
-	default:
-		s.finishReconfig(t.h, t.plan, t.curObj)
+		return
 	}
+	s.finishReconfig(t.h, t.res)
 }
 
 // commit is the on-loop half of optimistic admission: validate the captured

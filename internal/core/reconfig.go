@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/dag"
 	"repro/internal/optimizer"
 )
 
@@ -116,51 +115,6 @@ func (s *Scheduler) evalReconfig() {
 	}
 }
 
-// remainingView is the execution's explicit remaining-DAG view: the frozen
-// graph of not-yet-completed nodes, the capabilities that must keep their
-// current binding (tasks in flight), and how many remaining tasks are free
-// to rebind.
-type remainingView struct {
-	graph *dag.Graph
-	// inflight marks capabilities with tasks executing right now — at the
-	// next stage boundary they become rebindable, but not before.
-	inflight map[string]bool
-	// free counts remaining tasks on rebindable capabilities.
-	free int
-}
-
-// remainingView snapshots the remaining DAG. Edges are dropped: the
-// optimizer consumes only (capability, work) demand, and the execution keeps
-// driving the original tracker — this graph exists purely to re-plan over.
-func (ex *Execution) remainingView() *remainingView {
-	rv := &remainingView{graph: dag.New(), inflight: map[string]bool{}}
-	for _, n := range ex.tracker.RemainingNodes() {
-		rv.graph.MustAddNode(*n)
-		if st := ex.stageNamed(n.Capability); st != nil && st.inflight > 0 {
-			rv.inflight[n.Capability] = true
-		} else {
-			rv.free++
-		}
-	}
-	if err := rv.graph.Freeze(); err != nil {
-		panic(err) // unreachable: no edges
-	}
-	return rv
-}
-
-// pinFromDecision renders a decision as an optimizer pin, so a re-plan can
-// hold in-flight capabilities (and the hysteresis baseline can hold every
-// capability) to the current binding.
-func pinFromDecision(d optimizer.Decision) optimizer.Pin {
-	return optimizer.Pin{
-		Implementation: d.Implementation,
-		Config:         d.Config,
-		Parallelism:    d.Parallelism,
-		ExecutionPaths: d.ExecutionPaths,
-		AllowScaling:   d.AllowScaling,
-	}
-}
-
 // decisionEquivalent reports whether two decisions bind the same execution
 // configuration. Estimates and pin provenance are ignored: a re-plan over
 // the remaining DAG re-derives estimates from remaining work, and pinning an
@@ -172,10 +126,13 @@ func decisionEquivalent(a, b optimizer.Decision) bool {
 		max(a.ExecutionPaths, 1) == max(b.ExecutionPaths, 1)
 }
 
-// considerReconfig evaluates one running job: re-plan its remaining DAG and
-// adopt the result if it clears the hysteresis bar. With the search pool
-// attached the expensive optimizer pass runs off-loop and commits
-// optimistically; otherwise it runs inline right here.
+// considerReconfig evaluates one running job: re-plan its remaining DAG with
+// the in-flight capabilities held, and adopt the result if it clears the
+// hysteresis bar. With the search pool attached the candidate search runs
+// off-loop and commits optimistically; otherwise it runs inline right here.
+// The all-held baseline is cheap (applyPin per capability, no enumeration);
+// the candidate search pays full price only on the rare capacity events that
+// trigger evaluation.
 func (s *Scheduler) considerReconfig(h *Handle) {
 	ex := h.exec
 	if ex == nil || ex.done || h.reconfigInflight {
@@ -186,73 +143,25 @@ func (s *Scheduler) considerReconfig(h *Handle) {
 		return
 	}
 	s.rt.counters.Reconfigs++
-
-	planO := planOptions(h.job, h.opts)
-	// The candidate search holds user pins plus every in-flight capability.
-	pins := make(map[string]optimizer.Pin, len(planO.Pinned)+len(rv.inflight))
-	for cap, pin := range planO.Pinned {
-		pins[cap] = pin
-	}
-	for cap := range rv.inflight {
-		if _, ok := pins[cap]; !ok {
-			pins[cap] = pinFromDecision(ex.plan.Decisions[cap])
-		}
-	}
-	newO := planO
-	newO.Pinned = pins
-
-	// The hysteresis baseline: the current decisions re-scored over the same
-	// remaining DAG under current capacity. Infeasible (the fleet shrank from
-	// under the old plan) scores +Inf, so any feasible re-plan wins.
-	curPins := make(map[string]optimizer.Pin, rv.graph.Len())
-	for _, n := range rv.graph.Nodes() {
-		if _, ok := curPins[n.Capability]; !ok {
-			curPins[n.Capability] = pinFromDecision(ex.plan.Decisions[n.Capability])
-		}
-	}
-	curO := planO
-	curO.Pinned = curPins
-
-	// Both searches bypass the runtime's plan cache: a remaining-DAG key is
-	// unique to one job's progress and would never be hit again, and a churn
-	// storm of one-shot inserts would wholesale-reset the cache out from
-	// under admission's structurally-identical jobs. The all-pinned baseline
-	// is cheap (applyPin per capability, no enumeration); the candidate
-	// search pays full price only on the rare capacity events that trigger
-	// evaluation.
-	snap, _ := s.rt.capacityClass()
-	curObj := math.Inf(1)
-	if curPlan, err := s.rt.opt.Plan(rv.graph, snap, curO); err == nil {
-		curObj = curPlan.Objective(h.job.Constraint)
-	}
-
+	r := s.rt.newReplan(rv, ex.plan, h.job, h.opts, false, 0)
 	if s.search != nil {
 		h.reconfigInflight = true
-		s.search.dispatchReconfig(h, rv.graph, newO, curObj, snap)
+		s.search.dispatchReconfig(h, r)
 		return
 	}
-	newPlan, err := s.rt.opt.Plan(rv.graph, snap, newO)
-	if err != nil {
-		s.rt.counters.ReconfigSkips++
-		return
-	}
-	s.finishReconfig(h, newPlan, curObj)
+	s.finishReconfig(h, r.search(s.rt.opt))
 }
 
 // finishReconfig applies the hysteresis test and adopts a winning plan.
-func (s *Scheduler) finishReconfig(h *Handle, newPlan *optimizer.Plan, curObj float64) {
+func (s *Scheduler) finishReconfig(h *Handle, res replanResult) {
 	ex := h.exec
-	if ex == nil || ex.done {
-		s.rt.counters.ReconfigSkips++
-		return
-	}
-	newObj := newPlan.Objective(h.job.Constraint)
 	margin := s.reconfig.cfg.Hysteresis
-	if !(newObj < curObj && curObj-newObj >= margin*math.Abs(curObj)) {
+	if ex == nil || ex.done || res.err != nil ||
+		!(res.obj < res.curObj && res.curObj-res.obj >= margin*math.Abs(res.curObj)) {
 		s.rt.counters.ReconfigSkips++
 		return
 	}
-	changed, err := ex.adoptPlan(newPlan)
+	changed, err := ex.adoptPlan(res.plan)
 	if err != nil || changed == 0 {
 		s.rt.counters.ReconfigSkips++
 		return

@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"maps"
+	"slices"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/optimizer"
 	"repro/internal/planner"
-	"repro/internal/quality"
 	"repro/internal/workflow"
 )
 
@@ -22,8 +21,8 @@ import (
 //     on their normal plans exactly as without this file.
 //  2. degrade — above the high watermark (hysteresis: the controller only
 //     disengages again below the low watermark) new jobs of degradable
-//     tiers are admitted onto cheaper plan configurations, built from the
-//     PR-6 degradation cascade at admission time; entering overload also
+//     tiers are admitted onto cheaper plan configurations, built through
+//     the re-plan verb (replan.go) at admission time; entering overload also
 //     kicks the PR-5 reconfiguration controller so running work re-plans
 //     cheaper at its next stage boundary.
 //  3. shed — per-tenant queue slots are bounded; a submission beyond the
@@ -398,42 +397,20 @@ func (s *Scheduler) startDegraded(h *Handle) (*Execution, error) {
 	return ex, err
 }
 
-// cheapestProfile returns an implementation's cheapest profiled cost for
-// the given work, together with that profile's latency (ok=false when the
-// implementation has no profile for the capability) — the like-for-like
-// yardstick the degradation walk compares cascade levels against.
-func (rt *Runtime) cheapestProfile(cap, impl string, work float64, snap cluster.Snapshot) (cost, lat float64, ok bool) {
-	cost = math.Inf(1)
-	for _, p := range rt.store.ForImplementation(impl) {
-		if p.Capability != cap || !snapFits(snap, p.Config) {
-			continue
-		}
-		if c := p.CostUSD(rt.cl.Catalog(), rt.cpuType, work); c < cost {
-			cost, lat, ok = c, p.LatencyS(work), true
-		}
-	}
-	return cost, lat, ok
-}
-
-// degradePlanForOverload builds an admission-time degraded plan: for each
-// capability (most expensive first, user pins untouched) it walks the PR-6
-// degradation cascade cheapest-first and pins the first alternative
-// implementation that is cheaper than the current one, no more than
-// maxLatX slower on the capability's work (profile-level, like-for-like),
-// and keeps chain correctness at or above the floor; then it re-plans once
-// with the accumulated pins. The result is adopted only when its estimated
-// cost strictly beats the undegraded plan; nil means launch the original.
-// Everything iterates in sorted order, so the outcome is deterministic for
-// a given scheduler state.
+// degradePlanForOverload builds an admission-time degraded plan through the
+// re-plan verb: for each capability (most expensive first, user pins
+// untouched) it walks the capability's alternatives cheapest-first and swaps
+// in the first one that is cheaper than the current implementation, no more
+// than maxLatX slower on the capability's work (profile-level,
+// like-for-like), and keeps chain correctness at or above the floor; then it
+// re-plans once with the accumulated swaps. The result is adopted only when
+// its estimated cost strictly beats the undegraded plan; nil means launch
+// the original. Everything iterates in sorted order, so the outcome is
+// deterministic for a given scheduler state.
 func (rt *Runtime) degradePlanForOverload(decomp *planner.Result, plan *optimizer.Plan, job workflow.Job, opts SubmitOptions, floor, maxLatX float64) *optimizer.Plan {
-	snap, _ := rt.capacityClass()
+	r := rt.newReplan(&remainingView{graph: decomp.Graph}, plan, job, opts, false, floor)
 	work := decomp.Graph.CapabilityWork()
-	sq := make(quality.StageQuality, len(plan.Decisions))
-	caps := make([]string, 0, len(plan.Decisions))
-	for cap, d := range plan.Decisions {
-		sq[cap] = d.Quality
-		caps = append(caps, cap)
-	}
+	caps := slices.Collect(maps.Keys(plan.Decisions))
 	sort.Slice(caps, func(i, j int) bool {
 		di, dj := plan.Decisions[caps[i]], plan.Decisions[caps[j]]
 		if di.EstCostUSD != dj.EstCostUSD {
@@ -441,63 +418,36 @@ func (rt *Runtime) degradePlanForOverload(decomp *planner.Result, plan *optimize
 		}
 		return caps[i] < caps[j]
 	})
-	pins := map[string]optimizer.Pin{}
-	for cap, p := range opts.Pinned {
-		pins[cap] = p
-	}
-	swapped := 0
 	for _, cap := range caps {
-		if _, userPinned := opts.Pinned[cap]; userPinned {
+		if _, userPinned := opts.Pinned[cap]; userPinned || work[cap] <= 0 {
 			continue
 		}
-		if work[cap] <= 0 {
+		cur := plan.Decisions[cap].Implementation
+		alts := rt.alternatives(cap, cur, work[cap], r.snap)
+		i := slices.IndexFunc(alts, func(a alternative) bool { return a.impl == cur })
+		if i < 0 {
 			continue
 		}
-		cur := plan.Decisions[cap]
-		curCost, curLat, ok := rt.cheapestProfile(cap, cur.Implementation, work[cap], snap)
-		if !ok {
-			continue
-		}
-		casc, cfgs := rt.degradeCandidates(cap, cur.Implementation, work[cap], snap)
-		if len(casc.Levels) == 0 {
-			continue
-		}
-		casc.SortByCost()
-		for _, lvl := range casc.Levels {
-			if lvl.CostUSD >= curCost {
-				break // cheapest-first: nothing cheaper remains
+		// Cheapest-first: everything from the current implementation on is
+		// no cheaper than it.
+		for _, a := range alts[:i] {
+			if a.cost >= alts[i].cost {
+				break
 			}
-			if lvl.LatencyS > curLat*maxLatX {
-				continue
+			if a.latency <= alts[i].latency*maxLatX && r.clears(cap, a) {
+				r.swap(cap, a)
+				break
 			}
-			if floor > 0 {
-				prev := sq[cap]
-				sq[cap] = lvl.Quality
-				if quality.ChainCorrectness(decomp.Graph, sq) < floor {
-					sq[cap] = prev
-					continue
-				}
-			} else {
-				sq[cap] = lvl.Quality
-			}
-			pins[cap] = optimizer.Pin{Implementation: lvl.Implementation, Config: cfgs[lvl.Implementation]}
-			swapped++
-			break
 		}
 	}
-	if swapped == 0 {
+	if r.swaps == 0 {
 		return nil
 	}
-	o := planOptions(job, opts)
-	o.Pinned = pins
-	// The floor was checked chain-wise above; a stage-wise floor here would
-	// reject the very degradation this path exists to make.
-	o.MinQuality = 0
-	degraded, err := rt.opt.Plan(decomp.Graph, snap, o)
-	if err != nil || degraded.EstCostUSD >= plan.EstCostUSD {
+	res := r.search(rt.opt)
+	if res.err != nil || res.plan.EstCostUSD >= plan.EstCostUSD {
 		return nil
 	}
-	return degraded
+	return res.plan
 }
 
 // SLOTenants returns per-tenant SLO accounting sorted by tenant (nil with

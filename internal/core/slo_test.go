@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/workflow"
 )
 
@@ -143,12 +144,16 @@ func TestSLODegradeAtAdmissionUnderOverload(t *testing.T) {
 	// Baseline arm: no SLO tiers, same jobs — records the undegraded cost.
 	se0, s0 := schedTestbed(t, 1)
 	var baseCost float64
+	var basePlan *optimizer.Plan
 	for i := 0; i < 3; i++ {
 		h, err := s0.Submit("alice", sloQualityVideoJob(), SubmitOptions{RelaxFloor: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Observe(observerFuncs{done: func(h *Handle) { baseCost += h.Execution().Plan().EstCostUSD }})
+		h.Observe(observerFuncs{done: func(h *Handle) {
+			basePlan = h.Execution().Plan()
+			baseCost += basePlan.EstCostUSD
+		}})
 	}
 	se0.Run()
 
@@ -186,6 +191,37 @@ func TestSLODegradeAtAdmissionUnderOverload(t *testing.T) {
 	}
 	if cost >= baseCost {
 		t.Fatalf("degraded cost $%.4f not below undegraded $%.4f", cost, baseCost)
+	}
+	// Every swapped capability runs an implementation that is cheaper than
+	// the undegraded one on the capability's work and no more than bronze's
+	// MaxDegradeLatencyX slower (profile-level, like-for-like).
+	maxLatX := DefaultSLOClasses()["bronze"].MaxDegradeLatencyX
+	snap, _ := s.rt.capacityClass()
+	swaps := 0
+	for _, h := range handles {
+		work := h.Execution().Decomposition().Graph.CapabilityWork()
+		for cap, base := range basePlan.Decisions {
+			got := h.Execution().Plan().Decisions[cap].Implementation
+			if got == base.Implementation {
+				continue
+			}
+			swaps++
+			var cur, alt alternative
+			for _, a := range s.rt.alternatives(cap, base.Implementation, work[cap], snap) {
+				switch a.impl {
+				case base.Implementation:
+					cur = a
+				case got:
+					alt = a
+				}
+			}
+			if cur.impl == "" || alt.impl == "" || alt.cost >= cur.cost || alt.latency > cur.latency*maxLatX {
+				t.Fatalf("%s swapped %+v for %+v: want cheaper and within %gx the latency", cap, cur, alt, maxLatX)
+			}
+		}
+	}
+	if swaps == 0 {
+		t.Fatal("no capability was swapped under overload")
 	}
 	// Draining the queue dropped pressure to 0 ≤ low watermark: the
 	// controller must have disengaged (no flapping in between — the

@@ -228,25 +228,3 @@ func GreedyPolicy(g *dag.Graph, q StageQuality, k int, detectionRate, costS floa
 	}
 	return p
 }
-
-// ExpectedQuality is the closed-form single-stage helper: the probability a
-// stage with base quality q0 delivers a correct output when a validator with
-// detection rate d may trigger up to r retries.
-//
-// Recurrence: with no retries left, the output is wrong iff the attempt
-// fails. With r retries left, it is wrong iff the attempt fails AND either
-// the validator misses it, or it is caught and the retried execution is
-// wrong with r-1 retries left:
-//
-//	W(0) = (1-q0)
-//	W(r) = (1-q0) · ((1-d) + d·W(r-1))
-func ExpectedQuality(q0, d float64, r int) float64 {
-	if q0 < 0 || q0 > 1 || d < 0 || d > 1 || r < 0 {
-		panic("quality: arguments out of range")
-	}
-	wrong := 1 - q0
-	for i := 0; i < r; i++ {
-		wrong = (1 - q0) * ((1 - d) + d*wrong)
-	}
-	return 1 - wrong
-}

@@ -3,7 +3,6 @@ package quality
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dag"
 )
@@ -157,38 +156,6 @@ func TestGreedyPolicyTopK(t *testing.T) {
 	perfect := StageQuality{"stt": 1, "summarize": 1, "embed": 1}
 	if got := GreedyPolicy(g, perfect, 3, 0.9, 0.1); len(got.Checkpoints) != 0 {
 		t.Fatalf("checkpoints on perfect stages: %v", got.Checkpoints)
-	}
-}
-
-func TestExpectedQuality(t *testing.T) {
-	// No retries: quality unchanged.
-	if got := ExpectedQuality(0.8, 0.9, 0); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("r=0 quality = %v, want 0.8", got)
-	}
-	// Perfect detection, many retries → quality approaches 1.
-	if got := ExpectedQuality(0.8, 1.0, 10); got < 0.999 {
-		t.Fatalf("r=10 d=1 quality = %v, want ≈1", got)
-	}
-	// Zero detection: retries never trigger.
-	if got := ExpectedQuality(0.8, 0, 10); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("d=0 quality = %v, want 0.8", got)
-	}
-}
-
-// Property: ExpectedQuality is monotone nondecreasing in retries and
-// detection rate, and stays in [q0, 1].
-func TestPropertyExpectedQualityMonotone(t *testing.T) {
-	f := func(a, b uint8, r uint8) bool {
-		q0 := float64(a%100) / 100
-		d := float64(b%100) / 100
-		rr := int(r % 6)
-		v1 := ExpectedQuality(q0, d, rr)
-		v2 := ExpectedQuality(q0, d, rr+1)
-		v3 := ExpectedQuality(q0, math.Min(1, d+0.1), rr)
-		return v1 >= q0-1e-12 && v1 <= 1+1e-12 && v2 >= v1-1e-12 && v3 >= v1-1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
