@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 10s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s ./internal/api
 	$(GO) test -run '^$$' -fuzz FuzzEngineOps -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzFaultTrace -fuzztime 10s ./internal/workload
 
 vet:
 	$(GO) vet ./...

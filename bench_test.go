@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/serving"
 	"repro/internal/sim"
@@ -464,7 +465,7 @@ func BenchmarkMurakkabRun(b *testing.B) {
 		b.Run(c.String(), func(b *testing.B) {
 			var makespan float64
 			for i := 0; i < b.N; i++ {
-				rep, _, err := experiments.RunMurakkabFree(c)
+				rep, _, err := experiments.RunMurakkabFree(core.Config{}, c)
 				if err != nil {
 					b.Fatal(err)
 				}

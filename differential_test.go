@@ -31,7 +31,7 @@ func neutralSLO() core.SLOConfig {
 // (class resolution, budget and queue gates, the overload controller,
 // settle-time attainment) must not change what the simulation computes unless
 // a constraint binds. Twin schedulers replay one seeded multi-tenant trace,
-// one without EnableSLO and one with neutralSLO; every arrival's outcome, every
+// one without SLO tiers and one with neutralSLO; every arrival's outcome, every
 // job's report and timeline, and the scheduler's counters must be the same
 // bytes. A third twin whose queue bound binds must differ, so the comparison
 // cannot pass without the trace reaching the hooks.
@@ -41,14 +41,11 @@ func TestSLOTiersOffDifferential(t *testing.T) {
 		t.Fatalf("trace: %d arrivals, %v", len(trace), err)
 	}
 	replay := func(slo *core.SLOConfig) (string, *core.Scheduler) {
-		tb, err := experiments.NewTestbed()
+		tb, err := experiments.NewTestbed(core.Config{SLO: slo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := core.NewScheduler(tb.Engine, tb.Runtime, 2)
-		if slo != nil {
-			s.EnableSLO(*slo)
-		}
 		var log strings.Builder
 		var handles []*core.Handle
 		for i, arr := range trace {

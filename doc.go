@@ -121,7 +121,7 @@
 // re-planning at stage boundaries: core.Execution runs as resumable
 // per-stage segments with stage-local decision bindings and an explicit
 // remaining-DAG view; a reconfiguration controller on the scheduler
-// (core.Scheduler.EnableReconfig, murakkabd -reconfig) re-runs the
+// (core.Config.Reconfig, murakkabd -reconfig) re-runs the
 // optimizer over the remaining stages of running jobs whenever the plan
 // environment moves — cluster.CapacityGen (fleet churn), the
 // profile-store/library generations, or a clustermgr rebalance pass — and
@@ -140,7 +140,7 @@
 // queueing unboundedly (murakkabd -slo): tenants carry SLO classes
 // (core.SLOClass — latency target, cost budget, quality floor, queue
 // bound), and a watermark-hysteresis overload controller on the scheduler
-// (core.Scheduler.EnableSLO) applies a three-rung ladder as admission
+// (core.Config.SLO) applies a three-rung ladder as admission
 // pressure grows — admit normally below the high watermark; above it,
 // admit degradable tiers onto cheaper quality-cascade plans (floor- and
 // degrade-latency-bounded) while running work re-plans via the
@@ -151,7 +151,7 @@
 // across shard recycles. With -slo off every path is untouched, and a tier
 // set that binds nothing changes nothing: TestSLOTiersOffDifferential
 // replays one seeded multi-tenant trace through twin schedulers, with and
-// without EnableSLO, and requires the same bytes. The overload scenario
+// without SLO tiers, and requires the same bytes. The overload scenario
 // gates tiered-vs-FIFO goodput (≥ 1.2× at 4× overload), bounded queue depth
 // and zero stranded jobs in CI.
 //

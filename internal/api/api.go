@@ -165,8 +165,13 @@ type Server struct {
 }
 
 // NewServer provisions the pool and wires the routes.
-func NewServer(cfg PoolConfig) (*Server, error) {
-	pool, err := NewPool(cfg)
+func NewServer(cfg PoolConfig) (*Server, error) { return NewServerWith(cfg, core.Config{}) }
+
+// NewServerWith is NewServer over shard runtimes built from base: the pool
+// sets every exported field, so only the unexported state core's own tests set
+// on a Config carries through (see runtimeConfig).
+func NewServerWith(cfg PoolConfig, base core.Config) (*Server, error) {
+	pool, err := newPool(cfg, base)
 	if err != nil {
 		return nil, err
 	}

@@ -301,7 +301,7 @@ func TestConcurrentSubmitCancelRecycleWithFaults(t *testing.T) {
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); s.Close() })
 
-	if !s.Pool().shards[0].sched.RecoveryEnabled() {
+	if s.Pool().runtime.Recovery == nil {
 		t.Fatal("recovery not enabled by MaxRetries")
 	}
 

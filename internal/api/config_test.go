@@ -3,14 +3,17 @@ package api
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestPoolConfigValidate pins PoolConfig's one check: every numeric field
 // but the seed refuses a negative value (and every float NaN) under its own
 // name, an SLO sub-field without SLO is refused, core's SLO verdict is
-// passed through, and "never" is spelled +Inf or math.MaxInt. NewPool returns
+// passed through, and "never" is spelled +Inf or math.MaxInt. newPool returns
 // the same error and builds nothing.
 func TestPoolConfigValidate(t *testing.T) {
 	type tc struct {
@@ -37,6 +40,7 @@ func TestPoolConfigValidate(t *testing.T) {
 		{name: "budget without slo", cfg: PoolConfig{SLOBudgetUSD: 1}, wantErr: "SLOBudgetUSD requires SLO"},
 		{name: "inverted watermarks", cfg: PoolConfig{SLO: true, SLOHighWatermark: 1, SLOLowWatermark: 2}, wantErr: "watermark"},
 		{name: "unknown tenant class", cfg: PoolConfig{SLO: true, SLOTenantTiers: map[string]string{"a": "platinum"}}, wantErr: "platinum"},
+		{name: "infinite fault rate", cfg: PoolConfig{FaultRate: math.Inf(1)}, wantErr: "FaultRate"},
 	}
 	// Every numeric field, including any added later, refuses -1 and NaN.
 	typ := reflect.TypeOf(PoolConfig{})
@@ -78,9 +82,23 @@ func TestPoolConfigValidate(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("Validate = %v, want an error containing %q", err, c.wantErr)
 			}
-			if p, perr := NewPool(c.cfg); p != nil || perr == nil || perr.Error() != err.Error() {
-				t.Fatalf("NewPool = %v, %v; want nil and %v", p, perr, err)
+			if p, perr := newPool(c.cfg, core.Config{}); p != nil || perr == nil || perr.Error() != err.Error() {
+				t.Fatalf("newPool = %v, %v; want nil and %v", p, perr, err)
 			}
 		})
+	}
+}
+
+// TestNewServerRefusesAnInfiniteFaultRate: a fault rate whose trace could
+// never be drawn is refused by name, and the refusal leaves no goroutine
+// behind.
+func TestNewServerRefusesAnInfiniteFaultRate(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := NewServer(PoolConfig{Shards: 1, PlanWorkers: 2, FaultRate: math.Inf(1)})
+	if s != nil || err == nil || !strings.Contains(err.Error(), "FaultRate") {
+		t.Fatalf("NewServer = %v, %v; want an error naming FaultRate", s, err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before NewServer, %d after its refusal", before, after)
 	}
 }

@@ -44,8 +44,9 @@ import (
 // is built and swapped in for new submissions while the old shard drains
 // its in-flight jobs to completion in the background.
 type Pool struct {
-	cfg    PoolConfig
-	shards []*shard // guarded by mu: recycling swaps entries
+	cfg     PoolConfig
+	runtime core.Config // every shard's, but its engine, cluster, loop and library
+	shards  []*shard    // guarded by mu: recycling swaps entries
 
 	// draining holds shards displaced by a recycle that are still running
 	// their in-flight jobs down in the background. Stats fans out to them
@@ -185,24 +186,40 @@ type PoolConfig struct {
 	ProfileRegistry *profiles.Registry
 }
 
-// sloConfig assembles the core-layer SLO configuration from the pool knobs.
-func (c PoolConfig) sloConfig() core.SLOConfig {
-	return core.SLOConfig{
-		TenantTiers:   c.SLOTenantTiers,
-		DefaultClass:  c.SLODefaultClass,
-		HighWatermark: c.SLOHighWatermark,
-		LowWatermark:  c.SLOLowWatermark,
-		QueueBound:    c.SLOQueueBound,
-		BudgetUSD:     c.SLOBudgetUSD,
+// runtimeConfig maps the pool's knobs onto a shard runtime's core.Config;
+// newShard adds the engine, cluster, loop and library. Every exported field is
+// the pool's, so of base only the unexported state core's own tests set on a
+// Config (its reuse switch) carries through.
+func (c PoolConfig) runtimeConfig(base core.Config) core.Config {
+	rc := base
+	rc.ProfileRegistry, rc.RebalancePeriod, rc.CPUType = c.ProfileRegistry, sim.Duration(c.RebalancePeriodS), ""
+	rc.PlanWorkers, rc.Reconfig, rc.Recovery, rc.SLO = c.PlanWorkers, nil, nil, nil
+	if c.Reconfig {
+		rc.Reconfig = &core.ReconfigConfig{}
 	}
+	if c.MaxRetries > 0 || c.JobDeadlineS > 0 {
+		rc.Recovery = &core.FaultPolicy{MaxAttempts: c.MaxRetries, JobDeadlineS: c.JobDeadlineS, Seed: c.FaultSeed}
+	}
+	if c.SLO {
+		rc.SLO = &core.SLOConfig{
+			TenantTiers:   c.SLOTenantTiers,
+			DefaultClass:  c.SLODefaultClass,
+			HighWatermark: c.SLOHighWatermark,
+			LowWatermark:  c.SLOLowWatermark,
+			QueueBound:    c.SLOQueueBound,
+			BudgetUSD:     c.SLOBudgetUSD,
+		}
+	}
+	return rc
 }
 
 // Validate reports the first setting the pool would otherwise have to
 // reinterpret: a negative or NaN number (0 selects a field's default, and a
 // window or budget that must never trigger is math.Inf(1) or math.MaxInt), an
-// SLO sub-field set while SLO is off (it would be ignored), or an SLO
-// configuration core.SLOConfig.Validate rejects. FaultSeed is a seed, not a
-// quantity, and takes any value. NewPool calls it.
+// SLO sub-field set while SLO is off (it would be ignored), an SLO
+// configuration core.SLOConfig.Validate rejects, or a FaultRate whose trace
+// workload.FaultSpec.Validate rejects (+Inf among them). FaultSeed is a seed,
+// not a quantity, and takes any value. newPool calls it.
 func (c PoolConfig) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -228,6 +245,11 @@ func (c PoolConfig) Validate() error {
 			return fmt.Errorf("api: %s must be >= 0 (got %v)", f.name, f.v)
 		}
 	}
+	if c.FaultRate > 0 {
+		if err := c.faultSpec(0).Validate(); err != nil {
+			return fmt.Errorf("api: FaultRate: %w", err)
+		}
+	}
 	if !c.SLO {
 		orphan := ""
 		switch {
@@ -246,7 +268,7 @@ func (c PoolConfig) Validate() error {
 		}
 		return fmt.Errorf("api: %s requires SLO", orphan)
 	}
-	if err := c.sloConfig().Validate(); err != nil {
+	if err := c.runtimeConfig(core.Config{}).SLO.Validate(); err != nil {
 		return fmt.Errorf("api: %w", err)
 	}
 	return nil
@@ -269,6 +291,21 @@ const (
 	faultCrashReloadS = 8.0
 	maxJobAttemptLog  = 32
 )
+
+// faultSpec is shard idx's fault-injection trace: FaultRate split evenly
+// across the four kinds, its own seed.
+func (c PoolConfig) faultSpec(idx int) workload.FaultSpec {
+	return workload.FaultSpec{
+		EngineCrashRate:  c.FaultRate / 4,
+		WorkerLossRate:   c.FaultRate / 4,
+		StageTimeoutRate: c.FaultRate / 4,
+		CallErrorRate:    c.FaultRate / 4,
+		StallS:           faultStallS,
+		CrashReloadS:     faultCrashReloadS,
+		HorizonS:         faultHorizonS,
+		Seed:             c.FaultSeed + int64(idx),
+	}
+}
 
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Shards <= 0 {
@@ -331,15 +368,20 @@ func (sh *shard) close() {
 // errShuttingDown is returned once Close has been called.
 var errShuttingDown = fmt.Errorf("api: pool is shutting down")
 
-// NewPool provisions the shards and starts their loop goroutines.
-func NewPool(cfg PoolConfig) (*Pool, error) {
+// newPool provisions the shards, every shard runtime's configuration laid over
+// base (see runtimeConfig), and starts their loop goroutines. A shard that
+// fails to provision takes down the ones already running.
+func newPool(cfg PoolConfig, base core.Config) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Pool{cfg: cfg.withDefaults(), jobs: map[string]*jobRecord{}, started: time.Now()}
+	p := &Pool{cfg: cfg.withDefaults(), runtime: cfg.runtimeConfig(base), jobs: map[string]*jobRecord{}, started: time.Now()}
 	for i := 0; i < p.cfg.Shards; i++ {
 		sh, err := p.newShard(i)
 		if err != nil {
+			for _, sh := range p.shards {
+				sh.close()
+			}
 			return nil, err
 		}
 		p.shards = append(p.shards, sh)
@@ -353,65 +395,37 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // making the rebuild cheap).
 func (p *Pool) newShard(idx int) (*shard, error) {
 	cfg := p.cfg
+	// The fault trace comes first: nothing of the shard is running yet if it
+	// is rejected.
+	var faults []workload.FaultEvent
+	if cfg.FaultRate > 0 {
+		var err error
+		if faults, err = workload.FaultTrace(cfg.faultSpec(idx)); err != nil {
+			return nil, fmt.Errorf("api: fault trace for shard %d: %w", idx, err)
+		}
+	}
 	se := sim.NewEngine()
 	cl := cluster.New(se, hardware.DefaultCatalog())
 	for v := 0; v < cfg.VMsPerShard; v++ {
 		cl.AddVM(fmt.Sprintf("s%d-vm%d", idx, v), hardware.NDv4SKUName, false)
 	}
-	rt, err := core.New(core.Config{
-		Engine: se, Cluster: cl, Library: agents.DefaultLibrary(),
-		RebalancePeriod: sim.Duration(cfg.RebalancePeriodS),
-		ProfileRegistry: cfg.ProfileRegistry,
-	})
+	// Off-loop admission: plan search runs on a worker pool against
+	// immutable snapshots and commits on the loop (0 = GOMAXPROCS).
+	rc := p.runtime
+	rc.Engine, rc.Cluster, rc.Loop, rc.Library = se, cl, sim.NewLoop(se), agents.DefaultLibrary()
+	rt, err := core.New(rc)
 	if err != nil {
 		return nil, fmt.Errorf("api: provisioning shard %d: %w", idx, err)
 	}
 	sh := &shard{
-		pool:  p,
-		idx:   idx,
-		eng:   se,
-		cl:    cl,
-		rt:    rt,
-		sched: core.NewScheduler(se, rt, cfg.MaxConcurrentPerShard),
-		loop:  sim.NewLoop(se),
-	}
-	// Off-loop admission: plan search runs on a worker pool against
-	// immutable snapshots and commits on the loop (0 = GOMAXPROCS).
-	sh.sched.EnablePlanSearch(sh.loop, cfg.PlanWorkers)
-	if cfg.Reconfig {
-		// Mid-flight reconfiguration: fleet churn and rebalance passes
-		// re-plan running jobs' remaining stages at stage boundaries.
-		sh.sched.EnableReconfig(core.ReconfigConfig{})
-	}
-	if cfg.MaxRetries > 0 || cfg.JobDeadlineS > 0 {
-		// Failure recovery: retries with capped backoff on re-planned
-		// bindings, per-implementation breakers, deadline enforcement.
-		sh.sched.EnableRecovery(core.FaultPolicy{
-			MaxAttempts:  cfg.MaxRetries,
-			JobDeadlineS: cfg.JobDeadlineS,
-			Seed:         cfg.FaultSeed,
-		})
-	}
-	if cfg.SLO {
-		// SLO tiers: per-tenant budgets and queue bounds, overload-driven
-		// degraded admissions, shed with typed errors past the bound.
-		sh.sched.EnableSLO(cfg.sloConfig())
-	}
-	if cfg.FaultRate > 0 {
-		faults, err := workload.FaultTrace(workload.FaultSpec{
-			EngineCrashRate:  cfg.FaultRate / 4,
-			WorkerLossRate:   cfg.FaultRate / 4,
-			StageTimeoutRate: cfg.FaultRate / 4,
-			CallErrorRate:    cfg.FaultRate / 4,
-			StallS:           faultStallS,
-			CrashReloadS:     faultCrashReloadS,
-			HorizonS:         faultHorizonS,
-			Seed:             cfg.FaultSeed + int64(idx),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("api: fault trace for shard %d: %w", idx, err)
-		}
-		sh.faults = faults
+		pool:   p,
+		idx:    idx,
+		eng:    se,
+		cl:     cl,
+		rt:     rt,
+		sched:  core.NewScheduler(se, rt, cfg.MaxConcurrentPerShard),
+		loop:   rc.Loop,
+		faults: faults,
 	}
 	sh.compactStride = cfg.RetainSimSeconds / 4
 	// The retention tick rides the loop (SetTick must precede Run): it runs

@@ -53,9 +53,6 @@ func (m *Manager) EnableBreakers(threshold int, cooldownS float64) {
 	}
 }
 
-// BreakersEnabled reports whether circuit breaking is on.
-func (m *Manager) BreakersEnabled() bool { return m.breakers != nil }
-
 // ReportOutcome feeds one task outcome against an implementation into its
 // breaker. No-op when breakers are disabled.
 func (m *Manager) ReportOutcome(impl string, ok bool) {

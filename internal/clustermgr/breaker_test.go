@@ -125,7 +125,7 @@ func TestBreakerDisabledAlwaysAdmits(t *testing.T) {
 	if !m.Admissible("llava") || m.Quarantined("llava") {
 		t.Fatal("disabled breakers affected admission")
 	}
-	if m.BreakersEnabled() {
+	if m.breakers != nil {
 		t.Fatal("breakers report enabled without EnableBreakers")
 	}
 	if open, trips := m.BreakerStats(); open != 0 || trips != 0 {

@@ -19,8 +19,8 @@ import (
 // computes.
 func TestAllocReuseDifferential(t *testing.T) {
 	runAll := func(reuse bool) map[string]string {
-		core.SetNoReuse(!reuse)
-		defer core.SetNoReuse(false)
+		var cfg core.Config
+		cfg.SetNoReuse(!reuse)
 		out := map[string]string{}
 		record := func(name string, v any, err error) {
 			t.Helper()
@@ -33,16 +33,16 @@ func TestAllocReuseDifferential(t *testing.T) {
 			}
 			out[name] = string(b)
 		}
-		f3, err := experiments.Figure3()
+		f3, err := experiments.Figure3With(cfg)
 		record("figure3", f3, err)
 		out["speedup_x"] = fmt.Sprintf("%.3f", f3.Speedup())
-		t2, err := experiments.Table2()
+		t2, err := experiments.Table2With(cfg)
 		record("table2", t2, err)
 		out["energy_gain_x"] = fmt.Sprintf("%.3f", t2.EnergyEfficiencyGain)
 		t1, err := experiments.Table1()
 		record("table1", t1, err)
 		out["mismatches"] = fmt.Sprintf("%d", len(t1.Check()))
-		mt, err := experiments.MultiTenant()
+		mt, err := experiments.MultiTenantWith(cfg)
 		record("multitenant", mt, err)
 		out["multiplex_gain_x"] = fmt.Sprintf("%.3f", mt.MultiplexGain)
 		return out

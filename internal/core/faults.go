@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Failure recovery (see README "Failure handling"): with EnableRecovery a
+// Failure recovery (see README "Failure handling"): with Config.Recovery a
 // failed task is not a terminal job error but a *capacity event* — the task
 // backs off (capped exponential, deterministic in sim-time), the failure
 // kicks the PR-5 reconfiguration controller so the re-plan can move the
@@ -187,36 +187,6 @@ type AttemptRecord struct {
 // limit).
 const maxAttemptLog = 32
 
-// recoveryState is the runtime-wide recovery configuration, shared by every
-// execution (nil when recovery is disabled); its accounting is the runtime's
-// Counters.
-type recoveryState struct {
-	policy FaultPolicy
-}
-
-// EnableRecovery turns failure recovery on for every job admitted through
-// this scheduler (and any execution launched directly on its runtime). Call
-// once, before jobs run. Unless disabled in the policy, the cluster
-// manager's circuit breakers are enabled alongside.
-func (s *Scheduler) EnableRecovery(p FaultPolicy) {
-	if s.rt.recovery != nil {
-		panic("core: recovery already enabled")
-	}
-	p = p.withDefaults()
-	s.rt.recovery = &recoveryState{policy: p}
-	// A failure is a capacity event: kick the reconfiguration controller
-	// (nil-safe no-op when EnableReconfig was not called) so the re-plan
-	// can move remaining stages off the unhealthy binding while the failed
-	// task waits out its backoff.
-	s.rt.onTaskFault = func() { s.scheduleReconfig() }
-	if p.BreakerThreshold > 0 && !s.rt.mgr.BreakersEnabled() {
-		s.rt.mgr.EnableBreakers(p.BreakerThreshold, p.BreakerCooldownS)
-	}
-}
-
-// RecoveryEnabled reports whether failure recovery is on.
-func (s *Scheduler) RecoveryEnabled() bool { return s.rt.recovery != nil }
-
 // Inject applies one replayed fault event against this scheduler's runtime,
 // resolving the victim deterministically from the event's pick. Returns
 // whether a victim existed (a fault landing on an idle system is a no-op).
@@ -289,12 +259,12 @@ func (ex *Execution) initRecovery() {
 	ex.capFails = map[string]int{}
 	ex.degraded = map[string]bool{}
 	ex.retryEvs = map[sim.Event]bool{}
-	ex.recRng = rand.New(rand.NewSource(rc.policy.Seed + int64(ex.id)))
-	if rc.policy.JobDeadlineS > 0 {
-		ex.deadlineEv = *ex.rt.se.After(sim.Duration(rc.policy.JobDeadlineS), func() {
+	ex.recRng = rand.New(rand.NewSource(rc.Seed + int64(ex.id)))
+	if rc.JobDeadlineS > 0 {
+		ex.deadlineEv = *ex.rt.se.After(sim.Duration(rc.JobDeadlineS), func() {
 			ex.rt.counters.DeadlinesExceeded++
 			ex.finish(&JobError{Code: CodeDeadlineExceeded, Op: "job",
-				Err: fmt.Errorf("core: job deadline %.0fs exceeded", rc.policy.JobDeadlineS)})
+				Err: fmt.Errorf("core: job deadline %.0fs exceeded", rc.JobDeadlineS)})
 		})
 	}
 }
@@ -333,12 +303,15 @@ func (st *stage) taskFailed(node int32, cause error) {
 	}
 	ex.rt.mgr.ReportOutcome(st.dec.Implementation, false)
 	ex.capFails[st.cap]++
-	if ex.rt.onTaskFault != nil {
-		ex.rt.onTaskFault()
+	// A failure is a capacity event: the owner's reconfiguration controller,
+	// if it has one, can move the remaining stages off the unhealthy binding
+	// while the failed task waits out its backoff.
+	if h := ex.owner; h != nil {
+		h.s.scheduleReconfig()
 	}
 	n := ex.attempts[node] + 1
 	ex.attempts[node] = n
-	if n >= rc.policy.MaxAttempts {
+	if n >= rc.MaxAttempts {
 		ex.rt.counters.RetriesExhausted++
 		ex.logAttempt(id, st, n, 0, cause)
 		ex.finish(&JobError{Code: CodeRetriesExhausted, Op: id, Err: cause})
@@ -346,7 +319,7 @@ func (st *stage) taskFailed(node int32, cause error) {
 	}
 	ex.rt.counters.TaskRetries++
 	ex.retries++
-	backoff := backoffFor(rc.policy, n, ex.recRng.Float64())
+	backoff := backoffFor(*rc, n, ex.recRng.Float64())
 	ex.logAttempt(id, st, n, backoff, cause)
 	// Back through the tracker (Fail returned the node to ready); it stays
 	// "running" during the backoff so the remaining-DAG view still counts
@@ -373,7 +346,7 @@ func (ex *Execution) scheduleRetry(node int32, delayS float64) {
 		}
 		st := &ex.stages[ex.graph.CapSlot(int(node))]
 		if !ex.rt.mgr.Admissible(st.dec.Implementation) {
-			ex.scheduleRetry(node, ex.rt.recovery.policy.BreakerCooldownS)
+			ex.scheduleRetry(node, ex.rt.recovery.BreakerCooldownS)
 			return
 		}
 		st.enqueue(node)
@@ -418,7 +391,7 @@ func (ex *Execution) maybeDegrade(cap string) {
 		return
 	}
 	cur := ex.plan.Decisions[cap]
-	if ex.capFails[cap] < rc.policy.DegradeAfter && !ex.rt.mgr.Quarantined(cur.Implementation) {
+	if ex.capFails[cap] < rc.DegradeAfter && !ex.rt.mgr.Quarantined(cur.Implementation) {
 		return
 	}
 	if ex.degradeStage(cap) {

@@ -65,8 +65,7 @@ func TestBackoffProperties(t *testing.T) {
 }
 
 func TestRecoveryRetriesTransientCallError(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableRecovery(FaultPolicy{Seed: 5})
+	se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{Seed: 5}})
 	h, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +104,7 @@ func TestRecoveryRetriesTransientCallError(t *testing.T) {
 // bit-identical.
 func TestRecoveryDeterministicAcrossRuns(t *testing.T) {
 	run := func() ([]AttemptRecord, SchedulerStats) {
-		se, s := schedTestbed(t, 2)
-		s.EnableRecovery(FaultPolicy{Seed: 5})
+		se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{Seed: 5}})
 		h, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +124,7 @@ func TestRecoveryDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestRetriesExhaustedTypedErrorChain(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableRecovery(FaultPolicy{MaxAttempts: 1, Seed: 5})
+	se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{MaxAttempts: 1, Seed: 5}})
 	h, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +153,7 @@ func TestRetriesExhaustedTypedErrorChain(t *testing.T) {
 }
 
 func TestJobDeadlineExceeded(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableRecovery(FaultPolicy{JobDeadlineS: 5, Seed: 5})
+	se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{JobDeadlineS: 5, Seed: 5}})
 	h, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +171,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 }
 
 func TestStageTimeoutWatchdogRecovers(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableRecovery(FaultPolicy{StageTimeoutS: 20, Seed: 5})
+	se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{StageTimeoutS: 20, Seed: 5}})
 	h, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +202,7 @@ func TestStageTimeoutWatchdogRecovers(t *testing.T) {
 // engine's four counters from their owners, so the runtime's own copy of
 // those fields must never be incremented — an increment there would be lost.
 func TestStatsFilledCountersStayZeroInRuntime(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableRecovery(FaultPolicy{Seed: 5, BreakerThreshold: 1})
+	se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{Seed: 5, BreakerThreshold: 1}})
 	if _, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +265,7 @@ func TestErrorCodeOf(t *testing.T) {
 // graph clears the job floor. llama-8b is the cheapest alternative but sits
 // below the 0.9 floor, so the degradation must skip it for llama-70b.
 func TestDegradeSkipsCheaperAlternativeBelowTheFloor(t *testing.T) {
-	se, s := schedTestbed(t, 1)
-	s.EnableRecovery(FaultPolicy{Seed: 3, DegradeAfter: 1, BreakerThreshold: -1})
+	se, s := schedWith(t, 1, Config{Recovery: &FaultPolicy{Seed: 3, DegradeAfter: 1, BreakerThreshold: -1}})
 	// One scene: the failed summarization task is the stage's only one, so
 	// the failure leaves the stage at a boundary where it can rebind.
 	job := sloQualityVideoJob()

@@ -254,7 +254,10 @@ func grantsUnderFaultsAndChurn(t *testing.T, g *grantLog) {
 	se := sim.NewEngine()
 	cl := cluster.New(se, hardware.DefaultCatalog())
 	cl.AddVM("vm0", hardware.NDv4SKUName, false)
-	rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	rt, err := New(Config{
+		Engine: se, Cluster: cl, Library: agents.DefaultLibrary(),
+		Reconfig: &ReconfigConfig{}, Recovery: &FaultPolicy{Seed: 5, StageTimeoutS: 120, MaxAttempts: 8},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +267,6 @@ func grantsUnderFaultsAndChurn(t *testing.T, g *grantLog) {
 		t.Fatal(err)
 	}
 	s := NewScheduler(se, rt, 4)
-	s.EnableReconfig(ReconfigConfig{})
-	s.EnableRecovery(FaultPolicy{Seed: 5, StageTimeoutS: 120, MaxAttempts: 8})
 
 	churn, err := workload.ChurnTrace(hardware.NDv4SKUName, 0.08, 45, 240, 9)
 	if err != nil {

@@ -138,8 +138,7 @@ func TestObserverSeesEachTransitionOnce(t *testing.T) {
 	})
 
 	t.Run("deadline", func(t *testing.T) {
-		se, s := schedTestbed(t, 2)
-		s.EnableRecovery(FaultPolicy{JobDeadlineS: 5, Seed: 5})
+		se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{JobDeadlineS: 5, Seed: 5}})
 		h, log := observed(t, s, schedVideoJob())
 		se.Run()
 		expect(t, log, "started:running done:failed")
@@ -149,8 +148,7 @@ func TestObserverSeesEachTransitionOnce(t *testing.T) {
 	})
 
 	t.Run("SLO shed beside an admitted job", func(t *testing.T) {
-		se, s := schedTestbed(t, 1)
-		s.EnableSLO(SLOConfig{TenantTiers: map[string]string{"alice": "bronze"}, QueueBound: 1})
+		se, s := schedWith(t, 1, Config{SLO: &SLOConfig{TenantTiers: map[string]string{"alice": "bronze"}, QueueBound: 1}})
 		_, log := observed(t, s, schedVideoJob())
 		// A shed submission never becomes a handle, so there is nothing to
 		// observe; the job holding the queue slot is unaffected by it.
@@ -162,8 +160,7 @@ func TestObserverSeesEachTransitionOnce(t *testing.T) {
 	})
 
 	t.Run("attempts stream in order", func(t *testing.T) {
-		se, s := schedTestbed(t, 2)
-		s.EnableRecovery(FaultPolicy{Seed: 5})
+		se, s := schedWith(t, 2, Config{Recovery: &FaultPolicy{Seed: 5}})
 		h, log := observed(t, s, schedVideoJob())
 		injectEvery(se, s, workload.FaultEvent{Kind: workload.FaultCallError, Pick: 0.3}, 5, 35, 10)
 		se.Run()

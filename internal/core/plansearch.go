@@ -162,19 +162,10 @@ type planSearch struct {
 	wg     sync.WaitGroup
 }
 
-// EnablePlanSearch attaches an off-loop plan-search worker pool to the
-// scheduler. loop must be the sim.Loop driving the scheduler's engine;
-// workers <= 0 selects GOMAXPROCS. Call once, before the scheduler's first
-// Submit. While the pool is live the library and profile store must not be
-// mutated from outside the loop goroutine (the workers read them lock-free;
-// generation checks at commit handle loop-side mutations).
-func (s *Scheduler) EnablePlanSearch(loop *sim.Loop, workers int) {
-	if s.search != nil {
-		panic("core: plan search already enabled")
-	}
-	if loop == nil {
-		panic("core: plan search requires the scheduler's sim.Loop")
-	}
+// startPlanSearch starts the off-loop plan-search worker pool over the
+// runtime's Config.Loop (see NewScheduler).
+func (s *Scheduler) startPlanSearch() {
+	workers := s.rt.cfg.PlanWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -184,7 +175,7 @@ func (s *Scheduler) EnablePlanSearch(loop *sim.Loop, workers int) {
 	// concurrent workers.
 	s.rt.lib.SystemPrompt()
 	s.rt.lib.Fingerprint()
-	ps := &planSearch{s: s, loop: loop, inflight: map[string]*searchTask{}}
+	ps := &planSearch{s: s, loop: s.rt.cfg.Loop, inflight: map[string]*searchTask{}}
 	ps.cond = sync.NewCond(&ps.mu)
 	for i := 0; i < workers; i++ {
 		ps.wg.Add(1)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/agents"
 	"repro/internal/cluster"
 	"repro/internal/hardware"
 	"repro/internal/sim"
@@ -18,18 +17,13 @@ import (
 func loopTestbed(t *testing.T, maxConcurrent, workers int) (*cluster.Cluster, *Scheduler, *sim.Loop) {
 	t.Helper()
 	se := sim.NewEngine()
-	cl := cluster.New(se, hardware.DefaultCatalog())
-	cl.AddVM("vm0", hardware.NDv4SKUName, false)
-	cl.AddVM("vm1", hardware.NDv4SKUName, false)
-	rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(se, rt, maxConcurrent)
 	loop := sim.NewLoop(se)
+	cfg := Config{Engine: se}
 	if workers > 0 {
-		s.EnablePlanSearch(loop, workers)
+		cfg.Loop, cfg.PlanWorkers = loop, workers
 	}
+	_, cl, rt := newRuntimeWith(t, cfg)
+	s := NewScheduler(se, rt, maxConcurrent)
 	go loop.Run()
 	t.Cleanup(func() {
 		loop.Close()

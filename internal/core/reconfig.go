@@ -47,14 +47,11 @@ type reconfigState struct {
 	lastLibGen   int
 }
 
-// EnableReconfig attaches the reconfiguration controller to the scheduler.
-// Call once, before jobs run. Like every scheduler method it runs on the
-// engine goroutine; with off-loop plan search enabled the re-plans share the
-// search pool, otherwise they run inline on the loop.
-func (s *Scheduler) EnableReconfig(cfg ReconfigConfig) {
-	if s.reconfig != nil {
-		panic("core: reconfiguration already enabled")
-	}
+// startReconfig attaches the reconfiguration controller (see NewScheduler).
+// With off-loop plan search the re-plans share the search pool, otherwise
+// they run inline on the loop.
+func (s *Scheduler) startReconfig() {
+	cfg := *s.rt.cfg.Reconfig
 	if cfg.Hysteresis <= 0 {
 		cfg.Hysteresis = 0.05
 	}

@@ -11,22 +11,23 @@ import (
 	"repro/internal/workflow"
 )
 
-// reconfigTestbed is a single-VM shard: small enough that fleet growth
-// mid-run meaningfully changes what the optimizer would choose.
-func reconfigTestbed(t *testing.T, maxConcurrent int, enable bool) (*sim.Engine, *cluster.Cluster, *Scheduler) {
+// reconfigTestbed is a single-VM shard over a runtime built from cfg, with
+// the reconfiguration controller on when enable is: small enough that fleet
+// growth mid-run meaningfully changes what the optimizer would choose.
+func reconfigTestbed(t *testing.T, maxConcurrent int, enable bool, cfg Config) (*sim.Engine, *cluster.Cluster, *Scheduler) {
 	t.Helper()
 	se := sim.NewEngine()
 	cl := cluster.New(se, hardware.DefaultCatalog())
 	cl.AddVM("vm0", hardware.NDv4SKUName, false)
-	rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	cfg.Engine, cfg.Cluster, cfg.Library = se, cl, agents.DefaultLibrary()
+	if enable {
+		cfg.Reconfig = &ReconfigConfig{}
+	}
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(se, rt, maxConcurrent)
-	if enable {
-		s.EnableReconfig(ReconfigConfig{})
-	}
-	return se, cl, s
+	return se, cl, NewScheduler(se, rt, maxConcurrent)
 }
 
 // wideVideoJob has 12 tasks per worker stage, so its planned parallelism is
@@ -45,7 +46,7 @@ func wideVideoJob() workflow.Job {
 // are still at a boundary — and runs to completion.
 func runGrowthScenario(t *testing.T, enable bool) (*Handle, *Scheduler) {
 	t.Helper()
-	se, cl, s := reconfigTestbed(t, 4, enable)
+	se, cl, s := reconfigTestbed(t, 4, enable, Config{})
 	h, err := s.Submit("alice", wideVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestReconfigAdoptsOnCapacityGrowth(t *testing.T) {
 func TestReconfigSkipsWhenObjectiveUnmoved(t *testing.T) {
 	// A MinCost job: per-task cost is parallelism-independent, so fleet
 	// growth cannot improve the objective and every evaluation must skip.
-	se, cl, s := reconfigTestbed(t, 4, true)
+	se, cl, s := reconfigTestbed(t, 4, true, Config{})
 	job := wideVideoJob()
 	job.Constraint = workflow.MinCost
 	h, err := s.Submit("alice", job, SubmitOptions{RelaxFloor: true})
@@ -148,7 +149,7 @@ func TestReconfigRepeatedChurnNeverStrands(t *testing.T) {
 	// worker of the same stage must not start a task mid-teardown (that task
 	// was silently abandoned and the job stranded). Several overlapping jobs
 	// and back-to-back fleet events maximize rebind traffic.
-	se, cl, s := reconfigTestbed(t, 8, true)
+	se, cl, s := reconfigTestbed(t, 8, true, Config{})
 	var handles []*Handle
 	for i := 0; i < 6; i++ {
 		h, err := s.Submit(fmt.Sprintf("tenant-%d", i%3), wideVideoJob(), SubmitOptions{RelaxFloor: true, KeepEngines: true})
@@ -182,14 +183,15 @@ func TestReconfigOffLoopSearchCommits(t *testing.T) {
 	se := sim.NewEngine()
 	cl := cluster.New(se, hardware.DefaultCatalog())
 	cl.AddVM("vm0", hardware.NDv4SKUName, false)
-	rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	loop := sim.NewLoop(se)
+	rt, err := New(Config{
+		Engine: se, Cluster: cl, Library: agents.DefaultLibrary(),
+		Loop: loop, PlanWorkers: 2, Reconfig: &ReconfigConfig{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewScheduler(se, rt, 4)
-	loop := sim.NewLoop(se)
-	s.EnablePlanSearch(loop, 2)
-	s.EnableReconfig(ReconfigConfig{})
 	go loop.Run()
 
 	done := make(chan *Handle, 1)

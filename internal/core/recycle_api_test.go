@@ -63,9 +63,9 @@ func TestServedJobsAreTheSameFromRecycledBlocks(t *testing.T) {
 		}
 	}
 	serve := func(reuse bool) (string, int) {
-		core.SetNoReuse(!reuse)
-		defer core.SetNoReuse(false)
-		s, err := api.NewServer(api.PoolConfig{Shards: 1})
+		var cfg core.Config
+		cfg.SetNoReuse(!reuse)
+		s, err := api.NewServerWith(api.PoolConfig{Shards: 1}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

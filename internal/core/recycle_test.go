@@ -89,11 +89,12 @@ func (o owner) JobDone(h *Handle) {
 	}
 }
 
-// ending is one way a job can end, played on a scheduler of its own: run
-// submits through submit (which installs the owner) and drains the engine.
+// ending is one way a job can end, played on a scheduler of its own over a
+// runtime built from cfg plus the features the ending needs: run submits
+// through submit (which installs the owner) and drains the engine.
 type ending struct {
 	name string
-	run  func(t *testing.T, submit func(s *Scheduler, name, tenant string, job workflow.Job) *Handle) *Scheduler
+	run  func(t *testing.T, cfg Config, submit func(s *Scheduler, name, tenant string, job workflow.Job) *Handle) *Scheduler
 	// check judges, on the recycling arm, which jobs' blocks were parked.
 	check func(t *testing.T, s *Scheduler, parked map[string]bool, blocks int)
 }
@@ -117,8 +118,8 @@ func endings() []ending {
 			// One slot: a 240-node job, then 13-, 15- and 10-node jobs in its
 			// block, then the 240 nodes again — nothing grows after the first.
 			name: "sizes, one after another",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 1)
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				se, s := schedWith(t, 1, cfg)
 				submit(s, "big", "alice", big)
 				for i := 0; i < 3; i++ {
 					submit(s, fmt.Sprint("small", i), "alice", small)
@@ -144,8 +145,8 @@ func endings() []ending {
 			// Three slots, small and large jobs interleaved: a small job's block
 			// is taken by a large one and grows.
 			name: "sizes, side by side",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 3)
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				se, s := schedWith(t, 3, cfg)
 				for i := 0; i < 4; i++ {
 					submit(s, fmt.Sprint("small", i), "alice", small)
 					submit(s, fmt.Sprint("big", i), "bob", big)
@@ -167,8 +168,8 @@ func endings() []ending {
 		},
 		{
 			name: "cancel mid-run",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 2)
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				se, s := schedWith(t, 2, cfg)
 				victim := submit(s, "victim", "alice", big)
 				submit(s, "bystander", "bob", schedVideoJob())
 				queued := submit(s, "queued", "alice", small)
@@ -190,9 +191,9 @@ func endings() []ending {
 		},
 		{
 			name: "injected call errors, retried",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 2)
-				s.EnableRecovery(FaultPolicy{Seed: 5})
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				cfg.Recovery = &FaultPolicy{Seed: 5}
+				se, s := schedWith(t, 2, cfg)
 				submit(s, "faulted", "alice", schedVideoJob())
 				landed := injectEvery(se, s, workload.FaultEvent{Kind: workload.FaultCallError, Pick: 0.3}, 5, 35, 10)
 				se.Run()
@@ -209,9 +210,9 @@ func endings() []ending {
 		},
 		{
 			name: "stage timeout",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 2)
-				s.EnableRecovery(FaultPolicy{StageTimeoutS: 20, JobDeadlineS: 5000, Seed: 5})
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				cfg.Recovery = &FaultPolicy{StageTimeoutS: 20, JobDeadlineS: 5000, Seed: 5}
+				se, s := schedWith(t, 2, cfg)
 				submit(s, "stalled", "alice", schedVideoJob())
 				landed := injectEvery(se, s, workload.FaultEvent{Kind: workload.FaultStageTimeout, Pick: 0.5, DurationS: 1000}, 2, 30, 4)
 				se.Run()
@@ -230,8 +231,8 @@ func endings() []ending {
 		},
 		{
 			name: "spot preemption",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 2)
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				se, s := schedWith(t, 2, cfg)
 				submit(s, "preempted", "alice", schedVideoJob())
 				landed := injectEvery(se, s, workload.FaultEvent{Kind: workload.FaultWorkerLoss, Pick: 0.5}, 2, 30, 4)
 				se.Run()
@@ -248,8 +249,8 @@ func endings() []ending {
 		},
 		{
 			name: "reconfiguration adopted",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, cl, s := reconfigTestbed(t, 4, true)
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				se, cl, s := reconfigTestbed(t, 4, true, cfg)
 				submit(s, "rebound", "alice", wideVideoJob())
 				se.After(2, func() {
 					for i := 1; i <= 3; i++ {
@@ -270,9 +271,9 @@ func endings() []ending {
 		},
 		{
 			name: "SLO-degraded admission",
-			run: func(t *testing.T, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
-				se, s := schedTestbed(t, 1)
-				s.EnableSLO(SLOConfig{TenantTiers: map[string]string{"alice": "bronze"}, HighWatermark: 1.5, LowWatermark: 0.5})
+			run: func(t *testing.T, cfg Config, submit func(*Scheduler, string, string, workflow.Job) *Handle) *Scheduler {
+				cfg.SLO = &SLOConfig{TenantTiers: map[string]string{"alice": "bronze"}, HighWatermark: 1.5, LowWatermark: 0.5}
+				se, s := schedWith(t, 1, cfg)
 				for i := 0; i < 3; i++ {
 					submit(s, fmt.Sprint("overload", i), "alice", sloQualityVideoJob())
 				}
@@ -307,11 +308,9 @@ func TestRecycledBlocksChangeNothing(t *testing.T) {
 	for _, e := range endings() {
 		t.Run(e.name, func(t *testing.T) {
 			play := func(reuse bool) (string, *Scheduler, map[string]bool, int) {
-				noReuse = !reuse
-				defer func() { noReuse = false }()
 				var log strings.Builder
 				parked, blocks := map[string]bool{}, map[*Execution]bool{}
-				s := e.run(t, func(s *Scheduler, name, tenant string, job workflow.Job) *Handle {
+				s := e.run(t, Config{noReuse: !reuse}, func(s *Scheduler, name, tenant string, job workflow.Job) *Handle {
 					h, err := s.Submit(tenant, job, recycleOpts)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

@@ -210,7 +210,7 @@ func (rt *Runtime) alternatives(cap, cur string, work float64, snap cluster.Snap
 			if p.Capability != cap || !snapFits(snap, p.Config) {
 				continue
 			}
-			if c := p.CostUSD(rt.cl.Catalog(), rt.cpuType, work); c < a.cost {
+			if c := p.CostUSD(rt.cl.Catalog(), rt.cfg.CPUType, work); c < a.cost {
 				a.cfg, a.quality, a.cost, a.latency = p.Config, p.Quality, c, p.LatencyS(work)
 			}
 		}

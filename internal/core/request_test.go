@@ -88,10 +88,8 @@ func requestScenarios(t *testing.T, g *grantLog, rt *Runtime) {
 // every one of which must be home again at the end.
 func TestCompletedRequestsAreReused(t *testing.T) {
 	run := func(reuse bool) (log [2]string, rt *Runtime, firstPass map[*llmsim.Request]bool) {
-		noReuse = !reuse
-		defer func() { noReuse = false }()
-		_, _, rt = newRuntime(t)
-		rt.recovery = &recoveryState{policy: FaultPolicy{Seed: 5}.withDefaults()}
+		// Recovery without breakers: the scenarios' failures stay retries.
+		_, _, rt = newRuntimeWith(t, Config{Recovery: &FaultPolicy{Seed: 5, BreakerThreshold: -1}, noReuse: !reuse})
 		for pass := range log {
 			g := &grantLog{t: t}
 			requestScenarios(t, g, rt)

@@ -40,20 +40,35 @@ type Config struct {
 	Engine  *sim.Engine
 	Cluster *cluster.Cluster
 	Library *agents.Library
-	// Manager is created over Cluster when nil.
-	Manager *clustermgr.Manager
-	// Profiles is built by profiling Library when nil (the §3.3(a)
-	// amortized profiling pass).
-	Profiles *profiles.Store
-	// ProfileRegistry scopes that amortized profiling pass when Profiles is
-	// nil: cluster nodes pass their per-node registry so profile state can
-	// replicate between nodes as content-keyed deltas. Nil uses the
+	// ProfileRegistry scopes New's amortized profiling pass over Library
+	// (§3.3(a)): cluster nodes pass their per-node registry so profile state
+	// can replicate between nodes as content-keyed deltas. Nil uses the
 	// process-wide default registry.
 	ProfileRegistry *profiles.Registry
 	// RebalancePeriod enables the manager's rebalancing loop when > 0.
 	RebalancePeriod sim.Duration
 	// CPUType prices CPU cores; defaults to the EPYC in the paper testbed.
 	CPUType hardware.CPUType
+
+	// The features are off at their zero values. Loop, when set, is the
+	// sim.Loop driving Engine, and schedulers search plans off it on
+	// PlanWorkers goroutines (0 = GOMAXPROCS; see plansearch.go); the library
+	// and profile store must then not be mutated off the loop goroutine.
+	// Reconfig, Recovery and SLO turn on reconfiguration, failure recovery
+	// (with the manager's circuit breakers, unless the policy disables them)
+	// and SLO tiers: see reconfig.go, faults.go and slo.go.
+	Loop        *sim.Loop
+	PlanWorkers int
+	Reconfig    *ReconfigConfig
+	Recovery    *FaultPolicy
+	SLO         *SLOConfig
+
+	// noReuse turns off the allocation-reuse fast paths: key interning (every
+	// cache key and report label is a fresh string), the worker and LLM-task
+	// scratch pools, the LLM request free list and the parked execution
+	// blocks. Outputs are bit-identical either way; only this package's test
+	// binary sets it (see export_test.go), for the reuse differentials.
+	noReuse bool
 }
 
 // Runtime is the Murakkab runtime.
@@ -78,24 +93,18 @@ type Runtime struct {
 	planCacheHits   int
 	decompCache     map[string]*planner.Result
 	decompCacheHits int
-	// rebalance is the manager's loop period; the loop runs only while
-	// workflows are active (a permanent ticker would keep the simulation's
-	// event queue non-empty forever).
-	rebalance sim.Duration
-	// cpuType prices CPU cores for degradation-candidate costing (the same
-	// type the optimizer was built with).
-	cpuType hardware.CPUType
-
-	// recovery is the failure-recovery state (nil until EnableRecovery;
-	// see faults.go). onTaskFault, when set, runs after every recovered
-	// task failure — the scheduler points it at the reconfiguration
-	// controller so a failure is treated as a capacity event.
-	recovery    *recoveryState
-	onTaskFault func()
+	// cfg is the Config New was given, CPUType defaulted. RebalancePeriod
+	// runs the manager's loop only while workflows are active (a permanent
+	// ticker would keep the simulation's event queue non-empty forever),
+	// CPUType prices degradation candidates, noReuse gates the reuse fast
+	// paths and NewScheduler wires the features. recovery is cfg.Recovery
+	// with defaults applied (see faults.go).
+	cfg      Config
+	recovery *FaultPolicy
 
 	// keyBuf is the reusable scratch every cache key and report label is
 	// rendered into; keys interns the strings that must outlive the render
-	// (nil when noReuse, in which case each is a fresh copy).
+	// (nil under noReuse, in which case each is a fresh copy).
 	// sortBuf is the reusable scratch for the string sets that are rendered
 	// in sorted order (a job key's attribute names). capSnap is the
 	// capacity class — the cluster's totals — and capKey its part of the plan
@@ -167,7 +176,7 @@ func (rt *Runtime) newRequest() *llmsim.Request {
 // releaseRequest takes back the record of a call that has completed. Only a
 // request's own OnComplete may call it, once it has read what it needs of r.
 func (rt *Runtime) releaseRequest(r *llmsim.Request) {
-	if noReuse || len(rt.reqFree) == poolCap {
+	if rt.cfg.noReuse || len(rt.reqFree) == poolCap {
 		return
 	}
 	*r = llmsim.Request{}
@@ -179,38 +188,28 @@ func (rt *Runtime) releaseRequest(r *llmsim.Request) {
 // forever).
 const poolCap = 256
 
-// noReuse, when set before runtimes are constructed, turns off the runtime's
-// allocation-reuse fast paths: key interning (every cache key and report
-// label is a fresh string), the worker and LLM-task scratch pools, the LLM
-// request free list and the parked execution blocks. Outputs are
-// bit-identical either way; only this package's test binary sets it (see
-// export_test.go), to give the reuse differentials their reference.
-var noReuse bool
-
-// New builds a runtime. Profiling the library happens here when no store is
-// supplied.
+// New builds a runtime, profiling the library, and is the one check of its
+// configuration: it returns an error, never panics.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Engine == nil || cfg.Cluster == nil || cfg.Library == nil {
 		return nil, fmt.Errorf("core: Engine, Cluster and Library are required")
 	}
+	if cfg.SLO != nil {
+		if err := cfg.SLO.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	if cfg.CPUType == "" {
 		cfg.CPUType = hardware.EPYC7V12
 	}
-	store := cfg.Profiles
-	if store == nil {
-		// Amortized profiling (§3.3(a)): the library is profiled once per
-		// distinct (catalog, library) content; runtimes receive copy-on-write
-		// views of the shared store.
-		var err error
-		store, err = agents.SharedProfilesIn(cfg.ProfileRegistry, cfg.Cluster.Catalog(), cfg.Library)
-		if err != nil {
-			return nil, fmt.Errorf("core: profiling library: %w", err)
-		}
+	// Amortized profiling (§3.3(a)): the library is profiled once per
+	// distinct (catalog, library) content; runtimes receive copy-on-write
+	// views of the shared store.
+	store, err := agents.SharedProfilesIn(cfg.ProfileRegistry, cfg.Cluster.Catalog(), cfg.Library)
+	if err != nil {
+		return nil, fmt.Errorf("core: profiling library: %w", err)
 	}
-	mgr := cfg.Manager
-	if mgr == nil {
-		mgr = clustermgr.New(cfg.Engine, cfg.Cluster)
-	}
+	mgr := clustermgr.New(cfg.Engine, cfg.Cluster)
 	rt := &Runtime{
 		se:          cfg.Engine,
 		cl:          cfg.Cluster,
@@ -222,11 +221,17 @@ func New(cfg Config) (*Runtime, error) {
 		engineRefs:  map[string]int{},
 		planCache:   map[string]*optimizer.Plan{},
 		decompCache: map[string]*planner.Result{},
-		rebalance:   cfg.RebalancePeriod,
-		cpuType:     cfg.CPUType,
+		cfg:         cfg,
 	}
-	if !noReuse {
+	if !cfg.noReuse {
 		rt.keys = contentkey.NewInterner(0)
+	}
+	if cfg.Recovery != nil {
+		p := cfg.Recovery.withDefaults()
+		rt.recovery = &p
+		if p.BreakerThreshold > 0 {
+			mgr.EnableBreakers(p.BreakerThreshold, p.BreakerCooldownS)
+		}
 	}
 	return rt, nil
 }
@@ -252,7 +257,7 @@ type SubmitOptions struct {
 	KeepEngines bool
 	// SLOClass overrides the tenant's SLO tier for this job ("" = the
 	// tenant mapping / default; ignored with SLO tiers disabled — see
-	// Scheduler.EnableSLO). It does not affect planning, so it is not part
+	// Config.SLO). It does not affect planning, so it is not part
 	// of the plan-cache or plan-search key.
 	SLOClass string
 }
@@ -508,8 +513,8 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	// Workflow-aware cluster management: the manager sees the DAG.
 	rt.mgr.RegisterWorkflow(&ex.tracker)
 	rt.active++
-	if rt.rebalance > 0 && !rt.mgr.RebalancingEnabled() {
-		rt.mgr.EnableRebalancing(rt.rebalance)
+	if rt.cfg.RebalancePeriod > 0 && !rt.mgr.RebalancingEnabled() {
+		rt.mgr.EnableRebalancing(rt.cfg.RebalancePeriod)
 	}
 
 	// Bring up serving engines for the LLM capabilities, then charge the
@@ -545,7 +550,7 @@ func sized[T any](s []T, n int) []T {
 // zeroed but for its arrays and method values, the arrays that hold pointers
 // are cleared — and stays done, as a callback that outlived the job would find.
 func (ex *Execution) release() {
-	if noReuse || !ex.done || ex.err != nil || ex.unclean || !ex.tracker.Done() {
+	if ex.rt.cfg.noReuse || !ex.done || ex.err != nil || ex.unclean || !ex.tracker.Done() {
 		return
 	}
 	for i := range ex.stages {
@@ -776,7 +781,7 @@ func (ex *Execution) finish(err error) {
 	ex.cancelRecovery()
 	ex.rt.mgr.UnregisterWorkflow(&ex.tracker)
 	ex.rt.active--
-	if ex.rt.active == 0 && ex.rt.rebalance > 0 {
+	if ex.rt.active == 0 && ex.rt.cfg.RebalancePeriod > 0 {
 		ex.rt.mgr.StopRebalancing()
 	}
 	// Slot order: on a cancel or a failure the stages still hold workers, and

@@ -46,16 +46,25 @@ func paperPins() map[string]optimizer.Pin {
 }
 
 func newRuntime(t testing.TB) (*sim.Engine, *cluster.Cluster, *Runtime) {
+	return newRuntimeWith(t, Config{})
+}
+
+// newRuntimeWith builds a runtime from cfg on the two-VM fleet, supplying the
+// cluster, the default library and — unless cfg has one — the engine.
+func newRuntimeWith(t testing.TB, cfg Config) (*sim.Engine, *cluster.Cluster, *Runtime) {
 	t.Helper()
-	se := sim.NewEngine()
-	cl := cluster.New(se, hardware.DefaultCatalog())
+	if cfg.Engine == nil {
+		cfg.Engine = sim.NewEngine()
+	}
+	cl := cluster.New(cfg.Engine, hardware.DefaultCatalog())
 	cl.AddVM("vm0", hardware.NDv4SKUName, false)
 	cl.AddVM("vm1", hardware.NDv4SKUName, false)
-	rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
+	cfg.Cluster, cfg.Library = cl, agents.DefaultLibrary()
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return se, cl, rt
+	return cfg.Engine, cl, rt
 }
 
 func runJob(t *testing.T, c workflow.Constraint) (*cluster.Cluster, *Execution, *report.Report) {

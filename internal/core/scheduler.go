@@ -26,7 +26,7 @@ import (
 // sim.Loop.Post in daemon mode). In daemon mode the expensive half of
 // admission — the configuration search — can be moved off that goroutine
 // onto a plan-search worker pool with optimistic snapshot commit; see
-// EnablePlanSearch (plansearch.go). The serial path is unchanged when the
+// Config.Loop and plansearch.go. The serial path is unchanged when the
 // pool is not enabled.
 
 // ErrCanceled is the terminal error of a canceled job.
@@ -275,7 +275,10 @@ type Scheduler struct {
 	pumpFn func()
 }
 
-// NewScheduler builds the admission layer over a runtime.
+// NewScheduler builds the admission layer over a runtime and wires the
+// runtime's Config features in a fixed order — plan search, reconfiguration,
+// SLO tiers — as hook registration order decides event order. With
+// Config.Loop set, call StopPlanSearch once the loop has drained.
 func NewScheduler(se *sim.Engine, rt *Runtime, maxConcurrent int) *Scheduler {
 	if maxConcurrent <= 0 {
 		panic("core: non-positive scheduler concurrency limit")
@@ -289,6 +292,20 @@ func NewScheduler(se *sim.Engine, rt *Runtime, maxConcurrent int) *Scheduler {
 		admitted:      map[string]int{},
 	}
 	s.pumpFn = s.pump
+	if rt.cfg.Loop != nil {
+		s.startPlanSearch()
+	}
+	if rt.cfg.Reconfig != nil {
+		s.startReconfig()
+	}
+	if rt.cfg.SLO != nil {
+		cfg := rt.cfg.SLO.withDefaults()
+		s.slo = &sloState{
+			cfg:     cfg,
+			ctrl:    overloadController{high: cfg.HighWatermark, low: cfg.LowWatermark},
+			tenants: map[string]*tenantSLO{},
+		}
+	}
 	return s
 }
 

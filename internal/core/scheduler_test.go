@@ -4,23 +4,18 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/agents"
-	"repro/internal/cluster"
-	"repro/internal/hardware"
 	"repro/internal/sim"
 	"repro/internal/workflow"
 )
 
 func schedTestbed(t *testing.T, maxConcurrent int) (*sim.Engine, *Scheduler) {
+	return schedWith(t, maxConcurrent, Config{})
+}
+
+// schedWith is schedTestbed over a runtime built from cfg (see newRuntimeWith).
+func schedWith(t *testing.T, maxConcurrent int, cfg Config) (*sim.Engine, *Scheduler) {
 	t.Helper()
-	se := sim.NewEngine()
-	cl := cluster.New(se, hardware.DefaultCatalog())
-	cl.AddVM("vm0", hardware.NDv4SKUName, false)
-	cl.AddVM("vm1", hardware.NDv4SKUName, false)
-	rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	se, _, rt := newRuntimeWith(t, cfg)
 	return se, NewScheduler(se, rt, maxConcurrent)
 }
 

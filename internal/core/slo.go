@@ -31,7 +31,7 @@ import (
 //     HTTP surface maps to 429 + Retry-After. The queue can never grow
 //     without limit and a shed job can never strand: it was never enqueued.
 //
-// With EnableSLO not called every hook below is nil-guarded and behavior is
+// With Config.SLO nil every hook below is nil-guarded and behavior is
 // bit-identical to a build without this file.
 
 // SLOClass is one service tier.
@@ -78,7 +78,8 @@ func DefaultSLOClasses() map[string]SLOClass {
 	}
 }
 
-// SLOConfig configures EnableSLO. Zero fields take the defaults noted.
+// SLOConfig configures SLO tiers (Config.SLO). Zero fields take the defaults
+// noted.
 type SLOConfig struct {
 	// Classes defines the tiers (nil = DefaultSLOClasses()).
 	Classes map[string]SLOClass
@@ -160,17 +161,16 @@ type tenantSLO struct {
 	stats  TenantSLOStats
 }
 
-// sloState hangs off the scheduler when EnableSLO was called.
+// sloState hangs off the scheduler when the runtime's Config.SLO is set.
 type sloState struct {
 	cfg     SLOConfig
 	ctrl    overloadController
 	tenants map[string]*tenantSLO
 }
 
-// Validate checks the configuration as EnableSLO would see it (defaults
+// Validate checks the configuration as the scheduler would see it (defaults
 // applied): the watermarks must form a hysteresis band and every referenced
-// class must exist. Callers building configs from external input (flags,
-// HTTP) can reject bad ones with an error instead of EnableSLO's panic.
+// class must exist. New calls it.
 func (c SLOConfig) Validate() error {
 	c = c.withDefaults()
 	if c.LowWatermark >= c.HighWatermark {
@@ -186,23 +186,6 @@ func (c SLOConfig) Validate() error {
 		}
 	}
 	return nil
-}
-
-// EnableSLO turns on SLO tiers and the overload controller for every job
-// admitted through this scheduler. Call once, before jobs run.
-func (s *Scheduler) EnableSLO(cfg SLOConfig) {
-	if s.slo != nil {
-		panic("core: SLO tiers already enabled")
-	}
-	if err := cfg.Validate(); err != nil {
-		panic("core: " + err.Error())
-	}
-	cfg = cfg.withDefaults()
-	s.slo = &sloState{
-		cfg:     cfg,
-		ctrl:    overloadController{high: cfg.HighWatermark, low: cfg.LowWatermark},
-		tenants: map[string]*tenantSLO{},
-	}
 }
 
 // OverloadActive reports whether the overload controller is currently

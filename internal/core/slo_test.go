@@ -3,9 +3,14 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/agents"
+	"repro/internal/cluster"
+	"repro/internal/hardware"
 	"repro/internal/optimizer"
+	"repro/internal/sim"
 	"repro/internal/workflow"
 )
 
@@ -78,11 +83,10 @@ func TestOverloadControllerHysteresisProperty(t *testing.T) {
 }
 
 func TestSLOShedAtQueueBound(t *testing.T) {
-	se, s := schedTestbed(t, 1)
-	s.EnableSLO(SLOConfig{
+	se, s := schedWith(t, 1, Config{SLO: &SLOConfig{
 		TenantTiers: map[string]string{"alice": "bronze"},
 		QueueBound:  1,
-	})
+	}})
 	h1, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +119,7 @@ func TestSLOShedAtQueueBound(t *testing.T) {
 }
 
 func TestSLOBudgetExhausted(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableSLO(SLOConfig{BudgetUSD: 1e-9})
+	se, s := schedWith(t, 2, Config{SLO: &SLOConfig{BudgetUSD: 1e-9}})
 	h1, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	if err != nil {
 		t.Fatal(err)
@@ -157,12 +160,11 @@ func TestSLODegradeAtAdmissionUnderOverload(t *testing.T) {
 	}
 	se0.Run()
 
-	se, s := schedTestbed(t, 1)
-	s.EnableSLO(SLOConfig{
+	se, s := schedWith(t, 1, Config{SLO: &SLOConfig{
 		TenantTiers:   map[string]string{"alice": "bronze"},
 		HighWatermark: 1.5,
 		LowWatermark:  0.5,
-	})
+	}})
 	var cost float64
 	handles := make([]*Handle, 0, 3)
 	for i := 0; i < 3; i++ {
@@ -235,15 +237,14 @@ func TestSLODegradeAtAdmissionUnderOverload(t *testing.T) {
 }
 
 func TestSLOAttainmentCounters(t *testing.T) {
-	se, s := schedTestbed(t, 2)
-	s.EnableSLO(SLOConfig{
+	se, s := schedWith(t, 2, Config{SLO: &SLOConfig{
 		Classes: map[string]SLOClass{
 			"gold":   {Name: "gold", LatencyTargetS: 1e9},
 			"bronze": {Name: "bronze", LatencyTargetS: 1e-9, Degradable: true},
 		},
 		DefaultClass: "gold",
 		TenantTiers:  map[string]string{"bob": "bronze"},
-	})
+	}})
 	ha, _ := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	hb, _ := s.Submit("bob", schedVideoJob(), SubmitOptions{RelaxFloor: true})
 	se.Run()
@@ -272,9 +273,33 @@ func TestSLOAttainmentCounters(t *testing.T) {
 }
 
 func TestSLOUnknownClassRejected(t *testing.T) {
-	_, s := schedTestbed(t, 2)
-	s.EnableSLO(SLOConfig{})
+	_, s := schedWith(t, 2, Config{SLO: &SLOConfig{}})
 	if _, err := s.Submit("alice", schedVideoJob(), SubmitOptions{RelaxFloor: true, SLOClass: "platinum"}); err == nil {
 		t.Fatal("unknown per-job SLO class accepted")
+	}
+}
+
+// TestNewRejectsInvalidSLOConfig: core.New is the one check of an SLO
+// configuration, and a bad one is an error naming what is wrong, not a panic.
+func TestNewRejectsInvalidSLOConfig(t *testing.T) {
+	se := sim.NewEngine()
+	cl := cluster.New(se, hardware.DefaultCatalog())
+	for _, tc := range []struct {
+		name string
+		slo  SLOConfig
+		want string
+	}{
+		{"inverted watermarks", SLOConfig{HighWatermark: 1, LowWatermark: 2}, "low watermark"},
+		{"equal watermarks", SLOConfig{HighWatermark: 1.5, LowWatermark: 1.5}, "low watermark"},
+		{"unknown default class", SLOConfig{DefaultClass: "platinum"}, `unknown default SLO class "platinum"`},
+		{"unknown tenant class", SLOConfig{TenantTiers: map[string]string{"alice": "platinum"}}, `tenant "alice" mapped to unknown SLO class "platinum"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slo := tc.slo
+			rt, err := New(Config{Engine: se, Cluster: cl, Library: agents.DefaultLibrary(), SLO: &slo})
+			if err == nil || rt != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, %v; want an error containing %q", rt, err, tc.want)
+			}
+		})
 	}
 }

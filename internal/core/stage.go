@@ -171,7 +171,7 @@ type llmTask struct {
 }
 
 func (rt *Runtime) newLLMTask() *llmTask {
-	if n := len(rt.llmTaskPool); n > 0 && !noReuse {
+	if n := len(rt.llmTaskPool); n > 0 && !rt.cfg.noReuse {
 		t := rt.llmTaskPool[n-1]
 		rt.llmTaskPool[n-1] = nil
 		rt.llmTaskPool = rt.llmTaskPool[:n-1]
@@ -186,7 +186,7 @@ func (rt *Runtime) newLLMTask() *llmTask {
 
 func (rt *Runtime) releaseLLMTask(t *llmTask) {
 	t.st, t.firstErr = nil, nil
-	if !noReuse && len(rt.llmTaskPool) < poolCap {
+	if !rt.cfg.noReuse && len(rt.llmTaskPool) < poolCap {
 		rt.llmTaskPool = append(rt.llmTaskPool, t)
 	}
 }
@@ -485,8 +485,8 @@ func (w *worker) run(i int32) {
 	w.spanStart = ex.startSpan()
 	w.doneAt = ex.rt.se.Now().Add(sim.Duration(dur))
 	w.doneEv = *ex.rt.se.Schedule(w.doneAt, w.taskDoneFn)
-	if rc := ex.rt.recovery; rc != nil && rc.policy.StageTimeoutS > 0 {
-		w.watchdogEv = *ex.rt.se.After(sim.Duration(rc.policy.StageTimeoutS), w.timedOutFn)
+	if rc := ex.rt.recovery; rc != nil && rc.StageTimeoutS > 0 {
+		w.watchdogEv = *ex.rt.se.After(sim.Duration(rc.StageTimeoutS), w.timedOutFn)
 	}
 }
 
@@ -545,7 +545,7 @@ func (w *worker) timedOut() {
 	ex.rt.counters.StageTimeouts++
 	w.destroy()
 	st.taskFailed(node, &JobError{Code: CodeTaskFailed, Op: string(ex.graph.NodeAt(int(node)).ID),
-		Err: fmt.Errorf("core: stage %s timed out after %.0fs", st.cap, rc.policy.StageTimeoutS)})
+		Err: fmt.Errorf("core: stage %s timed out after %.0fs", st.cap, rc.StageTimeoutS)})
 	st.deferPump()
 }
 
@@ -625,7 +625,7 @@ func (w *worker) destroy() {
 	rt := st.ex.rt
 	// A retired worker must not keep its last job alive from the free list.
 	w.st = nil
-	if !noReuse && len(rt.workerPool) < poolCap {
+	if !rt.cfg.noReuse && len(rt.workerPool) < poolCap {
 		rt.workerPool = append(rt.workerPool, w)
 	}
 }

@@ -138,13 +138,13 @@ func TestTrackerFrontierFlow(t *testing.T) {
 	g := diamond(t)
 	tr := NewTracker(g)
 
-	if r := tr.Ready(); len(r) != 1 || r[0] != "a" {
+	if r := tr.AppendReady(nil); len(r) != 1 || r[0] != "a" {
 		t.Fatalf("initial ready = %v, want [a]", r)
 	}
 	if err := tr.Start("a"); err != nil {
 		t.Fatal(err)
 	}
-	newly, err := tr.Complete("a")
+	newly, err := tr.CompleteAppend("a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +153,17 @@ func TestTrackerFrontierFlow(t *testing.T) {
 	}
 	// d is not ready until BOTH b and c complete.
 	tr.Start("b")
-	newly, _ = tr.Complete("b")
+	newly, _ = tr.CompleteAppend("b", nil)
 	if len(newly) != 0 {
 		t.Fatalf("d became ready with c outstanding: %v", newly)
 	}
 	tr.Start("c")
-	newly, _ = tr.Complete("c")
+	newly, _ = tr.CompleteAppend("c", nil)
 	if len(newly) != 1 || newly[0] != "d" {
 		t.Fatalf("newly after c = %v, want [d]", newly)
 	}
 	tr.Start("d")
-	tr.Complete("d")
+	tr.CompleteAppend("d", nil)
 	if !tr.Done() {
 		t.Fatal("tracker not done after all nodes complete")
 	}
@@ -175,7 +175,7 @@ func TestTrackerStateErrors(t *testing.T) {
 	if err := tr.Start("d"); err == nil {
 		t.Error("started pending node")
 	}
-	if _, err := tr.Complete("a"); err == nil {
+	if _, err := tr.CompleteAppend("a", nil); err == nil {
 		t.Error("completed non-running node")
 	}
 	tr.Start("a")
@@ -188,18 +188,18 @@ func TestTrackerFailRetry(t *testing.T) {
 	g := diamond(t)
 	tr := NewTracker(g)
 	tr.Start("a")
-	if err := tr.Fail("a"); err != nil {
+	if err := fail(tr, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if r := tr.Ready(); len(r) != 1 || r[0] != "a" {
+	if r := tr.AppendReady(nil); len(r) != 1 || r[0] != "a" {
 		t.Fatalf("ready after fail = %v, want [a]", r)
 	}
 	// Retry succeeds.
 	tr.Start("a")
-	if _, err := tr.Complete("a"); err != nil {
+	if _, err := tr.CompleteAppend("a", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Fail("a"); err == nil {
+	if err := fail(tr, "a"); err == nil {
 		t.Error("failed a done node")
 	}
 }
@@ -208,30 +208,13 @@ func TestRemainingCapabilityWork(t *testing.T) {
 	g := diamond(t)
 	tr := NewTracker(g)
 	tr.Start("a")
-	tr.Complete("a")
+	tr.CompleteAppend("a", nil)
 	rem := tr.RemainingCapabilityWork()
 	if _, has := rem["extract"]; has {
 		t.Error("completed capability still in remaining work")
 	}
 	if rem["stt"] != 10 {
 		t.Errorf("remaining stt work = %v, want 10", rem["stt"])
-	}
-}
-
-func TestUpcomingCapabilities(t *testing.T) {
-	g := diamond(t)
-	tr := NewTracker(g)
-	up := tr.UpcomingCapabilities(0)
-	if !up["extract"] || up["stt"] {
-		t.Fatalf("horizon 0 = %v, want only extract", up)
-	}
-	up = tr.UpcomingCapabilities(1)
-	if !up["extract"] || !up["stt"] || !up["detect"] || up["summarize"] {
-		t.Fatalf("horizon 1 = %v, want extract+stt+detect", up)
-	}
-	up = tr.UpcomingCapabilities(2)
-	if !up["summarize"] {
-		t.Fatalf("horizon 2 = %v, want summarize included", up)
 	}
 }
 
@@ -261,7 +244,7 @@ func TestPropertyTrackerCompletesRandomDAGs(t *testing.T) {
 		tr := NewTracker(g)
 		completed := map[NodeID]bool{}
 		for !tr.Done() {
-			ready := tr.Ready()
+			ready := tr.AppendReady(nil)
 			if len(ready) == 0 {
 				return false // deadlock
 			}
@@ -278,7 +261,7 @@ func TestPropertyTrackerCompletesRandomDAGs(t *testing.T) {
 					return false
 				}
 			}
-			if _, err := tr.Complete(id); err != nil {
+			if _, err := tr.CompleteAppend(id, nil); err != nil {
 				return false
 			}
 			completed[id] = true
@@ -321,7 +304,7 @@ func TestTrackerRemainingNodes(t *testing.T) {
 	if got := len(tr.RemainingNodes()); got != 3 {
 		t.Fatalf("remaining = %d with a running (running is not done)", got)
 	}
-	if _, err := tr.Complete("a"); err != nil {
+	if _, err := tr.CompleteAppend("a", nil); err != nil {
 		t.Fatal(err)
 	}
 	rem := tr.RemainingNodes()

@@ -99,9 +99,6 @@ func (t *Tracker) release(s int32) bool {
 // Graph returns the underlying graph.
 func (t *Tracker) Graph() *Graph { return t.g }
 
-// Ready returns IDs currently ready to run, in graph insertion order.
-func (t *Tracker) Ready() []NodeID { return t.AppendReady(nil) }
-
 // AppendReady appends the currently-ready IDs to buf (graph insertion
 // order) and returns the extended slice, letting hot paths reuse a scratch
 // buffer instead of allocating one per frontier scan.
@@ -133,16 +130,10 @@ func (t *Tracker) Start(id NodeID) error {
 // StartAt is Start for the node at index i.
 func (t *Tracker) StartAt(i int32) error { return t.move("Start", i, stateReady, stateRunning) }
 
-// Complete transitions a running node to done and returns any newly-ready
-// successors (in deterministic order).
-func (t *Tracker) Complete(id NodeID) ([]NodeID, error) {
-	return t.CompleteAppend(id, nil)
-}
-
-// CompleteAppend is Complete with a caller-supplied scratch buffer: newly
-// ready successors are appended to buf and the extended slice returned, so a
-// hot dispatch loop completes nodes without allocating a frontier slice per
-// task.
+// CompleteAppend transitions a running node to done and appends any
+// newly-ready successors (in deterministic order) to buf, returning the
+// extended slice, so a hot dispatch loop completes nodes without allocating a
+// frontier slice per task.
 func (t *Tracker) CompleteAppend(id NodeID, buf []NodeID) ([]NodeID, error) {
 	i, err := t.moveID("Complete", id, stateRunning, stateDone)
 	if err != nil {
@@ -171,14 +162,8 @@ func (t *Tracker) CompleteAt(i int32, buf []int32) ([]int32, error) {
 	return buf, nil
 }
 
-// Fail returns a running node to ready so it can be retried (e.g. after a
-// spot preemption killed its resources).
-func (t *Tracker) Fail(id NodeID) error {
-	_, err := t.moveID("Fail", id, stateRunning, stateReady)
-	return err
-}
-
-// FailAt is Fail for the node at index i.
+// FailAt returns the running node at index i to ready so it can be retried
+// (e.g. after a spot preemption killed its resources).
 func (t *Tracker) FailAt(i int32) error { return t.move("Fail", i, stateRunning, stateReady) }
 
 // Done reports whether every node completed.
@@ -186,17 +171,6 @@ func (t *Tracker) Done() bool { return t.done == t.g.Len() }
 
 // CompletedCount returns the number of completed nodes.
 func (t *Tracker) CompletedCount() int { return t.done }
-
-// Running returns IDs currently running, in graph insertion order.
-func (t *Tracker) Running() []NodeID {
-	var out []NodeID
-	for i, n := range t.g.nodes {
-		if t.state(int32(i)) == stateRunning {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
 
 // RemainingNodes returns the nodes that have not completed (pending, ready
 // or running), in graph insertion order — the "remaining DAG" view the
@@ -220,40 +194,6 @@ func (t *Tracker) RemainingCapabilityWork() map[string]float64 {
 	for i, n := range t.g.nodes {
 		if t.state(int32(i)) != stateDone {
 			out[n.Capability] += n.Work
-		}
-	}
-	return out
-}
-
-// UpcomingCapabilities returns capabilities of pending+ready nodes whose
-// remaining depth from the frontier is at most horizon hops. horizon 0 means
-// only ready nodes.
-func (t *Tracker) UpcomingCapabilities(horizon int) map[string]bool {
-	// BFS from ready/running nodes through pending successors; hops holds
-	// each reached node's depth plus one, zero meaning not reached.
-	hops := make([]int, t.g.Len())
-	var queue []int32
-	for i := range hops {
-		if s := t.state(int32(i)); s == stateReady || s == stateRunning {
-			hops[i] = 1
-			queue = append(queue, int32(i))
-		}
-	}
-	out := map[string]bool{}
-	for head := 0; head < len(queue); head++ {
-		i := queue[head]
-		d := hops[i] - 1
-		if t.state(i) != stateDone && d <= horizon {
-			out[t.g.nodes[i].Capability] = true
-		}
-		if d == horizon {
-			continue
-		}
-		for _, s := range t.g.succ.row(int(i)) {
-			if hops[s] == 0 {
-				hops[s] = d + 2
-				queue = append(queue, s)
-			}
 		}
 	}
 	return out

@@ -30,23 +30,20 @@ type Testbed struct {
 	Runtime *core.Runtime
 }
 
-// NewTestbed provisions the §4 setup: two ND96amsr_A100_v4 VMs.
-func NewTestbed() (*Testbed, error) { return NewTestbedWithRebalance(0) }
-
-// NewTestbedWithRebalance provisions the §4 setup with the cluster
-// manager's rebalancing loop running at the given period while workflows
-// are active (0 disables it).
-func NewTestbedWithRebalance(period sim.Duration) (*Testbed, error) {
-	se := sim.NewEngine()
-	cl := cluster.New(se, hardware.DefaultCatalog())
+// NewTestbed provisions the §4 setup — two ND96amsr_A100_v4 VMs — with a
+// runtime built from cfg, for which it supplies the engine, the cluster and
+// the default agent library.
+func NewTestbed(cfg core.Config) (*Testbed, error) {
+	cfg.Engine = sim.NewEngine()
+	cl := cluster.New(cfg.Engine, hardware.DefaultCatalog())
 	cl.AddVM("vm0", hardware.NDv4SKUName, false)
 	cl.AddVM("vm1", hardware.NDv4SKUName, false)
-	lib := agents.DefaultLibrary()
-	rt, err := core.New(core.Config{Engine: se, Cluster: cl, Library: lib, RebalancePeriod: period})
+	cfg.Cluster, cfg.Library = cl, agents.DefaultLibrary()
+	rt, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Testbed{Engine: se, Cluster: cl, Library: lib, Runtime: rt}, nil
+	return &Testbed{Engine: cfg.Engine, Cluster: cl, Library: cfg.Library, Runtime: rt}, nil
 }
 
 // PaperVideoJob is the Listing 2 job over the evaluation workload: two
@@ -124,7 +121,7 @@ func STTPin(c STTConfig) optimizer.Pin {
 
 // RunBaseline executes the Listing 1 imperative pipeline on a fresh testbed.
 func RunBaseline() (*report.Report, error) {
-	tb, err := NewTestbed()
+	tb, err := NewTestbed(core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -137,9 +134,10 @@ func RunBaseline() (*report.Report, error) {
 	return rep, nil
 }
 
-// RunMurakkabSTT executes the declarative job with one pinned STT config.
-func RunMurakkabSTT(c STTConfig) (*report.Report, *core.Execution, error) {
-	tb, err := NewTestbed()
+// RunMurakkabSTT executes the declarative job with one pinned STT config on a
+// fresh testbed built from cfg.
+func RunMurakkabSTT(cfg core.Config, c STTConfig) (*report.Report, *core.Execution, error) {
+	tb, err := NewTestbed(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,11 +160,11 @@ func RunMurakkabSTT(c STTConfig) (*report.Report, *core.Execution, error) {
 }
 
 // RunMurakkabFree lets the optimizer choose the STT configuration under the
-// given constraint (only the §4 engine sizes stay pinned) — the run behind
-// "Murakkab selects the CPU configuration to satisfy the MIN_COST
-// constraint".
-func RunMurakkabFree(c workflow.Constraint) (*report.Report, *core.Execution, error) {
-	tb, err := NewTestbed()
+// given constraint (only the §4 engine sizes stay pinned) on a fresh testbed
+// built from cfg — the run behind "Murakkab selects the CPU configuration to
+// satisfy the MIN_COST constraint".
+func RunMurakkabFree(cfg core.Config, c workflow.Constraint) (*report.Report, *core.Execution, error) {
+	tb, err := NewTestbed(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

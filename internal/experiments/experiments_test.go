@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workflow"
 )
 
@@ -190,7 +191,7 @@ func TestRunMurakkabFreeConstraints(t *testing.T) {
 	// the fastest of the four.
 	times := map[workflow.Constraint]float64{}
 	for _, c := range []workflow.Constraint{workflow.MinCost, workflow.MinLatency, workflow.MinPower, workflow.MaxQuality} {
-		rep, _, err := RunMurakkabFree(c)
+		rep, _, err := RunMurakkabFree(core.Config{}, c)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}

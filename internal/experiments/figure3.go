@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/telemetry"
 )
@@ -23,7 +24,10 @@ type Figure3Result struct {
 }
 
 // Figure3 runs the four §4 configurations.
-func Figure3() (*Figure3Result, error) {
+func Figure3() (*Figure3Result, error) { return Figure3With(core.Config{}) }
+
+// Figure3With is Figure3 with every Murakkab testbed's runtime built from cfg.
+func Figure3With(cfg core.Config) (*Figure3Result, error) {
 	base, err := RunBaseline()
 	if err != nil {
 		return nil, fmt.Errorf("figure3 baseline: %w", err)
@@ -31,7 +35,7 @@ func Figure3() (*Figure3Result, error) {
 	res := &Figure3Result{
 		Rows: []Figure3Row{{Name: "Baseline", PaperTimeS: 283, Report: base}},
 	}
-	for _, cfg := range []struct {
+	for _, row := range []struct {
 		stt   STTConfig
 		paper float64
 	}{
@@ -39,13 +43,13 @@ func Figure3() (*Figure3Result, error) {
 		{STTCPU, 83},
 		{STTHybrid, 77},
 	} {
-		rep, _, err := RunMurakkabSTT(cfg.stt)
+		rep, _, err := RunMurakkabSTT(cfg, row.stt)
 		if err != nil {
-			return nil, fmt.Errorf("figure3 %s: %w", cfg.stt, err)
+			return nil, fmt.Errorf("figure3 %s: %w", row.stt, err)
 		}
 		res.Rows = append(res.Rows, Figure3Row{
-			Name:       fmt.Sprintf("Murakkab (%s)", cfg.stt),
-			PaperTimeS: cfg.paper,
+			Name:       fmt.Sprintf("Murakkab (%s)", row.stt),
+			PaperTimeS: row.paper,
 			Report:     rep,
 		})
 	}

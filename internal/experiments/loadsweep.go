@@ -44,7 +44,7 @@ func LoadSweep(rates []float64, horizonS float64, seed int64) (*LoadSweepResult,
 }
 
 func runLoadPoint(rate, horizonS float64, seed int64) (LoadPoint, error) {
-	tb, err := NewTestbed()
+	tb, err := NewTestbed(core.Config{})
 	if err != nil {
 		return LoadPoint{}, err
 	}

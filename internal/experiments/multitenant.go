@@ -45,17 +45,20 @@ type MultiTenantResult struct {
 }
 
 // MultiTenant runs the comparison.
-func MultiTenant() (*MultiTenantResult, error) {
+func MultiTenant() (*MultiTenantResult, error) { return MultiTenantWith(core.Config{}) }
+
+// MultiTenantWith is MultiTenant with every testbed's runtime built from cfg.
+func MultiTenantWith(cfg core.Config) (*MultiTenantResult, error) {
 	res := &MultiTenantResult{}
 
 	// Each workflow alone.
-	repV, _, err := RunMurakkabFree(workflow.MinCost)
+	repV, _, err := RunMurakkabFree(cfg, workflow.MinCost)
 	if err != nil {
 		return nil, err
 	}
 	res.VideoAloneS = repV.MakespanS
 
-	tbN, err := NewTestbed()
+	tbN, err := NewTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +74,7 @@ func MultiTenant() (*MultiTenantResult, error) {
 	res.SerialTotalS = 2*res.VideoAloneS + res.NewsfeedAloneS
 
 	// Co-scheduled on one testbed, sharing the NVLM engines.
-	tb, err := NewTestbed()
+	tb, err := NewTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +138,7 @@ type RebalanceAblationResult struct {
 // RebalanceAblation runs the comparison.
 func RebalanceAblation() (*RebalanceAblationResult, error) {
 	run := func(period sim.Duration) (float64, int, error) {
-		tb, err := NewTestbedWithRebalance(period)
+		tb, err := NewTestbed(core.Config{RebalancePeriod: period})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/agents"
+	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/workflow"
 )
@@ -48,7 +49,7 @@ func Overhead() (*OverheadResult, error) {
 		}
 	}
 
-	rep, ex, err := RunMurakkabFree(workflow.MinCost)
+	rep, ex, err := RunMurakkabFree(core.Config{}, workflow.MinCost)
 	if err != nil {
 		return nil, err
 	}

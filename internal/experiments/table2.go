@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/agents"
+	"repro/internal/core"
 	"repro/internal/workflow"
 )
 
@@ -34,7 +35,10 @@ type Table2Result struct {
 // Table2 runs the baseline and the three Murakkab STT configurations and
 // records GPU energy and completion time for each, then verifies the
 // optimizer's free choice under MIN_COST.
-func Table2() (*Table2Result, error) {
+func Table2() (*Table2Result, error) { return Table2With(core.Config{}) }
+
+// Table2With is Table2 with every Murakkab testbed's runtime built from cfg.
+func Table2With(cfg core.Config) (*Table2Result, error) {
 	base, err := RunBaseline()
 	if err != nil {
 		return nil, err
@@ -44,7 +48,7 @@ func Table2() (*Table2Result, error) {
 		PaperEnergyWh: 155, PaperTimeS: 285,
 		EnergyWh: base.GPUEnergyWh, TimeS: base.MakespanS,
 	}}}
-	for _, cfg := range []struct {
+	for _, row := range []struct {
 		stt    STTConfig
 		energy float64
 		time   float64
@@ -53,19 +57,19 @@ func Table2() (*Table2Result, error) {
 		{STTGPU, 43, 77},
 		{STTHybrid, 42, 77},
 	} {
-		rep, _, err := RunMurakkabSTT(cfg.stt)
+		rep, _, err := RunMurakkabSTT(cfg, row.stt)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Table2Row{
-			Config:        "Murakkab " + string(cfg.stt),
-			PaperEnergyWh: cfg.energy, PaperTimeS: cfg.time,
+			Config:        "Murakkab " + string(row.stt),
+			PaperEnergyWh: row.energy, PaperTimeS: row.time,
 			EnergyWh: rep.GPUEnergyWh, TimeS: rep.MakespanS,
 		})
 	}
 
 	// Free optimizer choice under MIN_COST.
-	_, ex, err := RunMurakkabFree(workflow.MinCost)
+	_, ex, err := RunMurakkabFree(cfg, workflow.MinCost)
 	if err != nil {
 		return nil, err
 	}

@@ -154,17 +154,17 @@ func (b *burst) JobDone(*core.Handle) {}
 // runAdmissionArm replays the burst against one shard and measures the
 // wall-clock admission curve.
 func runAdmissionArm(opts AdmissionOptions, parallel bool) (AdmissionResult, error) {
-	se, _, rt, err := newStack(admissionVMs, 0)
+	se := sim.NewEngine()
+	loop := sim.NewLoop(se)
+	cfg, mode := core.Config{Engine: se}, "serial"
+	if parallel {
+		cfg.Loop, mode = loop, "parallel"
+	}
+	_, _, rt, err := newStack(admissionVMs, cfg)
 	if err != nil {
 		return AdmissionResult{}, err
 	}
 	sched := core.NewScheduler(se, rt, opts.Jobs)
-	loop := sim.NewLoop(se)
-	mode := "serial"
-	if parallel {
-		sched.EnablePlanSearch(loop, 0)
-		mode = "parallel"
-	}
 	go loop.Run()
 
 	b := &burst{

@@ -34,17 +34,15 @@ func TestShardChurnPreemptReloadNeverStrands(t *testing.T) {
 	// preempting it mid-run forces the reload path; vm1 survives.
 	cl.AddVM("vm0", hardware.NDv4SKUName, true)
 	cl.AddVM("vm1", hardware.NDv4SKUName, false)
+	loop := sim.NewLoop(se)
 	rt, err := core.New(core.Config{
 		Engine: se, Cluster: cl, Library: agents.DefaultLibrary(),
-		RebalancePeriod: 5,
+		RebalancePeriod: 5, Loop: loop, PlanWorkers: 2, Reconfig: &core.ReconfigConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := core.NewScheduler(se, rt, 8)
-	loop := sim.NewLoop(se)
-	sched.EnablePlanSearch(loop, 2)
-	sched.EnableReconfig(core.ReconfigConfig{})
 	go loop.Run()
 
 	const jobs = 6

@@ -34,10 +34,8 @@ var reconfigScenario = scenario{
 	mix:  videoBurstMix, rate: 0.4, horizonS: 50, seed: 7,
 	vms: 1, maxConcurrent: 4, rebalancePeriodS: 30,
 	churnAddRate: 0.02, churnHorizonS: 160, churnSeed: 3,
-	base: arm{mode: "reconfig-off"},
-	feature: arm{mode: "reconfig-on", enable: func(s *core.Scheduler) {
-		s.EnableReconfig(core.ReconfigConfig{})
-	}},
+	base:    arm{mode: "reconfig-off"},
+	feature: arm{mode: "reconfig-on", cfg: core.Config{Reconfig: &core.ReconfigConfig{}}},
 }
 
 // ReconfigArm is the measurement for one arm of the comparison.
@@ -124,9 +122,8 @@ var faultsScenario = scenario{
 		Seed:             11,
 	},
 	base: arm{mode: "recovery-off"},
-	feature: arm{mode: "recovery-on", enable: func(s *core.Scheduler) {
-		s.EnableReconfig(core.ReconfigConfig{})
-		s.EnableRecovery(core.FaultPolicy{JobDeadlineS: 1800, Seed: 13})
+	feature: arm{mode: "recovery-on", cfg: core.Config{
+		Reconfig: &core.ReconfigConfig{}, Recovery: &core.FaultPolicy{JobDeadlineS: 1800, Seed: 13},
 	}},
 }
 
@@ -220,13 +217,8 @@ var overloadScenario = scenario{
 	},
 	horizonS: 120, seed: 17,
 	vms: 2, maxConcurrent: 4,
-	base: arm{mode: "fifo", enable: func(s *core.Scheduler) {
-		s.EnableReconfig(core.ReconfigConfig{})
-	}},
-	feature: arm{mode: "slo-tiered", enable: func(s *core.Scheduler) {
-		s.EnableReconfig(core.ReconfigConfig{})
-		s.EnableSLO(overloadSLO)
-	}},
+	base:    arm{mode: "fifo", cfg: core.Config{Reconfig: &core.ReconfigConfig{}}},
+	feature: arm{mode: "slo-tiered", cfg: core.Config{Reconfig: &core.ReconfigConfig{}, SLO: &overloadSLO}},
 }
 
 const (

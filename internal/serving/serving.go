@@ -189,20 +189,20 @@ func requestFrom(tenant string, job workflow.Job) api.JobRequest {
 	return req
 }
 
-// newStack provisions what one runtime shard runs on: an engine, a cluster
-// of vms on-demand ND96amsr_A100_v4 VMs, and a runtime over the default agent
-// library (rebalancePeriodS > 0 turns on the manager's rebalancing loop).
-func newStack(vms int, rebalancePeriodS float64) (*sim.Engine, *cluster.Cluster, *core.Runtime, error) {
-	se := sim.NewEngine()
-	cl := cluster.New(se, hardware.DefaultCatalog())
+// newStack provisions what one runtime shard runs on: a cluster of vms
+// on-demand ND96amsr_A100_v4 VMs and a runtime built from cfg over the default
+// agent library, on cfg's engine or a fresh one.
+func newStack(vms int, cfg core.Config) (*sim.Engine, *cluster.Cluster, *core.Runtime, error) {
+	if cfg.Engine == nil {
+		cfg.Engine = sim.NewEngine()
+	}
+	cl := cluster.New(cfg.Engine, hardware.DefaultCatalog())
 	for v := 0; v < vms; v++ {
 		cl.AddVM(fmt.Sprintf("vm%d", v), hardware.NDv4SKUName, false)
 	}
-	rt, err := core.New(core.Config{
-		Engine: se, Cluster: cl, Library: agents.DefaultLibrary(),
-		RebalancePeriod: sim.Duration(rebalancePeriodS),
-	})
-	return se, cl, rt, err
+	cfg.Cluster, cfg.Library = cl, agents.DefaultLibrary()
+	rt, err := core.New(cfg)
+	return cfg.Engine, cl, rt, err
 }
 
 // perRequestHandler is the pre-daemon baseline the shared pool is measured
@@ -230,7 +230,7 @@ func perRequestHandler(w http.ResponseWriter, r *http.Request) {
 		reply(http.StatusBadRequest, err)
 		return
 	}
-	se, _, rt, err := newStack(2, 0)
+	se, _, rt, err := newStack(2, core.Config{})
 	if err != nil {
 		reply(http.StatusInternalServerError, err)
 		return

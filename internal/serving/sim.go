@@ -39,10 +39,11 @@ type scenario struct {
 	base, feature arm
 }
 
-// arm names one side of a comparison and turns its features on (nil: none).
+// arm names one side of a comparison and the runtime features it turns on
+// (the scenario sets the rebalancing period).
 type arm struct {
-	mode   string
-	enable func(*core.Scheduler)
+	mode string
+	cfg  core.Config
 }
 
 // simJob is one admitted job of a replay.
@@ -106,14 +107,13 @@ func (sc scenario) run() (base, feature *simArm, err error) {
 // on it. A job failing is an outcome; a job the drain left in no terminal
 // state is an error.
 func (sc scenario) runArm(arm arm, arrivals []workload.Arrival, churn []workload.FleetEvent, faults []workload.FaultEvent) (*simArm, error) {
-	se, cl, rt, err := newStack(sc.vms, sc.rebalancePeriodS)
+	cfg := arm.cfg
+	cfg.RebalancePeriod = sim.Duration(sc.rebalancePeriodS)
+	se, cl, rt, err := newStack(sc.vms, cfg)
 	if err != nil {
 		return nil, err
 	}
 	a := &simArm{mode: arm.mode, jobs: len(arrivals), se: se, cl: cl, sched: core.NewScheduler(se, rt, sc.maxConcurrent)}
-	if arm.enable != nil {
-		arm.enable(a.sched)
-	}
 	// Never regrown: done points into it.
 	a.admitted = make([]simJob, 0, len(arrivals))
 	for i := range arrivals {

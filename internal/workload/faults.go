@@ -79,43 +79,65 @@ type FaultSpec struct {
 	Seed     int64
 }
 
-// FaultTrace generates a deterministic fault schedule: each enabled kind
-// arrives as an independent Poisson process, all drawn from one seeded
-// stream in fixed kind order, merged and sorted by time. A fixed spec
-// replays the identical fault history.
-func FaultTrace(spec FaultSpec) ([]FaultEvent, error) {
-	if spec.HorizonS <= 0 {
-		return nil, fmt.Errorf("workload: fault trace horizon must be positive")
-	}
-	rates := []struct {
-		kind FaultKind
-		rate float64
-		dur  float64
-	}{
+// maxFaultEvents bounds a fault trace: Validate rejects a spec that expects
+// more events over its horizon (a NaN or infinite rate or horizon among them),
+// and FaultTrace one whose draw comes out longer.
+const maxFaultEvents = 1 << 20
+
+// faultProcess is one kind's Poisson process and its events' duration.
+type faultProcess struct {
+	kind      FaultKind
+	rate, dur float64
+}
+
+// processes lists the spec's per-kind processes in their fixed draw order.
+func (spec FaultSpec) processes() [4]faultProcess {
+	return [4]faultProcess{
 		{FaultEngineCrash, spec.EngineCrashRate, spec.CrashReloadS},
 		{FaultWorkerLoss, spec.WorkerLossRate, 0},
 		{FaultStageTimeout, spec.StageTimeoutRate, spec.StallS},
 		{FaultCallError, spec.CallErrorRate, 0},
 	}
+}
+
+// Validate reports why FaultTrace would refuse the spec, or nil.
+func (spec FaultSpec) Validate() error {
+	if spec.HorizonS <= 0 {
+		return fmt.Errorf("workload: fault trace horizon must be positive")
+	}
 	total := 0.0
-	for _, r := range rates {
+	for _, r := range spec.processes() {
 		if r.rate < 0 {
-			return nil, fmt.Errorf("workload: negative %s rate %v", r.kind, r.rate)
+			return fmt.Errorf("workload: negative %s rate %v", r.kind, r.rate)
 		}
 		total += r.rate
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("workload: fault trace with all rates zero")
+		return fmt.Errorf("workload: fault trace with all rates zero")
 	}
-	if spec.StageTimeoutRate > 0 && spec.StallS <= 0 {
-		return nil, fmt.Errorf("workload: stage-timeout faults need a positive StallS")
+	if !(total*spec.HorizonS <= maxFaultEvents) {
+		return fmt.Errorf("workload: fault rate %v over a %vs horizon expects more than %d events", total, spec.HorizonS, maxFaultEvents)
+	}
+	if spec.StageTimeoutRate > 0 && !(spec.StallS > 0) {
+		return fmt.Errorf("workload: stage-timeout faults need a positive StallS")
 	}
 	if spec.EngineCrashRate > 0 && spec.CrashReloadS < 0 {
-		return nil, fmt.Errorf("workload: negative CrashReloadS %v", spec.CrashReloadS)
+		return fmt.Errorf("workload: negative CrashReloadS %v", spec.CrashReloadS)
+	}
+	return nil
+}
+
+// FaultTrace generates a deterministic fault schedule: each enabled kind
+// arrives as an independent Poisson process, all drawn from one seeded
+// stream in fixed kind order, merged and sorted by time. A fixed spec
+// replays the identical fault history.
+func FaultTrace(spec FaultSpec) ([]FaultEvent, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	var out []FaultEvent
-	for _, r := range rates {
+	for _, r := range spec.processes() {
 		if r.rate == 0 {
 			continue
 		}
@@ -124,6 +146,9 @@ func FaultTrace(spec FaultSpec) ([]FaultEvent, error) {
 			t += expSample(rng, r.rate)
 			if t >= spec.HorizonS {
 				break
+			}
+			if len(out) == maxFaultEvents {
+				return nil, fmt.Errorf("workload: fault trace drew more than %d events", maxFaultEvents)
 			}
 			out = append(out, FaultEvent{AtS: t, Kind: r.kind, Pick: rng.Float64(), DurationS: r.dur})
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -95,6 +96,12 @@ func TestFaultTraceErrors(t *testing.T) {
 			s.EngineCrashRate, s.WorkerLossRate, s.StageTimeoutRate, s.CallErrorRate = 0, 0, 0, 0
 		}},
 		{"timeouts without stall", func(s *FaultSpec) { s.StallS = 0 }},
+		{"NaN stall", func(s *FaultSpec) { s.StallS = math.NaN() }},
+		{"infinite rate", func(s *FaultSpec) { s.CallErrorRate = math.Inf(1) }},
+		{"NaN rate", func(s *FaultSpec) { s.WorkerLossRate = math.NaN() }},
+		{"rate past the event bound", func(s *FaultSpec) { s.CallErrorRate = maxFaultEvents/s.HorizonS + 1 }},
+		{"infinite horizon", func(s *FaultSpec) { s.HorizonS = math.Inf(1) }},
+		{"NaN horizon", func(s *FaultSpec) { s.HorizonS = math.NaN() }},
 		{"negative reload", func(s *FaultSpec) { s.CrashReloadS = -1 }},
 	}
 	for _, tc := range cases {
@@ -121,4 +128,37 @@ func TestFaultKindString(t *testing.T) {
 			t.Fatalf("FaultKind(%d).String() = %q, want %q", int(k), k.String(), s)
 		}
 	}
+}
+
+// FuzzFaultTrace: for any rates, horizon and stall, FaultTrace either refuses
+// the spec or returns a trace that is sorted, lies within [0, HorizonS) and
+// holds at most maxFaultEvents events — and it returns at all.
+func FuzzFaultTrace(f *testing.F) {
+	f.Add(0.01, 0.01, 0.02, 0.05, 60.0, 8.0, 2000.0, int64(42))
+	f.Add(math.Inf(1), 0.0, 0.0, 0.0, 60.0, 8.0, 86400.0, int64(1))
+	f.Add(0.2, math.NaN(), 0.2, 0.2, 60.0, 8.0, 86400.0, int64(2))
+	f.Add(1e300, 1e300, 1e300, 1e300, 60.0, 8.0, 86400.0, int64(3))
+	f.Add(0.1, 0.0, 0.0, 0.0, 60.0, 8.0, math.Inf(1), int64(4))
+	f.Add(0.0, 0.0, 1.0, 0.0, math.NaN(), 8.0, 100.0, int64(5))
+	f.Fuzz(func(t *testing.T, crash, loss, timeout, callErr, stall, reload, horizon float64, seed int64) {
+		spec := FaultSpec{
+			EngineCrashRate: crash, WorkerLossRate: loss, StageTimeoutRate: timeout, CallErrorRate: callErr,
+			StallS: stall, CrashReloadS: reload, HorizonS: horizon, Seed: seed,
+		}
+		out, err := FaultTrace(spec)
+		if err != nil {
+			return
+		}
+		if len(out) > maxFaultEvents {
+			t.Fatalf("%d events, bound %d", len(out), maxFaultEvents)
+		}
+		for i, ev := range out {
+			if !(ev.AtS >= 0 && ev.AtS < horizon) {
+				t.Fatalf("event %d at %v, outside [0, %v)", i, ev.AtS, horizon)
+			}
+			if i > 0 && ev.AtS < out[i-1].AtS {
+				t.Fatalf("event %d at %v precedes event %d at %v", i, ev.AtS, i-1, out[i-1].AtS)
+			}
+		}
+	})
 }
