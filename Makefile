@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s ./internal/api
 	$(GO) test -run '^$$' -fuzz FuzzEngineOps -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzFaultTrace -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzPoolConfigValidate -fuzztime 10s ./internal/api
 
 vet:
 	$(GO) vet ./...

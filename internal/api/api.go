@@ -58,8 +58,11 @@ type JobRequest struct {
 
 // InputRequest is one typed job input.
 type InputRequest struct {
-	Name  string             `json:"name"`
-	Kind  string             `json:"kind"` // video | text | user-profile | topic | document
+	Name string `json:"name"`
+	Kind string `json:"kind"` // video | text | user-profile | topic | document
+	// Attrs is read-only once decoded. DecodeJobRequest gives an input whose
+	// attrs object is byte-identical to the previous one in the body that
+	// input's map, and ToJob hands the maps on to workflow.Input as they are.
 	Attrs map[string]float64 `json:"attrs,omitempty"`
 }
 
@@ -275,48 +278,51 @@ func jobReply(code int, st JobState) Reply {
 	return Reply{Code: code, Job: statusResponse(st)}
 }
 
-// DecodeJobRequest decodes a POST /v1/jobs body, bounded at maxSubmitBody and
-// strict about unknown fields. A nil request means the body was refused and
-// the Reply is the 413 or 400 to write; that needs no pool, so the router
-// tier answers it before routing. The body is read into a pooled buffer and
-// parsed by hand (wire_decode.go); whatever that parser declines is decoded
-// again, from the same bytes, by encoding/json, which therefore stays the
-// source of every error text.
-func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, Reply) {
+// DecodeJobRequest decodes a POST /v1/jobs body into req, bounded at
+// maxSubmitBody and strict about unknown fields. It reports false when the
+// body was refused, with the 413 or 400 to write; that needs no pool, so the
+// router tier answers it before routing. The body is read into a pooled
+// buffer and parsed by hand (wire_decode.go) straight into req; whatever that
+// parser declines is decoded again, from the same bytes, by encoding/json,
+// which therefore stays the source of every error text.
+func DecodeJobRequest(w http.ResponseWriter, r *http.Request, req *JobRequest) (Reply, bool) {
 	wb := wireBufs.Get().(*wireBuf)
 	defer wb.release()
 	buf := bytes.NewBuffer(wb.b[:0])
 	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	body := buf.Bytes()
 	wb.b = body
-	req := new(JobRequest)
-	if p := (jobParser{data: body, wb: wb}); p.request(req) {
-		return req, Reply{}
-	}
 	*req = JobRequest{}
+	if p := (jobParser{data: body, wb: wb}); p.request(req) {
+		return Reply{}, true
+	}
 	if readErr == nil {
 		readErr = io.EOF
 	}
+	// Into a fresh value: handing req itself to encoding/json would move every
+	// caller's JobRequest to the heap, not just those this path decodes.
+	decoded := new(JobRequest)
 	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(body), errReader{readErr}))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	if err := dec.Decode(decoded); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, Reply{Code: http.StatusRequestEntityTooLarge, Err: fmt.Errorf(
-				"request body exceeds %d bytes", tooBig.Limit)}
+			return Reply{Code: http.StatusRequestEntityTooLarge, Err: fmt.Errorf(
+				"request body exceeds %d bytes", tooBig.Limit)}, false
 		}
-		return nil, Reply{Code: http.StatusBadRequest, Err: fmt.Errorf("invalid JSON: %w", err)}
+		return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf("invalid JSON: %w", err)}, false
 	}
-	return req, Reply{}
+	*req = *decoded
+	return Reply{}, true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, refused := DecodeJobRequest(w, r)
-	if req == nil {
+	var req JobRequest
+	if refused, ok := DecodeJobRequest(w, r, &req); !ok {
 		refused.Write(w)
 		return
 	}
-	s.Submit(r.Context(), *req).Write(w)
+	s.Submit(r.Context(), req).Write(w)
 }
 
 // Submit validates a decoded request, admits it and, for "wait":true, blocks

@@ -102,3 +102,44 @@ func TestNewServerRefusesAnInfiniteFaultRate(t *testing.T) {
 		t.Fatalf("%d goroutines before NewServer, %d after its refusal", before, after)
 	}
 }
+
+// FuzzPoolConfigValidate: for any settings Validate returns rather than
+// panics, a config it accepts is still accepted once the defaults are filled
+// in, and a NaN in any float field, including any added later, is refused.
+func FuzzPoolConfigValidate(f *testing.F) {
+	f.Add(0, 0, 0, 0, 0.0, 0, 0, 0.0, 0.0, int64(0), 0, 0.0, false, "", "", "", 0.0, 0.0, 0, 0.0)
+	f.Add(2, 2, 4, 4096, math.Inf(1), math.MaxInt, 2, 30.0, 0.01, int64(-7), 3, 600.0, true, "alice", "gold", "bronze", 3.0, 1.5, 8, 2.0)
+	f.Add(1, 1, 1, 1, 60.0, 10, 1, 0.0, math.Inf(1), int64(1), 0, 0.0, false, "", "", "", 0.0, 1.0, 0, 0.0)
+	f.Add(1, 1, 1, 1, 1.0, 1, 1, 0.0, 0.0, int64(1), 0, 0.0, true, "a", "platinum", "", 1.0, 2.0, 0, math.NaN())
+	f.Add(-1, 0, 0, 0, -1.0, 0, 0, 0.0, 1e300, int64(0), -1, math.Inf(1), true, "", "", "gold", math.Inf(1), math.Inf(1), -1, math.Inf(1))
+	f.Fuzz(func(t *testing.T, shards, vms, conc, history int, retain float64, points, workers int,
+		rebalance, faultRate float64, faultSeed int64, retries int, deadline float64,
+		slo bool, tenant, class, defaultClass string, high, low float64, queueBound int, budget float64) {
+		cfg := PoolConfig{
+			Shards: shards, VMsPerShard: vms, MaxConcurrentPerShard: conc, JobHistoryLimit: history,
+			RetainSimSeconds: retain, MaxSeriesPoints: points, PlanWorkers: workers,
+			RebalancePeriodS: rebalance, FaultRate: faultRate, FaultSeed: faultSeed,
+			MaxRetries: retries, JobDeadlineS: deadline, SLO: slo, SLODefaultClass: defaultClass,
+			SLOHighWatermark: high, SLOLowWatermark: low, SLOQueueBound: queueBound, SLOBudgetUSD: budget,
+		}
+		if tenant != "" {
+			cfg.SLOTenantTiers = map[string]string{tenant: class}
+		}
+		if err := cfg.Validate(); err == nil {
+			if err := cfg.withDefaults().Validate(); err != nil {
+				t.Fatalf("Validate accepts %+v, but not with its defaults: %v", cfg, err)
+			}
+		}
+		typ := reflect.TypeOf(cfg)
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).Type.Kind() != reflect.Float64 {
+				continue
+			}
+			nan := cfg
+			reflect.ValueOf(&nan).Elem().Field(i).SetFloat(math.NaN())
+			if nan.Validate() == nil {
+				t.Fatalf("Validate accepts NaN in %s: %+v", typ.Field(i).Name, nan)
+			}
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // The wire codec: POST /v1/jobs bodies and job envelopes are parsed and
@@ -22,19 +23,29 @@ type wireBuf struct {
 	b      []byte         // the body as read, or the envelope being rendered
 	esc    []byte         // the string being unescaped
 	strs   []string       // decisions keys being sorted
-	inputs []InputRequest // inputs being collected
+	inputs []pendingInput // inputs being collected
+	names  []byte         // their names, end to end
 }
 
 // wireBufs is shared by the handler goroutines; nothing is per shard.
 var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
 
 // maxPooledWireBuf keeps one near-limit body from pinning a megabyte per P:
-// a larger buffer is left to the collector instead of going back to the pool.
+// a wireBuf any of whose buffers holds more bytes than this is left to the
+// collector instead of going back to the pool.
 const maxPooledWireBuf = 64 << 10
 
 func (wb *wireBuf) release() {
-	if cap(wb.b) > maxPooledWireBuf || cap(wb.esc) > maxPooledWireBuf {
-		return
+	for _, size := range [...]int{
+		cap(wb.b),
+		cap(wb.esc),
+		cap(wb.strs) * int(unsafe.Sizeof("")),
+		cap(wb.inputs) * int(unsafe.Sizeof(pendingInput{})),
+		cap(wb.names),
+	} {
+		if size > maxPooledWireBuf {
+			return
+		}
 	}
 	wireBufs.Put(wb)
 }

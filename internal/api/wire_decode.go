@@ -22,6 +22,10 @@ type jobParser struct {
 	data []byte
 	pos  int
 	wb   *wireBuf
+	// lastAttrs is this request's previous attrs object, as bytes of data,
+	// and lastMap the map it decoded to.
+	lastAttrs []byte
+	lastMap   map[string]float64
 }
 
 // peek skips whitespace and returns the next byte, 0 at the end of the data
@@ -153,13 +157,22 @@ func (p *jobParser) tasks() ([]string, bool) {
 	}
 }
 
+// pendingInput is an input being collected: its name is the bytes of
+// wireBuf.names up to nameEnd.
+type pendingInput struct {
+	InputRequest
+	nameEnd int
+}
+
 // inputs collects the elements in pooled scratch and returns an exact-size
-// copy, so a request costs one slice whatever its length.
+// copy whose names are cut from one string, so a request costs two objects
+// here whatever its length.
 func (p *jobParser) inputs() ([]InputRequest, bool) {
 	if !p.open('[') {
 		return nil, false
 	}
 	ins := p.wb.inputs[:0]
+	p.wb.names = p.wb.names[:0]
 	defer func() {
 		clear(ins) // the pooled scratch must not keep a request's strings alive
 		p.wb.inputs = ins
@@ -170,15 +183,26 @@ func (p *jobParser) inputs() ([]InputRequest, bool) {
 			return nil, false
 		}
 		if !more {
-			return append(make([]InputRequest, 0, len(ins)), ins...), true
+			break
 		}
-		ins = append(ins, InputRequest{})
-		if !p.input(&ins[len(ins)-1]) {
+		ins = append(ins, pendingInput{})
+		in := &ins[len(ins)-1]
+		if !p.input(&in.InputRequest) {
 			return nil, false
 		}
+		in.nameEnd = len(p.wb.names)
 	}
+	out := make([]InputRequest, len(ins))
+	names, start := string(p.wb.names), 0
+	for i, in := range ins {
+		out[i] = in.InputRequest
+		out[i].Name = names[start:in.nameEnd]
+		start = in.nameEnd
+	}
+	return out, true
 }
 
+// input leaves the name in wireBuf.names for inputs to cut.
 func (p *jobParser) input(in *InputRequest) bool {
 	if !p.open('{') {
 		return false
@@ -193,7 +217,9 @@ func (p *jobParser) input(in *InputRequest) bool {
 		switch string(key) {
 		case "name":
 			bit = fName
-			in.Name, ok = p.str(false)
+			var name []byte
+			name, ok = p.bytes()
+			p.wb.names = append(p.wb.names, name...)
 		case "kind":
 			bit = fKind
 			in.Kind, ok = p.str(true)
@@ -208,16 +234,30 @@ func (p *jobParser) input(in *InputRequest) bool {
 	}
 }
 
-// attrs keeps the last of a repeated key, as encoding/json does for a map.
+// attrs keeps the last of a repeated key, as encoding/json does for a map. An
+// object byte-identical to the request's previous attrs object is not parsed
+// again: it decodes to that object's map, which is why a decoded map is
+// read-only (InputRequest.Attrs). Only the previous object is compared, so a
+// body costs one pass however its objects repeat.
 func (p *jobParser) attrs() (map[string]float64, bool) {
-	if !p.open('{') {
+	if p.peek() != '{' {
 		return nil, false
 	}
+	start := p.pos
+	if n := len(p.lastAttrs); n > 0 && bytes.HasPrefix(p.data[start:], p.lastAttrs) {
+		p.pos += n
+		return p.lastMap, true
+	}
+	p.pos++
 	m := make(map[string]float64)
 	for first := true; ; first = false {
 		key, more, ok := p.next(first, '}')
-		if !ok || !more {
-			return m, ok
+		if !ok {
+			return nil, false
+		}
+		if !more {
+			p.lastAttrs, p.lastMap = p.data[start:p.pos], m
+			return m, true
 		}
 		k := text(key, true)
 		if m[k], ok = p.float(); !ok {

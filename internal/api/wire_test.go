@@ -2,19 +2,26 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/core"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
@@ -22,19 +29,28 @@ import (
 // hand-written parser — encoding/json straight off the bounded body — kept
 // here as the oracle: the status code and error text of every refusal, and the
 // JobRequest of every acceptance, must be the ones it gives.
-func stdlibDecodeJobRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, Reply) {
-	var req JobRequest
+func stdlibDecodeJobRequest(w http.ResponseWriter, r *http.Request, req *JobRequest) (Reply, bool) {
+	*req = JobRequest{}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, Reply{Code: http.StatusRequestEntityTooLarge, Err: fmt.Errorf(
-				"request body exceeds %d bytes", tooBig.Limit)}
+			return Reply{Code: http.StatusRequestEntityTooLarge, Err: fmt.Errorf(
+				"request body exceeds %d bytes", tooBig.Limit)}, false
 		}
-		return nil, Reply{Code: http.StatusBadRequest, Err: fmt.Errorf("invalid JSON: %w", err)}
+		return Reply{Code: http.StatusBadRequest, Err: fmt.Errorf("invalid JSON: %w", err)}, false
 	}
-	return &req, Reply{}
+	return Reply{}, true
+}
+
+// decodeBody is DecodeJobRequest on body; nil means it was refused.
+func decodeBody(body []byte) (*JobRequest, Reply) {
+	req := new(JobRequest)
+	if refusal, ok := DecodeJobRequest(httptest.NewRecorder(), post(body), req); !ok {
+		return nil, refusal
+	}
+	return req, Reply{}
 }
 
 // stdlibEnvelope is Reply.Write's job-envelope body as it stood before the
@@ -67,31 +83,55 @@ func padded(body []byte, pad uint32) []byte {
 // It returns whether the hand-written parser took the body.
 func checkDecodeAgainstStdlib(t *testing.T, body []byte) bool {
 	t.Helper()
-	want, wantRefusal := stdlibDecodeJobRequest(httptest.NewRecorder(), post(body))
+	var want JobRequest
+	wantRefusal, wantOK := stdlibDecodeJobRequest(httptest.NewRecorder(), post(body), &want)
 
 	var parsed JobRequest
 	prefix := body[:min(len(body), maxSubmitBody)]
 	fast := (&jobParser{data: prefix, wb: new(wireBuf)}).request(&parsed)
 	if fast {
-		if want == nil {
+		if !wantOK {
 			t.Fatalf("parser accepted a body encoding/json refuses (%v): %.200q", wantRefusal.Err, body)
 		}
-		if !reflect.DeepEqual(&parsed, want) {
-			t.Fatalf("parser decoded %+v, encoding/json %+v: %.200q", parsed, *want, body)
+		if !reflect.DeepEqual(parsed, want) {
+			t.Fatalf("parser decoded %+v, encoding/json %+v: %.200q", parsed, want, body)
 		}
+		checkSharedAttrs(t, parsed.Inputs, body)
 	}
 
-	got, refusal := DecodeJobRequest(httptest.NewRecorder(), post(body))
-	if (got == nil) != (want == nil) || !reflect.DeepEqual(got, want) {
+	got, refusal := decodeBody(body)
+	if (got != nil) != wantOK || (wantOK && !reflect.DeepEqual(*got, want)) {
 		t.Fatalf("DecodeJobRequest = %+v, oracle %+v: %.200q", got, want, body)
 	}
 	if refusal.Code != wantRefusal.Code || fmt.Sprint(refusal.Err) != fmt.Sprint(wantRefusal.Err) {
 		t.Fatalf("refusal %d %v, oracle %d %v: %.200q", refusal.Code, refusal.Err, wantRefusal.Code, wantRefusal.Err, body)
 	}
 	if got != nil {
+		checkSharedAttrs(t, got.Inputs, body)
 		_, _ = got.ToJob() // must not panic, whatever was decoded
 	}
 	return fast
+}
+
+// checkSharedAttrs: two decoded inputs share an attrs map only when their
+// maps are equal (decoded maps are read-only, so sharing is safe only then).
+func checkSharedAttrs(t *testing.T, ins []InputRequest, body []byte) {
+	t.Helper()
+	first := map[unsafe.Pointer]int{}
+	for i, in := range ins {
+		if in.Attrs == nil {
+			continue
+		}
+		ptr := reflect.ValueOf(in.Attrs).UnsafePointer()
+		j, seen := first[ptr]
+		if !seen {
+			first[ptr] = i
+			continue
+		}
+		if !maps.Equal(ins[j].Attrs, in.Attrs) {
+			t.Fatalf("inputs %d and %d share one map %v, want %v: %.200q", j, i, in.Attrs, ins[j].Attrs, body)
+		}
+	}
 }
 
 // FuzzDecodeJobRequest: arbitrary bytes through the hand-written parser and
@@ -131,6 +171,15 @@ var clientBodies = []struct {
 	{"escaped key", `{"t\u0065nant":"x"}`, true},
 	{"trailing bytes after the object", `{"tenant":"x"} trailing`, true},
 	{"repeated attrs key", `{"inputs":[{"name":"x","kind":"text","attrs":{"a":1,"a":2}}]}`, true},
+	{"inputs with identical attrs", `{"inputs":[{"name":"t0","kind":"topic","attrs":{"queries":3}},{"name":"t1","kind":"topic","attrs":{"queries":3}},{"name":"t2","kind":"topic","attrs":{"queries":3}}]}`, true},
+	{"inputs with reordered attrs keys", `{"inputs":[{"name":"v0","kind":"video","attrs":{"duration_s":60,"scene_len_s":30}},{"name":"v1","kind":"video","attrs":{"scene_len_s":30,"duration_s":60}},{"name":"v2","kind":"video","attrs":{"scene_len_s":30,"duration_s":60}}]}`, true},
+	{"inputs with attrs in different whitespace", `{"inputs":[{"name":"d0","kind":"document","attrs":{"tokens":1500}},{"name":"d1","kind":"document","attrs":{ "tokens": 1500 }},{"name":"d2","kind":"document","attrs":{"tokens":1500}}]}`, true},
+	{"inputs with an escaped attrs key", `{"inputs":[{"name":"d0","kind":"document","attrs":{"tokens":1}},{"name":"d1","kind":"document","attrs":{"tok\u0065ns":1}},{"name":"d2","kind":"document","attrs":{"tok\u0065ns":1}}]}`, true},
+	{"inputs with a repeated attrs key", `{"inputs":[{"name":"x0","kind":"text","attrs":{"a":1,"a":2}},{"name":"x1","kind":"text","attrs":{"a":1,"a":2}},{"name":"x2","kind":"text","attrs":{"a":2}}]}`, true},
+	{"inputs with a prefix of the previous attrs", `{"inputs":[{"name":"x0","kind":"text","attrs":{"a":1}},{"name":"x1","kind":"text","attrs":{"a":10}},{"name":"x2","kind":"text","attrs":{"a}":1}},{"name":"x3","kind":"text","attrs":{"a}":1}}]}`, true},
+	{"inputs with escaped, missing and late names", `{"inputs":[{"name":"caf\u00e9","kind":"text"},{"kind":"text","attrs":{}},{"attrs":{},"kind":"text","name":"z"},{"name":"","kind":"text"}]}`, true},
+	{"inputs with a duplicate name", `{"inputs":[{"name":"a","kind":"text"},{"name":"b","name":"c","kind":"text"}]}`, false},
+	{"inputs with bad attrs after identical ones", `{"inputs":[{"name":"a","attrs":{"q":1}},{"name":"b","attrs":{"q":1}},{"name":"c","attrs":{"q":null}}]}`, false},
 	{"case-folded key", `{"Tenant":"x","description":"d"}`, false},
 	{"duplicate key", `{"tenant":"x","tenant":"y"}`, false},
 	{"null field", `{"tenant":null,"description":"d"}`, false},
@@ -161,6 +210,73 @@ func TestDecodePathByClient(t *testing.T) {
 	}
 }
 
+// TestRepeatedAttrsShareOneMap: an input whose attrs object is byte-identical
+// to the previous attrs object in the body decodes to that input's map; any
+// other spelling, equal or not, gets a map of its own.
+func TestRepeatedAttrsShareOneMap(t *testing.T) {
+	const a, a2 = `{"queries":3,"tokens":1}`, `{"tokens":1,"queries":3}`
+	objects := []string{a, a, a2, a2, " " + a, a, `{"queries":3, "tokens":1}`, a, `{"queries":4,"tokens":1}`, a, a}
+	wantShared := []bool{false, true, false, true, false, true, false, false, false, false, true}
+	var parts []string
+	for i, o := range objects {
+		parts = append(parts, fmt.Sprintf(`{"name":"in%d","kind":"topic","attrs":%s}`, i, o))
+		if i == 5 {
+			parts = append(parts, `{"name":"plain","kind":"text"}`) // no attrs: the next one still compares with a
+		}
+	}
+	body := []byte(`{"inputs":[` + strings.Join(parts, ",") + `]}`)
+	req, refusal := decodeBody(body)
+	if req == nil {
+		t.Fatal(refusal.Err)
+	}
+	ins := slices.DeleteFunc(req.Inputs, func(in InputRequest) bool { return in.Attrs == nil })
+	for i, in := range ins {
+		shared := i > 0 && reflect.ValueOf(in.Attrs).UnsafePointer() == reflect.ValueOf(ins[i-1].Attrs).UnsafePointer()
+		if shared != wantShared[i] {
+			t.Errorf("input %d (%s): shares its predecessor's map = %v, want %v", i, objects[i], shared, wantShared[i])
+		}
+		if want := fmt.Sprintf("in%d", i); in.Name != want {
+			t.Errorf("input %d: name %q, want %q", i, in.Name, want)
+		}
+	}
+}
+
+// TestSharedAttrsOutliveTheirJob: decoded maps are read-only, so a served
+// job whose inputs share one map leaves its contents as they were decoded,
+// waited for or polled.
+func TestSharedAttrsOutliveTheirJob(t *testing.T) {
+	s, err := NewServer(PoolConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for shape, body := range execHeavyBodies(t) {
+		req, refusal := decodeBody(body)
+		if req == nil {
+			t.Fatalf("%s: %v", shape, refusal.Err)
+		}
+		shared := req.Inputs[len(req.Inputs)-1].Attrs
+		if reflect.ValueOf(shared).UnsafePointer() != reflect.ValueOf(req.Inputs[len(req.Inputs)-2].Attrs).UnsafePointer() {
+			t.Fatalf("%s: the last two inputs do not share a map", shape)
+		}
+		want := maps.Clone(shared)
+		for _, wait := range []bool{true, false} {
+			req.Wait = wait
+			rp := s.Submit(context.Background(), *req)
+			for rp.Err == nil && rp.Job.Status != core.JobDone.String() && rp.Job.Error == "" {
+				runtime.Gosched()
+				rp = s.Status(rp.Job.ID)
+			}
+			if rp.Err != nil || rp.Job.Status != core.JobDone.String() {
+				t.Fatalf("%s, wait %v: %d %v %s", shape, wait, rp.Code, rp.Err, rp.Job.Error)
+			}
+			if !maps.Equal(shared, want) {
+				t.Fatalf("%s, wait %v: the shared map went from %v to %v", shape, wait, want, shared)
+			}
+		}
+	}
+}
+
 // TestDecodeAtTheBodyLimit pins the two oversize cases against the oracle
 // without going through the fuzz engine.
 func TestDecodeAtTheBodyLimit(t *testing.T) {
@@ -169,7 +285,7 @@ func TestDecodeAtTheBodyLimit(t *testing.T) {
 	if checkDecodeAgainstStdlib(t, over) {
 		t.Error("a body whose object closes past the limit was accepted")
 	}
-	if _, refusal := DecodeJobRequest(httptest.NewRecorder(), post(over)); refusal.Code != http.StatusRequestEntityTooLarge {
+	if _, refusal := decodeBody(over); refusal.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("one byte over the limit: %d %v", refusal.Code, refusal.Err)
 	}
 	if !checkDecodeAgainstStdlib(t, append(small, bytes.Repeat([]byte("x"), 2<<20)...)) {
@@ -224,33 +340,61 @@ func (w *discardWriter) Header() http.Header         { return w.hdr }
 func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
+// execHeavyBodies returns the ledger's exec_heavy shapes, and the same shapes
+// with four times the inputs, every one repeating its neighbour's attrs.
+func execHeavyBodies(t testing.TB) map[string][]byte {
+	out := map[string][]byte{}
+	for _, n := range []int{1, 4} {
+		for shape, job := range map[string]workflow.Job{
+			"video":    workload.VideoJob(3*n, 16, 30, 24, workflow.MinCost),
+			"newsfeed": workload.NewsfeedJob("reader", 12*n, workflow.MinCost),
+			"docqa":    workload.DocQAJob(12*n, 2000, workflow.MinCost),
+		} {
+			body, err := json.Marshal(requestFor(workload.Arrival{Tenant: "heidi", Job: job}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s ×%d", shape, n)] = body
+		}
+	}
+	return out
+}
+
 // TestWireAllocBudget holds the wire path to a host-independent allocation
 // budget, so a regression fails `go test ./...` without the ledger. Decode
-// counts everything DecodeJobRequest allocates for a ServiceMix body — the
-// MaxBytesReader, the JobRequest, its strings, slices and maps (encoding/json
-// took 22 / 35 / 30 for the three shapes); Reply.Write allocates the
-// Content-Type header value and nothing else (encoding/json: 11).
+// counts everything DecodeJobRequest allocates for a body into caller storage:
+// the MaxBytesReader, tenant, description, the inputs slice, one string for
+// all input names and one map (two objects) per run of byte-identical attrs
+// objects. Every ServiceMix and exec_heavy body is one such run, so each
+// costs 7, and the exec_heavy shapes cost the same with four times the
+// inputs. The ServiceMix budgets were 8 / 12 / 11 (video / user-profile /
+// document) while the JobRequest was a heap object and every input had its
+// own name and map; encoding/json took 22 / 35 / 30. Reply.Write allocates
+// the Content-Type header value and nothing else (encoding/json: 11).
 func TestWireAllocBudget(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("sync.Pool drops items under the race detector; coverage counters allocate")
 	}
-	budget := map[string]float64{"video": 8, "user-profile": 12, "document": 11}
-	for shape, body := range serviceMixBodies(t) {
+	const budget = 7
+	bodies := serviceMixBodies(t)
+	maps.Copy(bodies, execHeavyBodies(t))
+	for shape, body := range bodies {
 		rd := bytes.NewReader(body)
 		req := post(body)
 		w := &discardWriter{hdr: http.Header{}}
+		var decoded JobRequest
 		got := testing.AllocsPerRun(200, func() {
 			rd.Reset(body)
 			req.Body = readCloser{rd}
-			if r, _ := DecodeJobRequest(w, req); r == nil {
-				t.Fatal("ServiceMix body refused")
+			if _, ok := DecodeJobRequest(w, req, &decoded); !ok {
+				t.Fatal("body refused")
 			}
 		})
 		if !(&jobParser{data: body, wb: new(wireBuf)}).request(new(JobRequest)) {
-			t.Errorf("%s: the hand-written parser declined a ServiceMix body", shape)
+			t.Errorf("%s: the hand-written parser declined the body", shape)
 		}
-		if got > budget[shape] {
-			t.Errorf("%s: DecodeJobRequest allocates %.0f times per body, budget %.0f", shape, got, budget[shape])
+		if got > budget {
+			t.Errorf("%s: DecodeJobRequest allocates %.0f times per body, budget %d", shape, got, budget)
 		}
 		t.Logf("%s (%d bytes): %.0f allocs per decode", shape, len(body), got)
 	}
@@ -272,18 +416,29 @@ type readCloser struct{ *bytes.Reader }
 func (readCloser) Close() error { return nil }
 
 // TestLargeBuffersLeaveThePool: one near-limit body must not pin a megabyte
-// in the pool (per P) for the life of the daemon.
+// in the pool (per P) for the life of the daemon, and neither may a body under
+// the limit whose many small inputs grow the scratch they are collected in.
 func TestLargeBuffersLeaveThePool(t *testing.T) {
-	big := padded([]byte(`{"tenant":"x"}`), 512<<10)
-	for i := 0; i < 64; i++ {
-		if r, _ := DecodeJobRequest(httptest.NewRecorder(), post(big)); r == nil {
-			t.Fatal("padded body refused")
+	manyInputs := []byte(`{"inputs":[` + strings.Repeat(`{"name":"x"},`, 4720) + `{"name":"x"}]}`)
+	for _, body := range [][]byte{padded([]byte(`{"tenant":"x"}`), 512<<10), manyInputs} {
+		for i := 0; i < 64; i++ {
+			if r, _ := decodeBody(body); r == nil {
+				t.Fatalf("%d-byte body refused", len(body))
+			}
 		}
-	}
-	for i := 0; i < 64; i++ {
-		wb := wireBufs.Get().(*wireBuf)
-		if cap(wb.b) > maxPooledWireBuf || cap(wb.esc) > maxPooledWireBuf {
-			t.Fatalf("pool handed out a %d-byte buffer", max(cap(wb.b), cap(wb.esc)))
+		for i := 0; i < 64; i++ {
+			wb := wireBufs.Get().(*wireBuf)
+			for name, size := range map[string]uintptr{
+				"body":   uintptr(cap(wb.b)),
+				"escape": uintptr(cap(wb.esc)),
+				"keys":   uintptr(cap(wb.strs)) * unsafe.Sizeof(""),
+				"inputs": uintptr(cap(wb.inputs)) * unsafe.Sizeof(pendingInput{}),
+				"names":  uintptr(cap(wb.names)),
+			} {
+				if size > maxPooledWireBuf {
+					t.Fatalf("after a %d-byte body the pool handed out %d bytes of %s scratch", len(body), size, name)
+				}
+			}
 		}
 	}
 }
@@ -410,7 +565,7 @@ func TestWireCodecConcurrent(t *testing.T) {
 				desc := strings.Repeat(fmt.Sprintf("d%d \\\"q\\\" ", g), 1+(g*37+i*11)%400)
 				body := fmt.Sprintf(`{"tenant":%q,"description":"%s","tasks":[%q],"inputs":[{"name":%q,"kind":"text","attrs":{"g":%d}}]}`,
 					tenant, desc, tenant, tenant, g)
-				req, refusal := DecodeJobRequest(httptest.NewRecorder(), post([]byte(body)))
+				req, refusal := decodeBody([]byte(body))
 				if req == nil {
 					t.Errorf("refused: %v", refusal.Err)
 					return
@@ -494,16 +649,17 @@ func TestShardForMatchesHashFNV(t *testing.T) {
 // inputs) and a settled envelope.
 func BenchmarkWireDecode(b *testing.B) {
 	body := serviceMixBodies(b)["user-profile"]
-	for name, decode := range map[string]func(http.ResponseWriter, *http.Request) (*JobRequest, Reply){
+	for name, decode := range map[string]func(http.ResponseWriter, *http.Request, *JobRequest) (Reply, bool){
 		"handwritten": DecodeJobRequest, "encoding-json": stdlibDecodeJobRequest,
 	} {
 		b.Run(name, func(b *testing.B) {
 			rd, req, w := bytes.NewReader(body), post(body), &discardWriter{hdr: http.Header{}}
+			var decoded JobRequest
 			b.ReportAllocs()
 			for b.Loop() {
 				rd.Reset(body)
 				req.Body = readCloser{rd}
-				if r, _ := decode(w, req); r == nil {
+				if _, ok := decode(w, req, &decoded); !ok {
 					b.Fatal("refused")
 				}
 			}

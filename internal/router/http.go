@@ -64,8 +64,8 @@ func (rt *Router) hasLiveNode() bool {
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The one decode of the request: a refused body needs no node, and an
 	// accepted one is routed on its tenant and handed to the node as is.
-	req, refused := api.DecodeJobRequest(w, r)
-	if req == nil {
+	req := new(api.JobRequest) // a live job's entry keeps it for a reroute
+	if refused, ok := api.DecodeJobRequest(w, r, req); !ok {
 		refused.Write(w)
 		return
 	}

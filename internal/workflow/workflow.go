@@ -58,8 +58,11 @@ const (
 // Input is one typed job input with numeric attributes the planner uses to
 // size work (durations, scene counts, token counts).
 type Input struct {
-	Name  string
-	Kind  InputKind
+	Name string
+	Kind InputKind
+	// Attrs is read-only once the job is built: inputs may share one map
+	// (the daemon's decoder gives byte-identical attrs objects of a request
+	// one map), so a change to one input's attributes needs a new map.
 	Attrs map[string]float64
 }
 
