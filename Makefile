@@ -32,13 +32,14 @@ race:
 stress:
 	$(GO) test -race -count=25 -run 'Churn|Leave|Drain|Cancel|WireCodecConcurrent|SettledRecord|SettledJobs|StaleHandle|CompletedRequestsAreReused|RecycledBlocks|FromRecycledBlocks|ReleaseIsDefined|ParkedBlockKeeps|WaitHolders|DispatchCapturesCapacityClass|PlanConflict|ReconfigOffLoop' ./internal/serving ./internal/router ./internal/api ./internal/core ./internal/sim
 
-# allocs runs the tier-1 allocation budgets (the wire, the job hand-off, the
-# execution layer in objects and in bytes, a launch cold and into a released
-# block, a warm plan search and its worker queue, the event core, telemetry
-# compaction) verbosely, so their measured counts print in one place; CI runs
-# the same line.
+# allocs runs the tier-1 allocation budgets (the wire, the job hand-off warm
+# and cold, the execution layer in objects and in bytes, a launch cold and into
+# a released block, a decomposition, a graph build and freeze, a warm plan
+# search and its worker queue, the event core, telemetry compaction)
+# verbosely, so their measured counts print in one place; CI runs the same
+# line.
 allocs:
-	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab|SearchQueueDrainsClean' ./internal/api ./internal/core ./internal/optimizer ./internal/sim ./internal/telemetry
+	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab|SearchQueueDrainsClean' ./internal/api ./internal/core ./internal/dag ./internal/optimizer ./internal/planner ./internal/sim ./internal/telemetry
 
 # coverage runs the whole suite with statement coverage over internal/ and
 # cmd/ (the allocation budgets skip: coverage counters allocate) into

@@ -24,91 +24,8 @@ func main() {
 	exp := flag.String("exp", "all", "fig3 | table1 | table2 | overhead | multitenant | rebalance | quality | loadsweep | multicloud | all")
 	csv := flag.Bool("csv", false, "emit CSV (fig3 only)")
 	flag.Parse()
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	if err := experiments.Render(os.Stdout, *exp, *csv); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
-
-	run("fig3", func() error {
-		res, err := experiments.Figure3()
-		if err != nil {
-			return err
-		}
-		if *csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Println(res.String())
-		}
-		return nil
-	})
-	run("table2", func() error {
-		res, err := experiments.Table2()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("table1", func() error {
-		res, err := experiments.Table1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("overhead", func() error {
-		res, err := experiments.Overhead()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("multitenant", func() error {
-		res, err := experiments.MultiTenant()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("rebalance", func() error {
-		res, err := experiments.RebalanceAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("quality", func() error {
-		res, err := experiments.QualityExperiment(3)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("multicloud", func() error {
-		res, err := experiments.MultiCloud(experiments.DefaultCloudOptions())
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
-	run("loadsweep", func() error {
-		res, err := experiments.LoadSweep([]float64{0.005, 0.01, 0.02, 0.05}, 600, 11)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		return nil
-	})
 }

@@ -132,13 +132,16 @@ func TestHTTPServerBoundsReadsNotHolds(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
+	// The server's ReadTimeout runs from when it starts reading the
+	// connection, before the client has written anything: the clock starts
+	// before the dial, so a disconnect at ReadTimeout is never measured short.
+	stalled := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	fmt.Fprint(conn, "POST /v1/jobs HTTP/1.1\r\nHost: murakkabd\r\nContent-Type: application/json\r\nContent-Length: 512\r\n\r\n{\"tenant\":")
-	stalled := time.Now()
 	conn.SetReadDeadline(stalled.Add(20 * readTimeout))
 	answer, err := io.ReadAll(conn) // returns at the server's close
 	if err != nil {

@@ -71,7 +71,7 @@ func main() {
 	}
 
 	fmt.Println("\n== How the orchestrator decomposed the job (ReAct) ==")
-	for _, step := range ex.Decomposition().Trace {
+	for _, step := range ex.Decomposition().Trace() {
 		fmt.Printf("  Thought: %s\n  Action: %s (%s)\n", step.Thought, step.Action, step.Observation)
 	}
 

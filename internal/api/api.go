@@ -269,7 +269,7 @@ func (rp Reply) Write(w http.ResponseWriter) {
 		WriteJSON(w, rp.Code, errorBody{Error: rp.Err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(rp.Code)
 	_, _ = w.Write(wb.b) // as with WriteJSON, the header is out: nothing more to do
 }
@@ -538,9 +538,14 @@ func (req JobRequest) ToJob() (workflow.Job, error) {
 	return job, job.Validate()
 }
 
+// jsonContentType is every response's Content-Type value. Header().Set makes
+// a one-element slice per call; assigning this one shares it, so nothing may
+// write into it (net/http only reads it, and Add would append to a copy).
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON writes v as the response body in the daemon's wire encoding.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	// Compact encoding: the daemon serves high request rates, and indented
 	// output measurably inflates encode time and response bytes.

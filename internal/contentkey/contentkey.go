@@ -62,7 +62,9 @@ func AppendInt(key []byte, n int) []byte {
 // which Go compiles without a conversion allocation).
 //
 // An Interner is not goroutine-safe; each owner (one per scheduler loop or
-// per plan-search worker) keeps its own.
+// per plan-search worker) keeps its own. A nil *Interner interns nothing:
+// Intern returns a fresh copy on every call and Stats reads zero (the
+// reference configuration that reuses nothing).
 type Interner struct {
 	m     map[string]string
 	limit int
@@ -92,6 +94,9 @@ func NewInterner(limit int) *Interner {
 // evicting — deterministic, and re-warming costs one allocation per live
 // key.
 func (in *Interner) Intern(key []byte) string {
+	if in == nil {
+		return string(key)
+	}
 	if s, ok := in.m[string(key)]; ok {
 		in.hits++
 		return s
@@ -107,4 +112,9 @@ func (in *Interner) Intern(key []byte) string {
 
 // Stats reports lifetime hit/miss counters (misses count distinct key
 // materializations, including re-warming after a reset).
-func (in *Interner) Stats() (hits, misses uint64) { return in.hits, in.miss }
+func (in *Interner) Stats() (hits, misses uint64) {
+	if in == nil {
+		return 0, 0
+	}
+	return in.hits, in.miss
+}

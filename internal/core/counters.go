@@ -50,8 +50,9 @@ type Counters struct {
 	SLOMissed          int `json:"slo_missed"`
 	OverloadEnters     int `json:"overload_enters"`
 	OverloadExits      int `json:"overload_exits"`
-	// Allocation reuse: cache keys and report labels served from the runtime's
-	// canonical intern table (hits) vs freshly allocated (misses), and
+	// Allocation reuse: cache keys, report names and request IDs served from
+	// the runtime's canonical intern table (hits) vs freshly allocated
+	// (misses; decision labels have a table of their own, not counted), and
 	// per-task scratch (workers, LLM-task barriers) recycled vs allocated
 	// (hits stay zero under noReuse).
 	KeyInternHits     uint64 `json:"key_intern_hits"`

@@ -161,16 +161,6 @@ func (rt *Runtime) appendSearchKey(key []byte, jobKey string, opts optimizer.Opt
 	return rt.appendPlanEnv(append(key, jobKey...), opts)
 }
 
-// internKey materializes the scratch key as a canonical string — once per
-// distinct content through the interner, or as a fresh copy when interning is
-// force-disabled (the differential test's reference configuration).
-func (rt *Runtime) internKey(key []byte) string {
-	if rt.keys == nil {
-		return string(key)
-	}
-	return rt.keys.Intern(key)
-}
-
 // planFor returns the cached plan for g under the live cluster's capacity
 // class, or searches one against that class and caches it.
 func (rt *Runtime) planFor(g *dag.Graph, opts optimizer.Options) (*optimizer.Plan, error) {
@@ -187,7 +177,7 @@ func (rt *Runtime) planFor(g *dag.Graph, opts optimizer.Options) (*optimizer.Pla
 	if len(rt.planCache) >= planCacheLimit {
 		rt.planCache = make(map[string]*optimizer.Plan)
 	}
-	rt.planCache[rt.internKey(rt.keyBuf)] = p
+	rt.planCache[rt.keys.Intern(rt.keyBuf)] = p
 	return p, nil
 }
 
@@ -256,7 +246,7 @@ func (rt *Runtime) decompose(job workflow.Job) (*planner.Result, error) {
 	if len(rt.decompCache) >= planCacheLimit {
 		rt.decompCache = make(map[string]*planner.Result)
 	}
-	rt.decompCache[rt.internKey(rt.keyBuf)] = r
+	rt.decompCache[rt.keys.Intern(rt.keyBuf)] = r
 	return r, nil
 }
 
@@ -274,7 +264,7 @@ func (rt *Runtime) DecompCacheHits() int { return rt.decompCacheHits }
 // otherwise. Runs on the engine goroutine.
 func (rt *Runtime) probePrepared(job workflow.Job, opts SubmitOptions) (string, preparedPlan) {
 	rt.keyBuf = appendJobKey(rt.keyBuf[:0], &rt.sortBuf, job, rt.lib.Gen())
-	jk := rt.internKey(rt.keyBuf)
+	jk := rt.keys.Intern(rt.keyBuf)
 	r, ok := rt.decompCache[jk]
 	if !ok {
 		return jk, preparedPlan{}
@@ -326,7 +316,7 @@ func (rt *Runtime) adoptPrepared(jk string, job workflow.Job, opts SubmitOptions
 		if len(rt.planCache) >= planCacheLimit {
 			rt.planCache = make(map[string]*optimizer.Plan)
 		}
-		rt.planCache[rt.internKey(rt.keyBuf)] = plan
+		rt.planCache[rt.keys.Intern(rt.keyBuf)] = plan
 	}
 	return rt.stamp(decomp, plan)
 }

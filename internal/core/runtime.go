@@ -103,8 +103,10 @@ type Runtime struct {
 	recovery *FaultPolicy
 
 	// keyBuf is the reusable scratch every cache key and report label is
-	// rendered into; keys interns the strings that must outlive the render
-	// (nil under noReuse, in which case each is a fresh copy).
+	// rendered into; keys interns the strings that must outlive the render,
+	// and labels the plans' decision labels, in a table of their own so that
+	// the key_intern_* counters read keys alone (both nil under noReuse, in
+	// which case each string is a fresh copy).
 	// sortBuf is the reusable scratch for the string sets that are rendered
 	// in sorted order (a job key's attribute names). capSnap is the
 	// capacity class — the cluster's totals — and capKey its part of the plan
@@ -113,6 +115,7 @@ type Runtime struct {
 	// mutated, so the searches it was handed to keep reading it off-loop.
 	keyBuf  []byte
 	keys    *contentkey.Interner
+	labels  *contentkey.Interner
 	sortBuf []string
 	capSnap cluster.Snapshot
 	capKey  []byte
@@ -225,6 +228,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if !cfg.noReuse {
 		rt.keys = contentkey.NewInterner(0)
+		rt.labels = contentkey.NewInterner(0)
 	}
 	if cfg.Recovery != nil {
 		p := cfg.Recovery.withDefaults()
@@ -502,12 +506,14 @@ func (rt *Runtime) launch(job workflow.Job, opts SubmitOptions, decomp *planner.
 	rt.keyBuf = append(append(rt.keyBuf[:0], "murakkab/"...), job.Constraint.String()...)
 	// Decision labels are the same for every job sharing a cached plan: the
 	// plan renders them once and the reports share the map read-only (a
-	// reconfigured execution copies it before writing, see adoptPlan).
+	// reconfigured execution copies it before writing, see adoptPlan). A
+	// label recurs across plans of different shapes, so each distinct one is
+	// one string per runtime.
 	ex.rep = report.Report{
-		Name:      rt.internKey(rt.keyBuf),
+		Name:      rt.keys.Intern(rt.keyBuf),
 		Tracer:    &ex.tracer,
 		Quality:   plan.EstQuality,
-		Decisions: plan.Labels(),
+		Decisions: plan.Labels(rt.labels),
 	}
 
 	// Workflow-aware cluster management: the manager sees the DAG.
@@ -685,7 +691,7 @@ func (ex *Execution) chargePlanning() {
 		rt.keyBuf = append(rt.keyBuf, '-')
 		rt.keyBuf = strconv.AppendInt(rt.keyBuf, int64(i), 10)
 		r := rt.newRequest()
-		r.ID = rt.internKey(rt.keyBuf)
+		r.ID = rt.keys.Intern(rt.keyBuf)
 		r.PromptTokens, r.OutputTokens = q.PromptTokens, q.OutputTokens
 		r.OnComplete = ex.planQueryDoneFn
 		h.Engine.Submit(r)
@@ -824,8 +830,15 @@ func (rt *Runtime) releaseEngineRef(name string) {
 	if rt.engineRefs[name] == 0 {
 		if h, ok := rt.mgr.Engine(name); ok {
 			// Drain then release: in-flight requests (none, if the DAG
-			// is done) finish first.
-			h.Engine.OnDrained(func() { rt.mgr.ReleaseEngine(name) })
+			// is done) finish first. A job launched before the drain may
+			// have taken a ref on this same engine, so the count is read
+			// again then; a callback that finds the engine already
+			// released (by an earlier one) releases nothing.
+			h.Engine.OnDrained(func() {
+				if rt.engineRefs[name] == 0 {
+					rt.mgr.ReleaseEngine(name)
+				}
+			})
 		}
 	}
 }

@@ -349,3 +349,61 @@ func TestMultiTenantSharedEngines(t *testing.T) {
 		t.Fatal("engines hold no GPUs")
 	}
 }
+
+// TestEngineReacquiredBeforeItsDrainStaysUp: a job's last ref on an engine
+// schedules the engine's release for when it drains, and a job launched
+// before that drain takes a ref on the same engine. Job A is cancelled while
+// its planning queries still occupy the NVLM engine, and job B launches at
+// once; the drain that follows must leave B's engine up, and B's own release
+// must still free every GPU. A second pending release, for an engine an
+// earlier drain already released, must release nothing.
+func TestEngineReacquiredBeforeItsDrainStaysUp(t *testing.T) {
+	opts := SubmitOptions{Pinned: paperPins(), RelaxFloor: true}
+	submit := func(t *testing.T, rt *Runtime) *Execution {
+		t.Helper()
+		ex, err := rt.Submit(paperJob(workflow.MinCost), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	allFree := func(t *testing.T, rt *Runtime, cl *cluster.Cluster) {
+		t.Helper()
+		if _, ok := rt.Manager().Engine("nvlm-d-72b"); ok {
+			t.Fatal("engine still up with no job holding it")
+		}
+		if free := cl.FreeGPUs(hardware.GPUA100); free != 16 {
+			t.Fatalf("%d of 16 A100s free after every job", free)
+		}
+	}
+
+	t.Run("re-acquired", func(t *testing.T) {
+		se, cl, rt := newRuntime(t)
+		a := submit(t, rt)
+		if !a.Cancel() {
+			t.Fatal("job A already done")
+		}
+		b := submit(t, rt)
+		se.Run()
+		if !b.Done() || b.Err() != nil {
+			t.Fatalf("job B: done %v, err %v", b.Done(), b.Err())
+		}
+		allFree(t, rt, cl)
+	})
+
+	t.Run("second release", func(t *testing.T) {
+		se, cl, rt := newRuntime(t)
+		a := submit(t, rt)
+		a.Cancel()
+		b := submit(t, rt)
+		b.Cancel() // two releases now wait for one drain
+		se.Run()
+		allFree(t, rt, cl)
+		c := submit(t, rt)
+		se.Run()
+		if !c.Done() || c.Err() != nil {
+			t.Fatalf("job C: done %v, err %v", c.Done(), c.Err())
+		}
+		allFree(t, rt, cl)
+	})
+}

@@ -543,9 +543,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		st.PlanSearchInflight = len(s.search.inflight)
 	}
 	st.BreakerOpen, st.BreakerTrips = s.rt.mgr.BreakerStats()
-	if s.rt.keys != nil {
-		st.KeyInternHits, st.KeyInternMisses = s.rt.keys.Stats()
-	}
+	st.KeyInternHits, st.KeyInternMisses = s.rt.keys.Stats()
 	st.EventsProcessed, st.WheelEvents = s.se.Processed(), s.se.WheelEvents()
 	st.OverflowEvents, st.CancelsLazy = s.se.OverflowEvents(), s.se.CancelsLazy()
 	st.OverloadActive = s.OverloadActive()

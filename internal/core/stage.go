@@ -259,7 +259,7 @@ func (st *stage) submitLLM(i int32) {
 		rt.keyBuf = append(rt.keyBuf, '#')
 		rt.keyBuf = strconv.AppendInt(rt.keyBuf, int64(p), 10)
 		r := rt.newRequest()
-		r.ID = rt.internKey(rt.keyBuf)
+		r.ID = rt.keys.Intern(rt.keyBuf)
 		r.PromptTokens, r.OutputTokens = prompt, output
 		r.OnComplete = t.fn
 		h.Engine.Submit(r)

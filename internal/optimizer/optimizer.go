@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/agents"
 	"repro/internal/cluster"
+	"repro/internal/contentkey"
 	"repro/internal/dag"
 	"repro/internal/hardware"
 	"repro/internal/profiles"
@@ -103,15 +104,17 @@ func (d Decision) AppendLabel(buf []byte) []byte {
 // Labels returns every decision's label by capability: the Decisions map of
 // the report of a job that ran under this plan. A plan is immutable and shared
 // by the jobs it is cached for, so the map is rendered on the first call and
-// handed to all of them read-only. Like the plan cache itself, it belongs to
-// the one goroutine that executes the plan.
-func (p *Plan) Labels() map[string]string {
+// handed to all of them read-only. Each label is rendered into a stack buffer
+// and materialized through in: plans of different shapes repeat the same few
+// labels, so an interner kept across plans holds one string per distinct
+// label (a nil in copies each). Like the plan cache itself, the map and in
+// belong to the one goroutine that executes the plan.
+func (p *Plan) Labels(in *contentkey.Interner) map[string]string {
 	if p.labels == nil {
 		p.labels = make(map[string]string, len(p.Decisions))
-		var buf []byte
+		var scratch [128]byte
 		for cap, d := range p.Decisions {
-			buf = d.AppendLabel(buf[:0])
-			p.labels[cap] = string(buf)
+			p.labels[cap] = in.Intern(d.AppendLabel(scratch[:0]))
 		}
 	}
 	return p.labels

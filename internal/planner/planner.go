@@ -1,7 +1,7 @@
 // Package planner implements Murakkab's job decomposition (§3.2): lowering a
-// declarative Job into a task DAG, following the ReAct pattern — the planner
-// records thought/action/observation steps — and generating executable tool
-// calls for the selected agents.
+// declarative Job into a task DAG, following the ReAct pattern — a result
+// reports the planner's thought/action/observation steps — and generating
+// executable tool calls for the selected agents.
 //
 // Substitution note (see DESIGN.md): the paper uses NVLM as the orchestrator
 // LLM. We simulate it with a deterministic template planner that consumes
@@ -37,12 +37,14 @@ type Query struct {
 	OutputTokens int
 }
 
-// Result is a completed decomposition.
+// Result is a completed decomposition. Every template emits the same two
+// planning queries: the decomposition itself, then the batched tool calls.
 type Result struct {
 	Template string
 	Graph    *dag.Graph
-	Trace    []Step
-	Queries  []Query
+	Queries  [2]Query
+	// videos is the video template's input count, which its trace reports.
+	videos int
 	// calls memoizes the generated-and-validated tool call of each node of
 	// Graph, by node index (see Planner.ToolCallAt); made on first use, by the
 	// one goroutine that executes the decomposition.
@@ -55,6 +57,39 @@ type Result struct {
 type callSlot struct {
 	gen int
 	tc  agents.ToolCall
+}
+
+// templateSteps is each template's first ReAct step: its thought and action.
+var templateSteps = map[string][2]string{
+	"newsfeed": {"The job asks for a social-media newsfeed; search, rank, generation and a safety filter are needed.",
+		"select template newsfeed"},
+	"video-understanding": {"The job mentions videos and objects; frames, transcripts, detections and per-scene summaries are needed.",
+		"select template video-understanding"},
+	"document-qa": {"The job asks questions over documents; embed then retrieve-and-answer.",
+		"select template document-qa"},
+	"hint-chain": {"No template matches; chaining the user-provided sub-tasks.",
+		"map task hints to capabilities"},
+}
+
+// Trace returns the decomposition's ReAct steps: the template choice, the
+// video template's parallelism observation and the emitted DAG. Only readers
+// of the trace (the examples, the tests) need the text, so it is rendered on
+// each call from the template and the frozen graph, not per decomposition.
+func (r *Result) Trace() []Step {
+	first := templateSteps[r.Template]
+	steps := []Step{{Thought: first[0], Action: first[1], Observation: "ok"}}
+	if r.Template == "video-understanding" {
+		steps = append(steps, Step{
+			Thought:     "Speech-to-Text is the main dependency for the later stages.",
+			Action:      "expose per-scene parallelism in the DAG",
+			Observation: fmt.Sprintf("%d videos, %d tasks", r.videos, r.Graph.Len()),
+		})
+	}
+	return append(steps, Step{
+		Thought:     "The task graph is complete.",
+		Action:      "emit DAG",
+		Observation: fmt.Sprintf("%d tasks across %d capabilities", r.Graph.Len(), r.Graph.CapSlots()),
+	})
 }
 
 // TotalPlanningTokens sums tokens across planning queries.
@@ -121,71 +156,48 @@ func (p *Planner) Decompose(job workflow.Job) (*Result, error) {
 		return nil, err
 	}
 	desc := strings.ToLower(job.Description)
-	// Every template emits 2 queries and at most 4 trace steps; pre-size so
-	// the appends below never grow the backing arrays.
-	res := &Result{Trace: make([]Step, 0, 4), Queries: make([]Query, 0, 2)}
-	res.Queries = append(res.Queries, Query{
+	res := &Result{}
+	res.Queries[0] = Query{
 		Purpose:      "decompose",
 		PromptTokens: promptTokens(p.lib, job),
 		OutputTokens: 16, // the DAG spec is terse: task ids and edges
-	})
+	}
 
+	var err error
 	switch {
 	case strings.Contains(desc, "newsfeed") || strings.Contains(desc, "social media"):
 		res.Template = "newsfeed"
-		p.think(res, "The job asks for a social-media newsfeed; search, rank, generation and a safety filter are needed.",
-			"select template newsfeed")
-		if err := p.buildNewsfeed(res, job); err != nil {
-			return nil, err
-		}
+		err = p.buildNewsfeed(res, job)
 	case hasKind(job, workflow.InputVideo) &&
 		(strings.Contains(desc, "object") || strings.Contains(desc, "video") || strings.Contains(desc, "scene")):
 		res.Template = "video-understanding"
-		p.think(res, "The job mentions videos and objects; frames, transcripts, detections and per-scene summaries are needed.",
-			"select template video-understanding")
-		if err := p.buildVideoUnderstanding(res, job); err != nil {
-			return nil, err
-		}
+		err = p.buildVideoUnderstanding(res, job)
 	case hasKind(job, workflow.InputDoc) &&
 		(strings.Contains(desc, "question") || strings.Contains(desc, "answer")):
 		res.Template = "document-qa"
-		p.think(res, "The job asks questions over documents; embed then retrieve-and-answer.",
-			"select template document-qa")
-		if err := p.buildDocQA(res, job); err != nil {
-			return nil, err
-		}
+		err = p.buildDocQA(res, job)
 	case len(job.Tasks) > 0:
 		res.Template = "hint-chain"
-		p.think(res, "No template matches; chaining the user-provided sub-tasks.",
-			"map task hints to capabilities")
-		if err := p.buildHintChain(res, job); err != nil {
-			return nil, err
-		}
+		err = p.buildHintChain(res, job)
 	default:
 		return nil, fmt.Errorf("planner: cannot decompose job %s: no template matches and no task hints given", quoteDescription(job.Description))
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if err := res.Graph.Freeze(); err != nil {
 		return nil, fmt.Errorf("planner: produced invalid DAG: %w", err)
 	}
-	caps := res.Graph.CapSlots()
-	res.Trace = append(res.Trace, Step{
-		Thought:     "The task graph is complete.",
-		Action:      "emit DAG",
-		Observation: fmt.Sprintf("%d tasks across %d capabilities", res.Graph.Len(), caps),
-	})
 	// One tool-call generation query per capability (batched); each call
 	// is a one-line function invocation, so outputs are tiny.
-	res.Queries = append(res.Queries, Query{
+	caps := res.Graph.CapSlots()
+	res.Queries[1] = Query{
 		Purpose:      "tool-calls",
 		PromptTokens: 32 * caps,
 		OutputTokens: 4 * caps,
-	})
+	}
 	return res, nil
-}
-
-func (p *Planner) think(res *Result, thought, action string) {
-	res.Trace = append(res.Trace, Step{Thought: thought, Action: action, Observation: "ok"})
 }
 
 // maxQuotedDescription bounds how much of a caller-supplied description an
@@ -353,11 +365,7 @@ func (p *Planner) buildVideoUnderstanding(res *Result, job workflow.Job) error {
 			b.g.MustAddEdge(sum, emb)
 		}
 	}
-	res.Trace = append(res.Trace, Step{
-		Thought:     "Speech-to-Text is the main dependency for the later stages.",
-		Action:      "expose per-scene parallelism in the DAG",
-		Observation: fmt.Sprintf("%d videos, %d tasks", videos, b.g.Len()),
-	})
+	res.videos = videos
 	return nil
 }
 

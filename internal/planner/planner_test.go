@@ -87,11 +87,11 @@ func TestDecomposeRecordsReActTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) < 3 {
-		t.Fatalf("trace has %d steps, want >= 3", len(res.Trace))
+	if len(res.Trace()) < 3 {
+		t.Fatalf("trace has %d steps, want >= 3", len(res.Trace()))
 	}
 	var foundSTT bool
-	for _, s := range res.Trace {
+	for _, s := range res.Trace() {
 		if strings.Contains(s.Thought, "Speech-to-Text is the main dependency") {
 			foundSTT = true
 		}
@@ -408,7 +408,7 @@ func TestDecomposeGolden(t *testing.T) {
 			}
 			b.WriteString("\n")
 		}
-		for _, s := range res.Trace {
+		for _, s := range res.Trace() {
 			fmt.Fprintf(&b, "trace: %s\n", s.Observation)
 		}
 	}
@@ -423,8 +423,8 @@ func TestDecomposeGolden(t *testing.T) {
 
 // TestDecomposeAllocBudget holds decomposition to its allocation budget in a
 // unit no host changes: a constant per job whatever the node count (the
-// graph's parts, Freeze's two slabs, the arena, the metadata slab, the result
-// and its trace), plus the index map's own growth with size.
+// graph's parts, Freeze's two slabs, the arena, the metadata slab, the
+// result), plus the index map's own growth with size.
 func TestDecomposeAllocBudget(t *testing.T) {
 	hints := func(units int) workflow.Job {
 		job := workflow.Job{Description: "Process things", Constraint: workflow.MinCost,
@@ -458,8 +458,10 @@ func TestDecomposeAllocBudget(t *testing.T) {
 
 // The budget TestDecomposeAllocBudget enforces: allocations per Decompose
 // stay within decomposeAllocs + nodes/decomposeNodesPerAlloc. At the parent
-// of the change that introduced it the same jobs cost 41 to 866.
+// of the change that introduced it the same jobs cost 41 to 866. The constant
+// is the measured maximum (newsfeed ×1, video-understanding ×4); it was 24
+// while every decomposition rendered its ReAct trace and grew two slices.
 const (
-	decomposeAllocs        = 24
+	decomposeAllocs        = 16
 	decomposeNodesPerAlloc = 16
 )
