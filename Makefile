@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test race stress allocs coverage loc fuzz vet bench bench-smoke bench-json bench-baseline memprofile profile profile-exec
+.PHONY: all build test race stress allocs coverage loc fuzz vet bench bench-smoke memprofile profile profile-exec
 
 all: vet build test
 
@@ -35,11 +35,11 @@ stress:
 # allocs runs the tier-1 allocation budgets (the wire, the job hand-off warm
 # and cold, the execution layer in objects and in bytes, a launch cold and into
 # a released block, a decomposition, a graph build and freeze, a warm plan
-# search and its worker queue, the event core, telemetry compaction)
-# verbosely, so their measured counts print in one place; CI runs the same
-# line.
+# search and its worker queue, the event core, telemetry compaction, the
+# serving scenario runners and one load-sweep point) verbosely, so their
+# measured counts print in one place; CI runs the same line.
 allocs:
-	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab|SearchQueueDrainsClean' ./internal/api ./internal/core ./internal/dag ./internal/optimizer ./internal/planner ./internal/sim ./internal/telemetry
+	$(GO) test -count=1 -v -run 'AllocBudget|ByteBudget|ExecutionIsOneBlock|SteadyStateAllocatesNothing|EngineSteadyState|KeepsItsSlab|SearchQueueDrainsClean' ./internal/api ./internal/core ./internal/dag ./internal/experiments ./internal/optimizer ./internal/planner ./internal/serving ./internal/sim ./internal/telemetry
 
 # coverage runs the whole suite with statement coverage over internal/ and
 # cmd/ (the allocation budgets skip: coverage counters allocate) into
@@ -75,35 +75,6 @@ bench:
 # bench-smoke is the CI-speed variant: one iteration per benchmark.
 bench-smoke:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' .
-
-# bench-json emits the machine-readable perf trajectory as test2json event
-# streams: one BENCH_<scenario>.json per internal/serving scenario (admission,
-# serving, reconfig, faults, overload, cluster — README "The serving
-# scenarios" says what each compares) plus BENCH_engine.json, the raw
-# event-core throughput (the timer wheel at several pending depths; its
-# correctness oracle is the reference engine in internal/sim/oracle_test.go,
-# which is not benchmarked). The checked-in copies are the first baseline;
-# rerun this target to extend the trajectory when the hot path changes.
-bench-json:
-	$(GO) test -bench '^BenchmarkAdmission$$' -benchmem -benchtime 3x -run '^$$' -json . > BENCH_admission.json
-	$(GO) test -bench '^BenchmarkServing$$' -benchmem -benchtime 1x -run '^$$' -json . > BENCH_serving.json
-	$(GO) test -bench '^BenchmarkReconfig$$' -benchmem -benchtime 3x -run '^$$' -json . > BENCH_reconfig.json
-	$(GO) test -bench '^BenchmarkFaults$$' -benchmem -benchtime 3x -run '^$$' -json . > BENCH_faults.json
-	$(GO) test -bench '^BenchmarkOverload$$' -benchmem -benchtime 3x -run '^$$' -json . > BENCH_overload.json
-	$(GO) test -bench '^BenchmarkEngine$$' -benchmem -benchtime 200000x -run '^$$' -json . > BENCH_engine.json
-	$(GO) test -bench '^BenchmarkCluster$$' -benchmem -benchtime 3x -run '^$$' -json . > BENCH_cluster.json
-
-# bench-baseline refreshes the text baseline cmd/benchgate compares against
-# in CI (the load sweep, the serving / reconfig / faults / overload / cluster
-# scenarios and the event-core microbench), at the gate run's own -benchtime:
-# a 1x run is the benchmark's first iteration and pays the one-time setup
-# (cold profile builds) that a longer run's warm-up iteration hides, so
-# allocs/op only compares like with like. ns/op gates (-time-gate) only
-# compare within one machine: always regenerate on the host that runs the
-# gate.
-bench-baseline:
-	$(GO) test -bench '^(BenchmarkLoadSweep|BenchmarkServing|BenchmarkReconfig|BenchmarkFaults|BenchmarkOverload|BenchmarkCluster)$$' -benchmem -benchtime 1x -run '^$$' . > bench/baseline.txt
-	$(GO) test -bench '^BenchmarkEngine$$' -benchmem -benchtime 200000x -run '^$$' . >> bench/baseline.txt
 
 # memprofile runs the retention benchmark (bounded shard telemetry under a
 # long served history) with heap/alloc profiles, for digging into where

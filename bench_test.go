@@ -129,7 +129,8 @@ func BenchmarkQualityCheckpoints(b *testing.B) {
 	b.ReportMetric(last.Rows[len(last.Rows)-1].Correctness, "checked_correct")
 }
 
-// BenchmarkLoadSweep measures the AIWaaS operating curve at a moderate load.
+// BenchmarkLoadSweep measures the AIWaaS operating curve at a moderate load
+// (TestLoadSweepAllocBudget in internal/experiments holds its allocations).
 func BenchmarkLoadSweep(b *testing.B) {
 	var last *experiments.LoadSweepResult
 	for i := 0; i < b.N; i++ {
@@ -170,7 +171,8 @@ func BenchmarkLoadSweepHeavy(b *testing.B) {
 // BenchmarkServing replays the mixed-tenant Poisson trace through the HTTP
 // surface against both serving architectures and reports wall-clock
 // throughput, tail latency and the multiplexing gain of the shared runtime
-// pool over per-request testbeds (target: ≥ 2×).
+// pool over per-request testbeds (target: ≥ 2×; TestSharedPoolServingGain
+// in internal/serving holds ≥ 1.5×).
 func BenchmarkServing(b *testing.B) {
 	// Wall-clock throughput on a shared host is noisy one-sidedly (slowdowns
 	// only), so report the best iteration — the sustained capability of each
@@ -197,8 +199,9 @@ func BenchmarkServing(b *testing.B) {
 // the identical waited trace replayed against 1-node and 3-node clusters,
 // with throughput in simulated time (completed jobs over the slowest node's
 // sim makespan) so the scaling factor is deterministic and host-independent.
-// The churn arm — async load across a heartbeat, a replication-warmed join
-// and a drained leave — must strand nothing.
+// The churn arm runs async load across a heartbeat, a replication-warmed join
+// and a drained leave. TestRunClusterScalesAndSurvivesChurn holds the scaling
+// (>= 1.7x) and the churn arm's zero strands.
 func BenchmarkCluster(b *testing.B) {
 	var last *serving.ClusterResult
 	b.ReportAllocs()
@@ -208,12 +211,6 @@ func BenchmarkCluster(b *testing.B) {
 			b.Fatal(err)
 		}
 		last = res
-	}
-	if last.ScalingX < 1.7 {
-		b.Fatalf("routed throughput scaling %.2fx < 1.7x at 3 nodes: %+v", last.ScalingX, last)
-	}
-	if last.Churn.Stranded != 0 {
-		b.Fatalf("%d jobs stranded across join/leave churn: %+v", last.Churn.Stranded, last.Churn)
 	}
 	b.ReportMetric(last.ScalingX, "cluster_scaling_x")
 	b.ReportMetric(float64(last.Churn.Stranded), "stranded_jobs")
@@ -229,8 +226,7 @@ func BenchmarkCluster(b *testing.B) {
 // Each op is one fired event; every firing schedules its replacement and
 // every fourth also cancels a random pending event and replaces it, so the
 // queue holds `depth` live events throughout and ns/op isolates queue
-// maintenance. The sub-benchmarks keep their "wheel/" prefix, which
-// bench/baseline.txt rows are keyed by.
+// maintenance.
 func BenchmarkEngine(b *testing.B) {
 	for _, depth := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("wheel/depth=%d", depth), func(b *testing.B) {
@@ -273,8 +269,8 @@ func BenchmarkEngine(b *testing.B) {
 // serialized inline on the shard loop vs. the off-loop worker pool with
 // optimistic snapshot commit — and reports the plans/sec gain, submit-to-
 // admission latency percentiles and the singleflight/conflict counters. On a
-// host with ≥ 4 cores the parallel arm must hold a real speedup and conflict
-// re-plans must stay rare; both are CI gates.
+// host with ≥ 4 cores the parallel arm must hold a real speedup;
+// TestRunAdmissionSmallBurst keeps conflict re-plans under 10 %.
 func BenchmarkAdmission(b *testing.B) {
 	b.ReportAllocs()
 	var best *serving.AdmissionComparison
@@ -298,9 +294,6 @@ func BenchmarkAdmission(b *testing.B) {
 	b.ReportMetric(best.Parallel.SubmitP95Ms, "submit_p95_ms")
 	b.ReportMetric(float64(best.Parallel.SingleflightHits), "singleflight_hits")
 	b.ReportMetric(100*best.Parallel.ConflictFrac, "conflict_pct")
-	if best.Parallel.ConflictFrac >= 0.10 {
-		b.Errorf("conflict re-plans %.1f%% of admissions, want < 10%%", 100*best.Parallel.ConflictFrac)
-	}
 	if runtime.NumCPU() >= 4 && best.SpeedupX < 1.4 {
 		b.Errorf("off-loop admission speedup %.2fx on %d cores, want >= 1.4x (target 2x)",
 			best.SpeedupX, runtime.NumCPU())
@@ -311,7 +304,7 @@ func BenchmarkAdmission(b *testing.B) {
 // fleet-churn trace (VMs arriving mid-run) against one runtime shard with
 // mid-flight reconfiguration on and off. Both arms run entirely in simulated
 // time, so the completion/energy gains are deterministic and
-// machine-independent — the CI benchgate requires the completion gain.
+// machine-independent; TestRunReconfigDeterministicGain holds both.
 func BenchmarkReconfig(b *testing.B) {
 	b.ReportAllocs()
 	var last *serving.ReconfigComparison
@@ -329,19 +322,15 @@ func BenchmarkReconfig(b *testing.B) {
 	b.ReportMetric(float64(last.On.Reconfigs), "reconfig_evals")
 	b.ReportMetric(float64(last.On.ReconfigWins), "reconfig_wins")
 	b.ReportMetric(float64(last.On.ReconfigSkips), "reconfig_skips")
-	if last.CompletionGainX < 1.2 {
-		b.Errorf("reconfiguration completion gain %.3fx on the replayed churn trace, want >= 1.2x",
-			last.CompletionGainX)
-	}
 }
 
 // BenchmarkFaults replays the same job burst and the same seeded fault trace
 // (engine crashes, worker losses, stage stalls, transient call errors)
 // against one runtime shard with failure recovery on and off, and reports
 // goodput: jobs completed successfully within the measurement horizon. Both
-// arms run entirely in simulated time, so the gain is deterministic and the
-// CI benchgate requires it; the zero-stranded contract is checked inside
-// RunFaults (it errors on any non-terminal job after the drain).
+// arms run entirely in simulated time, so the gain is deterministic;
+// TestRunFaultsRecoveryGain holds it and the zero-stranded contract, which
+// RunFaults also checks (it errors on any non-terminal job after the drain).
 func BenchmarkFaults(b *testing.B) {
 	b.ReportAllocs()
 	var last *serving.FaultsComparison
@@ -359,23 +348,15 @@ func BenchmarkFaults(b *testing.B) {
 	b.ReportMetric(float64(last.On.TaskRetries), "task_retries")
 	b.ReportMetric(float64(last.On.BreakerTrips), "breaker_trips")
 	b.ReportMetric(float64(last.Off.Stranded+last.On.Stranded), "stranded_jobs")
-	if last.GoodputGainX < 1.3 {
-		b.Errorf("recovery goodput gain %.3fx on the replayed fault trace, want >= 1.3x",
-			last.GoodputGainX)
-	}
-	if last.Off.Stranded != 0 || last.On.Stranded != 0 {
-		b.Errorf("stranded jobs after drain: off=%d on=%d, want 0",
-			last.Off.Stranded, last.On.Stranded)
-	}
 }
 
 // BenchmarkOverload replays the same seeded 4×-overloaded burst against one
 // runtime shard with plain FIFO admission and again with SLO tiers on
 // (per-tenant queue bounds, admission-time degradation, typed shedding), and
 // reports goodput: jobs completed within their tier's latency target. Both
-// arms run entirely in simulated time, so the gain is deterministic and the
-// CI benchgate requires it; bounded queue depth and the zero-stranded
-// contract are checked inside RunOverload (it errors on either violation).
+// arms run entirely in simulated time, so the gain is deterministic;
+// TestOverloadTieredBeatsFIFO holds it and the zero-stranded contract, and
+// RunOverload errors on an unbounded queue or a stranded job.
 func BenchmarkOverload(b *testing.B) {
 	b.ReportAllocs()
 	var last *serving.OverloadComparison
@@ -393,14 +374,6 @@ func BenchmarkOverload(b *testing.B) {
 	b.ReportMetric(float64(last.Tiered.DegradedAdmits), "degraded_admits")
 	b.ReportMetric(float64(last.Tiered.PeakQueueDepth), "peak_queue_depth")
 	b.ReportMetric(float64(last.FIFO.Stranded+last.Tiered.Stranded), "stranded_jobs")
-	if last.GoodputGainX < 1.2 {
-		b.Errorf("tiered goodput gain %.3fx on the replayed overload burst, want >= 1.2x",
-			last.GoodputGainX)
-	}
-	if last.FIFO.Stranded != 0 || last.Tiered.Stranded != 0 {
-		b.Errorf("stranded jobs after drain: fifo=%d tiered=%d, want 0",
-			last.FIFO.Stranded, last.Tiered.Stranded)
-	}
 }
 
 // BenchmarkServingRetention replays the mixed-tenant trace against the

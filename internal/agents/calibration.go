@@ -25,7 +25,7 @@ import (
 // 34–43 Wh GPU energy). Relative behaviour — which config is fastest,
 // which is cheapest, where GPUs beat CPUs — is emergent, not hard-coded:
 // these are per-unit processing rates, not per-experiment outcomes.
-// EXPERIMENTS.md records paper-vs-measured for every cell.
+// testdata/experiments.golden records paper-vs-measured for every cell.
 
 // Implementation names (referenced by the planner templates and tests).
 const (

@@ -3,7 +3,7 @@
 // overhead claim. Each experiment builds a fresh §4 testbed (two
 // Standard_ND96amsr_A100_v4 VMs), runs the Video Understanding workflow and
 // returns structured rows with the paper's reference values alongside the
-// measured ones — EXPERIMENTS.md is generated from exactly these results.
+// measured ones — testdata/experiments.golden holds exactly these results.
 package experiments
 
 import (

@@ -103,8 +103,8 @@ func TestMultiCloudPlacement(t *testing.T) {
 }
 
 func TestRenderersProduceCompleteOutput(t *testing.T) {
-	// The String()/CSV() renderers feed EXPERIMENTS.md and the CLI; make
-	// sure each carries its headline content.
+	// The String()/CSV() renderers feed testdata/experiments.golden and the
+	// CLI; make sure each carries its headline content.
 	t1, err := Table1()
 	if err != nil {
 		t.Fatal(err)

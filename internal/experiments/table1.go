@@ -141,8 +141,8 @@ func Table1() (*Table1Result, error) {
 	// 2. CPU vs GPU: whisper on 1×A100 → 64 cores (as 16×4c workers). The
 	// arXiv rendering of this row's latency cell reads "Lower", which
 	// contradicts Table 2 (CPU config is slower, 83 s vs 77 s); we assert
-	// the Table-2-consistent direction and note the discrepancy in
-	// EXPERIMENTS.md.
+	// the Table-2-consistent direction and note the discrepancy in the
+	// rendered table (testdata/experiments.golden).
 	before, err = measure(store, cat, agents.ImplWhisper, a100, scenes, 30, 1, 1)
 	if err != nil {
 		return nil, err

@@ -58,8 +58,8 @@ func TestBaselineMakespanNearPaper(t *testing.T) {
 func TestBaselineEnergyNearPaper(t *testing.T) {
 	_, _, rep := runBaseline(t, paperVideos())
 	// Table 2 baseline: 155 Wh GPU energy. Tolerance ±25% (the same band
-	// EXPERIMENTS.md reports; the simulated power model undershoots the
-	// paper's measured batch-1 decode power slightly).
+	// testdata/experiments.golden shows; the simulated power model
+	// undershoots the paper's measured batch-1 decode power slightly).
 	if rep.GPUEnergyWh < 116 || rep.GPUEnergyWh > 194 {
 		t.Fatalf("baseline GPU energy = %.1f Wh, want ≈ 155 Wh", rep.GPUEnergyWh)
 	}

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -193,5 +195,40 @@ func TestRouterPollAndCancelWhileLeaveDrains(t *testing.T) {
 
 	for _, id := range ids {
 		waitTerminal(t, rt, id)
+	}
+}
+
+// TestRouterRegisterAfterLeaveKeepsTheJob replays, in order, the interleaving
+// in which a submit routed to a node is registered only after that node's
+// Leave finished: the job was accepted, so GET must answer its terminal
+// envelope from the departed node, not 404.
+func TestRouterRegisterAfterLeaveKeepsTheJob(t *testing.T) {
+	rt := newTestRouter(t, Config{Nodes: 2, Seed: 42})
+	tenant := ""
+	for i := 0; tenant == ""; i++ {
+		name := fmt.Sprintf("late-%d", i)
+		if owner, _ := rt.ring.NodeFor(name); owner == "n0" {
+			tenant = name
+		}
+	}
+	req := new(api.JobRequest)
+	if err := json.Unmarshal([]byte(jobBody(tenant, false)), req); err != nil {
+		t.Fatal(err)
+	}
+	rp, n := rt.routeSubmit(context.Background(), req)
+	if n == nil || n.name != "n0" || rp.Code != http.StatusAccepted {
+		t.Fatalf("routeSubmit = %d on %v, want 202 on n0", rp.Code, n)
+	}
+	if err := rt.Leave("n0"); err != nil {
+		t.Fatal(err)
+	}
+	rt.register(n, req, rp)
+
+	rec := do(rt, http.MethodGet, "/v1/jobs/"+rp.Job.ID, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s after its node left = %d: %s", rp.Job.ID, rec.Code, rec.Body.String())
+	}
+	if st := decodeStatus(t, rec); st.ID != rp.Job.ID || st.Status != "done" {
+		t.Fatalf("GET %s = %+v, want the drained job done", rp.Job.ID, st)
 	}
 }

@@ -78,9 +78,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rp.Job.ID != "" {
-		rt.mu.Lock()
-		rt.registerLocked(n.name, req, rp.Job)
-		rt.mu.Unlock()
+		rt.register(n, req, rp)
 	}
 	rp.Write(w)
 }

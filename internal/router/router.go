@@ -52,10 +52,12 @@ type node struct {
 	name string
 	srv  *api.Server
 	reg  *profiles.Registry
-	// healthy is the last heartbeat verdict; draining is set by Leave.
-	// Both are guarded by the router mutex.
+	// healthy is the last heartbeat verdict; draining is set by Leave, and
+	// gone once Leave has cached its jobs' final replies (a job registered
+	// after that settles itself). All are guarded by the router mutex.
 	healthy  bool
 	draining bool
+	gone     bool
 	// lastBeatSimS is the node's max shard sim-time at the last heartbeat —
 	// the harness's sim-time liveness stamp.
 	lastBeatSimS float64
@@ -336,6 +338,7 @@ func (rt *Router) Leave(name string) error {
 	// queryable after the node is gone, then fold the node's final counters
 	// into the retired totals and drop it.
 	rt.mu.Lock()
+	n.gone = true
 	var remaining []*jobEntry
 	for _, e := range rt.jobs {
 		if e.node == name && e.aliasTo == "" && e.final == nil {
@@ -367,8 +370,8 @@ func (rt *Router) resubmit(e *jobEntry, req *api.JobRequest) bool {
 	if n == nil || rp.Code != http.StatusAccepted {
 		return false
 	}
+	rt.register(n, &again, rp)
 	rt.mu.Lock()
-	rt.registerLocked(n.name, &again, rp.Job)
 	e.aliasTo = rp.Job.ID
 	e.terminal = true
 	e.req = nil
@@ -489,13 +492,21 @@ func (rt *Router) Close() {
 	}
 }
 
-// registerLocked records a routed job from the envelope its node answered
-// with. Callers hold rt.mu.
-func (rt *Router) registerLocked(nodeName string, req *api.JobRequest, job api.JobStatusResponse) {
-	e := &jobEntry{id: job.ID, node: nodeName, tenant: req.Tenant}
-	if terminalStatus(job.Status) {
+// register records a routed job from the reply its node answered with. A
+// submit that raced its node's Leave past the final-reply scan registers
+// here after the scan: the entry then takes the departed node's final reply
+// itself, or a GET would find no node and answer 404.
+func (rt *Router) register(n *node, req *api.JobRequest, rp api.Reply) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	e := &jobEntry{id: rp.Job.ID, node: n.name, tenant: req.Tenant}
+	switch {
+	case n.gone:
+		final := n.srv.Status(e.id)
+		e.final, e.terminal = &final, true
+	case terminalStatus(rp.Job.Status):
 		e.terminal = true
-	} else {
+	default:
 		// Retain the request so a leave can re-enter the job elsewhere;
 		// terminal jobs need only the routing hint.
 		e.req = req

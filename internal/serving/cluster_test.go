@@ -14,33 +14,47 @@ func testClusterOptions() ClusterOptions {
 	return opts
 }
 
+// TestRunClusterScalesAndSurvivesChurn holds the routed sim-time throughput
+// scaling at 3 nodes over 1 (2.163 on the default shape today) and the churn
+// arm's zero strands, on the default shape and on the shrunk one.
 func TestRunClusterScalesAndSurvivesChurn(t *testing.T) {
-	res, err := RunCluster(testClusterOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OneNode.Completed != res.Jobs || res.ThreeNode.Completed != res.Jobs {
-		t.Fatalf("incomplete arms: %+v", res)
-	}
-	if len(res.ThreeNode.NodeSimS) != 3 || len(res.OneNode.NodeSimS) != 1 {
-		t.Fatalf("node rows: %+v", res)
-	}
-	// Even the shrunk trace must show real scaling: the ring spreads the
-	// tenants, so the 3-node critical path is well under the 1-node one.
-	if res.ScalingX < 1.3 {
-		t.Fatalf("scaling %v < 1.3: %+v", res.ScalingX, res)
-	}
-	if res.Churn.Stranded != 0 {
-		t.Fatalf("%d stranded jobs: %+v", res.Churn.Stranded, res.Churn)
-	}
-	if res.Churn.JoinBuilds != 0 {
-		t.Fatalf("joined node rebuilt %d profiles instead of replicating", res.Churn.JoinBuilds)
-	}
-	if !res.Churn.TotalsMonotonic {
-		t.Fatalf("cluster totals regressed during churn: %+v", res.Churn)
-	}
-	if res.Churn.TenantsMoved == 0 {
-		t.Fatal("join+leave moved no tenants")
+	for _, tc := range []struct {
+		name    string
+		opts    ClusterOptions
+		scaling float64
+	}{
+		// Even the shrunk trace must show real scaling: the ring spreads the
+		// tenants, so the 3-node critical path is well under the 1-node one.
+		{"shrunk", testClusterOptions(), 1.3},
+		{"default", DefaultClusterOptions(), 1.7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunCluster(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OneNode.Completed != res.Jobs || res.ThreeNode.Completed != res.Jobs {
+				t.Fatalf("incomplete arms: %+v", res)
+			}
+			if len(res.ThreeNode.NodeSimS) != 3 || len(res.OneNode.NodeSimS) != 1 {
+				t.Fatalf("node rows: %+v", res)
+			}
+			if res.ScalingX < tc.scaling {
+				t.Fatalf("scaling %v < %v: %+v", res.ScalingX, tc.scaling, res)
+			}
+			if res.Churn.Stranded != 0 {
+				t.Fatalf("%d stranded jobs: %+v", res.Churn.Stranded, res.Churn)
+			}
+			if res.Churn.JoinBuilds != 0 {
+				t.Fatalf("joined node rebuilt %d profiles instead of replicating", res.Churn.JoinBuilds)
+			}
+			if !res.Churn.TotalsMonotonic {
+				t.Fatalf("cluster totals regressed during churn: %+v", res.Churn)
+			}
+			if res.Churn.TenantsMoved == 0 {
+				t.Fatal("join+leave moved no tenants")
+			}
+		})
 	}
 }
 

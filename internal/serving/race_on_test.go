@@ -1,0 +1,7 @@
+//go:build race
+
+package serving
+
+// raceEnabled: allocation budgets are not asserted under the race detector
+// (its instrumentation changes what escapes).
+const raceEnabled = true
